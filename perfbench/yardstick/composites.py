@@ -1,0 +1,236 @@
+"""Bipartite state spaces: product states, min/max tensor sets, separability.
+
+A joint state is a coefficient tensor W on the bilinear embedding of the two
+factor spaces; evaluating it against factor effects e, f gives e.T W f. The
+minimal tensor set is the convex hull of vertex products. Max-tensor
+membership is checked against each factor's frame effects together with the
+zero and unit effects; for the models built here that is the operative
+effect set (for simplexes it is equivalent to checking every effect, and for
+squares it is the convention that makes the standard no-signaling box a
+member).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .convex_kernel import Polytope, convex_weights
+from .errors import (
+    DimensionMismatch,
+    NotNormalized,
+    TooLarge,
+    UnsupportedModel,
+)
+from .gpt_models import (
+    GptEffect,
+    GptState,
+    KIND_POLYGON,
+    KIND_SIMPLEX,
+    StateSpace,
+    enumerate_frames,
+    unit_effect,
+    zero_effect,
+)
+from .probvec import TOL
+
+#: Factor-size cap for explicit vertex products.
+MAX_FACTOR_VERTICES = 8
+
+
+@dataclass(frozen=True)
+class ProductSpace:
+    factor_a: StateSpace
+    factor_b: StateSpace
+
+    @property
+    def joint_shape(self) -> tuple[int, int]:
+        return (self.factor_a.dim, self.factor_b.dim)
+
+
+@dataclass(frozen=True)
+class JointState:
+    """Coefficient tensor over the joint embedding; table[-1, -1] is u_AB."""
+
+    table: tuple[tuple[float, ...], ...]
+
+    def __init__(self, table):
+        t = np.asarray(table, float)
+        if t.ndim != 2:
+            raise DimensionMismatch("joint table must be a 2-d array")
+        if not np.all(np.isfinite(t)):
+            raise NotNormalized("joint table must be finite")
+        if abs(t[-1, -1] - 1.0) > TOL:
+            raise NotNormalized(f"u_AB evaluates to {t[-1, -1]!r}, not 1")
+        object.__setattr__(self, "table", tuple(tuple(float(x) for x in row) for row in t))
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.table, float)
+
+    def evaluate(self, e: GptEffect, f: GptEffect) -> float:
+        return float(e.as_array() @ self.as_array() @ f.as_array())
+
+
+def product_state(nu_a: GptState, nu_b: GptState) -> JointState:
+    """The factorizing joint state nu_a (x) nu_b."""
+    return JointState(np.outer(nu_a.as_array(), nu_b.as_array()))
+
+
+def min_tensor_vertices(ps: ProductSpace) -> Polytope:
+    """All products of factor vertices, flattened into one polytope."""
+    va, vb = ps.factor_a.n_vertices, ps.factor_b.n_vertices
+    if va > MAX_FACTOR_VERTICES or vb > MAX_FACTOR_VERTICES:
+        raise TooLarge(f"factors with {va} x {vb} vertices exceed the cap "
+                       f"{MAX_FACTOR_VERTICES} per side")
+    points = []
+    for a in ps.factor_a.vertex_array():
+        for b in ps.factor_b.vertex_array():
+            points.append(tuple(np.outer(a, b).reshape(-1)))
+    return Polytope(tuple(points))
+
+
+def separable_witness(ps: ProductSpace, omega: JointState):
+    """Convex weights over vertex products reconstructing omega, or None.
+
+    Weights are indexed by (a_index, b_index) pairs in row-major order.
+    """
+    flat = omega.as_array().reshape(-1)
+    weights = convex_weights(flat, min_tensor_vertices(ps))
+    if weights is None:
+        return None
+    vb = ps.factor_b.n_vertices
+    return [((i // vb, i % vb), float(w))
+            for i, w in enumerate(weights) if w > TOL]
+
+
+def is_separable(ps: ProductSpace, omega: JointState) -> bool:
+    """Membership of the joint state in the minimal tensor set."""
+    return separable_witness(ps, omega) is not None
+
+
+def _extreme_effects(space: StateSpace) -> list[GptEffect]:
+    effects = [zero_effect(space), unit_effect(space)]
+    for frame in enumerate_frames(space):
+        effects.extend(frame.effects)
+    return effects
+
+
+def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:
+    """Does omega assign sane probabilities to all product measurements?
+
+    Checks omega(E, E') in [0, 1] over the factors' frame effects plus the
+    zero and unit effects; normalization omega(u_A, u_B) = 1 is part of the
+    JointState invariant.
+    """
+    table = omega.as_array()
+    if table.shape != ps.joint_shape:
+        raise DimensionMismatch(f"table shape {table.shape} vs {ps.joint_shape}")
+    for ea in _extreme_effects(ps.factor_a):
+        for eb in _extreme_effects(ps.factor_b):
+            value = float(ea.as_array() @ table @ eb.as_array())
+            if value < -TOL or value > 1.0 + TOL:
+                return False
+    return True
+
+
+def classify_joint(ps: ProductSpace, omega: JointState) -> str:
+    """Three-way verdict: separable / entangled / not-a-state.
+
+    'entangled' means outside the minimal tensor set but consistent with the
+    maximal one; anything violating max-tensor positivity is 'not-a-state'.
+    """
+    if not max_tensor_member(ps, omega):
+        return "not-a-state"
+    return "separable" if is_separable(ps, omega) else "entangled"
+
+
+def pr_box(ps: ProductSpace) -> JointState:
+    """The maximally nonlocal no-signaling joint state on two square models.
+
+    Both factors must carry exactly two frames of two outcomes each. The
+    returned tensor gives uniform marginals for every frame choice and
+    perfectly correlated outcomes except when both sides use their second
+    frame, where outcomes anti-correlate.
+    """
+    basis, values = [], []
+    for space in (ps.factor_a, ps.factor_b):
+        frames = enumerate_frames(space)
+        if len(frames) != 2 or any(len(f) != 2 for f in frames):
+            raise UnsupportedModel("no-signaling box needs two 2-outcome frames per factor")
+        rows = [frames[0].effects[0].as_array(),
+                frames[1].effects[0].as_array(),
+                space.unit()]
+        b = np.asarray(rows)
+        if abs(np.linalg.det(b)) < 1e-12:
+            raise UnsupportedModel("frame effects do not span the effect space")
+        basis.append(b)
+
+    # target values on basis pairs: first effects of frames x, y plus units
+    m = np.empty((3, 3))
+    for x in range(2):
+        for y in range(2):
+            m[x, y] = 0.0 if x == 1 and y == 1 else 0.5
+        m[x, 2] = 0.5
+        m[2, x] = 0.5
+    m[2, 2] = 1.0
+
+    w = np.linalg.solve(basis[0], np.linalg.solve(basis[1], m.T).T)
+    return JointState(w)
+
+
+def _table_polytope_vertices(n_cells: int) -> list[np.ndarray]:
+    """Extreme points of {x >= 0, sum x = 1} by basic-solution enumeration."""
+    vertices = []
+    for i in range(n_cells):
+        x = np.zeros(n_cells)
+        x[i] = 1.0
+        vertices.append(x)
+    return vertices
+
+
+def classical_collapse_check(space_a: StateSpace, space_b: StateSpace) -> bool:
+    """Is every extreme joint state a product of factor vertices?
+
+    For two simplexes the joint probability-table polytope (positivity plus
+    normalization on product effects) is enumerated exactly; every extreme
+    table must be a vertex product. The square pair is certified false via
+    the no-signaling box (max-tensor member outside the minimal set).
+    """
+    if space_a.kind == KIND_SIMPLEX and space_b.kind == KIND_SIMPLEX:
+        na, nb = space_a.n_vertices, space_b.n_vertices
+        if na * nb > 16:
+            raise TooLarge(f"{na} x {nb} outcome cells exceed the cap 16")
+        ps = ProductSpace(space_a, space_b)
+        # canonical indicator effects (delta_i, 0) plus the unit functional
+        # form an invertible coefficient basis pinning the tensor gauge
+        basis_a = np.vstack([np.hstack([np.eye(na), np.zeros((na, 1))]), space_a.unit()])
+        basis_b = np.vstack([np.hstack([np.eye(nb), np.zeros((nb, 1))]), space_b.unit()])
+        for table in _table_polytope_vertices(na * nb):
+            p = table.reshape(na, nb)
+            # extend the probability table to the full coefficient tensor
+            m = np.zeros((na + 1, nb + 1))
+            m[:na, :nb] = p
+            m[na, :nb] = p.sum(axis=0)
+            m[:na, nb] = p.sum(axis=1)
+            m[na, nb] = 1.0
+            w = np.linalg.solve(basis_a, np.linalg.solve(basis_b, m.T).T)
+            if not _is_vertex_product(ps, w):
+                return False
+        return True
+
+    if (space_a.kind == KIND_POLYGON and space_a.n_vertices == 4
+            and space_b.kind == KIND_POLYGON and space_b.n_vertices == 4):
+        ps = ProductSpace(space_a, space_b)
+        box = pr_box(ps)
+        return not (max_tensor_member(ps, box) and not is_separable(ps, box))
+
+    raise UnsupportedModel("collapse check covers simplex pairs and the square pair")
+
+
+def _is_vertex_product(ps: ProductSpace, table: np.ndarray) -> bool:
+    for a in ps.factor_a.vertex_array():
+        for b in ps.factor_b.vertex_array():
+            if np.max(np.abs(np.outer(a, b) - table)) <= 1e-8:
+                return True
+    return False

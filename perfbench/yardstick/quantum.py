@@ -1,0 +1,271 @@
+"""Density operators, POVMs, quantum entropies and the Holevo bound.
+
+The two equivalent entropy routes are kept separate on purpose: the
+spectral route applies an entropic pair to the eigenvalues, while the
+measurement route minimizes the classical entropy of Born statistics over
+sampled rank-one POVMs (the eigenbasis measurement is always seeded, so
+the known optimum is reachable whenever the pair is Schur-concave).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .entropic import EntropicPair, classical_entropy, make_preset
+from .errors import (
+    DimensionMismatch,
+    InvalidDensityMatrix,
+    InvalidPovm,
+    NotNormalized,
+    TooLarge,
+)
+from .probvec import TOL, ProbVector, majorizes
+
+_SHANNON: EntropicPair | None = None
+
+
+def _shannon() -> EntropicPair:
+    global _SHANNON
+    if _SHANNON is None:
+        _SHANNON = make_preset("shannon")
+    return _SHANNON
+
+#: Dense eigensolves only; desk-scale dimension cap.
+MAX_DIM = 16
+
+
+def _as_complex_matrix(entries) -> np.ndarray:
+    m = np.asarray(entries, complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidDensityMatrix(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """A positive semidefinite, unit-trace complex matrix (N <= 16)."""
+
+    entries: tuple[tuple[complex, ...], ...]
+
+    def __init__(self, entries):
+        m = _as_complex_matrix(entries)
+        n = m.shape[0]
+        if n > MAX_DIM:
+            raise TooLarge(f"dimension {n} exceeds the cap {MAX_DIM}")
+        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+            raise InvalidDensityMatrix("entries must be finite")
+        if np.max(np.abs(m - m.conj().T)) > TOL:
+            raise InvalidDensityMatrix("matrix is not Hermitian within tolerance")
+        trace = float(np.trace(m).real)
+        if abs(trace - 1.0) > TOL:
+            raise InvalidDensityMatrix(f"trace is {trace!r}, not 1")
+        lo = float(np.linalg.eigvalsh(m)[0])
+        if lo < -TOL:
+            raise InvalidDensityMatrix(f"negative eigenvalue {lo!r} beyond tolerance")
+        object.__setattr__(self, "entries", tuple(tuple(row) for row in m))
+
+    @property
+    def dim(self) -> int:
+        return len(self.entries)
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.entries, complex)
+
+    def to_json(self) -> list:
+        return [[[z.real, z.imag] for z in row] for row in self.entries]
+
+
+@dataclass(frozen=True)
+class Povm:
+    """A finite POVM: PSD effects summing to the identity."""
+
+    effects: tuple[tuple[tuple[complex, ...], ...], ...]
+    rank_one: bool
+
+    def __init__(self, effects, rank_one: bool | None = None):
+        mats = [_as_complex_matrix(e) for e in effects]
+        if not mats:
+            raise InvalidPovm("a POVM needs at least one effect")
+        n = mats[0].shape[0]
+        if any(m.shape[0] != n for m in mats):
+            raise DimensionMismatch("effects must share one dimension")
+        total = np.zeros((n, n), complex)
+        detected_rank_one = True
+        for m in mats:
+            if np.max(np.abs(m - m.conj().T)) > TOL:
+                raise InvalidPovm("effect is not Hermitian within tolerance")
+            evals = np.linalg.eigvalsh(m)
+            if evals[0] < -TOL:
+                raise InvalidPovm(f"effect has negative eigenvalue {evals[0]!r}")
+            if n > 1 and evals[-2] > 1e-7:
+                detected_rank_one = False
+            total += m
+        if np.max(np.abs(total - np.eye(n))) > TOL:
+            raise InvalidPovm("effects do not sum to the identity")
+        if rank_one is None:
+            rank_one = detected_rank_one
+        elif rank_one and not detected_rank_one:
+            raise InvalidPovm("rank_one flag set but an effect has rank > 1")
+        object.__setattr__(self, "effects",
+                           tuple(tuple(tuple(row) for row in m) for m in mats))
+        object.__setattr__(self, "rank_one", bool(rank_one))
+
+    @property
+    def dim(self) -> int:
+        return len(self.effects[0])
+
+    def __len__(self) -> int:
+        return len(self.effects)
+
+    def effect_arrays(self) -> list[np.ndarray]:
+        return [np.asarray(e, complex) for e in self.effects]
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Classical source emitting quantum states: weights plus same-dim states."""
+
+    weights: ProbVector
+    states: tuple[DensityMatrix, ...]
+
+    def __post_init__(self):
+        if len(self.weights) != len(self.states):
+            raise DimensionMismatch("one weight per state required")
+        dims = {s.dim for s in self.states}
+        if len(dims) != 1:
+            raise DimensionMismatch("ensemble states must share one dimension")
+        object.__setattr__(self, "states", tuple(self.states))
+
+    @property
+    def dim(self) -> int:
+        return self.states[0].dim
+
+    def average_state(self) -> DensityMatrix:
+        mix = sum(w * s.as_array() for w, s in zip(self.weights.components, self.states))
+        return DensityMatrix(mix)
+
+
+def born_probabilities(rho: DensityMatrix, m: Povm) -> ProbVector:
+    """Outcome distribution Tr(rho E_i) of measuring m on rho."""
+    if rho.dim != m.dim:
+        raise DimensionMismatch(f"state dim {rho.dim} vs POVM dim {m.dim}")
+    r = rho.as_array()
+    probs = [float(np.trace(r @ e).real) for e in m.effect_arrays()]
+    return ProbVector(probs)
+
+
+def eigen_spectrum(rho: DensityMatrix) -> ProbVector:
+    """Eigenvalues sorted decreasing, clamped at 0 and renormalized."""
+    evals = np.linalg.eigvalsh(rho.as_array())[::-1]
+    clamped = np.where(evals > 0.0, evals, 0.0)
+    return ProbVector(clamped / clamped.sum())
+
+
+def quantum_entropy(pair: EntropicPair, rho: DensityMatrix) -> float:
+    """h(Tr phi(rho)): the pair's entropy of the eigenvalue distribution."""
+    return classical_entropy(pair, eigen_spectrum(rho))
+
+
+def _isometry_rows(rng: np.random.Generator, dim: int, outcomes: int) -> np.ndarray:
+    """Rows of a Haar-ish isometry; row i induces the effect |r_i*><r_i*|."""
+    g = rng.normal(size=(outcomes, dim)) + 1j * rng.normal(size=(outcomes, dim))
+    q, _ = np.linalg.qr(g)  # outcomes x dim with orthonormal columns
+    return q
+
+
+def _rows_entropy(pair, rho_arr, rows) -> float:
+    probs = np.einsum("ia,ab,ib->i", rows, rho_arr, rows.conj()).real
+    probs = np.where(probs > 0.0, probs, 0.0)
+    return classical_entropy(pair, ProbVector(probs / probs.sum()))
+
+
+def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
+                               budget: int = 1000, seed: int = 0) -> tuple[float, Povm]:
+    """Minimize the pair's entropy of Born statistics over rank-one POVMs.
+
+    Deterministic given (seed, budget). The eigenbasis projective measurement
+    is always the first candidate; random isometry-sampled POVMs with N..2N
+    outcomes use roughly 70% of the budget and local refinements of the best
+    isometry the rest.
+    """
+    if budget < 1:
+        raise DimensionMismatch("budget must be >= 1")
+    n = rho.dim
+    rho_arr = rho.as_array()
+    rng = np.random.default_rng(seed)
+
+    _, vecs = np.linalg.eigh(rho_arr)
+    best_rows = vecs.conj().T[::-1].copy()  # eigenbasis bras, largest eigenvalue first
+    best_value = _rows_entropy(pair, rho_arr, best_rows)
+
+    n_random = max(1, int(0.7 * (budget - 1)))
+    for _ in range(n_random):
+        outcomes = int(rng.integers(n, 2 * n + 1))
+        rows = _isometry_rows(rng, n, outcomes)
+        value = _rows_entropy(pair, rho_arr, rows)
+        if value < best_value - 1e-15:
+            best_value, best_rows = value, rows
+
+    # local refinement around the best candidate frame
+    frame = best_rows
+    scale = 0.3
+    for _ in range(budget - 1 - n_random):
+        g = rng.normal(size=frame.shape) + 1j * rng.normal(size=frame.shape)
+        rows, _ = np.linalg.qr(frame + scale * g)
+        value = _rows_entropy(pair, rho_arr, rows)
+        if value < best_value - 1e-15:
+            best_value, best_rows, frame = value, rows, rows
+        scale = max(0.01, scale * 0.995)
+
+    effects = [np.outer(row.conj(), row) for row in best_rows]
+    return best_value, Povm(effects, rank_one=True)
+
+
+def quantum_majorizes(sigma: DensityMatrix, rho: DensityMatrix) -> bool:
+    """True iff rho is majorized by sigma (eigenvalue majorization)."""
+    if sigma.dim != rho.dim:
+        raise DimensionMismatch("states must share one dimension")
+    return majorizes(eigen_spectrum(sigma), eigen_spectrum(rho))
+
+
+def holevo_chi(e: Ensemble) -> float:
+    """S(sum p_x rho_x) - sum p_x S(rho_x) with the Shannon preset."""
+    shannon = _shannon()
+    mixed = quantum_entropy(shannon, e.average_state())
+    conditional = sum(w * quantum_entropy(shannon, s)
+                      for w, s in zip(e.weights.components, e.states))
+    return float(mixed - conditional)
+
+
+def mutual_information(joint) -> float:
+    """I(X:Y) = H(X) + H(Y) - H(X,Y) in nats for a joint probability table."""
+    j = np.asarray(joint, float)
+    if j.ndim != 2:
+        raise NotNormalized("joint table must be a 2-d array")
+    if np.min(j) < -TOL:
+        raise NotNormalized(f"negative joint probability {np.min(j)!r}")
+    total = float(j.sum())
+    if abs(total - 1.0) > TOL:
+        raise NotNormalized(f"joint probabilities sum to {total!r}, not 1")
+    j = np.clip(j, 0.0, None) / total
+
+    def _h(values):
+        vals = values[values >= TOL]
+        return float(-(vals * np.log(vals)).sum())
+
+    return _h(j.sum(axis=1)) + _h(j.sum(axis=0)) - _h(j.reshape(-1))
+
+
+def accessible_info_estimate(e: Ensemble, m: Povm) -> float:
+    """Mutual information of the source with the given measurement's outcome."""
+    if e.dim != m.dim:
+        raise DimensionMismatch(f"ensemble dim {e.dim} vs POVM dim {m.dim}")
+    effects = m.effect_arrays()
+    joint = np.empty((len(e.states), len(effects)))
+    for x, (w, s) in enumerate(zip(e.weights.components, e.states)):
+        arr = s.as_array()
+        for i, eff in enumerate(effects):
+            joint[x, i] = w * max(0.0, float(np.trace(arr @ eff).real))
+    return mutual_information(joint)
