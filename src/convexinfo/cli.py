@@ -199,7 +199,10 @@ def _cmd_separable(args) -> int:
     ps = ProductSpace(load_model(args.model_a), load_model(args.model_b))
     doc = _load_json(args.joint, "--joint")
     table = doc["table"] if isinstance(doc, dict) and "table" in doc else doc
-    omega = JointState(np.asarray(table, float))
+    try:
+        omega = JointState(np.asarray(table, float))
+    except (TypeError, ValueError):
+        raise ValidationError("--joint expects a table of numbers") from None
     witness = separable_witness(ps, omega)
     if witness is not None:
         payload = {"separable": True,
@@ -228,14 +231,13 @@ def _cmd_holevo(args) -> int:
 def _cmd_sweep(args) -> int:
     start, stop, count = _parse_grid(args.grid)
     p = ProbVector(_parse_floats(args.p, "--p"))
-    values = np.linspace(start, stop, count)
-    print("parameter,value")
-    for parameter in values:
-        pair = make_preset(args.family, float(parameter))
-        value = classical_entropy(pair, p)
+    lines = ["parameter,value"]
+    for parameter in np.linspace(start, stop, count):
+        value = classical_entropy(make_preset(args.family, float(parameter)), p)
         if args.bits:
             value /= LN2
-        print(f"{_round12(float(parameter))},{_round12(value)}")
+        lines.append(f"{_round12(float(parameter))},{_round12(value)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -254,16 +256,20 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 def _cmd_lp(args) -> int:
     doc = _load_json(args.file, "--file")
-    cons = tuple(Constraint(tuple(c[0]), c[1], float(c[2])) for c in doc["constraints"])
-    bounds = None
-    if doc.get("bounds") is not None:
-        bounds = tuple((None if lo is None else float(lo),
-                        None if hi is None else float(hi))
-                       for lo, hi in doc["bounds"])
-    lp = LinearProgram(n_vars=len(doc["objective"]),
-                       objective=tuple(doc["objective"]),
-                       constraints=cons, bounds=bounds,
-                       maximize=bool(doc.get("maximize", True)))
+    try:
+        cons = tuple(Constraint(tuple(c[0]), c[1], float(c[2])) for c in doc["constraints"])
+        bounds = None
+        if doc.get("bounds") is not None:
+            bounds = tuple((None if lo is None else float(lo),
+                            None if hi is None else float(hi))
+                           for lo, hi in doc["bounds"])
+        lp = LinearProgram(n_vars=len(doc["objective"]),
+                           objective=tuple(doc["objective"]),
+                           constraints=cons, bounds=bounds,
+                           maximize=bool(doc.get("maximize", True)))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        raise ValidationError("--file expects {objective: [...], constraints: "
+                              "[[coeffs, rel, bound], ...], bounds?, maximize?}") from None
     result = lp_solve(lp)
     _emit({"status": result.status,
            "point": None if result.point is None else list(result.point),

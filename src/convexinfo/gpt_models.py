@@ -365,12 +365,20 @@ def restrict_to_frame(state: GptState, frame: Frame) -> ProbVector:
 # -- JSON model/state files ---------------------------------------------------
 
 def model_from_json(doc: dict) -> StateSpace:
+    if not isinstance(doc, dict):
+        raise ValidationError("a model document must be a JSON object")
     kind = doc.get("kind")
-    if kind == KIND_SIMPLEX or kind == KIND_POLYGON:
-        return build_model(kind, n=int(doc["n"]))
-    if kind == KIND_CUSTOM:
+    field = {KIND_SIMPLEX: "n", KIND_POLYGON: "n", KIND_CUSTOM: "vertices"}.get(kind)
+    if field is None:
+        raise DegenerateModel(f"unknown model kind {kind!r}")
+    if field not in doc:
+        raise ValidationError(f"a {kind} model document needs {field!r}")
+    try:
+        if field == "n":
+            return build_model(kind, n=int(doc["n"]))
         return build_model(kind, vertices=doc["vertices"])
-    raise DegenerateModel(f"unknown model kind {kind!r}")
+    except (TypeError, ValueError):
+        raise ValidationError(f"malformed model field {field!r}: {doc[field]!r}") from None
 
 
 def load_model(path: str) -> StateSpace:

@@ -1,13 +1,12 @@
 """Generalized spectra, generalized majorization and the two state entropies.
 
-The spectrum of a state, when it exists, is the majorant of the set of all
-probability vectors arising from pure-state convex decompositions. On a
-polytope model that set is itself a polytope in weight space, and the sum
-of the k largest weights attains its maximum T_k at one of finitely many
-vertex subsets. A majorant must achieve every T_k simultaneously, and its
-sorted prefixes form a nested chain of level argmax subsets, so the search
-below sweeps subsets per level, then tries every nested chain of argmax
-subsets with one slack-minimizing LP each.
+The spectrum of a state, when it exists, is the majorant of the probability
+vectors of all its pure-state convex decompositions. On a polytope model
+these form the polytope P = {w >= 0 : sum_i w_i v_i = state}. The sum of the
+k largest weights is convex in w, so its maximum T_k over P is attained at a
+vertex of P, and so is the maximum of its sum over k: a majorant (attaining
+every T_k at once) exists iff some vertex of P is one. The vertices come
+from one batched basis enumeration; an LP runs only if it finds none.
 """
 
 from __future__ import annotations
@@ -17,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernel import (
-    LinearProgram,
-    decomposition_program,
-    lp_solve,
-    topk_weight_max,
-)
+from .convex_kernel import LinearProgram, decomposition_program, lp_solve
 from .entropic import EntropicPair, classical_entropy
-from .errors import LpNumericalError, NoFrames, NotAState, SpectrumUndefined
+from .errors import DimensionMismatch, LpNumericalError, NoFrames, NotAState, SpectrumUndefined
 from .gpt_models import (
     Frame,
     GptState,
@@ -35,10 +29,19 @@ from .gpt_models import (
 )
 from .probvec import TOL, ProbVector, majorizes
 
-#: Summed slack below which a chain counts as exactly realizing all T_k.
-_CHAIN_TOL = 1e-8
-#: Hard cap on explored chains; hit only by adversarial tie structures.
-_MAX_CHAINS = 100_000
+#: Singular values below this fraction of the constraint matrix's largest
+#: count as zero when its rank is taken (relative, so it holds at any scale).
+_RANK_RTOL = 1e-10
+#: Bases whose |det| over the product of their column norms (1 for orthogonal
+#: columns; unit-norm rows make it independent of the coordinates' scale)
+#: falls below this are numerically singular.
+_REGULAR_TOL = 1e-12
+#: Most negative basic solution component still counted as a zero weight.
+_FEAS_TOL = 1e-9
+#: Largest coordinate error of a vertex's reconstruction of the state.
+_RECON_TOL = 1e-8
+#: Summed shortfall below which the best vertex realizes every T_k.
+_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,97 +89,66 @@ def decomposition_constraints(space: StateSpace, state: GptState) -> LinearProgr
     return skeleton
 
 
-def _level_sweep(skeleton: LinearProgram, n_vertices: int):
-    """Per-level suprema T_k and the subsets attaining them (within 1e-9)."""
-    tk: list[float] = []
-    argmax_sets: list[list[tuple[int, ...]]] = []
-    for k in range(1, n_vertices + 1):
-        values = [(combo, topk_weight_max(skeleton, combo))
-                  for combo in itertools.combinations(range(n_vertices), k)]
-        best = max(v for _, v in values)
-        tk.append(best)
-        argmax_sets.append([combo for combo, v in values if v >= best - 1e-9])
-        if best >= 1.0 - 1e-12:
-            break
-    return tk, argmax_sets
+def _decomposition_vertices(space: StateSpace, state: GptState) -> np.ndarray:
+    """Vertices of P = {w >= 0 : sum_i w_i v_i = state}, one per row.
+
+    The constraints keep their first rows that span the row space (so a
+    simplex keeps its identity rows and solves exactly), scaled to unit norm.
+    Every square subsystem is solved in one batch; rows come in
+    ``itertools.combinations`` order of their bases, and a degenerate vertex
+    appears once per basis that reaches it.
+    """
+    verts, point = space.vertex_array(), state.as_array()
+    if point.shape != (space.dim,):
+        raise DimensionMismatch(f"state dim {point.shape[0]} vs model dim {space.dim}")
+    # rows: the coordinates (the last one the unit functional), then sum w = 1
+    a = np.vstack([verts.T, np.ones(len(verts))])
+    b = np.append(point, 1.0)
+    cut = _RANK_RTOL * np.linalg.norm(a, 2)
+    prefix_ranks = [np.linalg.matrix_rank(a[:i + 1], tol=cut) for i in range(len(a))]
+    rows = np.flatnonzero(np.diff(prefix_ranks, prepend=0))
+    scale = np.linalg.norm(a[rows], axis=1)
+    a_r, b_r = a[rows] / scale[:, None], b[rows] / scale
+    bases = np.array(list(itertools.combinations(range(a.shape[1]), len(rows))))
+    sub = np.transpose(a_r[:, bases], (1, 0, 2))
+    ratio = np.abs(np.linalg.det(sub)) / np.prod(np.linalg.norm(sub, axis=1), axis=1)
+    bases, sub = bases[ratio > _REGULAR_TOL], sub[ratio > _REGULAR_TOL]
+    x = np.linalg.solve(sub, np.broadcast_to(b_r, (len(sub), len(rows)))[..., None])[..., 0]
+    feasible = x.min(axis=1) >= -_FEAS_TOL
+    w = np.zeros((int(feasible.sum()), a.shape[1]))
+    w[np.arange(len(w))[:, None], bases[feasible]] = np.clip(x[feasible], 0.0, None)
+    return w[np.abs(w @ a.T - b).max(axis=1) <= _RECON_TOL]
 
 
 def generalized_spectrum(space: StateSpace, state: GptState):
     """The majorant of all pure decompositions of the state, if it exists.
 
     Returns a ``SpectralDecomposition`` on success and a ``NoMajorant``
-    diagnostic otherwise.
+    diagnostic otherwise. Raises ``NotAState`` when the state has no
+    decomposition over the model's vertices.
     """
-    skeleton = decomposition_constraints(space, state)
-    v = space.n_vertices
-    tk, argmax_sets = _level_sweep(skeleton, v)
-    levels = len(tk)
-    target = float(sum(tk))
-
-    best_gap = np.inf
-    best_point = None
-    chains_tried = 0
-
-    def chains(level: int, prefix: tuple[int, ...]):
-        if level == levels:
-            yield ()
-            return
-        for combo in argmax_sets[level]:
-            if set(prefix) <= set(combo):
-                for rest in chains(level + 1, combo):
-                    yield (combo,) + rest
-
-    def chain_lp(chain):
-        counts = np.zeros(v)
-        for combo in chain:
-            counts[list(combo)] += 1.0
-        result = lp_solve(skeleton.with_objective(tuple(counts), maximize=True))
-        if result.status != "optimal":  # skeleton is feasible, so cannot happen
-            raise LpNumericalError("chain LP failed on a feasible skeleton")
-        return target - float(result.value), np.asarray(result.point, float)
-
-    for chain in chains(0, ()):
-        chains_tried += 1
-        if chains_tried > _MAX_CHAINS:
-            raise LpNumericalError("chain search exhausted its cap")
-        gap, point = chain_lp(chain)
-        if gap <= _CHAIN_TOL:
-            return _package(space, state, point)
-        if gap < best_gap - 1e-12:
-            best_gap = gap
-            best_point = point
-
-    if best_point is None:
-        # level argmax subsets do not nest at all; report the greedy nested
-        # chain's best decomposition as the diagnostic candidate
-        best_gap, best_point = chain_lp(_greedy_chain(skeleton, v, levels))
-    return NoMajorant(tk=tuple(tk),
-                      best_candidate=tuple(float(x) for x in best_point),
-                      gap=float(best_gap))
-
-
-def _greedy_chain(skeleton: LinearProgram, v: int, levels: int):
-    chain = []
-    current: tuple[int, ...] = ()
-    for _ in range(levels):
-        best_value, best_set = -np.inf, None
-        for j in range(v):
-            if j in current:
-                continue
-            candidate = tuple(sorted(current + (j,)))
-            value = topk_weight_max(skeleton, candidate)
-            if value > best_value + 1e-12:
-                best_value, best_set = value, candidate
-        current = best_set
-        chain.append(current)
-    return chain
+    w = _decomposition_vertices(space, state)
+    if len(w) == 0:
+        # no vertex certifies membership: the LP decides, and a member state
+        # here means the enumeration lost a vertex
+        decomposition_constraints(space, state)
+        raise LpNumericalError("vertex enumeration found no decomposition of a member state")
+    profiles = np.cumsum(-np.sort(-w, axis=1), axis=1)
+    t = profiles.max(axis=0)
+    levels = min(len(t), int(np.searchsorted(t, 1.0 - 1e-12)) + 1)
+    tk = t[:levels]
+    summed = profiles[:, :levels].sum(axis=1)
+    best = int(np.argmax(summed >= summed.max() - 1e-12))
+    gap = float(tk.sum() - summed[best])
+    if gap <= _GAP_TOL:
+        return _package(space, state, w[best])
+    return NoMajorant(tk=tuple(map(float, tk)), best_candidate=tuple(map(float, w[best])),
+                      gap=gap)
 
 
 def _package(space: StateSpace, state: GptState, weights: np.ndarray) -> SpectralDecomposition:
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-    kept = [i for i in order if weights[i] >= TOL]
-    recon = sum(weights[i] * space.vertex_array()[i] for i in range(len(weights)))
-    if np.max(np.abs(recon - state.as_array())) > 1e-8:
+    kept = [int(i) for i in np.argsort(-weights, kind="stable") if weights[i] >= TOL]
+    if np.max(np.abs(weights @ space.vertex_array() - state.as_array())) > _RECON_TOL:
         raise LpNumericalError("spectral weights fail to reconstruct the state")
     return SpectralDecomposition(
         weights=ProbVector([weights[i] for i in kept]),
@@ -209,13 +181,17 @@ class PhiMixture:
         return float(sum(self.coefficients))
 
 
-def apply_phi(space: StateSpace, state: GptState, pair: EntropicPair) -> PhiMixture:
-    """Apply the pair's inner map to the state through its spectrum."""
-    spec = generalized_spectrum(space, state)
+def _phi_mixture(spec: SpectralDecomposition | NoMajorant, state: GptState,
+                 pair: EntropicPair) -> PhiMixture:
     if isinstance(spec, NoMajorant):
         raise SpectrumUndefined("state has no spectrum", state=state)
     coeffs = tuple(float(pair.phi(w)) for w in spec.weights.components)
     return PhiMixture(coefficients=coeffs, states=spec.support)
+
+
+def apply_phi(space: StateSpace, state: GptState, pair: EntropicPair) -> PhiMixture:
+    """Apply the pair's inner map to the state through its spectrum."""
+    return _phi_mixture(generalized_spectrum(space, state), state, pair)
 
 
 def spectral_entropy(pair: EntropicPair, space: StateSpace, state: GptState) -> float:
@@ -225,9 +201,7 @@ def spectral_entropy(pair: EntropicPair, space: StateSpace, state: GptState) -> 
     vector; the two routes must agree to within tolerance.
     """
     spec = generalized_spectrum(space, state)
-    if isinstance(spec, NoMajorant):
-        raise SpectrumUndefined("state has no spectrum", state=state)
-    via_mixture = float(pair.h(apply_phi(space, state, pair).unit_total))
+    via_mixture = float(pair.h(_phi_mixture(spec, state, pair).unit_total))
     direct = classical_entropy(pair, spec.weights)
     if abs(via_mixture - direct) > 1e-9:
         raise LpNumericalError("phi-mixture and direct entropy routes disagree")

@@ -262,3 +262,49 @@ def test_lp_debug_subcommand(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["status"] == "optimal"
     assert doc["value"] == 3.0
+
+
+def _write_json(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_model_document_missing_n_exits_2(capsys, tmp_path):
+    model = _write_json(tmp_path, "m.json", {"kind": "regular_polygon"})
+    code, out, err = run(capsys, ["spectrum", "--model", model, "--state", "0,0"])
+    assert code == 2 and out == "" and "'n'" in err
+
+
+def test_model_document_missing_vertices_exits_2(capsys, tmp_path):
+    model = _write_json(tmp_path, "m.json", {"kind": "custom_polytope"})
+    code, out, err = run(capsys, ["frames", "--model", model])
+    assert code == 2 and out == "" and "'vertices'" in err
+
+
+def test_model_document_not_an_object_exits_2(capsys, tmp_path):
+    model = _write_json(tmp_path, "m.json", [[1, 0], [0, 1]])
+    code, out, err = run(capsys, ["frames", "--model", model])
+    assert code == 2 and out == "" and "object" in err
+
+
+def test_separable_non_numeric_cell_exits_2(capsys, tmp_path, square_file):
+    table = [[0.25] * 3 for _ in range(3)]
+    table[1][2] = "x"
+    joint = _write_json(tmp_path, "joint.json", {"table": table})
+    code, out, err = run(capsys, ["separable", "--model-a", square_file,
+                                  "--model-b", square_file, "--joint", joint])
+    assert code == 2 and out == "" and "--joint" in err
+
+
+def test_lp_file_without_constraints_exits_2(capsys, tmp_path):
+    path = _write_json(tmp_path, "lp.json", {"objective": [1.0], "maximize": True})
+    code, out, err = run(capsys, ["lp", "--file", path])
+    assert code == 2 and out == "" and "--file" in err
+
+
+def test_sweep_failing_row_prints_nothing(capsys):
+    # alpha = 1 is not a Renyi parameter; the rows before it must not leak out
+    code, out, err = run(capsys, ["sweep", "--family", "renyi", "--grid", "0.5:1.0:3",
+                                  "--p", "0.5,0.5"])
+    assert code == 2 and out == "" and "error" in err

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,13 +21,17 @@ from convexinfo import (
     mix_state,
     quantum_entropy,
     spectral_entropy,
+    topk_weight_max,
     vertex_state,
 )
+from convexinfo import spectra
 from convexinfo.entropic import REGIME_INC_CONCAVE, EntropicPair
-from convexinfo.errors import NotAState, SpectrumUndefined
+from convexinfo.errors import LpNumericalError, NotAState, SpectrumUndefined
+from convexinfo.gpt_models import GptState
 
 from oracles import (
     decomposition_grid_samples,
+    decomposition_polytope_vertices,
     certifies_no_majorant,
     prefix_profile,
     robin_hood_pair,
@@ -320,3 +325,100 @@ def test_quadrilateral_frame_vs_spectral_agree_at_origin(quadrilateral):
     assert frame.vertex_indices == (2, 3)
     assert frame_value == pytest.approx(spectral_entropy(shannon, quadrilateral, origin),
                                         abs=1e-9)
+
+
+# -- vertex enumeration against the LP route and the exact-vertex oracle -------
+
+
+def _random_custom(rng, n_vertices, dim):
+    return build_model("custom_polytope", vertices=rng.normal(size=(n_vertices, dim)).tolist())
+
+
+def _full_profile(spec, n):
+    """T_k for every level k = 1..n: tk padded with ones, or the majorant's profile."""
+    if isinstance(spec, NoMajorant):
+        return np.concatenate([spec.tk, np.ones(n - len(spec.tk))])
+    return prefix_profile(spec.weights.components, n)
+
+
+def _decomposition(space, spec):
+    """Full-length weights of the majorant or of the best candidate."""
+    if isinstance(spec, NoMajorant):
+        return np.asarray(spec.best_candidate)
+    w = np.zeros(space.n_vertices)
+    w[list(spec.support_indices)] = spec.weights.components
+    return w
+
+
+def test_spectrum_matches_topk_lps_and_vertex_oracle():
+    rng = np.random.default_rng(31)
+    verdicts = set()
+    for trial in range(12):
+        space = _random_custom(rng, int(rng.integers(5, 9)), 2 + trial % 3)
+        n = space.n_vertices
+        state = mix_state(space, rng.dirichlet(np.ones(n)))
+        spec = generalized_spectrum(space, state)
+        verdicts.add(isinstance(spec, NoMajorant))
+
+        skeleton = decomposition_constraints(space, state)
+        tk = _full_profile(spec, n)
+        levels = len(spec.tk) if isinstance(spec, NoMajorant) else n
+        for k in range(1, levels + 1):
+            lp_best = max(topk_weight_max(skeleton, subset)
+                          for subset in itertools.combinations(range(n), k))
+            assert tk[k - 1] == pytest.approx(lp_best, abs=1e-9)
+
+        exact = decomposition_polytope_vertices(space.vertex_array(), state.as_array())
+        profiles = np.cumsum(np.sort(exact, axis=1)[:, ::-1], axis=1)
+        shortfall = (profiles.max(axis=0) - profiles).sum(axis=1).min()
+        assert isinstance(spec, NoMajorant) == (shortfall > 1e-8)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("dim", [3, 7])
+def test_spectrum_at_vertex_cap(dim):
+    # 16 vertices in R^7: rank 8, so C(16, 8) = 12870 bases
+    rng = np.random.default_rng(100 + dim)
+    space = _random_custom(rng, 16, dim)
+    for _ in range(2):
+        state = mix_state(space, rng.dirichlet(np.full(16, 0.7)))
+        spec = generalized_spectrum(space, state)
+        w = _decomposition(space, spec)
+        assert w.min() >= 0.0
+        assert np.max(np.abs(w @ space.vertex_array() - state.as_array())) <= 1e-8
+        skeleton = decomposition_constraints(space, state)
+        tk = _full_profile(spec, 16)
+        for k in range(1, len(tk) + 1):
+            for _ in range(20):
+                subset = rng.choice(16, size=k, replace=False)
+                assert tk[k - 1] >= topk_weight_max(skeleton, subset) - 1e-9
+
+
+def test_spectrum_invariant_under_rescaling():
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(9, 5))
+    mixtures = [rng.dirichlet(np.ones(9)) for _ in range(6)]
+
+    def spectra_at(scale):
+        space = build_model("custom_polytope", vertices=(scale * base).tolist())
+        return [generalized_spectrum(space, mix_state(space, m)) for m in mixtures]
+
+    reference = spectra_at(1.0)
+    assert {isinstance(spec, NoMajorant) for spec in reference} == {True, False}
+    for scale in (1e-3, 1e3):
+        for ref, got in zip(reference, spectra_at(scale)):
+            assert type(got) is type(ref)
+            assert np.allclose(_full_profile(got, 9), _full_profile(ref, 9), atol=1e-8, rtol=0)
+
+
+def test_spectrum_rejects_states_outside_the_model(square):
+    for point in ((0.9, 0.9, 1.0), (2.0, 0.0, 1.0), (0.0, 0.0, 2.0)):
+        with pytest.raises(NotAState):
+            generalized_spectrum(square, GptState(point=point))
+
+
+def test_spectrum_raises_when_enumeration_misses_a_member(square, monkeypatch):
+    monkeypatch.setattr(spectra, "_decomposition_vertices",
+                        lambda space, state: np.zeros((0, space.n_vertices)))
+    with pytest.raises(LpNumericalError):
+        generalized_spectrum(square, make_state(square, [0, 0]))
