@@ -30,8 +30,6 @@ from .gpt_models import (
     KIND_SIMPLEX,
     StateSpace,
     enumerate_frames,
-    unit_effect,
-    zero_effect,
 )
 from .probvec import TOL
 
@@ -83,11 +81,15 @@ def min_tensor_vertices(ps: ProductSpace) -> Polytope:
     if va > MAX_FACTOR_VERTICES or vb > MAX_FACTOR_VERTICES:
         raise TooLarge(f"factors with {va} x {vb} vertices exceed the cap "
                        f"{MAX_FACTOR_VERTICES} per side")
-    points = []
-    for a in ps.factor_a.vertex_array():
-        for b in ps.factor_b.vertex_array():
-            points.append(tuple(np.outer(a, b).reshape(-1)))
-    return Polytope(tuple(points))
+    products = np.einsum("ai,bj->abij", ps.factor_a.vertex_array(), ps.factor_b.vertex_array())
+    return Polytope(products.reshape(va * vb, -1))
+
+
+def _joint_table(ps: ProductSpace, omega: JointState) -> np.ndarray:
+    table = omega.as_array()
+    if table.shape != ps.joint_shape:
+        raise DimensionMismatch(f"table shape {table.shape} vs {ps.joint_shape}")
+    return table
 
 
 def separable_witness(ps: ProductSpace, omega: JointState):
@@ -95,7 +97,7 @@ def separable_witness(ps: ProductSpace, omega: JointState):
 
     Weights are indexed by (a_index, b_index) pairs in row-major order.
     """
-    flat = omega.as_array().reshape(-1)
+    flat = _joint_table(ps, omega).reshape(-1)
     weights = convex_weights(flat, min_tensor_vertices(ps))
     if weights is None:
         return None
@@ -109,11 +111,11 @@ def is_separable(ps: ProductSpace, omega: JointState) -> bool:
     return separable_witness(ps, omega) is not None
 
 
-def _extreme_effects(space: StateSpace) -> list[GptEffect]:
-    effects = [zero_effect(space), unit_effect(space)]
-    for frame in enumerate_frames(space):
-        effects.extend(frame.effects)
-    return effects
+def _extreme_effects(space: StateSpace) -> np.ndarray:
+    """The zero, unit and frame effects of the model, one per row."""
+    rows = [np.zeros(space.dim), space.unit()]
+    rows += [e.as_array() for frame in enumerate_frames(space) for e in frame.effects]
+    return np.asarray(rows)
 
 
 def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:
@@ -123,15 +125,9 @@ def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:
     zero and unit effects; normalization omega(u_A, u_B) = 1 is part of the
     JointState invariant.
     """
-    table = omega.as_array()
-    if table.shape != ps.joint_shape:
-        raise DimensionMismatch(f"table shape {table.shape} vs {ps.joint_shape}")
-    for ea in _extreme_effects(ps.factor_a):
-        for eb in _extreme_effects(ps.factor_b):
-            value = float(ea.as_array() @ table @ eb.as_array())
-            if value < -TOL or value > 1.0 + TOL:
-                return False
-    return True
+    table = _joint_table(ps, omega)
+    values = _extreme_effects(ps.factor_a) @ table @ _extreme_effects(ps.factor_b).T
+    return bool(values.min() >= -TOL and values.max() <= 1.0 + TOL)
 
 
 def classify_joint(ps: ProductSpace, omega: JointState) -> str:
@@ -179,23 +175,14 @@ def pr_box(ps: ProductSpace) -> JointState:
     return JointState(w)
 
 
-def _table_polytope_vertices(n_cells: int) -> list[np.ndarray]:
-    """Extreme points of {x >= 0, sum x = 1} by basic-solution enumeration."""
-    vertices = []
-    for i in range(n_cells):
-        x = np.zeros(n_cells)
-        x[i] = 1.0
-        vertices.append(x)
-    return vertices
-
-
 def classical_collapse_check(space_a: StateSpace, space_b: StateSpace) -> bool:
     """Is every extreme joint state a product of factor vertices?
 
-    For two simplexes the joint probability-table polytope (positivity plus
-    normalization on product effects) is enumerated exactly; every extreme
-    table must be a vertex product. The square pair is certified false via
-    the no-signaling box (max-tensor member outside the minimal set).
+    For two simplexes the joint probability tables (positive, summing to 1)
+    have the na * nb point masses as their extreme points; each one's
+    coefficient tensor must equal a product of factor vertices. The square
+    pair is certified false via the no-signaling box (max-tensor member
+    outside the minimal set).
     """
     if space_a.kind == KIND_SIMPLEX and space_b.kind == KIND_SIMPLEX:
         na, nb = space_a.n_vertices, space_b.n_vertices
@@ -206,7 +193,8 @@ def classical_collapse_check(space_a: StateSpace, space_b: StateSpace) -> bool:
         # form an invertible coefficient basis pinning the tensor gauge
         basis_a = np.vstack([np.hstack([np.eye(na), np.zeros((na, 1))]), space_a.unit()])
         basis_b = np.vstack([np.hstack([np.eye(nb), np.zeros((nb, 1))]), space_b.unit()])
-        for table in _table_polytope_vertices(na * nb):
+        products = min_tensor_vertices(ps).as_array()
+        for table in np.eye(na * nb):
             p = table.reshape(na, nb)
             # extend the probability table to the full coefficient tensor
             m = np.zeros((na + 1, nb + 1))
@@ -215,7 +203,7 @@ def classical_collapse_check(space_a: StateSpace, space_b: StateSpace) -> bool:
             m[:na, nb] = p.sum(axis=1)
             m[na, nb] = 1.0
             w = np.linalg.solve(basis_a, np.linalg.solve(basis_b, m.T).T)
-            if not _is_vertex_product(ps, w):
+            if not np.any(np.max(np.abs(products - w.reshape(-1)), axis=1) <= 1e-8):
                 return False
         return True
 
@@ -227,10 +215,3 @@ def classical_collapse_check(space_a: StateSpace, space_b: StateSpace) -> bool:
 
     raise UnsupportedModel("collapse check covers simplex pairs and the square pair")
 
-
-def _is_vertex_product(ps: ProductSpace, table: np.ndarray) -> bool:
-    for a in ps.factor_a.vertex_array():
-        for b in ps.factor_b.vertex_array():
-            if np.max(np.abs(np.outer(a, b) - table)) <= 1e-8:
-                return True
-    return False

@@ -242,18 +242,19 @@ def lp_solve(lp: LinearProgram) -> LpResult:
 
 
 def _verify_point(lp: LinearProgram, x: np.ndarray, bounds) -> None:
+    # every test is written as "holds", so a NaN anywhere fails it
     for j, (lo, hi) in enumerate(bounds):
-        if lo is not None and x[j] < lo - FEAS_TOL:
+        if lo is not None and not x[j] >= lo - FEAS_TOL:
             raise LpNumericalError(f"solution violates lower bound on x[{j}]")
-        if hi is not None and x[j] > hi + FEAS_TOL:
+        if hi is not None and not x[j] <= hi + FEAS_TOL:
             raise LpNumericalError(f"solution violates upper bound on x[{j}]")
     for con in lp.constraints:
         lhs = float(np.asarray(con.coeffs) @ x)
-        if con.rel == "<=" and lhs > con.bound + FEAS_TOL:
+        if con.rel == "<=" and not lhs <= con.bound + FEAS_TOL:
             raise LpNumericalError("solution violates a <= constraint")
-        if con.rel == ">=" and lhs < con.bound - FEAS_TOL:
+        if con.rel == ">=" and not lhs >= con.bound - FEAS_TOL:
             raise LpNumericalError("solution violates a >= constraint")
-        if con.rel == "=" and abs(lhs - con.bound) > FEAS_TOL:
+        if con.rel == "=" and not abs(lhs - con.bound) <= FEAS_TOL:
             raise LpNumericalError("solution violates an equality constraint")
 
 
@@ -286,10 +287,10 @@ class Polytope:
             raise DegenerateModel("vertices must share one dimension")
         if not np.all(np.isfinite(arr)):
             raise DegenerateModel("vertices must be finite")
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                if np.linalg.norm(arr[i] - arr[j]) <= _DUPLICATE_TOL:
-                    raise DegenerateModel(f"vertices {i} and {j} coincide")
+        for i in range(len(verts) - 1):
+            close = np.flatnonzero(np.linalg.norm(arr[i + 1:] - arr[i], axis=1) <= _DUPLICATE_TOL)
+            if close.size:
+                raise DegenerateModel(f"vertices {i} and {i + 1 + close[0]} coincide")
         object.__setattr__(self, "vertices", verts)
 
     @property

@@ -10,9 +10,11 @@ measurement resolving the unit functional.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ from .convex_kernel import (
     Constraint,
     LinearProgram,
     Polytope,
-    convex_weights,
+    decomposition_program,
     lp_solve,
 )
 from .errors import (
@@ -46,7 +48,8 @@ KIND_CUSTOM = "custom_polytope"
 class StateSpace:
     """A compact convex model given by its pure states (polytope vertices).
 
-    ``vertices`` is a V x d array whose last column is identically 1.
+    ``vertices`` is a V x d array whose last column is identically 1. The
+    model's frames are enumerated on first use and kept with it.
     """
 
     kind: str
@@ -75,6 +78,42 @@ class StateSpace:
     def to_json(self) -> dict:
         return {"kind": self.kind,
                 "vertices": [list(v[:-1]) for v in self.vertices]}
+
+    @functools.cached_property
+    def _frames(self) -> tuple[Frame, ...]:
+        # read only through enumerate_frames, which hands out copies
+        v = self.n_vertices
+        distinguishable: set[frozenset[int]] = {frozenset([i]) for i in range(v)}
+        witnesses: dict[tuple[int, ...], list[GptEffect]] = {
+            (i,): [unit_effect(self)] for i in range(v)}
+        for size in range(2, v + 1):
+            found = False
+            for combo in itertools.combinations(range(v), size):
+                if any(frozenset(combo[:i] + combo[i + 1:]) not in distinguishable
+                       for i in range(size)):
+                    continue
+                effects = _distinguishing_effects(
+                    self, [vertex_state(self, i) for i in combo])
+                if effects is not None:
+                    distinguishable.add(frozenset(combo))
+                    witnesses[combo] = effects
+                    found = True
+            if not found:
+                break
+
+        frames = []
+        for combo in sorted(witnesses):
+            s = frozenset(combo)
+            if any(s < other for other in distinguishable):
+                continue
+            if not _spans_model(self, combo):
+                continue
+            frames.append(Frame(
+                vertex_indices=combo,
+                states=tuple(vertex_state(self, i) for i in combo),
+                effects=tuple(witnesses[combo]),
+            ))
+        return tuple(frames)
 
 
 @dataclass(frozen=True)
@@ -115,19 +154,26 @@ class Frame:
 
 def build_model(kind: str, n: int | None = None, vertices=None) -> StateSpace:
     """Construct a simplex(n), regular_polygon(n) or custom_polytope model."""
+    if kind in (KIND_SIMPLEX, KIND_POLYGON):
+        # checked before anything of size n is built
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise DegenerateModel(f"{kind} needs an integer n, got {n!r}") from None
+        if not 2 <= n <= MAX_MODEL_VERTICES:
+            raise DegenerateModel(f"{kind} needs 2 <= n <= {MAX_MODEL_VERTICES}, got {n}")
     if kind == KIND_SIMPLEX:
-        if n is None or n < 2:
-            raise DegenerateModel("simplex needs n >= 2")
         raw = np.hstack([np.eye(n), np.ones((n, 1))])
     elif kind == KIND_POLYGON:
-        if n is None or n < 2:
-            raise DegenerateModel("regular polygon needs n >= 2")
         angles = [2.0 * math.pi * k / n for k in range(n)]
         raw = np.array([[math.cos(a), math.sin(a), 1.0] for a in angles])
     elif kind == KIND_CUSTOM:
-        if vertices is None or len(vertices) == 0:
+        try:
+            base = np.asarray([] if vertices is None else vertices, float)
+        except (TypeError, ValueError):
+            raise DegenerateModel("custom vertices must be rows of numbers") from None
+        if base.size == 0:
             raise DegenerateModel("custom polytope needs explicit vertices")
-        base = np.asarray(vertices, float)
         if base.ndim != 2:
             raise DegenerateModel("vertices must form a 2-d array")
         raw = np.hstack([base, np.ones((base.shape[0], 1))])
@@ -136,31 +182,29 @@ def build_model(kind: str, n: int | None = None, vertices=None) -> StateSpace:
 
     if raw.shape[0] > MAX_MODEL_VERTICES:
         raise DegenerateModel(f"{raw.shape[0]} vertices exceeds the cap {MAX_MODEL_VERTICES}")
-    if not np.all(np.isfinite(raw)):
-        raise DegenerateModel("vertices must be finite")
-    for i in range(raw.shape[0]):
-        for j in range(i + 1, raw.shape[0]):
-            if np.linalg.norm(raw[i] - raw[j]) <= 1e-9:
-                raise DegenerateModel(f"vertices {i} and {j} coincide")
+    poly = Polytope(raw)  # finite, pairwise distinct vertices
     if kind == KIND_CUSTOM:
         # the affine hull of the given points must fill their coordinate space
         diffs = raw[1:, :-1] - raw[0, :-1]
         if raw.shape[0] == 1 or np.linalg.matrix_rank(diffs, tol=1e-9) < raw.shape[1] - 1:
             raise DegenerateModel("custom vertices must affinely span their space")
-    return StateSpace(kind=kind, vertices=tuple(tuple(float(x) for x in v) for v in raw))
+    return StateSpace(kind=kind, vertices=poly.vertices)
 
 
 def make_state(space: StateSpace, coords) -> GptState:
     """Build a state from coordinates (homogeneous 1 appended here).
 
-    Raises ``NotAState`` when the point is outside the model polytope.
+    Raises ``NotAState`` when the point is not finite or outside the model
+    polytope.
     """
     c = np.asarray(coords, float)
     if c.shape != (space.dim - 1,):
         raise DimensionMismatch(f"expected {space.dim - 1} coordinates, got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise NotAState(f"point {c.tolist()} is not finite")
     point = np.concatenate([c, [1.0]])
-    if convex_weights(point, space.polytope()) is None:
-        raise NotAState(f"point {list(c)} is outside the model")
+    if lp_solve(decomposition_program(space.vertex_array(), point)).status != "optimal":
+        raise NotAState(f"point {c.tolist()} is outside the model")
     return GptState(point=tuple(float(x) for x in point))
 
 
@@ -311,40 +355,10 @@ def enumerate_frames(space: StateSpace) -> list[Frame]:
     Subsets are explored in lexicographic index order, which fixes the tie
     order downstream consumers rely on; distinguishability is inherited by
     subsets, so a subset is only tested when all its one-smaller subsets
-    already passed.
+    already passed. The enumeration runs once per model; every call returns a
+    fresh list of the kept frames.
     """
-    v = space.n_vertices
-    distinguishable: set[frozenset[int]] = {frozenset([i]) for i in range(v)}
-    witnesses: dict[tuple[int, ...], list[GptEffect]] = {
-        (i,): [unit_effect(space)] for i in range(v)}
-    for size in range(2, v + 1):
-        found = False
-        for combo in itertools.combinations(range(v), size):
-            if any(frozenset(combo[:i] + combo[i + 1:]) not in distinguishable
-                   for i in range(size)):
-                continue
-            effects = _distinguishing_effects(
-                space, [vertex_state(space, i) for i in combo])
-            if effects is not None:
-                distinguishable.add(frozenset(combo))
-                witnesses[combo] = effects
-                found = True
-        if not found:
-            break
-
-    frames = []
-    for combo in sorted(witnesses):
-        s = frozenset(combo)
-        if any(s < other for other in distinguishable):
-            continue
-        if not _spans_model(space, combo):
-            continue
-        frames.append(Frame(
-            vertex_indices=combo,
-            states=tuple(vertex_state(space, i) for i in combo),
-            effects=tuple(witnesses[combo]),
-        ))
-    return frames
+    return list(space._frames)
 
 
 def restrict_to_frame(state: GptState, frame: Frame) -> ProbVector:
@@ -373,12 +387,7 @@ def model_from_json(doc: dict) -> StateSpace:
         raise DegenerateModel(f"unknown model kind {kind!r}")
     if field not in doc:
         raise ValidationError(f"a {kind} model document needs {field!r}")
-    try:
-        if field == "n":
-            return build_model(kind, n=int(doc["n"]))
-        return build_model(kind, vertices=doc["vertices"])
-    except (TypeError, ValueError):
-        raise ValidationError(f"malformed model field {field!r}: {doc[field]!r}") from None
+    return build_model(kind, **{field: doc[field]})
 
 
 def load_model(path: str) -> StateSpace:

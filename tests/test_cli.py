@@ -187,6 +187,11 @@ def test_validation_errors_exit_2(capsys, square_file):
     assert code == 2 and "--grid" in err
 
 
+def test_non_finite_state_exits_2(capsys, square_file):
+    code, out, err = run(capsys, ["spectrum", "--model", square_file, "--state", "nan,0"])
+    assert code == 2 and out == "" and "[nan, 0.0] is not finite" in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["spectrum"])  # missing required flags
@@ -280,6 +285,12 @@ def test_model_document_missing_vertices_exits_2(capsys, tmp_path):
     model = _write_json(tmp_path, "m.json", {"kind": "custom_polytope"})
     code, out, err = run(capsys, ["frames", "--model", model])
     assert code == 2 and out == "" and "'vertices'" in err
+
+
+def test_model_document_with_fractional_n_exits_2(capsys, tmp_path):
+    model = _write_json(tmp_path, "m.json", {"kind": "regular_polygon", "n": 4.7})
+    code, out, err = run(capsys, ["frames", "--model", model])
+    assert code == 2 and out == "" and "integer n" in err
 
 
 def test_model_document_not_an_object_exits_2(capsys, tmp_path):

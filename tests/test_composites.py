@@ -17,7 +17,8 @@ from convexinfo import (
     separable_witness,
     vertex_state,
 )
-from convexinfo.errors import NotNormalized, TooLarge, UnsupportedModel
+from convexinfo.errors import DimensionMismatch, NotNormalized, TooLarge, UnsupportedModel
+from convexinfo.probvec import TOL
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,33 @@ def test_min_tensor_vertex_counts(square_pair):
     big = build_model("simplex", n=9)
     with pytest.raises(TooLarge):
         min_tensor_vertices(ProductSpace(big, seg))
+
+
+def test_min_tensor_vertices_equal_the_outer_product_loop(square_pair):
+    ps = ProductSpace(square_pair.factor_a, build_model("simplex", n=3))
+    loop = [np.outer(a, b).reshape(-1)
+            for a in ps.factor_a.vertex_array() for b in ps.factor_b.vertex_array()]
+    assert np.array_equal(min_tensor_vertices(ps).as_array(), np.asarray(loop))
+
+
+def test_max_tensor_member_matches_the_effect_pair_loop(square_pair, rng):
+    ps = ProductSpace(square_pair.factor_a, build_model("simplex", n=3))
+
+    def effects(space):
+        return [np.zeros(space.dim), space.unit()] + [
+            e.as_array() for frame in enumerate_frames(space) for e in frame.effects]
+
+    centre = np.outer(ps.factor_a.vertex_array().mean(axis=0),
+                      ps.factor_b.vertex_array().mean(axis=0))
+    verdicts = []
+    for scale in np.linspace(0.0, 0.4, 40):
+        table = centre + rng.normal(scale=scale, size=ps.joint_shape)
+        table[-1, -1] = 1.0
+        loop = all(-TOL <= ea @ table @ eb <= 1.0 + TOL
+                   for ea in effects(ps.factor_a) for eb in effects(ps.factor_b))
+        verdicts.append(max_tensor_member(ps, JointState(table)))
+        assert verdicts[-1] == loop
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_joint_vertex_is_min_tensor_vertex(square_pair):
@@ -191,6 +219,17 @@ def test_separability_invariant_under_vertex_relabeling(square_pair, rng):
         assert is_separable(ps_perm, omega) == is_separable(ps, omega)
     box = pr_box(ps)
     assert not is_separable(ps_perm, box)
+
+
+def test_table_of_the_swapped_product_is_rejected():
+    # a square x simplex3 state has a 3 x 4 table: the same 12 cells as the
+    # 4 x 3 tables of simplex3 x square, but not one of them
+    simplex3, square = build_model("simplex", n=3), build_model("regular_polygon", n=4)
+    omega = product_state(vertex_state(square, 0), vertex_state(simplex3, 1))
+    ps = ProductSpace(simplex3, square)
+    for check in (separable_witness, is_separable, max_tensor_member):
+        with pytest.raises(DimensionMismatch):
+            check(ps, omega)
 
 
 def test_joint_state_normalization():

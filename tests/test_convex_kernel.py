@@ -3,7 +3,7 @@ import pytest
 
 from convexinfo import Constraint, LinearProgram, Polytope, lp_solve, membership, topk_weight_max
 from convexinfo.convex_kernel import convex_weights, decomposition_program
-from convexinfo.errors import DegenerateModel, InfeasibleDecomposition, TooLarge
+from convexinfo.errors import DegenerateModel, InfeasibleDecomposition, LpNumericalError, TooLarge
 
 from oracles import scipy_lp_reference
 
@@ -24,6 +24,14 @@ def test_infeasible_example():
 def test_unbounded():
     lp = LinearProgram(1, (1.0,), ())
     assert lp_solve(lp).status == "unbounded"
+
+
+@pytest.mark.parametrize("rel", ["<=", "=", ">="])
+@pytest.mark.parametrize("objective", [(1.0,), None])
+def test_nan_bound_is_never_optimal(rel, objective):
+    cons = (Constraint((1.0,), rel, float("nan")), Constraint((1.0,), "<=", 3.0))
+    with pytest.raises(LpNumericalError):
+        lp_solve(LinearProgram(1, objective, cons))
 
 
 def test_quadrilateral_constraint_system():
@@ -92,6 +100,17 @@ def test_against_scipy_on_random_instances(rng):
         assert mine.status == ref_status, f"trial {trial}: {mine.status} vs {ref_status}"
         if ref_status == "optimal":
             assert mine.value == pytest.approx(ref_value, abs=1e-7)
+
+
+def test_polytope_names_the_first_coinciding_pair(rng):
+    points = rng.normal(size=(12, 3))
+    points[[9, 7, 5]] = points[[2, 4, 2]]  # coinciding pairs (2, 5), (2, 9), (4, 7)
+    points[6] = points[3] + 1e-10          # within the tolerance: (3, 6)
+    first = next((i, j) for i in range(12) for j in range(i + 1, 12)
+                 if np.linalg.norm(points[i] - points[j]) <= 1e-9)
+    assert first == (2, 5)
+    with pytest.raises(DegenerateModel, match=r"vertices 2 and 5 coincide"):
+        Polytope(tuple(map(tuple, points)))
 
 
 def test_polytope_validation():

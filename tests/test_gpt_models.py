@@ -5,7 +5,11 @@ from convexinfo import (
     build_model,
     enumerate_frames,
     evaluate,
+    frame_entropy,
+    gpt_models,
+    lp_solve,
     make_effect,
+    make_preset,
     make_state,
     mix_state,
     model_from_json,
@@ -61,6 +65,77 @@ def test_make_state_membership(square):
         make_state(square, [0.9, 0.9])
     with pytest.raises(DimensionMismatch):
         make_state(square, [0.1, 0.1, 0.1])
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("custom_polytope", {"vertices": [[1, "a"], [0, 1], [1, 1]]}),  # non-numeric
+    ("custom_polytope", {"vertices": [[1, 0], [0, 1, 2], [1, 1]]}),  # ragged
+    ("custom_polytope", {"vertices": 5}),
+    ("regular_polygon", {"n": 2.5}),
+    ("simplex", {"n": 3.0}),
+    ("simplex", {"n": "4"}),
+    ("simplex", {"n": 10**12}),  # over the cap: rejected before anything is built
+])
+def test_build_model_malformed_input_is_degenerate(kind, kwargs):
+    with pytest.raises(DegenerateModel):
+        build_model(kind, **kwargs)
+
+
+@pytest.mark.parametrize("coords, shown", [
+    ([float("nan"), 0], "[nan, 0.0] is not finite"),
+    ([0.0, float("inf")], "[0.0, inf] is not finite"),
+    ([0.9, 0.9], "[0.9, 0.9] is outside the model"),
+])
+def test_make_state_rejects_non_finite_and_outside_points(square, coords, shown):
+    with pytest.raises(NotAState) as err:
+        make_state(square, coords)
+    assert shown in str(err.value)
+
+
+def _count_lps(monkeypatch) -> list:
+    """Record every LP that gpt_models solves from here on."""
+    solved = []
+
+    def counting(lp):
+        solved.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(gpt_models, "lp_solve", counting)
+    return solved
+
+
+# fresh models below: the session fixtures may already hold their frames
+
+def test_second_frame_enumeration_solves_no_lp(monkeypatch):
+    pentagon = build_model("regular_polygon", n=5)
+    solved = _count_lps(monkeypatch)
+    first = enumerate_frames(pentagon)
+    assert len(solved) > 0
+    before = len(solved)
+    assert enumerate_frames(pentagon) == first
+    assert len(solved) == before
+
+
+def test_enumerate_frames_returns_a_fresh_list():
+    square = build_model("regular_polygon", n=4)
+    frames = enumerate_frames(square)
+    expected = list(frames)
+    frames.reverse()
+    frames.pop()
+    assert enumerate_frames(square) == expected
+
+
+def test_frame_entropy_enumerates_once_per_model(monkeypatch):
+    solved = _count_lps(monkeypatch)
+    enumerate_frames(build_model("regular_polygon", n=5))
+    per_enumeration = len(solved)
+    pentagon = build_model("regular_polygon", n=5)
+    states = [make_state(pentagon, c) for c in ([0.1, 0.2], [-0.3, 0.1])]
+    solved.clear()
+    shannon = make_preset("shannon")
+    for state in states:
+        frame_entropy(shannon, pentagon, state)
+    assert len(solved) == per_enumeration
 
 
 def test_effect_evaluation(square):
