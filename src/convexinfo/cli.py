@@ -15,13 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .composites import (
-    JointState,
-    ProductSpace,
-    classify_joint,
-    max_tensor_member,
-    separable_witness,
-)
+from .composites import JointState, ProductSpace, max_tensor_member, separable_witness
 from .convex_kernel import Constraint, LinearProgram, lp_solve
 from .entropic import classical_entropy, make_preset, pair_from_grid_descriptor, pair_from_spec
 from .errors import ConvexInfoError, SpectrumUndefined, ValidationError
@@ -208,9 +202,11 @@ def _cmd_separable(args) -> int:
         payload = {"separable": True,
                    "witness": [{"a": a, "b": b, "weight": w} for (a, b), w in witness]}
     else:
+        # classify_joint's verdict, without solving the witness LP again
+        member = max_tensor_member(ps, omega)
         payload = {"separable": False,
-                   "max_member": max_tensor_member(ps, omega),
-                   "classification": classify_joint(ps, omega)}
+                   "max_member": member,
+                   "classification": "entangled" if member else "not-a-state"}
     _emit(payload, args.bits)
     return 0
 

@@ -29,6 +29,8 @@ _EPS = 1e-9
 _MAX_PIVOTS = 20000
 
 RELATIONS = ("<=", "=", ">=")
+#: Coefficient of each relation's slack column.
+_SLACK_SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,12 @@ class LpResult:
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
+    pivot_row = tableau[row] / tableau[row, col]
+    # one rank-1 update of the rows with a nonzero in the pivot column; the
+    # others are left as they are, so no 0 * inf meets an infinite bound
+    rows = tableau[:, col].nonzero()[0]
+    tableau[rows] -= tableau[rows, col, None] * pivot_row
+    tableau[row] = pivot_row
     basis[row] = col
 
 
@@ -100,29 +104,21 @@ def _run_simplex(tableau, basis, costs, n_cols):
     Returns "optimal" or "unbounded". ``n_cols`` restricts which columns may
     enter the basis (used to lock out artificial columns in phase 2).
     """
-    m = tableau.shape[0]
+    entering_costs = costs[:n_cols]
+    body, rhs = tableau[:, :n_cols], tableau[:, -1]  # views: pivots update them
     for _ in range(_MAX_PIVOTS):
-        cb = costs[basis]
-        reduced = costs[:n_cols] - cb @ tableau[:, :n_cols]
-        entering = -1
-        for j in range(n_cols):
-            if reduced[j] < -_EPS:
-                entering = j
-                break
-        if entering < 0:
+        improving = (entering_costs - costs[basis] @ body < -_EPS).nonzero()[0]
+        if improving.size == 0:
             return "optimal"
-        # ratio test; ties resolved by smallest basis index (Bland)
-        best_ratio, leaving = None, -1
-        for i in range(m):
-            aij = tableau[i, entering]
-            if aij > _EPS:
-                ratio = tableau[i, -1] / aij
-                if best_ratio is None or ratio < best_ratio - _EPS or (
-                        abs(ratio - best_ratio) <= _EPS and basis[i] < basis[leaving]):
-                    best_ratio, leaving = ratio, i
-        if leaving < 0:
+        column = body[:, improving[0]]
+        rows = (column > _EPS).nonzero()[0]
+        if rows.size == 0:
             return "unbounded"
-        _pivot(tableau, basis, leaving, entering)
+        ratios = rhs[rows] / column[rows]
+        # ratios within _EPS of the minimum tie and go to the smallest basis
+        # index (Bland); a NaN ratio, only possible from NaN data, ties them all
+        ties = rows[~(ratios > ratios[ratios.argmin()] + _EPS)]
+        _pivot(tableau, basis, ties[basis[ties].argmin()], improving[0])
     raise LpNumericalError("simplex did not terminate within the pivot cap")
 
 
@@ -135,127 +131,86 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     n = lp.n_vars
     c_orig = np.zeros(n) if lp.objective is None else np.asarray(lp.objective, float)
     bounds = lp.bounds if lp.bounds is not None else ((0.0, None),) * n
+    lower, upper = np.array([(-np.inf if lo is None else lo, np.inf if hi is None else hi)
+                             for lo, hi in bounds], float).reshape(n, 2).T
+    if (upper < lower - FEAS_TOL).any():
+        return LpResult("infeasible", None, None)
 
-    # Substitute every variable by nonnegative ones: x = offset + sum(sign * y).
-    offsets = np.zeros(n)
-    col_map: list[list[tuple[int, float]]] = []  # per original var: (y index, sign)
-    extra_rows: list[tuple[int, float]] = []     # (y index, upper bound) rows
-    m_y = 0
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            offsets[j] = lo
-            col_map.append([(m_y, 1.0)])
-            if hi is not None:
-                if hi < lo - FEAS_TOL:
-                    return LpResult("infeasible", None, None)
-                extra_rows.append((m_y, hi - lo))
-            m_y += 1
-        elif hi is not None:
-            offsets[j] = hi
-            col_map.append([(m_y, -1.0)])
-            m_y += 1
-        else:
-            col_map.append([(m_y, 1.0), (m_y + 1, -1.0)])
-            m_y += 2
+    # Substitute x = offsets + t @ y with y >= 0: a lower bound shifts x, an
+    # upper bound alone mirrors it, a free x splits into y+ - y-. Each column
+    # of t holds a single +-1, so the substituted rows are exact. An infinite
+    # bound is no bound; a NaN bound is skipped here and fails verification.
+    has_lo, has_hi = lower > -np.inf, upper < np.inf
+    owner = np.arange(n).repeat(1 + ~(has_lo | has_hi))  # the x of each y column
+    sign = np.where(has_hi & ~has_lo, -1.0, 1.0)[owner]
+    sign[1:][owner[1:] == owner[:-1]] = -1.0  # the y- column of a free x
+    t = np.zeros((n, owner.size))
+    t[owner, np.arange(owner.size)] = sign
+    offsets = np.where(has_lo, lower, np.where(has_hi, upper, 0.0))
 
-    rows, rels, rhs = [], [], []
-    for con in lp.constraints:
-        coeffs = np.asarray(con.coeffs, float)
-        row = np.zeros(m_y)
-        for j, pairs in enumerate(col_map):
-            for yj, sign in pairs:
-                row[yj] += sign * coeffs[j]
-        rows.append(row)
-        rels.append(con.rel)
-        rhs.append(con.bound - float(coeffs @ offsets))
-    for yj, ub in extra_rows:
-        row = np.zeros(m_y)
-        row[yj] = 1.0
-        rows.append(row)
-        rels.append("<=")
-        rhs.append(ub)
-
-    m = len(rows)
-    n_slack = sum(1 for r in rels if r != "=")
-    a = np.zeros((m, m_y + n_slack))
-    b = np.array(rhs, float)
-    s = m_y
-    for i, (row, rel) in enumerate(zip(rows, rels)):
-        a[i, :m_y] = row
-        if rel == "<=":
-            a[i, s] = 1.0
-            s += 1
-        elif rel == ">=":
-            a[i, s] = -1.0
-            s += 1
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
+    # Stack the constraints and the finite boxes (x <= hi rows) with one +-1
+    # slack column per inequality, every right-hand side made >= 0.
+    cons, boxed = lp.constraints, has_lo & has_hi
+    a = np.concatenate([np.array([con.coeffs for con in cons], float).reshape(len(cons), n),
+                        np.eye(n)[boxed]])
+    b = np.concatenate([[con.bound for con in cons], upper[boxed]])
+    rel = np.concatenate([[_SLACK_SIGN[con.rel] for con in cons],
+                          np.ones(np.count_nonzero(boxed))])
+    lhs = np.concatenate([a @ t, np.diag(rel)[:, rel != 0.0]], axis=1)
+    rhs = b - np.vecdot(a, offsets)
+    neg = rhs < 0
+    lhs[neg] *= -1.0
+    rhs[neg] *= -1.0
+    m, n_cols = lhs.shape
+    n_y = owner.size
 
     # Phase 1: artificial basis.
-    n_cols = m_y + n_slack
-    tableau = np.hstack([a, np.eye(m), b.reshape(-1, 1)])
+    tableau = np.concatenate([lhs, np.eye(m), rhs[:, None]], axis=1)
     basis = np.arange(n_cols, n_cols + m)
-    costs1 = np.concatenate([np.zeros(n_cols), np.ones(m), [0.0]])
-    status = _run_simplex(tableau, basis, costs1[:-1], n_cols + m)
-    if status != "optimal":  # cannot happen: phase-1 objective is bounded
+    costs1 = np.zeros(n_cols + m)
+    costs1[n_cols:] = 1.0
+    if _run_simplex(tableau, basis, costs1, n_cols + m) != "optimal":
+        # cannot happen: the phase-1 objective is bounded below by 0
         raise LpNumericalError("phase 1 reported unbounded")
-    if float(costs1[basis].astype(float) @ tableau[:, -1]) > FEAS_TOL:
+    if float(costs1[basis] @ tableau[:, -1]) > FEAS_TOL:
         return LpResult("infeasible", None, None)
 
     # Drive remaining artificials out of the basis or drop redundant rows.
-    keep = np.ones(tableau.shape[0], bool)
-    for i in range(tableau.shape[0]):
-        if basis[i] >= n_cols:
-            pivot_col = -1
-            for j in range(n_cols):
-                if abs(tableau[i, j]) > _EPS:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tableau, basis, i, pivot_col)
-            else:
-                keep[i] = False
-    tableau = tableau[keep]
+    keep = np.ones(m, bool)
+    for i in (basis >= n_cols).nonzero()[0]:
+        cols = (np.abs(tableau[i, :n_cols]) > _EPS).nonzero()[0]
+        if cols.size:
+            _pivot(tableau, basis, i, cols[0])
+        else:
+            keep[i] = False
+    tableau = np.concatenate([tableau[keep, :n_cols], tableau[keep, -1:]], axis=1)
     basis = basis[keep]
-    tableau = np.hstack([tableau[:, :n_cols], tableau[:, -1:]])
 
-    sense = -1.0 if lp.maximize else 1.0
     costs2 = np.zeros(n_cols)
-    for j, pairs in enumerate(col_map):
-        for yj, sign in pairs:
-            costs2[yj] += sense * sign * c_orig[j]
-    status = _run_simplex(tableau, basis, costs2, n_cols)
-    if status == "unbounded":
+    costs2[:n_y] = (-1.0 if lp.maximize else 1.0) * (c_orig @ t)
+    if _run_simplex(tableau, basis, costs2, n_cols) == "unbounded":
         return LpResult("unbounded", None, None)
 
     y = np.zeros(n_cols)
     y[basis] = tableau[:, -1]
-    x = offsets.copy()
-    for j, pairs in enumerate(col_map):
-        for yj, sign in pairs:
-            x[j] += sign * y[yj]
-
-    _verify_point(lp, x, bounds)
-    value = float(c_orig @ x)
-    return LpResult("optimal", tuple(float(v) for v in x), value)
+    x = offsets + t @ y[:n_y]
+    _verify_point(x, lower, upper, a, rel, b)
+    return LpResult("optimal", tuple(x.tolist()), float(c_orig @ x))
 
 
-def _verify_point(lp: LinearProgram, x: np.ndarray, bounds) -> None:
+def _verify_point(x, lower, upper, a, rel, b) -> None:
     # every test is written as "holds", so a NaN anywhere fails it
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None and not x[j] >= lo - FEAS_TOL:
-            raise LpNumericalError(f"solution violates lower bound on x[{j}]")
-        if hi is not None and not x[j] <= hi + FEAS_TOL:
-            raise LpNumericalError(f"solution violates upper bound on x[{j}]")
-    for con in lp.constraints:
-        lhs = float(np.asarray(con.coeffs) @ x)
-        if con.rel == "<=" and not lhs <= con.bound + FEAS_TOL:
-            raise LpNumericalError("solution violates a <= constraint")
-        if con.rel == ">=" and not lhs >= con.bound - FEAS_TOL:
-            raise LpNumericalError("solution violates a >= constraint")
-        if con.rel == "=" and not abs(lhs - con.bound) <= FEAS_TOL:
-            raise LpNumericalError("solution violates an equality constraint")
+    in_bounds = (x >= lower - FEAS_TOL) & (x <= upper + FEAS_TOL)
+    if not in_bounds.all():
+        j = in_bounds.argmin()
+        side = "upper" if x[j] >= lower[j] - FEAS_TOL else "lower"
+        raise LpNumericalError(f"solution violates {side} bound on x[{j}]")
+    lhs = np.vecdot(a, x)  # one dot product per row, as np.dot computes it
+    # an equality row must meet both inequalities
+    holds = ((rel < 0) | (lhs <= b + FEAS_TOL)) & ((rel > 0) | (lhs >= b - FEAS_TOL))
+    if not holds.all():
+        kind = {1.0: "a <=", -1.0: "a >=", 0.0: "an equality"}[rel[holds.argmin()]]
+        raise LpNumericalError(f"solution violates {kind} constraint")
 
 
 # -- polytopes ----------------------------------------------------------------
@@ -274,24 +229,22 @@ class Polytope:
     vertices: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        verts = tuple(tuple(float(c) for c in v) for v in self.vertices)
-        if not verts:
+        arr = np.asarray(self.vertices, float)  # raises for non-numeric or ragged rows
+        if len(arr) == 0:
             raise DegenerateModel("a polytope needs at least one vertex")
-        if len(verts) > MAX_VERTICES:
-            raise TooLarge(f"{len(verts)} vertices exceeds the cap {MAX_VERTICES}")
-        dim = len(verts[0])
-        if dim > MAX_DIM:
-            raise TooLarge(f"dimension {dim} exceeds the cap {MAX_DIM}")
-        arr = np.asarray(verts, float)
-        if arr.ndim != 2 or any(len(v) != dim for v in verts):
+        if len(arr) > MAX_VERTICES:
+            raise TooLarge(f"{len(arr)} vertices exceeds the cap {MAX_VERTICES}")
+        if arr.ndim != 2:
             raise DegenerateModel("vertices must share one dimension")
+        if arr.shape[1] > MAX_DIM:
+            raise TooLarge(f"dimension {arr.shape[1]} exceeds the cap {MAX_DIM}")
         if not np.all(np.isfinite(arr)):
             raise DegenerateModel("vertices must be finite")
-        for i in range(len(verts) - 1):
+        for i in range(len(arr) - 1):
             close = np.flatnonzero(np.linalg.norm(arr[i + 1:] - arr[i], axis=1) <= _DUPLICATE_TOL)
             if close.size:
                 raise DegenerateModel(f"vertices {i} and {i + 1 + close[0]} coincide")
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "vertices", tuple(map(tuple, arr.tolist())))
 
     @property
     def dim(self) -> int:

@@ -95,8 +95,8 @@ def _shannon_phi(p: float) -> float:
 def make_preset(name: str, parameter: float | None = None) -> EntropicPair:
     """Build one of the preset pairs: shannon, renyi(alpha) or tsallis(q).
 
-    For renyi/tsallis the parameter must be positive and different from 1
-    (the Shannon limit is reached continuously but not evaluated at 1).
+    For renyi/tsallis the parameter must be finite, positive and different
+    from 1 (the Shannon limit is reached continuously but not evaluated at 1).
     """
     key = name.strip().lower()
     if key == "shannon":
@@ -106,8 +106,8 @@ def make_preset(name: str, parameter: float | None = None) -> EntropicPair:
         if parameter is None:
             raise BadParameter(f"{key} needs a parameter")
         a = float(parameter)
-        if a <= 0.0 or abs(a - 1.0) <= 1e-12:
-            raise BadParameter(f"{key} parameter must be > 0 and != 1, got {a!r}")
+        if not math.isfinite(a) or a <= 0.0 or abs(a - 1.0) <= 1e-12:
+            raise BadParameter(f"{key} parameter must be finite, > 0 and != 1, got {a!r}")
         regime = REGIME_DEC_CONVEX if a > 1.0 else REGIME_INC_CONCAVE
         phi = lambda p, _a=a: p ** _a if p > 0.0 else 0.0
         if key == "renyi":
@@ -170,7 +170,7 @@ def pair_from_grid_descriptor(desc: dict) -> EntropicPair:
         phi_y = np.asarray(desc["phi"]["y"], dtype=float)
         h_x = np.asarray(desc["h"]["x"], dtype=float)
         h_y = np.asarray(desc["h"]["y"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidEntropicPair(f"malformed pair descriptor: {exc}") from None
     if len(phi_x) != len(phi_y) or len(h_x) != len(h_y) or len(phi_x) < 2 or len(h_x) < 2:
         raise InvalidEntropicPair("grid definitions need matching x/y arrays of length >= 2")

@@ -265,48 +265,29 @@ def _distinguishing_effects(space: StateSpace, states) -> list[GptEffect] | None
     k = len(states)
     d = space.dim
     verts = space.vertex_array()
-    n_vars = k * d
-
-    def block(i, vec):
-        row = np.zeros(n_vars)
-        row[i * d:(i + 1) * d] = vec
-        return row
-
-    eq_rows, eq_rhs = [], []
-    unit = space.unit()
-    for column in range(d):
-        row = np.zeros(n_vars)
-        for i in range(k):
-            row[i * d + column] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(float(unit[column]))
-    for i in range(k):
-        for j, st in enumerate(states):
-            eq_rows.append(block(i, st.as_array()))
-            eq_rhs.append(1.0 if i == j else 0.0)
-    a_eq = np.asarray(eq_rows)
-    b_eq = np.asarray(eq_rhs)
+    # effect i is x[i*d:(i+1)*d]; the rows sum the effects to the unit, then
+    # ask effect i for 1 on state i and 0 on the others
+    a_eq = np.vstack([np.tile(np.eye(d), k),
+                      np.kron(np.eye(k), [st.point for st in states])])
+    b_eq = np.concatenate([space.unit(), np.eye(k).ravel()])
 
     x, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
     if np.max(np.abs(a_eq @ x - b_eq)) <= 1e-9:
-        values = np.asarray([verts @ x[i * d:(i + 1) * d] for i in range(k)])
+        values = x.reshape(k, d) @ verts.T
         if np.min(values) >= -TOL and np.max(values) <= 1.0 + TOL:
-            return [GptEffect(coeffs=tuple(x[i * d:(i + 1) * d])) for i in range(k)]
+            return [GptEffect(coeffs=tuple(e)) for e in x.reshape(k, d)]
 
-    cons: list[Constraint] = []
-    for i in range(k):
-        for v in verts:
-            cons.append(Constraint(tuple(block(i, v)), ">=", 0.0))
-            cons.append(Constraint(tuple(block(i, v)), "<=", 1.0))
-    for row, rhs in zip(eq_rows, eq_rhs):
-        cons.append(Constraint(tuple(row), "=", rhs))
-    lp = LinearProgram(n_vars=n_vars, objective=None, constraints=tuple(cons),
-                       bounds=((None, None),) * n_vars)
+    # every effect within [0, 1] on every vertex: a >= 0 and a <= 1 row each
+    cells = np.repeat(np.kron(np.eye(k), verts), 2, axis=0)
+    cons = [Constraint(tuple(row), rel, bound) for row, (rel, bound)
+            in zip(cells, itertools.cycle(((">=", 0.0), ("<=", 1.0))))]
+    cons += [Constraint(tuple(row), "=", rhs) for row, rhs in zip(a_eq, b_eq)]
+    lp = LinearProgram(n_vars=k * d, objective=None, constraints=tuple(cons),
+                       bounds=((None, None),) * (k * d))
     result = lp_solve(lp)
     if result.status != "optimal":
         return None
-    x = np.asarray(result.point, float)
-    return [GptEffect(coeffs=tuple(x[i * d:(i + 1) * d])) for i in range(k)]
+    return [GptEffect(coeffs=tuple(e)) for e in np.asarray(result.point, float).reshape(k, d)]
 
 
 def perfectly_distinguishable(space: StateSpace, states) -> bool:
@@ -328,20 +309,14 @@ def _spans_model(space: StateSpace, indices) -> bool:
     verts = space.vertex_array()
     bary = verts[list(indices)].mean(axis=0)
     v = space.n_vertices
-    cons = []
-    for k in range(space.dim):
-        row = np.concatenate([verts[:, k], [0.0]])
-        cons.append(Constraint(tuple(row), "=", float(bary[k])))
-    for i in range(v):
-        row = np.zeros(v + 1)
-        row[i] = 1.0
-        row[v] = -1.0
-        cons.append(Constraint(tuple(row), ">=", 0.0))
-    objective = np.zeros(v + 1)
-    objective[v] = 1.0
-    lp = LinearProgram(n_vars=v + 1, objective=tuple(objective),
+    # variables: the weights w, then t = min w (w_i - t >= 0), maximized
+    cons = [Constraint(tuple(row), "=", float(c))
+            for row, c in zip(np.hstack([verts.T, np.zeros((space.dim, 1))]), bary)]
+    cons += [Constraint(tuple(row), ">=", 0.0)
+             for row in np.hstack([np.eye(v), -np.ones((v, 1))])]
+    lp = LinearProgram(n_vars=v + 1, objective=(0.0,) * v + (1.0,),
                        constraints=tuple(cons),
-                       bounds=tuple([(0.0, None)] * v + [(None, None)]))
+                       bounds=((0.0, None),) * v + ((None, None),))
     result = lp_solve(lp)
     return result.status == "optimal" and result.value > 1e-9
 

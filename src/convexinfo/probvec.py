@@ -31,7 +31,10 @@ class ProbVector:
     components: tuple[float, ...]
 
     def __init__(self, components: Iterable[float]):
-        comps = [float(c) for c in components]
+        try:
+            comps = [float(c) for c in components]
+        except (TypeError, ValueError):
+            raise InvalidProbVector("components must be numbers") from None
         if not comps:
             raise InvalidProbVector("a probability vector needs at least one component")
         if any(not np.isfinite(c) for c in comps):

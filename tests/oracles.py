@@ -3,16 +3,26 @@
 Everything here is deliberately written from scratch against closed forms
 or brute force, not by calling the code paths under test: closed-form
 entropy formulas, Robin Hood majorization pairs, an exact vertex
-enumeration plus grid sampler for decomposition polytopes, and a scipy
-reference for the LP kernel.
+enumeration plus grid sampler for decomposition polytopes, a scipy
+reference for the LP kernel, and the scalar-loop simplex and frame LPs of
+the library's first release.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.optimize
+
+# perfbench/yardstick is a frozen, never-edited copy of the library's first
+# release. Its simplex and frame LPs are scalar Python loops doing the same
+# floating-point arithmetic as the array code in src/, so the two must agree
+# exactly; it is imported read-only as the loop reference.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import yardstick as loop_reference  # noqa: E402
 
 # -- closed-form entropies ------------------------------------------------
 

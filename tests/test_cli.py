@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -319,3 +320,46 @@ def test_sweep_failing_row_prints_nothing(capsys):
     code, out, err = run(capsys, ["sweep", "--family", "renyi", "--grid", "0.5:1.0:3",
                                   "--p", "0.5,0.5"])
     assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize("verdict", ["entangled", "not-a-state"])
+def test_separable_decides_max_tensor_membership_once(capsys, tmp_path, monkeypatch,
+                                                      square_file, verdict):
+    from convexinfo import ProductSpace, build_model, composites, pr_box
+    square = build_model("regular_polygon", n=4)
+    if verdict == "entangled":
+        table = pr_box(ProductSpace(square, square)).as_array()
+    else:
+        table = np.outer([2.0, 0.0, 1.0], square.vertex_array()[0])  # outside A's square
+    calls = Counter()
+    for name in ("separable_witness", "max_tensor_member"):
+        def counted(*args, _name=name, _original=getattr(composites, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(composites, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    joint = _write_json(tmp_path, "joint.json", table.tolist())
+    code, out, _ = run(capsys, ["separable", "--model-a", square_file,
+                                "--model-b", square_file, "--joint", joint])
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["separable"], doc["max_member"], doc["classification"]) == \
+        (False, verdict == "entangled", verdict)
+    assert calls == {"separable_witness": 1, "max_tensor_member": 1}
+
+
+@pytest.mark.parametrize("case", ["non-numeric weights", "non-numeric pair grid",
+                                  "infinite renyi parameter"])
+def test_malformed_input_exits_2(capsys, tmp_path, case):
+    if case == "non-numeric weights":
+        doc = {"weights": "ab", "states": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]] * 2}
+        argv = ["holevo", "--ensemble", _write_json(tmp_path, "ensemble.json", doc)]
+    elif case == "non-numeric pair grid":
+        doc = {"regime": "h-increasing/phi-concave",
+               "phi": {"x": ["a", 1], "y": [0, 0]}, "h": {"x": [0, 1], "y": [0, 1]}}
+        argv = ["entropy", "--p", "0.5,0.5",
+                "--pair-file", _write_json(tmp_path, "pair.json", doc)]
+    else:
+        argv = ["entropy", "--p", "0.5,0.5", "--pair", "renyi:inf"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("error:")

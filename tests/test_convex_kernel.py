@@ -1,11 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from convexinfo import Constraint, LinearProgram, Polytope, lp_solve, membership, topk_weight_max
-from convexinfo.convex_kernel import convex_weights, decomposition_program
+from convexinfo.convex_kernel import RELATIONS, convex_weights, decomposition_program
 from convexinfo.errors import DegenerateModel, InfeasibleDecomposition, LpNumericalError, TooLarge
 
-from oracles import scipy_lp_reference
+from oracles import loop_reference, scipy_lp_reference
 
 
 def test_max_x_example():
@@ -102,6 +104,85 @@ def test_against_scipy_on_random_instances(rng):
             assert mine.value == pytest.approx(ref_value, abs=1e-7)
 
 
+# Beale's example cycles under the textbook largest-coefficient rule; in the
+# second, the first entering column ties two rows at ratio 0.
+CYCLING_PRONE = {
+    "beale": LinearProgram(4, (-0.75, 150.0, -0.02, 6.0), (
+        Constraint((0.25, -60.0, -0.04, 9.0), "<=", 0.0),
+        Constraint((0.5, -90.0, -0.02, 3.0), "<=", 0.0),
+        Constraint((0.0, 0.0, 1.0, 0.0), "<=", 1.0)), maximize=False),
+    "tied-zero-ratios": LinearProgram(4, (10.0, -57.0, -9.0, -24.0), (
+        Constraint((0.5, -5.5, -2.5, 9.0), "<=", 0.0),
+        Constraint((0.5, -1.5, -0.5, 1.0), "<=", 0.0),
+        Constraint((1.0, 0.0, 0.0, 0.0), "<=", 1.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLING_PRONE))
+def test_against_scipy_on_cycling_prone_instances(name):
+    lp = CYCLING_PRONE[name]
+    mine = lp_solve(lp)
+    ref_status, ref_value = scipy_lp_reference(lp)
+    assert (mine.status, ref_status) == ("optimal", "optimal")
+    assert mine.value == pytest.approx(ref_value, abs=1e-7)
+    assert mine.value == pytest.approx({"beale": -0.05, "tied-zero-ratios": 1.0}[name], abs=1e-9)
+
+
+def test_matches_the_loop_simplex_exactly_on_random_lps(rng):
+    # the array kernel must reproduce the scalar-loop simplex bit for bit:
+    # same pivots, same point, same value
+    seen = Counter()
+    for trial in range(400):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        cons = []
+        for _ in range(m):
+            coeffs = rng.normal(size=n).round(int(rng.integers(1, 4)))
+            coeffs[rng.random(n) < 0.2] = 0.0
+            rel = RELATIONS[int(rng.integers(0, 3))]
+            # a zero bound makes ratio-test ties at 0, where Bland's rule decides
+            bound = 0.0 if rng.random() < 0.3 else float(rng.normal()) * 2.0
+            cons.append((tuple(coeffs), rel, bound))
+            seen[rel] += 1
+        bounds = []
+        for _ in range(n):
+            kind = ("default", "lower", "free", "upper-only", "boxed")[int(rng.integers(0, 5))]
+            lo = float(rng.normal())
+            bounds.append({"default": (0.0, None), "lower": (lo, None), "free": (None, None),
+                           "upper-only": (None, lo),
+                           "boxed": (lo, lo + float(rng.uniform(0.0, 3.0)))}[kind])
+            seen[kind] += 1
+        objective = None if rng.random() < 0.1 else tuple(rng.normal(size=n).round(3))
+        maximize = bool(rng.integers(0, 2))
+        mine = lp_solve(LinearProgram(n, objective, tuple(Constraint(*c) for c in cons),
+                                      tuple(bounds), maximize))
+        ref = loop_reference.lp_solve(loop_reference.LinearProgram(
+            n, objective, tuple(loop_reference.Constraint(*c) for c in cons),
+            tuple(bounds), maximize))
+        assert (mine.status, mine.point, mine.value) == (ref.status, ref.point, ref.value), \
+            f"trial {trial}"
+        seen[mine.status] += 1
+    assert min(seen.values()) >= 40, seen
+    assert len(seen) == 3 + 5 + 3
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_nan_variable_bound_is_never_optimal(side):
+    bound = [0.0, 2.0]
+    bound[side] = float("nan")
+    lp = LinearProgram(2, (1.0, 1.0), (Constraint((1.0, 1.0), "<=", 3.0),),
+                       bounds=(tuple(bound), (0.0, 1.0)))
+    with pytest.raises(LpNumericalError, match=("lower", "upper")[side]):
+        lp_solve(lp)
+
+
+def test_infinite_variable_bounds_mean_no_bound():
+    inf = float("inf")
+    cons = (Constraint((1.0, -1.0), ">=", -3.0),)
+    free = LinearProgram(2, (1.0, 1.0), cons, bounds=((None, None), (1.0, None)), maximize=False)
+    infinite = LinearProgram(2, (1.0, 1.0), cons, bounds=((-inf, inf), (1.0, inf)), maximize=False)
+    assert lp_solve(infinite) == lp_solve(free)
+
+
 def test_polytope_names_the_first_coinciding_pair(rng):
     points = rng.normal(size=(12, 3))
     points[[9, 7, 5]] = points[[2, 4, 2]]  # coinciding pairs (2, 5), (2, 9), (4, 7)
@@ -120,6 +201,16 @@ def test_polytope_validation():
         Polytope(())
     with pytest.raises(TooLarge):
         Polytope(tuple((float(i), 0.0) for i in range(65)))
+
+
+def test_polytope_dimension_cap_and_shape():
+    with pytest.raises(TooLarge, match="dimension 65 exceeds the cap 64"):
+        Polytope(((0.0,) * 65,))
+    with pytest.raises(DegenerateModel, match="vertices must share one dimension"):
+        Polytope((1.0, 2.0))
+    poly = Polytope(np.array([[1, 0], [0, 1]]))
+    assert poly.vertices == ((1.0, 0.0), (0.0, 1.0))
+    assert all(type(c) is float for v in poly.vertices for c in v)
 
 
 def test_membership_triangle():

@@ -26,6 +26,8 @@ from convexinfo.errors import (
     NotAState,
 )
 
+from oracles import loop_reference
+
 
 def test_build_simplex3(simplex3):
     assert simplex3.n_vertices == 3
@@ -159,6 +161,28 @@ def test_frames_simplex(simplex3, simplex4):
     assert [f.vertex_indices for f in frames] == [(0, 1, 2)]
     frames = enumerate_frames(simplex4)
     assert [f.vertex_indices for f in frames] == [(0, 1, 2, 3)]
+
+
+FRAME_MODELS = ([("regular_polygon", n) for n in range(3, 13)]
+                + [("simplex", n) for n in range(2, 9)]
+                + [("custom_polytope", (v, dim)) for v in (5, 7) for dim in (2, 3)])
+
+
+@pytest.mark.parametrize("kind, n", FRAME_MODELS, ids=[
+    f"{kind}-{n}" if kind != "custom_polytope" else f"{kind}-{n[0]}x{n[1]}"
+    for kind, n in FRAME_MODELS])
+def test_frames_match_the_loop_reference_exactly(kind, n):
+    # array-built frame LPs: same vertex sets and bit-identical effect coefficients;
+    # on the custom polytopes the LP, not the least-squares guess, supplies witnesses
+    if kind == "custom_polytope":
+        args = {"vertices": np.random.default_rng(sum(n)).normal(size=n).round(3)}
+    else:
+        args = {"n": n}
+
+    def listing(lib):
+        return [(f.vertex_indices, [e.coeffs for e in f.effects])
+                for f in lib.enumerate_frames(lib.build_model(kind, **args))]
+    assert listing(gpt_models) == listing(loop_reference)
 
 
 def test_frames_square(square):
