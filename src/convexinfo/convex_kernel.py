@@ -148,14 +148,27 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     t[owner, np.arange(owner.size)] = sign
     offsets = np.where(has_lo, lower, np.where(has_hi, upper, 0.0))
 
+    cons = lp.constraints
+    con_a = np.array([con.coeffs for con in cons], float).reshape(len(cons), n)
+    con_b = np.array([con.bound for con in cons], float)
+    con_rel = np.array([_SLACK_SIGN[con.rel] for con in cons], float)
+    if np.isnan(con_a).any() or np.isnan(con_b).any():
+        raise LpNumericalError("constraint coefficients and bounds must not be NaN")
+    if np.isinf(con_b).any():
+        # a row bounded by +-inf holds for every x when the infinity's sign is
+        # its slack's (<= +inf, >= -inf) and for none otherwise; it never
+        # enters the tableau
+        finite = np.isfinite(con_b)
+        if (np.sign(con_b[~finite]) != con_rel[~finite]).any():
+            return LpResult("infeasible", None, None)
+        con_a, con_b, con_rel = con_a[finite], con_b[finite], con_rel[finite]
+
     # Stack the constraints and the finite boxes (x <= hi rows) with one +-1
     # slack column per inequality, every right-hand side made >= 0.
-    cons, boxed = lp.constraints, has_lo & has_hi
-    a = np.concatenate([np.array([con.coeffs for con in cons], float).reshape(len(cons), n),
-                        np.eye(n)[boxed]])
-    b = np.concatenate([[con.bound for con in cons], upper[boxed]])
-    rel = np.concatenate([[_SLACK_SIGN[con.rel] for con in cons],
-                          np.ones(np.count_nonzero(boxed))])
+    boxed = has_lo & has_hi
+    a = np.concatenate([con_a, np.eye(n)[boxed]])
+    b = np.concatenate([con_b, upper[boxed]])
+    rel = np.concatenate([con_rel, np.ones(np.count_nonzero(boxed))])
     lhs = np.concatenate([a @ t, np.diag(rel)[:, rel != 0.0]], axis=1)
     rhs = b - np.vecdot(a, offsets)
     neg = rhs < 0

@@ -5,6 +5,10 @@ A pair consists of an outer map ``h`` and an inner map ``phi`` with
 ``h`` increasing with ``phi`` concave, or ``h`` decreasing with ``phi``
 convex. The induced entropy of a distribution ``p`` is
 ``h(sum_i phi(p_i))``; Shannon, Renyi and Tsallis are presets.
+
+Both maps are evaluated on numpy arrays, one call per array: the presets are
+numpy expressions and grid pairs interpolate with ``np.interp``. A callable
+that only takes one float at a time is lifted to arrays at construction.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadParameter, InvalidEntropicPair
+from .errors import BadParameter, InvalidEntropicPair, InvalidProbVector
 from .probvec import TOL, ProbVector
 
 REGIME_INC_CONCAVE = "h-increasing/phi-concave"
@@ -33,16 +37,16 @@ _GRID_TOL = 1e-7
 def _validate_pair(h, phi, regime):
     if regime not in _REGIMES:
         raise InvalidEntropicPair(f"unknown regime {regime!r}")
-    phi0 = phi(0.0)
+    phi0 = float(phi(0.0))
     if abs(phi0) > TOL:
         raise InvalidEntropicPair(f"phi(0) = {phi0!r}, expected 0")
-    h_at_1 = h(phi(1.0))
+    h_at_1 = float(h(phi(1.0)))
     if abs(h_at_1) > TOL:
         raise InvalidEntropicPair(f"h(phi(1)) = {h_at_1!r}, expected 0")
 
     # Concavity/convexity of phi via second differences on a uniform grid.
     xs = np.linspace(0.0, 1.0, _GRID_POINTS)
-    ys = np.array([phi(x) for x in xs])
+    ys = np.asarray(phi(xs), float)
     if not np.all(np.isfinite(ys)):
         raise InvalidEntropicPair("phi is not finite on [0, 1]")
     d2 = ys[2:] - 2.0 * ys[1:-1] + ys[:-2]
@@ -57,7 +61,7 @@ def _validate_pair(h, phi, regime):
     ends = sorted([float(phi(1.0)), float(N_CAP * phi(1.0 / N_CAP))])
     if ends[1] - ends[0] > 1e-12:
         ts = np.linspace(ends[0], ends[1], _GRID_POINTS)
-        hs = np.array([h(t) for t in ts])
+        hs = np.asarray(h(ts), float)
         if not np.all(np.isfinite(hs)):
             raise InvalidEntropicPair("h is not finite on the reachable range")
         dh = np.diff(hs)
@@ -69,18 +73,38 @@ def _validate_pair(h, phi, regime):
                 raise InvalidEntropicPair("h is not decreasing on the reachable range")
 
 
+def _on_arrays(f: Callable, probe: np.ndarray) -> Callable:
+    """``f`` if it maps the probe array elementwise, else ``f`` lifted to arrays."""
+    try:
+        with np.errstate(all="ignore"):  # domain problems are the validation's to report
+            if np.shape(f(probe)) == probe.shape:
+                return f
+    except Exception:  # a scalar-only callable fails on an array in any way it likes
+        pass
+    return np.vectorize(f, otypes=[float])
+
+
 @dataclass(frozen=True)
 class EntropicPair:
-    """An (h, phi) functional pair, numerically validated at construction."""
+    """An (h, phi) functional pair, numerically validated at construction.
 
-    h: Callable[[float], float]
-    phi: Callable[[float], float]
+    ``h`` and ``phi`` map arrays elementwise; a callable that fails on an
+    array, or does not return one of the same shape, is replaced by its
+    ``np.vectorize`` lift, which calls it once per element.
+    """
+
+    h: Callable[[np.ndarray], np.ndarray]
+    phi: Callable[[np.ndarray], np.ndarray]
     regime: str
     name: str | None = None
     parameter: float | None = field(default=None)
 
     def __post_init__(self):
-        _validate_pair(self.h, self.phi, self.regime)
+        phi = _on_arrays(self.phi, np.array([0.0, 1.0]))
+        h = _on_arrays(self.h, np.full(2, float(phi(1.0))))
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "h", h)
+        _validate_pair(h, phi, self.regime)
 
     def __repr__(self):  # callables are noise; show the identity instead
         if self.parameter is None:
@@ -88,8 +112,9 @@ class EntropicPair:
         return f"EntropicPair({self.name}({self.parameter:g}), {self.regime})"
 
 
-def _shannon_phi(p: float) -> float:
-    return -p * math.log(p) if p > 0.0 else 0.0
+def _shannon_phi(p):
+    p = np.asarray(p, float)
+    return -p * np.log(np.where(p > 0.0, p, 1.0))  # 0 at p <= 0, without a log(0)
 
 
 def make_preset(name: str, parameter: float | None = None) -> EntropicPair:
@@ -109,22 +134,34 @@ def make_preset(name: str, parameter: float | None = None) -> EntropicPair:
         if not math.isfinite(a) or a <= 0.0 or abs(a - 1.0) <= 1e-12:
             raise BadParameter(f"{key} parameter must be finite, > 0 and != 1, got {a!r}")
         regime = REGIME_DEC_CONVEX if a > 1.0 else REGIME_INC_CONCAVE
-        phi = lambda p, _a=a: p ** _a if p > 0.0 else 0.0
+        phi = lambda p, _a=a: np.maximum(p, 0.0) ** _a  # 0 at p <= 0, as a > 0
         if key == "renyi":
-            h = lambda x, _a=a: math.log(x) / (1.0 - _a)
+            h = lambda x, _a=a: np.log(x) / (1.0 - _a)
         else:
             h = lambda x, _a=a: (x - 1.0) / (1.0 - _a)
         return EntropicPair(h=h, phi=phi, regime=regime, name=key, parameter=a)
     raise BadParameter(f"unknown preset {name!r}")
 
 
+def _entropies(pair: EntropicPair, probs: np.ndarray) -> np.ndarray:
+    """h(sum_i phi(p_i)) of each row of a stack of distributions.
+
+    Each row gets the checks a ``ProbVector`` makes (finite components that
+    sum to 1 within ``TOL``, else ``InvalidProbVector``); components below
+    ``TOL`` count as exact zeros.
+    """
+    totals = probs.sum(axis=1)
+    off = ~(np.abs(totals - 1.0) <= TOL)  # a NaN or infinite component fails this too
+    if off.any():
+        if not np.isfinite(probs).all():
+            raise InvalidProbVector("components must be finite")
+        raise InvalidProbVector(f"components sum to {float(totals[off.argmax()])!r}, not 1")
+    return np.asarray(pair.h(np.where(probs >= TOL, pair.phi(probs), 0.0).sum(axis=1)), float)
+
+
 def classical_entropy(pair: EntropicPair, p: ProbVector) -> float:
     """h(sum_i phi(p_i)) with components below tolerance treated as exact 0."""
-    total = 0.0
-    for c in p.components:
-        if c >= TOL:
-            total += pair.phi(c)
-    return float(pair.h(total))
+    return float(_entropies(pair, p.as_array()[None])[0])
 
 
 def entropy_upper_bound(pair: EntropicPair, n: int) -> float:
@@ -174,6 +211,6 @@ def pair_from_grid_descriptor(desc: dict) -> EntropicPair:
         raise InvalidEntropicPair(f"malformed pair descriptor: {exc}") from None
     if len(phi_x) != len(phi_y) or len(h_x) != len(h_y) or len(phi_x) < 2 or len(h_x) < 2:
         raise InvalidEntropicPair("grid definitions need matching x/y arrays of length >= 2")
-    phi = lambda p: float(np.interp(p, phi_x, phi_y))
-    h = lambda x: float(np.interp(x, h_x, h_y))
+    phi = lambda p: np.interp(p, phi_x, phi_y)
+    h = lambda x: np.interp(x, h_x, h_y)
     return EntropicPair(h=h, phi=phi, regime=regime, name=desc.get("name", "custom"))

@@ -336,19 +336,29 @@ def enumerate_frames(space: StateSpace) -> list[Frame]:
     return list(space._frames)
 
 
+def _frame_distributions(point: np.ndarray, frames) -> np.ndarray:
+    """Outcome distributions of the frames' measurements on a state, one row per frame.
+
+    Rows of frames with fewer effects are padded with zero effects, whose
+    outcomes have probability exactly 0.
+    """
+    if any(len(e.coeffs) != point.shape[0] for f in frames for e in f.effects):
+        raise DimensionMismatch("frame and state dimensions differ")
+    effects = np.zeros((len(frames), max(len(f.effects) for f in frames), point.shape[0]))
+    for row, frame in zip(effects, frames):
+        row[:len(frame.effects)] = [e.coeffs for e in frame.effects]
+    values = np.vecdot(effects, point)  # one dot product per effect, as np.dot
+    totals = values.sum(axis=1)
+    incomplete = np.abs(totals - 1.0) > TOL
+    if incomplete.any():
+        total = float(totals[incomplete.argmax()])
+        raise IncompleteFrame(f"frame effects resolve the state to {total!r}, not 1")
+    return np.maximum(values, 0.0) / totals[:, None]
+
+
 def restrict_to_frame(state: GptState, frame: Frame) -> ProbVector:
     """Kolmogorovian restriction of a state to a frame's measurement."""
-    values = []
-    for e in frame.effects:
-        c = e.as_array()
-        s = state.as_array()
-        if c.shape != s.shape:
-            raise DimensionMismatch("frame and state dimensions differ")
-        values.append(float(c @ s))
-    total = sum(values)
-    if abs(total - 1.0) > TOL:
-        raise IncompleteFrame(f"frame effects resolve the state to {total!r}, not 1")
-    return ProbVector([max(0.0, v) / total for v in values])
+    return ProbVector(_frame_distributions(state.as_array(), [frame])[0])
 
 
 # -- JSON model/state files ---------------------------------------------------

@@ -9,11 +9,12 @@ the known optimum is reachable whenever the pair is Schur-concave).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import EntropicPair, classical_entropy, make_preset
+from .entropic import EntropicPair, _entropies, classical_entropy, make_preset
 from .errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
@@ -91,18 +92,17 @@ class Povm:
         n = mats[0].shape[0]
         if any(m.shape[0] != n for m in mats):
             raise DimensionMismatch("effects must share one dimension")
-        total = np.zeros((n, n), complex)
-        detected_rank_one = True
-        for m in mats:
-            if np.max(np.abs(m - m.conj().T)) > TOL:
-                raise InvalidPovm("effect is not Hermitian within tolerance")
-            evals = np.linalg.eigvalsh(m)
-            if evals[0] < -TOL:
-                raise InvalidPovm(f"effect has negative eigenvalue {evals[0]!r}")
-            if n > 1 and evals[-2] > 1e-7:
-                detected_rank_one = False
-            total += m
-        if np.max(np.abs(total - np.eye(n))) > TOL:
+        stack = np.array(mats)
+        not_hermitian = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) > TOL
+        evals = np.linalg.eigvalsh(stack)
+        negative = evals[:, 0] < -TOL
+        first = int(np.argmax(not_hermitian | negative))  # effects are checked in order
+        if not_hermitian[first]:
+            raise InvalidPovm("effect is not Hermitian within tolerance")
+        if negative[first]:
+            raise InvalidPovm(f"effect has negative eigenvalue {evals[first, 0]!r}")
+        detected_rank_one = n == 1 or not (evals[:, -2] > 1e-7).any()
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(n))) > TOL:
             raise InvalidPovm("effects do not sum to the identity")
         if rank_one is None:
             rank_one = detected_rank_one
@@ -151,9 +151,7 @@ def born_probabilities(rho: DensityMatrix, m: Povm) -> ProbVector:
     """Outcome distribution Tr(rho E_i) of measuring m on rho."""
     if rho.dim != m.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs POVM dim {m.dim}")
-    r = rho.as_array()
-    probs = [float(np.trace(r @ e).real) for e in m.effect_arrays()]
-    return ProbVector(probs)
+    return ProbVector(np.einsum("ab,kba->k", rho.as_array(), np.asarray(m.effects, complex)).real)
 
 
 def eigen_spectrum(rho: DensityMatrix) -> ProbVector:
@@ -168,17 +166,57 @@ def quantum_entropy(pair: EntropicPair, rho: DensityMatrix) -> float:
     return classical_entropy(pair, eigen_spectrum(rho))
 
 
-def _isometry_rows(rng: np.random.Generator, dim: int, outcomes: int) -> np.ndarray:
-    """Rows of a Haar-ish isometry; row i induces the effect |r_i*><r_i*|."""
-    g = rng.normal(size=(outcomes, dim)) + 1j * rng.normal(size=(outcomes, dim))
-    q, _ = np.linalg.qr(g)  # outcomes x dim with orthonormal columns
-    return q
+def _isometry_rows(rng: np.random.Generator, dim: int, outcomes: int,
+                   stack: tuple[int, ...] = ()) -> np.ndarray:
+    """Rows of Haar-ish isometries; row i induces the effect |r_i*><r_i*|.
+
+    ``stack=(k,)`` draws a stack of k isometries, the same numbers as k
+    draws one at a time.
+    """
+    g = rng.normal(size=(*stack, outcomes, dim, 2)).view(complex)[..., 0]  # (re, im) pairs
+    q, _ = np.linalg.qr(g)
+    return q  # (..., outcomes, dim) with orthonormal columns
 
 
-def _rows_entropy(pair, rho_arr, rows) -> float:
-    probs = np.einsum("ia,ab,ib->i", rows, rho_arr, rows.conj()).real
+def _rows_entropies(pair, rho_arr, rows) -> np.ndarray:
+    """Entropy of the Born statistics of each isometry in a stack."""
+    probs = np.einsum("kia,kia->ki", rows @ rho_arr, rows.conj()).real
     probs = np.where(probs > 0.0, probs, 0.0)
-    return classical_entropy(pair, ProbVector(probs / probs.sum()))
+    return _entropies(pair, probs / probs.sum(axis=1, keepdims=True))
+
+
+def _first_below(values: np.ndarray, best: float) -> int | None:
+    """Index of the first value that improves on ``best`` by more than 1e-15."""
+    hits = np.flatnonzero(values < best - 1e-15)
+    return int(hits[0]) if hits.size else None
+
+
+#: Refinement steps drawn and scored together. The draws do not depend on
+#: the scores; after an improvement the block's later steps are scored again
+#: around the new best isometry, so the result is that of one step at a time.
+_REFINE_BLOCK = 64
+
+
+def _refine(pair, rho_arr, rows, value, rng, steps: int):
+    """Local refinement of the best isometry; returns the best (value, rows).
+
+    Each step orthonormalizes the best rows so far plus a complex Gaussian
+    perturbation, whose scale shrinks by 0.5% per step from 0.3 down to 0.01.
+    """
+    scales = list(itertools.accumulate(range(steps - 1), lambda s, _: max(0.01, s * 0.995),
+                                       initial=0.3))
+    for start in range(0, steps, _REFINE_BLOCK):
+        g = rng.normal(size=(min(_REFINE_BLOCK, steps - start), *rows.shape, 2))
+        moves = np.asarray(scales[start:start + len(g)])[:, None, None] * g.view(complex)[..., 0]
+        while len(moves):
+            candidates, _ = np.linalg.qr(rows + moves)
+            values = _rows_entropies(pair, rho_arr, candidates)
+            i = _first_below(values, value)
+            if i is None:
+                break
+            value, rows = values[i], candidates[i]
+            moves = moves[i + 1:]
+    return value, rows
 
 
 def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
@@ -188,7 +226,10 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
     Deterministic given (seed, budget). The eigenbasis projective measurement
     is always the first candidate; random isometry-sampled POVMs with N..2N
     outcomes use roughly 70% of the budget and local refinements of the best
-    isometry the rest.
+    isometry the rest. Candidates are scored in stacks, with the result of
+    scoring them one at a time in a fixed order: the random ones grouped by
+    outcome count (fewest first), then the refinement steps in turn. A
+    candidate replaces the best only if it improves on it by more than 1e-15.
     """
     if budget < 1:
         raise DimensionMismatch("budget must be >= 1")
@@ -198,29 +239,21 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
 
     _, vecs = np.linalg.eigh(rho_arr)
     best_rows = vecs.conj().T[::-1].copy()  # eigenbasis bras, largest eigenvalue first
-    best_value = _rows_entropy(pair, rho_arr, best_rows)
+    best_value = _rows_entropies(pair, rho_arr, best_rows[None])[0]
 
     n_random = max(1, int(0.7 * (budget - 1)))
-    for _ in range(n_random):
-        outcomes = int(rng.integers(n, 2 * n + 1))
-        rows = _isometry_rows(rng, n, outcomes)
-        value = _rows_entropy(pair, rho_arr, rows)
-        if value < best_value - 1e-15:
-            best_value, best_rows = value, rows
+    counts = rng.integers(n, 2 * n + 1, size=n_random)
+    for outcomes, size in zip(*np.unique(counts, return_counts=True)):
+        rows = _isometry_rows(rng, n, int(outcomes), (int(size),))
+        values = _rows_entropies(pair, rho_arr, rows)
+        while (i := _first_below(values, best_value)) is not None:
+            best_value, best_rows = values[i], rows[i]
+            values, rows = values[i + 1:], rows[i + 1:]
 
-    # local refinement around the best candidate frame
-    frame = best_rows
-    scale = 0.3
-    for _ in range(budget - 1 - n_random):
-        g = rng.normal(size=frame.shape) + 1j * rng.normal(size=frame.shape)
-        rows, _ = np.linalg.qr(frame + scale * g)
-        value = _rows_entropy(pair, rho_arr, rows)
-        if value < best_value - 1e-15:
-            best_value, best_rows, frame = value, rows, rows
-        scale = max(0.01, scale * 0.995)
-
-    effects = [np.outer(row.conj(), row) for row in best_rows]
-    return best_value, Povm(effects, rank_one=True)
+    best_value, best_rows = _refine(pair, rho_arr, best_rows, best_value, rng,
+                                    budget - 1 - n_random)
+    effects = np.einsum("ia,ib->iab", best_rows.conj(), best_rows)
+    return float(best_value), Povm(effects, rank_one=True)
 
 
 def quantum_majorizes(sigma: DensityMatrix, rho: DensityMatrix) -> bool:
@@ -262,10 +295,6 @@ def accessible_info_estimate(e: Ensemble, m: Povm) -> float:
     """Mutual information of the source with the given measurement's outcome."""
     if e.dim != m.dim:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs POVM dim {m.dim}")
-    effects = m.effect_arrays()
-    joint = np.empty((len(e.states), len(effects)))
-    for x, (w, s) in enumerate(zip(e.weights.components, e.states)):
-        arr = s.as_array()
-        for i, eff in enumerate(effects):
-            joint[x, i] = w * max(0.0, float(np.trace(arr @ eff).real))
-    return mutual_information(joint)
+    states = np.array([s.as_array() for s in e.states])
+    probs = np.einsum("xab,kba->xk", states, np.asarray(m.effects, complex)).real
+    return mutual_information(e.weights.as_array()[:, None] * np.maximum(probs, 0.0))

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex_kernel import LinearProgram, decomposition_program, lp_solve
-from .entropic import EntropicPair, classical_entropy
+from .entropic import EntropicPair, _entropies, classical_entropy
 from .errors import DimensionMismatch, LpNumericalError, NoFrames, NotAState, SpectrumUndefined
 from .gpt_models import (
     Frame,
     GptState,
     StateSpace,
+    _frame_distributions,
     enumerate_frames,
-    restrict_to_frame,
     vertex_state,
 )
 from .probvec import TOL, ProbVector, majorizes
@@ -185,7 +185,7 @@ def _phi_mixture(spec: SpectralDecomposition | NoMajorant, state: GptState,
                  pair: EntropicPair) -> PhiMixture:
     if isinstance(spec, NoMajorant):
         raise SpectrumUndefined("state has no spectrum", state=state)
-    coeffs = tuple(float(pair.phi(w)) for w in spec.weights.components)
+    coeffs = tuple(np.asarray(pair.phi(spec.weights.as_array()), float).tolist())
     return PhiMixture(coefficients=coeffs, states=spec.support)
 
 
@@ -218,9 +218,9 @@ def frame_entropy(pair: EntropicPair, space: StateSpace,
     frames = enumerate_frames(space)
     if not frames:
         raise NoFrames("model admits no frame")
-    best_value, best_frame = np.inf, None
-    for frame in frames:
-        value = classical_entropy(pair, restrict_to_frame(state, frame))
-        if value < best_value - 1e-15:
-            best_value, best_frame = value, frame
-    return float(best_value), best_frame
+    entropies = _entropies(pair, _frame_distributions(state.as_array(), frames)).tolist()
+    best = 0
+    for k, value in enumerate(entropies):
+        if value < entropies[best] - 1e-15:
+            best = k
+    return entropies[best], frames[best]

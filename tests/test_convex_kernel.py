@@ -287,3 +287,28 @@ def test_topk_infeasible_decomposition():
         topk_weight_max(skeleton, [0])
     with pytest.raises(InfeasibleDecomposition):
         topk_weight_max(_square_center_skeleton(), [])
+
+
+def test_nan_right_hand_side_or_coefficient_raises_with_an_objective():
+    nan = float("nan")
+    for row in (Constraint((1.0, 1.0), ">=", nan), Constraint((1.0, nan), ">=", 1.0)):
+        lp = LinearProgram(2, (1.0, 1.0), (row, Constraint((1.0, 0.0), "<=", 3.0)))
+        with pytest.raises(LpNumericalError, match="NaN"):
+            lp_solve(lp)
+
+
+@pytest.mark.parametrize("rel, bound, status", [
+    ("<=", float("inf"), "optimal"), (">=", -float("inf"), "optimal"),
+    ("<=", -float("inf"), "infeasible"), (">=", float("inf"), "infeasible"),
+    ("=", float("inf"), "infeasible"), ("=", -float("inf"), "infeasible")])
+def test_infinite_rows_are_vacuous_or_infeasible(rel, bound, status):
+    # runs under the suite's warnings-as-errors: no inf - inf reaches the tableau
+    row = Constraint((1.0, 1.0), rel, bound)
+    boxed = LinearProgram(2, (1.0, 1.0), (row,), bounds=((0.0, 3.0), (0.0, 3.0)))
+    capped = LinearProgram(2, (1.0, 1.0), (row, Constraint((1.0, 0.0), "<=", 3.0),
+                                           Constraint((0.0, 1.0), "<=", 3.0)))
+    for lp in (boxed, capped):
+        result = lp_solve(lp)
+        assert result.status == status
+        if status == "optimal":
+            assert result.point == (3.0, 3.0)

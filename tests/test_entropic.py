@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convexinfo
 from convexinfo import (
     ProbVector,
     classical_entropy,
@@ -196,3 +197,76 @@ def test_custom_grid_pair_malformed():
         pair_from_grid_descriptor({"regime": REGIME_INC_CONCAVE,
                                    "phi": {"x": [0.0], "y": [0.0]},
                                    "h": {"x": [0.0, 1.0], "y": [0.0, 1.0]}})
+
+
+def _scalar_closed_forms(name, a):
+    """(phi, h) of a preset, one float at a time."""
+    if name == "shannon":
+        return (lambda p: -p * math.log(p) if p > 0 else 0.0), (lambda x: x)
+    phi = lambda p: p ** a if p > 0 else 0.0
+    if name == "renyi":
+        return phi, lambda x: math.log(x) / (1.0 - a)
+    return phi, lambda x: (x - 1.0) / (1.0 - a)
+
+
+def test_array_presets_equal_the_scalar_closed_forms(rng):
+    from convexinfo.entropic import N_CAP, _entropies
+    for name, parameter in PRESETS:
+        pair = _preset(name, parameter)
+        phi, h = _scalar_closed_forms(name, parameter)
+        for n in range(1, N_CAP + 1):
+            p = rng.dirichlet(np.ones(n), size=4)
+            p[0, : n // 2] = 0.0  # exact zeros, no warning under -W error
+            p[0] /= p[0].sum()
+            assert np.allclose(pair.phi(p), [[phi(x) for x in row] for row in p],
+                               rtol=0, atol=1e-14)
+            totals = [sum(phi(x) for x in row if x >= 1e-9) for row in p]
+            assert np.allclose(pair.h(np.array(totals)), [h(t) for t in totals],
+                               rtol=0, atol=1e-14)
+            assert np.allclose(_entropies(pair, p), [h(t) for t in totals], rtol=0, atol=1e-14)
+
+
+def test_scalar_only_and_grid_pairs_score_as_the_scalar_loop(rng):
+    # the scalar-only callables are lifted once; validation and scores are those
+    # of the first release, which called them one float at a time
+    from oracles import loop_reference
+
+    xs = np.linspace(0.0, 1.0, 201)
+    desc = {"regime": REGIME_INC_CONCAVE,
+            "phi": {"x": list(xs), "y": [math.sin(math.pi * x) for x in xs]},
+            "h": {"x": [0.0, 4.0], "y": [0.0, 4.0]}}
+
+    def build(lib):
+        return [lib.entropic.EntropicPair(h=lambda x: x,
+                                          phi=lambda p: -p * math.log(p) if p > 0 else 0.0,
+                                          regime=REGIME_INC_CONCAVE),
+                lib.entropic.EntropicPair(h=lambda x: math.log(x) / -1.0,
+                                          phi=lambda p: p * p if p > 0 else 0.0,
+                                          regime=REGIME_DEC_CONVEX),
+                lib.pair_from_grid_descriptor(desc)]
+
+    ours, reference = build(convexinfo), build(loop_reference)
+    assert [isinstance(pair.phi, np.vectorize) for pair in ours] == [True, True, False]
+    for _ in range(20):
+        p = rng.dirichlet(np.ones(int(rng.integers(1, 17))))
+        for mine, theirs in zip(ours, reference):
+            assert classical_entropy(mine, ProbVector(p)) == pytest.approx(
+                loop_reference.classical_entropy(theirs, loop_reference.ProbVector(p)),
+                rel=0, abs=1e-14)
+
+    wobbly = dict(desc, phi={"x": [0.0, 0.3, 0.6, 1.0], "y": [0.0, 0.1, 0.3, 0.0]})
+    for lib, error in ((convexinfo, InvalidEntropicPair),
+                       (loop_reference, loop_reference.errors.InvalidEntropicPair)):
+        with pytest.raises(error, match="not concave"):
+            lib.pair_from_grid_descriptor(wobbly)
+
+
+def test_a_batch_with_an_all_zero_distribution_is_refused():
+    from convexinfo.entropic import _entropies
+    from convexinfo.errors import InvalidProbVector
+    batch = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+    with pytest.raises(InvalidProbVector, match="sum to 0.0"):
+        _entropies(make_preset("shannon"), batch)
+    batch[1, 0] = np.nan
+    with pytest.raises(InvalidProbVector, match="finite"):
+        _entropies(make_preset("shannon"), batch)

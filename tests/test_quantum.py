@@ -257,3 +257,77 @@ def test_ensemble_validation():
     with pytest.raises(DimensionMismatch):
         Ensemble(weights=ProbVector([0.5, 0.5]),
                  states=(ZERO, DensityMatrix(np.eye(3) / 3)))
+
+
+def test_blocked_refinement_equals_the_one_at_a_time_loop(rng):
+    # from a random isometry with one outcome too many the refinement improves
+    # many times, so blocks are cut short and re-scored around each new best
+    from convexinfo.quantum import _REFINE_BLOCK, _isometry_rows, _refine
+    from oracles import refine_one_at_a_time, renyi_entropy, tsallis_entropy
+    cases = [(2, make_preset("shannon"), shannon_entropy),
+             (3, make_preset("renyi", 2.0), lambda p: renyi_entropy(p, 2.0)),
+             (4, make_preset("tsallis", 0.5), lambda p: tsallis_entropy(p, 0.5))]
+    steps = 3 * _REFINE_BLOCK + 7  # a last, partial block too
+    for n, pair, entropy in cases:
+        rho = random_density_matrix(rng, n)
+        start = _isometry_rows(rng, n, n + 1)
+        probs = np.einsum("ia,ab,ib->i", start, rho, start.conj()).real
+        value = entropy(probs / probs.sum())
+        seed = int(rng.integers(2**31))
+        got_value, got_rows = _refine(pair, rho, start, value, np.random.default_rng(seed), steps)
+        want_value, want_rows, improvements = refine_one_at_a_time(
+            entropy, rho, start, value, np.random.default_rng(seed), steps)
+        assert improvements >= 5
+        assert got_value == pytest.approx(want_value, abs=1e-14)
+        assert np.allclose(got_rows, want_rows, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_min_search_at_larger_dimensions(n):
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(n), n))
+    for pair in (make_preset("shannon"), make_preset("renyi", 2), make_preset("tsallis", 0.5)):
+        spectral = quantum_entropy(pair, rho)
+        value, witness = quantum_entropy_min_search(pair, rho, budget=1000, seed=n)
+        assert spectral - 1e-9 <= value <= spectral + 1e-5
+        again = quantum_entropy_min_search(pair, rho, budget=1000, seed=n)
+        assert again[0] == value
+        assert np.array_equal(np.asarray(again[1].effects), np.asarray(witness.effects))
+        assert witness.rank_one and n <= len(witness) <= 2 * n
+
+
+def test_povm_reports_the_first_offending_effect():
+    # stacked checks, same verdict and message as checking effect by effect
+    from oracles import loop_reference
+    negative = [[-0.5, 0], [0, 1]]
+    skew = [[0, 1], [0, 0]]
+    fine = [[1, 0], [0, 0]]
+    cases = [("-0.5", [fine, negative, skew]), ("Hermitian", [fine, skew, negative]),
+             ("identity", [fine, fine])]
+    for fragment, effects in cases:
+        with pytest.raises(InvalidPovm) as got:
+            Povm(effects)
+        with pytest.raises(loop_reference.errors.InvalidPovm) as want:
+            loop_reference.Povm(effects)
+        assert str(got.value) == str(want.value)
+        assert fragment in str(got.value)
+
+
+def test_stacked_born_statistics_match_the_loop_reference(rng):
+    from oracles import loop_reference
+    for n in (2, 3, 5):
+        povm = random_povm(rng, n, n + 2)
+        states = [random_density_matrix(rng, n) for _ in range(3)]
+        weights = rng.dirichlet(np.ones(3))
+        for rho in states:
+            got = born_probabilities(DensityMatrix(rho), Povm(povm))
+            want = loop_reference.born_probabilities(loop_reference.DensityMatrix(rho),
+                                                     loop_reference.Povm(povm))
+            assert np.allclose(got.components, want.components, rtol=0, atol=1e-15)
+        ensemble = Ensemble(weights=ProbVector(weights),
+                            states=tuple(DensityMatrix(s) for s in states))
+        reference = loop_reference.Ensemble(
+            weights=loop_reference.ProbVector(weights),
+            states=tuple(loop_reference.DensityMatrix(s) for s in states))
+        assert accessible_info_estimate(ensemble, Povm(povm)) == pytest.approx(
+            loop_reference.accessible_info_estimate(reference, loop_reference.Povm(povm)),
+            abs=1e-14)

@@ -26,7 +26,7 @@ from convexinfo import (
 )
 from convexinfo import spectra
 from convexinfo.entropic import REGIME_INC_CONCAVE, EntropicPair
-from convexinfo.errors import LpNumericalError, NotAState, SpectrumUndefined
+from convexinfo.errors import DimensionMismatch, LpNumericalError, NotAState, SpectrumUndefined
 from convexinfo.gpt_models import GptState
 
 from oracles import (
@@ -422,3 +422,25 @@ def test_spectrum_raises_when_enumeration_misses_a_member(square, monkeypatch):
                         lambda space, state: np.zeros((0, space.n_vertices)))
     with pytest.raises(LpNumericalError):
         generalized_spectrum(square, make_state(square, [0, 0]))
+
+
+@pytest.mark.parametrize("kind, n", [("regular_polygon", n) for n in (3, 4, 6, 9, 12)]
+                         + [("simplex", n) for n in (2, 5, 8)])
+def test_stacked_frame_entropy_matches_the_loop_reference(kind, n, rng, monkeypatch):
+    # all frames scored in one array: same values and argmin frame as one frame at a time
+    from oracles import loop_reference
+    ours, theirs = build_model(kind, n=n), loop_reference.build_model(kind, n=n)
+    frames = loop_reference.enumerate_frames(theirs)  # the reference enumerates per call
+    monkeypatch.setattr(loop_reference.spectra, "enumerate_frames", lambda space: frames)
+    presets = [("shannon", None), ("renyi", 2.0), ("tsallis", 0.5)]
+    for weights in rng.dirichlet(np.full(n, 0.5), size=4):
+        for name, parameter in presets:
+            value, frame = frame_entropy(make_preset(name, parameter), ours,
+                                         mix_state(ours, weights))
+            want, want_frame = loop_reference.frame_entropy(
+                loop_reference.make_preset(name, parameter), theirs,
+                loop_reference.mix_state(theirs, weights))
+            assert value == pytest.approx(want, rel=0, abs=1e-14)
+            assert frame.vertex_indices == want_frame.vertex_indices
+    with pytest.raises(DimensionMismatch):
+        frame_entropy(make_preset("shannon"), ours, GptState(point=(0.0,) * (ours.dim + 1)))
