@@ -1,0 +1,180 @@
+"""Cold frame enumeration at the model caps, and perfbench pairs, parent against change.
+
+Run from the repository root (numpy is the only dependency):
+
+    python scripts/bench_frames.py
+    python scripts/bench_frames.py --parent ../parent --out BENCH_pr6.json
+
+Every repeat builds its model afresh, so it enumerates the frames cold;
+``seconds`` is the median of ``REPEATS`` timed runs. One more run, not
+timed, counts the work by wrapping library functions: least-squares
+guesses (calls of ``np.linalg.lstsq``), LPs by the library function they
+were solved for (``_screen``: screen LPs, ``_spans_model``: spans LPs, any
+other: k x d witness LPs) and simplex pivots. A model whose enumeration raises
+``LpNumericalError`` records the message instead.
+
+``--parent DIR`` measures the checkout in DIR the same way, each checkout in
+its own interpreter. It then runs ``perfbench/run.py --seconds 16`` in both
+checkouts for seeds 1..PAIRS and the hold-out seed 7919, alternating which
+goes first, on every workload in ``WORKLOADS``, and stores each run's metrics.
+The JSON goes to ``--out`` or stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+REPEATS = 3
+PAIRS = 10
+HOLD_OUT_SEED = 7919
+WORKLOADS = ("spectrum-ladder", "tensor-separable", "quantum-search")
+
+
+def _models(reference: dict):
+    import numpy as np
+
+    for n in (8, 12, 16):
+        yield f"polygon{n}", "regular_polygon", {"n": n}
+    for n in (8, 10, 16):
+        yield f"simplex{n}", "simplex", {"n": n}
+    for label in ("custom2d16", "custom3d16"):
+        yield label, "custom_polytope", {"vertices": reference["custom"][label]}
+    # 16 random points in R^7: the third draw of default_rng(0)
+    rng = np.random.default_rng(0)
+    rng.normal(size=(16, 2))
+    rng.normal(size=(16, 3))
+    yield "custom7d16", "custom_polytope", {"vertices": rng.normal(size=(16, 7))}
+
+
+def _counted(gpt_models, convex_kernel, np, enumerate_once) -> Counter:
+    """Enumerate once with every counted function wrapped; restore them after."""
+    counts = Counter()
+    lp_solve, pivot, lstsq = gpt_models.lp_solve, convex_kernel._pivot, np.linalg.lstsq
+    kinds = {"_screen": "screen_lps", "_spans_model": "spans_lps"}
+
+    def counting_lp(lp):
+        caller = sys._getframe(1)
+        while caller is not None and caller.f_code.co_name not in kinds:
+            caller = caller.f_back
+        counts[kinds[caller.f_code.co_name] if caller else "witness_lps"] += 1
+        return lp_solve(lp)
+
+    def counting_pivot(*args):
+        counts["pivots"] += 1
+        return pivot(*args)
+
+    def counting_lstsq(*args, **kwargs):
+        counts["guesses"] += 1
+        return lstsq(*args, **kwargs)
+
+    gpt_models.lp_solve, convex_kernel._pivot = counting_lp, counting_pivot
+    np.linalg.lstsq = counting_lstsq
+    try:
+        enumerate_once()
+    finally:
+        gpt_models.lp_solve, convex_kernel._pivot = lp_solve, pivot
+        np.linalg.lstsq = lstsq
+    return counts
+
+
+def measure() -> dict:
+    """Cold enumeration of every cap model with the convexinfo on sys.path."""
+    import numpy as np
+
+    from convexinfo import build_model, convex_kernel, enumerate_frames, gpt_models
+    from convexinfo.errors import LpNumericalError
+
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    results = {}
+    for label, kind, args in _models(reference):
+        try:
+            times = []
+            for _ in range(REPEATS):
+                space = build_model(kind, **args)
+                start = time.perf_counter()
+                frames = enumerate_frames(space)
+                times.append(time.perf_counter() - start)
+        except LpNumericalError as exc:
+            results[label] = {"raises": f"LpNumericalError: {exc}"}
+            continue
+        counts = _counted(gpt_models, convex_kernel, np,
+                          lambda: enumerate_frames(build_model(kind, **args)))
+        results[label] = {
+            "seconds": statistics.median(times), "frames": len(frames),
+            **{key: counts[key] for key in
+               ("guesses", "screen_lps", "witness_lps", "spans_lps", "pivots")}}
+    return results
+
+
+def _measure_checkout(checkout: Path) -> dict:
+    code = (f"import json, sys; sys.path[:0] = [{str(checkout / 'src')!r}, "
+            f"{str(ROOT / 'scripts')!r}]; import bench_frames; "
+            "print(json.dumps(bench_frames.measure()))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _commit(checkout: Path) -> str:
+    """HEAD of the checkout, marked "+changes" when its tree differs from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
+                              text=True).stdout.strip()
+    head = git("rev-parse", "HEAD") or "unknown"
+    return head + ("+changes" if git("status", "--porcelain", "--untracked-files=no") else "")
+
+
+def _perfbench(checkout: Path, workload: str, seed: int) -> dict:
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", str(seed), "--seconds", "16", "--trace", "0"],
+                         cwd=checkout, check=True, capture_output=True, text=True).stdout
+    doc = json.loads(out.splitlines()[-1])
+    return {"correct": doc["correct"], "metrics": doc["metrics"]}
+
+
+def pairs(parent: Path) -> dict:
+    runs = {}
+    for workload in WORKLOADS:
+        runs[workload] = []
+        for index, seed in enumerate([*range(1, PAIRS + 1), HOLD_OUT_SEED]):
+            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = _perfbench(parent if side == "parent" else ROOT, workload, seed)
+                print(f"{workload} seed {seed} {side}: "
+                      f"{pair[side]['metrics'].get('ops_per_s')}", file=sys.stderr)
+            runs[workload].append(pair)
+    return runs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+
+    doc = {"repeats": REPEATS,
+           "commits": {"change": _commit(ROOT)},
+           "frames": {"change": _measure_checkout(ROOT)}}
+    if args.parent is not None:
+        doc["commits"]["parent"] = _commit(args.parent)
+        doc["frames"]["parent"] = _measure_checkout(args.parent.resolve())
+        doc["perfbench"] = pairs(args.parent.resolve())
+    text = json.dumps(doc, indent=1)
+    if args.out is None:
+        print(text)
+    else:
+        args.out.write_text(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

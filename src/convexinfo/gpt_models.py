@@ -83,36 +83,66 @@ class StateSpace:
     def _frames(self) -> tuple[Frame, ...]:
         # read only through enumerate_frames, which hands out copies
         v = self.n_vertices
-        distinguishable: set[frozenset[int]] = {frozenset([i]) for i in range(v)}
-        witnesses: dict[tuple[int, ...], list[GptEffect]] = {
+        verts = self.vertex_array()
+        # each passing set maps to its least-squares witness, or to None when
+        # the screen LP passed it: its witness LP waits until it is a frame
+        witnesses: dict[tuple[int, ...], list[GptEffect] | None] = {
             (i,): [unit_effect(self)] for i in range(v)}
-        for size in range(2, v + 1):
-            found = False
-            for combo in itertools.combinations(range(v), size):
-                if any(frozenset(combo[:i] + combo[i + 1:]) not in distinguishable
-                       for i in range(size)):
-                    continue
-                effects = _distinguishing_effects(
-                    self, [vertex_state(self, i) for i in combo])
-                if effects is not None:
-                    distinguishable.add(frozenset(combo))
-                    witnesses[combo] = effects
-                    found = True
-            if not found:
+        screened: dict[tuple[int, ...], np.ndarray] = {}
+        tested: set[tuple[int, ...]] = set()
+        jumped: list[int] = []  # masks of maximal cliques that passed whole
+
+        def test(combo) -> bool:
+            tested.add(combo)
+            points = verts[list(combo)]
+            effects = _least_squares_effects(self, points)
+            if effects is None:
+                point = _screen(self, points)
+                if point is None:
+                    return False
+                screened[combo] = point
+            witnesses[combo] = effects
+            return True
+
+        def known(combo) -> bool:
+            return combo in witnesses or any(_mask(combo) & ~k == 0 for k in jumped)
+
+        for combo in itertools.combinations(range(v), 2):
+            test(combo)
+        # a distinguishable set is a clique of the distinguishable pairs
+        cliques = _maximal_cliques(v, [c for c in witnesses if len(c) == 2])
+        for size in range(3, v + 1):
+            candidates = sorted({
+                combo for clique in cliques if _mask(clique) not in jumped
+                for combo in itertools.combinations(clique, size)
+                if combo not in tested and not known(combo)
+                and all(known(combo[:i] + combo[i + 1:]) for i in range(size))})
+            found = [test(combo) for combo in candidates]
+            # a clique whose every size-subset passed is tested whole once; if
+            # it passes it is maximal, and none of its subsets is tested again
+            for clique in cliques:
+                if (len(clique) > size and clique not in tested
+                        and all(map(known, itertools.combinations(clique, size)))
+                        and test(clique)):
+                    jumped.append(_mask(clique))
+            if not any(found) and all(k.bit_count() <= size for k in jumped):
                 break
 
         frames = []
+        masks = sorted(map(_mask, witnesses), key=int.bit_count, reverse=True)
         for combo in sorted(witnesses):
-            s = frozenset(combo)
-            if any(s < other for other in distinguishable):
-                continue
+            mask = _mask(combo)
+            if any(mask & ~other == 0 and mask != other for other in masks):
+                continue  # inside a larger distinguishable set
             if not _spans_model(self, combo):
                 continue
-            frames.append(Frame(
-                vertex_indices=combo,
-                states=tuple(vertex_state(self, i) for i in combo),
-                effects=tuple(witnesses[combo]),
-            ))
+            effects = witnesses[combo]
+            if effects is None:
+                effects = _distinguishing_effects(self, verts[list(combo)]) or [
+                    GptEffect(coeffs=tuple(e)) for e in screened[combo]]
+            frames.append(Frame(vertex_indices=combo,
+                                states=tuple(vertex_state(self, i) for i in combo),
+                                effects=tuple(effects)))
         return tuple(frames)
 
 
@@ -252,50 +282,127 @@ def evaluate(effect: GptEffect, state: GptState) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _distinguishing_effects(space: StateSpace, states) -> list[GptEffect] | None:
-    """Witness for perfect distinguishability, or None if there is none.
+def _witness_equalities(space: StateSpace, points: np.ndarray):
+    """Equality rows of the witness LP over one effect per point (k x d variables).
 
-    Variables are the stacked coefficients of one effect per state; each
-    effect must stay in [0, 1] on every vertex, the effects must sum to the
-    unit functional, and effect i must answer 1 on state i and 0 on the rest.
-    The minimum-norm solution of the equality part is tried first (it is the
-    symmetric, canonical witness on well-behaved models); the LP only decides
-    when that solution leaves [0, 1] somewhere.
+    Effect i is x[i*d:(i+1)*d]; the rows sum the effects to the unit
+    functional, then ask effect i for 1 on point i and 0 on the others.
     """
-    k = len(states)
-    d = space.dim
-    verts = space.vertex_array()
-    # effect i is x[i*d:(i+1)*d]; the rows sum the effects to the unit, then
-    # ask effect i for 1 on state i and 0 on the others
-    a_eq = np.vstack([np.tile(np.eye(d), k),
-                      np.kron(np.eye(k), [st.point for st in states])])
+    k, d = points.shape
+    a_eq = np.vstack([np.tile(np.eye(d), k), np.kron(np.eye(k), points)])
     b_eq = np.concatenate([space.unit(), np.eye(k).ravel()])
+    return a_eq, b_eq
 
+
+def _least_squares_effects(space: StateSpace, points: np.ndarray) -> list[GptEffect] | None:
+    """The minimum-norm solution of the witness equalities, if it is a witness.
+
+    It is the symmetric, canonical witness on well-behaved models; None when
+    it leaves [0, 1] on some vertex or misses the equalities.
+    """
+    a_eq, b_eq = _witness_equalities(space, points)
     x, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
     if np.max(np.abs(a_eq @ x - b_eq)) <= 1e-9:
-        values = x.reshape(k, d) @ verts.T
+        effects = x.reshape(points.shape)
+        values = effects @ space.vertex_array().T
         if np.min(values) >= -TOL and np.max(values) <= 1.0 + TOL:
-            return [GptEffect(coeffs=tuple(e)) for e in x.reshape(k, d)]
+            return [GptEffect(coeffs=tuple(e)) for e in effects]
+    return None
 
-    # every effect within [0, 1] on every vertex: a >= 0 and a <= 1 row each
-    cells = np.repeat(np.kron(np.eye(k), verts), 2, axis=0)
+
+def _effect_lp(cells: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray):
+    """Feasibility LP over free effect coefficients: 0 <= cells @ x <= 1, a_eq @ x = b_eq."""
+    # a >= 0 and a <= 1 row per cell, then the equality rows
     cons = [Constraint(tuple(row), rel, bound) for row, (rel, bound)
-            in zip(cells, itertools.cycle(((">=", 0.0), ("<=", 1.0))))]
+            in zip(np.repeat(cells, 2, axis=0),
+                   itertools.cycle(((">=", 0.0), ("<=", 1.0))))]
     cons += [Constraint(tuple(row), "=", rhs) for row, rhs in zip(a_eq, b_eq)]
-    lp = LinearProgram(n_vars=k * d, objective=None, constraints=tuple(cons),
-                       bounds=((None, None),) * (k * d))
-    result = lp_solve(lp)
+    n = a_eq.shape[1]
+    return lp_solve(LinearProgram(n_vars=n, objective=None, constraints=tuple(cons),
+                                  bounds=((None, None),) * n))
+
+
+def _distinguishing_effects(space: StateSpace, points: np.ndarray) -> list[GptEffect] | None:
+    """Witness LP for perfect distinguishability, or None if it finds none.
+
+    Variables are the stacked coefficients of one effect per point; each
+    effect must stay in [0, 1] on every vertex and meet the witness
+    equalities. Frame enumeration runs it only for kept frames whose
+    least-squares witness failed; the verdict itself comes from ``_screen``.
+    """
+    cells = np.kron(np.eye(len(points)), space.vertex_array())
+    result = _effect_lp(cells, *_witness_equalities(space, points))
     if result.status != "optimal":
         return None
-    return [GptEffect(coeffs=tuple(e)) for e in np.asarray(result.point, float).reshape(k, d)]
+    return [GptEffect(coeffs=tuple(e))
+            for e in np.asarray(result.point, float).reshape(points.shape)]
+
+
+def _screen(space: StateSpace, points: np.ndarray) -> np.ndarray | None:
+    """Yes/no LP for perfect distinguishability: k x d witness effects, or None.
+
+    Only k - 1 effects are free; the k-th is u - sum. The equality rows ask
+    free effect i for 1 on point i and 0 on the other points, which fixes
+    every effect's values on the points, so the [0, 1] rows (each free effect,
+    and their sum) cover only the vertices that are none of the points.
+    """
+    k, d = points.shape
+    verts = space.vertex_array()
+    outside = verts[~(verts[:, None, :] == points).all(axis=2).any(axis=1)]
+    cells = np.kron(np.eye(k - 1), outside)
+    if k > 2:  # for two points the sum is the one free effect
+        cells = np.vstack([cells, np.tile(outside, k - 1)])
+    result = _effect_lp(cells, np.kron(np.eye(k - 1), points), np.eye(k - 1, k).ravel())
+    if result.status != "optimal":
+        return None
+    free = np.asarray(result.point, float).reshape(k - 1, d)
+    return np.vstack([free, space.unit() - free.sum(axis=0)])
 
 
 def perfectly_distinguishable(space: StateSpace, states) -> bool:
-    """Can one measurement answer which of the states was prepared, surely?"""
+    """Can one measurement answer which of the states was prepared, surely?
+
+    Decided as frame enumeration decides it: by the least-squares witness,
+    else by the screen LP.
+    """
     states = list(states)
     if len(states) < 2:
         raise ValidationError("need at least 2 states to distinguish")
-    return _distinguishing_effects(space, states) is not None
+    points = np.asarray([st.point for st in states], float)
+    return (_least_squares_effects(space, points) is not None
+            or _screen(space, points) is not None)
+
+
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _maximal_cliques(n: int, edges) -> list[tuple[int, ...]]:
+    """Maximal cliques of a graph on n nodes (Bron-Kerbosch with pivoting).
+
+    Node sets are int bit masks inside; the cliques come back as sorted
+    index tuples in lexicographic order.
+    """
+    adjacent = [0] * n
+    for i, j in edges:
+        adjacent[i] |= 1 << j
+        adjacent[j] |= 1 << i
+    cliques = []
+
+    def expand(clique: int, candidates: int, excluded: int) -> None:
+        if not candidates | excluded:
+            cliques.append(tuple(i for i in range(n) if clique >> i & 1))
+            return
+        pivot = max((i for i in range(n) if (candidates | excluded) >> i & 1),
+                    key=lambda i: (candidates & adjacent[i]).bit_count())
+        for i in range(n):
+            if (candidates & ~adjacent[pivot]) >> i & 1:
+                expand(clique | 1 << i, candidates & adjacent[i], excluded & adjacent[i])
+                candidates &= ~(1 << i)
+                excluded |= 1 << i
+
+    expand(0, (1 << n) - 1, 0)
+    return sorted(cliques)
 
 
 def _spans_model(space: StateSpace, indices) -> bool:
@@ -327,11 +434,20 @@ def enumerate_frames(space: StateSpace) -> list[Frame]:
     A frame stands in for an orthogonal resolution of the top lattice
     element, so besides mutual distinguishability its vertices must not sit
     inside a proper face (their barycenter must be relatively interior).
-    Subsets are explored in lexicographic index order, which fixes the tie
-    order downstream consumers rely on; distinguishability is inherited by
-    subsets, so a subset is only tested when all its one-smaller subsets
-    already passed. The enumeration runs once per model; every call returns a
-    fresh list of the kept frames.
+    Frames come in lexicographic order of their vertex indices, which fixes
+    the tie order downstream consumers rely on.
+
+    Distinguishability is inherited by subsets, so sets are tested level by
+    level and a set only once all its one-smaller subsets passed. A set is
+    tested with the least-squares witness, else with the screen LP; the
+    witness LP runs only for kept frames the least-squares witness missed.
+    Clique rule: a distinguishable set is a clique of the graph of
+    distinguishable pairs, so after a level s >= 3 every maximal clique
+    whose s-subsets all passed is tested whole, once. If it passes it is a
+    maximal distinguishable set and none of its subsets is tested again.
+
+    The enumeration runs once per model; every call returns a fresh list of
+    the kept frames.
     """
     return list(space._frames)
 

@@ -119,9 +119,6 @@ class Povm:
     def __len__(self) -> int:
         return len(self.effects)
 
-    def effect_arrays(self) -> list[np.ndarray]:
-        return [np.asarray(e, complex) for e in self.effects]
-
 
 @dataclass(frozen=True)
 class Ensemble:

@@ -7,7 +7,6 @@ from convexinfo import (
     evaluate,
     frame_entropy,
     gpt_models,
-    lp_solve,
     make_effect,
     make_preset,
     make_state,
@@ -23,10 +22,11 @@ from convexinfo.errors import (
     DegenerateModel,
     DimensionMismatch,
     InvalidEffect,
+    LpNumericalError,
     NotAState,
 )
 
-from oracles import loop_reference
+from oracles import highs_frames, loop_reference, random_custom_vertex_sets
 
 
 def test_build_simplex3(simplex3):
@@ -94,16 +94,22 @@ def test_make_state_rejects_non_finite_and_outside_points(square, coords, shown)
     assert shown in str(err.value)
 
 
+def _record_calls(monkeypatch, name) -> list:
+    """Record the last argument of every call of gpt_models.<name> from here on."""
+    calls = []
+    fn = getattr(gpt_models, name)
+
+    def recording(*args):
+        calls.append(args[-1])
+        return fn(*args)
+
+    monkeypatch.setattr(gpt_models, name, recording)
+    return calls
+
+
 def _count_lps(monkeypatch) -> list:
     """Record every LP that gpt_models solves from here on."""
-    solved = []
-
-    def counting(lp):
-        solved.append(lp)
-        return lp_solve(lp)
-
-    monkeypatch.setattr(gpt_models, "lp_solve", counting)
-    return solved
+    return _record_calls(monkeypatch, "lp_solve")
 
 
 # fresh models below: the session fixtures may already hold their frames
@@ -166,18 +172,21 @@ def test_frames_simplex(simplex3, simplex4):
 FRAME_MODELS = ([("regular_polygon", n) for n in range(3, 13)]
                 + [("simplex", n) for n in range(2, 9)]
                 + [("custom_polytope", (v, dim)) for v in (5, 7) for dim in (2, 3)])
+FRAME_MODEL_IDS = [f"{kind}-{n}" if kind != "custom_polytope" else f"{kind}-{n[0]}x{n[1]}"
+                   for kind, n in FRAME_MODELS]
 
 
-@pytest.mark.parametrize("kind, n", FRAME_MODELS, ids=[
-    f"{kind}-{n}" if kind != "custom_polytope" else f"{kind}-{n[0]}x{n[1]}"
-    for kind, n in FRAME_MODELS])
+def _frame_model_args(kind, n) -> dict:
+    if kind == "custom_polytope":
+        return {"vertices": np.random.default_rng(sum(n)).normal(size=n).round(3)}
+    return {"n": n}
+
+
+@pytest.mark.parametrize("kind, n", FRAME_MODELS, ids=FRAME_MODEL_IDS)
 def test_frames_match_the_loop_reference_exactly(kind, n):
     # array-built frame LPs: same vertex sets and bit-identical effect coefficients;
     # on the custom polytopes the LP, not the least-squares guess, supplies witnesses
-    if kind == "custom_polytope":
-        args = {"vertices": np.random.default_rng(sum(n)).normal(size=n).round(3)}
-    else:
-        args = {"n": n}
+    args = _frame_model_args(kind, n)
 
     def listing(lib):
         return [(f.vertex_indices, [e.coeffs for e in f.effects])
@@ -281,3 +290,101 @@ def test_model_json_roundtrip(square, quadrilateral):
         rebuilt = model_from_json(doc if space.kind == "custom_polytope"
                                   else {"kind": space.kind, "n": space.n_vertices})
         assert np.allclose(rebuilt.vertex_array(), space.vertex_array(), atol=1e-12)
+
+
+# -- frame enumeration: screen LP, witness LPs and clique jump ----------------
+
+def _assert_witnesses(space):
+    verts = space.vertex_array()
+    for frame in enumerate_frames(space):
+        effects = np.array([e.coeffs for e in frame.effects])
+        values = effects @ verts.T
+        assert values.min() >= -1e-8 and values.max() <= 1.0 + 1e-8
+        assert np.allclose(effects.sum(axis=0), space.unit(), atol=1e-9)
+        assert np.allclose(values[:, list(frame.vertex_indices)], np.eye(len(frame)), atol=1e-8)
+
+
+def test_frames_match_highs_or_raise_on_random_custom_models():
+    valid, raising = 0, set()
+    for t, points in random_custom_vertex_sets():
+        try:
+            space = build_model("custom_polytope", vertices=points)
+        except DegenerateModel:
+            continue
+        valid += 1
+        try:
+            frames = enumerate_frames(space)
+        except LpNumericalError:
+            raising.add(t)
+            continue
+        assert [f.vertex_indices for f in frames] == highs_frames(space.vertex_array()), t
+        _assert_witnesses(space)
+    assert valid == 38
+    # only t = 39 trips the simplex kernel's own check; t = 14 is answered
+    assert raising == {39}
+
+
+def test_frames_random_custom_t17_keeps_the_frame_the_witness_lp_misses():
+    # 9 points in R^3: the k x d witness LP wrongly finds (4, 5, 7) infeasible,
+    # so its witness is the screen's point completed by u - sum
+    points = dict(random_custom_vertex_sets())[17]
+    space = build_model("custom_polytope", vertices=points)
+    verts = space.vertex_array()
+    assert gpt_models._distinguishing_effects(space, verts[[4, 5, 7]]) is None
+    frames = [f.vertex_indices for f in enumerate_frames(space)]
+    assert frames == highs_frames(verts)
+    assert (4, 5, 7) in frames
+    _assert_witnesses(space)
+    assert perfectly_distinguishable(space, [vertex_state(space, i) for i in (4, 5, 7)])
+
+
+@pytest.mark.parametrize("kind, n", FRAME_MODELS, ids=FRAME_MODEL_IDS)
+def test_screen_agrees_with_the_witness_lp_on_every_tested_set(kind, n, monkeypatch):
+    tested = _record_calls(monkeypatch, "_least_squares_effects")
+    space = build_model(kind, **_frame_model_args(kind, n))
+    enumerate_frames(space)
+    assert tested
+    for points in tested:
+        assert ((gpt_models._screen(space, points) is None)
+                == (gpt_models._distinguishing_effects(space, points) is None))
+
+
+def test_twelve_gon_frames_cost_screen_and_spans_lps_only(monkeypatch):
+    calls = {name: _record_calls(monkeypatch, name)
+             for name in ("_screen", "_distinguishing_effects", "_spans_model")}
+    solved = _count_lps(monkeypatch)
+    assert len(enumerate_frames(build_model("regular_polygon", n=12))) == 18
+    assert {name: len(made) for name, made in calls.items()} == {
+        "_screen": 48, "_distinguishing_effects": 0, "_spans_model": 18}
+    assert len(solved) == 66
+
+
+def test_simplex16_frame_comes_from_one_clique_jump(monkeypatch):
+    guesses = _record_calls(monkeypatch, "_least_squares_effects")
+    solved = _count_lps(monkeypatch)
+    space = build_model("simplex", n=16)
+    frames = enumerate_frames(space)
+    # the 120 pairs, the 560 triples, then the whole clique; one spans LP
+    assert len(guesses) <= 120 + 560 + 1
+    assert len(solved) == 1 and solved[0].objective is not None
+    assert [f.vertex_indices for f in frames] == [tuple(range(16))]
+    effects = np.array([e.coeffs for e in frames[0].effects])
+    # effect i reads the barycentric coordinate i
+    assert np.abs(effects @ space.vertex_array().T - np.eye(16)).max() <= 1e-12
+
+
+def test_maximal_cliques():
+    # a triangle with a tail, and an isolated node
+    cliques = gpt_models._maximal_cliques(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    assert cliques == [(0, 1, 2), (2, 3), (4,)]
+    assert gpt_models._maximal_cliques(4, []) == [(0,), (1,), (2,), (3,)]
+
+
+def test_perfectly_distinguishable_on_vertices_and_mixed_states(square, pentagon):
+    # adjacent square vertices are distinguishable (x/2 - y/2 + 1/2), yet lie on an edge
+    assert perfectly_distinguishable(square, [vertex_state(square, 0), vertex_state(square, 1)])
+    assert not perfectly_distinguishable(square, [vertex_state(square, 0), make_state(square, [0, 0])])
+    assert perfectly_distinguishable(pentagon, [vertex_state(pentagon, 0), vertex_state(pentagon, 2)])
+    edge_midpoint = mix_state(pentagon, [0.5, 0.5, 0, 0, 0])
+    assert not perfectly_distinguishable(pentagon, [edge_midpoint, vertex_state(pentagon, 1)])
+    assert perfectly_distinguishable(pentagon, [edge_midpoint, vertex_state(pentagon, 3)])
