@@ -10,7 +10,9 @@ Every repeat builds its model afresh, so it enumerates the frames cold;
 timed, counts the work by wrapping library functions: least-squares
 guesses (calls of ``np.linalg.lstsq``), LPs by the library function they
 were solved for (``_screen``: screen LPs, ``_spans_model``: spans LPs, any
-other: k x d witness LPs) and simplex pivots. A model whose enumeration raises
+other: k x d witness LPs) and simplex pivots. An LP is counted when the
+kernel builds its ``convex_kernel.LpResult``, once per solved LP whichever
+function the LP entered the kernel through. A model whose enumeration raises
 ``LpNumericalError`` records the message instead.
 
 ``--parent DIR`` measures the checkout in DIR the same way, each checkout in
@@ -54,18 +56,18 @@ def _models(reference: dict):
     yield "custom7d16", "custom_polytope", {"vertices": rng.normal(size=(16, 7))}
 
 
-def _counted(gpt_models, convex_kernel, np, enumerate_once) -> Counter:
+def _counted(convex_kernel, np, enumerate_once) -> Counter:
     """Enumerate once with every counted function wrapped; restore them after."""
     counts = Counter()
-    lp_solve, pivot, lstsq = gpt_models.lp_solve, convex_kernel._pivot, np.linalg.lstsq
+    result, pivot, lstsq = convex_kernel.LpResult, convex_kernel._pivot, np.linalg.lstsq
     kinds = {"_screen": "screen_lps", "_spans_model": "spans_lps"}
 
-    def counting_lp(lp):
+    def counting_result(*args):
         caller = sys._getframe(1)
         while caller is not None and caller.f_code.co_name not in kinds:
             caller = caller.f_back
         counts[kinds[caller.f_code.co_name] if caller else "witness_lps"] += 1
-        return lp_solve(lp)
+        return result(*args)
 
     def counting_pivot(*args):
         counts["pivots"] += 1
@@ -75,12 +77,12 @@ def _counted(gpt_models, convex_kernel, np, enumerate_once) -> Counter:
         counts["guesses"] += 1
         return lstsq(*args, **kwargs)
 
-    gpt_models.lp_solve, convex_kernel._pivot = counting_lp, counting_pivot
+    convex_kernel.LpResult, convex_kernel._pivot = counting_result, counting_pivot
     np.linalg.lstsq = counting_lstsq
     try:
         enumerate_once()
     finally:
-        gpt_models.lp_solve, convex_kernel._pivot = lp_solve, pivot
+        convex_kernel.LpResult, convex_kernel._pivot = result, pivot
         np.linalg.lstsq = lstsq
     return counts
 
@@ -89,7 +91,7 @@ def measure() -> dict:
     """Cold enumeration of every cap model with the convexinfo on sys.path."""
     import numpy as np
 
-    from convexinfo import build_model, convex_kernel, enumerate_frames, gpt_models
+    from convexinfo import build_model, convex_kernel, enumerate_frames
     from convexinfo.errors import LpNumericalError
 
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
@@ -105,7 +107,7 @@ def measure() -> dict:
         except LpNumericalError as exc:
             results[label] = {"raises": f"LpNumericalError: {exc}"}
             continue
-        counts = _counted(gpt_models, convex_kernel, np,
+        counts = _counted(convex_kernel, np,
                           lambda: enumerate_frames(build_model(kind, **args)))
         results[label] = {
             "seconds": statistics.median(times), "frames": len(frames),

@@ -2,7 +2,8 @@
 
 All numbers are printed with 12 significant digits; entropic quantities are
 computed in nats and only rescaled to bits at this layer. Validation
-problems exit 2; an undefined spectrum exits 3 under --strict.
+problems exit 2; an undefined spectrum exits 3 under --strict; an LP the
+kernel cannot certify exits 4.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import __version__
 from .composites import JointState, ProductSpace, max_tensor_member, separable_witness
 from .convex_kernel import Constraint, LinearProgram, lp_solve
 from .entropic import classical_entropy, make_preset, pair_from_grid_descriptor, pair_from_spec
-from .errors import ConvexInfoError, SpectrumUndefined, ValidationError
+from .errors import ConvexInfoError, LpNumericalError, SpectrumUndefined, ValidationError
 from .gpt_models import enumerate_frames, load_model, make_state
 from .probvec import ProbVector, majorizes
 from .quantum import (
@@ -146,12 +147,9 @@ def _cmd_spectrum(args) -> int:
     space = load_model(args.model)
     state = make_state(space, _parse_floats(args.state, "--state"))
     spec = generalized_spectrum(space, state)
-    if isinstance(spec, NoMajorant):
-        if args.strict:
-            print("no majorant exists for the given state", file=sys.stderr)
-            return 3
-        _emit(spec.to_json(), args.bits)
-        return 0
+    if isinstance(spec, NoMajorant) and args.strict:
+        print("no majorant exists for the given state", file=sys.stderr)
+        return 3
     _emit(spec.to_json(), args.bits)
     return 0
 
@@ -364,7 +362,7 @@ def main(argv=None) -> int:
         return 3 if getattr(args, "strict", False) else 2
     except ConvexInfoError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, LpNumericalError) else 2
 
 
 if __name__ == "__main__":

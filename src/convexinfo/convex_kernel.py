@@ -128,11 +128,20 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     Optimal points are verified against all constraints within ``FEAS_TOL``;
     a failed verification raises ``LpNumericalError``.
     """
-    n = lp.n_vars
-    c_orig = np.zeros(n) if lp.objective is None else np.asarray(lp.objective, float)
+    n, cons = lp.n_vars, lp.constraints
     bounds = lp.bounds if lp.bounds is not None else ((0.0, None),) * n
     lower, upper = np.array([(-np.inf if lo is None else lo, np.inf if hi is None else hi)
                              for lo, hi in bounds], float).reshape(n, 2).T
+    return _solve(np.zeros(n) if lp.objective is None else np.asarray(lp.objective, float),
+                  np.array([con.coeffs for con in cons], float).reshape(len(cons), n),
+                  np.array([_SLACK_SIGN[con.rel] for con in cons], float),
+                  np.array([con.bound for con in cons], float), lower, upper, lp.maximize)
+
+
+def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True) -> LpResult:
+    """``lp_solve`` on arrays; ``con_rel`` holds each row's slack sign (1.0 for
+    <=, 0.0 for =, -1.0 for >=) and an infinite variable bound is no bound."""
+    n = c_orig.shape[0]
     if (upper < lower - FEAS_TOL).any():
         return LpResult("infeasible", None, None)
 
@@ -148,10 +157,6 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     t[owner, np.arange(owner.size)] = sign
     offsets = np.where(has_lo, lower, np.where(has_hi, upper, 0.0))
 
-    cons = lp.constraints
-    con_a = np.array([con.coeffs for con in cons], float).reshape(len(cons), n)
-    con_b = np.array([con.bound for con in cons], float)
-    con_rel = np.array([_SLACK_SIGN[con.rel] for con in cons], float)
     if np.isnan(con_a).any() or np.isnan(con_b).any():
         raise LpNumericalError("constraint coefficients and bounds must not be NaN")
     if np.isinf(con_b).any():
@@ -200,7 +205,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     basis = basis[keep]
 
     costs2 = np.zeros(n_cols)
-    costs2[:n_y] = (-1.0 if lp.maximize else 1.0) * (c_orig @ t)
+    costs2[:n_y] = (-1.0 if maximize else 1.0) * (c_orig @ t)
     if _run_simplex(tableau, basis, costs2, n_cols) == "unbounded":
         return LpResult("unbounded", None, None)
 
@@ -267,21 +272,32 @@ class Polytope:
         return np.asarray(self.vertices, float)
 
 
-def decomposition_program(vertices: np.ndarray, point: np.ndarray) -> LinearProgram:
-    """Feasibility LP for convex weights w >= 0, sum w = 1, sum w_i v_i = point."""
+def _decomposition_rows(vertices, point) -> tuple[np.ndarray, np.ndarray]:
+    """Equality rows of the decomposition LP: sum w = 1, then sum w_i v_i = point."""
     v = np.asarray(vertices, float)
     p = np.asarray(point, float)
     if v.shape[1] != p.shape[0]:
         raise DimensionMismatch(f"point dim {p.shape[0]} vs vertex dim {v.shape[1]}")
-    cons = [Constraint(tuple(np.ones(v.shape[0])), "=", 1.0)]
-    for k in range(v.shape[1]):
-        cons.append(Constraint(tuple(v[:, k]), "=", float(p[k])))
-    return LinearProgram(n_vars=v.shape[0], objective=None, constraints=tuple(cons))
+    return np.vstack([np.ones(v.shape[0]), v.T]), np.concatenate([[1.0], p])
+
+
+def _decomposition_lp(vertices, point) -> LpResult:
+    """Solve the feasibility LP of ``decomposition_program`` from its arrays."""
+    a, b = _decomposition_rows(vertices, point)
+    n = a.shape[1]
+    return _solve(np.zeros(n), a, np.zeros(len(a)), b, np.zeros(n), np.full(n, np.inf))
+
+
+def decomposition_program(vertices: np.ndarray, point: np.ndarray) -> LinearProgram:
+    """Feasibility LP for convex weights w >= 0, sum w = 1, sum w_i v_i = point."""
+    a, b = _decomposition_rows(vertices, point)
+    return LinearProgram(n_vars=a.shape[1], objective=None, constraints=tuple(
+        Constraint(tuple(row), "=", bound) for row, bound in zip(a, b)))
 
 
 def convex_weights(point, poly: Polytope) -> np.ndarray | None:
     """Convex weights over the vertices reproducing the point, or None."""
-    result = lp_solve(decomposition_program(poly.as_array(), np.asarray(point, float)))
+    result = _decomposition_lp(poly.as_array(), point)
     if result.status != "optimal":
         return None
     return np.asarray(result.point, float)

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernel import (
-    Constraint,
-    LinearProgram,
-    Polytope,
-    decomposition_program,
-    lp_solve,
-)
+from .convex_kernel import Polytope, _decomposition_lp, _solve
 from .errors import (
     DegenerateModel,
     DimensionMismatch,
@@ -233,7 +227,7 @@ def make_state(space: StateSpace, coords) -> GptState:
     if not np.all(np.isfinite(c)):
         raise NotAState(f"point {c.tolist()} is not finite")
     point = np.concatenate([c, [1.0]])
-    if lp_solve(decomposition_program(space.vertex_array(), point)).status != "optimal":
+    if _decomposition_lp(space.vertex_array(), point).status != "optimal":
         raise NotAState(f"point {c.tolist()} is outside the model")
     return GptState(point=tuple(float(x) for x in point))
 
@@ -313,13 +307,11 @@ def _least_squares_effects(space: StateSpace, points: np.ndarray) -> list[GptEff
 def _effect_lp(cells: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray):
     """Feasibility LP over free effect coefficients: 0 <= cells @ x <= 1, a_eq @ x = b_eq."""
     # a >= 0 and a <= 1 row per cell, then the equality rows
-    cons = [Constraint(tuple(row), rel, bound) for row, (rel, bound)
-            in zip(np.repeat(cells, 2, axis=0),
-                   itertools.cycle(((">=", 0.0), ("<=", 1.0))))]
-    cons += [Constraint(tuple(row), "=", rhs) for row, rhs in zip(a_eq, b_eq)]
-    n = a_eq.shape[1]
-    return lp_solve(LinearProgram(n_vars=n, objective=None, constraints=tuple(cons),
-                                  bounds=((None, None),) * n))
+    n, m = a_eq.shape[1], len(cells)
+    return _solve(np.zeros(n), np.vstack([np.repeat(cells, 2, axis=0), a_eq]),
+                  np.concatenate([np.tile([-1.0, 1.0], m), np.zeros(len(a_eq))]),
+                  np.concatenate([np.tile([0.0, 1.0], m), b_eq]),
+                  np.full(n, -np.inf), np.full(n, np.inf))
 
 
 def _distinguishing_effects(space: StateSpace, points: np.ndarray) -> list[GptEffect] | None:
@@ -417,14 +409,12 @@ def _spans_model(space: StateSpace, indices) -> bool:
     bary = verts[list(indices)].mean(axis=0)
     v = space.n_vertices
     # variables: the weights w, then t = min w (w_i - t >= 0), maximized
-    cons = [Constraint(tuple(row), "=", float(c))
-            for row, c in zip(np.hstack([verts.T, np.zeros((space.dim, 1))]), bary)]
-    cons += [Constraint(tuple(row), ">=", 0.0)
-             for row in np.hstack([np.eye(v), -np.ones((v, 1))])]
-    lp = LinearProgram(n_vars=v + 1, objective=(0.0,) * v + (1.0,),
-                       constraints=tuple(cons),
-                       bounds=((0.0, None),) * v + ((None, None),))
-    result = lp_solve(lp)
+    a = np.vstack([np.hstack([verts.T, np.zeros((space.dim, 1))]),
+                   np.hstack([np.eye(v), -np.ones((v, 1))])])
+    rel = np.concatenate([np.zeros(space.dim), -np.ones(v)])
+    lower = np.append(np.zeros(v), -np.inf)
+    result = _solve(np.eye(v + 1)[v], a, rel, np.append(bary, np.zeros(v)),
+                    lower, np.full(v + 1, np.inf))
     return result.status == "optimal" and result.value > 1e-9
 
 

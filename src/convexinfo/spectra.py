@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernel import LinearProgram, decomposition_program, lp_solve
+from .convex_kernel import LinearProgram, _decomposition_lp, decomposition_program
 from .entropic import EntropicPair, _entropies, classical_entropy
 from .errors import DimensionMismatch, LpNumericalError, NoFrames, NotAState, SpectrumUndefined
 from .gpt_models import (
@@ -83,10 +83,10 @@ def decomposition_constraints(space: StateSpace, state: GptState) -> LinearProgr
 
     Raises ``NotAState`` when the point is not in the model polytope.
     """
-    skeleton = decomposition_program(space.vertex_array(), state.as_array())
-    if lp_solve(skeleton).status != "optimal":
+    verts, point = space.vertex_array(), state.as_array()
+    if _decomposition_lp(verts, point).status != "optimal":
         raise NotAState("state has no convex decomposition over the model vertices")
-    return skeleton
+    return decomposition_program(verts, point)
 
 
 def _decomposition_vertices(space: StateSpace, state: GptState) -> np.ndarray:
@@ -181,17 +181,13 @@ class PhiMixture:
         return float(sum(self.coefficients))
 
 
-def _phi_mixture(spec: SpectralDecomposition | NoMajorant, state: GptState,
-                 pair: EntropicPair) -> PhiMixture:
+def apply_phi(space: StateSpace, state: GptState, pair: EntropicPair) -> PhiMixture:
+    """Apply the pair's inner map to the state through its spectrum."""
+    spec = generalized_spectrum(space, state)
     if isinstance(spec, NoMajorant):
         raise SpectrumUndefined("state has no spectrum", state=state)
     coeffs = tuple(np.asarray(pair.phi(spec.weights.as_array()), float).tolist())
     return PhiMixture(coefficients=coeffs, states=spec.support)
-
-
-def apply_phi(space: StateSpace, state: GptState, pair: EntropicPair) -> PhiMixture:
-    """Apply the pair's inner map to the state through its spectrum."""
-    return _phi_mixture(generalized_spectrum(space, state), state, pair)
 
 
 def spectral_entropy(pair: EntropicPair, space: StateSpace, state: GptState) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from convexinfo import cli
-from convexinfo.errors import ValidationError
+from convexinfo.errors import LpNumericalError, ValidationError
 
 
 @pytest.fixture()
@@ -191,6 +191,16 @@ def test_validation_errors_exit_2(capsys, square_file):
 def test_non_finite_state_exits_2(capsys, square_file):
     code, out, err = run(capsys, ["spectrum", "--model", square_file, "--state", "nan,0"])
     assert code == 2 and out == "" and "[nan, 0.0] is not finite" in err
+
+
+def test_lp_numerical_error_exits_4(capsys, monkeypatch, square_file):
+    # a numerical failure on a valid model is not bad input
+    def failing(space):
+        raise LpNumericalError("solution violates a >= constraint")
+
+    monkeypatch.setattr(cli, "enumerate_frames", failing)
+    code, out, err = run(capsys, ["frames", "--model", square_file])
+    assert code == 4 and out == "" and "violates a >= constraint" in err
 
 
 def test_usage_error_exits_2(capsys):

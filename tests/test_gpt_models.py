@@ -1,12 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from convexinfo import (
+    Constraint,
+    LinearProgram,
+    ProductSpace,
     build_model,
+    convex_kernel,
     enumerate_frames,
     evaluate,
     frame_entropy,
     gpt_models,
+    lp_solve,
     make_effect,
     make_preset,
     make_state,
@@ -18,6 +25,7 @@ from convexinfo import (
     vertex_state,
     zero_effect,
 )
+from convexinfo.composites import min_tensor_vertices
 from convexinfo.errors import (
     DegenerateModel,
     DimensionMismatch,
@@ -108,8 +116,17 @@ def _record_calls(monkeypatch, name) -> list:
 
 
 def _count_lps(monkeypatch) -> list:
-    """Record every LP that gpt_models solves from here on."""
-    return _record_calls(monkeypatch, "lp_solve")
+    """Record the arguments (c, a, rel, b, lower, upper) of every LP that
+    gpt_models solves from here on."""
+    calls = []
+    solve = gpt_models._solve
+
+    def recording(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(gpt_models, "_solve", recording)
+    return calls
 
 
 # fresh models below: the session fixtures may already hold their frames
@@ -349,6 +366,105 @@ def test_screen_agrees_with_the_witness_lp_on_every_tested_set(kind, n, monkeypa
                 == (gpt_models._distinguishing_effects(space, points) is None))
 
 
+def _twin_effect_lp(cells, a_eq, b_eq) -> LinearProgram:
+    cons = [Constraint(tuple(row), rel, bound) for row, (rel, bound)
+            in zip(np.repeat(cells, 2, axis=0),
+                   itertools.cycle(((">=", 0.0), ("<=", 1.0))))]
+    cons += [Constraint(tuple(row), "=", rhs) for row, rhs in zip(a_eq, b_eq)]
+    n = a_eq.shape[1]
+    return LinearProgram(n_vars=n, objective=None, constraints=tuple(cons),
+                         bounds=((None, None),) * n)
+
+
+def _twin_screen_lp(space, points) -> LinearProgram:
+    k = len(points)
+    verts = space.vertex_array()
+    outside = verts[~(verts[:, None, :] == points).all(axis=2).any(axis=1)]
+    cells = np.kron(np.eye(k - 1), outside)
+    if k > 2:
+        cells = np.vstack([cells, np.tile(outside, k - 1)])
+    return _twin_effect_lp(cells, np.kron(np.eye(k - 1), points), np.eye(k - 1, k).ravel())
+
+
+def _twin_witness_lp(space, points) -> LinearProgram:
+    cells = np.kron(np.eye(len(points)), space.vertex_array())
+    return _twin_effect_lp(cells, *gpt_models._witness_equalities(space, points))
+
+
+def _twin_spans_lp(space, indices) -> LinearProgram:
+    verts = space.vertex_array()
+    bary = verts[list(indices)].mean(axis=0)
+    v = space.n_vertices
+    cons = [Constraint(tuple(row), "=", float(c))
+            for row, c in zip(np.hstack([verts.T, np.zeros((space.dim, 1))]), bary)]
+    cons += [Constraint(tuple(row), ">=", 0.0)
+             for row in np.hstack([np.eye(v), -np.ones((v, 1))])]
+    return LinearProgram(n_vars=v + 1, objective=(0.0,) * v + (1.0,),
+                         constraints=tuple(cons),
+                         bounds=((0.0, None),) * v + ((None, None),))
+
+
+def _twin_decomposition_lp(vertices, point) -> LinearProgram:
+    cons = [Constraint(tuple(np.ones(vertices.shape[0])), "=", 1.0)]
+    cons += [Constraint(tuple(vertices[:, k]), "=", float(point[k]))
+             for k in range(vertices.shape[1])]
+    return LinearProgram(n_vars=vertices.shape[0], objective=None, constraints=tuple(cons))
+
+
+def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
+    # every internal LP enters the kernel as arrays; built from Constraints in
+    # the same row order and solved by lp_solve, it must give the same result
+    results = []
+    solve = gpt_models._solve
+
+    def recording(*args):
+        results.append(solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(gpt_models, "_solve", recording)
+
+    statuses = set()
+
+    def check(call, twin):
+        results.clear()
+        call()
+        assert [repr(r) for r in results] == [repr(lp_solve(twin))]
+        statuses.add(results[0].status)
+
+    rng = np.random.default_rng(2024)
+    for kind, n in FRAME_MODELS:
+        space = build_model(kind, **_frame_model_args(kind, n))
+        verts = space.vertex_array()
+        for size in (2, 3):
+            for combo in itertools.islice(itertools.combinations(range(space.n_vertices),
+                                                                 size), 8):
+                points = verts[list(combo)]
+                check(lambda: gpt_models._screen(space, points), _twin_screen_lp(space, points))
+                check(lambda: gpt_models._distinguishing_effects(space, points),
+                      _twin_witness_lp(space, points))
+                check(lambda: gpt_models._spans_model(space, combo),
+                      _twin_spans_lp(space, combo))
+    assert statuses == {"optimal", "infeasible"}
+
+    polytopes = [rng.normal(size=(v, d)) for v, d in ((4, 2), (6, 3), (9, 4), (12, 5))]
+    heptagon = build_model("regular_polygon", n=7)
+    polytopes.append(min_tensor_vertices(ProductSpace(heptagon, heptagon)).as_array())
+    seen = set()
+    for verts in polytopes:
+        center = verts.mean(axis=0)
+        members = rng.dirichlet(np.ones(len(verts)), size=4) @ verts
+        # past the vertex that maximizes a random functional, so outside the hull
+        tops = verts[(verts @ rng.normal(size=(verts.shape[1], 3))).argmax(axis=0)]
+        outsiders = center + 1.5 * (tops - center)
+        for point, member in [*((p, True) for p in members), *((p, False) for p in outsiders)]:
+            twin = _twin_decomposition_lp(verts, point)
+            result = convex_kernel._decomposition_lp(verts, point)
+            assert repr(result) == repr(lp_solve(twin))
+            assert convex_kernel.decomposition_program(verts, point) == twin
+            seen.add((result.status == "optimal") == member)
+    assert seen == {True}
+
+
 def test_twelve_gon_frames_cost_screen_and_spans_lps_only(monkeypatch):
     calls = {name: _record_calls(monkeypatch, name)
              for name in ("_screen", "_distinguishing_effects", "_spans_model")}
@@ -366,7 +482,7 @@ def test_simplex16_frame_comes_from_one_clique_jump(monkeypatch):
     frames = enumerate_frames(space)
     # the 120 pairs, the 560 triples, then the whole clique; one spans LP
     assert len(guesses) <= 120 + 560 + 1
-    assert len(solved) == 1 and solved[0].objective is not None
+    assert len(solved) == 1 and solved[0][0].any()  # the objective c
     assert [f.vertex_indices for f in frames] == [tuple(range(16))]
     effects = np.array([e.coeffs for e in frames[0].effects])
     # effect i reads the barycentric coordinate i
