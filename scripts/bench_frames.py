@@ -3,17 +3,22 @@
 Run from the repository root (numpy is the only dependency):
 
     python scripts/bench_frames.py
-    python scripts/bench_frames.py --parent ../parent --out BENCH_pr6.json
+    python scripts/bench_frames.py --parent ../parent --out BENCH_pr8.json
 
 Every repeat builds its model afresh, so it enumerates the frames cold;
-``seconds`` is the median of ``REPEATS`` timed runs. One more run, not
-timed, counts the work by wrapping library functions: least-squares
-guesses (calls of ``np.linalg.lstsq``), LPs by the library function they
+``seconds`` is the median of ``REPEATS`` timed runs. The models are the cap
+models, then the seven models whose frames the ``spectrum-ladder`` workload
+enumerates cold in its first pass (``LADDER``); ``ladder_seconds`` sums
+their medians. One more run, not timed, counts the work by wrapping library
+functions: least-squares guesses (calls of ``np.linalg.lstsq``), kernel
+entries (calls of ``gpt_models._solve``), LPs by the library function they
 were solved for (``_screen``: screen LPs, ``_spans_model``: spans LPs, any
-other: k x d witness LPs) and simplex pivots. An LP is counted when the
-kernel builds its ``convex_kernel.LpResult``, once per solved LP whichever
-function the LP entered the kernel through. A model whose enumeration raises
-``LpNumericalError`` records the message instead.
+other: k x d witness LPs) and simplex pivots. A kernel entry solves one LP,
+or one LP per entry of a stack axis on its ``c``, ``a`` or ``b`` argument; a
+call of ``convex_kernel._pivot`` pivots one LP per entry of its column
+argument. Both seams exist, with the same meaning, in checkouts that solve
+LPs one at a time, so ``--parent`` can count them the same way. A model
+whose enumeration raises ``LpNumericalError`` records the message instead.
 
 ``--parent DIR`` measures the checkout in DIR the same way, each checkout in
 its own interpreter. It then runs ``perfbench/run.py --seconds 16`` in both
@@ -38,6 +43,8 @@ REPEATS = 3
 PAIRS = 10
 HOLD_OUT_SEED = 7919
 WORKLOADS = ("spectrum-ladder", "tensor-separable", "quantum-search")
+#: The models whose frames spectrum-ladder's first pass enumerates cold.
+LADDER = ("polygon6", "polygon8", "polygon12", "simplex4", "simplex6", "custom2d8", "custom3d6")
 
 
 def _models(reference: dict):
@@ -54,35 +61,43 @@ def _models(reference: dict):
     rng.normal(size=(16, 2))
     rng.normal(size=(16, 3))
     yield "custom7d16", "custom_polytope", {"vertices": rng.normal(size=(16, 7))}
+    for label in ("polygon6", "simplex4", "simplex6", "custom2d8", "custom3d6"):
+        if label.startswith("custom"):
+            yield label, "custom_polytope", {"vertices": reference["custom"][label]}
+        else:
+            kind = "regular_polygon" if label.startswith("polygon") else "simplex"
+            yield label, kind, {"n": int(label[7:])}
 
 
-def _counted(convex_kernel, np, enumerate_once) -> Counter:
+def _counted(convex_kernel, gpt_models, np, enumerate_once) -> Counter:
     """Enumerate once with every counted function wrapped; restore them after."""
     counts = Counter()
-    result, pivot, lstsq = convex_kernel.LpResult, convex_kernel._pivot, np.linalg.lstsq
+    solve, pivot, lstsq = gpt_models._solve, convex_kernel._pivot, np.linalg.lstsq
     kinds = {"_screen": "screen_lps", "_spans_model": "spans_lps"}
 
-    def counting_result(*args):
+    def counting_solve(c, a, rel, b, *rest):
         caller = sys._getframe(1)
         while caller is not None and caller.f_code.co_name not in kinds:
             caller = caller.f_back
-        counts[kinds[caller.f_code.co_name] if caller else "witness_lps"] += 1
-        return result(*args)
+        stack = np.broadcast_shapes(c.shape[:-1], a.shape[:-2], b.shape[:-1])
+        counts[kinds[caller.f_code.co_name] if caller else "witness_lps"] += int(np.prod(stack))
+        counts["kernel_entries"] += 1
+        return solve(c, a, rel, b, *rest)
 
-    def counting_pivot(*args):
-        counts["pivots"] += 1
-        return pivot(*args)
+    def counting_pivot(tableau, basis, row, col, *rest):
+        counts["pivots"] += np.size(col)
+        return pivot(tableau, basis, row, col, *rest)
 
     def counting_lstsq(*args, **kwargs):
         counts["guesses"] += 1
         return lstsq(*args, **kwargs)
 
-    convex_kernel.LpResult, convex_kernel._pivot = counting_result, counting_pivot
+    gpt_models._solve, convex_kernel._pivot = counting_solve, counting_pivot
     np.linalg.lstsq = counting_lstsq
     try:
         enumerate_once()
     finally:
-        convex_kernel.LpResult, convex_kernel._pivot = result, pivot
+        gpt_models._solve, convex_kernel._pivot = solve, pivot
         np.linalg.lstsq = lstsq
     return counts
 
@@ -91,7 +106,7 @@ def measure() -> dict:
     """Cold enumeration of every cap model with the convexinfo on sys.path."""
     import numpy as np
 
-    from convexinfo import build_model, convex_kernel, enumerate_frames
+    from convexinfo import build_model, convex_kernel, enumerate_frames, gpt_models
     from convexinfo.errors import LpNumericalError
 
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
@@ -107,12 +122,13 @@ def measure() -> dict:
         except LpNumericalError as exc:
             results[label] = {"raises": f"LpNumericalError: {exc}"}
             continue
-        counts = _counted(convex_kernel, np,
+        counts = _counted(convex_kernel, gpt_models, np,
                           lambda: enumerate_frames(build_model(kind, **args)))
         results[label] = {
             "seconds": statistics.median(times), "frames": len(frames),
-            **{key: counts[key] for key in
-               ("guesses", "screen_lps", "witness_lps", "spans_lps", "pivots")}}
+            **{key: counts[key] for key in ("guesses", "screen_lps", "witness_lps", "spans_lps",
+                                            "kernel_entries", "pivots")}}
+    results["ladder_seconds"] = sum(results[label]["seconds"] for label in LADDER)
     return results
 
 

@@ -19,7 +19,7 @@ from . import __version__
 from .composites import JointState, ProductSpace, max_tensor_member, separable_witness
 from .convex_kernel import Constraint, LinearProgram, lp_solve
 from .entropic import classical_entropy, make_preset, pair_from_grid_descriptor, pair_from_spec
-from .errors import ConvexInfoError, LpNumericalError, SpectrumUndefined, ValidationError
+from .errors import ConvexInfoError, LpNumericalError, SpectrumUndefined, TooLarge, ValidationError
 from .gpt_models import enumerate_frames, load_model, make_state
 from .probvec import ProbVector, majorizes
 from .quantum import (
@@ -235,6 +235,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+#: Cap on the points of a sweep grid: 10,000 rows take about 2 s.
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -245,6 +249,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise ValidationError(f"--grid expects numbers in start:stop:count, got {text!r}") from None
     if count < 1:
         raise ValidationError("--grid count must be >= 1")
+    if count > MAX_GRID_POINTS:
+        raise TooLarge(f"--grid count {count} exceeds the cap {MAX_GRID_POINTS}")
     return start, stop, count
 
 

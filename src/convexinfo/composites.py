@@ -12,11 +12,12 @@ member).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernel import Polytope, convex_weights
+from .convex_kernel import Polytope, _decomposition_lp
 from .errors import (
     DimensionMismatch,
     NotNormalized,
@@ -45,6 +46,24 @@ class ProductSpace:
     @property
     def joint_shape(self) -> tuple[int, int]:
         return (self.factor_a.dim, self.factor_b.dim)
+
+    @functools.cached_property
+    def _min_tensor(self) -> Polytope:
+        """All products of factor vertices as one polytope, built and checked once."""
+        va, vb = self.factor_a.n_vertices, self.factor_b.n_vertices
+        if va > MAX_FACTOR_VERTICES or vb > MAX_FACTOR_VERTICES:
+            raise TooLarge(f"factors with {va} x {vb} vertices exceed the cap "
+                           f"{MAX_FACTOR_VERTICES} per side")
+        products = np.einsum("ai,bj->abij", self.factor_a.vertex_array(),
+                             self.factor_b.vertex_array())
+        return Polytope(products.reshape(va * vb, -1))
+
+    @functools.cached_property
+    def _products(self) -> np.ndarray:
+        """The vertices of ``_min_tensor``, one flattened product per row, read-only."""
+        products = self._min_tensor.as_array()
+        products.flags.writeable = False
+        return products
 
 
 @dataclass(frozen=True)
@@ -77,12 +96,7 @@ def product_state(nu_a: GptState, nu_b: GptState) -> JointState:
 
 def min_tensor_vertices(ps: ProductSpace) -> Polytope:
     """All products of factor vertices, flattened into one polytope."""
-    va, vb = ps.factor_a.n_vertices, ps.factor_b.n_vertices
-    if va > MAX_FACTOR_VERTICES or vb > MAX_FACTOR_VERTICES:
-        raise TooLarge(f"factors with {va} x {vb} vertices exceed the cap "
-                       f"{MAX_FACTOR_VERTICES} per side")
-    products = np.einsum("ai,bj->abij", ps.factor_a.vertex_array(), ps.factor_b.vertex_array())
-    return Polytope(products.reshape(va * vb, -1))
+    return ps._min_tensor
 
 
 def _joint_table(ps: ProductSpace, omega: JointState) -> np.ndarray:
@@ -97,10 +111,10 @@ def separable_witness(ps: ProductSpace, omega: JointState):
 
     Weights are indexed by (a_index, b_index) pairs in row-major order.
     """
-    flat = _joint_table(ps, omega).reshape(-1)
-    weights = convex_weights(flat, min_tensor_vertices(ps))
-    if weights is None:
+    result = _decomposition_lp(ps._products, _joint_table(ps, omega).reshape(-1))
+    if result.status != "optimal":
         return None
+    weights = np.asarray(result.point, float)
     vb = ps.factor_b.n_vertices
     return [((i // vb, i % vb), float(w))
             for i, w in enumerate(weights) if w > TOL]
@@ -193,7 +207,7 @@ def classical_collapse_check(space_a: StateSpace, space_b: StateSpace) -> bool:
         # form an invertible coefficient basis pinning the tensor gauge
         basis_a = np.vstack([np.hstack([np.eye(na), np.zeros((na, 1))]), space_a.unit()])
         basis_b = np.vstack([np.hstack([np.eye(nb), np.zeros((nb, 1))]), space_b.unit()])
-        products = min_tensor_vertices(ps).as_array()
+        products = ps._products
         for table in np.eye(na * nb):
             p = table.reshape(na, nb)
             # extend the probability table to the full coefficient tensor

@@ -9,8 +9,9 @@ is returned, and a check failure raises instead of returning a wrong answer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +28,9 @@ FEAS_TOL = 1e-8
 #: Pivot threshold.
 _EPS = 1e-9
 _MAX_PIVOTS = 20000
+#: Largest stack of tableaus, in cells, that one simplex run holds; a longer
+#: stack of LPs is solved in slices under it, so peak memory stays bounded.
+_STACK_CELLS = 1 << 21
 
 RELATIONS = ("<=", "=", ">=")
 #: Coefficient of each relation's slack column.
@@ -88,38 +92,141 @@ class LpResult:
     value: float | None
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    pivot_row = tableau[row] / tableau[row, col]
-    # one rank-1 update of the rows with a nonzero in the pivot column; the
-    # others are left as they are, so no 0 * inf meets an infinite bound
-    rows = tableau[:, col].nonzero()[0]
-    tableau[rows] -= tableau[rows, col, None] * pivot_row
-    tableau[row] = pivot_row
-    basis[row] = col
+def _pivot(tableau, basis, rows, cols, column, every) -> None:
+    """Pivot member i of the stack on (``rows[i]``, ``cols[i]``), for every i;
+    ``column[i]`` is member i's column ``cols[i]``, every row, and ``every``
+    is ``arange(len(tableau))``."""
+    pivot_rows = tableau[every, rows] / column[every, rows][:, None]
+    # one rank-1 update of every row; a row with a 0 in the pivot column keeps
+    # its values
+    tableau -= column[:, :, None] * pivot_rows[:, None]
+    tableau[every, rows] = pivot_rows
+    basis[every, rows] = cols
 
 
-def _run_simplex(tableau, basis, costs, n_cols):
-    """Minimize costs over the tableau in place; Bland's rule throughout.
+def _run_simplex(tableau, basis, costs, n_enter):
+    """Minimize each LP of the stack over its tableau in place; Bland's rule throughout.
 
-    Returns "optimal" or "unbounded". ``n_cols`` restricts which columns may
-    enter the basis (used to lock out artificial columns in phase 2).
+    ``tableau`` is a stack (s, m, columns) whose last column holds the
+    right-hand sides, ``basis`` is (s, m), and ``costs`` holds the column
+    costs, in one row for every LP or one row per LP. Columns from ``n_enter``
+    on may not enter the basis (it locks out artificial columns in phase 2),
+    except column ``n_enter`` itself: it is zero and counts as improving, so it
+    enters exactly when no other column can, and then finds no row to pivot
+    on. Each LP takes its own pivots and all that still pivot advance
+    together; a finished LP is left as it is. Returns two flags per LP:
+    unbounded (else optimal), and still pivoting at the pivot cap.
     """
-    entering_costs = costs[:n_cols]
-    body, rhs = tableau[:, :n_cols], tableau[:, -1]  # views: pivots update them
+    s, m = basis.shape
+    unbounded, capped = np.zeros(s, bool), np.zeros(s, bool)
+    members = np.arange(s)  # the stack index of each live LP
+    live_t, live_b, every = tableau, basis, members
+    ratios = np.empty((s, m))
+    reduced = np.full((s, n_enter + 1), -1.0)  # the zero column's stays -1
+    # views of the live stack, which pivots update in place
+    body, rhs, entering_costs = live_t[:, :, :n_enter], live_t[:, :, -1], costs[:, :n_enter]
+    # the basic costs: from the one row of costs, or from each LP's own
+    pick = every[:, None] if len(costs) > 1 else 0
     for _ in range(_MAX_PIVOTS):
-        improving = (entering_costs - costs[basis] @ body < -_EPS).nonzero()[0]
-        if improving.size == 0:
-            return "optimal"
-        column = body[:, improving[0]]
-        rows = (column > _EPS).nonzero()[0]
-        if rows.size == 0:
-            return "unbounded"
-        ratios = rhs[rows] / column[rows]
+        np.subtract(entering_costs, np.matmul(costs[pick, live_b][:, None], body)[:, 0],
+                    out=reduced[:, :n_enter])
+        entering = (reduced < -_EPS).argmax(axis=1)  # Bland: the first improving column
+        column = live_t[every, :, entering]
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=column > _EPS)
+        least = ratios.min(axis=1, initial=np.inf)
+        going = np.isfinite(least)  # a row to pivot on
+        n_going = np.count_nonzero(going)
+        if n_going < len(members):
+            # an LP that takes no pivot now is finished: unbounded when a
+            # column improves, optimal otherwise
+            unbounded[members] |= ~going & (entering < n_enter)
+            if n_going == 0:
+                break
         # ratios within _EPS of the minimum tie and go to the smallest basis
-        # index (Bland); a NaN ratio, only possible from NaN data, ties them all
-        ties = rows[~(ratios > ratios[ratios.argmin()] + _EPS)]
-        _pivot(tableau, basis, ties[basis[ties].argmin()], improving[0])
-    raise LpNumericalError("simplex did not terminate within the pivot cap")
+        # index (Bland); rows that cannot pivot have ratio inf
+        leaving = np.where(ratios > least[:, None] + _EPS, live_t.shape[2],
+                           live_b).argmin(axis=1)
+        if n_going == len(members):
+            _pivot(live_t, live_b, leaving, entering, column, every)
+            continue
+        pivoting = going.nonzero()[0]
+        if 2 * n_going > len(members):
+            some_t, some_b = live_t[pivoting], live_b[pivoting]
+            _pivot(some_t, some_b, leaving[pivoting], entering[pivoting], column[pivoting],
+                   every[:n_going])
+            live_t[pivoting], live_b[pivoting] = some_t, some_b
+            continue
+        # drop the finished LPs from the live stack
+        if live_t is not tableau:
+            tableau[members], basis[members] = live_t, live_b
+        live_t, live_b, members = live_t[pivoting], live_b[pivoting], members[pivoting]
+        if len(costs) > 1:
+            costs = costs[pivoting]
+            pick = every[:n_going, None]
+        every, ratios, reduced = every[:n_going], ratios[:n_going], reduced[:n_going]
+        body, rhs, entering_costs = live_t[:, :, :n_enter], live_t[:, :, -1], costs[:, :n_enter]
+        _pivot(live_t, live_b, leaving[pivoting], entering[pivoting], column[pivoting], every)
+    else:
+        capped[members[going]] = True
+    if live_t is not tableau:
+        tableau[members], basis[members] = live_t, live_b
+    return unbounded, capped
+
+
+class _Layout(NamedTuple):
+    """The parts of an LP's tableau that its relations and variable bounds fix."""
+
+    rel: np.ndarray  # the slack sign of every row, box rows included
+    t: np.ndarray  # x = offsets + t @ y
+    offsets: np.ndarray
+    box_a: np.ndarray  # the rows x_j <= hi_j of the variables with both bounds
+    box_b: np.ndarray
+    n_cols: int  # the y and slack columns
+    template: np.ndarray  # one tableau with its slack and artificial columns
+    costs1: np.ndarray  # (1, columns): the phase-1 cost of each column
+    artificials: np.ndarray  # (1, m): the artificial column of each row
+    in_bounds: tuple[np.ndarray, np.ndarray]  # x must lie within these
+    at_least: np.ndarray  # the >= rows, then the <= rows
+    at_most: np.ndarray
+    columns2: np.ndarray  # the columns of phase 2: no artificials
+    crossed: bool  # some lower bound lies above its upper bound
+    bounds: tuple[bytes, bytes]  # the key's lower and upper bounds
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(rel_bytes: bytes, lower_bytes: bytes, upper_bytes: bytes) -> _Layout:
+    """The ``_Layout`` of LPs with these relations and bounds, as float64 bytes."""
+    con_rel, lower, upper = map(np.frombuffer, (rel_bytes, lower_bytes, upper_bytes))
+    n = len(lower)
+    # Substitute x = offsets + t @ y with y >= 0: a lower bound shifts x, an
+    # upper bound alone mirrors it, a free x splits into y+ - y-. Each column
+    # of t holds a single +-1, so the substituted rows are exact. An infinite
+    # bound is no bound; a NaN bound is skipped here and fails verification.
+    has_lo, has_hi = lower > -np.inf, upper < np.inf
+    owner = np.arange(n).repeat(1 + ~(has_lo | has_hi))  # the x of each y column
+    sign = np.where(has_hi & ~has_lo, -1.0, 1.0)[owner]
+    sign[1:][owner[1:] == owner[:-1]] = -1.0  # the y- column of a free x
+    t = np.zeros((n, owner.size))
+    t[owner, np.arange(owner.size)] = sign
+    offsets = np.where(has_lo, lower, np.where(has_hi, upper, 0.0))
+    # The rows are the constraints, then the finite boxes (x <= hi rows). The
+    # tableau columns: y, one +-1 slack per inequality, one artificial per row,
+    # the zero column of _run_simplex and the right-hand sides.
+    boxed = has_lo & has_hi
+    rel = np.concatenate([con_rel, np.ones(np.count_nonzero(boxed))])
+    m, slack_rows = len(rel), (rel != 0.0).nonzero()[0]
+    n_cols = owner.size + slack_rows.size
+    template = np.zeros((m, n_cols + m + 2))
+    template[slack_rows, owner.size + np.arange(slack_rows.size)] = rel[slack_rows]
+    template[np.arange(m), np.arange(n_cols, n_cols + m)] = 1.0
+    costs1 = np.zeros((1, n_cols + m + 1))
+    costs1[0, n_cols:-1] = 1.0
+    return _Layout(rel, t, offsets, np.eye(n)[boxed], upper[boxed], n_cols, template, costs1,
+                   np.arange(n_cols, n_cols + m)[None],
+                   (lower - FEAS_TOL, upper + FEAS_TOL), rel < 0, rel > 0,
+                   np.append(np.arange(n_cols), [n_cols + m, n_cols + m + 1]),
+                   bool((upper < lower - FEAS_TOL).any()), (lower_bytes, upper_bytes))
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
@@ -138,97 +245,167 @@ def lp_solve(lp: LinearProgram) -> LpResult:
                   np.array([con.bound for con in cons], float), lower, upper, lp.maximize)
 
 
-def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True) -> LpResult:
-    """``lp_solve`` on arrays; ``con_rel`` holds each row's slack sign (1.0 for
-    <=, 0.0 for =, -1.0 for >=) and an infinite variable bound is no bound."""
-    n = c_orig.shape[0]
-    if (upper < lower - FEAS_TOL).any():
-        return LpResult("infeasible", None, None)
+def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True):
+    """``lp_solve`` on float arrays; ``con_rel`` holds each row's slack sign (1.0
+    for <=, 0.0 for =, -1.0 for >=) and an infinite variable bound is no bound.
 
-    # Substitute x = offsets + t @ y with y >= 0: a lower bound shifts x, an
-    # upper bound alone mirrors it, a free x splits into y+ - y-. Each column
-    # of t holds a single +-1, so the substituted rows are exact. An infinite
-    # bound is no bound; a NaN bound is skipped here and fails verification.
-    has_lo, has_hi = lower > -np.inf, upper < np.inf
-    owner = np.arange(n).repeat(1 + ~(has_lo | has_hi))  # the x of each y column
-    sign = np.where(has_hi & ~has_lo, -1.0, 1.0)[owner]
-    sign[1:][owner[1:] == owner[:-1]] = -1.0  # the y- column of a free x
-    t = np.zeros((n, owner.size))
-    t[owner, np.arange(owner.size)] = sign
-    offsets = np.where(has_lo, lower, np.where(has_hi, upper, 0.0))
-
-    if np.isnan(con_a).any() or np.isnan(con_b).any():
-        raise LpNumericalError("constraint coefficients and bounds must not be NaN")
-    if np.isinf(con_b).any():
-        # a row bounded by +-inf holds for every x when the infinity's sign is
-        # its slack's (<= +inf, >= -inf) and for none otherwise; it never
-        # enters the tableau
-        finite = np.isfinite(con_b)
-        if (np.sign(con_b[~finite]) != con_rel[~finite]).any():
-            return LpResult("infeasible", None, None)
-        con_a, con_b, con_rel = con_a[finite], con_b[finite], con_rel[finite]
-
-    # Stack the constraints and the finite boxes (x <= hi rows) with one +-1
-    # slack column per inequality, every right-hand side made >= 0.
-    boxed = has_lo & has_hi
-    a = np.concatenate([con_a, np.eye(n)[boxed]])
-    b = np.concatenate([con_b, upper[boxed]])
-    rel = np.concatenate([con_rel, np.ones(np.count_nonzero(boxed))])
-    lhs = np.concatenate([a @ t, np.diag(rel)[:, rel != 0.0]], axis=1)
-    rhs = b - np.vecdot(a, offsets)
-    neg = rhs < 0
-    lhs[neg] *= -1.0
-    rhs[neg] *= -1.0
-    m, n_cols = lhs.shape
-    n_y = owner.size
-
-    # Phase 1: artificial basis.
-    tableau = np.concatenate([lhs, np.eye(m), rhs[:, None]], axis=1)
-    basis = np.arange(n_cols, n_cols + m)
-    costs1 = np.zeros(n_cols + m)
-    costs1[n_cols:] = 1.0
-    if _run_simplex(tableau, basis, costs1, n_cols + m) != "optimal":
-        # cannot happen: the phase-1 objective is bounded below by 0
-        raise LpNumericalError("phase 1 reported unbounded")
-    if float(costs1[basis] @ tableau[:, -1]) > FEAS_TOL:
-        return LpResult("infeasible", None, None)
-
-    # Drive remaining artificials out of the basis or drop redundant rows.
-    keep = np.ones(m, bool)
-    for i in (basis >= n_cols).nonzero()[0]:
-        cols = (np.abs(tableau[i, :n_cols]) > _EPS).nonzero()[0]
-        if cols.size:
-            _pivot(tableau, basis, i, cols[0])
+    A leading stack axis on ``c_orig``, ``con_a`` or ``con_b`` makes a stack of
+    same-shape LPs that share the relations and the variable bounds. They are
+    solved together, and the call returns a list with one result per LP, each
+    the result of that LP solved alone; if some of them fail, the error of the
+    first one in stack order is raised.
+    """
+    (m, n), stacked = con_a.shape[-2:], c_orig.ndim > 1 or con_a.ndim > 2 or con_b.ndim > 1
+    if stacked:
+        s = max(len(c_orig) if c_orig.ndim > 1 else 1, len(con_a) if con_a.ndim > 2 else 1,
+                len(con_b) if con_b.ndim > 1 else 1)
+        c = np.broadcast_to(c_orig, (s, n))
+        a = np.broadcast_to(con_a, (s, m, n))
+        b = np.broadcast_to(con_b, (s, m))
+    else:
+        s, c, a, b = 1, c_orig[None], con_a[None], con_b[None]
+    lay = _layout(con_rel.tobytes(), lower.tobytes(), upper.tobytes())
+    if lay.crossed:
+        results = [LpResult("infeasible", None, None)] * s
+    elif stacked and np.isinf(con_b).any():
+        # rows bounded by an infinity leave the tableau, so the LPs may no
+        # longer share a shape: each is solved alone
+        results = [_solve(c[i], a[i], con_rel, b[i], lower, upper, maximize) for i in range(s)]
+    else:
+        # a bound on one LP's tableau: every row and box row with a slack and
+        # an artificial column, and two columns for each free variable
+        rows = m + n
+        step = max(1, _STACK_CELLS // (rows * (2 * n + 2 * rows + 2) + 1))
+        if s <= step:
+            results = _solve_stack(c, a, b, lay, maximize)
         else:
-            keep[i] = False
-    tableau = np.concatenate([tableau[keep, :n_cols], tableau[keep, -1:]], axis=1)
-    basis = basis[keep]
-
-    costs2 = np.zeros(n_cols)
-    costs2[:n_y] = (-1.0 if maximize else 1.0) * (c_orig @ t)
-    if _run_simplex(tableau, basis, costs2, n_cols) == "unbounded":
-        return LpResult("unbounded", None, None)
-
-    y = np.zeros(n_cols)
-    y[basis] = tableau[:, -1]
-    x = offsets + t @ y[:n_y]
-    _verify_point(x, lower, upper, a, rel, b)
-    return LpResult("optimal", tuple(x.tolist()), float(c_orig @ x))
+            results = [result for i in range(0, s, step) for result in _solve_stack(
+                c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize)]
+    return results if stacked else results[0]
 
 
-def _verify_point(x, lower, upper, a, rel, b) -> None:
+def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult]:
+    """``_solve`` on a stack (s, m, n) of LPs, all of them in one simplex run."""
+    s = len(a)
+    errors: dict[int, str] = {}  # the first failure of each failing LP
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        nan = np.isnan(a).any(axis=(1, 2)) | np.isnan(b).any(axis=1)
+        errors.update(dict.fromkeys(nan.nonzero()[0].tolist(),
+                                    "constraint coefficients and bounds must not be NaN"))
+        # a failing LP solves zeros in its place
+        a = np.where(nan[:, None, None], 0.0, a)
+        b = np.where(nan[:, None], 0.0, b)
+        if np.isinf(b).any():  # a single LP: _solve splits stacks first
+            # a row bounded by +-inf holds for every x when the infinity's
+            # sign is its slack's (<= +inf, >= -inf) and for none otherwise;
+            # it never enters the tableau
+            finite, rel = np.isfinite(b[0]), lay.rel[:b.shape[1]]
+            if (np.sign(b[0, ~finite]) != rel[~finite]).any():
+                return [LpResult("infeasible", None, None)]
+            a, b = a[:, finite], b[:, finite]
+            lay = _layout(rel[finite].tobytes(), *lay.bounds)
+    if len(lay.box_b):
+        a = np.concatenate([a, np.broadcast_to(lay.box_a, (s, *lay.box_a.shape))], axis=1)
+        b = np.concatenate([b, np.broadcast_to(lay.box_b, (s, len(lay.box_b)))], axis=1)
+    (n, n_y), n_cols, m = lay.t.shape, lay.n_cols, len(lay.rel)
+
+    # Phase 1 from the artificial basis, every right-hand side made >= 0.
+    tableau = np.empty((s, *lay.template.shape))
+    tableau[:] = lay.template
+    tableau[:, :, :n_y] = a @ lay.t
+    rhs = tableau[:, :, -1]
+    np.subtract(b, np.vecdot(a, lay.offsets), out=rhs)
+    neg = rhs < 0
+    tableau[:, :, :n_cols][neg] *= -1.0
+    rhs[neg] *= -1.0
+    basis = np.repeat(lay.artificials, s, axis=0)
+    unbounded, capped = _run_simplex(tableau, basis, lay.costs1, n_cols + m)
+    if capped.any() or unbounded.any():
+        for i in capped.nonzero()[0].tolist():
+            errors.setdefault(i, "simplex did not terminate within the pivot cap")
+        for i in unbounded.nonzero()[0].tolist():
+            # cannot happen: the phase-1 objective is bounded below by 0
+            errors.setdefault(i, "phase 1 reported unbounded")
+    feasible = ~(np.vecdot(lay.costs1[0, basis], rhs) > FEAS_TOL)
+    if errors:
+        feasible[list(errors)] = False
+    go = feasible.nonzero()[0]
+    results = [LpResult("infeasible", None, None)] * s
+    if go.size < s:
+        if go.size == 0:
+            if errors:
+                raise LpNumericalError(errors[min(errors)])
+            return results
+        tableau, basis, c, a, b = tableau[go], basis[go], c[go], a[go], b[go]
+
+    # Drive remaining artificials out of the basis; a row where none can
+    # leave is redundant.
+    artificial = basis >= n_cols
+    for i in artificial.any(axis=0).nonzero()[0]:
+        members = artificial[:, i].nonzero()[0]
+        cols = np.abs(tableau[members, i, :n_cols]) > _EPS
+        found = cols.any(axis=1)
+        if found.any():
+            members, entering = members[found], cols[found].argmax(axis=1)
+            some_t, some_b = tableau[members], basis[members]
+            every = np.arange(members.size)
+            _pivot(some_t, some_b, np.full(members.size, i), entering,
+                   some_t[every, :, entering], every)
+            tableau[members], basis[members] = some_t, some_b
+    unbounded = capped = np.zeros(go.size, bool)
+    if c.any():
+        # Phase 2 without the artificial columns. A row redundant in every LP
+        # is dropped; one redundant in only some is zeroed there, with the
+        # zero column as its basic column.
+        redundant = basis >= n_cols
+        rows = (~redundant).any(axis=0).nonzero()[0]
+        tableau = tableau[:, rows[:, None], lay.columns2]
+        basis, redundant = basis[:, rows], redundant[:, rows]
+        if redundant.any():
+            tableau[redundant] = 0.0
+            basis[redundant] = n_cols  # the zero column, of cost 0
+        costs = np.zeros((go.size, n_cols + 1))
+        costs[:, :n_y] = (-1.0 if maximize else 1.0) * np.matmul(c[:, None], lay.t)[:, 0]
+        unbounded, capped = _run_simplex(tableau, basis, costs, n_cols)
+    y = np.zeros((go.size, tableau.shape[2]))
+    y[np.arange(go.size)[:, None], basis] = tableau[:, :, -1]
+    x = lay.offsets + np.matmul(lay.t, y[:, :n_y, None])[:, :, 0]
+    failures = _violations(x, lay, a, b)
+    points, values = x.tolist(), np.vecdot(c, x).tolist()
+    for j, i in enumerate(go.tolist()):
+        if capped[j]:
+            errors[i] = "simplex did not terminate within the pivot cap"
+        elif unbounded[j]:
+            results[i] = LpResult("unbounded", None, None)
+        elif failures and failures[j] is not None:
+            errors[i] = failures[j]
+        else:
+            results[i] = LpResult("optimal", tuple(points[j]), values[j])
+    if errors:
+        raise LpNumericalError(errors[min(errors)])
+    return results
+
+
+def _violations(x, lay: _Layout, a, b) -> list[str | None]:
+    """What each point of the stack violates (None where it holds), or an
+    empty list when every point holds."""
     # every test is written as "holds", so a NaN anywhere fails it
-    in_bounds = (x >= lower - FEAS_TOL) & (x <= upper + FEAS_TOL)
-    if not in_bounds.all():
-        j = in_bounds.argmin()
-        side = "upper" if x[j] >= lower[j] - FEAS_TOL else "lower"
-        raise LpNumericalError(f"solution violates {side} bound on x[{j}]")
-    lhs = np.vecdot(a, x)  # one dot product per row, as np.dot computes it
+    in_bounds = (x >= lay.in_bounds[0]) & (x <= lay.in_bounds[1])
+    lhs = np.vecdot(a, x[:, None])  # one dot product per row, as np.dot computes it
     # an equality row must meet both inequalities
-    holds = ((rel < 0) | (lhs <= b + FEAS_TOL)) & ((rel > 0) | (lhs >= b - FEAS_TOL))
-    if not holds.all():
-        kind = {1.0: "a <=", -1.0: "a >=", 0.0: "an equality"}[rel[holds.argmin()]]
-        raise LpNumericalError(f"solution violates {kind} constraint")
+    holds = (lay.at_least | (lhs <= b + FEAS_TOL)) & (lay.at_most | (lhs >= b - FEAS_TOL))
+    if in_bounds.all() and holds.all():
+        return []
+    failures = [None] * len(x)
+    for i in range(len(x)):
+        if not in_bounds[i].all():
+            j = in_bounds[i].argmin()
+            side = "upper" if x[i, j] >= lay.in_bounds[0][j] else "lower"
+            failures[i] = f"solution violates {side} bound on x[{j}]"
+        elif not holds[i].all():
+            kind = {1.0: "a <=", -1.0: "a >=", 0.0: "an equality"}[lay.rel[holds[i].argmin()]]
+            failures[i] = f"solution violates {kind} constraint"
+    return failures
 
 
 # -- polytopes ----------------------------------------------------------------
@@ -278,14 +455,16 @@ def _decomposition_rows(vertices, point) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(point, float)
     if v.shape[1] != p.shape[0]:
         raise DimensionMismatch(f"point dim {p.shape[0]} vs vertex dim {v.shape[1]}")
-    return np.vstack([np.ones(v.shape[0]), v.T]), np.concatenate([[1.0], p])
+    a, b = np.empty((v.shape[1] + 1, v.shape[0])), np.empty(p.shape[0] + 1)
+    a[0], a[1:], b[0], b[1:] = 1.0, v.T, 1.0, p
+    return a, b
 
 
 def _decomposition_lp(vertices, point) -> LpResult:
     """Solve the feasibility LP of ``decomposition_program`` from its arrays."""
     a, b = _decomposition_rows(vertices, point)
-    n = a.shape[1]
-    return _solve(np.zeros(n), a, np.zeros(len(a)), b, np.zeros(n), np.full(n, np.inf))
+    zeros = np.zeros(a.shape[1])
+    return _solve(zeros, a, np.zeros(len(a)), b, zeros, np.full(a.shape[1], np.inf))
 
 
 def decomposition_program(vertices: np.ndarray, point: np.ndarray) -> LinearProgram:

@@ -74,10 +74,17 @@ class StateSpace:
                 "vertices": [list(v[:-1]) for v in self.vertices]}
 
     @functools.cached_property
+    def _verts(self) -> np.ndarray:
+        """``vertex_array()``, built once and read-only."""
+        verts = self.vertex_array()
+        verts.flags.writeable = False
+        return verts
+
+    @functools.cached_property
     def _frames(self) -> tuple[Frame, ...]:
         # read only through enumerate_frames, which hands out copies
         v = self.n_vertices
-        verts = self.vertex_array()
+        verts = self._verts
         # each passing set maps to its least-squares witness, or to None when
         # the screen LP passed it: its witness LP waits until it is a frame
         witnesses: dict[tuple[int, ...], list[GptEffect] | None] = {
@@ -86,58 +93,64 @@ class StateSpace:
         tested: set[tuple[int, ...]] = set()
         jumped: list[int] = []  # masks of maximal cliques that passed whole
 
-        def test(combo) -> bool:
-            tested.add(combo)
-            points = verts[list(combo)]
-            effects = _least_squares_effects(self, points)
-            if effects is None:
-                point = _screen(self, points)
-                if point is None:
-                    return False
-                screened[combo] = point
-            witnesses[combo] = effects
-            return True
+        def test(combos) -> list[bool]:
+            # sets of one size: the least-squares guesses first, then the
+            # screen LPs of the sets they missed, in one stack
+            tested.update(combos)
+            unsure = []
+            for combo in combos:
+                effects = _least_squares_effects(self, verts[list(combo)])
+                if effects is None:
+                    unsure.append(combo)
+                else:
+                    witnesses[combo] = effects
+            if unsure:
+                for combo, point in zip(unsure, _screen(self, verts[np.array(unsure)])):
+                    if point is not None:
+                        screened[combo] = point
+                        witnesses[combo] = None
+            return [combo in witnesses for combo in combos]
 
         def known(combo) -> bool:
             return combo in witnesses or any(_mask(combo) & ~k == 0 for k in jumped)
 
-        for combo in itertools.combinations(range(v), 2):
-            test(combo)
+        test(list(itertools.combinations(range(v), 2)))
         # a distinguishable set is a clique of the distinguishable pairs
         cliques = _maximal_cliques(v, [c for c in witnesses if len(c) == 2])
         for size in range(3, v + 1):
-            candidates = sorted({
+            found = test(sorted({
                 combo for clique in cliques if _mask(clique) not in jumped
                 for combo in itertools.combinations(clique, size)
                 if combo not in tested and not known(combo)
-                and all(known(combo[:i] + combo[i + 1:]) for i in range(size))})
-            found = [test(combo) for combo in candidates]
+                and all(known(combo[:i] + combo[i + 1:]) for i in range(size))}))
             # a clique whose every size-subset passed is tested whole once; if
             # it passes it is maximal, and none of its subsets is tested again
             for clique in cliques:
                 if (len(clique) > size and clique not in tested
                         and all(map(known, itertools.combinations(clique, size)))
-                        and test(clique)):
+                        and test([clique])[0]):
                     jumped.append(_mask(clique))
             if not any(found) and all(k.bit_count() <= size for k in jumped):
                 break
 
-        frames = []
         masks = sorted(map(_mask, witnesses), key=int.bit_count, reverse=True)
-        for combo in sorted(witnesses):
-            mask = _mask(combo)
-            if any(mask & ~other == 0 and mask != other for other in masks):
-                continue  # inside a larger distinguishable set
-            if not _spans_model(self, combo):
-                continue
-            effects = witnesses[combo]
-            if effects is None:
-                effects = _distinguishing_effects(self, verts[list(combo)]) or [
+        maximal = [combo for combo in sorted(witnesses)
+                   if not any(_mask(combo) & ~other == 0 and _mask(combo) != other
+                              for other in masks)]
+        # the spans LPs of all maximal sets in one stack, then the witness LPs
+        # of the kept frames the least-squares guess missed, one stack per size
+        kept = [combo for combo, spans in zip(maximal, _spans_model(self, maximal)) if spans]
+        effects = {combo: witnesses[combo] for combo in kept}
+        missing = [combo for combo in kept if effects[combo] is None]
+        for size in sorted(set(map(len, missing))):
+            sets = [combo for combo in missing if len(combo) == size]
+            for combo, found_effects in zip(
+                    sets, _distinguishing_effects(self, verts[np.array(sets)])):
+                effects[combo] = found_effects or [
                     GptEffect(coeffs=tuple(e)) for e in screened[combo]]
-            frames.append(Frame(vertex_indices=combo,
-                                states=tuple(vertex_state(self, i) for i in combo),
-                                effects=tuple(effects)))
-        return tuple(frames)
+        return tuple(Frame(vertex_indices=combo,
+                           states=tuple(vertex_state(self, i) for i in combo),
+                           effects=tuple(effects[combo])) for combo in kept)
 
 
 @dataclass(frozen=True)
@@ -227,7 +240,7 @@ def make_state(space: StateSpace, coords) -> GptState:
     if not np.all(np.isfinite(c)):
         raise NotAState(f"point {c.tolist()} is not finite")
     point = np.concatenate([c, [1.0]])
-    if _decomposition_lp(space.vertex_array(), point).status != "optimal":
+    if _decomposition_lp(space._verts, point).status != "optimal":
         raise NotAState(f"point {c.tolist()} is outside the model")
     return GptState(point=tuple(float(x) for x in point))
 
@@ -276,14 +289,28 @@ def evaluate(effect: GptEffect, state: GptState) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _block_diagonal(blocks: np.ndarray, count: int) -> np.ndarray:
+    """``np.kron(np.eye(count), block)`` for a block (r, c) or each block of a stack."""
+    *lead, r, c = blocks.shape
+    return (np.eye(count)[:, None, :, None] * blocks[..., None, :, None, :]).reshape(
+        *lead, count * r, count * c)
+
+
+def _each(results, read):
+    """``read`` applied to one LP's result, or to each result of a stack."""
+    return [read(result) for result in results] if isinstance(results, list) else read(results)
+
+
 def _witness_equalities(space: StateSpace, points: np.ndarray):
     """Equality rows of the witness LP over one effect per point (k x d variables).
 
     Effect i is x[i*d:(i+1)*d]; the rows sum the effects to the unit
     functional, then ask effect i for 1 on point i and 0 on the others.
+    ``points`` is one set (k, d) or a stack of them.
     """
-    k, d = points.shape
-    a_eq = np.vstack([np.tile(np.eye(d), k), np.kron(np.eye(k), points)])
+    *lead, k, d = points.shape
+    a_eq = np.concatenate([np.broadcast_to(np.tile(np.eye(d), k), (*lead, d, k * d)),
+                           _block_diagonal(points, k)], axis=-2)
     b_eq = np.concatenate([space.unit(), np.eye(k).ravel()])
     return a_eq, b_eq
 
@@ -298,57 +325,69 @@ def _least_squares_effects(space: StateSpace, points: np.ndarray) -> list[GptEff
     x, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
     if np.max(np.abs(a_eq @ x - b_eq)) <= 1e-9:
         effects = x.reshape(points.shape)
-        values = effects @ space.vertex_array().T
+        values = effects @ space._verts.T
         if np.min(values) >= -TOL and np.max(values) <= 1.0 + TOL:
             return [GptEffect(coeffs=tuple(e)) for e in effects]
     return None
 
 
 def _effect_lp(cells: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray):
-    """Feasibility LP over free effect coefficients: 0 <= cells @ x <= 1, a_eq @ x = b_eq."""
+    """Feasibility LP over free effect coefficients: 0 <= cells @ x <= 1, a_eq @ x = b_eq.
+
+    ``cells`` and ``a_eq`` may each be one matrix or a stack of them.
+    """
     # a >= 0 and a <= 1 row per cell, then the equality rows
-    n, m = a_eq.shape[1], len(cells)
-    return _solve(np.zeros(n), np.vstack([np.repeat(cells, 2, axis=0), a_eq]),
-                  np.concatenate([np.tile([-1.0, 1.0], m), np.zeros(len(a_eq))]),
+    (m, n), lead = cells.shape[-2:], np.broadcast_shapes(cells.shape[:-2], a_eq.shape[:-2])
+    a = np.concatenate([np.broadcast_to(np.repeat(cells, 2, axis=-2), (*lead, 2 * m, n)),
+                        np.broadcast_to(a_eq, (*lead, *a_eq.shape[-2:]))], axis=-2)
+    return _solve(np.zeros(n), a,
+                  np.concatenate([np.tile([-1.0, 1.0], m), np.zeros(a_eq.shape[-2])]),
                   np.concatenate([np.tile([0.0, 1.0], m), b_eq]),
                   np.full(n, -np.inf), np.full(n, np.inf))
 
 
-def _distinguishing_effects(space: StateSpace, points: np.ndarray) -> list[GptEffect] | None:
-    """Witness LP for perfect distinguishability, or None if it finds none.
+def _distinguishing_effects(space: StateSpace, points: np.ndarray):
+    """Witness LP for perfect distinguishability: the effects, or None if it finds none.
 
     Variables are the stacked coefficients of one effect per point; each
     effect must stay in [0, 1] on every vertex and meet the witness
     equalities. Frame enumeration runs it only for kept frames whose
     least-squares witness failed; the verdict itself comes from ``_screen``.
+    A stack of point sets (s, k, d) is solved in one kernel call and gives
+    one answer per set.
     """
-    cells = np.kron(np.eye(len(points)), space.vertex_array())
-    result = _effect_lp(cells, *_witness_equalities(space, points))
-    if result.status != "optimal":
-        return None
-    return [GptEffect(coeffs=tuple(e))
-            for e in np.asarray(result.point, float).reshape(points.shape)]
+    k, d = points.shape[-2:]
+    result = _effect_lp(_block_diagonal(space._verts, k), *_witness_equalities(space, points))
+    return _each(result, lambda r: None if r.status != "optimal" else [
+        GptEffect(coeffs=tuple(e)) for e in np.asarray(r.point, float).reshape(k, d)])
 
 
-def _screen(space: StateSpace, points: np.ndarray) -> np.ndarray | None:
+def _screen(space: StateSpace, points: np.ndarray):
     """Yes/no LP for perfect distinguishability: k x d witness effects, or None.
 
     Only k - 1 effects are free; the k-th is u - sum. The equality rows ask
     free effect i for 1 on point i and 0 on the other points, which fixes
     every effect's values on the points, so the [0, 1] rows (each free effect,
-    and their sum) cover only the vertices that are none of the points.
+    and their sum) cover only the vertices that are none of the points. A
+    stack of vertex sets (s, k, d) is solved in one kernel call and gives one
+    answer per set.
     """
-    k, d = points.shape
-    verts = space.vertex_array()
-    outside = verts[~(verts[:, None, :] == points).all(axis=2).any(axis=1)]
-    cells = np.kron(np.eye(k - 1), outside)
+    *lead, k, d = points.shape
+    verts = space._verts
+    inside = (verts[:, None, :] == points[..., None, :, :]).all(axis=-1).any(axis=-1)
+    outside = np.broadcast_to(verts, (*lead, *verts.shape))[~inside].reshape(*lead, -1, d)
+    cells = _block_diagonal(outside, k - 1)
     if k > 2:  # for two points the sum is the one free effect
-        cells = np.vstack([cells, np.tile(outside, k - 1)])
-    result = _effect_lp(cells, np.kron(np.eye(k - 1), points), np.eye(k - 1, k).ravel())
-    if result.status != "optimal":
-        return None
-    free = np.asarray(result.point, float).reshape(k - 1, d)
-    return np.vstack([free, space.unit() - free.sum(axis=0)])
+        cells = np.concatenate([cells, np.tile(outside, k - 1)], axis=-2)
+    result = _effect_lp(cells, _block_diagonal(points, k - 1), np.eye(k - 1, k).ravel())
+
+    def effects(r):
+        if r.status != "optimal":
+            return None
+        free = np.asarray(r.point, float).reshape(k - 1, d)
+        return np.vstack([free, space.unit() - free.sum(axis=0)])
+
+    return _each(result, effects)
 
 
 def perfectly_distinguishable(space: StateSpace, states) -> bool:
@@ -397,25 +436,30 @@ def _maximal_cliques(n: int, edges) -> list[tuple[int, ...]]:
     return sorted(cliques)
 
 
-def _spans_model(space: StateSpace, indices) -> bool:
+def _spans_model(space: StateSpace, indices):
     """Is the smallest face containing these vertices the whole polytope?
 
     Equivalent test: the barycenter of the vertices lies in the relative
     interior of the state polytope, i.e. it admits a decomposition with
     strictly positive weight on every vertex (checked by maximizing the
-    minimum weight).
+    minimum weight). A list of index sets is solved in one kernel call and
+    gives one answer per set.
     """
-    verts = space.vertex_array()
-    bary = verts[list(indices)].mean(axis=0)
+    verts = space._verts
+    if np.ndim(indices[0]):
+        bary = np.array([verts[list(combo)].mean(axis=0) for combo in indices])
+    else:
+        bary = verts[list(indices)].mean(axis=0)
     v = space.n_vertices
     # variables: the weights w, then t = min w (w_i - t >= 0), maximized
     a = np.vstack([np.hstack([verts.T, np.zeros((space.dim, 1))]),
                    np.hstack([np.eye(v), -np.ones((v, 1))])])
     rel = np.concatenate([np.zeros(space.dim), -np.ones(v)])
     lower = np.append(np.zeros(v), -np.inf)
-    result = _solve(np.eye(v + 1)[v], a, rel, np.append(bary, np.zeros(v)),
+    result = _solve(np.eye(v + 1)[v], a, rel,
+                    np.concatenate([bary, np.zeros((*bary.shape[:-1], v))], axis=-1),
                     lower, np.full(v + 1, np.inf))
-    return result.status == "optimal" and result.value > 1e-9
+    return _each(result, lambda r: r.status == "optimal" and r.value > 1e-9)
 
 
 def enumerate_frames(space: StateSpace) -> list[Frame]:

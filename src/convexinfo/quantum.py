@@ -35,6 +35,9 @@ def _shannon() -> EntropicPair:
 
 #: Dense eigensolves only; desk-scale dimension cap.
 MAX_DIM = 16
+#: Cap on the candidates of one measurement-minimum search: 100,000 of them
+#: take about 6 s at the 16 x 16 cap.
+MAX_SEARCH_BUDGET = 100_000
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -230,6 +233,8 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
     """
     if budget < 1:
         raise DimensionMismatch("budget must be >= 1")
+    if budget > MAX_SEARCH_BUDGET:
+        raise TooLarge(f"budget {budget} exceeds the cap {MAX_SEARCH_BUDGET}")
     n = rho.dim
     rho_arr = rho.as_array()
     rng = np.random.default_rng(seed)

@@ -188,6 +188,28 @@ def test_validation_errors_exit_2(capsys, square_file):
     assert code == 2 and "--grid" in err
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["sweep", "--family", "renyi", "--grid", "1.5:3:1000000000000", "--p", "0.5,0.5"],
+     "--grid count 1000000000000 exceeds the cap 10000"),
+    (["sweep", "--family", "renyi", "--grid", "1.5:3:10001", "--p", "0.5,0.5"],
+     "--grid count 10001 exceeds the cap 10000"),
+    (["qentropy", "--min-search", "--budget", "1000000000000"],
+     "budget 1000000000000 exceeds the cap 100000"),
+])
+def test_sizes_over_their_caps_exit_2_before_any_work(capsys, rho_file, argv, shown):
+    # rejected before anything of that size is allocated or looped over
+    if argv[0] == "qentropy":
+        argv = [*argv, "--rho", rho_file]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and shown in err
+
+
+def test_sweep_at_its_cap(capsys):
+    code, out, _ = run(capsys, ["sweep", "--family", "tsallis", "--grid",
+                                f"0.5:0.9:{cli.MAX_GRID_POINTS}", "--p", "0.5,0.5"])
+    assert code == 0 and len(out.strip().split("\n")) == cli.MAX_GRID_POINTS + 1
+
+
 def test_non_finite_state_exits_2(capsys, square_file):
     code, out, err = run(capsys, ["spectrum", "--model", square_file, "--state", "nan,0"])
     assert code == 2 and out == "" and "[nan, 0.0] is not finite" in err

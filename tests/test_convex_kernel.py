@@ -3,7 +3,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from convexinfo import Constraint, LinearProgram, Polytope, lp_solve, membership, topk_weight_max
+from convexinfo import (
+    Constraint,
+    LinearProgram,
+    Polytope,
+    convex_kernel,
+    lp_solve,
+    membership,
+    topk_weight_max,
+)
 from convexinfo.convex_kernel import RELATIONS, convex_weights, decomposition_program
 from convexinfo.errors import DegenerateModel, InfeasibleDecomposition, LpNumericalError, TooLarge
 
@@ -312,3 +320,70 @@ def test_infinite_rows_are_vacuous_or_infeasible(rel, bound, status):
         assert result.status == status
         if status == "optimal":
             assert result.point == (3.0, 3.0)
+
+
+def _random_stack(rng, size):
+    """A stack of LPs sharing relations and bounds, each with its own c, A and b.
+
+    Two equality rows come first; in about half the LPs the second repeats
+    the first, which leaves a redundant row for phase 1 to drive out or drop.
+    A third of the right-hand sides are 0, so ratio tests tie at 0.
+    """
+    n, m = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+    rel = np.array([0.0, 0.0, *rng.choice([1.0, 0.0, -1.0], size=m - 2)])
+    lo = rng.normal(size=n)
+    kinds = rng.integers(0, 5, size=n)  # default, lower, free, upper-only, boxed
+    lower = np.select([kinds == 0, kinds == 1, kinds == 4], [0.0, lo, lo], -np.inf)
+    upper = np.select([kinds == 3, kinds == 4], [lo, lo + rng.uniform(0.0, 3.0, n)], np.inf)
+    a = rng.normal(size=(size, m, n)).round(1)
+    a[rng.random((size, m, n)) < 0.2] = 0.0
+    b = np.where(rng.random((size, m)) < 0.3, 0.0, rng.normal(size=(size, m)) * 2.0)
+    repeat = rng.random(size) < 0.5
+    a[repeat, 1], b[repeat, 1] = a[repeat, 0], b[repeat, 0]
+    c = rng.normal(size=(size, n)).round(2)
+    c[rng.random(size) < 0.2] = 0.0
+    return c, a, rel, b, lower, upper, bool(rng.integers(0, 2))
+
+
+def _one_by_one(c, a, rel, b, lower, upper, maximize):
+    results = []
+    for i in range(len(a)):
+        try:
+            results.append(repr(convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper,
+                                                     maximize)))
+        except LpNumericalError as exc:
+            return results, str(exc)
+    return results, None
+
+
+@pytest.mark.parametrize("stack_cells", [convex_kernel._STACK_CELLS, 200])
+def test_a_stack_of_lps_gives_each_lp_its_own_result(stack_cells, monkeypatch):
+    # every LP of a stack must come out as it does alone, bit for bit; a small
+    # cell budget splits the stacks into slices
+    monkeypatch.setattr(convex_kernel, "_STACK_CELLS", stack_cells)
+    rng = np.random.default_rng(8)
+    seen, mixed = Counter(), 0
+    for trial in range(150):
+        lps = _random_stack(rng, int(rng.integers(1, 12)))
+        if trial % 10 == 0:  # a row bounded by an infinity in one LP
+            lps[3][0, -1] = np.inf * lps[2][-1] if lps[2][-1] else np.inf
+        alone, error = _one_by_one(*lps)
+        assert error is None, f"trial {trial}: {error}"
+        stacked = [repr(r) for r in convex_kernel._solve(*lps)]
+        assert stacked == alone, f"trial {trial}"
+        statuses = {r.split("'")[1] for r in stacked}
+        seen.update(statuses)
+        mixed += len(statuses) == 3
+    assert min(seen.values()) >= 20 and mixed >= 3, (seen, mixed)
+
+
+def test_a_stack_raises_the_error_of_its_first_failing_lp():
+    rng = np.random.default_rng(9)
+    c, a, rel, b, lower, upper, maximize = _random_stack(rng, 6)
+    a[3, 0, 0] = np.nan
+    b[5, 1] = np.nan
+    alone, error = _one_by_one(c, a, rel, b, lower, upper, maximize)
+    assert len(alone) == 3 and error == "constraint coefficients and bounds must not be NaN"
+    with pytest.raises(LpNumericalError) as raised:
+        convex_kernel._solve(c, a, rel, b, lower, upper, maximize)
+    assert str(raised.value) == error

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -115,18 +116,29 @@ def _record_calls(monkeypatch, name) -> list:
     return calls
 
 
-def _count_lps(monkeypatch) -> list:
+def _count_lps(monkeypatch, entries=None) -> list:
     """Record the arguments (c, a, rel, b, lower, upper) of every LP that
-    gpt_models solves from here on."""
+    gpt_models solves from here on, one record per LP of a stacked call; the
+    number of LPs of each kernel call goes to ``entries``."""
     calls = []
     solve = gpt_models._solve
 
-    def recording(*args):
-        calls.append(args)
-        return solve(*args)
+    def recording(c, a, rel, b, *bounds):
+        stack = np.broadcast_shapes(c.shape[:-1], a.shape[:-2], b.shape[:-1])
+        each = [np.broadcast_to(x, stack + x.shape[-k:]) for x, k in ((c, 1), (a, 2), (b, 1))]
+        calls.extend((each[0][i], each[1][i], rel, each[2][i], *bounds)
+                     for i in np.ndindex(stack))
+        if entries is not None:
+            entries.append(math.prod(stack))
+        return solve(c, a, rel, b, *bounds)
 
     monkeypatch.setattr(gpt_models, "_solve", recording)
     return calls
+
+
+def _sets(arg) -> int:
+    """How many vertex sets a call took: a stack of point sets or a list of index sets."""
+    return len(arg) if isinstance(arg, list) or np.ndim(arg) == 3 else 1
 
 
 # fresh models below: the session fixtures may already hold their frames
@@ -468,21 +480,26 @@ def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
 def test_twelve_gon_frames_cost_screen_and_spans_lps_only(monkeypatch):
     calls = {name: _record_calls(monkeypatch, name)
              for name in ("_screen", "_distinguishing_effects", "_spans_model")}
-    solved = _count_lps(monkeypatch)
+    entries = []
+    solved = _count_lps(monkeypatch, entries)
     assert len(enumerate_frames(build_model("regular_polygon", n=12))) == 18
-    assert {name: len(made) for name, made in calls.items()} == {
+    assert {name: sum(map(_sets, made)) for name, made in calls.items()} == {
         "_screen": 48, "_distinguishing_effects": 0, "_spans_model": 18}
     assert len(solved) == 66
+    # one stack of pair screens, then one stack of spans LPs
+    assert entries == [48, 18]
 
 
 def test_simplex16_frame_comes_from_one_clique_jump(monkeypatch):
     guesses = _record_calls(monkeypatch, "_least_squares_effects")
-    solved = _count_lps(monkeypatch)
+    entries = []
+    solved = _count_lps(monkeypatch, entries)
     space = build_model("simplex", n=16)
     frames = enumerate_frames(space)
     # the 120 pairs, the 560 triples, then the whole clique; one spans LP
     assert len(guesses) <= 120 + 560 + 1
     assert len(solved) == 1 and solved[0][0].any()  # the objective c
+    assert entries == [1]
     assert [f.vertex_indices for f in frames] == [tuple(range(16))]
     effects = np.array([e.coeffs for e in frames[0].effects])
     # effect i reads the barycentric coordinate i

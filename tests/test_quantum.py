@@ -154,6 +154,13 @@ def test_min_search_never_below_spectral(rng):
             assert value == pytest.approx(reference, abs=1e-5)
 
 
+def test_min_search_budget_cap():
+    from convexinfo.quantum import MAX_SEARCH_BUDGET
+    rho = DensityMatrix(np.diag([0.7, 0.3]))
+    with pytest.raises(TooLarge, match=f"exceeds the cap {MAX_SEARCH_BUDGET}"):
+        quantum_entropy_min_search(make_preset("shannon"), rho, budget=MAX_SEARCH_BUDGET + 1)
+
+
 def test_min_search_deterministic():
     rho = DensityMatrix([[0.6, 0.1], [0.1, 0.4]])
     pair = make_preset("shannon")
