@@ -96,7 +96,8 @@ def _pivot(tableau, basis, rows, cols, column, every) -> None:
     """Pivot member i of the stack on (``rows[i]``, ``cols[i]``), for every i;
     ``column[i]`` is member i's column ``cols[i]``, every row, and ``every``
     is ``arange(len(tableau))``."""
-    pivot_rows = tableau[every, rows] / column[every, rows][:, None]
+    pivot_rows = tableau[every, rows]
+    pivot_rows /= column[every, rows][:, None]
     # one rank-1 update of every row; a row with a 0 in the pivot column keeps
     # its values
     tableau -= column[:, :, None] * pivot_rows[:, None]
@@ -125,11 +126,11 @@ def _run_simplex(tableau, basis, costs, n_enter):
     reduced = np.full((s, n_enter + 1), -1.0)  # the zero column's stays -1
     # views of the live stack, which pivots update in place
     body, rhs, entering_costs = live_t[:, :, :n_enter], live_t[:, :, -1], costs[:, :n_enter]
-    # the basic costs: from the one row of costs, or from each LP's own
-    pick = every[:, None] if len(costs) > 1 else 0
+    improving = reduced[:, :n_enter]
+    shared = costs[0] if len(costs) == 1 else None  # one row of costs for every LP
     for _ in range(_MAX_PIVOTS):
-        np.subtract(entering_costs, np.matmul(costs[pick, live_b][:, None], body)[:, 0],
-                    out=reduced[:, :n_enter])
+        basic = shared[live_b] if shared is not None else costs[every[:, None], live_b]
+        np.subtract(entering_costs, np.matmul(basic[:, None], body)[:, 0], out=improving)
         entering = (reduced < -_EPS).argmax(axis=1)  # Bland: the first improving column
         column = live_t[every, :, entering]
         ratios.fill(np.inf)
@@ -161,11 +162,11 @@ def _run_simplex(tableau, basis, costs, n_enter):
         if live_t is not tableau:
             tableau[members], basis[members] = live_t, live_b
         live_t, live_b, members = live_t[pivoting], live_b[pivoting], members[pivoting]
-        if len(costs) > 1:
+        if shared is None:
             costs = costs[pivoting]
-            pick = every[:n_going, None]
         every, ratios, reduced = every[:n_going], ratios[:n_going], reduced[:n_going]
         body, rhs, entering_costs = live_t[:, :, :n_enter], live_t[:, :, -1], costs[:, :n_enter]
+        improving = reduced[:, :n_enter]
         _pivot(live_t, live_b, leaving[pivoting], entering[pivoting], column[pivoting], every)
     else:
         capped[members[going]] = True
@@ -187,8 +188,8 @@ class _Layout(NamedTuple):
     costs1: np.ndarray  # (1, columns): the phase-1 cost of each column
     artificials: np.ndarray  # (1, m): the artificial column of each row
     in_bounds: tuple[np.ndarray, np.ndarray]  # x must lie within these
-    at_least: np.ndarray  # the >= rows, then the <= rows
-    at_most: np.ndarray
+    at_least: np.ndarray  # the >= rows
+    at_most: np.ndarray  # the <= rows
     columns2: np.ndarray  # the columns of phase 2: no artificials
     crossed: bool  # some lower bound lies above its upper bound
     bounds: tuple[bytes, bytes]  # the key's lower and upper bounds
@@ -222,11 +223,14 @@ def _layout(rel_bytes: bytes, lower_bytes: bytes, upper_bytes: bytes) -> _Layout
     template[np.arange(m), np.arange(n_cols, n_cols + m)] = 1.0
     costs1 = np.zeros((1, n_cols + m + 1))
     costs1[0, n_cols:-1] = 1.0
-    return _Layout(rel, t, offsets, np.eye(n)[boxed], upper[boxed], n_cols, template, costs1,
-                   np.arange(n_cols, n_cols + m)[None],
-                   (lower - FEAS_TOL, upper + FEAS_TOL), rel < 0, rel > 0,
-                   np.append(np.arange(n_cols), [n_cols + m, n_cols + m + 1]),
-                   bool((upper < lower - FEAS_TOL).any()), (lower_bytes, upper_bytes))
+    layout = _Layout(rel, t, offsets, np.eye(n)[boxed], upper[boxed], n_cols, template, costs1,
+                     np.arange(n_cols, n_cols + m)[None],
+                     (lower - FEAS_TOL, upper + FEAS_TOL), rel < 0, rel > 0,
+                     np.append(np.arange(n_cols), [n_cols + m, n_cols + m + 1]),
+                     bool((upper < lower - FEAS_TOL).any()), (lower_bytes, upper_bytes))
+    for array in (*layout[:5], *layout[6:9], *layout[9], *layout[10:13]):
+        array.flags.writeable = False  # every LP of this layout shares them
+    return layout
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
@@ -307,7 +311,7 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult]:
     if len(lay.box_b):
         a = np.concatenate([a, np.broadcast_to(lay.box_a, (s, *lay.box_a.shape))], axis=1)
         b = np.concatenate([b, np.broadcast_to(lay.box_b, (s, len(lay.box_b)))], axis=1)
-    (n, n_y), n_cols, m = lay.t.shape, lay.n_cols, len(lay.rel)
+    n_y, n_cols, m = lay.t.shape[1], lay.n_cols, len(lay.rel)
 
     # Phase 1 from the artificial basis, every right-hand side made >= 0.
     tableau = np.empty((s, *lay.template.shape))
