@@ -261,8 +261,7 @@ def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True):
     """
     (m, n), stacked = con_a.shape[-2:], c_orig.ndim > 1 or con_a.ndim > 2 or con_b.ndim > 1
     if stacked:
-        s = max(len(c_orig) if c_orig.ndim > 1 else 1, len(con_a) if con_a.ndim > 2 else 1,
-                len(con_b) if con_b.ndim > 1 else 1)
+        (s,) = np.broadcast_shapes(c_orig.shape[:-1], con_a.shape[:-2], con_b.shape[:-1])
         c = np.broadcast_to(c_orig, (s, n))
         a = np.broadcast_to(con_a, (s, m, n))
         b = np.broadcast_to(con_b, (s, m))
