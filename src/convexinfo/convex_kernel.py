@@ -359,7 +359,9 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult]:
     if c.any():
         # Phase 2 without the artificial columns. A row redundant in every LP
         # is dropped; one redundant in only some is zeroed there, with the
-        # zero column as its basic column.
+        # zero column as its basic column (its zero terms in the reduced-cost
+        # products may round those LPs' reduced costs differently in the last
+        # bit than a lone solve, which drops the row).
         redundant = basis >= n_cols
         rows = (~redundant).any(axis=0).nonzero()[0]
         tableau = tableau[:, rows[:, None], lay.columns2]
