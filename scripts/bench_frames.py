@@ -1,9 +1,9 @@
-"""Cold frame enumeration at the model caps, and perfbench pairs, parent against change.
+"""Cold frame enumeration, spectra per state, and perfbench pairs, parent against change.
 
 Run from the repository root (numpy is the only dependency):
 
     python scripts/bench_frames.py
-    python scripts/bench_frames.py --parent ../parent --out BENCH_pr8.json
+    python scripts/bench_frames.py --parent ../parent --out BENCH_pr9.json
 
 Every repeat builds its model afresh, so it enumerates the frames cold;
 ``seconds`` is the median of ``REPEATS`` timed runs. The models are the cap
@@ -19,6 +19,16 @@ call of ``convex_kernel._pivot`` pivots one LP per entry of its column
 argument. Both seams exist, with the same meaning, in checkouts that solve
 LPs one at a time, so ``--parent`` can count them the same way. A model
 whose enumeration raises ``LpNumericalError`` records the message instead.
+
+The ``spectra`` section covers every model of the ``spectrum-ladder``
+workload (``SPECTRUM_LADDER``) on ``STATES`` random mixtures of its
+vertices. ``cold_ms`` is the first state's ``generalized_spectrum`` on a
+freshly built model, ``warm_ms`` each later state's; both are medians over
+``REPEATS`` models. One more run, not timed, wraps ``np.linalg.matrix_rank``
+and ``np.linalg.solve``, the seams both checkouts share: ``cold_ranks`` and
+``warm_ranks`` count rank calls on the first state and on each later state
+(their mean), ``solves`` the solve calls per state, and ``regular_bases``
+the stack size of the solve, which is the number of regular bases.
 
 ``--parent DIR`` measures the checkout in DIR the same way, each checkout in
 its own interpreter. It then runs ``perfbench/run.py --seconds 16`` in both
@@ -45,6 +55,21 @@ HOLD_OUT_SEED = 7919
 WORKLOADS = ("spectrum-ladder", "tensor-separable", "quantum-search")
 #: The models whose frames spectrum-ladder's first pass enumerates cold.
 LADDER = ("polygon6", "polygon8", "polygon12", "simplex4", "simplex6", "custom2d8", "custom3d6")
+#: The models whose spectra spectrum-ladder computes.
+SPECTRUM_LADDER = (*(f"polygon{n}" for n in (4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16)),
+                   *(f"simplex{n}" for n in range(4, 11)),
+                   *(f"custom2d{n}" for n in (6, 8, 10, 12, 16)),
+                   *(f"custom3d{n}" for n in (6, 8, 10, 16)))
+#: States per model in the spectra section.
+STATES = 16
+
+
+def _model(label: str, reference: dict):
+    """(kind, build_model arguments) of a label such as polygon6, simplex4 or custom3d6."""
+    if label.startswith("custom"):
+        return "custom_polytope", {"vertices": reference["custom"][label]}
+    kind = "regular_polygon" if label.startswith("polygon") else "simplex"
+    return kind, {"n": int(label[7:])}
 
 
 def _models(reference: dict):
@@ -62,11 +87,7 @@ def _models(reference: dict):
     rng.normal(size=(16, 3))
     yield "custom7d16", "custom_polytope", {"vertices": rng.normal(size=(16, 7))}
     for label in ("polygon6", "simplex4", "simplex6", "custom2d8", "custom3d6"):
-        if label.startswith("custom"):
-            yield label, "custom_polytope", {"vertices": reference["custom"][label]}
-        else:
-            kind = "regular_polygon" if label.startswith("polygon") else "simplex"
-            yield label, kind, {"n": int(label[7:])}
+        yield label, *_model(label, reference)
 
 
 def _counted(convex_kernel, gpt_models, np, enumerate_once) -> Counter:
@@ -132,10 +153,69 @@ def measure() -> dict:
     return results
 
 
-def _measure_checkout(checkout: Path) -> dict:
+def measure_spectra() -> dict:
+    """Cold and warm spectra of every spectrum-ladder model with the convexinfo on sys.path."""
+    import numpy as np
+
+    from convexinfo import build_model, generalized_spectrum, mix_state
+
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    results = {}
+    for label in SPECTRUM_LADDER:
+        kind, args = _model(label, reference)
+        rng = np.random.default_rng(0)
+        n = build_model(kind, **args).n_vertices
+        weights = [rng.dirichlet(np.full(n, 0.7)) for _ in range(STATES)]
+        cold, warm = [], []
+        for _ in range(REPEATS):
+            space = build_model(kind, **args)
+            states = [mix_state(space, w) for w in weights]
+            for k, state in enumerate(states):
+                start = time.perf_counter()
+                generalized_spectrum(space, state)
+                (warm if k else cold).append(time.perf_counter() - start)
+        space = build_model(kind, **args)
+        first, rest = _counted_spectra(np, lambda state: generalized_spectrum(space, state),
+                                       [mix_state(space, w) for w in weights])
+        results[label] = {"cold_ms": 1e3 * statistics.median(cold),
+                          "warm_ms": 1e3 * statistics.median(warm),
+                          "regular_bases": first["systems"] // first["solves"],
+                          "cold_ranks": first["ranks"],
+                          "warm_ranks": rest["ranks"] / (STATES - 1),
+                          "solves": rest["solves"] / (STATES - 1)}
+    return results
+
+
+def _counted_spectra(np, spectrum, states) -> tuple[Counter, Counter]:
+    """Counts of the first state's spectrum and of all later ones, np.linalg wrapped."""
+    counts = Counter()
+    rank, solve = np.linalg.matrix_rank, np.linalg.solve
+
+    def counting_rank(*args, **kwargs):
+        counts["ranks"] += 1
+        return rank(*args, **kwargs)
+
+    def counting_solve(a, b):
+        counts["solves"] += 1
+        counts["systems"] += int(np.prod(np.shape(a)[:-2]))
+        return solve(a, b)
+
+    np.linalg.matrix_rank, np.linalg.solve = counting_rank, counting_solve
+    try:
+        spectrum(states[0])
+        first = Counter(counts)
+        for state in states[1:]:
+            spectrum(state)
+    finally:
+        np.linalg.matrix_rank, np.linalg.solve = rank, solve
+    counts.subtract(first)
+    return first, counts
+
+
+def _measure_checkout(checkout: Path, function: str) -> dict:
     code = (f"import json, sys; sys.path[:0] = [{str(checkout / 'src')!r}, "
             f"{str(ROOT / 'scripts')!r}]; import bench_frames; "
-            "print(json.dumps(bench_frames.measure()))")
+            f"print(json.dumps(bench_frames.{function}()))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -179,13 +259,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
 
-    doc = {"repeats": REPEATS,
-           "commits": {"change": _commit(ROOT)},
-           "frames": {"change": _measure_checkout(ROOT)}}
+    checkouts = {"change": ROOT}
     if args.parent is not None:
-        doc["commits"]["parent"] = _commit(args.parent)
-        doc["frames"]["parent"] = _measure_checkout(args.parent.resolve())
-        doc["perfbench"] = pairs(args.parent.resolve())
+        checkouts["parent"] = args.parent.resolve()
+    doc = {"repeats": REPEATS, "states": STATES,
+           "commits": {side: _commit(path) for side, path in checkouts.items()}}
+    for section, function in (("frames", "measure"), ("spectra", "measure_spectra")):
+        doc[section] = {side: _measure_checkout(path, function)
+                        for side, path in checkouts.items()}
+    if args.parent is not None:
+        doc["perfbench"] = pairs(checkouts["parent"])
     text = json.dumps(doc, indent=1)
     if args.out is None:
         print(text)

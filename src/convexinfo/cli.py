@@ -82,10 +82,12 @@ def _load_json(path: str, flag: str):
 
 def _parse_complex_matrix(doc) -> np.ndarray:
     try:
-        m = np.asarray([[complex(cell[0], cell[1]) for cell in row] for row in doc])
-    except (TypeError, IndexError):
+        rows = [[complex(cell[0], cell[1]) for cell in row] for row in doc]
+    except (TypeError, IndexError, KeyError):
         raise ValidationError("matrices are nested arrays of [re, im] pairs") from None
-    return m
+    if len(set(map(len, rows))) > 1:
+        raise ValidationError("matrix rows differ in length")
+    return np.asarray(rows)
 
 
 def _load_pair(args):

@@ -32,6 +32,13 @@ from .probvec import TOL, ProbVector
 
 #: Cap on the number of pure states of a single model.
 MAX_MODEL_VERTICES = 16
+#: Singular values below this fraction of the constraint matrix's largest
+#: count as zero when its rank is taken (relative, so it holds at any scale).
+_RANK_RTOL = 1e-10
+#: Bases whose |det| over the product of their column norms (1 for orthogonal
+#: columns; unit-norm rows make it independent of the coordinates' scale)
+#: falls below this are numerically singular.
+_REGULAR_TOL = 1e-12
 
 KIND_SIMPLEX = "simplex"
 KIND_POLYGON = "regular_polygon"
@@ -43,7 +50,8 @@ class StateSpace:
     """A compact convex model given by its pure states (polytope vertices).
 
     ``vertices`` is a V x d array whose last column is identically 1. The
-    model's frames are enumerated on first use and kept with it.
+    model's frames and the bases of its decomposition polytope are built on
+    first use and kept with it.
     """
 
     kind: str
@@ -79,6 +87,34 @@ class StateSpace:
         verts = self.vertex_array()
         verts.flags.writeable = False
         return verts
+
+    @functools.cached_property
+    def _spectrum_bases(self) -> tuple[np.ndarray, ...]:
+        """The state-independent part of the decomposition polytope's vertices.
+
+        The polytope is {w >= 0 : a w = (state, 1)}; only the right-hand side
+        depends on the state. Returns ``(a, rows, scale, bases, sub)``: the
+        constraints, the first rows that span their row space (so a simplex
+        keeps its identity rows and solves exactly) and those rows' norms,
+        the regular bases in ``itertools.combinations`` order, and each
+        basis's square submatrix of the kept rows scaled to unit norm. Built
+        once, read-only.
+        """
+        verts = self._verts
+        # rows: the coordinates (the last one the unit functional), then sum w = 1
+        a = np.vstack([verts.T, np.ones(len(verts))])
+        cut = _RANK_RTOL * np.linalg.norm(a, 2)
+        prefix_ranks = [np.linalg.matrix_rank(a[:i + 1], tol=cut) for i in range(len(a))]
+        rows = np.flatnonzero(np.diff(prefix_ranks, prepend=0))
+        scale = np.linalg.norm(a[rows], axis=1)
+        a_r = a[rows] / scale[:, None]
+        bases = np.array(list(itertools.combinations(range(a.shape[1]), len(rows))))
+        sub = np.transpose(a_r[:, bases], (1, 0, 2))
+        ratio = np.abs(np.linalg.det(sub)) / np.prod(np.linalg.norm(sub, axis=1), axis=1)
+        arrays = (a, rows, scale, bases[ratio > _REGULAR_TOL], sub[ratio > _REGULAR_TOL])
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
     @functools.cached_property
     def _frames(self) -> tuple[Frame, ...]:

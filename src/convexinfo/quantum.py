@@ -16,6 +16,7 @@ import numpy as np
 
 from .entropic import EntropicPair, _entropies, classical_entropy, make_preset
 from .errors import (
+    BadParameter,
     DimensionMismatch,
     InvalidDensityMatrix,
     InvalidPovm,
@@ -41,7 +42,10 @@ MAX_SEARCH_BUDGET = 100_000
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, complex)
+    try:
+        m = np.asarray(entries, complex)
+    except (TypeError, ValueError):  # ragged rows or non-numeric entries
+        raise InvalidDensityMatrix("expected a square matrix of numbers") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDensityMatrix(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -237,7 +241,10 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
         raise TooLarge(f"budget {budget} exceeds the cap {MAX_SEARCH_BUDGET}")
     n = rho.dim
     rho_arr = rho.as_array()
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise BadParameter(f"seed must be a non-negative integer, got {seed!r}") from None
 
     _, vecs = np.linalg.eigh(rho_arr)
     best_rows = vecs.conj().T[::-1].copy()  # eigenbasis bras, largest eigenvalue first

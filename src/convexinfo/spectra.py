@@ -11,7 +11,6 @@ from one batched basis enumeration; an LP runs only if it finds none.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +28,6 @@ from .gpt_models import (
 )
 from .probvec import TOL, ProbVector, majorizes
 
-#: Singular values below this fraction of the constraint matrix's largest
-#: count as zero when its rank is taken (relative, so it holds at any scale).
-_RANK_RTOL = 1e-10
-#: Bases whose |det| over the product of their column norms (1 for orthogonal
-#: columns; unit-norm rows make it independent of the coordinates' scale)
-#: falls below this are numerically singular.
-_REGULAR_TOL = 1e-12
 #: Most negative basic solution component still counted as a zero weight.
 _FEAS_TOL = 1e-9
 #: Largest coordinate error of a vertex's reconstruction of the state.
@@ -83,7 +75,7 @@ def decomposition_constraints(space: StateSpace, state: GptState) -> LinearProgr
 
     Raises ``NotAState`` when the point is not in the model polytope.
     """
-    verts, point = space.vertex_array(), state.as_array()
+    verts, point = space._verts, state.as_array()
     if _decomposition_lp(verts, point).status != "optimal":
         raise NotAState("state has no convex decomposition over the model vertices")
     return decomposition_program(verts, point)
@@ -92,27 +84,18 @@ def decomposition_constraints(space: StateSpace, state: GptState) -> LinearProgr
 def _decomposition_vertices(space: StateSpace, state: GptState) -> np.ndarray:
     """Vertices of P = {w >= 0 : sum_i w_i v_i = state}, one per row.
 
-    The constraints keep their first rows that span the row space (so a
-    simplex keeps its identity rows and solves exactly), scaled to unit norm.
-    Every square subsystem is solved in one batch; rows come in
-    ``itertools.combinations`` order of their bases, and a degenerate vertex
-    appears once per basis that reaches it.
+    Every regular basis of the model's kept constraint rows
+    (``StateSpace._spectrum_bases``, built once per model) is solved for the
+    state in one batch; rows come in ``itertools.combinations`` order of
+    their bases, and a degenerate vertex appears once per basis that
+    reaches it.
     """
-    verts, point = space.vertex_array(), state.as_array()
+    point = state.as_array()
     if point.shape != (space.dim,):
         raise DimensionMismatch(f"state dim {point.shape[0]} vs model dim {space.dim}")
-    # rows: the coordinates (the last one the unit functional), then sum w = 1
-    a = np.vstack([verts.T, np.ones(len(verts))])
+    a, rows, scale, bases, sub = space._spectrum_bases
     b = np.append(point, 1.0)
-    cut = _RANK_RTOL * np.linalg.norm(a, 2)
-    prefix_ranks = [np.linalg.matrix_rank(a[:i + 1], tol=cut) for i in range(len(a))]
-    rows = np.flatnonzero(np.diff(prefix_ranks, prepend=0))
-    scale = np.linalg.norm(a[rows], axis=1)
-    a_r, b_r = a[rows] / scale[:, None], b[rows] / scale
-    bases = np.array(list(itertools.combinations(range(a.shape[1]), len(rows))))
-    sub = np.transpose(a_r[:, bases], (1, 0, 2))
-    ratio = np.abs(np.linalg.det(sub)) / np.prod(np.linalg.norm(sub, axis=1), axis=1)
-    bases, sub = bases[ratio > _REGULAR_TOL], sub[ratio > _REGULAR_TOL]
+    b_r = b[rows] / scale
     x = np.linalg.solve(sub, np.broadcast_to(b_r, (len(sub), len(rows)))[..., None])[..., 0]
     feasible = x.min(axis=1) >= -_FEAS_TOL
     w = np.zeros((int(feasible.sum()), a.shape[1]))
@@ -148,7 +131,7 @@ def generalized_spectrum(space: StateSpace, state: GptState):
 
 def _package(space: StateSpace, state: GptState, weights: np.ndarray) -> SpectralDecomposition:
     kept = [int(i) for i in np.argsort(-weights, kind="stable") if weights[i] >= TOL]
-    if np.max(np.abs(weights @ space.vertex_array() - state.as_array())) > _RECON_TOL:
+    if np.max(np.abs(weights @ space._verts - state.as_array())) > _RECON_TOL:
         raise LpNumericalError("spectral weights fail to reconstruct the state")
     return SpectralDecomposition(
         weights=ProbVector([weights[i] for i in kept]),

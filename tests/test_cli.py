@@ -395,3 +395,33 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
         argv = ["entropy", "--p", "0.5,0.5", "--pair", "renyi:inf"]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+RAGGED = [[[1, 0], [0, 0]], [[0, 0]]]
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--ensemble", "--povm"])
+def test_ragged_matrix_exits_2(capsys, tmp_path, ensemble_file, flag):
+    if flag == "--rho":
+        argv = ["qentropy", "--rho", _write_json(tmp_path, "rho.json", RAGGED)]
+    elif flag == "--ensemble":
+        doc = {"weights": [0.5, 0.5], "states": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], RAGGED]}
+        argv = ["holevo", "--ensemble", _write_json(tmp_path, "ensemble.json", doc)]
+    else:
+        argv = ["holevo", "--ensemble", ensemble_file,
+                "--povm", _write_json(tmp_path, "povm.json", [RAGGED, RAGGED])]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and err == "error: matrix rows differ in length\n"
+
+
+def test_min_search_negative_seed_exits_2(capsys, rho_file):
+    code, out, err = run(capsys, ["qentropy", "--rho", rho_file, "--min-search", "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
+def test_matrix_cell_that_is_an_object_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, ["qentropy", "--rho",
+                                  _write_json(tmp_path, "rho.json", [[{"re": 1}]])])
+    assert (code, out) == (2, "")
+    assert err == "error: matrices are nested arrays of [re, im] pairs\n"

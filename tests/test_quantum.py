@@ -19,6 +19,7 @@ from convexinfo import (
     quantum_majorizes,
 )
 from convexinfo.errors import (
+    BadParameter,
     DimensionMismatch,
     InvalidDensityMatrix,
     InvalidPovm,
@@ -159,6 +160,18 @@ def test_min_search_budget_cap():
     rho = DensityMatrix(np.diag([0.7, 0.3]))
     with pytest.raises(TooLarge, match=f"exceeds the cap {MAX_SEARCH_BUDGET}"):
         quantum_entropy_min_search(make_preset("shannon"), rho, budget=MAX_SEARCH_BUDGET + 1)
+
+
+def test_ragged_matrices_are_rejected():
+    with pytest.raises(InvalidDensityMatrix):
+        DensityMatrix([[1, 0], [0]])
+    with pytest.raises(InvalidDensityMatrix):
+        Povm([[[1, 0], [0]], [[0, 0], [0, 1]]])
+
+
+def test_min_search_rejects_a_negative_seed():
+    with pytest.raises(BadParameter, match="seed must be a non-negative integer, got -1"):
+        quantum_entropy_min_search(make_preset("shannon"), MIXED, budget=10, seed=-1)
 
 
 def test_min_search_deterministic():

@@ -444,3 +444,83 @@ def test_stacked_frame_entropy_matches_the_loop_reference(kind, n, rng, monkeypa
             assert frame.vertex_indices == want_frame.vertex_indices
     with pytest.raises(DimensionMismatch):
         frame_entropy(make_preset("shannon"), ours, GptState(point=(0.0,) * (ours.dim + 1)))
+
+
+# -- per-model spectrum bases ---------------------------------------------------
+
+
+def _per_call_vertices(space, state):
+    """Reference: the decomposition polytope's vertices with every basis rebuilt per call."""
+    verts, b = space.vertex_array(), np.append(state.as_array(), 1.0)
+    a = np.vstack([verts.T, np.ones(len(verts))])
+    cut = 1e-10 * np.linalg.norm(a, 2)
+    prefix_ranks = [np.linalg.matrix_rank(a[:i + 1], tol=cut) for i in range(len(a))]
+    rows = np.flatnonzero(np.diff(prefix_ranks, prepend=0))
+    scale = np.linalg.norm(a[rows], axis=1)
+    a_r, b_r = a[rows] / scale[:, None], b[rows] / scale
+    bases = np.array(list(itertools.combinations(range(a.shape[1]), len(rows))))
+    sub = np.transpose(a_r[:, bases], (1, 0, 2))
+    ratio = np.abs(np.linalg.det(sub)) / np.prod(np.linalg.norm(sub, axis=1), axis=1)
+    bases, sub = bases[ratio > 1e-12], sub[ratio > 1e-12]
+    x = np.linalg.solve(sub, np.broadcast_to(b_r, (len(sub), len(rows)))[..., None])[..., 0]
+    feasible = x.min(axis=1) >= -1e-9
+    w = np.zeros((int(feasible.sum()), a.shape[1]))
+    w[np.arange(len(w))[:, None], bases[feasible]] = np.clip(x[feasible], 0.0, None)
+    return w[np.abs(w @ a.T - b).max(axis=1) <= 1e-8]
+
+
+def _cache_sweep_models():
+    for n in range(3, 17):
+        yield pytest.param(lambda n=n: build_model("regular_polygon", n=n), id=f"polygon{n}")
+    for n in range(2, 11):
+        yield pytest.param(lambda n=n: build_model("simplex", n=n), id=f"simplex{n}")
+    rng = np.random.default_rng(2024)
+    for dim in (2, 3, 4):
+        base = rng.normal(size=(int(rng.integers(dim + 2, 11)), dim))
+        for scale in (1.0, 1e-3, 1e3):
+            yield pytest.param(
+                lambda v=(scale * base).tolist(): build_model("custom_polytope", vertices=v),
+                id=f"custom{dim}d{len(base)}x{scale:g}")
+
+
+@pytest.mark.parametrize("build", list(_cache_sweep_models()))
+def test_warm_bases_give_a_fresh_models_spectra(build):
+    warm = build()
+    rng = np.random.default_rng(warm.n_vertices * 100 + warm.dim)
+    weights = [rng.dirichlet(np.full(warm.n_vertices, 0.7)) for _ in range(5)]
+    for w in [np.eye(warm.n_vertices)[0], *weights]:
+        fresh = build()
+        state = mix_state(fresh, w)
+        assert repr(generalized_spectrum(warm, state)) == repr(generalized_spectrum(fresh, state))
+        assert np.array_equal(spectra._decomposition_vertices(warm, state),
+                              _per_call_vertices(warm, state))
+
+
+def test_spectrum_bases_are_built_once_per_model(monkeypatch):
+    space = build_model("custom_polytope", vertices=np.random.default_rng(8).normal(
+        size=(9, 3)).tolist())
+    states = [mix_state(space, w) for w in np.random.default_rng(9).dirichlet(np.ones(9), 20)]
+    calls = []
+    rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        lambda *args, **kwargs: calls.append(1) or rank(*args, **kwargs))
+    per_state = []
+    for state in states:
+        before = len(calls)
+        generalized_spectrum(space, state)
+        per_state.append(len(calls) - before)
+    assert per_state == [space.dim + 1] + [0] * 19
+
+
+def test_spectrum_bases_are_read_only(square):
+    generalized_spectrum(square, make_state(square, [0.1, 0.2]))
+    for array in square._spectrum_bases:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
+
+
+def test_spectrum_rejects_a_state_of_another_dimension(square):
+    for point in ((0.0, 1.0), (0.0, 0.0, 0.0, 1.0)):
+        with pytest.raises(DimensionMismatch):
+            generalized_spectrum(square, GptState(point=point))
