@@ -218,7 +218,10 @@ def _cmd_holevo(args) -> int:
     hx = classical_entropy(shannon, ensemble.weights)
     payload = {"chi": chi, "hx": hx, "strict_gap": bool(chi < hx - 1e-9)}
     if args.povm:
-        effects = [_parse_complex_matrix(e) for e in _load_json(args.povm, "--povm")]
+        doc = _load_json(args.povm, "--povm")
+        if not isinstance(doc, list):
+            raise ValidationError("--povm expects a list of matrices")
+        effects = [_parse_complex_matrix(e) for e in doc]
         payload["accessible"] = accessible_info_estimate(ensemble, Povm(effects))
     _emit(payload, args.bits)
     return 0

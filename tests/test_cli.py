@@ -425,3 +425,9 @@ def test_matrix_cell_that_is_an_object_exits_2(capsys, tmp_path):
                                   _write_json(tmp_path, "rho.json", [[{"re": 1}]])])
     assert (code, out) == (2, "")
     assert err == "error: matrices are nested arrays of [re, im] pairs\n"
+
+
+def test_povm_that_is_not_a_list_exits_2(capsys, tmp_path, ensemble_file):
+    code, out, err = run(capsys, ["holevo", "--ensemble", ensemble_file,
+                                  "--povm", _write_json(tmp_path, "povm.json", 5)])
+    assert (code, out) == (2, "") and err == "error: --povm expects a list of matrices\n"
