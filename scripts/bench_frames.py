@@ -22,9 +22,9 @@ whose enumeration raises ``LpNumericalError`` records the message instead.
 
 The ``spectra`` section covers every model of the ``spectrum-ladder``
 workload (``SPECTRUM_LADDER``) on ``STATES`` random mixtures of its
-vertices. ``cold_ms`` is the first state's ``generalized_spectrum`` on a
-freshly built model, ``warm_ms`` each later state's; both are medians over
-``REPEATS`` models. One more run, not timed, wraps ``np.linalg.matrix_rank``
+vertices. On each of ``REPEATS`` freshly built models every state's
+``generalized_spectrum`` is timed; ``cold_ms`` is the median of the first
+states, ``warm_ms`` the median of all later ones. One more run, not timed, wraps ``np.linalg.matrix_rank``
 and ``np.linalg.solve``, the seams both checkouts share: ``cold_ranks`` and
 ``warm_ranks`` count rank calls on the first state and on each later state
 (their mean), ``solves`` the solve calls per state, and ``regular_bases``
@@ -34,6 +34,8 @@ the stack size of the solve, which is the number of regular bases.
 its own interpreter. It then runs ``perfbench/run.py --seconds 16`` in both
 checkouts for seeds 1..PAIRS and the hold-out seed 7919, alternating which
 goes first, on every workload in ``WORKLOADS``, and stores each run's metrics.
+Each perfbench run gets an empty bytecode cache, so that both checkouts
+import alike whatever ``__pycache__`` directories their trees hold.
 The JSON goes to ``--out`` or stdout.
 """
 
@@ -41,9 +43,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -231,9 +235,14 @@ def _commit(checkout: Path) -> str:
 
 
 def _perfbench(checkout: Path, workload: str, seed: int) -> dict:
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", "16", "--trace", "0"],
-                         cwd=checkout, check=True, capture_output=True, text=True).stdout
+    # each run starts from an empty bytecode cache: a working tree's stale
+    # __pycache__ (under PYTHONDONTWRITEBYTECODE) would time its imports, and
+    # so setup_s, unlike those of a clean checkout
+    with tempfile.TemporaryDirectory() as cache:
+        out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                              "--seed", str(seed), "--seconds", "16", "--trace", "0"],
+                             cwd=checkout, env=dict(os.environ, PYTHONPYCACHEPREFIX=cache),
+                             check=True, capture_output=True, text=True).stdout
     doc = json.loads(out.splitlines()[-1])
     return {"correct": doc["correct"], "metrics": doc["metrics"]}
 

@@ -6,7 +6,8 @@ these form the polytope P = {w >= 0 : sum_i w_i v_i = state}. The sum of the
 k largest weights is convex in w, so its maximum T_k over P is attained at a
 vertex of P, and so is the maximum of its sum over k: a majorant (attaining
 every T_k at once) exists iff some vertex of P is one. The vertices come
-from one batched basis enumeration; an LP runs only if it finds none.
+from one batched solve over the model's regular bases, which are built
+once per model; an LP runs only if it finds none.
 """
 
 from __future__ import annotations
