@@ -3,7 +3,7 @@
 Run from the repository root (numpy is the only dependency):
 
     python scripts/bench_frames.py
-    python scripts/bench_frames.py --parent ../parent --out BENCH_pr9.json
+    python scripts/bench_frames.py --parent ../parent --out BENCH_pr10.json
 
 Every repeat builds its model afresh, so it enumerates the frames cold;
 ``seconds`` is the median of ``REPEATS`` timed runs. The models are the cap
@@ -20,15 +20,20 @@ argument. Both seams exist, with the same meaning, in checkouts that solve
 LPs one at a time, so ``--parent`` can count them the same way. A model
 whose enumeration raises ``LpNumericalError`` records the message instead.
 
-The ``spectra`` section covers every model of the ``spectrum-ladder``
-workload (``SPECTRUM_LADDER``) on ``STATES`` random mixtures of its
-vertices. On each of ``REPEATS`` freshly built models every state's
-``generalized_spectrum`` is timed; ``cold_ms`` is the median of the first
-states, ``warm_ms`` the median of all later ones. One more run, not timed, wraps ``np.linalg.matrix_rank``
-and ``np.linalg.solve``, the seams both checkouts share: ``cold_ranks`` and
-``warm_ranks`` count rank calls on the first state and on each later state
-(their mean), ``solves`` the solve calls per state, and ``regular_bases``
-the stack size of the solve, which is the number of regular bases.
+The ``spectra`` section times the workload's spectrum op, coordinates ->
+``make_state`` -> ``generalized_spectrum``, on every model of the
+``spectrum-ladder`` workload (``SPECTRUM_LADDER``) at the coordinates of
+``STATES`` random mixtures of its vertices. On each of ``REPEATS`` freshly
+built models every op is timed; ``cold_ms`` is the median of the first ops,
+``warm_ms`` the median of all later ones. ``make_state_ms`` is the median of
+``make_state`` alone at the later coordinates, on a model that has done one
+op. One more run, not timed, wraps ``np.linalg.matrix_rank``,
+``np.linalg.solve`` and the LP kernel entry ``_solve`` (in ``convex_kernel``
+and ``gpt_models``), the seams both checkouts share: ``cold_ranks`` and
+``warm_ranks`` count rank calls in the first op and in each later op (their
+mean), ``solves`` and ``kernel_entries`` the solve calls and kernel entries
+per later op, and ``regular_bases`` the largest stack one solve call
+solved, which is the number of regular bases.
 
 ``--parent DIR`` measures the checkout in DIR the same way, each checkout in
 its own interpreter. It then runs ``perfbench/run.py --seconds 16`` in both
@@ -158,42 +163,58 @@ def measure() -> dict:
 
 
 def measure_spectra() -> dict:
-    """Cold and warm spectra of every spectrum-ladder model with the convexinfo on sys.path."""
+    """The spectrum op of every spectrum-ladder model with the convexinfo on sys.path."""
     import numpy as np
 
-    from convexinfo import build_model, generalized_spectrum, mix_state
+    from convexinfo import (build_model, convex_kernel, generalized_spectrum, gpt_models,
+                            make_state, mix_state)
 
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     results = {}
     for label in SPECTRUM_LADDER:
         kind, args = _model(label, reference)
         rng = np.random.default_rng(0)
-        n = build_model(kind, **args).n_vertices
-        weights = [rng.dirichlet(np.full(n, 0.7)) for _ in range(STATES)]
-        cold, warm = [], []
+        space = build_model(kind, **args)
+        coords = [mix_state(space, rng.dirichlet(np.full(space.n_vertices, 0.7))).coords()
+                  for _ in range(STATES)]
+
+        def op(space, c):
+            return generalized_spectrum(space, make_state(space, c))
+
+        cold, warm, alone = [], [], []
         for _ in range(REPEATS):
             space = build_model(kind, **args)
-            states = [mix_state(space, w) for w in weights]
-            for k, state in enumerate(states):
+            for k, c in enumerate(coords):
                 start = time.perf_counter()
-                generalized_spectrum(space, state)
+                op(space, c)
                 (warm if k else cold).append(time.perf_counter() - start)
+            space = build_model(kind, **args)
+            op(space, coords[0])
+            for c in coords[1:]:
+                start = time.perf_counter()
+                make_state(space, c)
+                alone.append(time.perf_counter() - start)
         space = build_model(kind, **args)
-        first, rest = _counted_spectra(np, lambda state: generalized_spectrum(space, state),
-                                       [mix_state(space, w) for w in weights])
+        first, rest = _counted_spectra(np, (convex_kernel, gpt_models),
+                                       lambda c: op(space, c), coords)
         results[label] = {"cold_ms": 1e3 * statistics.median(cold),
                           "warm_ms": 1e3 * statistics.median(warm),
-                          "regular_bases": first["systems"] // first["solves"],
+                          "make_state_ms": 1e3 * statistics.median(alone),
+                          "regular_bases": first["systems"],
                           "cold_ranks": first["ranks"],
                           "warm_ranks": rest["ranks"] / (STATES - 1),
-                          "solves": rest["solves"] / (STATES - 1)}
+                          "solves": rest["solves"] / (STATES - 1),
+                          "kernel_entries": rest["kernel_entries"] / (STATES - 1)}
     return results
 
 
-def _counted_spectra(np, spectrum, states) -> tuple[Counter, Counter]:
-    """Counts of the first state's spectrum and of all later ones, np.linalg wrapped."""
+def _counted_spectra(np, modules, op, coords) -> tuple[Counter, Counter]:
+    """Counts of the first op and of all later ones, np.linalg and the LP kernel wrapped.
+
+    ``systems`` is the largest stack one ``np.linalg.solve`` call solved.
+    """
     counts = Counter()
-    rank, solve = np.linalg.matrix_rank, np.linalg.solve
+    rank, solve, kernel = np.linalg.matrix_rank, np.linalg.solve, modules[0]._solve
 
     def counting_rank(*args, **kwargs):
         counts["ranks"] += 1
@@ -201,17 +222,25 @@ def _counted_spectra(np, spectrum, states) -> tuple[Counter, Counter]:
 
     def counting_solve(a, b):
         counts["solves"] += 1
-        counts["systems"] += int(np.prod(np.shape(a)[:-2]))
+        counts["systems"] = max(counts["systems"], int(np.prod(np.shape(a)[:-2])))
         return solve(a, b)
 
+    def counting_kernel(*args):
+        counts["kernel_entries"] += 1
+        return kernel(*args)
+
     np.linalg.matrix_rank, np.linalg.solve = counting_rank, counting_solve
+    for module in modules:
+        module._solve = counting_kernel
     try:
-        spectrum(states[0])
+        op(coords[0])
         first = Counter(counts)
-        for state in states[1:]:
-            spectrum(state)
+        for c in coords[1:]:
+            op(c)
     finally:
         np.linalg.matrix_rank, np.linalg.solve = rank, solve
+        for module in modules:
+            module._solve = kernel
     counts.subtract(first)
     return first, counts
 

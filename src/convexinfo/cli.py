@@ -58,7 +58,7 @@ def _round12(obj):
     return obj
 
 
-def _emit(payload: dict, bits: bool) -> None:
+def _emit(payload: dict, bits: bool = False) -> None:
     if bits:
         payload = {k: (v / LN2 if k in _ENTROPIC_KEYS and isinstance(v, float) else v)
                    for k, v in payload.items()}
@@ -152,7 +152,7 @@ def _cmd_spectrum(args) -> int:
     if isinstance(spec, NoMajorant) and args.strict:
         print("no majorant exists for the given state", file=sys.stderr)
         return 3
-    _emit(spec.to_json(), args.bits)
+    _emit(spec.to_json())
     return 0
 
 
@@ -160,7 +160,7 @@ def _cmd_majorize(args) -> int:
     if args.p is not None and args.q is not None:
         p = ProbVector(_parse_floats(args.p, "--p"))
         q = ProbVector(_parse_floats(args.q, "--q"))
-        _emit({"majorized": majorizes(q, p)}, args.bits)
+        _emit({"majorized": majorizes(q, p)})
         return 0
     if args.model is None or args.state is None or args.other is None:
         raise ValidationError("majorize needs --p/--q, or --model/--state/--other")
@@ -173,9 +173,9 @@ def _cmd_majorize(args) -> int:
         if args.strict:
             print(str(exc), file=sys.stderr)
             return 3
-        _emit({"majorized": None, "defined": False}, args.bits)
+        _emit({"majorized": None, "defined": False})
         return 0
-    _emit({"majorized": result, "defined": True}, args.bits)
+    _emit({"majorized": result, "defined": True})
     return 0
 
 
@@ -185,7 +185,7 @@ def _cmd_frames(args) -> int:
     payload = {"frames": [{"vertices": list(f.vertex_indices),
                            "effects": [list(e.coeffs) for e in f.effects]}
                           for f in frames]}
-    _emit(payload, args.bits)
+    _emit(payload)
     return 0
 
 
@@ -207,7 +207,7 @@ def _cmd_separable(args) -> int:
         payload = {"separable": False,
                    "max_member": member,
                    "classification": "entangled" if member else "not-a-state"}
-    _emit(payload, args.bits)
+    _emit(payload)
     return 0
 
 
@@ -278,19 +278,20 @@ def _cmd_lp(args) -> int:
     result = lp_solve(lp)
     _emit({"status": result.status,
            "point": None if result.point is None else list(result.point),
-           "value": result.value}, bits=False)
+           "value": result.value})
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bits", action="store_true",
-                        help="report entropies in bits instead of nats")
-    common.add_argument("--seed", type=int, default=0,
+    # one parent per flag group, given only to the subcommands that read it
+    bits, search, strict = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    bits.add_argument("--bits", action="store_true",
+                      help="report entropies in bits instead of nats")
+    search.add_argument("--seed", type=int, default=0,
                         help="seed for randomized searches (default 0)")
-    common.add_argument("--budget", type=int, default=1000,
+    search.add_argument("--budget", type=int, default=1000,
                         help="iteration budget for randomized searches")
-    common.add_argument("--strict", action="store_true",
+    strict.add_argument("--strict", action="store_true",
                         help="exit 3 when a required spectrum does not exist")
 
     parser = argparse.ArgumentParser(prog="convexinfo",
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True,
         metavar="{entropy,qentropy,spectrum,majorize,frames,separable,holevo,sweep}")
 
-    sp = sub.add_parser("entropy", parents=[common],
+    sp = sub.add_parser("entropy", parents=[bits, strict],
                         help="classical or generalized entropies")
     sp.add_argument("--pair", default="shannon",
                     help='"shannon", "renyi:2.0" or "tsallis:0.5"')
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print frame and spectral entropies side by side")
     sp.set_defaults(func=_cmd_entropy)
 
-    sp = sub.add_parser("qentropy", parents=[common], help="density-matrix entropies")
+    sp = sub.add_parser("qentropy", parents=[bits, search], help="density-matrix entropies")
     sp.add_argument("--pair", default="shannon")
     sp.add_argument("--pair-file")
     sp.add_argument("--rho", required=True, help="matrix JSON ([re, im] pairs)")
@@ -320,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also minimize over sampled rank-one POVMs")
     sp.set_defaults(func=_cmd_qentropy)
 
-    sp = sub.add_parser("spectrum", parents=[common], help="generalized spectrum")
+    sp = sub.add_parser("spectrum", parents=[strict], help="generalized spectrum")
     sp.add_argument("--model", required=True)
     sp.add_argument("--state", required=True)
     sp.set_defaults(func=_cmd_spectrum)
 
-    sp = sub.add_parser("majorize", parents=[common],
+    sp = sub.add_parser("majorize", parents=[strict],
                         help="is the first argument majorized by the second?")
     sp.add_argument("--p")
     sp.add_argument("--q")
@@ -334,29 +335,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--other")
     sp.set_defaults(func=_cmd_majorize)
 
-    sp = sub.add_parser("frames", parents=[common], help="enumerate maximal frames")
+    sp = sub.add_parser("frames", help="enumerate maximal frames")
     sp.add_argument("--model", required=True)
     sp.set_defaults(func=_cmd_frames)
 
-    sp = sub.add_parser("separable", parents=[common], help="separability test")
+    sp = sub.add_parser("separable", help="separability test")
     sp.add_argument("--model-a", required=True)
     sp.add_argument("--model-b", required=True)
     sp.add_argument("--joint", required=True, help="joint coefficient table JSON")
     sp.set_defaults(func=_cmd_separable)
 
-    sp = sub.add_parser("holevo", parents=[common], help="Holevo bound of an ensemble")
+    sp = sub.add_parser("holevo", parents=[bits], help="Holevo bound of an ensemble")
     sp.add_argument("--ensemble", required=True)
     sp.add_argument("--povm", help="optional POVM JSON for accessible information")
     sp.set_defaults(func=_cmd_holevo)
 
-    sp = sub.add_parser("sweep", parents=[common],
+    sp = sub.add_parser("sweep", parents=[bits],
                         help="CSV entropy sweep over a preset parameter grid")
     sp.add_argument("--family", choices=["renyi", "tsallis"], required=True)
     sp.add_argument("--grid", required=True, help="start:stop:count")
     sp.add_argument("--p", required=True)
     sp.set_defaults(func=_cmd_sweep)
 
-    sp = sub.add_parser("lp", parents=[common])  # debug backdoor into the LP kernel
+    sp = sub.add_parser("lp")  # debug backdoor into the LP kernel
     sp.add_argument("--file", required=True)
     sp.set_defaults(func=_cmd_lp)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernel import Polytope, _decomposition_lp, _solve
+from .convex_kernel import Polytope, _solve
 from .errors import (
     DegenerateModel,
     DimensionMismatch,
@@ -39,6 +39,10 @@ _RANK_RTOL = 1e-10
 #: columns; unit-norm rows make it independent of the coordinates' scale)
 #: falls below this are numerically singular.
 _REGULAR_TOL = 1e-12
+#: Most negative basic solution component still counted as a zero weight.
+_FEAS_TOL = 1e-9
+#: Largest coordinate error of a vertex's reconstruction of the state.
+_RECON_TOL = 1e-8
 
 KIND_SIMPLEX = "simplex"
 KIND_POLYGON = "regular_polygon"
@@ -115,6 +119,27 @@ class StateSpace:
         for array in arrays:
             array.flags.writeable = False
         return arrays
+
+    @functools.cached_property
+    def _decompositions(self):
+        """The vertex solve of the last 4 points (``majorize`` asks for two), by their bytes."""
+
+        @functools.lru_cache(maxsize=4)
+        def vertices(key: bytes) -> np.ndarray:
+            # every regular basis solved for the point in one batch; read-only,
+            # so a state's membership test and its spectrum share one array
+            a, rows, scale, bases, sub = self._spectrum_bases
+            b = np.append(np.frombuffer(key), 1.0)
+            b_r = b[rows] / scale
+            x = np.linalg.solve(sub, np.broadcast_to(b_r, (len(sub), len(rows)))[..., None])[..., 0]
+            feasible = x.min(axis=1) >= -_FEAS_TOL
+            w = np.zeros((int(feasible.sum()), a.shape[1]))
+            w[np.arange(len(w))[:, None], bases[feasible]] = np.clip(x[feasible], 0.0, None)
+            w = w[np.abs(w @ a.T - b).max(axis=1) <= _RECON_TOL]
+            w.flags.writeable = False
+            return w
+
+        return vertices
 
     @functools.cached_property
     def _frames(self) -> tuple[Frame, ...]:
@@ -267,18 +292,33 @@ def build_model(kind: str, n: int | None = None, vertices=None) -> StateSpace:
 def make_state(space: StateSpace, coords) -> GptState:
     """Build a state from coordinates (homogeneous 1 appended here).
 
-    Raises ``NotAState`` when the point is not finite or outside the model
-    polytope.
+    Raises ``NotAState`` when the point is not finite, or when no basis of
+    the model decomposes it (``_decomposition_vertices``, kept for its spectrum).
     """
     c = np.asarray(coords, float)
     if c.shape != (space.dim - 1,):
         raise DimensionMismatch(f"expected {space.dim - 1} coordinates, got {c.shape}")
     if not np.all(np.isfinite(c)):
         raise NotAState(f"point {c.tolist()} is not finite")
-    point = np.concatenate([c, [1.0]])
-    if _decomposition_lp(space._verts, point).status != "optimal":
-        raise NotAState(f"point {c.tolist()} is outside the model")
-    return GptState(point=tuple(float(x) for x in point))
+    state = GptState(point=(*c.tolist(), 1.0))
+    _decomposition_vertices(space, state)
+    return state
+
+
+def _decomposition_vertices(space: StateSpace, state: GptState) -> np.ndarray:
+    """Vertices of P = {w >= 0 : sum_i w_i v_i = state}, one per row: the membership test.
+
+    Rows come in ``itertools.combinations`` order of the model's regular bases,
+    a degenerate vertex once per basis that reaches it. Raises ``NotAState`` if
+    there is none.
+    """
+    point = state.as_array()
+    if point.shape != (space.dim,):
+        raise DimensionMismatch(f"state dim {point.shape[0]} vs model dim {space.dim}")
+    w = space._decompositions(point.tobytes())
+    if not len(w):
+        raise NotAState(f"point {list(state.coords())} is outside the model")
+    return w
 
 
 def vertex_state(space: StateSpace, index: int) -> GptState:

@@ -41,13 +41,13 @@ MAX_DIM = 16
 MAX_SEARCH_BUDGET = 100_000
 
 
-def _as_complex_matrix(entries) -> np.ndarray:
+def _as_complex_matrix(entries, error=InvalidDensityMatrix) -> np.ndarray:
     try:
         m = np.asarray(entries, complex)
     except (TypeError, ValueError):  # ragged rows or non-numeric entries
-        raise InvalidDensityMatrix("expected a square matrix of numbers") from None
+        raise error("expected a square matrix of numbers") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidDensityMatrix(f"expected a square matrix, got shape {m.shape}")
+        raise error(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -93,7 +93,7 @@ class Povm:
     rank_one: bool
 
     def __init__(self, effects, rank_one: bool | None = None):
-        mats = [_as_complex_matrix(e) for e in effects]
+        mats = [_as_complex_matrix(e, InvalidPovm) for e in effects]
         if not mats:
             raise InvalidPovm("a POVM needs at least one effect")
         n = mats[0].shape[0]
@@ -292,12 +292,9 @@ def mutual_information(joint) -> float:
     if abs(total - 1.0) > TOL:
         raise NotNormalized(f"joint probabilities sum to {total!r}, not 1")
     j = np.clip(j, 0.0, None) / total
-
-    def _h(values):
-        vals = values[values >= TOL]
-        return float(-(vals * np.log(vals)).sum())
-
-    return _h(j.sum(axis=1)) + _h(j.sum(axis=0)) - _h(j.reshape(-1))
+    hx, hy, hxy = (float(_entropies(_shannon(), p[None])[0])
+                   for p in (j.sum(axis=1), j.sum(axis=0), j.reshape(-1)))
+    return hx + hy - hxy
 
 
 def accessible_info_estimate(e: Ensemble, m: Povm) -> float:

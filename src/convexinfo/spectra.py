@@ -7,7 +7,7 @@ k largest weights is convex in w, so its maximum T_k over P is attained at a
 vertex of P, and so is the maximum of its sum over k: a majorant (attaining
 every T_k at once) exists iff some vertex of P is one. The vertices come
 from one batched solve over the model's regular bases, which are built
-once per model; an LP runs only if it finds none.
+once per model; the same solve decides that the state is a member.
 """
 
 from __future__ import annotations
@@ -16,23 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernel import LinearProgram, _decomposition_lp, decomposition_program
+from .convex_kernel import LinearProgram, decomposition_program
 from .entropic import EntropicPair, _entropies, classical_entropy
-from .errors import DimensionMismatch, LpNumericalError, NoFrames, NotAState, SpectrumUndefined
+from .errors import NoFrames, SpectrumUndefined
 from .gpt_models import (
     Frame,
     GptState,
     StateSpace,
+    _decomposition_vertices,
     _frame_distributions,
     enumerate_frames,
     vertex_state,
 )
 from .probvec import TOL, ProbVector, majorizes
 
-#: Most negative basic solution component still counted as a zero weight.
-_FEAS_TOL = 1e-9
-#: Largest coordinate error of a vertex's reconstruction of the state.
-_RECON_TOL = 1e-8
 #: Summed shortfall below which the best vertex realizes every T_k.
 _GAP_TOL = 1e-8
 
@@ -74,34 +71,10 @@ class NoMajorant:
 def decomposition_constraints(space: StateSpace, state: GptState) -> LinearProgram:
     """Objective-free LP over vertex weights reproducing the state.
 
-    Raises ``NotAState`` when the point is not in the model polytope.
+    Raises ``NotAState`` when ``make_state`` would: no basis decomposes it.
     """
-    verts, point = space._verts, state.as_array()
-    if _decomposition_lp(verts, point).status != "optimal":
-        raise NotAState("state has no convex decomposition over the model vertices")
-    return decomposition_program(verts, point)
-
-
-def _decomposition_vertices(space: StateSpace, state: GptState) -> np.ndarray:
-    """Vertices of P = {w >= 0 : sum_i w_i v_i = state}, one per row.
-
-    Every regular basis of the model's kept constraint rows
-    (``StateSpace._spectrum_bases``, built once per model) is solved for the
-    state in one batch; rows come in ``itertools.combinations`` order of
-    their bases, and a degenerate vertex appears once per basis that
-    reaches it.
-    """
-    point = state.as_array()
-    if point.shape != (space.dim,):
-        raise DimensionMismatch(f"state dim {point.shape[0]} vs model dim {space.dim}")
-    a, rows, scale, bases, sub = space._spectrum_bases
-    b = np.append(point, 1.0)
-    b_r = b[rows] / scale
-    x = np.linalg.solve(sub, np.broadcast_to(b_r, (len(sub), len(rows)))[..., None])[..., 0]
-    feasible = x.min(axis=1) >= -_FEAS_TOL
-    w = np.zeros((int(feasible.sum()), a.shape[1]))
-    w[np.arange(len(w))[:, None], bases[feasible]] = np.clip(x[feasible], 0.0, None)
-    return w[np.abs(w @ a.T - b).max(axis=1) <= _RECON_TOL]
+    _decomposition_vertices(space, state)
+    return decomposition_program(space._verts, state.as_array())
 
 
 def generalized_spectrum(space: StateSpace, state: GptState):
@@ -112,11 +85,6 @@ def generalized_spectrum(space: StateSpace, state: GptState):
     decomposition over the model's vertices.
     """
     w = _decomposition_vertices(space, state)
-    if len(w) == 0:
-        # no vertex certifies membership: the LP decides, and a member state
-        # here means the enumeration lost a vertex
-        decomposition_constraints(space, state)
-        raise LpNumericalError("vertex enumeration found no decomposition of a member state")
     profiles = np.cumsum(-np.sort(-w, axis=1), axis=1)
     t = profiles.max(axis=0)
     levels = min(len(t), int(np.searchsorted(t, 1.0 - 1e-12)) + 1)
@@ -125,17 +93,19 @@ def generalized_spectrum(space: StateSpace, state: GptState):
     best = int(np.argmax(summed >= summed.max() - 1e-12))
     gap = float(tk.sum() - summed[best])
     if gap <= _GAP_TOL:
-        return _package(space, state, w[best])
+        return _package(space, w[best])
     return NoMajorant(tk=tuple(map(float, tk)), best_candidate=tuple(map(float, w[best])),
                       gap=gap)
 
 
-def _package(space: StateSpace, state: GptState, weights: np.ndarray) -> SpectralDecomposition:
+def _package(space: StateSpace, weights: np.ndarray) -> SpectralDecomposition:
     kept = [int(i) for i in np.argsort(-weights, kind="stable") if weights[i] >= TOL]
-    if np.max(np.abs(weights @ space._verts - state.as_array())) > _RECON_TOL:
-        raise LpNumericalError("spectral weights fail to reconstruct the state")
+    values = [float(weights[i]) for i in kept]
+    total = sum(values)  # a vertex may miss 1 by its reconstruction tolerance
+    if abs(total - 1.0) > TOL:
+        values = [v / total for v in values]
     return SpectralDecomposition(
-        weights=ProbVector([weights[i] for i in kept]),
+        weights=ProbVector(values),
         support=tuple(vertex_state(space, i) for i in kept),
         support_indices=tuple(kept),
     )

@@ -431,3 +431,33 @@ def test_povm_that_is_not_a_list_exits_2(capsys, tmp_path, ensemble_file):
     code, out, err = run(capsys, ["holevo", "--ensemble", ensemble_file,
                                   "--povm", _write_json(tmp_path, "povm.json", 5)])
     assert (code, out) == (2, "") and err == "error: --povm expects a list of matrices\n"
+
+
+@pytest.mark.parametrize("model, coords", [
+    ({"kind": "regular_polygon", "n": 4}, [-0.8558403892525833, 0.14415961305183836]),
+    ({"kind": "simplex", "n": 4}, [-9.989480237700709e-10, 0.5162299004960569,
+                                   0.48377010150183924, -9.989480237700709e-10]),
+    ({"kind": "regular_polygon", "n": 16}, [0.483058003315312, -0.8568113944082681]),
+    ({"kind": "regular_polygon", "n": 7}, [0.7126937973334068, 0.5965974973125786]),
+], ids=["polygon4", "simplex4", "polygon16", "polygon7"])
+def test_state_near_the_boundary_is_rejected_or_has_a_spectrum(capsys, tmp_path, model, coords):
+    # points within 1e-8 of an edge: membership and the spectrum agree
+    argv = ["spectrum", "--model", _write_json(tmp_path, "model.json", model),
+            "--state=" + ",".join(map(repr, coords))]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and "is outside the model" in err or (
+        code == 0 and "exists" in json.loads(out))
+
+
+@pytest.mark.parametrize("argv", [
+    ["frames", "--seed", "1"],
+    ["spectrum", "--state", "0,0", "--bits"],
+    ["separable", "--model-a", "a", "--model-b", "b", "--joint", "j", "--strict"],
+    ["holevo", "--ensemble", "e", "--budget", "5"],
+])
+def test_flag_the_subcommand_does_not_read_exits_2(capsys, square_file, argv):
+    if argv[0] in ("frames", "spectrum"):
+        argv = [*argv, "--model", square_file]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err

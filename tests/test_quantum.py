@@ -165,8 +165,15 @@ def test_min_search_budget_cap():
 def test_ragged_matrices_are_rejected():
     with pytest.raises(InvalidDensityMatrix):
         DensityMatrix([[1, 0], [0]])
-    with pytest.raises(InvalidDensityMatrix):
+    with pytest.raises(InvalidPovm):
         Povm([[[1, 0], [0]], [[0, 0], [0, 1]]])
+
+
+@pytest.mark.parametrize("effect", [[[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]],
+                         ids=["ragged", "not-square"])
+def test_malformed_effects_are_povm_errors(effect):
+    with pytest.raises(InvalidPovm, match="expected a square matrix"):
+        Povm([effect])
 
 
 def test_min_search_rejects_a_negative_seed():
