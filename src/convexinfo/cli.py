@@ -283,7 +283,6 @@ def _cmd_lp(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # one parent per flag group, given only to the subcommands that read it
     bits, search, strict = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     bits.add_argument("--bits", action="store_true",
                       help="report entropies in bits instead of nats")

@@ -122,12 +122,11 @@ class StateSpace:
 
     @functools.cached_property
     def _decompositions(self):
-        """The vertex solve of the last 4 points (``majorize`` asks for two), by their bytes."""
+        """All regular bases solved for a point at once, by its bytes; the last 4 (``majorize``
+        asks for two) kept read-only, so a state's membership and spectrum share one solve."""
 
         @functools.lru_cache(maxsize=4)
         def vertices(key: bytes) -> np.ndarray:
-            # every regular basis solved for the point in one batch; read-only,
-            # so a state's membership test and its spectrum share one array
             a, rows, scale, bases, sub = self._spectrum_bases
             b = np.append(np.frombuffer(key), 1.0)
             b_r = b[rows] / scale
@@ -292,8 +291,8 @@ def build_model(kind: str, n: int | None = None, vertices=None) -> StateSpace:
 def make_state(space: StateSpace, coords) -> GptState:
     """Build a state from coordinates (homogeneous 1 appended here).
 
-    Raises ``NotAState`` when the point is not finite, or when no basis of
-    the model decomposes it (``_decomposition_vertices``, kept for its spectrum).
+    Raises ``NotAState`` when the point is not finite or no model basis decomposes
+    it (``_decomposition_vertices``; the spectrum reuses the vertices found).
     """
     c = np.asarray(coords, float)
     if c.shape != (space.dim - 1,):
@@ -308,10 +307,8 @@ def make_state(space: StateSpace, coords) -> GptState:
 def _decomposition_vertices(space: StateSpace, state: GptState) -> np.ndarray:
     """Vertices of P = {w >= 0 : sum_i w_i v_i = state}, one per row: the membership test.
 
-    Rows come in ``itertools.combinations`` order of the model's regular bases,
-    a degenerate vertex once per basis that reaches it. Raises ``NotAState`` if
-    there is none.
-    """
+    Rows come in ``itertools.combinations`` order of the model's regular bases, a
+    degenerate vertex once per basis that reaches it; ``NotAState`` if there is none."""
     point = state.as_array()
     if point.shape != (space.dim,):
         raise DimensionMismatch(f"state dim {point.shape[0]} vs model dim {space.dim}")

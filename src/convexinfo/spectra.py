@@ -69,10 +69,8 @@ class NoMajorant:
 
 
 def decomposition_constraints(space: StateSpace, state: GptState) -> LinearProgram:
-    """Objective-free LP over vertex weights reproducing the state.
-
-    Raises ``NotAState`` when ``make_state`` would: no basis decomposes it.
-    """
+    """Objective-free LP over vertex weights reproducing the state (``NotAState`` as
+    ``make_state`` raises it: when no basis of the model decomposes the state)."""
     _decomposition_vertices(space, state)
     return decomposition_program(space._verts, state.as_array())
 
@@ -100,12 +98,10 @@ def generalized_spectrum(space: StateSpace, state: GptState):
 
 def _package(space: StateSpace, weights: np.ndarray) -> SpectralDecomposition:
     kept = [int(i) for i in np.argsort(-weights, kind="stable") if weights[i] >= TOL]
-    values = [float(weights[i]) for i in kept]
-    total = sum(values)  # a vertex may miss 1 by its reconstruction tolerance
-    if abs(total - 1.0) > TOL:
-        values = [v / total for v in values]
+    total = sum(weights[i] for i in kept)  # may miss 1 by the reconstruction tolerance
+    scale = total if abs(total - 1.0) > TOL else 1.0
     return SpectralDecomposition(
-        weights=ProbVector(values),
+        weights=ProbVector([weights[i] / scale for i in kept]),
         support=tuple(vertex_state(space, i) for i in kept),
         support_indices=tuple(kept),
     )

@@ -26,7 +26,7 @@ from convexinfo import (
     topk_weight_max,
     vertex_state,
 )
-from convexinfo import gpt_models
+from convexinfo import convex_kernel, gpt_models
 from convexinfo.entropic import REGIME_INC_CONCAVE, EntropicPair
 from convexinfo.errors import DimensionMismatch, NotAState, SpectrumUndefined
 from convexinfo.gpt_models import GptState
@@ -505,6 +505,20 @@ def test_spectrum_bases_are_built_once_per_model(monkeypatch):
         generalized_spectrum(space, state)
         per_state.append(len(calls) - before)
     assert per_state == [space.dim + 1] + [0] * 19
+
+
+def test_a_state_and_its_spectrum_share_one_solve(monkeypatch):
+    space = build_model("regular_polygon", n=6)
+    generalized_spectrum(space, make_state(space, [0.1, 0.2]))  # builds the bases
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append("solve") or solve(*args))
+    for module in (convex_kernel, gpt_models):
+        monkeypatch.setattr(module, "_solve", lambda *args: calls.append("lp"))
+    for coords in ([0.3, -0.2], [0.0, 0.5]):
+        generalized_spectrum(space, make_state(space, coords))
+    generalized_majorizes(space, make_state(space, [0.2, 0.1]), make_state(space, [-0.1, 0.1]))
+    assert calls == ["solve"] * 4
 
 
 def test_spectrum_bases_are_read_only(square):
