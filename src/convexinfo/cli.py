@@ -363,9 +363,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flags whose value is a comma-separated list of numbers.
+_NUMBER_LIST_FLAGS = ("--state", "--other", "--p", "--q")
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """``--state -0.5,0.1`` as ``--state=-0.5,0.1``.
+
+    argparse takes a separate value that starts with a minus and is not a
+    single number for an option, so a number list whose first entry is
+    negative is attached to its flag here.
+    """
+    def is_number_list(text: str) -> bool:
+        try:
+            return bool(_parse_floats(text, ""))
+        except ValidationError:
+            return False
+
+    attached: list[str] = []
+    for token in argv:
+        if (attached and attached[-1] in _NUMBER_LIST_FLAGS and token.startswith("-")
+                and is_number_list(token)):
+            attached[-1] += "=" + token
+        else:
+            attached.append(token)
+    return attached
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SpectrumUndefined as exc:

@@ -90,6 +90,8 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     point: tuple[float, ...] | None
     value: float | None
+    #: One multiplier per constraint row, read from the optimal basis, when asked for.
+    duals: tuple[float, ...] | None = None
 
 
 def _pivot(tableau, basis, rows, cols, column, every) -> None:
@@ -249,9 +251,11 @@ def lp_solve(lp: LinearProgram) -> LpResult:
                   np.array([con.bound for con in cons], float), lower, upper, lp.maximize)
 
 
-def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True):
+def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True, duals=False):
     """``lp_solve`` on float arrays; ``con_rel`` holds each row's slack sign (1.0
     for <=, 0.0 for =, -1.0 for >=) and an infinite variable bound is no bound.
+    With ``duals`` an optimal result also carries the row multipliers of its
+    final basis (``_multipliers``).
 
     A leading stack axis on ``c_orig``, ``con_a`` or ``con_b`` makes a stack of
     same-shape LPs that share the relations and the variable bounds. They are
@@ -273,23 +277,25 @@ def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True):
     elif stacked and np.isinf(con_b).any():
         # rows bounded by an infinity leave the tableau, so the LPs may no
         # longer share a shape: each is solved alone
-        results = [_solve(c[i], a[i], con_rel, b[i], lower, upper, maximize) for i in range(s)]
+        results = [_solve(c[i], a[i], con_rel, b[i], lower, upper, maximize, duals)
+                   for i in range(s)]
     else:
         # a bound on one LP's tableau: every row and box row with a slack and
         # an artificial column, and two columns for each free variable
         rows = m + n
         step = max(1, _STACK_CELLS // (rows * (2 * n + 2 * rows + 2) + 1))
         if s <= step:
-            results = _solve_stack(c, a, b, lay, maximize)
+            results = _solve_stack(c, a, b, lay, maximize, duals)
         else:
             results = [result for i in range(0, s, step) for result in _solve_stack(
-                c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize)]
+                c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize, duals)]
     return results if stacked else results[0]
 
 
-def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult]:
+def _solve_stack(c, a, b, lay: _Layout, maximize, duals=False) -> list[LpResult]:
     """``_solve`` on a stack (s, m, n) of LPs, all of them in one simplex run."""
-    s = len(a)
+    s, m_con = len(a), a.shape[1]
+    finite = np.ones(m_con, bool)  # the rows that enter the tableau
     errors: dict[int, str] = {}  # the first failure of each failing LP
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         nan = np.isnan(a).any(axis=(1, 2)) | np.isnan(b).any(axis=1)
@@ -356,6 +362,7 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult]:
                    some_t[every, :, entering], every)
             tableau[members], basis[members] = some_t, some_b
     unbounded = capped = np.zeros(go.size, bool)
+    multipliers = np.zeros((go.size, m_con))
     if c.any():
         # Phase 2 without the artificial columns. A row redundant in every LP
         # is dropped; one redundant in only some is zeroed there, with the
@@ -372,6 +379,8 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult]:
         costs = np.zeros((go.size, n_cols + 1))
         costs[:, :n_y] = (-1.0 if maximize else 1.0) * np.matmul(c[:, None], lay.t)[:, 0]
         unbounded, capped = _run_simplex(tableau, basis, costs, n_cols)
+        if duals:  # the box rows come after the constraint rows
+            multipliers[:, finite] = _multipliers(c, a, lay, basis, rows)[:, :finite.sum()]
     y = np.zeros((go.size, tableau.shape[2]))
     y[np.arange(go.size)[:, None], basis] = tableau[:, :, -1]
     x = lay.offsets + np.matmul(lay.t, y[:, :n_y, None])[:, :, 0]
@@ -385,10 +394,39 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult]:
         elif failures and failures[j] is not None:
             errors[i] = failures[j]
         else:
-            results[i] = LpResult("optimal", tuple(points[j]), values[j])
+            results[i] = LpResult("optimal", tuple(points[j]), values[j],
+                                  tuple(multipliers[j].tolist()) if duals else None)
     if errors:
         raise LpNumericalError(errors[min(errors)])
     return results
+
+
+def _multipliers(c, a, lay: _Layout, basis, rows) -> np.ndarray:
+    """The row multipliers y of each LP's final basis B, from B^T y = c_B.
+
+    B holds the basic columns of the rows the phase-2 tableau kept (``rows``),
+    taken from ``a`` after the substitution x = offsets + t @ y, and c_B their
+    objective coefficients, c as given. So a minimum has reduced costs
+    c - a^T y >= 0 on its nonbasic columns. A row the tableau dropped or
+    zeroed as redundant, held by the zero column, gets multiplier 0; the box
+    rows come last.
+    """
+    s, m, n_y = len(a), len(lay.rel), lay.t.shape[1]
+    cols = np.zeros((s, m, lay.n_cols + 1))  # the last is the zero column
+    cols[:, :, :n_y] = a @ lay.t
+    cols[:, :, n_y:lay.n_cols] = lay.template[:, n_y:lay.n_cols]
+    costs = np.zeros((s, lay.n_cols + 1))
+    costs[:, :n_y] = np.matmul(c[:, None], lay.t)[:, 0]
+    sub = np.take_along_axis(cols[:, rows], basis[:, None, :], axis=2)
+    held, place = (basis == lay.n_cols).nonzero()
+    sub[held, place, place] = 1.0  # a zeroed row's own unit column: its multiplier is 0
+    y = np.zeros((s, m))
+    try:
+        y[:, rows] = np.linalg.solve(np.swapaxes(sub, 1, 2),
+                                     np.take_along_axis(costs, basis, axis=1)[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise LpNumericalError("the optimal basis is singular") from None
+    return y
 
 
 def _violations(x, lay: _Layout, a, b) -> list[str | None]:

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernel import Polytope, _solve
+from .convex_kernel import FEAS_TOL, Polytope, _solve
 from .errors import (
     DegenerateModel,
     DimensionMismatch,
     IncompleteFrame,
     InvalidEffect,
+    LpNumericalError,
     NotAState,
     ValidationError,
 )
@@ -43,6 +44,14 @@ _REGULAR_TOL = 1e-12
 _FEAS_TOL = 1e-9
 #: Largest coordinate error of a vertex's reconstruction of the state.
 _RECON_TOL = 1e-8
+#: A basic solution's weight above this counts toward its support. Weights
+#: sum to 1 whatever the coordinates' scale, and a clipped feasible weight that
+#: is 0 in exact arithmetic stays within rounding of 0, far below it. It is the
+#: bound the spans LP put on a set's largest smallest weight.
+_SUPPORT_TOL = 1e-9
+#: Largest batch of basic-solution values that one spans solve holds; more sets
+#: are solved in slices under it, so peak memory stays bounded.
+_SOLVE_VALUES = 1 << 21
 
 KIND_SIMPLEX = "simplex"
 KIND_POLYGON = "regular_polygon"
@@ -120,6 +129,25 @@ class StateSpace:
             array.flags.writeable = False
         return arrays
 
+    def _basic_solutions(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every regular basis solved for each of the points (s, d) in one solve.
+
+        Returns ``(which, w)``: one row of ``w`` per basic solution that is
+        feasible (weights >= -``_FEAS_TOL``, then clipped at 0) and reproduces
+        its point within ``_RECON_TOL``, zero off its basis, and the index of
+        that point in ``which``. Rows come point by point, each point's in
+        ``itertools.combinations`` order of the bases.
+        """
+        a, rows, scale, bases, sub = self._spectrum_bases
+        b = np.hstack([points, np.ones((len(points), 1))])
+        b_r = (b[:, rows] / scale).T
+        x = np.linalg.solve(sub, np.broadcast_to(b_r, (len(sub), *b_r.shape)))
+        which, basis = (x.min(axis=1) >= -_FEAS_TOL).T.nonzero()
+        w = np.zeros((len(which), a.shape[1]))
+        w[np.arange(len(w))[:, None], bases[basis]] = np.clip(x[basis, :, which], 0.0, None)
+        reproduces = np.abs(w @ a.T - b[which]).max(axis=1) <= _RECON_TOL
+        return which[reproduces], w[reproduces]
+
     @functools.cached_property
     def _decompositions(self):
         """All regular bases solved for a point at once, by its bytes; the last 4 (``majorize``
@@ -127,14 +155,7 @@ class StateSpace:
 
         @functools.lru_cache(maxsize=4)
         def vertices(key: bytes) -> np.ndarray:
-            a, rows, scale, bases, sub = self._spectrum_bases
-            b = np.append(np.frombuffer(key), 1.0)
-            b_r = b[rows] / scale
-            x = np.linalg.solve(sub, np.broadcast_to(b_r, (len(sub), len(rows)))[..., None])[..., 0]
-            feasible = x.min(axis=1) >= -_FEAS_TOL
-            w = np.zeros((int(feasible.sum()), a.shape[1]))
-            w[np.arange(len(w))[:, None], bases[feasible]] = np.clip(x[feasible], 0.0, None)
-            w = w[np.abs(w @ a.T - b).max(axis=1) <= _RECON_TOL]
+            _, w = self._basic_solutions(np.frombuffer(key)[None])
             w.flags.writeable = False
             return w
 
@@ -146,7 +167,7 @@ class StateSpace:
         v = self.n_vertices
         verts = self._verts
         # each passing set maps to its least-squares witness, or to None when
-        # the screen LP passed it: its witness LP waits until it is a frame
+        # the dual screen passed it: its witness LP waits until it is a frame
         witnesses: dict[tuple[int, ...], list[GptEffect] | None] = {
             (i,): [unit_effect(self)] for i in range(v)}
         screened: dict[tuple[int, ...], np.ndarray] = {}
@@ -154,12 +175,14 @@ class StateSpace:
         jumped: list[int] = []  # masks of maximal cliques that passed whole
 
         def test(combos) -> list[bool]:
-            # sets of one size: the least-squares guesses first, then the
-            # screen LPs of the sets they missed, in one stack
+            # sets of one size: the least-squares guesses in one stack, then
+            # the dual screens of the sets they missed, in another
+            if not combos:
+                return []
             tested.update(combos)
             unsure = []
-            for combo in combos:
-                effects = _least_squares_effects(self, verts[list(combo)])
+            guesses = _least_squares_effects(self, verts[np.array(combos)])
+            for combo, effects in zip(combos, guesses):
                 if effects is None:
                     unsure.append(combo)
                 else:
@@ -197,8 +220,9 @@ class StateSpace:
         maximal = [combo for combo in sorted(witnesses)
                    if not any(_mask(combo) & ~other == 0 and _mask(combo) != other
                               for other in masks)]
-        # the spans LPs of all maximal sets in one stack, then the witness LPs
-        # of the kept frames the least-squares guess missed, one stack per size
+        # the spans of all maximal sets from the model's bases, then the
+        # witness LPs of the kept frames the least-squares guess missed, one
+        # stack per size; where one finds none, the dual screen's point
         kept = [combo for combo, spans in zip(maximal, _spans_model(self, maximal)) if spans]
         effects = {combo: witnesses[combo] for combo in kept}
         missing = [combo for combo in kept if effects[combo] is None]
@@ -206,8 +230,8 @@ class StateSpace:
             sets = [combo for combo in missing if len(combo) == size]
             for combo, found_effects in zip(
                     sets, _distinguishing_effects(self, verts[np.array(sets)])):
-                effects[combo] = found_effects or [
-                    GptEffect(coeffs=tuple(e)) for e in screened[combo]]
+                effects[combo] = found_effects or _checked_screen_witness(
+                    self, verts[list(combo)], screened[combo])
         return tuple(Frame(vertex_indices=combo,
                            states=tuple(vertex_state(self, i) for i in combo),
                            effects=tuple(effects[combo])) for combo in kept)
@@ -388,20 +412,25 @@ def _witness_equalities(space: StateSpace, points: np.ndarray):
     return a_eq, b_eq
 
 
-def _least_squares_effects(space: StateSpace, points: np.ndarray) -> list[GptEffect] | None:
+def _least_squares_effects(space: StateSpace, points: np.ndarray):
     """The minimum-norm solution of the witness equalities, if it is a witness.
 
     It is the symmetric, canonical witness on well-behaved models; None when
-    it leaves [0, 1] on some vertex or misses the equalities.
+    it leaves [0, 1] on some vertex or misses the equalities. A stack of
+    point sets (s, k, d) gives one answer per set: ``np.linalg.lstsq`` solves
+    each set alone, and the checks run on the whole stack.
     """
+    *lead, k, d = points.shape
     a_eq, b_eq = _witness_equalities(space, points)
-    x, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-    if np.max(np.abs(a_eq @ x - b_eq)) <= 1e-9:
-        effects = x.reshape(points.shape)
-        values = effects @ space._verts.T
-        if np.min(values) >= -TOL and np.max(values) <= 1.0 + TOL:
-            return [GptEffect(coeffs=tuple(e)) for e in effects]
-    return None
+    a_eq = a_eq.reshape(-1, *a_eq.shape[-2:])
+    x = np.array([np.linalg.lstsq(a, b_eq, rcond=None)[0] for a in a_eq])
+    effects = x.reshape(-1, k, d)
+    values = effects @ space._verts.T
+    good = ((np.abs(np.matmul(a_eq, x[..., None])[..., 0] - b_eq).max(axis=1) <= 1e-9)
+            & (values.min(axis=(1, 2)) >= -TOL) & (values.max(axis=(1, 2)) <= 1.0 + TOL))
+    found = [[GptEffect(coeffs=tuple(e)) for e in set_effects] if ok else None
+             for set_effects, ok in zip(effects, good.tolist())]
+    return found if lead else found[0]
 
 
 def _effect_lp(cells: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray):
@@ -436,14 +465,23 @@ def _distinguishing_effects(space: StateSpace, points: np.ndarray):
 
 
 def _screen(space: StateSpace, points: np.ndarray):
-    """Yes/no LP for perfect distinguishability: k x d witness effects, or None.
+    """Perfect distinguishability, decided by the screen LP's dual: k x d witness effects, or None.
 
-    Only k - 1 effects are free; the k-th is u - sum. The equality rows ask
-    free effect i for 1 on point i and 0 on the other points, which fixes
-    every effect's values on the points, so the [0, 1] rows (each free effect,
-    and their sum) cover only the vertices that are none of the points. A
-    stack of vertex sets (s, k, d) is solved in one kernel call and gives one
-    answer per set.
+    The screen asks for k - 1 free effects x (the k-th is u - sum) with value
+    1 on their own point and 0 on the other points, ``a_eq x = b_eq``, which
+    fixes every effect's values on the points; so its [0, 1] rows,
+    ``0 <= cells x <= 1``, cover each free effect and their sum only on the
+    vertices that are none of the points. It is feasible exactly when its
+    Farkas dual, over y_hi, y_lo >= 0 (one per cell row) and free z,
+
+        minimize 1·y_hi + b_eq·z  subject to  cellsᵀ(y_hi − y_lo) + a_eqᵀ z = 0,
+
+    has the optimum 0, and infeasible exactly when the dual is unbounded. The
+    dual's status decides. Its rows are one per effect coefficient, so the
+    optimal basis's row multipliers are a screen point; completed by u - sum
+    they are returned as the witness, unchecked (``_checked_screen_witness``
+    checks it where it is used). A stack of vertex sets (s, k, d) is solved in
+    one kernel call and gives one answer per set.
     """
     *lead, k, d = points.shape
     verts = space._verts
@@ -452,22 +490,46 @@ def _screen(space: StateSpace, points: np.ndarray):
     cells = _block_diagonal(outside, k - 1)
     if k > 2:  # for two points the sum is the one free effect
         cells = np.concatenate([cells, np.tile(outside, k - 1)], axis=-2)
-    result = _effect_lp(cells, _block_diagonal(points, k - 1), np.eye(k - 1, k).ravel())
+    cells_t = np.swapaxes(cells, -1, -2)
+    a = np.concatenate([cells_t, -cells_t, np.swapaxes(_block_diagonal(points, k - 1), -1, -2)],
+                       axis=-1)
+    (n, m), b_eq = cells_t.shape[-2:], np.eye(k - 1, k).ravel()
+    # variables: y_hi, y_lo >= 0, then z free; one equality row per effect coefficient
+    n_vars = 2 * m + len(b_eq)
+    result = _solve(np.concatenate([np.ones(m), np.zeros(m), b_eq]), a, np.zeros(n), np.zeros(n),
+                    np.repeat([0.0, -np.inf], [2 * m, len(b_eq)]), np.full(n_vars, np.inf),
+                    maximize=False, duals=True)
 
     def effects(r):
         if r.status != "optimal":
             return None
-        free = np.asarray(r.point, float).reshape(k - 1, d)
+        free = np.asarray(r.duals, float).reshape(k - 1, d)
         return np.vstack([free, space.unit() - free.sum(axis=0)])
 
     return _each(result, effects)
+
+
+def _checked_screen_witness(space: StateSpace, points: np.ndarray,
+                            effects: np.ndarray) -> list[GptEffect]:
+    """The dual screen's point as the witness of the set ``points``, checked first.
+
+    The screen's rows hold within ``FEAS_TOL``: every effect, the free ones
+    and u - their sum, in [0, 1] on every vertex, and the free effects equal
+    to 1 on their own point and 0 on the others. Else ``LpNumericalError``.
+    """
+    values = effects @ space._verts.T
+    fixed = effects[:-1] @ points.T - np.eye(len(points) - 1, len(points))
+    if not (values.min() >= -FEAS_TOL and values.max() <= 1.0 + FEAS_TOL
+            and np.abs(fixed).max() <= FEAS_TOL):
+        raise LpNumericalError("the screen's dual multipliers violate a screen row")
+    return [GptEffect(coeffs=tuple(e)) for e in effects]
 
 
 def perfectly_distinguishable(space: StateSpace, states) -> bool:
     """Can one measurement answer which of the states was prepared, surely?
 
     Decided as frame enumeration decides it: by the least-squares witness,
-    else by the screen LP.
+    else by the dual screen (``_screen``).
     """
     states = list(states)
     if len(states) < 2:
@@ -509,30 +571,30 @@ def _maximal_cliques(n: int, edges) -> list[tuple[int, ...]]:
     return sorted(cliques)
 
 
-def _spans_model(space: StateSpace, indices):
-    """Is the smallest face containing these vertices the whole polytope?
+def _spans_model(space: StateSpace, indices) -> list[bool]:
+    """Is the smallest face containing each set of vertices the whole polytope?
 
-    Equivalent test: the barycenter of the vertices lies in the relative
-    interior of the state polytope, i.e. it admits a decomposition with
-    strictly positive weight on every vertex (checked by maximizing the
-    minimum weight). A list of index sets is solved in one kernel call and
-    gives one answer per set.
+    Equivalent test: the barycenter of the set lies in the relative interior
+    of the state polytope, i.e. it has a decomposition with positive weight
+    on every vertex. The barycenter's decompositions form a polytope, and
+    the average of its vertices is such a decomposition exactly when every
+    model vertex carries weight in one of them. Its vertices are the
+    barycenter's feasible basic solutions over the model's regular bases,
+    found as ``make_state`` finds a state's (``StateSpace._basic_solutions``).
+    So a set spans the model when the supports of those solutions cover
+    every vertex. No LP is solved: a list of index sets is solved in slices
+    of at most ``_SOLVE_VALUES`` basic-solution values and gives one answer
+    per set.
     """
     verts = space._verts
-    if np.ndim(indices[0]):
-        bary = np.array([verts[list(combo)].mean(axis=0) for combo in indices])
-    else:
-        bary = verts[list(indices)].mean(axis=0)
-    v = space.n_vertices
-    # variables: the weights w, then t = min w (w_i - t >= 0), maximized
-    a = np.vstack([np.hstack([verts.T, np.zeros((space.dim, 1))]),
-                   np.hstack([np.eye(v), -np.ones((v, 1))])])
-    rel = np.concatenate([np.zeros(space.dim), -np.ones(v)])
-    lower = np.append(np.zeros(v), -np.inf)
-    result = _solve(np.eye(v + 1)[v], a, rel,
-                    np.concatenate([bary, np.zeros((*bary.shape[:-1], v))], axis=-1),
-                    lower, np.full(v + 1, np.inf))
-    return _each(result, lambda r: r.status == "optimal" and r.value > 1e-9)
+    bary = np.array([verts[list(combo)].mean(axis=0) for combo in indices])
+    covered = np.zeros((len(indices), space.n_vertices), bool)
+    _, rows, _, bases, _ = space._spectrum_bases
+    step = max(1, _SOLVE_VALUES // (len(bases) * len(rows)))
+    for start in range(0, len(indices), step):
+        which, w = space._basic_solutions(bary[start:start + step])
+        np.logical_or.at(covered, start + which, w > _SUPPORT_TOL)
+    return covered.all(axis=1).tolist()
 
 
 def enumerate_frames(space: StateSpace) -> list[Frame]:

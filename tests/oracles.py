@@ -208,50 +208,58 @@ def scipy_lp_reference(lp):
     return "optimal", value
 
 
-def highs_frames(vertices: np.ndarray) -> list[tuple[int, ...]]:
-    """Frames of a polytope model, bottom-up, every LP solved by scipy's HiGHS.
+def highs_distinguishable(vertices: np.ndarray, combo) -> bool:
+    """Is the k x d witness LP of the vertex set ``combo`` feasible, by HiGHS?
 
-    ``vertices`` is V x d with the homogeneous 1 last. A k-set is
-    distinguishable when the k x d LP (one effect per vertex of the set, each
-    in [0, 1] on every vertex, summing to the unit functional, effect i equal
-    to 1 on vertex i and 0 on the others) is feasible; a set is tested once
-    all its one-smaller subsets passed. Frames are the maximal distinguishable
-    sets whose barycenter admits a decomposition with every weight above 1e-9.
+    One effect per vertex of the set, each in [0, 1] on every vertex, summing
+    to the unit functional, effect i equal to 1 on vertex i and 0 on the
+    others. ``vertices`` is V x d with the homogeneous 1 last.
     """
     verts = np.asarray(vertices, float)
     v, d = verts.shape
-    unit = np.eye(d)[-1]
+    k = len(combo)
+    cells = np.kron(np.eye(k), verts)
+    a_eq = np.vstack([np.tile(np.eye(d), k), np.kron(np.eye(k), verts[list(combo)])])
+    b_eq = np.concatenate([np.eye(d)[-1], np.eye(k).ravel()])
+    res = scipy.optimize.linprog(
+        np.zeros(k * d), A_ub=np.vstack([cells, -cells]),
+        b_ub=np.concatenate([np.ones(k * v), np.zeros(k * v)]),
+        A_eq=a_eq, b_eq=b_eq, bounds=(None, None), method="highs")
+    return res.status == 0
 
-    def distinguishable(combo):
-        k = len(combo)
-        cells = np.kron(np.eye(k), verts)
-        a_eq = np.vstack([np.tile(np.eye(d), k), np.kron(np.eye(k), verts[list(combo)])])
-        b_eq = np.concatenate([unit, np.eye(k).ravel()])
-        res = scipy.optimize.linprog(
-            np.zeros(k * d), A_ub=np.vstack([cells, -cells]),
-            b_ub=np.concatenate([np.ones(k * v), np.zeros(k * v)]),
-            A_eq=a_eq, b_eq=b_eq, bounds=(None, None), method="highs")
-        return res.status == 0
 
-    def spans(combo):
-        # maximize t subject to w >= t, w >= 0, sum_i w_i v_i = barycenter
-        res = scipy.optimize.linprog(
-            -np.eye(v + 1)[-1], A_ub=np.hstack([-np.eye(v), np.ones((v, 1))]),
-            b_ub=np.zeros(v), A_eq=np.hstack([verts.T, np.zeros((d, 1))]),
-            b_eq=verts[list(combo)].mean(axis=0),
-            bounds=[(0, None)] * v + [(None, None)], method="highs")
-        return res.status == 0 and -res.fun > 1e-9
+def highs_spans(vertices: np.ndarray, combo) -> bool:
+    """Does the barycenter of ``combo`` admit a decomposition with every weight above 1e-9?"""
+    verts = np.asarray(vertices, float)
+    v, d = verts.shape
+    # maximize t subject to w >= t, w >= 0, sum_i w_i v_i = barycenter
+    res = scipy.optimize.linprog(
+        -np.eye(v + 1)[-1], A_ub=np.hstack([-np.eye(v), np.ones((v, 1))]),
+        b_ub=np.zeros(v), A_eq=np.hstack([verts.T, np.zeros((d, 1))]),
+        b_eq=verts[list(combo)].mean(axis=0),
+        bounds=[(0, None)] * v + [(None, None)], method="highs")
+    return res.status == 0 and -res.fun > 1e-9
 
+
+def highs_frames(vertices: np.ndarray) -> list[tuple[int, ...]]:
+    """Frames of a polytope model, bottom-up, every LP solved by scipy's HiGHS.
+
+    ``vertices`` is V x d with the homogeneous 1 last. A set is tested with
+    ``highs_distinguishable`` once all its one-smaller subsets passed. Frames
+    are the maximal distinguishable sets that pass ``highs_spans``.
+    """
+    verts = np.asarray(vertices, float)
+    v = len(verts)
     passed = {frozenset([i]) for i in range(v)}
     for size in range(2, v + 1):
         level = [frozenset(c) for c in itertools.combinations(range(v), size)
                  if all(frozenset(c[:i] + c[i + 1:]) in passed for i in range(size))
-                 and distinguishable(c)]
+                 and highs_distinguishable(verts, c)]
         if not level:
             break
         passed.update(level)
     maximal = sorted(tuple(sorted(s)) for s in passed if not any(s < o for o in passed))
-    return [c for c in maximal if spans(c)]
+    return [c for c in maximal if highs_spans(verts, c)]
 
 
 def random_custom_vertex_sets(seed: int = 12345, count: int = 40):

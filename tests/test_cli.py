@@ -461,3 +461,23 @@ def test_flag_the_subcommand_does_not_read_exits_2(capsys, square_file, argv):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "SQUARE", "--state", "-0.5,0.1"],
+    ["entropy", "--general", "--model", "SQUARE", "--state", "-0.5,-0.1"],
+    ["majorize", "--model", "SQUARE", "--state", "0.1,0.2", "--other", "-0.5,0.1"],
+    ["majorize", "--p", "-0.5,1.5", "--q", "0.5,0.5"],
+    ["majorize", "--p", "0.5,0.5", "--q", "-1e-3,1.001"],
+], ids=["state", "state-general", "other", "p", "q"])
+def test_negative_number_list_is_the_flag_value(capsys, square_file, argv):
+    # "--flag -0.5,0.1" reads as "--flag=-0.5,0.1", not as an unknown option
+    argv = [square_file if a == "SQUARE" else a for a in argv]
+    i = next(i for i, a in enumerate(argv) if a[0] == "-" and a[1].isdigit())
+    attached = run(capsys, [*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]])
+    assert run(capsys, argv) == attached
+    code, out, err = attached
+    if argv[i - 1] in ("--p", "--q"):  # not probabilities
+        assert (code, out) == (2, "") and err.startswith("error: ")
+    else:
+        assert code == 0 and json.loads(out)

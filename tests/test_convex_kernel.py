@@ -173,6 +173,35 @@ def test_matches_the_loop_simplex_exactly_on_random_lps(rng):
     assert len(seen) == 3 + 5 + 3
 
 
+def test_multipliers_certify_each_optimum_of_a_stack(rng):
+    # min c.x over a x = b, x >= 0, and max c.x over a x <= b, x >= 0: the
+    # multipliers are dual feasible and b.y is the optimum. The last row is
+    # the sum of the first two in half of the LPs (redundant there) and
+    # random in the others; a stack gives each LP its lone solve's multipliers.
+    s, m, n = 12, 5, 9
+    a = rng.normal(size=(s, m, n))
+    a[::2, -1] = a[::2, 0] + a[::2, 1]
+    b = np.matmul(a, rng.uniform(0.1, 1.0, size=(s, n, 1)))[..., 0]
+    c = rng.uniform(0.5, 2.0, size=(s, n))
+    lower, upper = np.zeros(n), np.full(n, np.inf)
+    for rel, maximize in ((np.zeros(m), False), (np.ones(m), True)):
+        if maximize:
+            c = -c  # so that the maximum is bounded
+        stacked = convex_kernel._solve(c, a, rel, b, lower, upper, maximize, duals=True)
+        for i, result in enumerate(stacked):
+            assert result == convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper,
+                                                  maximize, duals=True)
+            y = np.asarray(result.duals)
+            reduced = c[i] - a[i].T @ y
+            assert (reduced <= 1e-8).all() if maximize else (reduced >= -1e-8).all()
+            if maximize:
+                assert (y >= -1e-8).all()  # a <= row's slack may not enter either
+            assert b[i] @ y == pytest.approx(result.value, abs=1e-8)
+        assert lp_solve(LinearProgram(n, tuple(c[0]), tuple(
+            Constraint(tuple(row), "<=" if maximize else "=", bound)
+            for row, bound in zip(a[0], b[0])), maximize=maximize)).duals is None
+
+
 @pytest.mark.parametrize("side", [0, 1])
 def test_nan_variable_bound_is_never_optimal(side):
     bound = [0.0, 2.0]

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +38,13 @@ from convexinfo.errors import (
     NotAState,
 )
 
-from oracles import highs_frames, loop_reference, random_custom_vertex_sets
+from oracles import (
+    highs_distinguishable,
+    highs_frames,
+    highs_spans,
+    loop_reference,
+    random_custom_vertex_sets,
+)
 
 
 def test_build_simplex3(simplex3):
@@ -123,14 +132,14 @@ def _count_lps(monkeypatch, entries=None) -> list:
     calls = []
     solve = gpt_models._solve
 
-    def recording(c, a, rel, b, *bounds):
+    def recording(c, a, rel, b, *bounds, **options):
         stack = np.broadcast_shapes(c.shape[:-1], a.shape[:-2], b.shape[:-1])
         each = [np.broadcast_to(x, stack + x.shape[-k:]) for x, k in ((c, 1), (a, 2), (b, 1))]
         calls.extend((each[0][i], each[1][i], rel, each[2][i], *bounds)
                      for i in np.ndindex(stack))
         if entries is not None:
             entries.append(math.prod(stack))
-        return solve(c, a, rel, b, *bounds)
+        return solve(c, a, rel, b, *bounds, **options)
 
     monkeypatch.setattr(gpt_models, "_solve", recording)
     return calls
@@ -349,13 +358,13 @@ def test_frames_match_highs_or_raise_on_random_custom_models():
         assert [f.vertex_indices for f in frames] == highs_frames(space.vertex_array()), t
         _assert_witnesses(space)
     assert valid == 38
-    # only t = 39 trips the simplex kernel's own check; t = 14 is answered
-    assert raising == {39}
+    # no model trips the simplex kernel's own check; t = 14 and t = 39 are answered
+    assert raising == set()
 
 
 def test_frames_random_custom_t17_keeps_the_frame_the_witness_lp_misses():
     # 9 points in R^3: the k x d witness LP wrongly finds (4, 5, 7) infeasible,
-    # so its witness is the screen's point completed by u - sum
+    # so its witness is the dual screen's multiplier point completed by u - sum
     points = dict(random_custom_vertex_sets())[17]
     space = build_model("custom_polytope", vertices=points)
     verts = space.vertex_array()
@@ -373,9 +382,64 @@ def test_screen_agrees_with_the_witness_lp_on_every_tested_set(kind, n, monkeypa
     space = build_model(kind, **_frame_model_args(kind, n))
     enumerate_frames(space)
     assert tested
-    for points in tested:
-        assert ((gpt_models._screen(space, points) is None)
-                == (gpt_models._distinguishing_effects(space, points) is None))
+    for stack in tested:  # one stack of point sets per call
+        for points in stack:
+            assert ((gpt_models._screen(space, points) is None)
+                    == (gpt_models._distinguishing_effects(space, points) is None))
+
+
+def test_dual_screen_matches_highs_and_its_multipliers_are_screen_points():
+    # seeded k-sets of random 12-16-point models in R^2-R^7; an optimal dual's
+    # multipliers, the free effects, must meet the screen's rows
+    rng = np.random.default_rng(8)
+    verdicts = set()
+    for dim, v in zip(range(2, 8), (12, 16, 14, 12, 16, 16)):
+        space = build_model("custom_polytope", vertices=rng.normal(size=(v, dim)))
+        verts = space.vertex_array()
+        for k in (2, 3, 4):
+            combos = sorted({tuple(sorted(rng.choice(v, k, replace=False).tolist()))
+                             for _ in range(20)})
+            found = gpt_models._screen(space, verts[np.array(combos)])
+            assert [effects is not None for effects in found] == [
+                highs_distinguishable(verts, combo) for combo in combos], (dim, k)
+            for combo, effects in zip(combos, found):
+                verdicts.add(effects is not None)
+                if effects is None:
+                    continue
+                cells, a_eq, b_eq = _screen_rows(space, verts[list(combo)])
+                x = effects[:-1].ravel()
+                assert (cells @ x).min() >= -convex_kernel.FEAS_TOL
+                assert (cells @ x).max() <= 1.0 + convex_kernel.FEAS_TOL
+                assert np.abs(a_eq @ x - b_eq).max() <= convex_kernel.FEAS_TOL
+                assert np.array_equal(effects[-1], space.unit() - effects[:-1].sum(axis=0))
+    assert verdicts == {True, False}
+
+
+def test_spans_from_the_bases_match_the_highs_spans_lp(monkeypatch):
+    # every maximal distinguishable set of each model, its coordinates rescaled
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "reference.json").read_text())
+    models = [("custom_polytope", {"vertices": points}) for _, points in random_custom_vertex_sets()]
+    models += [(kind, _frame_model_args(kind, n)) for kind, n in FRAME_MODELS]
+    models += [("custom_polytope", {"vertices": points}) for points in reference["custom"].values()]
+    calls = _record_calls(monkeypatch, "_spans_model")
+    answers = set()
+    for kind, args in models:
+        try:
+            space = build_model(kind, **args)
+        except DegenerateModel:
+            continue
+        calls.clear()
+        enumerate_frames(space)
+        (maximal,) = calls
+        for scale in (1e-3, 1.0, 1e3):
+            verts = space.vertex_array()
+            verts[:, :-1] *= scale
+            scaled = gpt_models.StateSpace(space.kind, tuple(map(tuple, verts.tolist())))
+            spans = gpt_models._spans_model(scaled, maximal)
+            assert spans == [highs_spans(verts, combo) for combo in maximal], (args, scale)
+            answers.update(spans)
+    assert answers == {True, False}
 
 
 def _twin_effect_lp(cells, a_eq, b_eq) -> LinearProgram:
@@ -388,32 +452,31 @@ def _twin_effect_lp(cells, a_eq, b_eq) -> LinearProgram:
                          bounds=((None, None),) * n)
 
 
-def _twin_screen_lp(space, points) -> LinearProgram:
+def _screen_rows(space, points):
+    """The screen's rows over k - 1 free effects: 0 <= cells x <= 1, a_eq x = b_eq."""
     k = len(points)
     verts = space.vertex_array()
     outside = verts[~(verts[:, None, :] == points).all(axis=2).any(axis=1)]
     cells = np.kron(np.eye(k - 1), outside)
     if k > 2:
         cells = np.vstack([cells, np.tile(outside, k - 1)])
-    return _twin_effect_lp(cells, np.kron(np.eye(k - 1), points), np.eye(k - 1, k).ravel())
+    return cells, np.kron(np.eye(k - 1), points), np.eye(k - 1, k).ravel()
+
+
+def _twin_screen_lp(space, points) -> LinearProgram:
+    # the screen's Farkas dual: min 1.y_hi + b_eq.z, cells^T (y_hi - y_lo) + a_eq^T z = 0
+    cells, a_eq, b_eq = _screen_rows(space, points)
+    m = len(cells)
+    cons = [Constraint(tuple(row), "=", 0.0) for row in np.hstack([cells.T, -cells.T, a_eq.T])]
+    return LinearProgram(n_vars=2 * m + len(b_eq), objective=(1.0,) * m + (0.0,) * m + tuple(b_eq),
+                         constraints=tuple(cons),
+                         bounds=((0.0, None),) * (2 * m) + ((None, None),) * len(b_eq),
+                         maximize=False)
 
 
 def _twin_witness_lp(space, points) -> LinearProgram:
     cells = np.kron(np.eye(len(points)), space.vertex_array())
     return _twin_effect_lp(cells, *gpt_models._witness_equalities(space, points))
-
-
-def _twin_spans_lp(space, indices) -> LinearProgram:
-    verts = space.vertex_array()
-    bary = verts[list(indices)].mean(axis=0)
-    v = space.n_vertices
-    cons = [Constraint(tuple(row), "=", float(c))
-            for row, c in zip(np.hstack([verts.T, np.zeros((space.dim, 1))]), bary)]
-    cons += [Constraint(tuple(row), ">=", 0.0)
-             for row in np.hstack([np.eye(v), -np.ones((v, 1))])]
-    return LinearProgram(n_vars=v + 1, objective=(0.0,) * v + (1.0,),
-                         constraints=tuple(cons),
-                         bounds=((0.0, None),) * v + ((None, None),))
 
 
 def _twin_decomposition_lp(vertices, point) -> LinearProgram:
@@ -429,8 +492,8 @@ def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
     results = []
     solve = gpt_models._solve
 
-    def recording(*args):
-        results.append(solve(*args))
+    def recording(*args, **options):
+        results.append(solve(*args, **options))
         return results[-1]
 
     monkeypatch.setattr(gpt_models, "_solve", recording)
@@ -440,7 +503,9 @@ def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
     def check(call, twin):
         results.clear()
         call()
-        assert [repr(r) for r in results] == [repr(lp_solve(twin))]
+        # lp_solve reports no multipliers; the screen's are checked against HiGHS
+        assert [repr(dataclasses.replace(r, duals=None)) for r in results] == [
+            repr(lp_solve(twin))]
         statuses.add(results[0].status)
 
     rng = np.random.default_rng(2024)
@@ -454,9 +519,8 @@ def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
                 check(lambda: gpt_models._screen(space, points), _twin_screen_lp(space, points))
                 check(lambda: gpt_models._distinguishing_effects(space, points),
                       _twin_witness_lp(space, points))
-                check(lambda: gpt_models._spans_model(space, combo),
-                      _twin_spans_lp(space, combo))
-    assert statuses == {"optimal", "infeasible"}
+    # the dual screens are optimal or unbounded, the witness LPs optimal or infeasible
+    assert statuses == {"optimal", "infeasible", "unbounded"}
 
     polytopes = [rng.normal(size=(v, d)) for v, d in ((4, 2), (6, 3), (9, 4), (12, 5))]
     heptagon = build_model("regular_polygon", n=7)
@@ -477,7 +541,7 @@ def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
     assert seen == {True}
 
 
-def test_twelve_gon_frames_cost_screen_and_spans_lps_only(monkeypatch):
+def test_twelve_gon_frames_cost_dual_screen_lps_only(monkeypatch):
     calls = {name: _record_calls(monkeypatch, name)
              for name in ("_screen", "_distinguishing_effects", "_spans_model")}
     entries = []
@@ -485,9 +549,9 @@ def test_twelve_gon_frames_cost_screen_and_spans_lps_only(monkeypatch):
     assert len(enumerate_frames(build_model("regular_polygon", n=12))) == 18
     assert {name: sum(map(_sets, made)) for name, made in calls.items()} == {
         "_screen": 48, "_distinguishing_effects": 0, "_spans_model": 18}
-    assert len(solved) == 66
-    # one stack of pair screens, then one stack of spans LPs
-    assert entries == [48, 18]
+    assert len(solved) == 48
+    # one stack of pair screens; the spans come from the model's bases
+    assert entries == [48]
 
 
 def test_simplex16_frame_comes_from_one_clique_jump(monkeypatch):
@@ -496,10 +560,11 @@ def test_simplex16_frame_comes_from_one_clique_jump(monkeypatch):
     solved = _count_lps(monkeypatch, entries)
     space = build_model("simplex", n=16)
     frames = enumerate_frames(space)
-    # the 120 pairs, the 560 triples, then the whole clique; one spans LP
-    assert len(guesses) <= 120 + 560 + 1
-    assert len(solved) == 1 and solved[0][0].any()  # the objective c
-    assert entries == [1]
+    # the 120 pairs, the 560 triples, then the whole clique; the spans come
+    # from the model's one basis, so no LP
+    assert sum(map(_sets, guesses)) <= 120 + 560 + 1
+    assert solved == []
+    assert entries == []
     assert [f.vertex_indices for f in frames] == [tuple(range(16))]
     effects = np.array([e.coeffs for e in frames[0].effects])
     # effect i reads the barycentric coordinate i
