@@ -139,7 +139,8 @@ class StateSpace:
         ``itertools.combinations`` order of the bases.
         """
         a, rows, scale, bases, sub = self._spectrum_bases
-        b = np.hstack([points, np.ones((len(points), 1))])
+        b = np.ones((len(points), points.shape[1] + 1))  # each point, then sum w = 1
+        b[:, :-1] = points
         b_r = (b[:, rows] / scale).T
         x = np.linalg.solve(sub, np.broadcast_to(b_r, (len(sub), *b_r.shape)))
         which, basis = (x.min(axis=1) >= -_FEAS_TOL).T.nonzero()
@@ -607,9 +608,12 @@ def enumerate_frames(space: StateSpace) -> list[Frame]:
     the tie order downstream consumers rely on.
 
     Distinguishability is inherited by subsets, so sets are tested level by
-    level and a set only once all its one-smaller subsets passed. A set is
-    tested with the least-squares witness, else with the screen LP; the
-    witness LP runs only for kept frames the least-squares witness missed.
+    level and a set only once all its one-smaller subsets passed. What
+    decides a set is its least-squares witness, else the status of the
+    screen's dual (``_screen``). What witnesses a kept frame is its
+    least-squares witness, else the k x d witness LP, else the dual's
+    checked multiplier point. Whether a maximal set spans the model is read
+    from the model's bases (``_spans_model``); no LP decides it.
     Clique rule: a distinguishable set is a clique of the graph of
     distinguishable pairs, so after a level s >= 3 every maximal clique
     whose s-subsets all passed is tested whole, once. If it passes it is a
