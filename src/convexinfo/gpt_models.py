@@ -413,54 +413,45 @@ def _witness_equalities(space: StateSpace, points: np.ndarray):
     return a_eq, b_eq
 
 
-def _least_squares_effects(space: StateSpace, points: np.ndarray):
+def _least_squares_effects(space: StateSpace, points: np.ndarray) -> list[list[GptEffect] | None]:
     """The minimum-norm solution of the witness equalities, if it is a witness.
 
     It is the symmetric, canonical witness on well-behaved models; None when
-    it leaves [0, 1] on some vertex or misses the equalities. A stack of
-    point sets (s, k, d) gives one answer per set: ``np.linalg.lstsq`` solves
-    each set alone, and the checks run on the whole stack.
+    it leaves [0, 1] on some vertex or misses the equalities. ``points`` is
+    a stack of point sets (s, k, d), and the answer a list of one per set:
+    ``np.linalg.lstsq`` solves each set alone, the checks run on the stack.
     """
-    *lead, k, d = points.shape
     a_eq, b_eq = _witness_equalities(space, points)
-    a_eq = a_eq.reshape(-1, *a_eq.shape[-2:])
     x = np.array([np.linalg.lstsq(a, b_eq, rcond=None)[0] for a in a_eq])
-    effects = x.reshape(-1, k, d)
+    effects = x.reshape(points.shape)
     values = effects @ space._verts.T
     good = ((np.abs(np.matmul(a_eq, x[..., None])[..., 0] - b_eq).max(axis=1) <= 1e-9)
             & (values.min(axis=(1, 2)) >= -TOL) & (values.max(axis=(1, 2)) <= 1.0 + TOL))
-    found = [[GptEffect(coeffs=tuple(e)) for e in set_effects] if ok else None
-             for set_effects, ok in zip(effects, good.tolist())]
-    return found if lead else found[0]
-
-
-def _effect_lp(cells: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray):
-    """Feasibility LP over free effect coefficients: 0 <= cells @ x <= 1, a_eq @ x = b_eq.
-
-    ``cells`` and ``a_eq`` may each be one matrix or a stack of them.
-    """
-    # a >= 0 and a <= 1 row per cell, then the equality rows
-    (m, n), lead = cells.shape[-2:], np.broadcast_shapes(cells.shape[:-2], a_eq.shape[:-2])
-    a = np.concatenate([np.broadcast_to(np.repeat(cells, 2, axis=-2), (*lead, 2 * m, n)),
-                        np.broadcast_to(a_eq, (*lead, *a_eq.shape[-2:]))], axis=-2)
-    return _solve(np.zeros(n), a,
-                  np.concatenate([np.tile([-1.0, 1.0], m), np.zeros(a_eq.shape[-2])]),
-                  np.concatenate([np.tile([0.0, 1.0], m), b_eq]),
-                  np.full(n, -np.inf), np.full(n, np.inf))
+    return [[GptEffect(coeffs=tuple(e)) for e in set_effects] if ok else None
+            for set_effects, ok in zip(effects, good.tolist())]
 
 
 def _distinguishing_effects(space: StateSpace, points: np.ndarray):
     """Witness LP for perfect distinguishability: the effects, or None if it finds none.
 
-    Variables are the stacked coefficients of one effect per point; each
-    effect must stay in [0, 1] on every vertex and meet the witness
-    equalities. Frame enumeration runs it only for kept frames whose
-    least-squares witness failed; the verdict itself comes from ``_screen``.
-    A stack of point sets (s, k, d) is solved in one kernel call and gives
-    one answer per set.
+    Variables are the stacked coefficients of one effect per point, free;
+    each effect must stay in [0, 1] on every vertex (0 <= cells @ x <= 1)
+    and meet the witness equalities. Frame enumeration runs it only for kept
+    frames whose least-squares witness failed; the verdict itself comes from
+    ``_screen``. A stack of point sets (s, k, d) is solved in one kernel call
+    and gives one answer per set.
     """
     k, d = points.shape[-2:]
-    result = _effect_lp(_block_diagonal(space._verts, k), *_witness_equalities(space, points))
+    cells = _block_diagonal(space._verts, k)
+    a_eq, b_eq = _witness_equalities(space, points)
+    # a >= 0 and a <= 1 row per cell, then the equality rows
+    (m, n), lead = cells.shape, a_eq.shape[:-2]
+    a = np.concatenate([np.broadcast_to(np.repeat(cells, 2, axis=0), (*lead, 2 * m, n)), a_eq],
+                       axis=-2)
+    result = _solve(np.zeros(n), a,
+                    np.concatenate([np.tile([-1.0, 1.0], m), np.zeros(len(b_eq))]),
+                    np.concatenate([np.tile([0.0, 1.0], m), b_eq]),
+                    np.full(n, -np.inf), np.full(n, np.inf))
     return _each(result, lambda r: None if r.status != "optimal" else [
         GptEffect(coeffs=tuple(e)) for e in np.asarray(r.point, float).reshape(k, d)])
 
@@ -536,7 +527,7 @@ def perfectly_distinguishable(space: StateSpace, states) -> bool:
     if len(states) < 2:
         raise ValidationError("need at least 2 states to distinguish")
     points = np.asarray([st.point for st in states], float)
-    return (_least_squares_effects(space, points) is not None
+    return (_least_squares_effects(space, points[None])[0] is not None
             or _screen(space, points) is not None)
 
 

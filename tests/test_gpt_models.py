@@ -419,9 +419,10 @@ def test_spans_from_the_bases_match_the_highs_spans_lp(monkeypatch):
     # every maximal distinguishable set of each model, its coordinates rescaled
     reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                             / "reference.json").read_text())
-    models = [("custom_polytope", {"vertices": points}) for _, points in random_custom_vertex_sets()]
+    customs = [points for _, points in random_custom_vertex_sets()]
+    customs += reference["custom"].values()
+    models = [("custom_polytope", {"vertices": points}) for points in customs]
     models += [(kind, _frame_model_args(kind, n)) for kind, n in FRAME_MODELS]
-    models += [("custom_polytope", {"vertices": points}) for points in reference["custom"].values()]
     calls = _record_calls(monkeypatch, "_spans_model")
     answers = set()
     for kind, args in models:
