@@ -12,8 +12,7 @@ enumerates cold in its first pass (``LADDER``); ``ladder_seconds`` sums
 their medians. One more run, not timed, counts the work by wrapping library
 functions: least-squares guesses (calls of ``np.linalg.lstsq``), kernel
 entries (calls of ``gpt_models._solve``), LPs by the library function they
-were solved for (``_screen``: screen LPs, or dual screen LPs when every row
-is an equality; ``_spans_model``: spans LPs; any other: k x d witness LPs)
+were solved for (``_screen``: dual screen LPs; any other: k x d witness LPs)
 and simplex pivots. A kernel entry solves one LP,
 or one LP per entry of a stack axis on its ``c``, ``a`` or ``b`` argument; a
 call of ``convex_kernel._pivot`` pivots one LP per entry of its column
@@ -104,17 +103,13 @@ def _counted(convex_kernel, gpt_models, np, enumerate_once) -> Counter:
     """Enumerate once with every counted function wrapped; restore them after."""
     counts = Counter()
     solve, pivot, lstsq = gpt_models._solve, convex_kernel._pivot, np.linalg.lstsq
-    kinds = {"_screen": "screen_lps", "_spans_model": "spans_lps"}
 
     def counting_solve(c, a, rel, b, *rest, **options):
         caller = sys._getframe(1)
-        while caller is not None and caller.f_code.co_name not in kinds:
+        while caller is not None and caller.f_code.co_name != "_screen":
             caller = caller.f_back
         stack = np.broadcast_shapes(c.shape[:-1], a.shape[:-2], b.shape[:-1])
-        kind = kinds[caller.f_code.co_name] if caller else "witness_lps"
-        if kind == "screen_lps" and not rel.any():  # equality rows only: the Farkas dual
-            kind = "dual_screen_lps"
-        counts[kind] += int(np.prod(stack))
+        counts["dual_screen_lps" if caller else "witness_lps"] += int(np.prod(stack))
         counts["kernel_entries"] += 1
         return solve(c, a, rel, b, *rest, **options)
 
@@ -160,9 +155,8 @@ def measure() -> dict:
                           lambda: enumerate_frames(build_model(kind, **args)))
         results[label] = {
             "seconds": statistics.median(times), "frames": len(frames),
-            **{key: counts[key] for key in ("guesses", "screen_lps", "dual_screen_lps",
-                                            "witness_lps", "spans_lps", "kernel_entries",
-                                            "pivots")}}
+            **{key: counts[key] for key in ("guesses", "dual_screen_lps", "witness_lps",
+                                            "kernel_entries", "pivots")}}
     results["ladder_seconds"] = sum(results[label]["seconds"] for label in LADDER)
     return results
 

@@ -252,6 +252,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValidationError(f"--grid expects numbers in start:stop:count, got {text!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"--grid start and stop must be finite, got {text!r}")
     if count < 1:
         raise ValidationError("--grid count must be >= 1")
     if count > MAX_GRID_POINTS:

@@ -73,13 +73,18 @@ class JointState:
     table: tuple[tuple[float, ...], ...]
 
     def __init__(self, table):
-        t = np.asarray(table, float)
+        try:
+            t = np.asarray(table, float)
+        except (TypeError, ValueError):
+            raise DimensionMismatch("joint table must be a 2-d array of numbers") from None
         if t.ndim != 2:
             raise DimensionMismatch("joint table must be a 2-d array")
+        if not t.size:
+            raise DimensionMismatch("joint table is empty")
         if not np.all(np.isfinite(t)):
             raise NotNormalized("joint table must be finite")
         if abs(t[-1, -1] - 1.0) > TOL:
-            raise NotNormalized(f"u_AB evaluates to {t[-1, -1]!r}, not 1")
+            raise NotNormalized(f"u_AB evaluates to {float(t[-1, -1])!r}, not 1")
         object.__setattr__(self, "table", tuple(tuple(float(x) for x in row) for row in t))
 
     def as_array(self) -> np.ndarray:

@@ -117,8 +117,9 @@ def _run_simplex(tableau, basis, costs, n_enter):
     except column ``n_enter`` itself: it is zero and counts as improving, so it
     enters exactly when no other column can, and then finds no row to pivot
     on. Each LP takes its own pivots and all that still pivot advance
-    together; a finished LP is left as it is. Returns two flags per LP:
-    unbounded (else optimal), and still pivoting at the pivot cap.
+    together; an LP leaves the live stack as soon as it finishes. Returns two
+    flags per LP: unbounded (else optimal), and still pivoting at the pivot
+    cap.
     """
     s, m = basis.shape
     unbounded, capped = np.zeros(s, bool), np.zeros(s, bool)
@@ -142,36 +143,29 @@ def _run_simplex(tableau, basis, costs, n_enter):
         n_going = np.count_nonzero(going)
         if n_going < len(members):
             # an LP that takes no pivot now is finished: unbounded when a
-            # column improves, optimal otherwise
-            unbounded[members] |= ~going & (entering < n_enter)
+            # column improves, optimal otherwise; it leaves the live stack
+            done = ~going
+            unbounded[members] |= done & (entering < n_enter)
             if n_going == 0:
                 break
+            if live_t is not tableau:
+                tableau[members[done]], basis[members[done]] = live_t[done], live_b[done]
+            pivoting = going.nonzero()[0]
+            live_t, live_b, members = live_t[pivoting], live_b[pivoting], members[pivoting]
+            if shared is None:
+                costs = costs[pivoting]
+            every, reduced = every[:n_going], reduced[:n_going]
+            body, rhs = live_t[:, :, :n_enter], live_t[:, :, -1]
+            entering_costs, improving = costs[:, :n_enter], reduced[:, :n_enter]
+            ratios, least = ratios[pivoting], least[pivoting]
+            entering, column = entering[pivoting], column[pivoting]
         # ratios within _EPS of the minimum tie and go to the smallest basis
         # index (Bland); rows that cannot pivot have ratio inf
         leaving = np.where(ratios > least[:, None] + _EPS, live_t.shape[2],
                            live_b).argmin(axis=1)
-        if n_going == len(members):
-            _pivot(live_t, live_b, leaving, entering, column, every)
-            continue
-        pivoting = going.nonzero()[0]
-        if 2 * n_going > len(members):
-            some_t, some_b = live_t[pivoting], live_b[pivoting]
-            _pivot(some_t, some_b, leaving[pivoting], entering[pivoting], column[pivoting],
-                   every[:n_going])
-            live_t[pivoting], live_b[pivoting] = some_t, some_b
-            continue
-        # drop the finished LPs from the live stack
-        if live_t is not tableau:
-            tableau[members], basis[members] = live_t, live_b
-        live_t, live_b, members = live_t[pivoting], live_b[pivoting], members[pivoting]
-        if shared is None:
-            costs = costs[pivoting]
-        every, ratios, reduced = every[:n_going], ratios[:n_going], reduced[:n_going]
-        body, rhs, entering_costs = live_t[:, :, :n_enter], live_t[:, :, -1], costs[:, :n_enter]
-        improving = reduced[:, :n_enter]
-        _pivot(live_t, live_b, leaving[pivoting], entering[pivoting], column[pivoting], every)
+        _pivot(live_t, live_b, leaving, entering, column, every)
     else:
-        capped[members[going]] = True
+        capped[members] = True
     if live_t is not tableau:
         tableau[members], basis[members] = live_t, live_b
     return unbounded, capped
@@ -194,7 +188,6 @@ class _Layout(NamedTuple):
     at_most: np.ndarray  # the <= rows
     columns2: np.ndarray  # the columns of phase 2: no artificials
     crossed: bool  # some lower bound lies above its upper bound
-    bounds: tuple[bytes, bytes]  # the key's lower and upper bounds
 
 
 @functools.lru_cache(maxsize=256)
@@ -229,7 +222,7 @@ def _layout(rel_bytes: bytes, lower_bytes: bytes, upper_bytes: bytes) -> _Layout
                      np.arange(n_cols, n_cols + m)[None],
                      (lower - FEAS_TOL, upper + FEAS_TOL), rel < 0, rel > 0,
                      np.append(np.arange(n_cols), [n_cols + m, n_cols + m + 1]),
-                     bool((upper < lower - FEAS_TOL).any()), (lower_bytes, upper_bytes))
+                     bool((upper < lower - FEAS_TOL).any()))
     for array in (*layout[:5], *layout[6:9], *layout[9], *layout[10:13]):
         array.flags.writeable = False  # every LP of this layout shares them
     return layout
@@ -257,6 +250,9 @@ def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True, duals=Fal
     With ``duals`` an optimal result also carries the row multipliers of its
     final basis (``_multipliers``).
 
+    A row bounded by an infinity becomes 0 <= 0 in place when it holds for
+    every x (<= +inf, >= -inf), and makes its LP infeasible otherwise.
+
     A leading stack axis on ``c_orig``, ``con_a`` or ``con_b`` makes a stack of
     same-shape LPs that share the relations and the variable bounds. They are
     solved together, and the call returns a list with one result per LP, each
@@ -274,45 +270,33 @@ def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True, duals=Fal
     lay = _layout(con_rel.tobytes(), lower.tobytes(), upper.tobytes())
     if lay.crossed:
         results = [LpResult("infeasible", None, None)] * s
-    elif stacked and np.isinf(con_b).any():
-        # rows bounded by an infinity leave the tableau, so the LPs may no
-        # longer share a shape: each is solved alone
-        results = [_solve(c[i], a[i], con_rel, b[i], lower, upper, maximize, duals)
-                   for i in range(s)]
     else:
         # a bound on one LP's tableau: every row and box row with a slack and
         # an artificial column, and two columns for each free variable
         rows = m + n
         step = max(1, _STACK_CELLS // (rows * (2 * n + 2 * rows + 2) + 1))
-        if s <= step:
-            results = _solve_stack(c, a, b, lay, maximize, duals)
-        else:
-            results = [result for i in range(0, s, step) for result in _solve_stack(
-                c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize, duals)]
+        results = [result for i in range(0, s, step) for result in _solve_stack(
+            c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize, duals)]
     return results if stacked else results[0]
 
 
 def _solve_stack(c, a, b, lay: _Layout, maximize, duals=False) -> list[LpResult]:
     """``_solve`` on a stack (s, m, n) of LPs, all of them in one simplex run."""
     s, m_con = len(a), a.shape[1]
-    finite = np.ones(m_con, bool)  # the rows that enter the tableau
     errors: dict[int, str] = {}  # the first failure of each failing LP
+    void = np.zeros(s, bool)  # the LPs an infinite row makes infeasible
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         nan = np.isnan(a).any(axis=(1, 2)) | np.isnan(b).any(axis=1)
         errors.update(dict.fromkeys(nan.nonzero()[0].tolist(),
                                     "constraint coefficients and bounds must not be NaN"))
-        # a failing LP solves zeros in its place
-        a = np.where(nan[:, None, None], 0.0, a)
-        b = np.where(nan[:, None], 0.0, b)
-        if np.isinf(b).any():  # a single LP: _solve splits stacks first
-            # a row bounded by +-inf holds for every x when the infinity's
-            # sign is its slack's (<= +inf, >= -inf) and for none otherwise;
-            # it never enters the tableau
-            finite, rel = np.isfinite(b[0]), lay.rel[:b.shape[1]]
-            if (np.sign(b[0, ~finite]) != rel[~finite]).any():
-                return [LpResult("infeasible", None, None)]
-            a, b = a[:, finite], b[:, finite]
-            lay = _layout(rel[finite].tobytes(), *lay.bounds)
+        # a row bounded by +-inf holds for every x when the infinity's sign
+        # is its slack's (<= +inf, >= -inf), and becomes 0 <= 0; it holds
+        # for no x otherwise, and makes its LP infeasible
+        infinite = np.isinf(b)
+        void = (infinite & (np.sign(b) != lay.rel[:m_con])).any(axis=1)
+        # a failing or infeasible LP solves zeros in its place
+        a = np.where((nan | void)[:, None, None] | infinite[:, :, None], 0.0, a)
+        b = np.where((nan | void)[:, None] | infinite, 0.0, b)
     if len(lay.box_b):
         a = np.concatenate([a, np.broadcast_to(lay.box_a, (s, *lay.box_a.shape))], axis=1)
         b = np.concatenate([b, np.broadcast_to(lay.box_b, (s, len(lay.box_b)))], axis=1)
@@ -329,13 +313,12 @@ def _solve_stack(c, a, b, lay: _Layout, maximize, duals=False) -> list[LpResult]
     rhs[neg] *= -1.0
     basis = np.repeat(lay.artificials, s, axis=0)
     unbounded, capped = _run_simplex(tableau, basis, lay.costs1, n_cols + m)
-    if capped.any() or unbounded.any():
-        for i in capped.nonzero()[0].tolist():
-            errors.setdefault(i, "simplex did not terminate within the pivot cap")
-        for i in unbounded.nonzero()[0].tolist():
-            # cannot happen: the phase-1 objective is bounded below by 0
-            errors.setdefault(i, "phase 1 reported unbounded")
-    feasible = ~(np.vecdot(lay.costs1[0, basis], rhs) > FEAS_TOL)
+    for i in capped.nonzero()[0].tolist():
+        errors.setdefault(i, "simplex did not terminate within the pivot cap")
+    for i in unbounded.nonzero()[0].tolist():
+        # cannot happen: the phase-1 objective is bounded below by 0
+        errors.setdefault(i, "phase 1 reported unbounded")
+    feasible = ~((np.vecdot(lay.costs1[0, basis], rhs) > FEAS_TOL) | void)
     if errors:
         feasible[list(errors)] = False
     go = feasible.nonzero()[0]
@@ -380,7 +363,7 @@ def _solve_stack(c, a, b, lay: _Layout, maximize, duals=False) -> list[LpResult]
         costs[:, :n_y] = (-1.0 if maximize else 1.0) * np.matmul(c[:, None], lay.t)[:, 0]
         unbounded, capped = _run_simplex(tableau, basis, costs, n_cols)
         if duals:  # the box rows come after the constraint rows
-            multipliers[:, finite] = _multipliers(c, a, lay, basis, rows)[:, :finite.sum()]
+            multipliers = _multipliers(c, a, lay, basis, rows)[:, :m_con]
     y = np.zeros((go.size, tableau.shape[2]))
     y[np.arange(go.size)[:, None], basis] = tableau[:, :, -1]
     x = lay.offsets + np.matmul(lay.t, y[:, :n_y, None])[:, :, 0]

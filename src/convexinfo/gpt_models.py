@@ -46,8 +46,7 @@ _FEAS_TOL = 1e-9
 _RECON_TOL = 1e-8
 #: A basic solution's weight above this counts toward its support. Weights
 #: sum to 1 whatever the coordinates' scale, and a clipped feasible weight that
-#: is 0 in exact arithmetic stays within rounding of 0, far below it. It is the
-#: bound the spans LP put on a set's largest smallest weight.
+#: is 0 in exact arithmetic stays within rounding of 0, far below it.
 _SUPPORT_TOL = 1e-9
 #: Largest batch of basic-solution values that one spans solve holds; more sets
 #: are solved in slices under it, so peak memory stays bounded.
@@ -319,7 +318,11 @@ def make_state(space: StateSpace, coords) -> GptState:
     Raises ``NotAState`` when the point is not finite or no model basis decomposes
     it (``_decomposition_vertices``; the spectrum reuses the vertices found).
     """
-    c = np.asarray(coords, float)
+    try:
+        c = np.asarray(coords, float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"expected {space.dim - 1} coordinates, got a ragged or "
+                                "non-numeric sequence") from None
     if c.shape != (space.dim - 1,):
         raise DimensionMismatch(f"expected {space.dim - 1} coordinates, got {c.shape}")
     if not np.all(np.isfinite(c)):
@@ -358,7 +361,11 @@ def mix_state(space: StateSpace, weights) -> GptState:
 
 def make_effect(space: StateSpace, coeffs) -> GptEffect:
     """Validate affine-functional coefficients against all vertices."""
-    e = np.asarray(coeffs, float)
+    try:
+        e = np.asarray(coeffs, float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"expected {space.dim} coefficients, got a ragged or "
+                                "non-numeric sequence") from None
     if e.shape != (space.dim,):
         raise DimensionMismatch(f"expected {space.dim} coefficients, got {e.shape}")
     values = space.vertex_array() @ e

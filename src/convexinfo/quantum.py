@@ -10,6 +10,7 @@ the known optimum is reachable whenever the pair is Schur-concave).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ def _as_complex_matrix(entries, error=InvalidDensityMatrix) -> np.ndarray:
         raise error("expected a square matrix of numbers") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise error(f"expected a square matrix, got shape {m.shape}")
+    if not m.size:
+        raise error("expected a matrix with at least one entry")
     return m
 
 
@@ -235,6 +238,10 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
     outcome count (fewest first), then the refinement steps in turn. A
     candidate replaces the best only if it improves on it by more than 1e-15.
     """
+    try:
+        budget = operator.index(budget)
+    except TypeError:
+        raise BadParameter(f"budget must be an integer, got {budget!r}") from None
     if budget < 1:
         raise DimensionMismatch("budget must be >= 1")
     if budget > MAX_SEARCH_BUDGET:
@@ -283,11 +290,16 @@ def holevo_chi(e: Ensemble) -> float:
 
 def mutual_information(joint) -> float:
     """I(X:Y) = H(X) + H(Y) - H(X,Y) in nats for a joint probability table."""
-    j = np.asarray(joint, float)
+    try:
+        j = np.asarray(joint, float)
+    except (TypeError, ValueError):
+        raise NotNormalized("joint table must be a 2-d array of numbers") from None
     if j.ndim != 2:
         raise NotNormalized("joint table must be a 2-d array")
+    if not j.size:
+        raise NotNormalized("joint table is empty")
     if np.min(j) < -TOL:
-        raise NotNormalized(f"negative joint probability {np.min(j)!r}")
+        raise NotNormalized(f"negative joint probability {float(np.min(j))!r}")
     total = float(j.sum())
     if abs(total - 1.0) > TOL:
         raise NotNormalized(f"joint probabilities sum to {total!r}, not 1")

@@ -481,3 +481,17 @@ def test_negative_number_list_is_the_flag_value(capsys, square_file, argv):
         assert (code, out) == (2, "") and err.startswith("error: ")
     else:
         assert code == 0 and json.loads(out)
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["sweep", "--family", "renyi", "--grid", "1.5:inf:3", "--p", "0.5,0.5"],
+     "error: --grid start and stop must be finite, got '1.5:inf:3'\n"),
+    (["sweep", "--family", "renyi", "--grid", "nan:2:3", "--p", "0.5,0.5"],
+     "error: --grid start and stop must be finite, got 'nan:2:3'\n"),
+    (["separable", "--model-a", "SQUARE", "--model-b", "SQUARE", "--joint", "HALF"],
+     "error: u_AB evaluates to 0.5, not 1\n"),
+], ids=["grid-inf", "grid-nan", "u_AB"])
+def test_error_names_the_value_given(capsys, tmp_path, square_file, argv, shown):
+    half = _write_json(tmp_path, "joint.json", [[1, 0, 0], [0, 1, 0], [0, 0, 0.5]])
+    argv = [{"SQUARE": square_file, "HALF": half}.get(a, a) for a in argv]
+    assert run(capsys, argv) == (2, "", shown)

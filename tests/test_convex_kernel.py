@@ -416,3 +416,23 @@ def test_a_stack_raises_the_error_of_its_first_failing_lp():
     with pytest.raises(LpNumericalError) as raised:
         convex_kernel._solve(c, a, rel, b, lower, upper, maximize)
     assert str(raised.value) == error
+
+
+def test_infinite_rows_keep_the_stack_whole(monkeypatch):
+    # max x + y s.t. x + y <= b0, x - y >= b1, x <= 3, y <= 3: in LP 0 both
+    # infinite rows hold for every x, in LP 1 the first holds for none
+    inf = np.inf
+    c, rel = np.ones(2), np.array([1.0, -1.0, 1.0, 1.0])
+    a = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    b = np.array([[inf, -inf, 3.0, 3.0], [-inf, 0.0, 3.0, 3.0], [5.0, 0.0, 3.0, 3.0]])
+    lower, upper = np.zeros(2), np.full(2, inf)
+    alone = [repr(convex_kernel._solve(c, a, rel, row, lower, upper, duals=True)) for row in b]
+    entries = []
+    solve_stack = convex_kernel._solve_stack
+    monkeypatch.setattr(convex_kernel, "_solve_stack",
+                        lambda *args, **kw: entries.append(1) or solve_stack(*args, **kw))
+    stacked = convex_kernel._solve(c, a, rel, b, lower, upper, duals=True)
+    assert len(entries) == 1
+    assert [repr(r) for r in stacked] == alone
+    assert [r.status for r in stacked] == ["optimal", "infeasible", "optimal"]
+    assert stacked[0].point == (3.0, 3.0) and stacked[0].duals[:2] == (0.0, 0.0)

@@ -6,13 +6,17 @@ import pytest
 from convexinfo import (
     DensityMatrix,
     Ensemble,
+    JointState,
     Povm,
     ProbVector,
     accessible_info_estimate,
     born_probabilities,
+    build_model,
     eigen_spectrum,
     holevo_chi,
+    make_effect,
     make_preset,
+    make_state,
     mutual_information,
     quantum_entropy,
     quantum_entropy_min_search,
@@ -358,3 +362,33 @@ def test_stacked_born_statistics_match_the_loop_reference(rng):
         assert accessible_info_estimate(ensemble, Povm(povm)) == pytest.approx(
             loop_reference.accessible_info_estimate(reference, loop_reference.Povm(povm)),
             abs=1e-14)
+
+
+def _square():
+    return build_model("regular_polygon", n=4)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: DensityMatrix(np.zeros((0, 0))), InvalidDensityMatrix),
+    (lambda: Povm([np.zeros((0, 0))]), InvalidPovm),
+    *((lambda t=table: JointState(t), DimensionMismatch)
+      for table in ("abc", [[1, 0], [0]], np.zeros((0, 0)))),
+    *((lambda t=table: mutual_information(t), NotNormalized)
+      for table in ("abc", [[1, 0], [0]], np.zeros((0, 0)))),
+    (lambda: make_state(_square(), ["a", 0]), DimensionMismatch),
+    (lambda: make_state(_square(), [[0], [0, 1]]), DimensionMismatch),
+    (lambda: make_effect(_square(), ["a", 0, 0]), DimensionMismatch),
+    (lambda: make_effect(_square(), [[0], [0, 1], 1]), DimensionMismatch),
+    (lambda: quantum_entropy_min_search(make_preset("shannon"), MIXED, budget=2.5), BadParameter),
+    (lambda: quantum_entropy_min_search(make_preset("shannon"), MIXED, budget="5"), BadParameter),
+], ids=["density-0x0", "povm-0x0", "joint-text", "joint-ragged", "joint-0x0", "mi-text",
+        "mi-ragged", "mi-0x0", "state-text", "state-ragged", "effect-text", "effect-ragged",
+        "budget-float", "budget-text"])
+def test_empty_ragged_or_non_numeric_input_is_a_validation_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_negative_joint_probability_prints_a_plain_float():
+    with pytest.raises(NotNormalized, match=r"^negative joint probability -0\.1$"):
+        mutual_information([[1.1, -0.1], [0.0, 0.0]])
