@@ -364,21 +364,19 @@ def test_stacked_born_statistics_match_the_loop_reference(rng):
             abs=1e-14)
 
 
-def _square():
-    return build_model("regular_polygon", n=4)
-
-
 @pytest.mark.parametrize("call, error", [
     (lambda: DensityMatrix(np.zeros((0, 0))), InvalidDensityMatrix),
     (lambda: Povm([np.zeros((0, 0))]), InvalidPovm),
-    *((lambda t=table: JointState(t), DimensionMismatch)
-      for table in ("abc", [[1, 0], [0]], np.zeros((0, 0)))),
-    *((lambda t=table: mutual_information(t), NotNormalized)
-      for table in ("abc", [[1, 0], [0]], np.zeros((0, 0)))),
-    (lambda: make_state(_square(), ["a", 0]), DimensionMismatch),
-    (lambda: make_state(_square(), [[0], [0, 1]]), DimensionMismatch),
-    (lambda: make_effect(_square(), ["a", 0, 0]), DimensionMismatch),
-    (lambda: make_effect(_square(), [[0], [0, 1], 1]), DimensionMismatch),
+    (lambda: JointState("abc"), DimensionMismatch),
+    (lambda: JointState([[1, 0], [0]]), DimensionMismatch),
+    (lambda: JointState(np.zeros((0, 0))), DimensionMismatch),
+    (lambda: mutual_information("abc"), NotNormalized),
+    (lambda: mutual_information([[1, 0], [0]]), NotNormalized),
+    (lambda: mutual_information(np.zeros((0, 0))), NotNormalized),
+    (lambda: make_state(build_model("regular_polygon", n=4), ["a", 0]), DimensionMismatch),
+    (lambda: make_state(build_model("regular_polygon", n=4), [[0], [0, 1]]), DimensionMismatch),
+    (lambda: make_effect(build_model("regular_polygon", n=4), ["a", 0, 0]), DimensionMismatch),
+    (lambda: make_effect(build_model("regular_polygon", n=4), [[0], [0, 1], 1]), DimensionMismatch),
     (lambda: quantum_entropy_min_search(make_preset("shannon"), MIXED, budget=2.5), BadParameter),
     (lambda: quantum_entropy_min_search(make_preset("shannon"), MIXED, budget="5"), BadParameter),
 ], ids=["density-0x0", "povm-0x0", "joint-text", "joint-ragged", "joint-0x0", "mi-text",
