@@ -36,7 +36,10 @@ per later op, and ``regular_bases`` the largest stack one solve call
 solved, which is the number of regular bases.
 
 ``--parent DIR`` measures the checkout in DIR the same way, each checkout in
-its own interpreter. It then runs ``perfbench/run.py --seconds 16`` in both
+its own interpreter. Those interpreters run with ``MEASURE_ENV``, which the
+JSON records: OpenBLAS's threaded least squares sometimes takes a hundred
+times its usual 2 ms on simplex 10, and one thread keeps the cold timings
+steady. It then runs ``perfbench/run.py --seconds 16`` in both
 checkouts for seeds 1..PAIRS and the hold-out seed 7919, alternating which
 goes first, on every workload in ``WORKLOADS``, and stores each run's metrics.
 Each perfbench run gets an empty bytecode cache, so that both checkouts
@@ -71,6 +74,8 @@ SPECTRUM_LADDER = (*(f"polygon{n}" for n in (4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 1
                    *(f"custom3d{n}" for n in (6, 8, 10, 16)))
 #: States per model in the spectra section.
 STATES = 16
+#: Environment of the interpreters that time frames and spectra.
+MEASURE_ENV = {"OPENBLAS_NUM_THREADS": "1"}
 
 
 def _model(label: str, reference: dict):
@@ -248,8 +253,8 @@ def _measure_checkout(checkout: Path, function: str) -> dict:
     code = (f"import json, sys; sys.path[:0] = [{str(checkout / 'src')!r}, "
             f"{str(ROOT / 'scripts')!r}]; import bench_frames; "
             f"print(json.dumps(bench_frames.{function}()))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, **MEASURE_ENV),
+                         check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
@@ -299,7 +304,7 @@ def main(argv=None) -> int:
     checkouts = {"change": ROOT}
     if args.parent is not None:
         checkouts["parent"] = args.parent.resolve()
-    doc = {"repeats": REPEATS, "states": STATES,
+    doc = {"repeats": REPEATS, "states": STATES, "measure_env": MEASURE_ENV,
            "commits": {side: _commit(path) for side, path in checkouts.items()}}
     for section, function in (("frames", "measure"), ("spectra", "measure_spectra")):
         doc[section] = {side: _measure_checkout(path, function)

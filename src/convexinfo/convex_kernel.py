@@ -46,8 +46,11 @@ class Constraint:
     def __post_init__(self):
         if self.rel not in RELATIONS:
             raise DimensionMismatch(f"unknown relation {self.rel!r}")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        object.__setattr__(self, "bound", float(self.bound))
+        try:
+            object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+            object.__setattr__(self, "bound", float(self.bound))
+        except (TypeError, ValueError):
+            raise DimensionMismatch("constraint coefficients and bound must be numbers") from None
 
 
 @dataclass(frozen=True)
@@ -66,19 +69,18 @@ class LinearProgram:
     maximize: bool = True
 
     def __post_init__(self):
-        if self.objective is not None:
-            object.__setattr__(self, "objective", tuple(float(c) for c in self.objective))
-            if len(self.objective) != self.n_vars:
-                raise DimensionMismatch("objective length != n_vars")
+        try:
+            if self.objective is not None:
+                object.__setattr__(self, "objective", tuple(float(c) for c in self.objective))
+            if self.bounds is not None:
+                object.__setattr__(self, "bounds", tuple((lo, hi) for lo, hi in self.bounds))
+        except (TypeError, ValueError):
+            raise DimensionMismatch("objective needs numbers, bounds (lo, hi) pairs") from None
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        for con in self.constraints:
-            if len(con.coeffs) != self.n_vars:
-                raise DimensionMismatch("constraint length != n_vars")
-        if self.bounds is not None:
-            bs = tuple((lo, hi) for lo, hi in self.bounds)
-            if len(bs) != self.n_vars:
-                raise DimensionMismatch("bounds length != n_vars")
-            object.__setattr__(self, "bounds", bs)
+        for name, part in (("objective", self.objective), ("bounds", self.bounds),
+                           *(("constraint", con.coeffs) for con in self.constraints)):
+            if part is not None and len(part) != self.n_vars:
+                raise DimensionMismatch(f"{name} length != n_vars")
 
     def with_objective(self, objective: Sequence[float], maximize: bool = True) -> "LinearProgram":
         return LinearProgram(self.n_vars, tuple(objective), self.constraints,
@@ -248,16 +250,17 @@ def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True, duals=Fal
     """``lp_solve`` on float arrays; ``con_rel`` holds each row's slack sign (1.0
     for <=, 0.0 for =, -1.0 for >=) and an infinite variable bound is no bound.
     With ``duals`` an optimal result also carries the row multipliers of its
-    final basis (``_multipliers``).
+    final basis (``_multipliers``), all 0 for an LP with no objective.
 
     A row bounded by an infinity becomes 0 <= 0 in place when it holds for
     every x (<= +inf, >= -inf), and makes its LP infeasible otherwise.
 
     A leading stack axis on ``c_orig``, ``con_a`` or ``con_b`` makes a stack of
-    same-shape LPs that share the relations and the variable bounds. They are
-    solved together, and the call returns a list with one result per LP, each
-    the result of that LP solved alone; if some of them fail, the error of the
-    first one in stack order is raised.
+    same-shape LPs that share the relations and the variable bounds, solved
+    together; the call returns one result per LP. Every LP keeps its place in
+    the stack: a redundant row is zeroed in place, and a finished LP stays,
+    zeroed. So each result, multipliers included, equals that LP solved
+    alone; if some LPs fail, the error of the first in stack order is raised.
     """
     (m, n), stacked = con_a.shape[-2:], c_orig.ndim > 1 or con_a.ndim > 2 or con_b.ndim > 1
     if stacked:
@@ -268,15 +271,12 @@ def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True, duals=Fal
     else:
         s, c, a, b = 1, c_orig[None], con_a[None], con_b[None]
     lay = _layout(con_rel.tobytes(), lower.tobytes(), upper.tobytes())
-    if lay.crossed:
-        results = [LpResult("infeasible", None, None)] * s
-    else:
-        # a bound on one LP's tableau: every row and box row with a slack and
-        # an artificial column, and two columns for each free variable
-        rows = m + n
-        step = max(1, _STACK_CELLS // (rows * (2 * n + 2 * rows + 2) + 1))
-        results = [result for i in range(0, s, step) for result in _solve_stack(
-            c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize, duals)]
+    # a bound on one LP's tableau: every row and box row with a slack and an
+    # artificial column, and two columns for each free variable
+    rows = m + n
+    step = max(1, _STACK_CELLS // (rows * (2 * n + 2 * rows + 2) + 1))
+    results = [result for i in range(0, s, step) for result in _solve_stack(
+        c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize, duals)]
     return results if stacked else results[0]
 
 
@@ -284,7 +284,7 @@ def _solve_stack(c, a, b, lay: _Layout, maximize, duals=False) -> list[LpResult]
     """``_solve`` on a stack (s, m, n) of LPs, all of them in one simplex run."""
     s, m_con = len(a), a.shape[1]
     errors: dict[int, str] = {}  # the first failure of each failing LP
-    void = np.zeros(s, bool)  # the LPs an infinite row makes infeasible
+    void = np.full(s, lay.crossed)  # the LPs crossed bounds or an infinite row void
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         nan = np.isnan(a).any(axis=(1, 2)) | np.isnan(b).any(axis=1)
         errors.update(dict.fromkeys(nan.nonzero()[0].tolist(),
@@ -293,7 +293,7 @@ def _solve_stack(c, a, b, lay: _Layout, maximize, duals=False) -> list[LpResult]
         # is its slack's (<= +inf, >= -inf), and becomes 0 <= 0; it holds
         # for no x otherwise, and makes its LP infeasible
         infinite = np.isinf(b)
-        void = (infinite & (np.sign(b) != lay.rel[:m_con])).any(axis=1)
+        void |= (infinite & (np.sign(b) != lay.rel[:m_con])).any(axis=1)
         # a failing or infeasible LP solves zeros in its place
         a = np.where((nan | void)[:, None, None] | infinite[:, :, None], 0.0, a)
         b = np.where((nan | void)[:, None] | infinite, 0.0, b)
@@ -318,21 +318,22 @@ def _solve_stack(c, a, b, lay: _Layout, maximize, duals=False) -> list[LpResult]
     for i in unbounded.nonzero()[0].tolist():
         # cannot happen: the phase-1 objective is bounded below by 0
         errors.setdefault(i, "phase 1 reported unbounded")
-    feasible = ~((np.vecdot(lay.costs1[0, basis], rhs) > FEAS_TOL) | void)
+    # a finished LP, infeasible or failed, stays in the stack with a zero tableau
+    done = (np.vecdot(lay.costs1[0, basis], rhs) > FEAS_TOL) | void
     if errors:
-        feasible[list(errors)] = False
-    go = feasible.nonzero()[0]
+        done[list(errors)] = True
     results = [LpResult("infeasible", None, None)] * s
-    if go.size < s:
-        if go.size == 0:
-            if errors:
-                raise LpNumericalError(errors[min(errors)])
-            return results
-        tableau, basis, c, a, b = tableau[go], basis[go], c[go], a[go], b[go]
+    finished = np.count_nonzero(done)
+    if finished == s:
+        if errors:
+            raise LpNumericalError(errors[min(errors)])
+        return results
 
     # Drive remaining artificials out of the basis; a row where none can
     # leave is redundant.
     artificial = basis >= n_cols
+    if finished:
+        tableau[done], artificial[done] = 0.0, False
     for i in artificial.any(axis=0).nonzero()[0]:
         members = artificial[:, i].nonzero()[0]
         cols = np.abs(tableau[members, i, :n_cols]) > _EPS
@@ -344,55 +345,49 @@ def _solve_stack(c, a, b, lay: _Layout, maximize, duals=False) -> list[LpResult]
             _pivot(some_t, some_b, np.full(members.size, i), entering,
                    some_t[every, :, entering], every)
             tableau[members], basis[members] = some_t, some_b
-    unbounded = capped = np.zeros(go.size, bool)
-    multipliers = np.zeros((go.size, m_con))
+    unbounded = capped = np.zeros(s, bool)
+    multipliers = np.zeros((s, m_con))
     if c.any():
-        # Phase 2 without the artificial columns. A row redundant in every LP
-        # is dropped; one redundant in only some is zeroed there, with the
-        # zero column as its basic column (its zero terms in the reduced-cost
-        # products may round those LPs' reduced costs differently in the last
-        # bit than a lone solve, which drops the row).
+        # Phase 2 without the artificial columns. A redundant row is zeroed in
+        # place, with the zero column as its basic column, of cost 0.
+        tableau = tableau[:, :, lay.columns2]
         redundant = basis >= n_cols
-        rows = (~redundant).any(axis=0).nonzero()[0]
-        tableau = tableau[:, rows[:, None], lay.columns2]
-        basis, redundant = basis[:, rows], redundant[:, rows]
-        if redundant.any():
-            tableau[redundant] = 0.0
-            basis[redundant] = n_cols  # the zero column, of cost 0
-        costs = np.zeros((go.size, n_cols + 1))
+        tableau[redundant] = 0.0
+        basis[redundant] = n_cols
+        costs = np.zeros((s, n_cols + 1))
         costs[:, :n_y] = (-1.0 if maximize else 1.0) * np.matmul(c[:, None], lay.t)[:, 0]
         unbounded, capped = _run_simplex(tableau, basis, costs, n_cols)
-        if duals:  # the box rows come after the constraint rows
-            multipliers = _multipliers(c, a, lay, basis, rows)[:, :m_con]
-    y = np.zeros((go.size, tableau.shape[2]))
-    y[np.arange(go.size)[:, None], basis] = tableau[:, :, -1]
+        if duals:  # for the optimal LPs with an objective; the box rows come last
+            solved = ~(done | unbounded | capped) & c.any(axis=1)
+            multipliers[solved] = _multipliers(c[solved], a[solved], lay, basis[solved])[:, :m_con]
+    y = np.zeros((s, tableau.shape[2]))
+    y[np.arange(s)[:, None], basis] = tableau[:, :, -1]
     x = lay.offsets + np.matmul(lay.t, y[:, :n_y, None])[:, :, 0]
     failures = _violations(x, lay, a, b)
     points, values = x.tolist(), np.vecdot(c, x).tolist()
-    for j, i in enumerate(go.tolist()):
-        if capped[j]:
+    for i in (~done).nonzero()[0].tolist():
+        if capped[i]:
             errors[i] = "simplex did not terminate within the pivot cap"
-        elif unbounded[j]:
+        elif unbounded[i]:
             results[i] = LpResult("unbounded", None, None)
-        elif failures and failures[j] is not None:
-            errors[i] = failures[j]
+        elif failures and failures[i] is not None:
+            errors[i] = failures[i]
         else:
-            results[i] = LpResult("optimal", tuple(points[j]), values[j],
-                                  tuple(multipliers[j].tolist()) if duals else None)
+            results[i] = LpResult("optimal", tuple(points[i]), values[i],
+                                  tuple(multipliers[i].tolist()) if duals else None)
     if errors:
         raise LpNumericalError(errors[min(errors)])
     return results
 
 
-def _multipliers(c, a, lay: _Layout, basis, rows) -> np.ndarray:
+def _multipliers(c, a, lay: _Layout, basis) -> np.ndarray:
     """The row multipliers y of each LP's final basis B, from B^T y = c_B.
 
-    B holds the basic columns of the rows the phase-2 tableau kept (``rows``),
-    taken from ``a`` after the substitution x = offsets + t @ y, and c_B their
-    objective coefficients, c as given. So a minimum has reduced costs
-    c - a^T y >= 0 on its nonbasic columns. A row the tableau dropped or
-    zeroed as redundant, held by the zero column, gets multiplier 0; the box
-    rows come last.
+    B holds the basic columns of the phase-2 tableau, taken from ``a`` after
+    the substitution x = offsets + t @ y, and c_B their objective
+    coefficients, c as given. So a minimum has reduced costs c - a^T y >= 0
+    on its nonbasic columns. A row zeroed as redundant, held by the zero
+    column, gets multiplier 0; the box rows come last.
     """
     s, m, n_y = len(a), len(lay.rel), lay.t.shape[1]
     cols = np.zeros((s, m, lay.n_cols + 1))  # the last is the zero column
@@ -400,16 +395,14 @@ def _multipliers(c, a, lay: _Layout, basis, rows) -> np.ndarray:
     cols[:, :, n_y:lay.n_cols] = lay.template[:, n_y:lay.n_cols]
     costs = np.zeros((s, lay.n_cols + 1))
     costs[:, :n_y] = np.matmul(c[:, None], lay.t)[:, 0]
-    sub = np.take_along_axis(cols[:, rows], basis[:, None, :], axis=2)
+    sub = np.take_along_axis(cols, basis[:, None, :], axis=2)
     held, place = (basis == lay.n_cols).nonzero()
     sub[held, place, place] = 1.0  # a zeroed row's own unit column: its multiplier is 0
-    y = np.zeros((s, m))
     try:
-        y[:, rows] = np.linalg.solve(np.swapaxes(sub, 1, 2),
-                                     np.take_along_axis(costs, basis, axis=1)[..., None])[..., 0]
+        return np.linalg.solve(np.swapaxes(sub, 1, 2),
+                               np.take_along_axis(costs, basis, axis=1)[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise LpNumericalError("the optimal basis is singular") from None
-    return y
 
 
 def _violations(x, lay: _Layout, a, b) -> list[str | None]:
@@ -450,7 +443,10 @@ class Polytope:
     vertices: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.vertices, float)  # raises for non-numeric or ragged rows
+        try:
+            arr = np.asarray(self.vertices, float)
+        except (TypeError, ValueError):
+            raise DegenerateModel("vertices must be rows of numbers") from None
         if len(arr) == 0:
             raise DegenerateModel("a polytope needs at least one vertex")
         if len(arr) > MAX_VERTICES:
@@ -478,9 +474,12 @@ class Polytope:
 def _decomposition_rows(vertices, point) -> tuple[np.ndarray, np.ndarray]:
     """Equality rows of the decomposition LP: sum w = 1, then sum w_i v_i = point."""
     v = np.asarray(vertices, float)
-    p = np.asarray(point, float)
-    if v.shape[1] != p.shape[0]:
-        raise DimensionMismatch(f"point dim {p.shape[0]} vs vertex dim {v.shape[1]}")
+    try:
+        p = np.asarray(point, float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch("a point must be a sequence of numbers") from None
+    if p.shape != v.shape[1:]:
+        raise DimensionMismatch(f"point shape {p.shape} vs vertex dim {v.shape[1]}")
     a, b = np.empty((v.shape[1] + 1, v.shape[0])), np.empty(p.shape[0] + 1)
     a[0], a[1:], b[0], b[1:] = 1.0, v.T, 1.0, p
     return a, b
@@ -520,7 +519,10 @@ def topk_weight_max(skeleton: LinearProgram, subset: Iterable[int]) -> float:
     vertex); raises ``InfeasibleDecomposition`` when the underlying state is
     not in the hull at all.
     """
-    s = sorted(set(int(i) for i in subset))
+    try:
+        s = sorted(set(int(i) for i in subset))
+    except (TypeError, ValueError):
+        raise DimensionMismatch("subset must hold weight indices") from None
     if not s:
         raise InfeasibleDecomposition("subset must be nonempty")
     if s[0] < 0 or s[-1] >= skeleton.n_vars:

@@ -14,6 +14,7 @@ that only takes one float at a time is lifted to arrays at construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -123,6 +124,8 @@ def make_preset(name: str, parameter: float | None = None) -> EntropicPair:
     For renyi/tsallis the parameter must be finite, positive and different
     from 1 (the Shannon limit is reached continuously but not evaluated at 1).
     """
+    if not isinstance(name, str):
+        raise BadParameter(f"preset name must be a string, got {name!r}")
     key = name.strip().lower()
     if key == "shannon":
         return EntropicPair(h=lambda x: x, phi=_shannon_phi,
@@ -130,7 +133,10 @@ def make_preset(name: str, parameter: float | None = None) -> EntropicPair:
     if key in ("renyi", "tsallis"):
         if parameter is None:
             raise BadParameter(f"{key} needs a parameter")
-        a = float(parameter)
+        try:
+            a = float(parameter)
+        except (TypeError, ValueError):
+            raise BadParameter(f"{key} parameter must be a number, got {parameter!r}") from None
         if not math.isfinite(a) or a <= 0.0 or abs(a - 1.0) <= 1e-12:
             raise BadParameter(f"{key} parameter must be finite, > 0 and != 1, got {a!r}")
         regime = REGIME_DEC_CONVEX if a > 1.0 else REGIME_INC_CONCAVE
@@ -166,6 +172,10 @@ def classical_entropy(pair: EntropicPair, p: ProbVector) -> float:
 
 def entropy_upper_bound(pair: EntropicPair, n: int) -> float:
     """Value of the pair's entropy on the uniform distribution of size n."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise BadParameter(f"support size must be an integer, got {n!r}") from None
     if n < 1:
         raise BadParameter(f"support size must be >= 1, got {n!r}")
     return float(pair.h(n * pair.phi(1.0 / n)))
@@ -211,6 +221,13 @@ def pair_from_grid_descriptor(desc: dict) -> EntropicPair:
         raise InvalidEntropicPair(f"malformed pair descriptor: {exc}") from None
     if len(phi_x) != len(phi_y) or len(h_x) != len(h_y) or len(phi_x) < 2 or len(h_x) < 2:
         raise InvalidEntropicPair("grid definitions need matching x/y arrays of length >= 2")
+    grids = {"phi.x": phi_x, "phi.y": phi_y, "h.x": h_x, "h.y": h_y}
+    for label, grid in grids.items():
+        if not np.isfinite(grid).all():
+            raise InvalidEntropicPair(f"grid {label} must be finite")
+    for label in ("phi.x", "h.x"):
+        if not (np.diff(grids[label]) > 0.0).all():
+            raise InvalidEntropicPair(f"grid {label} must be strictly increasing")
     phi = lambda p: np.interp(p, phi_x, phi_y)
     h = lambda x: np.interp(x, h_x, h_y)
     return EntropicPair(h=h, phi=phi, regime=regime, name=desc.get("name", "custom"))

@@ -77,7 +77,10 @@ def normalize(weights: Sequence[float]) -> ProbVector:
     Raises ``NegativeWeight`` if any weight is below ``-TOL`` and ``AllZero``
     if every weight is numerically zero.
     """
-    ws = [float(w) for w in weights]
+    try:
+        ws = [float(w) for w in weights]
+    except (TypeError, ValueError):
+        raise InvalidProbVector("weights must be numbers") from None
     if any(not np.isfinite(w) for w in ws):
         raise NegativeWeight("weights must be finite")
     if any(w < -TOL for w in ws):

@@ -110,7 +110,7 @@ class Povm:
         if not_hermitian[first]:
             raise InvalidPovm("effect is not Hermitian within tolerance")
         if negative[first]:
-            raise InvalidPovm(f"effect has negative eigenvalue {evals[first, 0]!r}")
+            raise InvalidPovm(f"effect has negative eigenvalue {float(evals[first, 0])!r}")
         detected_rank_one = n == 1 or not (evals[:, -2] > 1e-7).any()
         if np.max(np.abs(stack.sum(axis=0) - np.eye(n))) > TOL:
             raise InvalidPovm("effects do not sum to the identity")

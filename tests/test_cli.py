@@ -397,6 +397,25 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("grid, values, problem", [
+    ("phi.x", [0.0, 1.0, 0.5], "strictly increasing"),
+    ("phi.x", [0.0, 0.5, 0.5], "strictly increasing"),
+    ("h.x", [0.0, float("nan")], "finite"), ("phi.y", [0.0, float("inf"), 0.0], "finite"),
+    ("h.y", [0.0, float("nan")], "finite")])
+def test_pair_file_grids_must_be_finite_and_increasing(capsys, tmp_path, grid, values, problem):
+    # an unsorted phi.x once gave np.interp's undefined values: "h(phi(1)) = 0.25"
+    doc = {"regime": "h-increasing/phi-concave",
+           "phi": {"x": [0.0, 0.5, 1.0], "y": [0.0, 0.25, 0.0]},
+           "h": {"x": [0.0, 2.0], "y": [0.0, 2.0]}}
+    argv = ["entropy", "--p", "0.5,0.5", "--pair-file"]
+    code, out, _ = run(capsys, argv + [_write_json(tmp_path, "pair.json", doc)])
+    assert code == 0 and json.loads(out)["value"] == 0.5
+    name, axis = grid.split(".")
+    doc[name][axis] = values
+    code, out, err = run(capsys, argv + [_write_json(tmp_path, "pair.json", doc)])
+    assert (code, out, err) == (2, "", f"error: grid {grid} must be {problem}\n")
+
+
 RAGGED = [[[1, 0], [0, 0]], [[0, 0]]]
 
 

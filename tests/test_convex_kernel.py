@@ -13,7 +13,18 @@ from convexinfo import (
     topk_weight_max,
 )
 from convexinfo.convex_kernel import RELATIONS, convex_weights, decomposition_program
-from convexinfo.errors import DegenerateModel, InfeasibleDecomposition, LpNumericalError, TooLarge
+from convexinfo.entropic import entropy_upper_bound, make_preset
+from convexinfo.errors import (
+    BadParameter,
+    DegenerateModel,
+    DimensionMismatch,
+    InfeasibleDecomposition,
+    InvalidProbVector,
+    LpNumericalError,
+    TooLarge,
+    ValidationError,
+)
+from convexinfo.probvec import normalize
 
 from oracles import loop_reference, scipy_lp_reference
 
@@ -374,12 +385,12 @@ def _random_stack(rng, size):
     return c, a, rel, b, lower, upper, bool(rng.integers(0, 2))
 
 
-def _one_by_one(c, a, rel, b, lower, upper, maximize):
+def _one_by_one(c, a, rel, b, lower, upper, maximize, duals=False):
     results = []
     for i in range(len(a)):
         try:
             results.append(repr(convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper,
-                                                     maximize)))
+                                                     maximize, duals)))
         except LpNumericalError as exc:
             return results, str(exc)
     return results, None
@@ -404,6 +415,36 @@ def test_a_stack_of_lps_gives_each_lp_its_own_result(stack_cells, monkeypatch):
         seen.update(statuses)
         mixed += len(statuses) == 3
     assert min(seen.values()) >= 20 and mixed >= 3, (seen, mixed)
+
+
+@pytest.mark.parametrize("stack_cells", [convex_kernel._STACK_CELLS, 200])
+def test_a_stack_of_lps_gives_each_lp_its_own_multipliers(stack_cells, monkeypatch):
+    # the trials above with duals: every LP keeps its place in the stack, so
+    # its multipliers come out as they do alone, bit for bit
+    monkeypatch.setattr(convex_kernel, "_STACK_CELLS", stack_cells)
+    rng = np.random.default_rng(8)
+    certified = 0
+    for trial in range(150):
+        lps = _random_stack(rng, int(rng.integers(1, 12)))
+        if trial % 10 == 0:  # a row bounded by an infinity in one LP
+            lps[3][0, -1] = np.inf * lps[2][-1] if lps[2][-1] else np.inf
+        alone, error = _one_by_one(*lps, duals=True)
+        assert error is None, f"trial {trial}: {error}"
+        stacked = convex_kernel._solve(*lps, duals=True)
+        assert [repr(r) for r in stacked] == alone, f"trial {trial}"
+        certified += sum(r.duals is not None and any(r.duals) for r in stacked)
+    assert certified >= 100, certified
+
+
+def test_crossed_bounds_make_every_lp_infeasible():
+    # max x + y s.t. x + y <= 4 and 2 <= x <= 1, alone and as a stack of two
+    row = Constraint((1.0, 1.0), "<=", 4.0)
+    assert lp_solve(LinearProgram(2, (1.0, 1.0), (row,), bounds=((2.0, 1.0), (0.0, None)))) \
+        == convex_kernel.LpResult("infeasible", None, None)
+    stacked = convex_kernel._solve(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 1.0]]),
+                                   np.ones(1), np.array([4.0]), np.array([2.0, 0.0]),
+                                   np.array([1.0, np.inf]), duals=True)
+    assert stacked == [convex_kernel.LpResult("infeasible", None, None)] * 2
 
 
 def test_a_stack_raises_the_error_of_its_first_failing_lp():
@@ -436,3 +477,31 @@ def test_infinite_rows_keep_the_stack_whole(monkeypatch):
     assert [repr(r) for r in stacked] == alone
     assert [r.status for r in stacked] == ["optimal", "infeasible", "optimal"]
     assert stacked[0].point == (3.0, 3.0) and stacked[0].duals[:2] == (0.0, 0.0)
+
+
+SQUARE = Polytope([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Polytope([[0, 1], [1]]), DegenerateModel),
+    (lambda: Polytope([["a", "b"]]), DegenerateModel),
+    (lambda: Constraint((1, "a"), "<=", 1), DimensionMismatch),
+    (lambda: LinearProgram(1, ("x",), ()), DimensionMismatch),
+    (lambda: LinearProgram(1, None, (), bounds=((0.0,),)), DimensionMismatch),
+    (lambda: membership(["a", "b"], SQUARE), DimensionMismatch),
+    (lambda: convex_weights(["a", "b"], SQUARE), DimensionMismatch),
+    (lambda: topk_weight_max(decomposition_program(SQUARE.as_array(), [0.5, 0.5]), ["a"]),
+     DimensionMismatch),
+    (lambda: normalize(["a"]), InvalidProbVector),
+    (lambda: make_preset(None), BadParameter),
+    (lambda: make_preset("renyi", "x"), BadParameter),
+    (lambda: entropy_upper_bound(make_preset("shannon"), "a"), BadParameter),
+    (lambda: entropy_upper_bound(make_preset("shannon"), 2.5), BadParameter),
+], ids=["ragged polytope", "text polytope", "text coefficient", "text objective",
+        "short bounds pair", "text membership point", "text weights point", "text subset",
+        "text weight", "no preset name", "text renyi parameter", "text support size",
+        "fractional support size"])
+def test_library_entry_points_raise_validation_errors(call, error):
+    assert issubclass(error, ValidationError)
+    with pytest.raises(error):
+        call()
