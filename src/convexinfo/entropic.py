@@ -221,12 +221,10 @@ def pair_from_grid_descriptor(desc: dict) -> EntropicPair:
         raise InvalidEntropicPair(f"malformed pair descriptor: {exc}") from None
     if len(phi_x) != len(phi_y) or len(h_x) != len(h_y) or len(phi_x) < 2 or len(h_x) < 2:
         raise InvalidEntropicPair("grid definitions need matching x/y arrays of length >= 2")
-    grids = {"phi.x": phi_x, "phi.y": phi_y, "h.x": h_x, "h.y": h_y}
-    for label, grid in grids.items():
+    for label, grid in {"phi.x": phi_x, "phi.y": phi_y, "h.x": h_x, "h.y": h_y}.items():
         if not np.isfinite(grid).all():
             raise InvalidEntropicPair(f"grid {label} must be finite")
-    for label in ("phi.x", "h.x"):
-        if not (np.diff(grids[label]) > 0.0).all():
+        if label.endswith(".x") and not (np.diff(grid) > 0.0).all():
             raise InvalidEntropicPair(f"grid {label} must be strictly increasing")
     phi = lambda p: np.interp(p, phi_x, phi_y)
     h = lambda x: np.interp(x, h_x, h_y)
