@@ -92,7 +92,7 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     point: tuple[float, ...] | None
     value: float | None
-    #: One multiplier per constraint row, read from the optimal basis, when asked for.
+    #: One multiplier per constraint row, read from the optimal basis; None unless optimal.
     duals: tuple[float, ...] | None = None
 
 
@@ -243,44 +243,39 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     return _solve(np.zeros(n) if lp.objective is None else np.asarray(lp.objective, float),
                   np.array([con.coeffs for con in cons], float).reshape(len(cons), n),
                   np.array([_SLACK_SIGN[con.rel] for con in cons], float),
-                  np.array([con.bound for con in cons], float), lower, upper, lp.maximize)
+                  np.array([con.bound for con in cons], float), lower, upper, lp.maximize)[0]
 
 
-def _solve(c_orig, con_a, con_rel, con_b, lower, upper, maximize=True, duals=False):
-    """``lp_solve`` on float arrays; ``con_rel`` holds each row's slack sign (1.0
-    for <=, 0.0 for =, -1.0 for >=) and an infinite variable bound is no bound.
-    With ``duals`` an optimal result also carries the row multipliers of its
-    final basis (``_multipliers``), all 0 for an LP with no objective.
+def _solve(c, a, con_rel, b, lower, upper, maximize=True) -> list[LpResult]:
+    """``lp_solve`` on float arrays, a list of one result per LP; ``con_rel``
+    holds each row's slack sign (1.0 for <=, 0.0 for =, -1.0 for >=) and an
+    infinite variable bound is no bound. An optimal result carries the row
+    multipliers of its final basis (``_multipliers``), all 0 for an LP with
+    no objective.
 
     A row bounded by an infinity becomes 0 <= 0 in place when it holds for
     every x (<= +inf, >= -inf), and makes its LP infeasible otherwise.
 
-    A leading stack axis on ``c_orig``, ``con_a`` or ``con_b`` makes a stack of
-    same-shape LPs that share the relations and the variable bounds, solved
-    together; the call returns one result per LP. Every LP keeps its place in
-    the stack: a redundant row is zeroed in place, and a finished LP stays,
+    A leading stack axis on ``c``, ``a`` or ``b`` makes a stack of same-shape
+    LPs that share the relations and the variable bounds, solved together;
+    without one the stack holds one LP. Every LP keeps its place in the
+    stack: a redundant row is zeroed in place, and a finished LP stays,
     zeroed. So each result, multipliers included, equals that LP solved
     alone; if some LPs fail, the error of the first in stack order is raised.
     """
-    (m, n), stacked = con_a.shape[-2:], c_orig.ndim > 1 or con_a.ndim > 2 or con_b.ndim > 1
-    if stacked:
-        (s,) = np.broadcast_shapes(c_orig.shape[:-1], con_a.shape[:-2], con_b.shape[:-1])
-        c = np.broadcast_to(c_orig, (s, n))
-        a = np.broadcast_to(con_a, (s, m, n))
-        b = np.broadcast_to(con_b, (s, m))
-    else:
-        s, c, a, b = 1, c_orig[None], con_a[None], con_b[None]
+    m, n = a.shape[-2:]
+    (s,) = np.broadcast_shapes(c.shape[:-1], a.shape[:-2], b.shape[:-1]) or (1,)
+    c, a, b = np.broadcast_to(c, (s, n)), np.broadcast_to(a, (s, m, n)), np.broadcast_to(b, (s, m))
     lay = _layout(con_rel.tobytes(), lower.tobytes(), upper.tobytes())
     # a bound on one LP's tableau: every row and box row with a slack and an
     # artificial column, and two columns for each free variable
     rows = m + n
     step = max(1, _STACK_CELLS // (rows * (2 * n + 2 * rows + 2) + 1))
-    results = [result for i in range(0, s, step) for result in _solve_stack(
-        c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize, duals)]
-    return results if stacked else results[0]
+    return [result for i in range(0, s, step) for result in _solve_stack(
+        c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize)]
 
 
-def _solve_stack(c, a, b, lay: _Layout, maximize, duals=False) -> list[LpResult]:
+def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult]:
     """``_solve`` on a stack (s, m, n) of LPs, all of them in one simplex run."""
     s, m_con = len(a), a.shape[1]
     errors: dict[int, str] = {}  # the first failure of each failing LP
@@ -357,9 +352,9 @@ def _solve_stack(c, a, b, lay: _Layout, maximize, duals=False) -> list[LpResult]
         costs = np.zeros((s, n_cols + 1))
         costs[:, :n_y] = (-1.0 if maximize else 1.0) * np.matmul(c[:, None], lay.t)[:, 0]
         unbounded, capped = _run_simplex(tableau, basis, costs, n_cols)
-        if duals:  # for the optimal LPs with an objective; the box rows come last
-            solved = ~(done | unbounded | capped) & c.any(axis=1)
-            multipliers[solved] = _multipliers(c[solved], a[solved], lay, basis[solved])[:, :m_con]
+        # for the optimal LPs with an objective; the box rows come last
+        solved = ~(done | unbounded | capped) & c.any(axis=1)
+        multipliers[solved] = _multipliers(c[solved], a[solved], lay, basis[solved])[:, :m_con]
     y = np.zeros((s, tableau.shape[2]))
     y[np.arange(s)[:, None], basis] = tableau[:, :, -1]
     x = lay.offsets + np.matmul(lay.t, y[:, :n_y, None])[:, :, 0]
@@ -374,7 +369,7 @@ def _solve_stack(c, a, b, lay: _Layout, maximize, duals=False) -> list[LpResult]
             errors[i] = failures[i]
         else:
             results[i] = LpResult("optimal", tuple(points[i]), values[i],
-                                  tuple(multipliers[i].tolist()) if duals else None)
+                                  tuple(multipliers[i].tolist()))
     if errors:
         raise LpNumericalError(errors[min(errors)])
     return results
@@ -489,7 +484,7 @@ def _decomposition_lp(vertices, point) -> LpResult:
     """Solve the feasibility LP of ``decomposition_program`` from its arrays."""
     a, b = _decomposition_rows(vertices, point)
     zeros = np.zeros(a.shape[1])
-    return _solve(zeros, a, np.zeros(len(a)), b, zeros, np.full(a.shape[1], np.inf))
+    return _solve(zeros, a, np.zeros(len(a)), b, zeros, np.full(a.shape[1], np.inf))[0]
 
 
 def decomposition_program(vertices: np.ndarray, point: np.ndarray) -> LinearProgram:

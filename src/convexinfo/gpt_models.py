@@ -166,32 +166,21 @@ class StateSpace:
         # read only through enumerate_frames, which hands out copies
         v = self.n_vertices
         verts = self._verts
-        # each passing set maps to its least-squares witness, or to None when
-        # the dual screen passed it: its witness LP waits until it is a frame
-        witnesses: dict[tuple[int, ...], list[GptEffect] | None] = {
+        # each passing set maps to its least-squares witness, or to the dual
+        # screen's point: its witness LP waits until it is a frame
+        witnesses: dict[tuple[int, ...], list[GptEffect] | np.ndarray] = {
             (i,): [unit_effect(self)] for i in range(v)}
-        screened: dict[tuple[int, ...], np.ndarray] = {}
         tested: set[tuple[int, ...]] = set()
         jumped: list[int] = []  # masks of maximal cliques that passed whole
 
         def test(combos) -> list[bool]:
-            # sets of one size: the least-squares guesses in one stack, then
-            # the dual screens of the sets they missed, in another
-            if not combos:
-                return []
+            # the sets of each size are decided in one stack
             tested.update(combos)
-            unsure = []
-            guesses = _least_squares_effects(self, verts[np.array(combos)])
-            for combo, effects in zip(combos, guesses):
-                if effects is None:
-                    unsure.append(combo)
-                else:
-                    witnesses[combo] = effects
-            if unsure:
-                for combo, point in zip(unsure, _screen(self, verts[np.array(unsure)])):
-                    if point is not None:
-                        screened[combo] = point
-                        witnesses[combo] = None
+            for size in sorted(set(map(len, combos))):
+                sets = [combo for combo in combos if len(combo) == size]
+                for combo, found in zip(sets, _decide(self, verts[np.array(sets)])):
+                    if found is not None:
+                        witnesses[combo] = found
             return [combo in witnesses for combo in combos]
 
         def known(combo) -> bool:
@@ -208,11 +197,9 @@ class StateSpace:
                 and all(known(combo[:i] + combo[i + 1:]) for i in range(size))}))
             # a clique whose every size-subset passed is tested whole once; if
             # it passes it is maximal, and none of its subsets is tested again
-            for clique in cliques:
-                if (len(clique) > size and clique not in tested
-                        and all(map(known, itertools.combinations(clique, size)))
-                        and test([clique])[0]):
-                    jumped.append(_mask(clique))
+            whole = [clique for clique in cliques if len(clique) > size and clique not in tested
+                     and all(map(known, itertools.combinations(clique, size)))]
+            jumped += [_mask(clique) for clique, passed in zip(whole, test(whole)) if passed]
             if not any(found) and all(k.bit_count() <= size for k in jumped):
                 break
 
@@ -225,13 +212,13 @@ class StateSpace:
         # stack per size; where one finds none, the dual screen's point
         kept = [combo for combo, spans in zip(maximal, _spans_model(self, maximal)) if spans]
         effects = {combo: witnesses[combo] for combo in kept}
-        missing = [combo for combo in kept if effects[combo] is None]
+        missing = [combo for combo in kept if isinstance(effects[combo], np.ndarray)]
         for size in sorted(set(map(len, missing))):
             sets = [combo for combo in missing if len(combo) == size]
             for combo, found_effects in zip(
                     sets, _distinguishing_effects(self, verts[np.array(sets)])):
                 effects[combo] = found_effects or _checked_screen_witness(
-                    self, verts[list(combo)], screened[combo])
+                    self, verts[list(combo)], witnesses[combo])
         return tuple(Frame(vertex_indices=combo,
                            states=tuple(vertex_state(self, i) for i in combo),
                            effects=tuple(effects[combo])) for combo in kept)
@@ -401,11 +388,6 @@ def _block_diagonal(blocks: np.ndarray, count: int) -> np.ndarray:
         *lead, count * r, count * c)
 
 
-def _each(results, read):
-    """``read`` applied to one LP's result, or to each result of a stack."""
-    return [read(result) for result in results] if isinstance(results, list) else read(results)
-
-
 def _witness_equalities(space: StateSpace, points: np.ndarray):
     """Equality rows of the witness LP over one effect per point (k x d variables).
 
@@ -438,7 +420,8 @@ def _least_squares_effects(space: StateSpace, points: np.ndarray) -> list[list[G
             for set_effects, ok in zip(effects, good.tolist())]
 
 
-def _distinguishing_effects(space: StateSpace, points: np.ndarray):
+def _distinguishing_effects(space: StateSpace,
+                            points: np.ndarray) -> list[list[GptEffect] | None]:
     """Witness LP for perfect distinguishability: the effects, or None if it finds none.
 
     Variables are the stacked coefficients of one effect per point, free;
@@ -448,22 +431,22 @@ def _distinguishing_effects(space: StateSpace, points: np.ndarray):
     ``_screen``. A stack of point sets (s, k, d) is solved in one kernel call
     and gives one answer per set.
     """
-    k, d = points.shape[-2:]
+    s, k, d = points.shape
     cells = _block_diagonal(space._verts, k)
     a_eq, b_eq = _witness_equalities(space, points)
     # a >= 0 and a <= 1 row per cell, then the equality rows
-    (m, n), lead = cells.shape, a_eq.shape[:-2]
-    a = np.concatenate([np.broadcast_to(np.repeat(cells, 2, axis=0), (*lead, 2 * m, n)), a_eq],
-                       axis=-2)
-    result = _solve(np.zeros(n), a,
-                    np.concatenate([np.tile([-1.0, 1.0], m), np.zeros(len(b_eq))]),
-                    np.concatenate([np.tile([0.0, 1.0], m), b_eq]),
-                    np.full(n, -np.inf), np.full(n, np.inf))
-    return _each(result, lambda r: None if r.status != "optimal" else [
-        GptEffect(coeffs=tuple(e)) for e in np.asarray(r.point, float).reshape(k, d)])
+    m, n = cells.shape
+    a = np.concatenate([np.broadcast_to(np.repeat(cells, 2, axis=0), (s, 2 * m, n)), a_eq], axis=1)
+    results = _solve(np.zeros(n), a,
+                     np.concatenate([np.tile([-1.0, 1.0], m), np.zeros(len(b_eq))]),
+                     np.concatenate([np.tile([0.0, 1.0], m), b_eq]),
+                     np.full(n, -np.inf), np.full(n, np.inf))
+    return [None if r.status != "optimal" else [
+        GptEffect(coeffs=tuple(e)) for e in np.asarray(r.point, float).reshape(k, d)]
+        for r in results]
 
 
-def _screen(space: StateSpace, points: np.ndarray):
+def _screen(space: StateSpace, points: np.ndarray) -> list[np.ndarray | None]:
     """Perfect distinguishability, decided by the screen LP's dual: k x d witness effects, or None.
 
     The screen asks for k - 1 free effects x (the k-th is u - sum) with value
@@ -482,10 +465,10 @@ def _screen(space: StateSpace, points: np.ndarray):
     checks it where it is used). A stack of vertex sets (s, k, d) is solved in
     one kernel call and gives one answer per set.
     """
-    *lead, k, d = points.shape
+    s, k, d = points.shape
     verts = space._verts
-    inside = (verts[:, None, :] == points[..., None, :, :]).all(axis=-1).any(axis=-1)
-    outside = np.broadcast_to(verts, (*lead, *verts.shape))[~inside].reshape(*lead, -1, d)
+    inside = (verts[:, None, :] == points[:, None, :, :]).all(axis=-1).any(axis=-1)
+    outside = np.broadcast_to(verts, (s, *verts.shape))[~inside].reshape(s, -1, d)
     cells = _block_diagonal(outside, k - 1)
     if k > 2:  # for two points the sum is the one free effect
         cells = np.concatenate([cells, np.tile(outside, k - 1)], axis=-2)
@@ -495,17 +478,25 @@ def _screen(space: StateSpace, points: np.ndarray):
     (n, m), b_eq = cells_t.shape[-2:], np.eye(k - 1, k).ravel()
     # variables: y_hi, y_lo >= 0, then z free; one equality row per effect coefficient
     n_vars = 2 * m + len(b_eq)
-    result = _solve(np.concatenate([np.ones(m), np.zeros(m), b_eq]), a, np.zeros(n), np.zeros(n),
-                    np.repeat([0.0, -np.inf], [2 * m, len(b_eq)]), np.full(n_vars, np.inf),
-                    maximize=False, duals=True)
+    results = _solve(np.concatenate([np.ones(m), np.zeros(m), b_eq]), a, np.zeros(n), np.zeros(n),
+                     np.repeat([0.0, -np.inf], [2 * m, len(b_eq)]), np.full(n_vars, np.inf),
+                     maximize=False)
+    frees = [None if r.status != "optimal" else np.reshape(r.duals, (k - 1, d)) for r in results]
+    return [None if free is None else np.vstack([free, space.unit() - free.sum(axis=0)])
+            for free in frees]
 
-    def effects(r):
-        if r.status != "optimal":
-            return None
-        free = np.asarray(r.duals, float).reshape(k - 1, d)
-        return np.vstack([free, space.unit() - free.sum(axis=0)])
 
-    return _each(result, effects)
+def _decide(space: StateSpace, points: np.ndarray) -> list[list[GptEffect] | np.ndarray | None]:
+    """Perfect distinguishability of each point set of the stack (s, k, d).
+
+    Each set gets its least-squares witness effects, else the dual screen's
+    point (``_screen``, unchecked), else None: it is not distinguishable.
+    """
+    found = _least_squares_effects(space, points)
+    unsure = [i for i, effects in enumerate(found) if effects is None]
+    for i, point in zip(unsure, _screen(space, points[unsure]) if unsure else []):
+        found[i] = point
+    return found
 
 
 def _checked_screen_witness(space: StateSpace, points: np.ndarray,
@@ -527,15 +518,12 @@ def _checked_screen_witness(space: StateSpace, points: np.ndarray,
 def perfectly_distinguishable(space: StateSpace, states) -> bool:
     """Can one measurement answer which of the states was prepared, surely?
 
-    Decided as frame enumeration decides it: by the least-squares witness,
-    else by the dual screen (``_screen``).
+    Decided as frame enumeration decides it (``_decide``).
     """
     states = list(states)
     if len(states) < 2:
         raise ValidationError("need at least 2 states to distinguish")
-    points = np.asarray([st.point for st in states], float)
-    return (_least_squares_effects(space, points[None])[0] is not None
-            or _screen(space, points) is not None)
+    return _decide(space, np.asarray([st.point for st in states], float)[None])[0] is not None
 
 
 def _mask(indices) -> int:

@@ -198,10 +198,9 @@ def test_multipliers_certify_each_optimum_of_a_stack(rng):
     for rel, maximize in ((np.zeros(m), False), (np.ones(m), True)):
         if maximize:
             c = -c  # so that the maximum is bounded
-        stacked = convex_kernel._solve(c, a, rel, b, lower, upper, maximize, duals=True)
+        stacked = convex_kernel._solve(c, a, rel, b, lower, upper, maximize)
         for i, result in enumerate(stacked):
-            assert result == convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper,
-                                                  maximize, duals=True)
+            assert [result] == convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper, maximize)
             y = np.asarray(result.duals)
             reduced = c[i] - a[i].T @ y
             assert (reduced <= 1e-8).all() if maximize else (reduced >= -1e-8).all()
@@ -210,7 +209,7 @@ def test_multipliers_certify_each_optimum_of_a_stack(rng):
             assert b[i] @ y == pytest.approx(result.value, abs=1e-8)
         assert lp_solve(LinearProgram(n, tuple(c[0]), tuple(
             Constraint(tuple(row), "<=" if maximize else "=", bound)
-            for row, bound in zip(a[0], b[0])), maximize=maximize)).duals is None
+            for row, bound in zip(a[0], b[0])), maximize=maximize)).duals == stacked[0].duals
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -385,12 +384,12 @@ def _random_stack(rng, size):
     return c, a, rel, b, lower, upper, bool(rng.integers(0, 2))
 
 
-def _one_by_one(c, a, rel, b, lower, upper, maximize, duals=False):
+def _one_by_one(c, a, rel, b, lower, upper, maximize):
     results = []
     for i in range(len(a)):
         try:
-            results.append(repr(convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper,
-                                                     maximize, duals)))
+            results.append(repr(*convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper,
+                                                      maximize)))
         except LpNumericalError as exc:
             return results, str(exc)
     return results, None
@@ -398,41 +397,25 @@ def _one_by_one(c, a, rel, b, lower, upper, maximize, duals=False):
 
 @pytest.mark.parametrize("stack_cells", [convex_kernel._STACK_CELLS, 200])
 def test_a_stack_of_lps_gives_each_lp_its_own_result(stack_cells, monkeypatch):
-    # every LP of a stack must come out as it does alone, bit for bit; a small
+    # every LP of a stack must come out as it does alone, bit for bit and
+    # multipliers included: every LP keeps its place in the stack; a small
     # cell budget splits the stacks into slices
     monkeypatch.setattr(convex_kernel, "_STACK_CELLS", stack_cells)
     rng = np.random.default_rng(8)
-    seen, mixed = Counter(), 0
+    seen, mixed, certified = Counter(), 0, 0
     for trial in range(150):
         lps = _random_stack(rng, int(rng.integers(1, 12)))
         if trial % 10 == 0:  # a row bounded by an infinity in one LP
             lps[3][0, -1] = np.inf * lps[2][-1] if lps[2][-1] else np.inf
         alone, error = _one_by_one(*lps)
         assert error is None, f"trial {trial}: {error}"
-        stacked = [repr(r) for r in convex_kernel._solve(*lps)]
-        assert stacked == alone, f"trial {trial}"
-        statuses = {r.split("'")[1] for r in stacked}
+        stacked = convex_kernel._solve(*lps)
+        assert [repr(r) for r in stacked] == alone, f"trial {trial}"
+        statuses = {r.status for r in stacked}
         seen.update(statuses)
         mixed += len(statuses) == 3
-    assert min(seen.values()) >= 20 and mixed >= 3, (seen, mixed)
-
-
-@pytest.mark.parametrize("stack_cells", [convex_kernel._STACK_CELLS, 200])
-def test_a_stack_of_lps_gives_each_lp_its_own_multipliers(stack_cells, monkeypatch):
-    # the trials above with duals: every LP keeps its place in the stack, so
-    # its multipliers come out as they do alone, bit for bit
-    monkeypatch.setattr(convex_kernel, "_STACK_CELLS", stack_cells)
-    rng = np.random.default_rng(8)
-    certified = 0
-    for trial in range(150):
-        lps = _random_stack(rng, int(rng.integers(1, 12)))
-        if trial % 10 == 0:  # a row bounded by an infinity in one LP
-            lps[3][0, -1] = np.inf * lps[2][-1] if lps[2][-1] else np.inf
-        alone, error = _one_by_one(*lps, duals=True)
-        assert error is None, f"trial {trial}: {error}"
-        stacked = convex_kernel._solve(*lps, duals=True)
-        assert [repr(r) for r in stacked] == alone, f"trial {trial}"
         certified += sum(r.duals is not None and any(r.duals) for r in stacked)
+    assert min(seen.values()) >= 20 and mixed >= 3, (seen, mixed)
     assert certified >= 100, certified
 
 
@@ -443,7 +426,7 @@ def test_crossed_bounds_make_every_lp_infeasible():
         == convex_kernel.LpResult("infeasible", None, None)
     stacked = convex_kernel._solve(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 1.0]]),
                                    np.ones(1), np.array([4.0]), np.array([2.0, 0.0]),
-                                   np.array([1.0, np.inf]), duals=True)
+                                   np.array([1.0, np.inf]))
     assert stacked == [convex_kernel.LpResult("infeasible", None, None)] * 2
 
 
@@ -467,12 +450,12 @@ def test_infinite_rows_keep_the_stack_whole(monkeypatch):
     a = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     b = np.array([[inf, -inf, 3.0, 3.0], [-inf, 0.0, 3.0, 3.0], [5.0, 0.0, 3.0, 3.0]])
     lower, upper = np.zeros(2), np.full(2, inf)
-    alone = [repr(convex_kernel._solve(c, a, rel, row, lower, upper, duals=True)) for row in b]
+    alone = [repr(*convex_kernel._solve(c, a, rel, row, lower, upper)) for row in b]
     entries = []
     solve_stack = convex_kernel._solve_stack
     monkeypatch.setattr(convex_kernel, "_solve_stack",
                         lambda *args, **kw: entries.append(1) or solve_stack(*args, **kw))
-    stacked = convex_kernel._solve(c, a, rel, b, lower, upper, duals=True)
+    stacked = convex_kernel._solve(c, a, rel, b, lower, upper)
     assert len(entries) == 1
     assert [repr(r) for r in stacked] == alone
     assert [r.status for r in stacked] == ["optimal", "infeasible", "optimal"]

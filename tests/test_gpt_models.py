@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -368,7 +367,7 @@ def test_frames_random_custom_t17_keeps_the_frame_the_witness_lp_misses():
     points = dict(random_custom_vertex_sets())[17]
     space = build_model("custom_polytope", vertices=points)
     verts = space.vertex_array()
-    assert gpt_models._distinguishing_effects(space, verts[[4, 5, 7]]) is None
+    assert gpt_models._distinguishing_effects(space, verts[None, [4, 5, 7]]) == [None]
     frames = [f.vertex_indices for f in enumerate_frames(space)]
     assert frames == highs_frames(verts)
     assert (4, 5, 7) in frames
@@ -384,8 +383,8 @@ def test_screen_agrees_with_the_witness_lp_on_every_tested_set(kind, n, monkeypa
     assert tested
     for stack in tested:  # one stack of point sets per call
         for points in stack:
-            assert ((gpt_models._screen(space, points) is None)
-                    == (gpt_models._distinguishing_effects(space, points) is None))
+            assert ((gpt_models._screen(space, points[None])[0] is None)
+                    == (gpt_models._distinguishing_effects(space, points[None])[0] is None))
 
 
 def test_dual_screen_matches_highs_and_its_multipliers_are_screen_points():
@@ -494,8 +493,9 @@ def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
     solve = gpt_models._solve
 
     def recording(*args, **options):
-        results.append(solve(*args, **options))
-        return results[-1]
+        found = solve(*args, **options)
+        results.extend(found)
+        return found
 
     monkeypatch.setattr(gpt_models, "_solve", recording)
 
@@ -504,9 +504,8 @@ def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
     def check(call, twin):
         results.clear()
         call()
-        # lp_solve reports no multipliers; the screen's are checked against HiGHS
-        assert [repr(dataclasses.replace(r, duals=None)) for r in results] == [
-            repr(lp_solve(twin))]
+        # multipliers included
+        assert [repr(r) for r in results] == [repr(lp_solve(twin))]
         statuses.add(results[0].status)
 
     rng = np.random.default_rng(2024)
@@ -517,8 +516,9 @@ def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
             for combo in itertools.islice(itertools.combinations(range(space.n_vertices),
                                                                  size), 8):
                 points = verts[list(combo)]
-                check(lambda: gpt_models._screen(space, points), _twin_screen_lp(space, points))
-                check(lambda: gpt_models._distinguishing_effects(space, points),
+                check(lambda: gpt_models._screen(space, points[None]),
+                      _twin_screen_lp(space, points))
+                check(lambda: gpt_models._distinguishing_effects(space, points[None]),
                       _twin_witness_lp(space, points))
     # the dual screens are optimal or unbounded, the witness LPs optimal or infeasible
     assert statuses == {"optimal", "infeasible", "unbounded"}
