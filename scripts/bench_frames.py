@@ -5,16 +5,19 @@ Run from the repository root (numpy is the only dependency):
     python scripts/bench_frames.py
     python scripts/bench_frames.py --parent ../parent --out BENCH_pr10.json
 
-Every repeat builds its model afresh, so it enumerates the frames cold;
-``seconds`` is the median of ``REPEATS`` timed runs. The models are the cap
-models, then the seven models whose frames the ``spectrum-ladder`` workload
-enumerates cold in its first pass (``LADDER``); ``ladder_seconds`` sums
-their medians. One more run, not timed, counts the work by wrapping library
-functions: least-squares guesses (calls of ``np.linalg.lstsq``), kernel
-entries (calls of ``gpt_models._solve``), LPs by the library function they
-were solved for (``_screen``: dual screen LPs; any other: k x d witness LPs)
-and simplex pivots. A kernel entry solves one LP,
-or one LP per entry of a stack axis on its ``c``, ``a`` or ``b`` argument; a
+Each checkout is measured in ``REPEATS`` interpreters, and the checkouts
+alternate which goes first on each repeat, so a drift in machine speed
+falls on both sides alike. Every repeat builds its model afresh, so it
+enumerates the frames cold; ``seconds`` is the median over the repeats. The
+models are the cap models, then the seven models whose frames the
+``spectrum-ladder`` workload enumerates cold in its first pass (``LADDER``);
+``ladder_seconds`` sums their medians. In the first repeat one more run, not
+timed, counts the work by wrapping library functions: least-squares guesses
+(calls of ``np.linalg.lstsq``), kernel entries (calls of
+``gpt_models._solve``), LPs by the library function they were solved for
+(``_screen``: dual screen LPs; any other: k x d witness LPs) and simplex
+pivots. A kernel entry solves one LP, or one LP per entry of a stack axis
+on its ``c``, ``a`` or ``b`` argument; a
 call of ``convex_kernel._pivot`` pivots one LP per entry of its column
 argument. Both seams exist, with the same meaning, in checkouts that solve
 LPs one at a time, so ``--parent`` can count them the same way. A model
@@ -23,23 +26,24 @@ whose enumeration raises ``LpNumericalError`` records the message instead.
 The ``spectra`` section times the workload's spectrum op, coordinates ->
 ``make_state`` -> ``generalized_spectrum``, on every model of the
 ``spectrum-ladder`` workload (``SPECTRUM_LADDER``) at the coordinates of
-``STATES`` random mixtures of its vertices. On each of ``REPEATS`` freshly
-built models every op is timed; ``cold_ms`` is the median of the first ops,
+``STATES`` random mixtures of its vertices. On a freshly built model in
+each repeat every op is timed; ``cold_ms`` is the median of the first ops,
 ``warm_ms`` the median of all later ones. ``make_state_ms`` is the median of
 ``make_state`` alone at the later coordinates, on a model that has done one
-op. One more run, not timed, wraps ``np.linalg.matrix_rank``,
-``np.linalg.solve`` and the LP kernel entry ``_solve`` (in ``convex_kernel``
-and ``gpt_models``), the seams both checkouts share: ``cold_ranks`` and
+op. In the first repeat one more run, not timed, wraps
+``np.linalg.matrix_rank``, ``np.linalg.solve`` and the LP kernel entry
+``_solve`` (in ``convex_kernel`` and ``gpt_models``), the seams both
+checkouts share: ``cold_ranks`` and
 ``warm_ranks`` count rank calls in the first op and in each later op (their
 mean), ``solves`` and ``kernel_entries`` the solve calls and kernel entries
 per later op, and ``regular_bases`` the largest stack one solve call
 solved, which is the number of regular bases.
 
-``--parent DIR`` measures the checkout in DIR the same way, each checkout in
-its own interpreter. Those interpreters run with ``MEASURE_ENV``, which the
-JSON records: OpenBLAS's threaded least squares sometimes takes a hundred
-times its usual 2 ms on simplex 10, and one thread keeps the cold timings
-steady. It then runs ``perfbench/run.py --seconds 16`` in both
+``--parent DIR`` measures the checkout in DIR the same way, alternating
+with this one. The interpreters that time frames and spectra run with
+``MEASURE_ENV``, which the JSON records: OpenBLAS's threaded least squares
+sometimes takes a hundred times its usual 2 ms on simplex 10, and one
+thread keeps the cold timings steady. It then runs ``perfbench/run.py --seconds 16`` in both
 checkouts for seeds 1..PAIRS and the hold-out seed 7919, alternating which
 goes first, on every workload in ``WORKLOADS``, and stores each run's metrics.
 Each perfbench run gets an empty bytecode cache, so that both checkouts
@@ -136,8 +140,9 @@ def _counted(convex_kernel, gpt_models, np, enumerate_once) -> Counter:
     return counts
 
 
-def measure() -> dict:
-    """Cold enumeration of every cap model with the convexinfo on sys.path."""
+def measure(counted: bool) -> dict:
+    """One cold enumeration of every cap model with the convexinfo on sys.path,
+    and with ``counted`` one more that counts the work."""
     import numpy as np
 
     from convexinfo import build_model, convex_kernel, enumerate_frames, gpt_models
@@ -146,28 +151,25 @@ def measure() -> dict:
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     results = {}
     for label, kind, args in _models(reference):
+        space = build_model(kind, **args)
+        start = time.perf_counter()
         try:
-            times = []
-            for _ in range(REPEATS):
-                space = build_model(kind, **args)
-                start = time.perf_counter()
-                frames = enumerate_frames(space)
-                times.append(time.perf_counter() - start)
+            frames = enumerate_frames(space)
         except LpNumericalError as exc:
             results[label] = {"raises": f"LpNumericalError: {exc}"}
             continue
-        counts = _counted(convex_kernel, gpt_models, np,
-                          lambda: enumerate_frames(build_model(kind, **args)))
-        results[label] = {
-            "seconds": statistics.median(times), "frames": len(frames),
-            **{key: counts[key] for key in ("guesses", "dual_screen_lps", "witness_lps",
-                                            "kernel_entries", "pivots")}}
-    results["ladder_seconds"] = sum(results[label]["seconds"] for label in LADDER)
+        results[label] = {"seconds": [time.perf_counter() - start], "frames": len(frames)}
+        if counted:
+            counts = _counted(convex_kernel, gpt_models, np,
+                              lambda: enumerate_frames(build_model(kind, **args)))
+            results[label].update({key: counts[key] for key in (
+                "guesses", "dual_screen_lps", "witness_lps", "kernel_entries", "pivots")})
     return results
 
 
-def measure_spectra() -> dict:
-    """The spectrum op of every spectrum-ladder model with the convexinfo on sys.path."""
+def measure_spectra(counted: bool) -> dict:
+    """The spectrum op of every spectrum-ladder model with the convexinfo on
+    sys.path, on one freshly built model, and with ``counted`` the counts."""
     import numpy as np
 
     from convexinfo import (build_model, convex_kernel, generalized_spectrum, gpt_models,
@@ -186,29 +188,27 @@ def measure_spectra() -> dict:
             return generalized_spectrum(space, make_state(space, c))
 
         cold, warm, alone = [], [], []
-        for _ in range(REPEATS):
-            space = build_model(kind, **args)
-            for k, c in enumerate(coords):
-                start = time.perf_counter()
-                op(space, c)
-                (warm if k else cold).append(time.perf_counter() - start)
-            space = build_model(kind, **args)
-            op(space, coords[0])
-            for c in coords[1:]:
-                start = time.perf_counter()
-                make_state(space, c)
-                alone.append(time.perf_counter() - start)
         space = build_model(kind, **args)
-        first, rest = _counted_spectra(np, (convex_kernel, gpt_models),
-                                       lambda c: op(space, c), coords)
-        results[label] = {"cold_ms": 1e3 * statistics.median(cold),
-                          "warm_ms": 1e3 * statistics.median(warm),
-                          "make_state_ms": 1e3 * statistics.median(alone),
-                          "regular_bases": first["systems"],
-                          "cold_ranks": first["ranks"],
-                          "warm_ranks": rest["ranks"] / (STATES - 1),
-                          "solves": rest["solves"] / (STATES - 1),
-                          "kernel_entries": rest["kernel_entries"] / (STATES - 1)}
+        for k, c in enumerate(coords):
+            start = time.perf_counter()
+            op(space, c)
+            (warm if k else cold).append(1e3 * (time.perf_counter() - start))
+        space = build_model(kind, **args)
+        op(space, coords[0])
+        for c in coords[1:]:
+            start = time.perf_counter()
+            make_state(space, c)
+            alone.append(1e3 * (time.perf_counter() - start))
+        results[label] = {"cold_ms": cold, "warm_ms": warm, "make_state_ms": alone}
+        if counted:
+            space = build_model(kind, **args)
+            first, rest = _counted_spectra(np, (convex_kernel, gpt_models),
+                                           lambda c: op(space, c), coords)
+            results[label].update({"regular_bases": first["systems"],
+                                   "cold_ranks": first["ranks"],
+                                   "warm_ranks": rest["ranks"] / (STATES - 1),
+                                   "solves": rest["solves"] / (STATES - 1),
+                                   "kernel_entries": rest["kernel_entries"] / (STATES - 1)})
     return results
 
 
@@ -249,13 +249,28 @@ def _counted_spectra(np, modules, op, coords) -> tuple[Counter, Counter]:
     return first, counts
 
 
-def _measure_checkout(checkout: Path, function: str) -> dict:
+def _measure_checkout(checkout: Path, function: str, counted: bool) -> dict:
     code = (f"import json, sys; sys.path[:0] = [{str(checkout / 'src')!r}, "
             f"{str(ROOT / 'scripts')!r}]; import bench_frames; "
-            f"print(json.dumps(bench_frames.{function}()))")
+            f"print(json.dumps(bench_frames.{function}({counted})))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, **MEASURE_ENV),
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def alternated(checkouts: dict, function: str) -> dict:
+    """``function`` in REPEATS interpreters per checkout, the checkouts taking
+    turns at going first; each timed list becomes its median over the
+    repeats, and the counts and messages come from the first repeat."""
+    runs = {side: [] for side in checkouts}
+    for repeat in range(REPEATS):
+        for side in list(checkouts)[::1 if repeat % 2 == 0 else -1]:
+            runs[side].append(_measure_checkout(checkouts[side], function, repeat == 0))
+    return {side: {label: {key: statistics.median(x for run in side_runs for x in run[label][key])
+                           if isinstance(value, list) else value
+                           for key, value in record.items()}
+                   for label, record in side_runs[0].items()}
+            for side, side_runs in runs.items()}
 
 
 def _commit(checkout: Path) -> str:
@@ -306,9 +321,10 @@ def main(argv=None) -> int:
         checkouts["parent"] = args.parent.resolve()
     doc = {"repeats": REPEATS, "states": STATES, "measure_env": MEASURE_ENV,
            "commits": {side: _commit(path) for side, path in checkouts.items()}}
-    for section, function in (("frames", "measure"), ("spectra", "measure_spectra")):
-        doc[section] = {side: _measure_checkout(path, function)
-                        for side, path in checkouts.items()}
+    doc["frames"] = alternated(checkouts, "measure")
+    for frames in doc["frames"].values():
+        frames["ladder_seconds"] = sum(frames[label]["seconds"] for label in LADDER)
+    doc["spectra"] = alternated(checkouts, "measure_spectra")
     if args.parent is not None:
         doc["perfbench"] = pairs(checkouts["parent"])
     text = json.dumps(doc, indent=1)

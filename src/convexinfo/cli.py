@@ -397,9 +397,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except SpectrumUndefined as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if getattr(args, "strict", False) else 2
     except ConvexInfoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, LpNumericalError) else 2

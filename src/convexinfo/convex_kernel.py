@@ -10,6 +10,7 @@ is returned, and a check failure raises instead of returning a wrong answer.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -73,7 +74,9 @@ class LinearProgram:
             if self.objective is not None:
                 object.__setattr__(self, "objective", tuple(float(c) for c in self.objective))
             if self.bounds is not None:
-                object.__setattr__(self, "bounds", tuple((lo, hi) for lo, hi in self.bounds))
+                object.__setattr__(self, "bounds", tuple(
+                    tuple(None if x is None else float(x) for x in (lo, hi))
+                    for lo, hi in self.bounds))
         except (TypeError, ValueError):
             raise DimensionMismatch("objective needs numbers, bounds (lo, hi) pairs") from None
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -468,11 +471,12 @@ class Polytope:
 
 def _decomposition_rows(vertices, point) -> tuple[np.ndarray, np.ndarray]:
     """Equality rows of the decomposition LP: sum w = 1, then sum w_i v_i = point."""
-    v = np.asarray(vertices, float)
     try:
-        p = np.asarray(point, float)
+        v, p = np.asarray(vertices, float), np.asarray(point, float)
     except (TypeError, ValueError):
-        raise DimensionMismatch("a point must be a sequence of numbers") from None
+        raise DimensionMismatch("vertices and a point must be rows of numbers") from None
+    if v.ndim != 2:
+        raise DimensionMismatch("vertices must be rows of one length")
     if p.shape != v.shape[1:]:
         raise DimensionMismatch(f"point shape {p.shape} vs vertex dim {v.shape[1]}")
     a, b = np.empty((v.shape[1] + 1, v.shape[0])), np.empty(p.shape[0] + 1)
@@ -515,7 +519,7 @@ def topk_weight_max(skeleton: LinearProgram, subset: Iterable[int]) -> float:
     not in the hull at all.
     """
     try:
-        s = sorted(set(int(i) for i in subset))
+        s = sorted(set(map(operator.index, subset)))
     except (TypeError, ValueError):
         raise DimensionMismatch("subset must hold weight indices") from None
     if not s:

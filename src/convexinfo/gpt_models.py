@@ -40,8 +40,9 @@ _RANK_RTOL = 1e-10
 #: columns; unit-norm rows make it independent of the coordinates' scale)
 #: falls below this are numerically singular.
 _REGULAR_TOL = 1e-12
-#: Most negative basic solution component still counted as a zero weight.
-_FEAS_TOL = 1e-9
+#: Most negative basic-solution weight still counted as a zero weight (not
+#: the kernel's ``FEAS_TOL``, which bounds LP rows).
+_NEGATIVE_WEIGHT_TOL = 1e-9
 #: Largest coordinate error of a vertex's reconstruction of the state.
 _RECON_TOL = 1e-8
 #: A basic solution's weight above this counts toward its support. Weights
@@ -132,9 +133,9 @@ class StateSpace:
         """Every regular basis solved for each of the points (s, d) in one solve.
 
         Returns ``(which, w)``: one row of ``w`` per basic solution that is
-        feasible (weights >= -``_FEAS_TOL``, then clipped at 0) and reproduces
-        its point within ``_RECON_TOL``, zero off its basis, and the index of
-        that point in ``which``. Rows come point by point, each point's in
+        feasible (weights >= -``_NEGATIVE_WEIGHT_TOL``, then clipped at 0)
+        and reproduces its point within ``_RECON_TOL``, zero off its basis,
+        and the index of that point in ``which``. Rows come point by point, each point's in
         ``itertools.combinations`` order of the bases.
         """
         a, rows, scale, bases, sub = self._spectrum_bases
@@ -142,7 +143,7 @@ class StateSpace:
         b[:, :-1] = points
         b_r = (b[:, rows] / scale).T
         x = np.linalg.solve(sub, np.broadcast_to(b_r, (len(sub), *b_r.shape)))
-        which, basis = (x.min(axis=1) >= -_FEAS_TOL).T.nonzero()
+        which, basis = (x.min(axis=1) >= -_NEGATIVE_WEIGHT_TOL).T.nonzero()
         w = np.zeros((len(which), a.shape[1]))
         w[np.arange(len(w))[:, None], bases[basis]] = np.clip(x[basis, :, which], 0.0, None)
         reproduces = np.abs(w @ a.T - b[which]).max(axis=1) <= _RECON_TOL
@@ -183,6 +184,14 @@ class StateSpace:
                         witnesses[combo] = found
             return [combo in witnesses for combo in combos]
 
+        def witness_lps(sets) -> list[list[GptEffect] | None]:
+            # one stack; if it raises, each LP alone, and one that raises alone finds none
+            try:
+                return _distinguishing_effects(self, verts[np.array(sets)])
+            except LpNumericalError:
+                return [None] if len(sets) == 1 else [
+                    effects for combo in sets for effects in witness_lps([combo])]
+
         def known(combo) -> bool:
             return combo in witnesses or any(_mask(combo) & ~k == 0 for k in jumped)
 
@@ -215,8 +224,7 @@ class StateSpace:
         missing = [combo for combo in kept if isinstance(effects[combo], np.ndarray)]
         for size in sorted(set(map(len, missing))):
             sets = [combo for combo in missing if len(combo) == size]
-            for combo, found_effects in zip(
-                    sets, _distinguishing_effects(self, verts[np.array(sets)])):
+            for combo, found_effects in zip(sets, witness_lps(sets)):
                 effects[combo] = found_effects or _checked_screen_witness(
                     self, verts[list(combo)], witnesses[combo])
         return tuple(Frame(vertex_indices=combo,
@@ -523,6 +531,8 @@ def perfectly_distinguishable(space: StateSpace, states) -> bool:
     states = list(states)
     if len(states) < 2:
         raise ValidationError("need at least 2 states to distinguish")
+    if any(len(st.point) != space.dim for st in states):
+        raise DimensionMismatch(f"every state needs the model's dimension {space.dim}")
     return _decide(space, np.asarray([st.point for st in states], float)[None])[0] is not None
 
 

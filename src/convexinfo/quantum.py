@@ -257,7 +257,7 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
     best_rows = vecs.conj().T[::-1].copy()  # eigenbasis bras, largest eigenvalue first
     best_value = _rows_entropies(pair, rho_arr, best_rows[None])[0]
 
-    n_random = max(1, int(0.7 * (budget - 1)))
+    n_random = min(budget - 1, max(1, int(0.7 * (budget - 1))))
     counts = rng.integers(n, 2 * n + 1, size=n_random)
     for outcomes, size in zip(*np.unique(counts, return_counts=True)):
         rows = _isometry_rows(rng, n, int(outcomes), (int(size),))

@@ -174,6 +174,43 @@ def test_sweep_csv(capsys):
         float(parameter), float(value)
 
 
+def test_sweep_bits_divides_each_nat_row_by_ln2(capsys):
+    argv = ["sweep", "--family", "tsallis", "--grid", "0.5:2.5:3", "--p", "0.5,0.3,0.2"]
+    _, nats, _ = run(capsys, argv)
+    code, bits, _ = run(capsys, [*argv, "--bits"])
+    assert code == 0
+    nat_rows, bit_rows = ([[float(x) for x in line.split(",")] for line in out.split()[1:]]
+                          for out in (nats, bits))
+    assert len(bit_rows) == 3
+    assert bit_rows == [[parameter, pytest.approx(value / math.log(2), rel=1e-11)]
+                        for parameter, value in nat_rows]
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["sweep", "--family", "renyi", "--grid", "a:1:3", "--p", "0.5,0.5"],
+     "--grid expects numbers in start:stop:count, got 'a:1:3'"),
+    (["sweep", "--family", "renyi", "--grid", "0.5:1:0", "--p", "0.5,0.5"],
+     "--grid count must be >= 1"),
+    (["holevo", "--ensemble", "MISSING"], "--ensemble: cannot read 'MISSING': "),
+    (["holevo", "--ensemble", "NO_STATES"],
+     "--ensemble expects {weights: [...], states: [matrix, ...]}"),
+    (["entropy"], "entropy needs --p, or --model with --state"),
+    (["entropy", "--model", "SQUARE", "--state", "0,0"],
+     "model entropies need --general (prints both definitions)"),
+    (["majorize", "--p", "0.5,0.5"], "majorize needs --p/--q, or --model/--state/--other"),
+], ids=["non-numeric grid", "grid count 0", "unreadable json", "ensemble without states",
+        "entropy without input", "model entropy without --general", "majorize without pairs"])
+def test_usage_problems_exit_2_with_their_message(capsys, tmp_path, square_file, argv, shown):
+    no_states = tmp_path / "no_states.json"
+    no_states.write_text(json.dumps({"weights": [0.5, 0.5]}))
+    files = {"MISSING": str(tmp_path / "missing.json"), "NO_STATES": str(no_states),
+             "SQUARE": square_file}
+    shown = shown.replace("MISSING", files["MISSING"])
+    code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {shown}")
+
+
 def test_validation_errors_exit_2(capsys, square_file):
     code, _, err = run(capsys, ["entropy", "--pair", "shannon", "--p", "0.5,0.6"])
     assert code == 2 and "error" in err

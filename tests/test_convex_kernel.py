@@ -7,9 +7,11 @@ from convexinfo import (
     Constraint,
     LinearProgram,
     Polytope,
+    build_model,
     convex_kernel,
     lp_solve,
     membership,
+    perfectly_distinguishable,
     topk_weight_max,
 )
 from convexinfo.convex_kernel import RELATIONS, convex_weights, decomposition_program
@@ -24,6 +26,7 @@ from convexinfo.errors import (
     TooLarge,
     ValidationError,
 )
+from convexinfo.gpt_models import GptState
 from convexinfo.probvec import normalize
 
 from oracles import loop_reference, scipy_lp_reference
@@ -480,10 +483,18 @@ SQUARE = Polytope([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
     (lambda: make_preset("renyi", "x"), BadParameter),
     (lambda: entropy_upper_bound(make_preset("shannon"), "a"), BadParameter),
     (lambda: entropy_upper_bound(make_preset("shannon"), 2.5), BadParameter),
+    (lambda: lp_solve(LinearProgram(1, (1.0,), (), bounds=(("a", 2.0),))), DimensionMismatch),
+    (lambda: decomposition_program([[0, 1], [1]], [0.5, 0.5]), DimensionMismatch),
+    (lambda: topk_weight_max(decomposition_program(SQUARE.as_array(), [0.5, 0.5]), [1.5]),
+     DimensionMismatch),
+    (lambda: perfectly_distinguishable(build_model("simplex", n=3),
+                                       [GptState((1.0, 1.0)), GptState((0.0, 1.0))]),
+     DimensionMismatch),
 ], ids=["ragged polytope", "text polytope", "text coefficient", "text objective",
         "short bounds pair", "text membership point", "text weights point", "text subset",
         "text weight", "no preset name", "text renyi parameter", "text support size",
-        "fractional support size"])
+        "fractional support size", "text variable bound", "ragged decomposition vertices",
+        "fractional subset index", "states of another dimension"])
 def test_library_entry_points_raise_validation_errors(call, error):
     assert issubclass(error, ValidationError)
     with pytest.raises(error):

@@ -375,6 +375,36 @@ def test_frames_random_custom_t17_keeps_the_frame_the_witness_lp_misses():
     assert perfectly_distinguishable(space, [vertex_state(space, i) for i in (4, 5, 7)])
 
 
+def test_a_witness_lp_that_raises_leaves_its_frame_the_checked_screen_point(monkeypatch):
+    # custom 5 x 2: three frames take witness LPs, in one stack; when the
+    # stack raises, each LP is solved alone, and the set whose own LP raises
+    # takes the dual screen's checked point; the others keep their effects
+    args = _frame_model_args("custom_polytope", (5, 2))
+    solve, stacks = gpt_models._distinguishing_effects, []
+    monkeypatch.setattr(gpt_models, "_distinguishing_effects",
+                        lambda space, points: stacks.append(points) or solve(space, points))
+    before = {f.vertex_indices: f.effects
+              for f in enumerate_frames(build_model("custom_polytope", **args))}
+    (stack,) = stacks
+    failing, sizes = stack[1], []
+
+    def raising(space, points):
+        sizes.append(len(points))
+        if any(np.array_equal(one, failing) for one in points):
+            raise LpNumericalError("solution violates a <= constraint")
+        return solve(space, points)
+
+    monkeypatch.setattr(gpt_models, "_distinguishing_effects", raising)
+    space = build_model("custom_polytope", **args)
+    frames = enumerate_frames(space)
+    assert sizes == [3, 1, 1, 1]
+    verts = space.vertex_array()
+    assert [f.vertex_indices for f in frames] == highs_frames(verts)
+    _assert_witnesses(space)
+    assert [f.vertex_indices for f in frames if f.effects != before[f.vertex_indices]] == [
+        f.vertex_indices for f in frames if np.array_equal(verts[list(f.vertex_indices)], failing)]
+
+
 @pytest.mark.parametrize("kind, n", FRAME_MODELS, ids=FRAME_MODEL_IDS)
 def test_screen_agrees_with_the_witness_lp_on_every_tested_set(kind, n, monkeypatch):
     tested = _record_calls(monkeypatch, "_least_squares_effects")

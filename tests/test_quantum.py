@@ -181,6 +181,21 @@ def test_malformed_effects_are_povm_errors(effect):
         Povm([effect])
 
 
+@pytest.mark.parametrize("budget", [1, 2, 3, 10])
+def test_min_search_scores_exactly_its_budget(budget, monkeypatch):
+    from convexinfo import quantum
+    scored = []
+    rows_entropies = quantum._rows_entropies
+
+    def counting(pair, rho, rows):
+        scored.append(len(rows))
+        return rows_entropies(pair, rho, rows)
+
+    monkeypatch.setattr(quantum, "_rows_entropies", counting)
+    quantum_entropy_min_search(make_preset("shannon"), MIXED, budget=budget, seed=3)
+    assert sum(scored) == budget
+
+
 def test_min_search_rejects_a_negative_seed():
     with pytest.raises(BadParameter, match="seed must be a non-negative integer, got -1"):
         quantum_entropy_min_search(make_preset("shannon"), MIXED, budget=10, seed=-1)
