@@ -401,11 +401,10 @@ def _one_by_one(c, a, rel, b, lower, upper, maximize):
 @pytest.mark.parametrize("stack_cells", [convex_kernel._STACK_CELLS, 200])
 def test_a_stack_of_lps_gives_each_lp_its_own_result(stack_cells, monkeypatch):
     # every LP of a stack must come out as it does alone, bit for bit and
-    # multipliers included: every LP keeps its place in the stack; a small
-    # cell budget splits the stacks into slices
+    # multipliers included; a small cell budget splits the stacks into slices
     monkeypatch.setattr(convex_kernel, "_STACK_CELLS", stack_cells)
     rng = np.random.default_rng(8)
-    seen, mixed, certified = Counter(), 0, 0
+    seen, mixed = Counter(), 0
     for trial in range(150):
         lps = _random_stack(rng, int(rng.integers(1, 12)))
         if trial % 10 == 0:  # a row bounded by an infinity in one LP
@@ -417,8 +416,27 @@ def test_a_stack_of_lps_gives_each_lp_its_own_result(stack_cells, monkeypatch):
         statuses = {r.status for r in stacked}
         seen.update(statuses)
         mixed += len(statuses) == 3
-        certified += sum(r.duals is not None and any(r.duals) for r in stacked)
     assert min(seen.values()) >= 20 and mixed >= 3, (seen, mixed)
+
+
+@pytest.mark.parametrize("stack_cells", [convex_kernel._STACK_CELLS, 200])
+def test_a_stack_of_lps_gives_each_lp_its_own_multipliers(stack_cells, monkeypatch):
+    # the trials above, multipliers alone: every LP keeps its place in the
+    # stack, so its multipliers come out as they do alone, bit for bit, and
+    # most optimal LPs have a nonzero one
+    monkeypatch.setattr(convex_kernel, "_STACK_CELLS", stack_cells)
+    rng = np.random.default_rng(8)
+    certified = 0
+    for trial in range(150):
+        lps = _random_stack(rng, int(rng.integers(1, 12)))
+        if trial % 10 == 0:  # a row bounded by an infinity in one LP
+            lps[3][0, -1] = np.inf * lps[2][-1] if lps[2][-1] else np.inf
+        c, a, rel, b, lower, upper, maximize = lps
+        alone = [convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper, maximize)[0].duals
+                 for i in range(len(a))]
+        stacked = [r.duals for r in convex_kernel._solve(*lps)]
+        assert stacked == alone, f"trial {trial}"
+        certified += sum(d is not None and any(d) for d in stacked)
     assert certified >= 100, certified
 
 
