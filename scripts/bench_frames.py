@@ -1,4 +1,4 @@
-"""Cold frame enumeration, spectra per state, and perfbench pairs, parent against change.
+"""Cold frames, spectra per state, min-searches and perfbench pairs, parent against change.
 
 Run from the repository root (numpy is the only dependency):
 
@@ -39,8 +39,18 @@ mean), ``solves`` and ``kernel_entries`` the solve calls and kernel entries
 per later op, and ``regular_bases`` the largest stack one solve call
 solved, which is the number of regular bases.
 
+The ``search`` section times the ``quantum-search`` workload's search op,
+``pair_from_spec`` -> ``quantum_entropy_min_search`` at budget 1000, for
+each dimension in ``SEARCH_DIMS`` and each pair in ``SEARCH_PAIRS`` on one
+random density matrix, ``SEARCHES`` seeds each; ``ms`` is the median over
+the seeds and repeats. In the first repeat one more run of the same
+searches, not timed, wraps ``np.linalg.qr``, ``quantum._rows_entropies``
+(one call per scored stack of candidates) and ``entropic._validate_pair``
+(one call per pair built): ``qr_calls``, ``score_calls`` and
+``validations`` are their counts per search.
+
 ``--parent DIR`` measures the checkout in DIR the same way, alternating
-with this one. The interpreters that time frames and spectra run with
+with this one. The interpreters that time frames, spectra and searches run with
 ``MEASURE_ENV``, which the JSON records: OpenBLAS's threaded least squares
 sometimes takes a hundred times its usual 2 ms on simplex 10, and one
 thread keeps the cold timings steady. It then runs ``perfbench/run.py --seconds 16`` in both
@@ -78,7 +88,11 @@ SPECTRUM_LADDER = (*(f"polygon{n}" for n in (4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 1
                    *(f"custom3d{n}" for n in (6, 8, 10, 16)))
 #: States per model in the spectra section.
 STATES = 16
-#: Environment of the interpreters that time frames and spectra.
+#: Dimensions, pairs and seeds per (dimension, pair) of the search section.
+SEARCH_DIMS = (2, 4, 8, 16)
+SEARCH_PAIRS = ("shannon", "renyi:2.0", "tsallis:0.5")
+SEARCHES = 10
+#: Environment of the interpreters that time frames, spectra and searches.
 MEASURE_ENV = {"OPENBLAS_NUM_THREADS": "1"}
 
 
@@ -249,6 +263,66 @@ def _counted_spectra(np, modules, op, coords) -> tuple[Counter, Counter]:
     return first, counts
 
 
+def measure_search(counted: bool) -> dict:
+    """The search op at every dimension and pair with the convexinfo on
+    sys.path, and with ``counted`` the counts per search."""
+    import numpy as np
+
+    from convexinfo import DensityMatrix, entropic, pair_from_spec, quantum
+
+    results = {}
+    for n in SEARCH_DIMS:
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = g @ g.conj().T
+        rho = DensityMatrix(m / np.trace(m).real)
+        for spec in SEARCH_PAIRS:
+            def op(seed):
+                quantum.quantum_entropy_min_search(pair_from_spec(spec), rho, budget=1000,
+                                                   seed=seed)
+
+            times = []
+            for seed in range(SEARCHES):
+                start = time.perf_counter()
+                op(seed)
+                times.append(1e3 * (time.perf_counter() - start))
+            label = f"d{n} {spec}"
+            results[label] = {"ms": times}
+            if counted:
+                counts = _counted_search(np, quantum, entropic, op)
+                results[label].update({key: counts[key] / SEARCHES for key in (
+                    "qr_calls", "score_calls", "validations")})
+    return results
+
+
+def _counted_search(np, quantum, entropic, op) -> Counter:
+    """Counts of ``op`` over every seed, the three seams wrapped; restore them after."""
+    counts = Counter()
+    qr, score, validate = np.linalg.qr, quantum._rows_entropies, entropic._validate_pair
+
+    def counting_qr(*args, **kwargs):
+        counts["qr_calls"] += 1
+        return qr(*args, **kwargs)
+
+    def counting_score(*args):
+        counts["score_calls"] += 1
+        return score(*args)
+
+    def counting_validate(*args):
+        counts["validations"] += 1
+        return validate(*args)
+
+    np.linalg.qr = counting_qr
+    quantum._rows_entropies, entropic._validate_pair = counting_score, counting_validate
+    try:
+        for seed in range(SEARCHES):
+            op(seed)
+    finally:
+        np.linalg.qr = qr
+        quantum._rows_entropies, entropic._validate_pair = score, validate
+    return counts
+
+
 def _measure_checkout(checkout: Path, function: str, counted: bool) -> dict:
     code = (f"import json, sys; sys.path[:0] = [{str(checkout / 'src')!r}, "
             f"{str(ROOT / 'scripts')!r}]; import bench_frames; "
@@ -319,12 +393,13 @@ def main(argv=None) -> int:
     checkouts = {"change": ROOT}
     if args.parent is not None:
         checkouts["parent"] = args.parent.resolve()
-    doc = {"repeats": REPEATS, "states": STATES, "measure_env": MEASURE_ENV,
+    doc = {"repeats": REPEATS, "states": STATES, "searches": SEARCHES, "measure_env": MEASURE_ENV,
            "commits": {side: _commit(path) for side, path in checkouts.items()}}
     doc["frames"] = alternated(checkouts, "measure")
     for frames in doc["frames"].values():
         frames["ladder_seconds"] = sum(frames[label]["seconds"] for label in LADDER)
     doc["spectra"] = alternated(checkouts, "measure_spectra")
+    doc["search"] = alternated(checkouts, "measure_search")
     if args.parent is not None:
         doc["perfbench"] = pairs(checkouts["parent"])
     text = json.dumps(doc, indent=1)

@@ -13,6 +13,7 @@ that only takes one float at a time is lifted to arrays at construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -118,18 +119,24 @@ def _shannon_phi(p):
     return -p * np.log(np.where(p > 0.0, p, 1.0))  # 0 at p <= 0, without a log(0)
 
 
+#: Distinct (name, parameter) presets kept built; a sweep over many
+#: parameters evicts the least recently used ones.
+_PRESET_CACHE = 64
+
+
 def make_preset(name: str, parameter: float | None = None) -> EntropicPair:
     """Build one of the preset pairs: shannon, renyi(alpha) or tsallis(q).
 
     For renyi/tsallis the parameter must be finite, positive and different
     from 1 (the Shannon limit is reached continuously but not evaluated at 1).
+    Each (name, parameter) is built and validated once; later calls return
+    the same pair.
     """
     if not isinstance(name, str):
         raise BadParameter(f"preset name must be a string, got {name!r}")
     key = name.strip().lower()
     if key == "shannon":
-        return EntropicPair(h=lambda x: x, phi=_shannon_phi,
-                            regime=REGIME_INC_CONCAVE, name="shannon")
+        return _preset(key, None)
     if key in ("renyi", "tsallis"):
         if parameter is None:
             raise BadParameter(f"{key} needs a parameter")
@@ -139,14 +146,23 @@ def make_preset(name: str, parameter: float | None = None) -> EntropicPair:
             raise BadParameter(f"{key} parameter must be a number, got {parameter!r}") from None
         if not math.isfinite(a) or a <= 0.0 or abs(a - 1.0) <= 1e-12:
             raise BadParameter(f"{key} parameter must be finite, > 0 and != 1, got {a!r}")
-        regime = REGIME_DEC_CONVEX if a > 1.0 else REGIME_INC_CONCAVE
-        phi = lambda p, _a=a: np.maximum(p, 0.0) ** _a  # 0 at p <= 0, as a > 0
-        if key == "renyi":
-            h = lambda x, _a=a: np.log(x) / (1.0 - _a)
-        else:
-            h = lambda x, _a=a: (x - 1.0) / (1.0 - _a)
-        return EntropicPair(h=h, phi=phi, regime=regime, name=key, parameter=a)
+        return _preset(key, a)
     raise BadParameter(f"unknown preset {name!r}")
+
+
+@functools.lru_cache(maxsize=_PRESET_CACHE)
+def _preset(key: str, a: float | None) -> EntropicPair:
+    """The validated pair of a checked preset name and parameter."""
+    if key == "shannon":
+        return EntropicPair(h=lambda x: x, phi=_shannon_phi,
+                            regime=REGIME_INC_CONCAVE, name="shannon")
+    regime = REGIME_DEC_CONVEX if a > 1.0 else REGIME_INC_CONCAVE
+    phi = lambda p, _a=a: np.maximum(p, 0.0) ** _a  # 0 at p <= 0, as a > 0
+    if key == "renyi":
+        h = lambda x, _a=a: np.log(x) / (1.0 - _a)
+    else:
+        h = lambda x, _a=a: (x - 1.0) / (1.0 - _a)
+    return EntropicPair(h=h, phi=phi, regime=regime, name=key, parameter=a)
 
 
 def _entropies(pair: EntropicPair, probs: np.ndarray) -> np.ndarray:
@@ -183,6 +199,8 @@ def entropy_upper_bound(pair: EntropicPair, n: int) -> float:
 
 def pair_from_spec(spec: str) -> EntropicPair:
     """Parse a CLI pair descriptor: 'shannon', 'renyi:2.0' or 'tsallis:0.5'."""
+    if not isinstance(spec, str):
+        raise BadParameter(f"pair spec must be a string, got {spec!r}")
     head, _, tail = spec.partition(":")
     head = head.strip().lower()
     if head == "shannon":

@@ -9,7 +9,6 @@ the known optimum is reachable whenever the pair is Schur-concave).
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -25,15 +24,6 @@ from .errors import (
     TooLarge,
 )
 from .probvec import TOL, ProbVector, majorizes
-
-_SHANNON: EntropicPair | None = None
-
-
-def _shannon() -> EntropicPair:
-    global _SHANNON
-    if _SHANNON is None:
-        _SHANNON = make_preset("shannon")
-    return _SHANNON
 
 #: Dense eigensolves only; desk-scale dimension cap.
 MAX_DIM = 16
@@ -96,7 +86,10 @@ class Povm:
     rank_one: bool
 
     def __init__(self, effects, rank_one: bool | None = None):
-        mats = [_as_complex_matrix(e, InvalidPovm) for e in effects]
+        try:
+            mats = [_as_complex_matrix(e, InvalidPovm) for e in effects]
+        except TypeError:  # effects is not iterable
+            raise InvalidPovm(f"expected a sequence of effects, got {effects!r}") from None
         if not mats:
             raise InvalidPovm("a POVM needs at least one effect")
         n = mats[0].shape[0]
@@ -180,14 +173,30 @@ def _isometry_rows(rng: np.random.Generator, dim: int, outcomes: int,
     ``stack=(k,)`` draws a stack of k isometries, the same numbers as k
     draws one at a time.
     """
-    g = rng.normal(size=(*stack, outcomes, dim, 2)).view(complex)[..., 0]  # (re, im) pairs
+    g = rng.standard_normal((*stack, outcomes, dim, 2)).view(complex)[..., 0]  # (re, im) pairs
     q, _ = np.linalg.qr(g)
     return q  # (..., outcomes, dim) with orthonormal columns
 
 
+#: Multiply-adds of one scoring GEMM. OpenBLAS runs a complex GEMM of at
+#: most 2**15 of them on the calling thread; a larger one wakes its other
+#: threads, which spin and touch buffers of their own for a product that
+#: takes tens of microseconds.
+_GEMM_CELLS = 1 << 15
+
+
 def _rows_entropies(pair, rho_arr, rows) -> np.ndarray:
-    """Entropy of the Born statistics of each isometry in a stack."""
-    probs = np.einsum("kia,kia->ki", rows @ rho_arr, rows.conj()).real
+    """Entropy of the Born statistics of each isometry in a stack.
+
+    The products of all the stack's rows with rho take one GEMM, or a few
+    of at most ``_GEMM_CELLS`` multiply-adds each.
+    """
+    k, m, n = rows.shape
+    flat = rows.reshape(k * m, n)
+    chunk = _GEMM_CELLS // (n * n)
+    products = np.concatenate([flat[i:i + chunk] @ rho_arr
+                               for i in range(0, k * m, chunk)]).reshape(rows.shape)
+    probs = np.einsum("kia,kia->ki", products, rows.conj()).real
     probs = np.where(probs > 0.0, probs, 0.0)
     return _entropies(pair, probs / probs.sum(axis=1, keepdims=True))
 
@@ -198,10 +207,12 @@ def _first_below(values: np.ndarray, best: float) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-#: Refinement steps drawn and scored together. The draws do not depend on
-#: the scores; after an improvement the block's later steps are scored again
-#: around the new best isometry, so the result is that of one step at a time.
-_REFINE_BLOCK = 64
+#: Bound on the isometry entries of one block of refinement steps drawn and
+#: scored together: one block at d = 2 and 4, blocks of 64 steps at d = 16.
+#: The draws do not depend on the scores; after an improvement the block's
+#: later steps are scored again around the new best isometry, so the result
+#: is that of one step at a time.
+_REFINE_CELLS = 1 << 14
 
 
 def _refine(pair, rho_arr, rows, value, rng, steps: int):
@@ -210,11 +221,13 @@ def _refine(pair, rho_arr, rows, value, rng, steps: int):
     Each step orthonormalizes the best rows so far plus a complex Gaussian
     perturbation, whose scale shrinks by 0.5% per step from 0.3 down to 0.01.
     """
-    scales = list(itertools.accumulate(range(steps - 1), lambda s, _: max(0.01, s * 0.995),
-                                       initial=0.3))
-    for start in range(0, steps, _REFINE_BLOCK):
-        g = rng.normal(size=(min(_REFINE_BLOCK, steps - start), *rows.shape, 2))
-        moves = np.asarray(scales[start:start + len(g)])[:, None, None] * g.view(complex)[..., 0]
+    # 0.3 * 0.995**k as a sequential product, floored: the recurrence's bits
+    scales = np.maximum(np.multiply.accumulate(np.r_[0.3, np.full(max(steps - 1, 0), 0.995)]),
+                        0.01)
+    block = _REFINE_CELLS // rows.size
+    for start in range(0, steps, block):
+        g = rng.standard_normal((min(block, steps - start), *rows.shape, 2))
+        moves = scales[start:start + len(g), None, None] * g.view(complex)[..., 0]
         while len(moves):
             candidates, _ = np.linalg.qr(rows + moves)
             values = _rows_entropies(pair, rho_arr, candidates)
@@ -259,8 +272,10 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
 
     n_random = min(budget - 1, max(1, int(0.7 * (budget - 1))))
     counts = rng.integers(n, 2 * n + 1, size=n_random)
-    for outcomes, size in zip(*np.unique(counts, return_counts=True)):
-        rows = _isometry_rows(rng, n, int(outcomes), (int(size),))
+    for outcomes, size in enumerate(np.bincount(counts - n, minlength=n + 1), start=n):
+        if not size:
+            continue
+        rows = _isometry_rows(rng, n, outcomes, (int(size),))
         values = _rows_entropies(pair, rho_arr, rows)
         while (i := _first_below(values, best_value)) is not None:
             best_value, best_rows = values[i], rows[i]
@@ -281,7 +296,7 @@ def quantum_majorizes(sigma: DensityMatrix, rho: DensityMatrix) -> bool:
 
 def holevo_chi(e: Ensemble) -> float:
     """S(sum p_x rho_x) - sum p_x S(rho_x) with the Shannon preset."""
-    shannon = _shannon()
+    shannon = make_preset("shannon")
     mixed = quantum_entropy(shannon, e.average_state())
     conditional = sum(w * quantum_entropy(shannon, s)
                       for w, s in zip(e.weights.components, e.states))
@@ -304,7 +319,8 @@ def mutual_information(joint) -> float:
     if abs(total - 1.0) > TOL:
         raise NotNormalized(f"joint probabilities sum to {total!r}, not 1")
     j = np.clip(j, 0.0, None) / total
-    hx, hy, hxy = (float(_entropies(_shannon(), p[None])[0])
+    shannon = make_preset("shannon")
+    hx, hy, hxy = (float(_entropies(shannon, p[None])[0])
                    for p in (j.sum(axis=1), j.sum(axis=0), j.reshape(-1)))
     return hx + hy - hxy
 

@@ -15,12 +15,13 @@ from convexinfo import (
     topk_weight_max,
 )
 from convexinfo.convex_kernel import RELATIONS, convex_weights, decomposition_program
-from convexinfo.entropic import entropy_upper_bound, make_preset
+from convexinfo.entropic import entropy_upper_bound, make_preset, pair_from_spec
 from convexinfo.errors import (
     BadParameter,
     DegenerateModel,
     DimensionMismatch,
     InfeasibleDecomposition,
+    InvalidPovm,
     InvalidProbVector,
     LpNumericalError,
     TooLarge,
@@ -28,6 +29,7 @@ from convexinfo.errors import (
 )
 from convexinfo.gpt_models import GptState
 from convexinfo.probvec import normalize
+from convexinfo.quantum import Povm
 
 from oracles import loop_reference, scipy_lp_reference
 
@@ -499,6 +501,9 @@ SQUARE = Polytope([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
     (lambda: normalize(["a"]), InvalidProbVector),
     (lambda: make_preset(None), BadParameter),
     (lambda: make_preset("renyi", "x"), BadParameter),
+    (lambda: pair_from_spec(None), BadParameter),
+    (lambda: pair_from_spec(5), BadParameter),
+    (lambda: Povm(None), InvalidPovm),
     (lambda: entropy_upper_bound(make_preset("shannon"), "a"), BadParameter),
     (lambda: entropy_upper_bound(make_preset("shannon"), 2.5), BadParameter),
     (lambda: lp_solve(LinearProgram(1, (1.0,), (), bounds=(("a", 2.0),))), DimensionMismatch),
@@ -510,7 +515,8 @@ SQUARE = Polytope([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
      DimensionMismatch),
 ], ids=["ragged polytope", "text polytope", "text coefficient", "text objective",
         "short bounds pair", "text membership point", "text weights point", "text subset",
-        "text weight", "no preset name", "text renyi parameter", "text support size",
+        "text weight", "no preset name", "text renyi parameter", "no pair spec",
+        "numeric pair spec", "no povm effects", "text support size",
         "fractional support size", "text variable bound", "ragged decomposition vertices",
         "fractional subset index", "states of another dimension"])
 def test_library_entry_points_raise_validation_errors(call, error):

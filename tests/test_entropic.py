@@ -156,6 +156,30 @@ def test_pair_from_spec_strings():
         pair_from_spec("nope")
 
 
+def test_presets_are_built_once_per_name_and_parameter():
+    pair = make_preset("renyi", 2)
+    assert make_preset(" Renyi", 2.0) is pair and pair_from_spec("renyi:2") is pair
+    assert make_preset("renyi", np.float64(2.0)) is pair
+    assert make_preset("tsallis", 2) is not pair and make_preset("renyi", 0.5) is not pair
+    # shannon takes no parameter and ignores one given
+    assert make_preset("shannon", 5) is make_preset("shannon") is pair_from_spec("shannon")
+    # failures are not cached: each call raises again
+    for _ in range(3):
+        with pytest.raises(BadParameter):
+            make_preset("renyi", 1.0)
+        with pytest.raises(BadParameter):
+            make_preset("tsallis", float("nan"))
+
+
+def test_preset_cache_is_bounded(capsys):
+    from convexinfo import cli
+    from convexinfo.entropic import _PRESET_CACHE, _preset
+    code = cli.main(["sweep", "--family", "renyi", "--grid",
+                     f"1.5:3:{cli.MAX_GRID_POINTS}", "--p", "0.5,0.5"])
+    assert code == 0 and len(capsys.readouterr().out.split()) == cli.MAX_GRID_POINTS + 1
+    assert _preset.cache_info().currsize <= _PRESET_CACHE < cli.MAX_GRID_POINTS
+
+
 def test_invalid_pairs_are_rejected():
     # phi(0) != 0
     with pytest.raises(InvalidEntropicPair):

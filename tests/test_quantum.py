@@ -306,18 +306,20 @@ def test_ensemble_validation():
                  states=(ZERO, DensityMatrix(np.eye(3) / 3)))
 
 
-def test_blocked_refinement_equals_the_one_at_a_time_loop(rng):
+def test_blocked_refinement_equals_the_one_at_a_time_loop(rng, monkeypatch):
     # from a random isometry with one outcome too many the refinement improves
     # many times, so blocks are cut short and re-scored around each new best
-    from convexinfo.quantum import _REFINE_BLOCK, _isometry_rows, _refine
+    from convexinfo import quantum
+    from convexinfo.quantum import _isometry_rows, _refine
     from oracles import refine_one_at_a_time, renyi_entropy, tsallis_entropy
     cases = [(2, make_preset("shannon"), shannon_entropy),
              (3, make_preset("renyi", 2.0), lambda p: renyi_entropy(p, 2.0)),
              (4, make_preset("tsallis", 0.5), lambda p: tsallis_entropy(p, 0.5))]
-    steps = 3 * _REFINE_BLOCK + 7  # a last, partial block too
+    steps = 3 * 64 + 7  # three blocks of 64 steps and a last, partial one
     for n, pair, entropy in cases:
         rho = random_density_matrix(rng, n)
         start = _isometry_rows(rng, n, n + 1)
+        monkeypatch.setattr(quantum, "_REFINE_CELLS", 64 * start.size)
         probs = np.einsum("ia,ab,ib->i", start, rho, start.conj()).real
         value = entropy(probs / probs.sum())
         seed = int(rng.integers(2**31))
@@ -327,6 +329,40 @@ def test_blocked_refinement_equals_the_one_at_a_time_loop(rng):
         assert improvements >= 5
         assert got_value == pytest.approx(want_value, abs=1e-14)
         assert np.allclose(got_rows, want_rows, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_stack_scores_equal_each_candidate_scored_alone(n):
+    from convexinfo.quantum import _isometry_rows, _rows_entropies
+    rng = np.random.default_rng(n)
+    rho = random_density_matrix(rng, n)
+    for pair in (make_preset("shannon"), make_preset("renyi", 2), make_preset("tsallis", 0.5)):
+        for m in range(n, 2 * n + 1):
+            stack = _isometry_rows(rng, n, m, (7,))
+            alone = [_rows_entropies(pair, rho, rows[None])[0] for rows in stack]
+            assert np.array_equal(_rows_entropies(pair, rho, stack), alone)
+
+
+@pytest.mark.parametrize("n, blocks", [(2, [300]), (16, [64, 64, 64, 64, 44])])
+def test_search_scores_one_stack_per_outcome_count_and_block(monkeypatch, n, blocks):
+    # nothing beats the eigenbasis, so each stack is scored once: the
+    # eigenbasis, one stack per outcome count drawn, then the refinement
+    # blocks (300 steps of budget 1000): one block for a qubit, 64-step
+    # blocks at the 16 x 16 cap
+    from convexinfo import quantum
+    sizes = []
+    score = quantum._rows_entropies
+
+    def counting(pair, rho_arr, rows):
+        sizes.append(len(rows))
+        return score(pair, rho_arr, rows)
+
+    monkeypatch.setattr(quantum, "_rows_entropies", counting)
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(n), n))
+    quantum_entropy_min_search(make_preset("shannon"), rho, budget=1000, seed=n)
+    assert len(sizes) == 1 + (n + 1) + len(blocks)
+    assert sizes[0] == 1 and sum(sizes[1:-len(blocks)]) == 699
+    assert sizes[-len(blocks):] == blocks
 
 
 @pytest.mark.parametrize("n", [8, 16])
