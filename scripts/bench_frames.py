@@ -118,6 +118,10 @@ def _models(reference: dict):
     rng.normal(size=(16, 2))
     rng.normal(size=(16, 3))
     yield "custom7d16", "custom_polytope", {"vertices": rng.normal(size=(16, 7))}
+    # 16 random points in R^6, the first draw of default_rng(2): the second
+    # cap model whose witness stacks fail
+    yield "custom6d16", "custom_polytope", {
+        "vertices": np.random.default_rng(2).normal(size=(16, 6))}
     for label in ("polygon6", "simplex4", "simplex6", "custom2d8", "custom3d6"):
         yield label, *_model(label, reference)
 

@@ -243,13 +243,22 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     bounds = lp.bounds if lp.bounds is not None else ((0.0, None),) * n
     lower, upper = np.array([(-np.inf if lo is None else lo, np.inf if hi is None else hi)
                              for lo, hi in bounds], float).reshape(n, 2).T
-    return _solve(np.zeros(n) if lp.objective is None else np.asarray(lp.objective, float),
-                  np.array([con.coeffs for con in cons], float).reshape(len(cons), n),
-                  np.array([_SLACK_SIGN[con.rel] for con in cons], float),
-                  np.array([con.bound for con in cons], float), lower, upper, lp.maximize)[0]
+    return _solved(_solve(
+        np.zeros(n) if lp.objective is None else np.asarray(lp.objective, float),
+        np.array([con.coeffs for con in cons], float).reshape(len(cons), n),
+        np.array([_SLACK_SIGN[con.rel] for con in cons], float),
+        np.array([con.bound for con in cons], float), lower, upper, lp.maximize))[0]
 
 
-def _solve(c, a, con_rel, b, lower, upper, maximize=True) -> list[LpResult]:
+def _solved(results: list[LpResult | LpNumericalError]) -> list[LpResult]:
+    """``_solve``'s results, unless an LP failed: then the first failure is raised."""
+    for result in results:
+        if isinstance(result, LpNumericalError):
+            raise result
+    return results
+
+
+def _solve(c, a, con_rel, b, lower, upper, maximize=True) -> list[LpResult | LpNumericalError]:
     """``lp_solve`` on float arrays, a list of one result per LP; ``con_rel``
     holds each row's slack sign (1.0 for <=, 0.0 for =, -1.0 for >=) and an
     infinite variable bound is no bound. An optimal result carries the row
@@ -264,7 +273,9 @@ def _solve(c, a, con_rel, b, lower, upper, maximize=True) -> list[LpResult]:
     without one the stack holds one LP. Every LP keeps its place in the
     stack: a redundant row is zeroed in place, and a finished LP stays,
     zeroed. So each result, multipliers included, equals that LP solved
-    alone; if some LPs fail, the error of the first in stack order is raised.
+    alone, and a failing LP's result is its ``LpNumericalError``, in its
+    place; ``_solved`` raises the first. Only ``_multipliers``' singular-basis
+    error, which no input is known to reach, raises for the whole stack.
     """
     m, n = a.shape[-2:]
     (s,) = np.broadcast_shapes(c.shape[:-1], a.shape[:-2], b.shape[:-1]) or (1,)
@@ -278,7 +289,7 @@ def _solve(c, a, con_rel, b, lower, upper, maximize=True) -> list[LpResult]:
         c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize)]
 
 
-def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult]:
+def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumericalError]:
     """``_solve`` on a stack (s, m, n) of LPs, all of them in one simplex run."""
     s, m_con = len(a), a.shape[1]
     errors: dict[int, str] = {}  # the first failure of each failing LP
@@ -318,13 +329,11 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult]:
         errors.setdefault(i, "phase 1 reported unbounded")
     # a finished LP, infeasible or failed, stays in the stack with a zero tableau
     done = (np.vecdot(lay.costs1[0, basis], rhs) > FEAS_TOL) | void
-    if errors:
-        done[list(errors)] = True
-    results = [LpResult("infeasible", None, None)] * s
+    done[list(errors)] = True
+    results = [LpNumericalError(errors[i]) if i in errors else LpResult("infeasible", None, None)
+               for i in range(s)]
     finished = np.count_nonzero(done)
     if finished == s:
-        if errors:
-            raise LpNumericalError(errors[min(errors)])
         return results
 
     # Drive remaining artificials out of the basis; a row where none can
@@ -365,16 +374,14 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult]:
     points, values = x.tolist(), np.vecdot(c, x).tolist()
     for i in (~done).nonzero()[0].tolist():
         if capped[i]:
-            errors[i] = "simplex did not terminate within the pivot cap"
+            results[i] = LpNumericalError("simplex did not terminate within the pivot cap")
         elif unbounded[i]:
             results[i] = LpResult("unbounded", None, None)
         elif failures and failures[i] is not None:
-            errors[i] = failures[i]
+            results[i] = LpNumericalError(failures[i])
         else:
             results[i] = LpResult("optimal", tuple(points[i]), values[i],
                                   tuple(multipliers[i].tolist()))
-    if errors:
-        raise LpNumericalError(errors[min(errors)])
     return results
 
 
@@ -488,7 +495,7 @@ def _decomposition_lp(vertices, point) -> LpResult:
     """Solve the feasibility LP of ``decomposition_program`` from its arrays."""
     a, b = _decomposition_rows(vertices, point)
     zeros = np.zeros(a.shape[1])
-    return _solve(zeros, a, np.zeros(len(a)), b, zeros, np.full(a.shape[1], np.inf))[0]
+    return _solved(_solve(zeros, a, np.zeros(len(a)), b, zeros, np.full(a.shape[1], np.inf)))[0]
 
 
 def decomposition_program(vertices: np.ndarray, point: np.ndarray) -> LinearProgram:

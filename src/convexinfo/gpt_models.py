@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernel import FEAS_TOL, Polytope, _solve
+from .convex_kernel import FEAS_TOL, Polytope, _solve, _solved
 from .errors import (
     DegenerateModel,
     DimensionMismatch,
@@ -184,14 +184,6 @@ class StateSpace:
                         witnesses[combo] = found
             return [combo in witnesses for combo in combos]
 
-        def witness_lps(sets) -> list[list[GptEffect] | None]:
-            # one stack; if it raises, each LP alone, and one that raises alone finds none
-            try:
-                return _distinguishing_effects(self, verts[np.array(sets)])
-            except LpNumericalError:
-                return [None] if len(sets) == 1 else [
-                    effects for combo in sets for effects in witness_lps([combo])]
-
         def known(combo) -> bool:
             return combo in witnesses or any(_mask(combo) & ~k == 0 for k in jumped)
 
@@ -218,13 +210,14 @@ class StateSpace:
                               for other in masks)]
         # the spans of all maximal sets from the model's bases, then the
         # witness LPs of the kept frames the least-squares guess missed, one
-        # stack per size; where one finds none, the dual screen's point
+        # stack per size; where one finds none or fails, the dual screen's point
         kept = [combo for combo, spans in zip(maximal, _spans_model(self, maximal)) if spans]
         effects = {combo: witnesses[combo] for combo in kept}
         missing = [combo for combo in kept if isinstance(effects[combo], np.ndarray)]
         for size in sorted(set(map(len, missing))):
             sets = [combo for combo in missing if len(combo) == size]
-            for combo, found_effects in zip(sets, witness_lps(sets)):
+            for combo, found_effects in zip(sets, _distinguishing_effects(
+                    self, verts[np.array(sets)])):
                 effects[combo] = found_effects or _checked_screen_witness(
                     self, verts[list(combo)], witnesses[combo])
         return tuple(Frame(vertex_indices=combo,
@@ -430,7 +423,7 @@ def _least_squares_effects(space: StateSpace, points: np.ndarray) -> list[list[G
 
 def _distinguishing_effects(space: StateSpace,
                             points: np.ndarray) -> list[list[GptEffect] | None]:
-    """Witness LP for perfect distinguishability: the effects, or None if it finds none.
+    """Witness LP for perfect distinguishability: the effects, or None if it finds none or fails.
 
     Variables are the stacked coefficients of one effect per point, free;
     each effect must stay in [0, 1] on every vertex (0 <= cells @ x <= 1)
@@ -449,7 +442,7 @@ def _distinguishing_effects(space: StateSpace,
                      np.concatenate([np.tile([-1.0, 1.0], m), np.zeros(len(b_eq))]),
                      np.concatenate([np.tile([0.0, 1.0], m), b_eq]),
                      np.full(n, -np.inf), np.full(n, np.inf))
-    return [None if r.status != "optimal" else [
+    return [None if isinstance(r, LpNumericalError) or r.status != "optimal" else [
         GptEffect(coeffs=tuple(e)) for e in np.asarray(r.point, float).reshape(k, d)]
         for r in results]
 
@@ -486,9 +479,9 @@ def _screen(space: StateSpace, points: np.ndarray) -> list[np.ndarray | None]:
     (n, m), b_eq = cells_t.shape[-2:], np.eye(k - 1, k).ravel()
     # variables: y_hi, y_lo >= 0, then z free; one equality row per effect coefficient
     n_vars = 2 * m + len(b_eq)
-    results = _solve(np.concatenate([np.ones(m), np.zeros(m), b_eq]), a, np.zeros(n), np.zeros(n),
-                     np.repeat([0.0, -np.inf], [2 * m, len(b_eq)]), np.full(n_vars, np.inf),
-                     maximize=False)
+    results = _solved(_solve(np.concatenate([np.ones(m), np.zeros(m), b_eq]), a, np.zeros(n),
+                             np.zeros(n), np.repeat([0.0, -np.inf], [2 * m, len(b_eq)]),
+                             np.full(n_vars, np.inf), maximize=False))
     frees = [None if r.status != "optimal" else np.reshape(r.duals, (k - 1, d)) for r in results]
     return [None if free is None else np.vstack([free, space.unit() - free.sum(axis=0)])
             for free in frees]

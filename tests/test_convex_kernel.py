@@ -390,14 +390,8 @@ def _random_stack(rng, size):
 
 
 def _one_by_one(c, a, rel, b, lower, upper, maximize):
-    results = []
-    for i in range(len(a)):
-        try:
-            results.append(repr(*convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper,
-                                                      maximize)))
-        except LpNumericalError as exc:
-            return results, str(exc)
-    return results, None
+    return [repr(*convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper, maximize))
+            for i in range(len(a))]
 
 
 @pytest.mark.parametrize("stack_cells", [convex_kernel._STACK_CELLS, 200])
@@ -411,14 +405,19 @@ def test_a_stack_of_lps_gives_each_lp_its_own_result(stack_cells, monkeypatch):
         lps = _random_stack(rng, int(rng.integers(1, 12)))
         if trial % 10 == 0:  # a row bounded by an infinity in one LP
             lps[3][0, -1] = np.inf * lps[2][-1] if lps[2][-1] else np.inf
-        alone, error = _one_by_one(*lps)
-        assert error is None, f"trial {trial}: {error}"
         stacked = convex_kernel._solve(*lps)
-        assert [repr(r) for r in stacked] == alone, f"trial {trial}"
-        statuses = {r.status for r in stacked}
+        assert [repr(r) for r in stacked] == _one_by_one(*lps), f"trial {trial}"
+        statuses = {r.status for r in convex_kernel._solved(stacked)}
         seen.update(statuses)
         mixed += len(statuses) == 3
     assert min(seen.values()) >= 20 and mixed >= 3, (seen, mixed)
+    # one more trial, whose pivot cap stops some LPs of the stack and not others
+    monkeypatch.setattr(convex_kernel, "_MAX_PIVOTS", 3)
+    lps = _random_stack(rng, 11)
+    stacked = convex_kernel._solve(*lps)
+    assert [repr(r) for r in stacked] == _one_by_one(*lps)
+    capped = [isinstance(r, LpNumericalError) for r in stacked]
+    assert any(capped) and not all(capped), stacked
 
 
 @pytest.mark.parametrize("stack_cells", [convex_kernel._STACK_CELLS, 200])
@@ -453,16 +452,23 @@ def test_crossed_bounds_make_every_lp_infeasible():
     assert stacked == [convex_kernel.LpResult("infeasible", None, None)] * 2
 
 
-def test_a_stack_raises_the_error_of_its_first_failing_lp():
+def test_a_failing_lp_fails_in_its_own_place():
+    # NaNs in LPs 3 and 5 of a stack: their places hold the error, every
+    # other LP's result is its lone one, and lp_solve on a NaN LP still raises
     rng = np.random.default_rng(9)
     c, a, rel, b, lower, upper, maximize = _random_stack(rng, 6)
     a[3, 0, 0] = np.nan
     b[5, 1] = np.nan
-    alone, error = _one_by_one(c, a, rel, b, lower, upper, maximize)
-    assert len(alone) == 3 and error == "constraint coefficients and bounds must not be NaN"
-    with pytest.raises(LpNumericalError) as raised:
-        convex_kernel._solve(c, a, rel, b, lower, upper, maximize)
-    assert str(raised.value) == error
+    stacked = convex_kernel._solve(c, a, rel, b, lower, upper, maximize)
+    nan = repr(LpNumericalError("constraint coefficients and bounds must not be NaN"))
+    assert [repr(stacked[i]) for i in (3, 5)] == [nan, nan]
+    assert [repr(r) for r in stacked] == _one_by_one(c, a, rel, b, lower, upper, maximize)
+    assert all(isinstance(stacked[i], convex_kernel.LpResult) for i in (0, 1, 2, 4))
+    with pytest.raises(LpNumericalError) as raised:  # the first in stack order
+        convex_kernel._solved(stacked)
+    assert raised.value is stacked[3]
+    with pytest.raises(LpNumericalError, match="must not be NaN"):
+        lp_solve(LinearProgram(1, (1.0,), (Constraint((np.nan,), "<=", 1.0),)))
 
 
 def test_infinite_rows_keep_the_stack_whole(monkeypatch):

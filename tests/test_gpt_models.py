@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -375,34 +376,53 @@ def test_frames_random_custom_t17_keeps_the_frame_the_witness_lp_misses():
     assert perfectly_distinguishable(space, [vertex_state(space, i) for i in (4, 5, 7)])
 
 
-def test_a_witness_lp_that_raises_leaves_its_frame_the_checked_screen_point(monkeypatch):
+def _fail_in_place(monkeypatch, caller, place) -> tuple[list, LpNumericalError]:
+    """Make each kernel entry from gpt_models.<caller> put an LpNumericalError in
+    result ``place``; returns the stack size of each such entry, and the error."""
+    solve, entries = gpt_models._solve, []
+    error = LpNumericalError("solution violates a <= constraint")
+
+    def failing(*args, **options):
+        results = solve(*args, **options)
+        if sys._getframe(1).f_code.co_name == caller:
+            entries.append(len(results))
+            results[place] = error
+        return results
+
+    monkeypatch.setattr(gpt_models, "_solve", failing)
+    return entries, error
+
+
+def test_a_failing_witness_lp_leaves_its_frame_the_checked_screen_point(monkeypatch):
     # custom 5 x 2: three frames take witness LPs, in one stack; when the
-    # stack raises, each LP is solved alone, and the set whose own LP raises
-    # takes the dual screen's checked point; the others keep their effects
+    # second fails in its place, the stack still enters the kernel once, that
+    # frame takes the dual screen's checked point and the others keep their
+    # effects bit for bit
     args = _frame_model_args("custom_polytope", (5, 2))
-    solve, stacks = gpt_models._distinguishing_effects, []
-    monkeypatch.setattr(gpt_models, "_distinguishing_effects",
-                        lambda space, points: stacks.append(points) or solve(space, points))
+    stacks = _record_calls(monkeypatch, "_distinguishing_effects")
     before = {f.vertex_indices: f.effects
               for f in enumerate_frames(build_model("custom_polytope", **args))}
     (stack,) = stacks
-    failing, sizes = stack[1], []
-
-    def raising(space, points):
-        sizes.append(len(points))
-        if any(np.array_equal(one, failing) for one in points):
-            raise LpNumericalError("solution violates a <= constraint")
-        return solve(space, points)
-
-    monkeypatch.setattr(gpt_models, "_distinguishing_effects", raising)
+    failing = stack[1]
+    entries, _ = _fail_in_place(monkeypatch, "_distinguishing_effects", 1)
     space = build_model("custom_polytope", **args)
     frames = enumerate_frames(space)
-    assert sizes == [3, 1, 1, 1]
+    assert entries == [3]
     verts = space.vertex_array()
     assert [f.vertex_indices for f in frames] == highs_frames(verts)
     _assert_witnesses(space)
-    assert [f.vertex_indices for f in frames if f.effects != before[f.vertex_indices]] == [
-        f.vertex_indices for f in frames if np.array_equal(verts[list(f.vertex_indices)], failing)]
+    (changed,) = [f for f in frames if f.effects != before[f.vertex_indices]]
+    assert np.array_equal(verts[list(changed.vertex_indices)], failing)
+    assert list(changed.effects) == gpt_models._checked_screen_witness(
+        space, failing, gpt_models._screen(space, failing[None])[0])
+
+
+def test_a_failing_screen_lp_makes_enumeration_raise_it(monkeypatch):
+    entries, error = _fail_in_place(monkeypatch, "_screen", 0)
+    space = build_model("custom_polytope", **_frame_model_args("custom_polytope", (5, 2)))
+    with pytest.raises(LpNumericalError) as raised:
+        enumerate_frames(space)
+    assert raised.value is error and len(entries) == 1
 
 
 @pytest.mark.parametrize("kind, n", FRAME_MODELS, ids=FRAME_MODEL_IDS)
