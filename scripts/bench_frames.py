@@ -11,17 +11,8 @@ falls on both sides alike. Every repeat builds its model afresh, so it
 enumerates the frames cold; ``seconds`` is the median over the repeats. The
 models are the cap models, then the seven models whose frames the
 ``spectrum-ladder`` workload enumerates cold in its first pass (``LADDER``);
-``ladder_seconds`` sums their medians. In the first repeat one more run, not
-timed, counts the work by wrapping library functions: least-squares guesses
-(calls of ``np.linalg.lstsq``), kernel entries (calls of
-``gpt_models._solve``), LPs by the library function they were solved for
-(``_screen``: dual screen LPs; any other: k x d witness LPs) and simplex
-pivots. A kernel entry solves one LP, or one LP per entry of a stack axis
-on its ``c``, ``a`` or ``b`` argument; a
-call of ``convex_kernel._pivot`` pivots one LP per entry of its column
-argument. Both seams exist, with the same meaning, in checkouts that solve
-LPs one at a time, so ``--parent`` can count them the same way. A model
-whose enumeration raises ``LpNumericalError`` records the message instead.
+``ladder_seconds`` sums their medians. A model whose enumeration raises
+``LpNumericalError`` records the message instead.
 
 The ``spectra`` section times the workload's spectrum op, coordinates ->
 ``make_state`` -> ``generalized_spectrum``, on every model of the
@@ -30,24 +21,23 @@ The ``spectra`` section times the workload's spectrum op, coordinates ->
 each repeat every op is timed; ``cold_ms`` is the median of the first ops,
 ``warm_ms`` the median of all later ones. ``make_state_ms`` is the median of
 ``make_state`` alone at the later coordinates, on a model that has done one
-op. In the first repeat one more run, not timed, wraps
-``np.linalg.matrix_rank``, ``np.linalg.solve`` and the LP kernel entry
-``_solve`` (in ``convex_kernel`` and ``gpt_models``), the seams both
-checkouts share: ``cold_ranks`` and
-``warm_ranks`` count rank calls in the first op and in each later op (their
-mean), ``solves`` and ``kernel_entries`` the solve calls and kernel entries
-per later op, and ``regular_bases`` the largest stack one solve call
-solved, which is the number of regular bases.
+op. ``cold_ranks`` and ``warm_ranks`` count rank calls in the first op and
+in each later op (their mean), ``solves`` and ``kernel_entries`` the solve
+calls and kernel entries per later op, and ``regular_bases`` the systems
+that the first op's solve calls solved: its one solve stacks every regular
+basis.
 
 The ``search`` section times the ``quantum-search`` workload's search op,
 ``pair_from_spec`` -> ``quantum_entropy_min_search`` at budget 1000, for
 each dimension in ``SEARCH_DIMS`` and each pair in ``SEARCH_PAIRS`` on one
 random density matrix, ``SEARCHES`` seeds each; ``ms`` is the median over
-the seeds and repeats. In the first repeat one more run of the same
-searches, not timed, wraps ``np.linalg.qr``, ``quantum._rows_entropies``
-(one call per scored stack of candidates) and ``entropic._validate_pair``
-(one call per pair built): ``qr_calls``, ``score_calls`` and
-``validations`` are their counts per search.
+the seeds and repeats. ``qr_calls``, ``score_calls`` (one per scored stack
+of candidates) and ``validations`` (one per pair built) are counts per search.
+
+In the first repeat one more run of each section, not timed, counts the
+work: ``counting`` wraps every seam of the section's table (``FRAME_SEAMS``,
+``SPECTRA_SEAMS``, ``SEARCH_SEAMS``), which names the function and what
+one call of it adds to which count, and puts the originals back after.
 
 ``--parent DIR`` measures the checkout in DIR the same way, alternating
 with this one. The interpreters that time frames, spectra and searches run with
@@ -64,6 +54,8 @@ The JSON goes to ``--out`` or stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import json
 import os
 import statistics
@@ -73,6 +65,8 @@ import tempfile
 import time
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 3
@@ -105,8 +99,6 @@ def _model(label: str, reference: dict):
 
 
 def _models(reference: dict):
-    import numpy as np
-
     for n in (8, 12, 16):
         yield f"polygon{n}", "regular_polygon", {"n": n}
     for n in (8, 10, 16):
@@ -126,44 +118,67 @@ def _models(reference: dict):
         yield label, *_model(label, reference)
 
 
-def _counted(convex_kernel, gpt_models, np, enumerate_once) -> Counter:
-    """Enumerate once with every counted function wrapped; restore them after."""
+def _once(key: str):
+    """What one call adds: 1 to ``key``."""
+    return lambda *args, **kwargs: {key: 1}
+
+
+#: The seams of each section: (owner, attribute, what one call adds). The
+#: frames count least-squares guesses, the dual screen's and the k x d
+#: witness LPs where they are built (one per point set), kernel entries (a
+#: stack of LPs enters once) and simplex pivots (one per LP pivoted).
+FRAME_SEAMS = (
+    ("numpy.linalg", "lstsq", _once("guesses")),
+    ("convexinfo.gpt_models", "_screen", lambda space, points: {"dual_screen_lps": len(points)}),
+    ("convexinfo.gpt_models", "_distinguishing_effects",
+     lambda space, points: {"witness_lps": len(points)}),
+    ("convexinfo.gpt_models", "_solve", _once("kernel_entries")),
+    ("convexinfo.convex_kernel", "_pivot",
+     lambda tableau, basis, rows, cols, *rest: {"pivots": np.size(cols)}),
+)
+SPECTRA_SEAMS = (
+    ("numpy.linalg", "matrix_rank", _once("ranks")),
+    ("numpy.linalg", "solve",
+     lambda a, b: {"solves": 1, "systems": int(np.prod(np.shape(a)[:-2]))}),
+    ("convexinfo.convex_kernel", "_solve", _once("kernel_entries")),
+    ("convexinfo.gpt_models", "_solve", _once("kernel_entries")),
+)
+SEARCH_SEAMS = (
+    ("numpy.linalg", "qr", _once("qr_calls")),
+    ("convexinfo.quantum", "_rows_entropies", _once("score_calls")),
+    ("convexinfo.entropic", "_validate_pair", _once("validations")),
+)
+
+
+@contextlib.contextmanager
+def counting(seams):
+    """Wrap every seam so that each call adds to the one Counter yielded;
+    put every original back after, also when the block raises."""
     counts = Counter()
-    solve, pivot, lstsq = gpt_models._solve, convex_kernel._pivot, np.linalg.lstsq
+    originals = []
 
-    def counting_solve(c, a, rel, b, *rest, **options):
-        caller = sys._getframe(1)
-        while caller is not None and caller.f_code.co_name != "_screen":
-            caller = caller.f_back
-        stack = np.broadcast_shapes(c.shape[:-1], a.shape[:-2], b.shape[:-1])
-        counts["dual_screen_lps" if caller else "witness_lps"] += int(np.prod(stack))
-        counts["kernel_entries"] += 1
-        return solve(c, a, rel, b, *rest, **options)
+    def counted(function, adds):
+        def call(*args, **kwargs):
+            counts.update(adds(*args, **kwargs))
+            return function(*args, **kwargs)
+        return call
 
-    def counting_pivot(tableau, basis, row, col, *rest):
-        counts["pivots"] += np.size(col)
-        return pivot(tableau, basis, row, col, *rest)
-
-    def counting_lstsq(*args, **kwargs):
-        counts["guesses"] += 1
-        return lstsq(*args, **kwargs)
-
-    gpt_models._solve, convex_kernel._pivot = counting_solve, counting_pivot
-    np.linalg.lstsq = counting_lstsq
     try:
-        enumerate_once()
+        for owner, attribute, adds in seams:
+            module = importlib.import_module(owner)
+            original = getattr(module, attribute)
+            originals.append((module, attribute, original))
+            setattr(module, attribute, counted(original, adds))
+        yield counts
     finally:
-        gpt_models._solve, convex_kernel._pivot = solve, pivot
-        np.linalg.lstsq = lstsq
-    return counts
+        for module, attribute, original in reversed(originals):
+            setattr(module, attribute, original)
 
 
 def measure(counted: bool) -> dict:
     """One cold enumeration of every cap model with the convexinfo on sys.path,
     and with ``counted`` one more that counts the work."""
-    import numpy as np
-
-    from convexinfo import build_model, convex_kernel, enumerate_frames, gpt_models
+    from convexinfo import build_model, enumerate_frames
     from convexinfo.errors import LpNumericalError
 
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
@@ -178,8 +193,8 @@ def measure(counted: bool) -> dict:
             continue
         results[label] = {"seconds": [time.perf_counter() - start], "frames": len(frames)}
         if counted:
-            counts = _counted(convex_kernel, gpt_models, np,
-                              lambda: enumerate_frames(build_model(kind, **args)))
+            with counting(FRAME_SEAMS) as counts:
+                enumerate_frames(build_model(kind, **args))
             results[label].update({key: counts[key] for key in (
                 "guesses", "dual_screen_lps", "witness_lps", "kernel_entries", "pivots")})
     return results
@@ -188,10 +203,7 @@ def measure(counted: bool) -> dict:
 def measure_spectra(counted: bool) -> dict:
     """The spectrum op of every spectrum-ladder model with the convexinfo on
     sys.path, on one freshly built model, and with ``counted`` the counts."""
-    import numpy as np
-
-    from convexinfo import (build_model, convex_kernel, generalized_spectrum, gpt_models,
-                            make_state, mix_state)
+    from convexinfo import build_model, generalized_spectrum, make_state, mix_state
 
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     results = {}
@@ -220,8 +232,12 @@ def measure_spectra(counted: bool) -> dict:
         results[label] = {"cold_ms": cold, "warm_ms": warm, "make_state_ms": alone}
         if counted:
             space = build_model(kind, **args)
-            first, rest = _counted_spectra(np, (convex_kernel, gpt_models),
-                                           lambda c: op(space, c), coords)
+            with counting(SPECTRA_SEAMS) as rest:
+                op(space, coords[0])
+                first = Counter(rest)
+                for c in coords[1:]:
+                    op(space, c)
+            rest.subtract(first)
             results[label].update({"regular_bases": first["systems"],
                                    "cold_ranks": first["ranks"],
                                    "warm_ranks": rest["ranks"] / (STATES - 1),
@@ -230,49 +246,10 @@ def measure_spectra(counted: bool) -> dict:
     return results
 
 
-def _counted_spectra(np, modules, op, coords) -> tuple[Counter, Counter]:
-    """Counts of the first op and of all later ones, np.linalg and the LP kernel wrapped.
-
-    ``systems`` is the largest stack one ``np.linalg.solve`` call solved.
-    """
-    counts = Counter()
-    rank, solve, kernel = np.linalg.matrix_rank, np.linalg.solve, modules[0]._solve
-
-    def counting_rank(*args, **kwargs):
-        counts["ranks"] += 1
-        return rank(*args, **kwargs)
-
-    def counting_solve(a, b):
-        counts["solves"] += 1
-        counts["systems"] = max(counts["systems"], int(np.prod(np.shape(a)[:-2])))
-        return solve(a, b)
-
-    def counting_kernel(*args, **options):
-        counts["kernel_entries"] += 1
-        return kernel(*args, **options)
-
-    np.linalg.matrix_rank, np.linalg.solve = counting_rank, counting_solve
-    for module in modules:
-        module._solve = counting_kernel
-    try:
-        op(coords[0])
-        first = Counter(counts)
-        for c in coords[1:]:
-            op(c)
-    finally:
-        np.linalg.matrix_rank, np.linalg.solve = rank, solve
-        for module in modules:
-            module._solve = kernel
-    counts.subtract(first)
-    return first, counts
-
-
 def measure_search(counted: bool) -> dict:
     """The search op at every dimension and pair with the convexinfo on
     sys.path, and with ``counted`` the counts per search."""
-    import numpy as np
-
-    from convexinfo import DensityMatrix, entropic, pair_from_spec, quantum
+    from convexinfo import DensityMatrix, pair_from_spec, quantum
 
     results = {}
     for n in SEARCH_DIMS:
@@ -293,38 +270,12 @@ def measure_search(counted: bool) -> dict:
             label = f"d{n} {spec}"
             results[label] = {"ms": times}
             if counted:
-                counts = _counted_search(np, quantum, entropic, op)
+                with counting(SEARCH_SEAMS) as counts:
+                    for seed in range(SEARCHES):
+                        op(seed)
                 results[label].update({key: counts[key] / SEARCHES for key in (
                     "qr_calls", "score_calls", "validations")})
     return results
-
-
-def _counted_search(np, quantum, entropic, op) -> Counter:
-    """Counts of ``op`` over every seed, the three seams wrapped; restore them after."""
-    counts = Counter()
-    qr, score, validate = np.linalg.qr, quantum._rows_entropies, entropic._validate_pair
-
-    def counting_qr(*args, **kwargs):
-        counts["qr_calls"] += 1
-        return qr(*args, **kwargs)
-
-    def counting_score(*args):
-        counts["score_calls"] += 1
-        return score(*args)
-
-    def counting_validate(*args):
-        counts["validations"] += 1
-        return validate(*args)
-
-    np.linalg.qr = counting_qr
-    quantum._rows_entropies, entropic._validate_pair = counting_score, counting_validate
-    try:
-        for seed in range(SEARCHES):
-            op(seed)
-    finally:
-        np.linalg.qr = qr
-        quantum._rows_entropies, entropic._validate_pair = score, validate
-    return counts
 
 
 def _measure_checkout(checkout: Path, function: str, counted: bool) -> dict:

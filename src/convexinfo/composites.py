@@ -168,7 +168,7 @@ def pr_box(ps: ProductSpace) -> JointState:
     perfectly correlated outcomes except when both sides use their second
     frame, where outcomes anti-correlate.
     """
-    basis, values = [], []
+    basis = []
     for space in (ps.factor_a, ps.factor_b):
         frames = enumerate_frames(space)
         if len(frames) != 2 or any(len(f) != 2 for f in frames):
@@ -182,13 +182,7 @@ def pr_box(ps: ProductSpace) -> JointState:
         basis.append(b)
 
     # target values on basis pairs: first effects of frames x, y plus units
-    m = np.empty((3, 3))
-    for x in range(2):
-        for y in range(2):
-            m[x, y] = 0.0 if x == 1 and y == 1 else 0.5
-        m[x, 2] = 0.5
-        m[2, x] = 0.5
-    m[2, 2] = 1.0
+    m = np.array([[.5, .5, .5], [.5, 0, .5], [.5, .5, 1]])
 
     w = np.linalg.solve(basis[0], np.linalg.solve(basis[1], m.T).T)
     return JointState(w)

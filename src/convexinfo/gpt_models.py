@@ -363,7 +363,7 @@ def make_effect(space: StateSpace, coeffs) -> GptEffect:
 
 
 def unit_effect(space: StateSpace) -> GptEffect:
-    return GptEffect(coeffs=tuple(space.unit()))
+    return GptEffect(coeffs=tuple(space.unit().tolist()))
 
 
 def zero_effect(space: StateSpace) -> GptEffect:
@@ -417,7 +417,7 @@ def _least_squares_effects(space: StateSpace, points: np.ndarray) -> list[list[G
     values = effects @ space._verts.T
     good = ((np.abs(np.matmul(a_eq, x[..., None])[..., 0] - b_eq).max(axis=1) <= 1e-9)
             & (values.min(axis=(1, 2)) >= -TOL) & (values.max(axis=(1, 2)) <= 1.0 + TOL))
-    return [[GptEffect(coeffs=tuple(e)) for e in set_effects] if ok else None
+    return [[GptEffect(coeffs=tuple(e)) for e in set_effects.tolist()] if ok else None
             for set_effects, ok in zip(effects, good.tolist())]
 
 
@@ -443,7 +443,7 @@ def _distinguishing_effects(space: StateSpace,
                      np.concatenate([np.tile([0.0, 1.0], m), b_eq]),
                      np.full(n, -np.inf), np.full(n, np.inf))
     return [None if isinstance(r, LpNumericalError) or r.status != "optimal" else [
-        GptEffect(coeffs=tuple(e)) for e in np.asarray(r.point, float).reshape(k, d)]
+        GptEffect(coeffs=tuple(e)) for e in np.asarray(r.point, float).reshape(k, d).tolist()]
         for r in results]
 
 
@@ -513,7 +513,7 @@ def _checked_screen_witness(space: StateSpace, points: np.ndarray,
     if not (values.min() >= -FEAS_TOL and values.max() <= 1.0 + FEAS_TOL
             and np.abs(fixed).max() <= FEAS_TOL):
         raise LpNumericalError("the screen's dual multipliers violate a screen row")
-    return [GptEffect(coeffs=tuple(e)) for e in effects]
+    return [GptEffect(coeffs=tuple(e)) for e in effects.tolist()]
 
 
 def perfectly_distinguishable(space: StateSpace, states) -> bool:
@@ -635,7 +635,9 @@ def _frame_distributions(point: np.ndarray, frames) -> np.ndarray:
 
 
 def restrict_to_frame(state: GptState, frame: Frame) -> ProbVector:
-    """Kolmogorovian restriction of a state to a frame's measurement."""
+    """Kolmogorovian restriction of a state to a frame's measurement, its witness effects:
+    the least-squares witness if it is valid, else the k x d witness LP's vertex,
+    else the checked screen point. A frame's witness is not unique in general."""
     return ProbVector(_frame_distributions(state.as_array(), [frame])[0])
 
 

@@ -156,7 +156,11 @@ def frame_entropy(pair: EntropicPair, space: StateSpace,
                   state: GptState) -> tuple[float, Frame]:
     """Minimum entropy of the state's restriction over all frames.
 
-    Ties are broken by frame enumeration order (lexicographic vertex
+    A restriction reads its frame's witness (``restrict_to_frame``): the
+    least-squares witness if it is valid, else the k x d witness LP's
+    vertex, else the checked screen point. The witness is not unique in
+    general, so this is not the minimum over every frame's witnesses. Ties
+    go to the first frame in enumeration order (lexicographic vertex
     indices), which keeps golden outputs stable.
     """
     frames = enumerate_frames(space)

@@ -1,0 +1,64 @@
+"""The benchmark harness's seams: each names a live function and counts what it should."""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from convexinfo import build_model, enumerate_frames
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_frames", ROOT / "scripts" / "bench_frames.py")
+bench_frames = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_frames)
+
+TABLES = (bench_frames.FRAME_SEAMS, bench_frames.SPECTRA_SEAMS, bench_frames.SEARCH_SEAMS)
+
+
+def _originals(seams) -> dict:
+    return {(owner, attribute): getattr(importlib.import_module(owner), attribute)
+            for owner, attribute, _ in seams}
+
+
+def _restored(seams, originals) -> bool:
+    return all(now is originals[key] for key, now in _originals(seams).items())
+
+
+@pytest.mark.parametrize("seams", TABLES, ids=("frames", "spectra", "search"))
+def test_every_seam_names_an_existing_attribute(seams):
+    for owner, attribute, _ in seams:
+        module = importlib.import_module(owner)
+        assert callable(getattr(module, attribute, None)), (owner, attribute)
+
+
+@pytest.mark.parametrize("label, counts", [
+    ("polygon8", {"dual_screen_lps": 16, "witness_lps": 0, "kernel_entries": 1, "guesses": 28}),
+    ("custom2d8", {"dual_screen_lps": 25, "witness_lps": 5, "kernel_entries": 2, "guesses": 28}),
+])
+def test_frame_seams_count_one_cold_enumeration(label, counts):
+    # pivots are not pinned: they follow the kernel's pivot rule
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    kind, args = bench_frames._model(label, reference)
+    originals = _originals(bench_frames.FRAME_SEAMS)
+    with bench_frames.counting(bench_frames.FRAME_SEAMS) as counted:
+        enumerate_frames(build_model(kind, **args))
+    assert {key: counted[key] for key in counts} == counts
+    assert counted["pivots"] > 0
+    assert _restored(bench_frames.FRAME_SEAMS, originals)
+
+
+@pytest.mark.parametrize("seams", TABLES, ids=("frames", "spectra", "search"))
+def test_counting_puts_every_original_back_when_the_block_raises(seams):
+    originals = _originals(seams)
+    with pytest.raises(RuntimeError, match="inside"):
+        with bench_frames.counting(seams):
+            assert not any(now is originals[key] for key, now in _originals(seams).items())
+            raise RuntimeError("inside")
+    assert _restored(seams, originals)
+    # a seam that is missing fails before the block, with the others put back
+    with pytest.raises(AttributeError):
+        with bench_frames.counting((*seams, ("convexinfo.gpt_models", "_missing", None))):
+            pass
+    assert _restored(seams, originals)

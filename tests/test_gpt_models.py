@@ -637,3 +637,13 @@ def test_perfectly_distinguishable_on_vertices_and_mixed_states(square, pentagon
     edge_midpoint = mix_state(pentagon, [0.5, 0.5, 0, 0, 0])
     assert not perfectly_distinguishable(pentagon, [edge_midpoint, vertex_state(pentagon, 1)])
     assert perfectly_distinguishable(pentagon, [edge_midpoint, vertex_state(pentagon, 3)])
+
+
+def test_every_effect_coefficient_is_a_python_float(square, pentagon):
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "reference.json").read_text())
+    custom = build_model("custom_polytope", vertices=reference["custom"]["custom2d8"])
+    effects = [unit_effect(square)]
+    for space in (square, pentagon, custom):
+        effects += [e for frame in enumerate_frames(space) for e in frame.effects]
+    assert all(type(x) is float for e in effects for x in e.coeffs)

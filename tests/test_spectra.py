@@ -583,3 +583,22 @@ def test_membership_and_spectrum_agree_near_the_boundary(build):
             spec = generalized_spectrum(space, state)
             assert isinstance(spec, (SpectralDecomposition, NoMajorant))
     assert accepted[-1e-9] == 12 and accepted[2e-8] == 0
+
+
+def test_frame_entropy_reads_one_witness_per_frame(square):
+    # frame (0, 2) also has the witness e0 = (1/2, 1/2, 1/2), e1 = u - e0,
+    # whose outcomes have lower entropy than the value in use
+    shannon = make_preset("shannon")
+    state = make_state(square, [0.3, 0.4])
+    value, frame = frame_entropy(shannon, square, state)
+    assert value == 0.6108643020548938
+    assert frame.vertex_indices == (1, 3)
+    e0 = np.array([0.5, 0.5, 0.5])
+    # make_effect checks [0, 1] on every vertex; e0 is 1 on vertex 0 and 0 on vertex 2
+    witness = [gpt_models.make_effect(square, e) for e in (e0, square.unit() - e0)]
+    assert [gpt_models.evaluate(e, vertex_state(square, i)) for e in witness
+            for i in (0, 2)] == pytest.approx([1, 0, 0, 1], abs=1e-12)
+    other = [gpt_models.evaluate(e, state) for e in witness]
+    assert other == pytest.approx([0.85, 0.15], abs=1e-12)
+    assert shannon_entropy(other) == pytest.approx(0.4227, abs=1e-4)
+    assert shannon_entropy(other) < value
