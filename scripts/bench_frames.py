@@ -1,4 +1,4 @@
-"""Cold frames, spectra per state, min-searches and perfbench pairs, parent against change.
+"""Cold frames, spectra per state, separability, min-searches and perfbench pairs, parent against change.
 
 Run from the repository root (numpy is the only dependency):
 
@@ -27,6 +27,12 @@ calls and kernel entries per later op, and ``regular_bases`` the systems
 that the first op's solve calls solved: its one solve stacks every regular
 basis.
 
+The ``separable`` section times ``separable_witness`` on ``STATES`` random
+separable states of every factor pair of the ``tensor-separable`` workload
+(``TensorSeparable.SEPARABLE`` in ``perfbench/workloads.py``); ``ms`` is
+the median over the states and repeats, ``pivots_per_lp`` the pivots of the
+decomposition LP, per LP, and ``us_per_pivot`` their quotient.
+
 The ``search`` section times the ``quantum-search`` workload's search op,
 ``pair_from_spec`` -> ``quantum_entropy_min_search`` at budget 1000, for
 each dimension in ``SEARCH_DIMS`` and each pair in ``SEARCH_PAIRS`` on one
@@ -36,8 +42,11 @@ of candidates) and ``validations`` (one per pair built) are counts per search.
 
 In the first repeat one more run of each section, not timed, counts the
 work: ``counting`` wraps every seam of the section's table (``FRAME_SEAMS``,
-``SPECTRA_SEAMS``, ``SEARCH_SEAMS``), which names the function and what
-one call of it adds to which count, and puts the originals back after.
+``SPECTRA_SEAMS``, ``SEPARABLE_SEAMS``, ``SEARCH_SEAMS``), which names the
+function and what one call of it adds to which count, and puts the
+originals back after. A seam that the measured checkout lacks is left out
+(``present``): a parent that predates the lone LP's pivot function pivots
+every LP through ``_pivot``.
 
 ``--parent DIR`` measures the checkout in DIR the same way, alternating
 with this one. The interpreters that time frames, spectra and searches run with
@@ -123,18 +132,24 @@ def _once(key: str):
     return lambda *args, **kwargs: {key: 1}
 
 
+def _pivots(tableau, basis, rows, cols, *rest):
+    """What one pivot call adds: one pivot per LP pivoted, of a stack or alone."""
+    return {"pivots": np.size(cols)}
+
+
 #: The seams of each section: (owner, attribute, what one call adds). The
 #: frames count least-squares guesses, the dual screen's and the k x d
 #: witness LPs where they are built (one per point set), kernel entries (a
-#: stack of LPs enters once) and simplex pivots (one per LP pivoted).
+#: stack of LPs enters once) and simplex pivots, of stacks and of lone LPs.
+PIVOT_SEAMS = (("convexinfo.convex_kernel", "_pivot", _pivots),
+               ("convexinfo.convex_kernel", "_pivot_alone", _pivots))
 FRAME_SEAMS = (
     ("numpy.linalg", "lstsq", _once("guesses")),
     ("convexinfo.gpt_models", "_screen", lambda space, points: {"dual_screen_lps": len(points)}),
     ("convexinfo.gpt_models", "_distinguishing_effects",
      lambda space, points: {"witness_lps": len(points)}),
     ("convexinfo.gpt_models", "_solve", _once("kernel_entries")),
-    ("convexinfo.convex_kernel", "_pivot",
-     lambda tableau, basis, rows, cols, *rest: {"pivots": np.size(cols)}),
+    *PIVOT_SEAMS,
 )
 SPECTRA_SEAMS = (
     ("numpy.linalg", "matrix_rank", _once("ranks")),
@@ -143,6 +158,7 @@ SPECTRA_SEAMS = (
     ("convexinfo.convex_kernel", "_solve", _once("kernel_entries")),
     ("convexinfo.gpt_models", "_solve", _once("kernel_entries")),
 )
+SEPARABLE_SEAMS = (("convexinfo.composites", "_decomposition_lp", _once("lps")), *PIVOT_SEAMS)
 SEARCH_SEAMS = (
     ("numpy.linalg", "qr", _once("qr_calls")),
     ("convexinfo.quantum", "_rows_entropies", _once("score_calls")),
@@ -175,6 +191,11 @@ def counting(seams):
             setattr(module, attribute, original)
 
 
+def present(seams):
+    """The seams whose attribute the imported modules have."""
+    return [seam for seam in seams if hasattr(importlib.import_module(seam[0]), seam[1])]
+
+
 def measure(counted: bool) -> dict:
     """One cold enumeration of every cap model with the convexinfo on sys.path,
     and with ``counted`` one more that counts the work."""
@@ -193,7 +214,7 @@ def measure(counted: bool) -> dict:
             continue
         results[label] = {"seconds": [time.perf_counter() - start], "frames": len(frames)}
         if counted:
-            with counting(FRAME_SEAMS) as counts:
+            with counting(present(FRAME_SEAMS)) as counts:
                 enumerate_frames(build_model(kind, **args))
             results[label].update({key: counts[key] for key in (
                 "guesses", "dual_screen_lps", "witness_lps", "kernel_entries", "pivots")})
@@ -243,6 +264,39 @@ def measure_spectra(counted: bool) -> dict:
                                    "warm_ranks": rest["ranks"] / (STATES - 1),
                                    "solves": rest["solves"] / (STATES - 1),
                                    "kernel_entries": rest["kernel_entries"] / (STATES - 1)})
+    return results
+
+
+def measure_separable(counted: bool) -> dict:
+    """``separable_witness`` on separable states of every tensor-separable
+    factor pair with the convexinfo on sys.path, and with ``counted`` the
+    pivots per LP."""
+    from convexinfo import JointState, ProductSpace, build_model, separable_witness
+
+    sys.path.append(str(ROOT / "perfbench"))
+    from workloads import TensorSeparable
+
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    results = {}
+    for pair in TensorSeparable.SEPARABLE:
+        factors = [build_model(kind, **args)
+                   for kind, args in (_model(label, reference) for label in pair)]
+        va, vb = (factor.vertex_array() for factor in factors)
+        ps, label = ProductSpace(*factors), "x".join(pair)
+        rng = np.random.default_rng(0)
+        states = [JointState(va.T @ rng.dirichlet(np.full(len(va) * len(vb), 0.5)).reshape(
+            len(va), len(vb)) @ vb) for _ in range(STATES)]
+        times = []
+        for omega in states:
+            start = time.perf_counter()
+            separable_witness(ps, omega)
+            times.append(1e3 * (time.perf_counter() - start))
+        results[label] = {"ms": times}
+        if counted:
+            with counting(present(SEPARABLE_SEAMS)) as counts:
+                for omega in states:
+                    separable_witness(ps, omega)
+            results[label]["pivots_per_lp"] = counts["pivots"] / counts["lps"]
     return results
 
 
@@ -354,6 +408,10 @@ def main(argv=None) -> int:
     for frames in doc["frames"].values():
         frames["ladder_seconds"] = sum(frames[label]["seconds"] for label in LADDER)
     doc["spectra"] = alternated(checkouts, "measure_spectra")
+    doc["separable"] = alternated(checkouts, "measure_separable")
+    for side in doc["separable"].values():
+        for record in side.values():
+            record["us_per_pivot"] = 1e3 * record["ms"] / record["pivots_per_lp"]
     doc["search"] = alternated(checkouts, "measure_search")
     if args.parent is not None:
         doc["perfbench"] = pairs(checkouts["parent"])

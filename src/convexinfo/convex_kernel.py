@@ -5,6 +5,9 @@ anti-cycling rule. Instances here are tiny (tens of variables), so the
 implementation favours determinism and verifiability over speed: every
 reported optimum is re-checked against the original constraints before it
 is returned, and a check failure raises instead of returning a wrong answer.
+A stack of same-shape LPs pivots together on a 3-D tableau; a lone LP
+pivots on its own 2-D tableau by the same rule and the same arithmetic, so
+its result is the one it gets inside a stack, bit for bit.
 """
 
 from __future__ import annotations
@@ -112,6 +115,15 @@ def _pivot(tableau, basis, rows, cols, column, every) -> None:
     basis[every, rows] = cols
 
 
+def _pivot_alone(tableau, basis, row, col, column) -> None:
+    """``_pivot`` on one LP's 2-D tableau: pivot on (``row``, ``col``), where
+    ``column`` is its column ``col``."""
+    pivot_row = tableau[row] / column[row]
+    tableau -= column[:, None] * pivot_row
+    tableau[row] = pivot_row
+    basis[row] = col
+
+
 def _run_simplex(tableau, basis, costs, n_enter):
     """Minimize each LP of the stack over its tableau in place; Bland's rule throughout.
 
@@ -122,10 +134,12 @@ def _run_simplex(tableau, basis, costs, n_enter):
     except column ``n_enter`` itself: it is zero and counts as improving, so it
     enters exactly when no other column can, and then finds no row to pivot
     on. Each LP takes its own pivots and all that still pivot advance
-    together; an LP leaves the live stack as soon as it finishes. Returns two
-    flags per LP: unbounded (else optimal), and still pivoting at the pivot
-    cap.
+    together; an LP leaves the live stack as soon as it finishes. A stack of
+    one runs on its 2-D tableau (``_run_alone``). Returns two flags per LP:
+    unbounded (else optimal), and still pivoting at the pivot cap.
     """
+    if len(tableau) == 1:
+        return _run_alone(tableau[0], basis[0], costs[0], n_enter)
     s, m = basis.shape
     unbounded, capped = np.zeros(s, bool), np.zeros(s, bool)
     members = np.arange(s)  # the stack index of each live LP
@@ -174,6 +188,30 @@ def _run_simplex(tableau, basis, costs, n_enter):
     if live_t is not tableau:
         tableau[members], basis[members] = live_t, live_b
     return unbounded, capped
+
+
+def _run_alone(tableau, basis, costs, n_enter):
+    """``_run_simplex`` on one LP: ``tableau`` (m, columns), ``basis`` (m,) and
+    ``costs`` one row. The rule and the arithmetic are the stack's, so the
+    flags, the tableau and the basis are those the LP gets in a stack; only
+    the indexing is 2-D: the pivot is a pair of ints and the entering column
+    a view."""
+    reduced = np.full(n_enter + 1, -1.0)  # the zero column's stays -1
+    improving = reduced[:n_enter]
+    body, rhs, entering_costs = tableau[:, :n_enter], tableau[:, -1], costs[:n_enter]
+    ratios = np.empty(len(basis))
+    for _ in range(_MAX_PIVOTS):
+        np.subtract(entering_costs, costs[basis] @ body, out=improving)
+        entering = int((reduced < -_EPS).argmax())  # Bland: the first improving column
+        column = tableau[:, entering]
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=column > _EPS)
+        least = ratios.min(initial=np.inf)
+        if not np.isfinite(least):  # no row to pivot on: finished
+            return np.array([entering < n_enter]), np.zeros(1, bool)
+        leaving = int(np.where(ratios > least + _EPS, tableau.shape[1], basis).argmin())
+        _pivot_alone(tableau, basis, leaving, entering, column)
+    return np.zeros(1, bool), np.ones(1, bool)
 
 
 class _Layout(NamedTuple):
@@ -278,8 +316,12 @@ def _solve(c, a, con_rel, b, lower, upper, maximize=True) -> list[LpResult | LpN
     error, which no input is known to reach, raises for the whole stack.
     """
     m, n = a.shape[-2:]
-    (s,) = np.broadcast_shapes(c.shape[:-1], a.shape[:-2], b.shape[:-1]) or (1,)
-    c, a, b = np.broadcast_to(c, (s, n)), np.broadcast_to(a, (s, m, n)), np.broadcast_to(b, (s, m))
+    if c.ndim == 1 and a.ndim == 2 and b.ndim == 1:  # one LP: a stack of one
+        s, c, a, b = 1, c[None], a[None], b[None]
+    else:  # a shared c, a or b meets a real stack
+        (s,) = np.broadcast_shapes(c.shape[:-1], a.shape[:-2], b.shape[:-1])
+        c, a = np.broadcast_to(c, (s, n)), np.broadcast_to(a, (s, m, n))
+        b = np.broadcast_to(b, (s, m))
     lay = _layout(con_rel.tobytes(), lower.tobytes(), upper.tobytes())
     # a bound on one LP's tableau: every row and box row with a slack and an
     # artificial column, and two columns for each free variable
@@ -337,11 +379,14 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumerical
         return results
 
     # Drive remaining artificials out of the basis; a row where none can
-    # leave is redundant.
+    # leave is redundant. A row pivots on an entry beyond _EPS, and until one
+    # does no row changes, so the loop starts at the first row holding one.
     artificial = basis >= n_cols
     if finished:
         tableau[done], artificial[done] = 0.0, False
-    for i in artificial.any(axis=0).nonzero()[0]:
+    stack, rows = artificial.nonzero()
+    first = rows[(np.abs(tableau[stack, rows, :n_cols]) > _EPS).any(axis=1)].min(initial=m)
+    for i in first + artificial[:, first:].any(axis=0).nonzero()[0]:
         members = artificial[:, i].nonzero()[0]
         cols = np.abs(tableau[members, i, :n_cols]) > _EPS
         found = cols.any(axis=1)

@@ -5,16 +5,19 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from convexinfo import build_model, enumerate_frames
+from convexinfo import build_model, convex_kernel, enumerate_frames
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_frames", ROOT / "scripts" / "bench_frames.py")
 bench_frames = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_frames)
 
-TABLES = (bench_frames.FRAME_SEAMS, bench_frames.SPECTRA_SEAMS, bench_frames.SEARCH_SEAMS)
+TABLES = (bench_frames.FRAME_SEAMS, bench_frames.SPECTRA_SEAMS, bench_frames.SEPARABLE_SEAMS,
+          bench_frames.SEARCH_SEAMS)
+IDS = ("frames", "spectra", "separable", "search")
 
 
 def _originals(seams) -> dict:
@@ -26,7 +29,7 @@ def _restored(seams, originals) -> bool:
     return all(now is originals[key] for key, now in _originals(seams).items())
 
 
-@pytest.mark.parametrize("seams", TABLES, ids=("frames", "spectra", "search"))
+@pytest.mark.parametrize("seams", TABLES, ids=IDS)
 def test_every_seam_names_an_existing_attribute(seams):
     for owner, attribute, _ in seams:
         module = importlib.import_module(owner)
@@ -49,7 +52,22 @@ def test_frame_seams_count_one_cold_enumeration(label, counts):
     assert _restored(bench_frames.FRAME_SEAMS, originals)
 
 
-@pytest.mark.parametrize("seams", TABLES, ids=("frames", "spectra", "search"))
+def test_pivots_count_alike_alone_and_in_a_stack():
+    # a lone LP pivots on its own 2-D tableau, a stack on its 3-D one: three
+    # copies of an LP count three times its pivots alone. min x0 + 2 x1 + 3 x2
+    # s.t. x0 + x1 + x2 = 1, x0 - x1 >= -0.5, x2 <= 0.8 takes pivots in both phases
+    c, a = np.array([1.0, 2.0, 3.0]), np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0, 0, 1.0]])
+    rest = np.array([0.0, -1.0, 1.0]), np.array([1.0, -0.5, 0.8]), np.zeros(3), np.full(3, np.inf)
+    with bench_frames.counting(bench_frames.FRAME_SEAMS) as alone:
+        (result,) = convex_kernel._solve(c, a, *rest, False)
+    with bench_frames.counting(bench_frames.FRAME_SEAMS) as stacked:
+        assert convex_kernel._solve(np.stack([c] * 3), np.stack([a] * 3), *rest, False) \
+            == [result] * 3
+    assert result.status == "optimal" and alone["pivots"] > 0
+    assert stacked["pivots"] == 3 * alone["pivots"]
+
+
+@pytest.mark.parametrize("seams", TABLES, ids=IDS)
 def test_counting_puts_every_original_back_when_the_block_raises(seams):
     originals = _originals(seams)
     with pytest.raises(RuntimeError, match="inside"):

@@ -418,6 +418,13 @@ def test_a_stack_of_lps_gives_each_lp_its_own_result(stack_cells, monkeypatch):
     assert [repr(r) for r in stacked] == _one_by_one(*lps)
     capped = [isinstance(r, LpNumericalError) for r in stacked]
     assert any(capped) and not all(capped), stacked
+    # and a stack of one that the cap stops, which pivots on its 2-D tableau
+    c, a, rel, b, lower, upper, maximize = lps
+    i = capped.index(True)
+    lone = convex_kernel._solve(c[i:i + 1], a[i:i + 1], rel, b[i:i + 1], lower, upper, maximize)
+    assert [repr(r) for r in lone] == [repr(stacked[i])]
+    with pytest.raises(LpNumericalError, match="pivot cap"):
+        convex_kernel._solved(lone)
 
 
 @pytest.mark.parametrize("stack_cells", [convex_kernel._STACK_CELLS, 200])
