@@ -1,4 +1,4 @@
-"""Cold frames, spectra per state, separability, min-searches and perfbench pairs, parent against change.
+"""Cold frames, spectra, separability, min-searches and perfbench pairs, parent against change.
 
 Run from the repository root (numpy is the only dependency):
 
