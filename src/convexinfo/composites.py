@@ -2,7 +2,13 @@
 
 A joint state is a coefficient tensor W on the bilinear embedding of the two
 factor spaces; evaluating it against factor effects e, f gives e.T W f. The
-minimal tensor set is the convex hull of vertex products. Max-tensor
+minimal tensor set is the convex hull of vertex products. When a factor is
+classical (a simplex: its vertices are linearly independent) the minimal and
+maximal tensor sets of the pair coincide, and a joint state is separable
+exactly when each of its conditional states, one per classical outcome, lies
+in the cone of the other factor's states; separability is then one small LP
+per outcome, all solved in one stack, in place of the LP over every vertex
+product. Max-tensor
 membership is checked against each factor's frame effects together with the
 zero and unit effects; for the models built here that is the operative
 effect set (for simplexes it is equivalent to checking every effect, and for
@@ -17,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernel import Polytope, _decomposition_lp
+from .convex_kernel import FEAS_TOL, Polytope, _decomposition_lp, _solve, _solved
 from .errors import (
     DimensionMismatch,
+    LpNumericalError,
     NotNormalized,
     TooLarge,
     UnsupportedModel,
@@ -47,13 +54,17 @@ class ProductSpace:
     def joint_shape(self) -> tuple[int, int]:
         return (self.factor_a.dim, self.factor_b.dim)
 
-    @functools.cached_property
-    def _min_tensor(self) -> Polytope:
-        """All products of factor vertices as one polytope, built and checked once."""
+    def _check_cap(self) -> None:
         va, vb = self.factor_a.n_vertices, self.factor_b.n_vertices
         if va > MAX_FACTOR_VERTICES or vb > MAX_FACTOR_VERTICES:
             raise TooLarge(f"factors with {va} x {vb} vertices exceed the cap "
                            f"{MAX_FACTOR_VERTICES} per side")
+
+    @functools.cached_property
+    def _min_tensor(self) -> Polytope:
+        """All products of factor vertices as one polytope, built and checked once."""
+        self._check_cap()
+        va, vb = self.factor_a.n_vertices, self.factor_b.n_vertices
         products = np.einsum("ai,bj->abij", self.factor_a.vertex_array(),
                              self.factor_b.vertex_array())
         return Polytope(products.reshape(va * vb, -1))
@@ -64,6 +75,36 @@ class ProductSpace:
         products = self._min_tensor.as_array()
         products.flags.writeable = False
         return products
+
+    @functools.cached_property
+    def _classical(self) -> tuple | None:
+        """How a classical factor splits a table into its conditional states, or None.
+
+        A factor is classical when its n x d vertex array V, homogeneous
+        coordinate included, has linearly independent rows: every simplex,
+        and custom points that are affinely independent. A table T (the
+        classical factor's side first) is then V.T @ M for the n x d' matrix
+        M of its conditional states, and the first n coordinates that span
+        V.T (the rows that ``_spectrum_bases`` keeps) give M = S^-1 T[rows]
+        with S = V.T[rows]; for a simplex they are its unit coordinates, so M
+        is T's own first n rows. Returns ``(side, rows, s, spread, other)``:
+        0 for factor A or 1 for B (the one with more vertices, and so the
+        smaller LPs, when both are classical), the rows, S, V.T and the
+        other factor's vertex array transposed. Built once, read-only.
+        """
+        self._check_cap()
+        factors = (self.factor_a, self.factor_b)
+        classical = [side for side, space in enumerate(factors)
+                     if len(space._spectrum_bases[1]) == space.n_vertices]
+        if not classical:
+            return None
+        side = max(classical, key=lambda i: factors[i].n_vertices)
+        a, rows, *_ = factors[side]._spectrum_bases
+        spread = factors[side]._verts.T
+        arrays = (rows, a[rows], spread, factors[1 - side]._verts.T)
+        for array in arrays:
+            array.flags.writeable = False
+        return side, *arrays
 
 
 @dataclass(frozen=True)
@@ -111,18 +152,59 @@ def _joint_table(ps: ProductSpace, omega: JointState) -> np.ndarray:
     return table
 
 
+def _conditional_weights(classical: tuple, table: np.ndarray) -> np.ndarray | None:
+    """The weights of ``separable_witness`` on a pair with a classical factor,
+    or None; ``classical`` is ``ProductSpace._classical``.
+
+    Each conditional state M_a of the table must be V'.T w_a with w_a >= 0,
+    V' the other factor's vertices: one LP per outcome a, all entering the
+    kernel in one stack, and the weights are the rows w_a. None certifies
+    that an LP is infeasible or that the table leaves the classical factor's
+    span (T != V.T @ M) by more than ``FEAS_TOL``; weights that do not
+    reconstruct the table within ``FEAS_TOL`` raise ``LpNumericalError``.
+    """
+    side, rows, s, spread, other = classical
+    if side:  # B is classical: its side first
+        table = table.T
+    # a vast table overflows to inf or NaN here, which the span check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        conditionals = np.linalg.solve(s, table[rows])
+        inside = (np.abs(spread @ conditionals - table) <= FEAS_TOL).all()
+    if not inside:
+        return None
+    zeros = np.zeros(other.shape[1])
+    results = _solved(_solve(zeros, other, np.zeros(len(other)), conditionals, zeros,
+                             np.full(len(zeros), np.inf)))
+    if any(result.status != "optimal" for result in results):
+        return None
+    weights = np.array([result.point for result in results])
+    if not (np.abs(spread @ weights @ other.T - table) <= FEAS_TOL).all():
+        raise LpNumericalError("the conditional states' weights do not reconstruct the table")
+    return weights.T if side else weights
+
+
 def separable_witness(ps: ProductSpace, omega: JointState):
     """Convex weights over vertex products reconstructing omega, or None.
 
-    Weights are indexed by (a_index, b_index) pairs in row-major order.
+    Weights are indexed by (a_index, b_index) pairs in row-major order, and
+    only weights above ``TOL`` are listed. With a classical factor the
+    weights are those of its conditional states' LPs (``_conditional_weights``);
+    otherwise they are the point of one decomposition LP over all vertex
+    products. Either way None comes with a certificate: an infeasible LP, or
+    a table outside the classical factor's span.
     """
-    result = _decomposition_lp(ps._products, _joint_table(ps, omega).reshape(-1))
-    if result.status != "optimal":
+    table, classical = _joint_table(ps, omega), ps._classical
+    if classical is None:
+        result = _decomposition_lp(ps._products, table.reshape(-1))
+        if result.status != "optimal":
+            return None
+        weights = np.asarray(result.point, float).reshape(ps.factor_a.n_vertices, -1)
+    else:
+        weights = _conditional_weights(classical, table)
+    if weights is None:
         return None
-    weights = np.asarray(result.point, float)
-    vb = ps.factor_b.n_vertices
-    return [((i // vb, i % vb), float(w))
-            for i, w in enumerate(weights) if w > TOL]
+    rows, cols = (weights > TOL).nonzero()
+    return [((a, b), float(weights[a, b])) for a, b in zip(rows.tolist(), cols.tolist())]
 
 
 def is_separable(ps: ProductSpace, omega: JointState) -> bool:

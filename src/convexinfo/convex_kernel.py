@@ -327,8 +327,12 @@ def _solve(c, a, con_rel, b, lower, upper, maximize=True) -> list[LpResult | LpN
     # artificial column, and two columns for each free variable
     rows = m + n
     step = max(1, _STACK_CELLS // (rows * (2 * n + 2 * rows + 2) + 1))
-    return [result for i in range(0, s, step) for result in _solve_stack(
-        c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize)]
+    # Entries near the largest float can overflow to inf and then make NaNs,
+    # without a warning: a phase-1 residual of inf makes its LP infeasible, and
+    # a point that inf or NaN reaches fails verification (``_violations``)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [result for i in range(0, s, step) for result in _solve_stack(
+            c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize)]
 
 
 def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumericalError]:

@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexinfo import build_model, convex_kernel, enumerate_frames
+from convexinfo import (
+    JointState,
+    ProductSpace,
+    build_model,
+    convex_kernel,
+    enumerate_frames,
+    separable_witness,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_frames", ROOT / "scripts" / "bench_frames.py")
@@ -80,3 +87,22 @@ def test_counting_puts_every_original_back_when_the_block_raises(seams):
         with bench_frames.counting((*seams, ("convexinfo.gpt_models", "_missing", None))):
             pass
     assert _restored(seams, originals)
+
+
+@pytest.mark.parametrize("pair, lps", [(("simplex7", "polygon8"), 7),
+                                       (("polygon8", "polygon8"), 1)],
+                         ids=("simplex7xpolygon8", "polygon8xpolygon8"))
+def test_separable_seams_count_lps_and_kernel_entries(pair, lps):
+    # a classical factor splits the test into one LP per outcome, all in one
+    # kernel entry; a pair without one solves one LP over the vertex products
+    factors = [build_model(kind, **args)
+               for kind, args in (bench_frames._model(label, {}) for label in pair)]
+    va, vb = (factor.vertex_array() for factor in factors)
+    weights = np.random.default_rng(0).dirichlet(np.ones(len(va) * len(vb)))
+    omega = JointState(va.T @ weights.reshape(len(va), len(vb)) @ vb)
+    originals = _originals(bench_frames.SEPARABLE_SEAMS)
+    with bench_frames.counting(bench_frames.SEPARABLE_SEAMS) as counted:
+        assert separable_witness(ProductSpace(*factors), omega) is not None
+    assert (counted["lps"], counted["kernel_entries"]) == (lps, 1)
+    assert counted["pivots"] > 0
+    assert _restored(bench_frames.SEPARABLE_SEAMS, originals)

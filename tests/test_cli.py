@@ -551,3 +551,15 @@ def test_error_names_the_value_given(capsys, tmp_path, square_file, argv, shown)
     half = _write_json(tmp_path, "joint.json", [[1, 0, 0], [0, 1, 0], [0, 0, 0.5]])
     argv = [{"SQUARE": square_file, "HALF": half}.get(a, a) for a in argv]
     assert run(capsys, argv) == (2, "", shown)
+
+
+def test_separable_beyond_the_factor_cap_exits_2(capsys, tmp_path):
+    # simplex 9 is classical, and the cap holds on its route too
+    model_a = _write_json(tmp_path, "a.json", {"kind": "simplex", "n": 9})
+    model_b = _write_json(tmp_path, "b.json", {"kind": "simplex", "n": 2})
+    table = np.zeros((10, 3))
+    table[0, 0] = table[0, 2] = table[9, 0] = table[9, 2] = 1.0  # vertex 0 x vertex 0
+    joint = _write_json(tmp_path, "joint.json", {"table": table.tolist()})
+    code, out, err = run(capsys, ["separable", "--model-a", model_a, "--model-b", model_b,
+                                  "--joint", joint])
+    assert code == 2 and out == "" and "cap" in err

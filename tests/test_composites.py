@@ -17,8 +17,12 @@ from convexinfo import (
     separable_witness,
     vertex_state,
 )
+from convexinfo.convex_kernel import _decomposition_lp
 from convexinfo.errors import DimensionMismatch, NotNormalized, TooLarge, UnsupportedModel
 from convexinfo.probvec import TOL
+
+#: Affinely independent points: a classical factor that is not a simplex.
+TRIANGLE = [[0.0, 0.0], [2.0, 0.3], [0.4, 1.5]]
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +259,127 @@ def test_classical_collapse_guards():
     with pytest.raises(UnsupportedModel):
         classical_collapse_check(build_model("simplex", n=2),
                                  build_model("regular_polygon", n=4))
+
+
+@pytest.mark.parametrize("models, table", [
+    (("regular_polygon", 4), [[1e308, 0, 0], [0, 1e308, 0], [0, 0, 1]]),
+    # in the first factor's span (the last row sums the others), so the
+    # conditional-state LPs see the vast entries
+    (("simplex", 3), [[0, 0, 0, 1e308], [1e308, 0, 0, -1e308], [0, 0, 0, 1], [1e308, 0, 0, 1]]),
+], ids=("square", "simplex3"))
+def test_tables_near_the_largest_float_settle_without_a_warning(models, table):
+    # a warning fails the test (pyproject's filterwarnings): the phase-1
+    # residual of these LPs overflows
+    space = build_model(models[0], n=models[1])
+    ps, omega = ProductSpace(space, space), JointState(table)
+    assert separable_witness(ps, omega) is None
+    assert classify_joint(ps, omega) == "not-a-state"
+
+
+def _factor(label):
+    if label == "triangle":
+        return build_model("custom_polytope", vertices=TRIANGLE)
+    kind = "simplex" if label.startswith("simplex") else "regular_polygon"
+    return build_model(kind, n=int(label[7:]))  # simplexN or polygonN
+
+
+CLASSICAL_PAIRS = (("simplex3", "polygon5"), ("polygon6", "simplex4"), ("simplex3", "simplex4"),
+                   ("triangle", "polygon5"))
+
+
+def _decomposition_verdict(ps, table) -> bool:
+    return _decomposition_lp(ps._products, table.reshape(-1)).status == "optimal"
+
+
+@pytest.mark.parametrize("pair", CLASSICAL_PAIRS, ids="x".join)
+def test_conditional_states_agree_with_the_decomposition_lp(pair):
+    ps = ProductSpace(*map(_factor, pair))
+    va, vb = ps.factor_a.vertex_array(), ps.factor_b.vertex_array()
+    side = ps._classical[0]
+    rng = np.random.default_rng(19)
+    verdicts = []
+    for k in range(90):
+        table = va.T @ rng.dirichlet(np.full(va.shape[0] * vb.shape[0], 0.3)).reshape(
+            len(va), len(vb)) @ vb
+        if k % 3 == 1:
+            # move the classical factor's unit row (or column): for a simplex
+            # the table leaves its span
+            unit = table[-1, :-1] if side == 0 else table[:-1, -1]
+            unit += rng.normal(scale=0.05, size=unit.shape)
+        elif k % 3 == 2:
+            table += rng.normal(scale=0.5, size=table.shape)  # mostly not a state
+        table[-1, -1] = 1.0
+        witness = separable_witness(ps, JointState(table))
+        verdicts.append(witness is not None)
+        assert verdicts[-1] == _decomposition_verdict(ps, table), k
+        if witness is not None:
+            recon = sum(w * np.outer(va[a], vb[b]) for (a, b), w in witness)
+            assert np.abs(recon - table).max() <= 1e-8
+            assert all(w > 0 for _, w in witness)
+    assert 30 <= sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("pair", CLASSICAL_PAIRS, ids="x".join)
+def test_max_tensor_members_of_a_classical_pair_are_separable(pair):
+    # a classical factor makes the minimal and maximal tensor sets coincide:
+    # a member's conditional states, one per outcome, are states of the other
+    # factor scaled by the outcome's probability, here on its boundary too
+    ps = ProductSpace(*map(_factor, pair))
+    side = ps._classical[0]
+    classical, other = (ps.factor_a, ps.factor_b)[::1 if side == 0 else -1]
+    vc, vo = classical.vertex_array(), other.vertex_array()
+    rng = np.random.default_rng(7)
+    outcomes = np.arange(len(vc))
+    for k in range(40):
+        weights = rng.dirichlet(np.ones(len(vo)), size=len(vc))  # interior points
+        if k % 3 == 1:  # points on the edge from vertex j to vertex j + 1
+            first, t = rng.integers(len(vo), size=len(vc)), rng.random(len(vc))
+            weights = np.zeros_like(weights)
+            weights[outcomes, first], weights[outcomes, (first + 1) % len(vo)] = t, 1.0 - t
+        elif k % 3 == 2:  # vertices
+            weights = np.eye(len(vo))[rng.integers(len(vo), size=len(vc))]
+        # some outcomes, never all, get probability 0
+        probabilities = rng.dirichlet(np.ones(len(vc)))
+        zero = rng.random(len(vc)) < 0.2
+        zero[rng.integers(len(vc))] = False
+        probabilities[zero] = 0.0
+        probabilities /= probabilities.sum()
+        table = vc.T @ (probabilities[:, None] * weights) @ vo
+        omega = JointState(table if side == 0 else table.T)
+        assert max_tensor_member(ps, omega)
+        assert classify_joint(ps, omega) == "separable"
+
+
+def test_pairs_without_a_classical_factor_keep_the_decomposition_lps_witness(rng):
+    ps = ProductSpace(build_model("regular_polygon", n=4), build_model("regular_polygon", n=5))
+    assert ps._classical is None
+    for _ in range(10):
+        omega = _random_mixture(ps, rng, terms=3)
+        point = _decomposition_lp(ps._products, omega.as_array().reshape(-1)).point
+        assert separable_witness(ps, omega) == [((i // 5, i % 5), float(w))
+                                                for i, w in enumerate(point) if w > TOL]
+
+
+def test_a_simplex_splits_a_table_into_its_own_rows():
+    simplex3, triangle = build_model("simplex", n=3), _factor("triangle")
+    polygon, simplex4 = build_model("regular_polygon", n=5), build_model("simplex", n=4)
+    side, rows, s, spread, other = ProductSpace(polygon, simplex3)._classical
+    assert side == 1 and rows.tolist() == [0, 1, 2]
+    assert np.array_equal(s, np.eye(3))
+    assert np.array_equal(spread, simplex3.vertex_array().T)
+    assert np.array_equal(other, polygon.vertex_array().T)
+    # both classical: the factor with more vertices, so the smaller LPs
+    assert ProductSpace(simplex4, simplex3)._classical[0] == 0
+    assert ProductSpace(simplex3, simplex4)._classical[0] == 1
+    assert ProductSpace(triangle, polygon)._classical[0] == 0
+    ps = ProductSpace(simplex3, polygon)
+    assert ps._classical is ps._classical
+    for array in ps._classical[1:]:
+        assert not array.flags.writeable
+
+
+def test_the_factor_cap_holds_with_a_classical_factor():
+    ps = ProductSpace(build_model("simplex", n=9), build_model("simplex", n=2))
+    omega = JointState(np.outer(ps.factor_a.vertex_array()[0], ps.factor_b.vertex_array()[0]))
+    with pytest.raises(TooLarge):
+        separable_witness(ps, omega)
