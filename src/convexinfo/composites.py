@@ -2,18 +2,20 @@
 
 A joint state is a coefficient tensor W on the bilinear embedding of the two
 factor spaces; evaluating it against factor effects e, f gives e.T W f. The
-minimal tensor set is the convex hull of vertex products. When a factor is
-classical (a simplex: its vertices are linearly independent) the minimal and
-maximal tensor sets of the pair coincide, and a joint state is separable
-exactly when each of its conditional states, one per classical outcome, lies
-in the cone of the other factor's states; separability is then one small LP
-per outcome, all solved in one stack, in place of the LP over every vertex
-product. Max-tensor
-membership is checked against each factor's frame effects together with the
-zero and unit effects; for the models built here that is the operative
-effect set (for simplexes it is equivalent to checking every effect, and for
-squares it is the convention that makes the standard no-signaling box a
-member).
+minimal tensor set is the convex hull of vertex products.
+
+When a factor is classical (a simplex: its vertices are linearly
+independent) the minimal and maximal tensor sets of the pair coincide, and
+a joint state is separable exactly when each of its conditional states, one
+per classical outcome, lies in the cone of the other factor's states. The
+separability test is then one small LP per outcome, all solved in one stack,
+in place of the LP over every vertex product.
+
+Max-tensor membership is checked against each factor's frame effects
+together with the zero and unit effects; for the models built here that is
+the operative effect set (for simplexes it is equivalent to checking every
+effect, and for squares it is the convention that makes the standard
+no-signaling box a member).
 """
 
 from __future__ import annotations
@@ -100,11 +102,9 @@ class ProductSpace:
             return None
         side = max(classical, key=lambda i: factors[i].n_vertices)
         a, rows, *_ = factors[side]._spectrum_bases
-        spread = factors[side]._verts.T
-        arrays = (rows, a[rows], spread, factors[1 - side]._verts.T)
-        for array in arrays:
-            array.flags.writeable = False
-        return side, *arrays
+        s = a[rows]
+        s.flags.writeable = False  # the other arrays are views of read-only ones
+        return side, rows, s, factors[side]._verts.T, factors[1 - side]._verts.T
 
 
 @dataclass(frozen=True)
