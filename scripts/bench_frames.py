@@ -31,10 +31,11 @@ The ``separable`` section times ``separable_witness`` on ``STATES`` random
 separable states of every factor pair of the ``tensor-separable`` workload
 (``TensorSeparable.SEPARABLE`` in ``perfbench/workloads.py``); ``ms`` is
 the median over the states and repeats. ``lps`` and ``kernel_entries`` count
-the LPs and kernel entries per call: one decomposition LP over the vertex
-products, or with a classical factor one stack of its conditional states'
-LPs. ``pivots_per_lp`` counts the pivots per LP, and ``us_per_pivot`` is
-the time per pivot of a call.
+the LPs and kernel entries per call where every route enters the kernel
+(``convex_kernel._solve_stack``): one decomposition LP over the vertex
+products, and with a classical factor none. ``pivots_per_lp`` counts the
+pivots per LP, and ``us_per_pivot`` is the time per pivot of a call; both
+only where LPs ran.
 
 The ``search`` section times the ``quantum-search`` workload's search op,
 ``pair_from_spec`` -> ``quantum_entropy_min_search`` at budget 1000, for
@@ -49,8 +50,7 @@ work: ``counting`` wraps every seam of the section's table (``FRAME_SEAMS``,
 function and what one call of it adds to which count, and puts the
 originals back after. A seam that the measured checkout lacks is left out
 (``present``): a parent that predates the lone LP's pivot function pivots
-every LP through ``_pivot``, and one that predates the conditional-state
-LPs solves every separability test as one decomposition LP.
+every LP through ``_pivot``.
 
 ``--parent DIR`` measures the checkout in DIR the same way, alternating
 with this one. The interpreters that time frames, spectra and searches run with
@@ -136,12 +136,6 @@ def _once(key: str):
     return lambda *args, **kwargs: {key: 1}
 
 
-def _stack(c, a, con_rel, b, *rest):
-    """What one kernel entry adds: the LPs of its stack, and the entry."""
-    shape = np.broadcast_shapes(np.shape(c)[:-1], np.shape(a)[:-2], np.shape(b)[:-1])
-    return {"lps": int(np.prod(shape)), "kernel_entries": 1}
-
-
 def _pivots(tableau, basis, rows, cols, *rest):
     """What one pivot call adds: one pivot per LP pivoted, of a stack or alone."""
     return {"pivots": np.size(cols)}
@@ -168,12 +162,11 @@ SPECTRA_SEAMS = (
     ("convexinfo.convex_kernel", "_solve", _once("kernel_entries")),
     ("convexinfo.gpt_models", "_solve", _once("kernel_entries")),
 )
-#: The separability test enters the kernel once, through the decomposition
-#: LP or through a stack of conditional-state LPs.
+#: Every LP stack enters the kernel at ``_solve_stack``, whichever route
+#: built it.
 SEPARABLE_SEAMS = (
-    ("convexinfo.composites", "_decomposition_lp",
-     lambda *args: {"lps": 1, "kernel_entries": 1}),
-    ("convexinfo.composites", "_solve", _stack),
+    ("convexinfo.convex_kernel", "_solve_stack",
+     lambda c, a, *rest: {"lps": len(a), "kernel_entries": 1}),
     *PIVOT_SEAMS,
 )
 SEARCH_SEAMS = (
@@ -314,8 +307,9 @@ def measure_separable(counted: bool) -> dict:
                 for omega in states:
                     separable_witness(ps, omega)
             results[label].update({"lps": counts["lps"] / STATES,
-                                   "kernel_entries": counts["kernel_entries"] / STATES,
-                                   "pivots_per_lp": counts["pivots"] / counts["lps"]})
+                                   "kernel_entries": counts["kernel_entries"] / STATES})
+            if counts["lps"]:
+                results[label]["pivots_per_lp"] = counts["pivots"] / counts["lps"]
     return results
 
 
@@ -430,7 +424,9 @@ def main(argv=None) -> int:
     doc["separable"] = alternated(checkouts, "measure_separable")
     for side in doc["separable"].values():
         for record in side.values():
-            record["us_per_pivot"] = 1e3 * record["ms"] / (record["pivots_per_lp"] * record["lps"])
+            if "pivots_per_lp" in record:
+                record["us_per_pivot"] = 1e3 * record["ms"] / (record["pivots_per_lp"]
+                                                               * record["lps"])
     doc["search"] = alternated(checkouts, "measure_search")
     if args.parent is not None:
         doc["perfbench"] = pairs(checkouts["parent"])

@@ -202,7 +202,8 @@ def _cmd_separable(args) -> int:
         payload = {"separable": True,
                    "witness": [{"a": a, "b": b, "weight": w} for (a, b), w in witness]}
     else:
-        # classify_joint's verdict, without solving the witness LP again
+        # classify_joint's verdict without a second decomposition LP; with a classical
+        # factor max_tensor_member is the basis test again, and nothing is entangled
         member = max_tensor_member(ps, omega)
         payload = {"separable": False,
                    "max_member": member,

@@ -7,14 +7,15 @@ minimal tensor set is the convex hull of vertex products.
 When a factor is classical (a simplex: its vertices are linearly
 independent) the minimal and maximal tensor sets of the pair coincide, and
 a joint state is separable exactly when each of its conditional states, one
-per classical outcome, lies in the cone of the other factor's states. The
-separability test is then one small LP per outcome, all solved in one stack,
-in place of the LP over every vertex product.
+per classical outcome, lies in the cone of the other factor's states. Each
+conditional state is then tested as ``make_state`` tests a state, through
+the other factor's regular bases, and no LP is solved; pairs without a
+classical factor solve one decomposition LP over every vertex product.
 
-Max-tensor membership is checked against each factor's frame effects
-together with the zero and unit effects; for the models built here that is
-the operative effect set (for simplexes it is equivalent to checking every
-effect, and for squares it is the convention that makes the standard
+Max-tensor membership of a pair with a classical factor is that same test.
+Otherwise it is checked against each factor's frame effects together with
+the zero and unit effects; for the models built here that is the operative
+effect set (for squares it is the convention that makes the standard
 no-signaling box a member).
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernel import FEAS_TOL, Polytope, _decomposition_lp, _solve, _solved
+from .convex_kernel import FEAS_TOL, Polytope, _decomposition_lp
 from .errors import (
     DimensionMismatch,
     LpNumericalError,
@@ -90,21 +91,19 @@ class ProductSpace:
         V.T (the rows that ``_spectrum_bases`` keeps) give M = S^-1 T[rows]
         with S = V.T[rows]; for a simplex they are its unit coordinates, so M
         is T's own first n rows. Returns ``(side, rows, s, spread, other)``:
-        0 for factor A or 1 for B (the one with more vertices, and so the
-        smaller LPs, when both are classical), the rows, S, V.T and the
-        other factor's vertex array transposed. Built once, read-only.
+        0 for factor A or 1 for B (the first classical factor: a classical
+        partner has one regular basis), the rows, S, V.T and the other
+        factor. Built once; the arrays are read-only.
         """
         self._check_cap()
         factors = (self.factor_a, self.factor_b)
-        classical = [side for side, space in enumerate(factors)
-                     if len(space._spectrum_bases[1]) == space.n_vertices]
-        if not classical:
-            return None
-        side = max(classical, key=lambda i: factors[i].n_vertices)
-        a, rows, *_ = factors[side]._spectrum_bases
-        s = a[rows]
-        s.flags.writeable = False  # the other arrays are views of read-only ones
-        return side, rows, s, factors[side]._verts.T, factors[1 - side]._verts.T
+        for side, space in enumerate(factors):
+            a, rows, *_ = space._spectrum_bases
+            if len(rows) == space.n_vertices:
+                s = a[rows]
+                s.flags.writeable = False  # the other arrays are views of read-only ones
+                return side, rows, s, space._verts.T, factors[1 - side]
+        return None
 
 
 @dataclass(frozen=True)
@@ -157,29 +156,31 @@ def _conditional_weights(classical: tuple, table: np.ndarray) -> np.ndarray | No
     or None; ``classical`` is ``ProductSpace._classical``.
 
     Each conditional state M_a of the table must be V'.T w_a with w_a >= 0,
-    V' the other factor's vertices: one LP per outcome a, all entering the
-    kernel in one stack, and the weights are the rows w_a. None certifies
-    that an LP is infeasible or that the table leaves the classical factor's
-    span (T != V.T @ M) by more than ``FEAS_TOL``; weights that do not
-    reconstruct the table within ``FEAS_TOL`` raise ``LpNumericalError``.
+    V' the other factor's vertices, so w_a sums to M_a's homogeneous
+    coordinate, outcome a's probability p_a (0 at the apex): w_a is the first
+    basic solution of (M_a, p_a) over the other factor's regular bases
+    (``StateSpace._basic_solutions``), all outcomes in one solve. None
+    certifies that some M_a has none or that the table leaves the classical
+    factor's span (T != V.T @ M) by more than ``FEAS_TOL``; weights that do
+    not reconstruct the table within ``FEAS_TOL`` raise ``LpNumericalError``.
     """
     side, rows, s, spread, other = classical
     if side:  # B is classical: its side first
         table = table.T
-    # a vast table overflows to inf or NaN here, which the span check rejects
+    # a vast table overflows to inf or NaN here, which the span check rejects,
+    # and one near the largest float overflows in the basis solve
     with np.errstate(over="ignore", invalid="ignore"):
         conditionals = np.linalg.solve(s, table[rows])
-        inside = (np.abs(spread @ conditionals - table) <= FEAS_TOL).all()
-    if not inside:
-        return None
-    zeros = np.zeros(other.shape[1])
-    results = _solved(_solve(zeros, other, np.zeros(len(other)), conditionals, zeros,
-                             np.full(len(zeros), np.inf)))
-    if any(result.status != "optimal" for result in results):
-        return None
-    weights = np.array([result.point for result in results])
-    if not (np.abs(spread @ weights @ other.T - table) <= FEAS_TOL).all():
-        raise LpNumericalError("the conditional states' weights do not reconstruct the table")
+        if not (np.abs(spread @ conditionals - table) <= FEAS_TOL).all():
+            return None
+        which, solutions = other._basic_solutions(
+            np.hstack([conditionals, conditionals[:, -1:]]))
+        solved, first = np.unique(which, return_index=True)
+        if len(solved) < len(conditionals):
+            return None
+        weights = solutions[first]
+        if not (np.abs(spread @ weights @ other._verts - table) <= FEAS_TOL).all():
+            raise LpNumericalError("the conditional states' weights do not reconstruct the table")
     return weights.T if side else weights
 
 
@@ -188,10 +189,12 @@ def separable_witness(ps: ProductSpace, omega: JointState):
 
     Weights are indexed by (a_index, b_index) pairs in row-major order, and
     only weights above ``TOL`` are listed. With a classical factor the
-    weights are those of its conditional states' LPs (``_conditional_weights``);
+    weights are its conditional states' basic solutions over the other
+    factor's bases (``_conditional_weights``), and no LP is solved;
     otherwise they are the point of one decomposition LP over all vertex
-    products. Either way None comes with a certificate: an infeasible LP, or
-    a table outside the classical factor's span.
+    products. Either way None comes with a certificate: an infeasible LP, a
+    conditional state with no basic solution, or a table outside the
+    classical factor's span.
     """
     table, classical = _joint_table(ps, omega), ps._classical
     if classical is None:
@@ -222,10 +225,14 @@ def _extreme_effects(space: StateSpace) -> np.ndarray:
 def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:
     """Does omega assign sane probabilities to all product measurements?
 
-    Checks omega(E, E') in [0, 1] over the factors' frame effects plus the
-    zero and unit effects; normalization omega(u_A, u_B) = 1 is part of the
-    JointState invariant.
+    With a classical factor the maximal tensor set is the minimal one: this
+    is ``is_separable``. Otherwise checks omega(E, E') in [0, 1] over the
+    factors' frame effects plus the zero and unit effects; normalization
+    omega(u_A, u_B) = 1 is part of the JointState invariant. A factor over
+    ``MAX_FACTOR_VERTICES`` raises ``TooLarge`` either way.
     """
+    if ps._classical is not None:
+        return is_separable(ps, omega)
     table = _joint_table(ps, omega)
     values = _extreme_effects(ps.factor_a) @ table @ _extreme_effects(ps.factor_b).T
     return bool(values.min() >= -TOL and values.max() <= 1.0 + TOL)

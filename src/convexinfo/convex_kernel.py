@@ -382,25 +382,15 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumerical
     if finished == s:
         return results
 
-    # Drive remaining artificials out of the basis; a row where none can
-    # leave is redundant. A row pivots on an entry beyond _EPS, and until one
-    # does no row changes, so the loop starts at the first row holding one.
-    artificial = basis >= n_cols
+    # Drive remaining artificials out of the basis, one LP at a time and its
+    # rows in order: a row pivots on its first entry beyond _EPS, and a row
+    # with none is redundant.
     if finished:
-        tableau[done], artificial[done] = 0.0, False
-    stack, rows = artificial.nonzero()
-    first = rows[(np.abs(tableau[stack, rows, :n_cols]) > _EPS).any(axis=1)].min(initial=m)
-    for i in first + artificial[:, first:].any(axis=0).nonzero()[0]:
-        members = artificial[:, i].nonzero()[0]
-        cols = np.abs(tableau[members, i, :n_cols]) > _EPS
-        found = cols.any(axis=1)
-        if found.any():
-            members, entering = members[found], cols[found].argmax(axis=1)
-            some_t, some_b = tableau[members], basis[members]
-            every = np.arange(members.size)
-            _pivot(some_t, some_b, np.full(members.size, i), entering,
-                   some_t[every, :, entering], every)
-            tableau[members], basis[members] = some_t, some_b
+        tableau[done] = 0.0
+    for i, row in zip(*((basis >= n_cols) & ~done[:, None]).nonzero()):
+        cols = (np.abs(tableau[i, row, :n_cols]) > _EPS).nonzero()[0]
+        if cols.size:
+            _pivot_alone(tableau[i], basis[i], row, cols[0], tableau[i, :, cols[0]])
     unbounded = capped = np.zeros(s, bool)
     multipliers = np.zeros((s, m_con))
     if c.any():

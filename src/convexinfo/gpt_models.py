@@ -129,18 +129,18 @@ class StateSpace:
             array.flags.writeable = False
         return arrays
 
-    def _basic_solutions(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every regular basis solved for each of the points (s, d) in one solve.
+    def _basic_solutions(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every regular basis solved for each right-hand side (s, d + 1) in one solve.
 
-        Returns ``(which, w)``: one row of ``w`` per basic solution that is
-        feasible (weights >= -``_NEGATIVE_WEIGHT_TOL``, then clipped at 0)
-        and reproduces its point within ``_RECON_TOL``, zero off its basis,
-        and the index of that point in ``which``. Rows come point by point, each point's in
+        A right-hand side is a point of the cone over the model, then its weight
+        sum (a state, then 1). Returns ``(which, w)``: one row of ``w`` per basic
+        solution that is feasible (weights >= -``_NEGATIVE_WEIGHT_TOL``, then
+        clipped at 0) and reproduces its right-hand side within ``_RECON_TOL``,
+        zero off its basis, and the index of its right-hand side in ``which``.
+        Rows come one right-hand side after another, each one's in
         ``itertools.combinations`` order of the bases.
         """
         a, rows, scale, bases, sub = self._spectrum_bases
-        b = np.ones((len(points), points.shape[1] + 1))  # each point, then sum w = 1
-        b[:, :-1] = points
         b_r = (b[:, rows] / scale).T
         x = np.linalg.solve(sub, np.broadcast_to(b_r, (len(sub), *b_r.shape)))
         which, basis = (x.min(axis=1) >= -_NEGATIVE_WEIGHT_TOL).T.nonzero()
@@ -156,7 +156,7 @@ class StateSpace:
 
         @functools.lru_cache(maxsize=4)
         def vertices(key: bytes) -> np.ndarray:
-            _, w = self._basic_solutions(np.frombuffer(key)[None])
+            _, w = self._basic_solutions(np.append(np.frombuffer(key), 1.0)[None])
             w.flags.writeable = False
             return w
 
@@ -577,7 +577,8 @@ def _spans_model(space: StateSpace, indices) -> list[bool]:
     per set.
     """
     verts = space._verts
-    bary = np.array([verts[list(combo)].mean(axis=0) for combo in indices])
+    # each barycenter, then its weight sum 1
+    bary = np.array([np.append(verts[list(combo)].mean(axis=0), 1.0) for combo in indices])
     covered = np.zeros((len(indices), space.n_vertices), bool)
     _, rows, _, bases, _ = space._spectrum_bases
     step = max(1, _SOLVE_VALUES // (len(bases) * len(rows)))

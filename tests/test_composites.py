@@ -17,7 +17,7 @@ from convexinfo import (
     separable_witness,
     vertex_state,
 )
-from convexinfo.convex_kernel import _decomposition_lp
+from convexinfo.convex_kernel import FEAS_TOL, _decomposition_lp
 from convexinfo.errors import DimensionMismatch, NotNormalized, TooLarge, UnsupportedModel
 from convexinfo.probvec import TOL
 
@@ -100,7 +100,8 @@ def test_min_tensor_vertices_equal_the_outer_product_loop(square_pair):
 
 
 def test_max_tensor_member_matches_the_effect_pair_loop(square_pair, rng):
-    ps = ProductSpace(square_pair.factor_a, build_model("simplex", n=3))
+    # no classical factor: the frame-effect pairs define max-tensor membership
+    ps = ProductSpace(square_pair.factor_a, build_model("regular_polygon", n=5))
 
     def effects(space):
         return [np.zeros(space.dim), space.unit()] + [
@@ -367,19 +368,114 @@ def test_a_simplex_splits_a_table_into_its_own_rows():
     assert side == 1 and rows.tolist() == [0, 1, 2]
     assert np.array_equal(s, np.eye(3))
     assert np.array_equal(spread, simplex3.vertex_array().T)
-    assert np.array_equal(other, polygon.vertex_array().T)
-    # both classical: the factor with more vertices, so the smaller LPs
+    assert other is polygon
+    # both classical: the first factor, whose partner has a single basis
     assert ProductSpace(simplex4, simplex3)._classical[0] == 0
-    assert ProductSpace(simplex3, simplex4)._classical[0] == 1
+    assert ProductSpace(simplex3, simplex4)._classical[0] == 0
     assert ProductSpace(triangle, polygon)._classical[0] == 0
     ps = ProductSpace(simplex3, polygon)
     assert ps._classical is ps._classical
-    for array in ps._classical[1:]:
+    for array in ps._classical[1:4]:
         assert not array.flags.writeable
 
 
 def test_the_factor_cap_holds_with_a_classical_factor():
     ps = ProductSpace(build_model("simplex", n=9), build_model("simplex", n=2))
     omega = JointState(np.outer(ps.factor_a.vertex_array()[0], ps.factor_b.vertex_array()[0]))
+    for check in (separable_witness, max_tensor_member, classify_joint):
+        with pytest.raises(TooLarge):
+            check(ps, omega)
+
+
+def test_max_tensor_member_keeps_the_factor_cap_without_a_classical_factor():
+    # it asks for the classical factor first, which checks the cap
+    ps = ProductSpace(build_model("regular_polygon", n=9), build_model("regular_polygon", n=4))
+    omega = JointState(np.outer(ps.factor_a.vertex_array()[0], ps.factor_b.vertex_array()[0]))
     with pytest.raises(TooLarge):
-        separable_witness(ps, omega)
+        max_tensor_member(ps, omega)
+
+
+@pytest.mark.parametrize("n", (4, 5, 7))
+def test_a_pair_with_a_classical_factor_has_no_entangled_state(n):
+    # conditional states at uniform points of the polygon's plane: the frame
+    # effects of polygons 4, 5 and 7 do not cut out the polygon, so some of
+    # these tables pass every frame-effect pair but lie outside it
+    simplex3, polygon = build_model("simplex", n=3), build_model("regular_polygon", n=n)
+    ps, rng = ProductSpace(simplex3, polygon), np.random.default_rng(3)
+    pair_effects = [np.vstack([np.zeros(space.dim), space.unit()] + [
+        e.as_array() for frame in enumerate_frames(space) for e in frame.effects])
+        for space in (simplex3, polygon)]
+    passing_outside = 0
+    for _ in range(300):
+        probabilities = rng.dirichlet(np.ones(3))
+        points = np.hstack([rng.uniform(-1.2, 1.2, size=(3, 2)), np.ones((3, 1))])
+        table = simplex3.vertex_array().T @ (probabilities[:, None] * points)
+        table[-1, -1] = 1.0
+        verdict = classify_joint(ps, JointState(table))
+        assert verdict == ("separable" if _decomposition_verdict(ps, table) else "not-a-state")
+        values = pair_effects[0] @ table @ pair_effects[1].T
+        passing_outside += verdict == "not-a-state" and values.min() >= -TOL \
+            and values.max() <= 1.0 + TOL
+    assert passing_outside > 0
+
+
+def test_a_pair_with_a_classical_factor_enters_no_lp_kernel(monkeypatch):
+    from convexinfo import convex_kernel
+
+    def entered(*args):
+        raise AssertionError("an LP entered the kernel")
+
+    monkeypatch.setattr(convex_kernel, "_solve_stack", entered)
+    rng = np.random.default_rng(5)
+    for pair in CLASSICAL_PAIRS:
+        ps = ProductSpace(*map(_factor, pair))
+        for terms in (1, 3, 6):
+            omega = _random_mixture(ps, rng, terms)
+            assert separable_witness(ps, omega) is not None
+            assert max_tensor_member(ps, omega) and classify_joint(ps, omega) == "separable"
+        outside = omega.as_array() + rng.normal(scale=0.5, size=ps.joint_shape)
+        outside[-1, -1] = 1.0
+        assert classify_joint(ps, JointState(outside)) == "not-a-state"
+    # a pair without one still solves the decomposition LP
+    ps = ProductSpace(_factor("polygon4"), _factor("polygon5"))
+    with pytest.raises(AssertionError, match="entered"):
+        is_separable(ps, _random_mixture(ps, rng))
+
+
+@pytest.mark.parametrize("other", [f"{kind}{n}" for kind in ("simplex", "polygon")
+                                   for n in range(3, 9)])
+def test_classical_verdicts_near_the_boundary_match_the_decomposition_lp(other):
+    # each conditional state is a point of an edge of the other factor (or a
+    # vertex), pushed away from its centre or toward it by a small step, so it
+    # is a state exactly when no outcome of positive probability is pushed
+    # out; one outcome in five gets probability 0
+    simplex3, space = _factor("simplex3"), _factor(other)
+    vc, vo = simplex3.vertex_array(), space.vertex_array()
+    centre = vo.mean(axis=0)
+    rng = np.random.default_rng(len(vo) + 10 * other.startswith("simplex"))
+    for side in (0, 1):
+        ps = ProductSpace(*(simplex3, space)[::1 - 2 * side])
+        va, vb = ps.factor_a.vertex_array(), ps.factor_b.vertex_array()
+        for _ in range(200):
+            weights = np.zeros((3, len(vo)))
+            for row in weights:
+                edge = rng.choice(len(vo), size=2, replace=False)
+                if other.startswith("polygon"):
+                    edge[1] = (edge[0] + 1) % len(vo)
+                row[edge] = rng.dirichlet(np.ones(2)) if rng.random() < 0.8 else [1.0, 0.0]
+            step = rng.choice([-1e-3, -1e-5, 0.0, 1e-5, 1e-3], size=3)
+            points = centre + (weights @ vo - centre) * (1.0 + step[:, None])
+            probabilities = rng.uniform(0.2, 1.0, size=3)
+            probabilities[rng.random(3) < 0.2] = 0.0
+            if not probabilities.any():
+                probabilities[0] = 1.0
+            probabilities /= probabilities.sum()
+            table = vc.T @ (probabilities[:, None] * points)
+            table = table if side == 0 else table.T
+            table[-1, -1] = 1.0
+            inside = not ((step > 0) & (probabilities > 0)).any()
+            witness = separable_witness(ps, JointState(table))
+            assert (witness is not None) == inside == _decomposition_verdict(ps, table)
+            if witness is not None:
+                recon = sum(w * np.outer(va[a], vb[b]) for (a, b), w in witness)
+                assert np.abs(recon - table).max() <= FEAS_TOL

@@ -87,6 +87,28 @@ def test_make_state_membership(square):
         make_state(square, [0.1, 0.1, 0.1])
 
 
+@pytest.mark.parametrize("kind, n", [("regular_polygon", 5), ("simplex", 3)])
+def test_basic_solutions_take_points_of_the_cone_and_their_weight_sums(kind, n):
+    # a right-hand side is a point of the cone over the model, then its weight
+    # sum: p times a state, then p, solves as the state scaled by p
+    space = build_model(kind, n=n)
+    _, _, _, bases, _ = space._spectrum_bases
+    state = mix_state(space, np.random.default_rng(0).dirichlet(np.ones(n))).as_array()
+    which, w = space._basic_solutions(np.append(state, 1.0)[None])
+    assert len(w) and not which.any()
+    for p in (0.3, 1e-6):
+        scaled_which, scaled = space._basic_solutions(np.append(p * state, p)[None])
+        assert np.array_equal(scaled_which, which)
+        assert np.allclose(scaled, p * w, rtol=0, atol=1e-12)
+        assert np.allclose(scaled.sum(axis=1), p, rtol=0, atol=1e-12)
+    # the apex: every regular basis gives zero weights
+    which, w = space._basic_solutions(np.zeros((1, space.dim + 1)))
+    assert len(w) == len(bases) and not w.any()
+    # a negative weight sum, or a state whose weights must sum to 2, has none
+    assert not len(space._basic_solutions(np.append(-0.3 * state, -0.3)[None])[1])
+    assert not len(space._basic_solutions(np.append(state, 2.0)[None])[1])
+
+
 @pytest.mark.parametrize("kind, kwargs", [
     ("custom_polytope", {"vertices": [[1, "a"], [0, 1], [1, 1]]}),  # non-numeric
     ("custom_polytope", {"vertices": [[1, 0], [0, 1, 2], [1, 1]]}),  # ragged
