@@ -1,4 +1,4 @@
-"""Cold frames, spectra, separability, min-searches and perfbench pairs, parent against change.
+"""Cold frames, spectra, separability and perfbench pairs, parent against change.
 
 Run from the repository root (numpy is the only dependency):
 
@@ -37,23 +37,18 @@ products, and with a classical factor none. ``pivots_per_lp`` counts the
 pivots per LP, and ``us_per_pivot`` is the time per pivot of a call; both
 only where LPs ran.
 
-The ``search`` section times the ``quantum-search`` workload's search op,
-``pair_from_spec`` -> ``quantum_entropy_min_search`` at budget 1000, for
-each dimension in ``SEARCH_DIMS`` and each pair in ``SEARCH_PAIRS`` on one
-random density matrix, ``SEARCHES`` seeds each; ``ms`` is the median over
-the seeds and repeats. ``qr_calls``, ``score_calls`` (one per scored stack
-of candidates) and ``validations`` (one per pair built) are counts per search.
-
 In the first repeat one more run of each section, not timed, counts the
 work: ``counting`` wraps every seam of the section's table (``FRAME_SEAMS``,
-``SPECTRA_SEAMS``, ``SEPARABLE_SEAMS``, ``SEARCH_SEAMS``), which names the
+``SPECTRA_SEAMS``, ``SEPARABLE_SEAMS``), which names the
 function and what one call of it adds to which count, and puts the
 originals back after. A seam that the measured checkout lacks is left out
 (``present``): a parent that predates the lone LP's pivot function pivots
 every LP through ``_pivot``.
 
 ``--parent DIR`` measures the checkout in DIR the same way, alternating
-with this one. The interpreters that time frames, spectra and searches run with
+with this one. DIR must be the top of a git checkout (a clone or a
+worktree), so that the JSON names its commit; an export without ``.git`` is
+refused. The interpreters that time frames and spectra run with
 ``MEASURE_ENV``, which the JSON records: OpenBLAS's threaded least squares
 sometimes takes a hundred times its usual 2 ms on simplex 10, and one
 thread keeps the cold timings steady. It then runs ``perfbench/run.py --seconds 16`` in both
@@ -95,11 +90,7 @@ SPECTRUM_LADDER = (*(f"polygon{n}" for n in (4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 1
                    *(f"custom3d{n}" for n in (6, 8, 10, 16)))
 #: States per model in the spectra section.
 STATES = 16
-#: Dimensions, pairs and seeds per (dimension, pair) of the search section.
-SEARCH_DIMS = (2, 4, 8, 16)
-SEARCH_PAIRS = ("shannon", "renyi:2.0", "tsallis:0.5")
-SEARCHES = 10
-#: Environment of the interpreters that time frames, spectra and searches.
+#: Environment of the interpreters that time frames and spectra.
 MEASURE_ENV = {"OPENBLAS_NUM_THREADS": "1"}
 
 
@@ -168,11 +159,6 @@ SEPARABLE_SEAMS = (
     ("convexinfo.convex_kernel", "_solve_stack",
      lambda c, a, *rest: {"lps": len(a), "kernel_entries": 1}),
     *PIVOT_SEAMS,
-)
-SEARCH_SEAMS = (
-    ("numpy.linalg", "qr", _once("qr_calls")),
-    ("convexinfo.quantum", "_rows_entropies", _once("score_calls")),
-    ("convexinfo.entropic", "_validate_pair", _once("validations")),
 )
 
 
@@ -313,38 +299,6 @@ def measure_separable(counted: bool) -> dict:
     return results
 
 
-def measure_search(counted: bool) -> dict:
-    """The search op at every dimension and pair with the convexinfo on
-    sys.path, and with ``counted`` the counts per search."""
-    from convexinfo import DensityMatrix, pair_from_spec, quantum
-
-    results = {}
-    for n in SEARCH_DIMS:
-        rng = np.random.default_rng(n)
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        m = g @ g.conj().T
-        rho = DensityMatrix(m / np.trace(m).real)
-        for spec in SEARCH_PAIRS:
-            def op(seed):
-                quantum.quantum_entropy_min_search(pair_from_spec(spec), rho, budget=1000,
-                                                   seed=seed)
-
-            times = []
-            for seed in range(SEARCHES):
-                start = time.perf_counter()
-                op(seed)
-                times.append(1e3 * (time.perf_counter() - start))
-            label = f"d{n} {spec}"
-            results[label] = {"ms": times}
-            if counted:
-                with counting(SEARCH_SEAMS) as counts:
-                    for seed in range(SEARCHES):
-                        op(seed)
-                results[label].update({key: counts[key] / SEARCHES for key in (
-                    "qr_calls", "score_calls", "validations")})
-    return results
-
-
 def _measure_checkout(checkout: Path, function: str, counted: bool) -> dict:
     code = (f"import json, sys; sys.path[:0] = [{str(checkout / 'src')!r}, "
             f"{str(ROOT / 'scripts')!r}]; import bench_frames; "
@@ -367,6 +321,13 @@ def alternated(checkouts: dict, function: str) -> dict:
                            for key, value in record.items()}
                    for label, record in side_runs[0].items()}
             for side, side_runs in runs.items()}
+
+
+def _is_checkout(path: Path) -> bool:
+    """Is ``path`` the top of a git working tree?"""
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=path,
+                         capture_output=True, text=True).stdout.strip()
+    return bool(top) and Path(top).resolve() == path.resolve()
 
 
 def _commit(checkout: Path) -> str:
@@ -414,8 +375,11 @@ def main(argv=None) -> int:
 
     checkouts = {"change": ROOT}
     if args.parent is not None:
+        if not (args.parent.is_dir() and _is_checkout(args.parent)):
+            parser.error(f"--parent {args.parent} is not the top of a git checkout; "
+                         "measure a clone or a worktree of the parent commit")
         checkouts["parent"] = args.parent.resolve()
-    doc = {"repeats": REPEATS, "states": STATES, "searches": SEARCHES, "measure_env": MEASURE_ENV,
+    doc = {"repeats": REPEATS, "states": STATES, "measure_env": MEASURE_ENV,
            "commits": {side: _commit(path) for side, path in checkouts.items()}}
     doc["frames"] = alternated(checkouts, "measure")
     for frames in doc["frames"].values():
@@ -427,7 +391,6 @@ def main(argv=None) -> int:
             if "pivots_per_lp" in record:
                 record["us_per_pivot"] = 1e3 * record["ms"] / (record["pivots_per_lp"]
                                                                * record["lps"])
-    doc["search"] = alternated(checkouts, "measure_search")
     if args.parent is not None:
         doc["perfbench"] = pairs(checkouts["parent"])
     text = json.dumps(doc, indent=1)

@@ -203,8 +203,8 @@ def _cmd_separable(args) -> int:
                    "witness": [{"a": a, "b": b, "weight": w} for (a, b), w in witness]}
     else:
         # classify_joint's verdict without a second decomposition LP; with a classical
-        # factor max_tensor_member is the basis test again, and nothing is entangled
-        member = max_tensor_member(ps, omega)
+        # factor the witness's basis test decided, and nothing is entangled
+        member = ps._classical is None and max_tensor_member(ps, omega)
         payload = {"separable": False,
                    "max_member": member,
                    "classification": "entangled" if member else "not-a-state"}
@@ -290,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     bits.add_argument("--bits", action="store_true",
                       help="report entropies in bits instead of nats")
     search.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized searches (default 0)")
+                        help="validated, unused: the eigenbasis needs no search (default 0)")
     search.add_argument("--budget", type=int, default=1000,
-                        help="iteration budget for randomized searches")
+                        help="validated, unused: the eigenbasis needs no search (default 1000)")
     strict.add_argument("--strict", action="store_true",
                         help="exit 3 when a required spectrum does not exist")
 
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pair-file")
     sp.add_argument("--rho", required=True, help="matrix JSON ([re, im] pairs)")
     sp.add_argument("--min-search", action="store_true",
-                    help="also minimize over sampled rank-one POVMs")
+                    help="also minimize over rank-one POVMs (the eigenbasis attains it)")
     sp.set_defaults(func=_cmd_qentropy)
 
     sp = sub.add_parser("spectrum", parents=[strict], help="generalized spectrum")

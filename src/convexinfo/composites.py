@@ -243,7 +243,10 @@ def classify_joint(ps: ProductSpace, omega: JointState) -> str:
 
     'entangled' means outside the minimal tensor set but consistent with the
     maximal one; anything violating max-tensor positivity is 'not-a-state'.
+    With a classical factor the two sets coincide, and one basis test decides.
     """
+    if ps._classical is not None:
+        return "separable" if is_separable(ps, omega) else "not-a-state"
     if not max_tensor_member(ps, omega):
         return "not-a-state"
     return "separable" if is_separable(ps, omega) else "entangled"

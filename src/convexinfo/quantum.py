@@ -2,9 +2,8 @@
 
 The two equivalent entropy routes are kept separate on purpose: the
 spectral route applies an entropic pair to the eigenvalues, while the
-measurement route minimizes the classical entropy of Born statistics over
-sampled rank-one POVMs (the eigenbasis measurement is always seeded, so
-the known optimum is reachable whenever the pair is Schur-concave).
+measurement route scores the Born statistics of the eigenbasis measurement,
+which attains the minimum over rank-one POVMs for every Schur-concave pair.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from .probvec import TOL, ProbVector, majorizes
 
 #: Dense eigensolves only; desk-scale dimension cap.
 MAX_DIM = 16
-#: Cap on the candidates of one measurement-minimum search: 100,000 of them
-#: take about 6 s at the 16 x 16 cap.
+#: Cap on the budget of a measurement-minimum search. The search scores only
+#: the eigenbasis, so the cap bounds no work; it stays part of the contract.
 MAX_SEARCH_BUDGET = 100_000
 
 
@@ -166,90 +165,29 @@ def quantum_entropy(pair: EntropicPair, rho: DensityMatrix) -> float:
     return classical_entropy(pair, eigen_spectrum(rho))
 
 
-def _isometry_rows(rng: np.random.Generator, dim: int, outcomes: int,
-                   stack: tuple[int, ...] = ()) -> np.ndarray:
-    """Rows of Haar-ish isometries; row i induces the effect |r_i*><r_i*|.
-
-    ``stack=(k,)`` draws a stack of k isometries, the same numbers as k
-    draws one at a time.
-    """
-    g = rng.standard_normal((*stack, outcomes, dim, 2)).view(complex)[..., 0]  # (re, im) pairs
-    q, _ = np.linalg.qr(g)
-    return q  # (..., outcomes, dim) with orthonormal columns
-
-
-#: Multiply-adds of one scoring GEMM. OpenBLAS runs a complex GEMM of at
-#: most 2**15 of them on the calling thread; a larger one wakes its other
-#: threads, which spin and touch buffers of their own for a product that
-#: takes tens of microseconds.
-_GEMM_CELLS = 1 << 15
-
-
-def _rows_entropies(pair, rho_arr, rows) -> np.ndarray:
-    """Entropy of the Born statistics of each isometry in a stack.
-
-    The products of all the stack's rows with rho take one GEMM, or a few
-    of at most ``_GEMM_CELLS`` multiply-adds each.
-    """
-    k, m, n = rows.shape
-    flat = rows.reshape(k * m, n)
-    chunk = _GEMM_CELLS // (n * n)
-    products = np.concatenate([flat[i:i + chunk] @ rho_arr
-                               for i in range(0, k * m, chunk)]).reshape(rows.shape)
-    probs = np.einsum("kia,kia->ki", products, rows.conj()).real
-    probs = np.where(probs > 0.0, probs, 0.0)
-    return _entropies(pair, probs / probs.sum(axis=1, keepdims=True))
-
-
-def _first_below(values: np.ndarray, best: float) -> int | None:
-    """Index of the first value that improves on ``best`` by more than 1e-15."""
-    hits = np.flatnonzero(values < best - 1e-15)
-    return int(hits[0]) if hits.size else None
-
-
-#: Bound on the isometry entries of one block of refinement steps drawn and
-#: scored together: one block at d = 2 and 4, blocks of 64 steps at d = 16.
-#: The draws do not depend on the scores; after an improvement the block's
-#: later steps are scored again around the new best isometry, so the result
-#: is that of one step at a time.
-_REFINE_CELLS = 1 << 14
-
-
-def _refine(pair, rho_arr, rows, value, rng, steps: int):
-    """Local refinement of the best isometry; returns the best (value, rows).
-
-    Each step orthonormalizes the best rows so far plus a complex Gaussian
-    perturbation, whose scale shrinks by 0.5% per step from 0.3 down to 0.01.
-    """
-    # 0.3 * 0.995**k as a sequential product, floored: the recurrence's bits
-    scales = np.maximum(np.multiply.accumulate(np.r_[0.3, np.full(max(steps - 1, 0), 0.995)]),
-                        0.01)
-    block = _REFINE_CELLS // rows.size
-    for start in range(0, steps, block):
-        g = rng.standard_normal((min(block, steps - start), *rows.shape, 2))
-        moves = scales[start:start + len(g), None, None] * g.view(complex)[..., 0]
-        while len(moves):
-            candidates, _ = np.linalg.qr(rows + moves)
-            values = _rows_entropies(pair, rho_arr, candidates)
-            i = _first_below(values, value)
-            if i is None:
-                break
-            value, rows = values[i], candidates[i]
-            moves = moves[i + 1:]
-    return value, rows
-
-
 def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
                                budget: int = 1000, seed: int = 0) -> tuple[float, Povm]:
     """Minimize the pair's entropy of Born statistics over rank-one POVMs.
 
-    Deterministic given (seed, budget). The eigenbasis projective measurement
-    is always the first candidate; random isometry-sampled POVMs with N..2N
-    outcomes use roughly 70% of the budget and local refinements of the best
-    isometry the rest. Candidates are scored in stacks, with the result of
-    scoring them one at a time in a fixed order: the random ones grouped by
-    outcome count (fewest first), then the refinement steps in turn. A
-    candidate replaces the best only if it improves on it by more than 1e-15.
+    Returns the eigenbasis measurement, largest eigenvalue first, and its
+    value, the pair's entropy of the spectrum. It attains the minimum: the
+    Born statistics of any rank-one POVM are majorized by the spectrum (a
+    Naimark dilation makes the POVM projective, and by Schur-Horn a diagonal
+    is majorized by the eigenvalues), and a pair in either regime (phi
+    concave and h increasing, or phi convex and h decreasing) is
+    Schur-concave, so no measurement scores less.
+
+    A grid pair (``pair_from_grid_descriptor``) is in its regime only if its
+    interpolated phi and h are, and construction checks them only at
+    ``_GRID_POINTS`` samples within ``_GRID_TOL``. So its knots may bend
+    against the regime unseen, for example a convex knot of slope rise up to
+    about 1e-4 in a concave phi, and near such a knot a measurement can
+    score below the value returned here (by the rise times the eigenvalue
+    gap across the knot); the search does not look for one.
+
+    ``budget`` and ``seed`` are still validated (an integer budget from 1 to
+    ``MAX_SEARCH_BUDGET``, a seed that ``np.random.default_rng`` takes) but
+    steer nothing.
     """
     try:
         budget = operator.index(budget)
@@ -259,32 +197,19 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
         raise DimensionMismatch("budget must be >= 1")
     if budget > MAX_SEARCH_BUDGET:
         raise TooLarge(f"budget {budget} exceeds the cap {MAX_SEARCH_BUDGET}")
-    n = rho.dim
     rho_arr = rho.as_array()
     try:
-        rng = np.random.default_rng(seed)
+        np.random.default_rng(seed)
     except (TypeError, ValueError):
         raise BadParameter(f"seed must be a non-negative integer, got {seed!r}") from None
 
     _, vecs = np.linalg.eigh(rho_arr)
-    best_rows = vecs.conj().T[::-1].copy()  # eigenbasis bras, largest eigenvalue first
-    best_value = _rows_entropies(pair, rho_arr, best_rows[None])[0]
-
-    n_random = min(budget - 1, max(1, int(0.7 * (budget - 1))))
-    counts = rng.integers(n, 2 * n + 1, size=n_random)
-    for outcomes, size in enumerate(np.bincount(counts - n, minlength=n + 1), start=n):
-        if not size:
-            continue
-        rows = _isometry_rows(rng, n, outcomes, (int(size),))
-        values = _rows_entropies(pair, rho_arr, rows)
-        while (i := _first_below(values, best_value)) is not None:
-            best_value, best_rows = values[i], rows[i]
-            values, rows = values[i + 1:], rows[i + 1:]
-
-    best_value, best_rows = _refine(pair, rho_arr, best_rows, best_value, rng,
-                                    budget - 1 - n_random)
-    effects = np.einsum("ia,ib->iab", best_rows.conj(), best_rows)
-    return float(best_value), Povm(effects, rank_one=True)
+    rows = vecs.conj().T[::-1].copy()  # eigenbasis bras, largest eigenvalue first
+    probs = np.einsum("ia,ia->i", rows @ rho_arr, rows.conj()).real
+    probs = np.where(probs > 0.0, probs, 0.0)
+    value = _entropies(pair, (probs / probs.sum())[None])[0]
+    effects = np.einsum("ia,ib->iab", rows.conj(), rows)
+    return float(value), Povm(effects, rank_one=True)
 
 
 def quantum_majorizes(sigma: DensityMatrix, rho: DensityMatrix) -> bool:

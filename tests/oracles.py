@@ -301,31 +301,15 @@ def random_povm(rng: np.random.Generator, n: int, outcomes: int) -> list[np.ndar
     return [inv_sqrt @ p @ inv_sqrt for p in pieces]
 
 
+def random_isometry_rows(rng: np.random.Generator, n: int, outcomes: int) -> np.ndarray:
+    """Rows r_i of an outcomes x n isometry from the QR of a complex Gaussian
+    matrix; the effects |r_i*><r_i*| form a rank-one POVM with that many outcomes."""
+    g = rng.normal(size=(outcomes, n)) + 1j * rng.normal(size=(outcomes, n))
+    q, _ = np.linalg.qr(g)
+    return q
+
+
 def char_poly_residual(matrix: np.ndarray, eigenvalues) -> float:
     """Max |det(M - lambda I)| over claimed eigenvalues (0 for exact ones)."""
     n = matrix.shape[0]
     return max(abs(np.linalg.det(matrix - lam * np.eye(n))) for lam in eigenvalues)
-
-
-def refine_one_at_a_time(entropy, rho: np.ndarray, rows: np.ndarray, value: float,
-                         rng: np.random.Generator, steps: int):
-    """The min-search's local refinement as a plain loop over its draws.
-
-    Each step draws one complex Gaussian perturbation (consecutive (re, im)
-    pairs), orthonormalizes the best rows so far plus the scaled
-    perturbation, and scores the Born statistics with ``entropy`` (a
-    closed form on a probability array). A step replaces the best only if
-    it improves on it by more than 1e-15; the scale shrinks by 0.5% per
-    step from 0.3 down to 0.01. Returns (value, rows, improvements).
-    """
-    scale, improvements = 0.3, 0
-    for _ in range(steps):
-        g = rng.normal(size=(*rows.shape, 2))
-        candidate, _ = np.linalg.qr(rows + scale * (g[..., 0] + 1j * g[..., 1]))
-        probs = np.einsum("ia,ab,ib->i", candidate, rho, candidate.conj()).real
-        probs = np.maximum(probs, 0.0)
-        score = entropy(probs / probs.sum())
-        if score < value - 1e-15:
-            value, rows, improvements = score, candidate, improvements + 1
-        scale = max(0.01, scale * 0.995)
-    return value, rows, improvements

@@ -22,9 +22,8 @@ _spec = importlib.util.spec_from_file_location("bench_frames", ROOT / "scripts" 
 bench_frames = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_frames)
 
-TABLES = (bench_frames.FRAME_SEAMS, bench_frames.SPECTRA_SEAMS, bench_frames.SEPARABLE_SEAMS,
-          bench_frames.SEARCH_SEAMS)
-IDS = ("frames", "spectra", "separable", "search")
+TABLES = (bench_frames.FRAME_SEAMS, bench_frames.SPECTRA_SEAMS, bench_frames.SEPARABLE_SEAMS)
+IDS = ("frames", "spectra", "separable")
 
 
 def _originals(seams) -> dict:
@@ -106,3 +105,19 @@ def test_separable_seams_count_lps_and_kernel_entries(pair, lps):
     assert (counted["lps"], counted["kernel_entries"]) == (lps, lps)
     assert (counted["pivots"] > 0) == (lps > 0)
     assert _restored(bench_frames.SEPARABLE_SEAMS, originals)
+
+
+@pytest.mark.parametrize("where", ["export", "subdirectory"])
+def test_a_parent_that_is_not_a_checkout_is_refused_before_any_work(where, tmp_path, capsys,
+                                                                    monkeypatch):
+    # an export (git archive) has no .git, so its commit could not be named;
+    # a directory inside a checkout would name the enclosing one's commit
+    def measured(*args):
+        raise AssertionError("measured a checkout")
+
+    monkeypatch.setattr(bench_frames, "alternated", measured)
+    parent = tmp_path if where == "export" else ROOT / "scripts"
+    with pytest.raises(SystemExit) as refused:
+        bench_frames.main(["--parent", str(parent)])
+    assert refused.value.code == 2
+    assert "clone or a worktree" in capsys.readouterr().err

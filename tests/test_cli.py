@@ -417,6 +417,39 @@ def test_separable_decides_max_tensor_membership_once(capsys, tmp_path, monkeypa
     assert calls == {"separable_witness": 1, "max_tensor_member": 1}
 
 
+@pytest.mark.parametrize("verdict", ["separable", "not-a-state"])
+def test_separable_tests_a_classical_pairs_conditional_states_once(capsys, tmp_path,
+                                                                   monkeypatch, verdict):
+    from convexinfo import build_model, composites
+    calls = []
+    conditional_weights = composites._conditional_weights
+
+    def counted(*args):
+        calls.append(1)
+        return conditional_weights(*args)
+
+    monkeypatch.setattr(composites, "_conditional_weights", counted)
+    models = {"simplex": {"kind": "simplex", "n": 3},
+              "pentagon": {"kind": "regular_polygon", "n": 5}}
+    simplex, pentagon = (build_model(**doc).vertex_array() for doc in models.values())
+    # outcome a of the simplex conditions on pentagon vertex a, pushed out of
+    # the pentagon for outcome 0 when the table is no state
+    conditional = pentagon[:3].copy()
+    if verdict == "not-a-state":
+        conditional[0, :-1] *= 2.0
+    table = simplex.T @ (np.array([0.5, 0.3, 0.2])[:, None] * conditional)
+    simplex, pentagon = (_write_json(tmp_path, f"{name}.json", doc) for name, doc in models.items())
+    joint = _write_json(tmp_path, "joint.json", table.tolist())
+    code, out, _ = run(capsys, ["separable", "--model-a", simplex, "--model-b", pentagon,
+                                "--joint", joint])
+    doc = json.loads(out)
+    assert code == 0 and len(calls) == 1
+    if verdict == "separable":
+        assert doc["separable"] is True
+    else:
+        assert doc == {"separable": False, "max_member": False, "classification": "not-a-state"}
+
+
 @pytest.mark.parametrize("case", ["non-numeric weights", "non-numeric pair grid",
                                   "infinite renyi parameter"])
 def test_malformed_input_exits_2(capsys, tmp_path, case):

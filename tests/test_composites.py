@@ -442,6 +442,27 @@ def test_a_pair_with_a_classical_factor_enters_no_lp_kernel(monkeypatch):
         is_separable(ps, _random_mixture(ps, rng))
 
 
+@pytest.mark.parametrize("pair", CLASSICAL_PAIRS, ids="x".join)
+def test_classify_joint_tests_a_classical_pairs_conditional_states_once(pair, monkeypatch):
+    from convexinfo import composites
+    calls = []
+    conditional_weights = composites._conditional_weights
+
+    def counted(*args):
+        calls.append(1)
+        return conditional_weights(*args)
+
+    monkeypatch.setattr(composites, "_conditional_weights", counted)
+    ps, rng = ProductSpace(*map(_factor, pair)), np.random.default_rng(23)
+    inside = _random_mixture(ps, rng)
+    outside = inside.as_array() + rng.normal(scale=0.5, size=ps.joint_shape)
+    outside[-1, -1] = 1.0
+    for omega, verdict in ((inside, "separable"), (JointState(outside), "not-a-state")):
+        calls.clear()
+        assert classify_joint(ps, omega) == verdict
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("other", [f"{kind}{n}" for kind in ("simplex", "polygon")
                                    for n in range(3, 9)])
 def test_classical_verdicts_near_the_boundary_match_the_decomposition_lp(other):

@@ -35,10 +35,13 @@ from convexinfo.errors import (
 from oracles import (
     char_poly_residual,
     random_density_matrix,
+    random_isometry_rows,
     random_povm,
     random_unitary,
+    renyi_entropy,
     robin_hood_pair,
     shannon_entropy,
+    tsallis_entropy,
 )
 
 LN2 = math.log(2)
@@ -140,9 +143,8 @@ def test_three_outcome_povms_on_maximally_mixed(rng):
     # can never drop below ln 2
     shannon = make_preset("shannon")
     from convexinfo import classical_entropy
-    from convexinfo.quantum import _isometry_rows
     for _ in range(50):
-        rows = _isometry_rows(rng, 2, 3)
+        rows = random_isometry_rows(rng, 2, 3)
         effects = [np.outer(r.conj(), r) for r in rows]
         povm = Povm(effects, rank_one=True)
         probs = born_probabilities(MIXED, povm)
@@ -181,19 +183,36 @@ def test_malformed_effects_are_povm_errors(effect):
         Povm([effect])
 
 
-@pytest.mark.parametrize("budget", [1, 2, 3, 10])
-def test_min_search_scores_exactly_its_budget(budget, monkeypatch):
+@pytest.mark.parametrize("budget", [1, 2, 3, 10, 1000])
+def test_min_search_scores_only_the_eigenbasis(budget, monkeypatch):
+    # one distribution is scored, the eigenbasis's, whatever the budget and
+    # seed, and no isometry is drawn
     from convexinfo import quantum
     scored = []
-    rows_entropies = quantum._rows_entropies
+    entropies = quantum._entropies
 
-    def counting(pair, rho, rows):
-        scored.append(len(rows))
-        return rows_entropies(pair, rho, rows)
+    def counting(pair, probs):
+        scored.append(len(probs))
+        return entropies(pair, probs)
 
-    monkeypatch.setattr(quantum, "_rows_entropies", counting)
-    quantum_entropy_min_search(make_preset("shannon"), MIXED, budget=budget, seed=3)
-    assert sum(scored) == budget
+    def drawn(*args, **kwargs):
+        raise AssertionError("an isometry was drawn")
+
+    monkeypatch.setattr(quantum, "_entropies", counting)
+    monkeypatch.setattr(np.linalg, "qr", drawn)
+    pair = make_preset("shannon")
+    for n in (2, 16):
+        rho = random_density_matrix(np.random.default_rng(n), n)
+        spectrum = np.linalg.eigvalsh(rho)[::-1]
+        for seed in range(5):
+            scored.clear()
+            value, witness = quantum_entropy_min_search(pair, DensityMatrix(rho),
+                                                        budget=budget, seed=seed)
+            assert scored == [1]
+            effects = np.asarray(witness.effects, complex)
+            # effect i projects onto the eigenvector of the i-th largest eigenvalue
+            assert np.allclose(effects @ rho, spectrum[:, None, None] * effects, atol=1e-12)
+            assert value == pytest.approx(shannon_entropy(spectrum), abs=1e-12)
 
 
 def test_min_search_rejects_a_negative_seed():
@@ -306,65 +325,6 @@ def test_ensemble_validation():
                  states=(ZERO, DensityMatrix(np.eye(3) / 3)))
 
 
-def test_blocked_refinement_equals_the_one_at_a_time_loop(rng, monkeypatch):
-    # from a random isometry with one outcome too many the refinement improves
-    # many times, so blocks are cut short and re-scored around each new best
-    from convexinfo import quantum
-    from convexinfo.quantum import _isometry_rows, _refine
-    from oracles import refine_one_at_a_time, renyi_entropy, tsallis_entropy
-    cases = [(2, make_preset("shannon"), shannon_entropy),
-             (3, make_preset("renyi", 2.0), lambda p: renyi_entropy(p, 2.0)),
-             (4, make_preset("tsallis", 0.5), lambda p: tsallis_entropy(p, 0.5))]
-    steps = 3 * 64 + 7  # three blocks of 64 steps and a last, partial one
-    for n, pair, entropy in cases:
-        rho = random_density_matrix(rng, n)
-        start = _isometry_rows(rng, n, n + 1)
-        monkeypatch.setattr(quantum, "_REFINE_CELLS", 64 * start.size)
-        probs = np.einsum("ia,ab,ib->i", start, rho, start.conj()).real
-        value = entropy(probs / probs.sum())
-        seed = int(rng.integers(2**31))
-        got_value, got_rows = _refine(pair, rho, start, value, np.random.default_rng(seed), steps)
-        want_value, want_rows, improvements = refine_one_at_a_time(
-            entropy, rho, start, value, np.random.default_rng(seed), steps)
-        assert improvements >= 5
-        assert got_value == pytest.approx(want_value, abs=1e-14)
-        assert np.allclose(got_rows, want_rows, atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [2, 5, 16])
-def test_stack_scores_equal_each_candidate_scored_alone(n):
-    from convexinfo.quantum import _isometry_rows, _rows_entropies
-    rng = np.random.default_rng(n)
-    rho = random_density_matrix(rng, n)
-    for pair in (make_preset("shannon"), make_preset("renyi", 2), make_preset("tsallis", 0.5)):
-        for m in range(n, 2 * n + 1):
-            stack = _isometry_rows(rng, n, m, (7,))
-            alone = [_rows_entropies(pair, rho, rows[None])[0] for rows in stack]
-            assert np.array_equal(_rows_entropies(pair, rho, stack), alone)
-
-
-@pytest.mark.parametrize("n, blocks", [(2, [300]), (16, [64, 64, 64, 64, 44])])
-def test_search_scores_one_stack_per_outcome_count_and_block(monkeypatch, n, blocks):
-    # nothing beats the eigenbasis, so each stack is scored once: the
-    # eigenbasis, one stack per outcome count drawn, then the refinement
-    # blocks (300 steps of budget 1000): one block for a qubit, 64-step
-    # blocks at the 16 x 16 cap
-    from convexinfo import quantum
-    sizes = []
-    score = quantum._rows_entropies
-
-    def counting(pair, rho_arr, rows):
-        sizes.append(len(rows))
-        return score(pair, rho_arr, rows)
-
-    monkeypatch.setattr(quantum, "_rows_entropies", counting)
-    rho = DensityMatrix(random_density_matrix(np.random.default_rng(n), n))
-    quantum_entropy_min_search(make_preset("shannon"), rho, budget=1000, seed=n)
-    assert len(sizes) == 1 + (n + 1) + len(blocks)
-    assert sizes[0] == 1 and sum(sizes[1:-len(blocks)]) == 699
-    assert sizes[-len(blocks):] == blocks
-
-
 @pytest.mark.parametrize("n", [8, 16])
 def test_min_search_at_larger_dimensions(n):
     rho = DensityMatrix(random_density_matrix(np.random.default_rng(n), n))
@@ -376,6 +336,88 @@ def test_min_search_at_larger_dimensions(n):
         assert again[0] == value
         assert np.array_equal(np.asarray(again[1].effects), np.asarray(witness.effects))
         assert witness.rank_one and n <= len(witness) <= 2 * n
+
+
+def _kinked_shannon(points: int):
+    """Shannon's phi tabulated on ``points`` knots plus 9e-5 (max(x - 0.4, 0) - 0.6 x),
+    a convex knot at 0.4 that keeps phi(0) = phi(1) = 0, as a grid pair with
+    its closed-form entropy."""
+    from convexinfo import pair_from_grid_descriptor
+    x = np.linspace(0.0, 1.0, points)
+    y = -x * np.log(np.where(x > 0.0, x, 1.0)) + 9e-5 * (np.maximum(x - 0.4, 0.0) - 0.6 * x)
+    pair = pair_from_grid_descriptor({"regime": "h-increasing/phi-concave",
+                                      "phi": {"x": x.tolist(), "y": y.tolist()},
+                                      "h": {"x": [0.0, 3.0], "y": [0.0, 3.0]}})
+    return pair, lambda p: float(np.interp(np.asarray(p, float), x, y).sum())
+
+
+PRESETS = {"shannon": shannon_entropy,
+           "renyi:0.5": lambda p: renyi_entropy(p, 0.5),
+           "renyi:2.0": lambda p: renyi_entropy(p, 2.0),
+           "renyi:5.0": lambda p: renyi_entropy(p, 5.0),
+           "tsallis:0.3": lambda p: tsallis_entropy(p, 0.3),
+           "tsallis:2.0": lambda p: tsallis_entropy(p, 2.0),
+           "tsallis:3.0": lambda p: tsallis_entropy(p, 3.0)}
+
+
+@pytest.mark.parametrize("spec", [*PRESETS, "kinked-grid"])
+def test_no_sampled_measurement_beats_the_min_search(spec):
+    from convexinfo import pair_from_spec
+    if spec == "kinked-grid":
+        pair, entropy = _kinked_shannon(4001)
+    else:
+        pair, entropy = pair_from_spec(spec), PRESETS[spec]
+    rng = np.random.default_rng(29)
+    for n in range(2, 17):
+        rho = random_density_matrix(rng, n)
+        value, _ = quantum_entropy_min_search(pair, DensityMatrix(rho))
+        for _ in range(12):
+            rows = random_isometry_rows(rng, n, int(rng.integers(n, 2 * n + 1)))
+            probs = np.einsum("ia,ab,ib->i", rows, rho, rows.conj()).real
+            assert entropy(np.maximum(probs, 0.0) / probs.sum()) >= value - 1e-12
+
+
+def _rotated(spectrum, rng):
+    """The state with this spectrum in a random basis, and the measurement
+    that mixes its first two eigenvectors evenly: its statistics put the
+    mean of the first two eigenvalues in both of their places."""
+    n = len(spectrum)
+    u = random_unitary(rng, n)
+    mix = np.eye(n, dtype=complex)
+    mix[:2, :2] = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    rows = (u @ mix).conj().T  # bras of the mixed eigenvectors
+    return (DensityMatrix(u @ np.diag(spectrum) @ u.conj().T),
+            Povm(np.einsum("ia,ib->iab", rows.conj(), rows), rank_one=True))
+
+
+#: Eigenvalues at the kink at 0.4, d = 2 and 3; the mixing measurement of
+#: the second puts 0.4 in both places that straddle it by 5e-6.
+KINK_SPECTRA = ([0.4 + 5e-6, 0.6 - 5e-6], [0.4 + 5e-6, 0.4 - 5e-6, 0.2])
+
+
+def test_a_kinked_grid_pair_on_a_coarse_table_keeps_the_eigenbasis_minimum():
+    # on 4001 knots the tabulated Shannon part bends by at least 2.5e-4 at
+    # each knot, more than the kink's 9e-5, so the interpolant stays concave
+    pair, entropy = _kinked_shannon(4001)
+    rng = np.random.default_rng(41)
+    for spectrum in KINK_SPECTRA:
+        rho, mixing = _rotated(spectrum, rng)
+        for seed in range(3):
+            value, _ = quantum_entropy_min_search(pair, rho, budget=2000, seed=seed)
+            assert value == pytest.approx(entropy(spectrum), abs=1e-12)
+        assert entropy(born_probabilities(rho, mixing).components) >= value - 1e-12
+
+
+def test_a_grid_pair_whose_knot_bends_against_its_regime_can_beat_the_eigenbasis():
+    # on 100001 knots the Shannon part bends by only 2.5e-5 at 0.4, so the
+    # knot rises by 6.5e-5: the interpolant is not concave there, yet the
+    # pair passes construction, and mixing the two eigenvectors that
+    # straddle the knot scores the rise times 5e-6 below the returned value
+    pair, entropy = _kinked_shannon(100_001)
+    rho, mixing = _rotated(KINK_SPECTRA[1], np.random.default_rng(41))
+    value, _ = quantum_entropy_min_search(pair, rho)
+    beaten = value - entropy(born_probabilities(rho, mixing).components)
+    assert beaten == pytest.approx(6.5e-5 * 5e-6, rel=1e-3)
 
 
 def test_povm_reports_the_first_offending_effect():
