@@ -182,8 +182,8 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
     ``_GRID_POINTS`` samples within ``_GRID_TOL``. So its knots may bend
     against the regime unseen, for example a convex knot of slope rise up to
     about 1e-4 in a concave phi, and near such a knot a measurement can
-    score below the value returned here (by the rise times the eigenvalue
-    gap across the knot); the search does not look for one.
+    score below the value returned here (by up to half the rise times the
+    eigenvalue gap across the knot); the search does not look for one.
 
     ``budget`` and ``seed`` are still validated (an integer budget from 1 to
     ``MAX_SEARCH_BUDGET``, a seed that ``np.random.default_rng`` takes) but
