@@ -215,6 +215,27 @@ def test_min_search_scores_only_the_eigenbasis(budget, monkeypatch):
             assert value == pytest.approx(shannon_entropy(spectrum), abs=1e-12)
 
 
+@pytest.mark.parametrize("n, blocks", [(2, [(1, 2)]), (16, [(1, 16)])])
+def test_search_scores_one_stack_per_outcome_count_and_block(monkeypatch, n, blocks):
+    # at the default budget, for every preset, the search scores one stack:
+    # a single row of n outcomes, the spectrum largest first
+    from convexinfo import quantum
+    shapes = []
+    entropies = quantum._entropies
+
+    def counting(pair, probs):
+        shapes.append(np.shape(probs))
+        assert np.array_equal(probs[0], np.sort(probs[0])[::-1])
+        return entropies(pair, probs)
+
+    monkeypatch.setattr(quantum, "_entropies", counting)
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(n), n))
+    for pair in (make_preset("shannon"), make_preset("renyi", 2), make_preset("tsallis", 0.5)):
+        shapes.clear()
+        quantum_entropy_min_search(pair, rho, budget=1000, seed=n)
+        assert shapes == blocks
+
+
 def test_min_search_rejects_a_negative_seed():
     with pytest.raises(BadParameter, match="seed must be a non-negative integer, got -1"):
         quantum_entropy_min_search(make_preset("shannon"), MIXED, budget=10, seed=-1)
