@@ -22,10 +22,10 @@ each repeat every op is timed; ``cold_ms`` is the median of the first ops,
 ``warm_ms`` the median of all later ones. ``make_state_ms`` is the median of
 ``make_state`` alone at the later coordinates, on a model that has done one
 op. ``cold_ranks`` and ``warm_ranks`` count rank calls in the first op and
-in each later op (their mean), ``solves`` and ``kernel_entries`` the solve
-calls and kernel entries per later op, and ``regular_bases`` the systems
-that the first op's solve calls solved: its one solve stacks every regular
-basis.
+in each later op (their mean), ``solves`` the solve calls per later op,
+and ``regular_bases`` the systems that the first op's solve calls solved:
+its one solve stacks every regular basis. No spectrum op enters the LP
+kernel, which ``test_a_state_and_its_spectrum_share_one_solve`` pins.
 
 The ``separable`` section times ``separable_witness`` on ``STATES`` random
 separable states of every factor pair of the ``tensor-separable`` workload
@@ -41,9 +41,7 @@ In the first repeat one more run of each section, not timed, counts the
 work: ``counting`` wraps every seam of the section's table (``FRAME_SEAMS``,
 ``SPECTRA_SEAMS``, ``SEPARABLE_SEAMS``), which names the
 function and what one call of it adds to which count, and puts the
-originals back after. A seam that the measured checkout lacks is left out
-(``present``): a parent that predates the lone LP's pivot function pivots
-every LP through ``_pivot``.
+originals back after.
 
 ``--parent DIR`` measures the checkout in DIR the same way, alternating
 with this one. DIR must be the top of a git checkout (a clone or a
@@ -150,8 +148,6 @@ SPECTRA_SEAMS = (
     ("numpy.linalg", "matrix_rank", _once("ranks")),
     ("numpy.linalg", "solve",
      lambda a, b: {"solves": 1, "systems": int(np.prod(np.shape(a)[:-2]))}),
-    ("convexinfo.convex_kernel", "_solve", _once("kernel_entries")),
-    ("convexinfo.gpt_models", "_solve", _once("kernel_entries")),
 )
 #: Every LP stack enters the kernel at ``_solve_stack``, whichever route
 #: built it.
@@ -187,11 +183,6 @@ def counting(seams):
             setattr(module, attribute, original)
 
 
-def present(seams):
-    """The seams whose attribute the imported modules have."""
-    return [seam for seam in seams if hasattr(importlib.import_module(seam[0]), seam[1])]
-
-
 def measure(counted: bool) -> dict:
     """One cold enumeration of every cap model with the convexinfo on sys.path,
     and with ``counted`` one more that counts the work."""
@@ -210,7 +201,7 @@ def measure(counted: bool) -> dict:
             continue
         results[label] = {"seconds": [time.perf_counter() - start], "frames": len(frames)}
         if counted:
-            with counting(present(FRAME_SEAMS)) as counts:
+            with counting(FRAME_SEAMS) as counts:
                 enumerate_frames(build_model(kind, **args))
             results[label].update({key: counts[key] for key in (
                 "guesses", "dual_screen_lps", "witness_lps", "kernel_entries", "pivots")})
@@ -258,8 +249,7 @@ def measure_spectra(counted: bool) -> dict:
             results[label].update({"regular_bases": first["systems"],
                                    "cold_ranks": first["ranks"],
                                    "warm_ranks": rest["ranks"] / (STATES - 1),
-                                   "solves": rest["solves"] / (STATES - 1),
-                                   "kernel_entries": rest["kernel_entries"] / (STATES - 1)})
+                                   "solves": rest["solves"] / (STATES - 1)})
     return results
 
 
@@ -289,7 +279,7 @@ def measure_separable(counted: bool) -> dict:
             times.append(1e3 * (time.perf_counter() - start))
         results[label] = {"ms": times}
         if counted:
-            with counting(present(SEPARABLE_SEAMS)) as counts:
+            with counting(SEPARABLE_SEAMS) as counts:
                 for omega in states:
                     separable_witness(ps, omega)
             results[label].update({"lps": counts["lps"] / STATES,

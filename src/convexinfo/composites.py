@@ -16,7 +16,9 @@ Max-tensor membership of a pair with a classical factor is that same test.
 Otherwise it is checked against each factor's frame effects together with
 the zero and unit effects; for the models built here that is the operative
 effect set (for squares it is the convention that makes the standard
-no-signaling box a member).
+no-signaling box a member). Both marginals must also be states of their
+factors, which the frame effects alone do not ensure: on the square they
+bound |x|, |y| <= 1 around the model's |x| + |y| <= 1.
 """
 
 from __future__ import annotations
@@ -227,7 +229,9 @@ def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:
 
     With a classical factor the maximal tensor set is the minimal one: this
     is ``is_separable``. Otherwise checks omega(E, E') in [0, 1] over the
-    factors' frame effects plus the zero and unit effects; normalization
+    factors' frame effects plus the zero and unit effects, and that both
+    marginals, ``table[:, -1]`` for A and ``table[-1]`` for B, are states of
+    their factors, tested as ``make_state`` tests a state; normalization
     omega(u_A, u_B) = 1 is part of the JointState invariant. A factor over
     ``MAX_FACTOR_VERTICES`` raises ``TooLarge`` either way.
     """
@@ -235,7 +239,11 @@ def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:
         return is_separable(ps, omega)
     table = _joint_table(ps, omega)
     values = _extreme_effects(ps.factor_a) @ table @ _extreme_effects(ps.factor_b).T
-    return bool(values.min() >= -TOL and values.max() <= 1.0 + TOL)
+    if not (values.min() >= -TOL and values.max() <= 1.0 + TOL):
+        return False
+    # each marginal through its factor's bases, its last coordinate as its weight sum
+    return all(len(space._basic_solutions(np.append(m, m[-1])[None])[0])
+               for space, m in ((ps.factor_a, table[:, -1]), (ps.factor_b, table[-1])))
 
 
 def classify_joint(ps: ProductSpace, omega: JointState) -> str:

@@ -129,14 +129,15 @@ def _run_simplex(tableau, basis, costs, n_enter):
 
     ``tableau`` is a stack (s, m, columns) whose last column holds the
     right-hand sides, ``basis`` is (s, m), and ``costs`` holds the column
-    costs, in one row for every LP or one row per LP. Columns from ``n_enter``
-    on may not enter the basis (it locks out artificial columns in phase 2),
-    except column ``n_enter`` itself: it is zero and counts as improving, so it
-    enters exactly when no other column can, and then finds no row to pivot
-    on. Each LP takes its own pivots and all that still pivot advance
-    together; an LP leaves the live stack as soon as it finishes. A stack of
-    one runs on its 2-D tableau (``_run_alone``). Returns two flags per LP:
-    unbounded (else optimal), and still pivoting at the pivot cap.
+    costs, in one row for every LP or one row per LP. Every column before
+    ``n_enter`` may enter the basis. Column ``n_enter`` is the zero column, the
+    last before the right-hand sides in both phases (phase 2 drops the
+    artificial columns): it counts as improving, so it enters exactly when no
+    other column can, and then finds no row to pivot on. Each LP takes its
+    own pivots and all that still pivot advance together; an LP leaves the
+    live stack as soon as it finishes. A stack of one runs on its 2-D tableau
+    (``_run_alone``). Returns two flags per LP: unbounded (else optimal), and
+    still pivoting at the pivot cap.
     """
     if len(tableau) == 1:
         return _run_alone(tableau[0], basis[0], costs[0], n_enter)

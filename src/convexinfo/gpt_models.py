@@ -45,13 +45,10 @@ _REGULAR_TOL = 1e-12
 _NEGATIVE_WEIGHT_TOL = 1e-9
 #: Largest coordinate error of a vertex's reconstruction of the state.
 _RECON_TOL = 1e-8
-#: A basic solution's weight above this counts toward its support. Weights
-#: sum to 1 whatever the coordinates' scale, and a clipped feasible weight that
-#: is 0 in exact arithmetic stays within rounding of 0, far below it.
-_SUPPORT_TOL = 1e-9
-#: Largest batch of basic-solution values that one spans solve holds; more sets
-#: are solved in slices under it, so peak memory stays bounded.
-_SOLVE_VALUES = 1 << 21
+#: A vertex where a facet's effect (1 at its farthest vertex) is within this of
+#: 0 lies on the facet, and vertices whose unit-norm rows have a singular value
+#: below it are dependent: neither depends on the coordinates' scale.
+_FACET_TOL = 1e-9
 
 KIND_SIMPLEX = "simplex"
 KIND_POLYGON = "regular_polygon"
@@ -163,6 +160,26 @@ class StateSpace:
         return vertices
 
     @functools.cached_property
+    def _facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per facet an effect, 0 on it and 1 at its farthest vertex, and its vertex mask: an
+        independent (r - 1)-subset of the vertices in the r rows ``_spectrum_bases`` keeps whose
+        normal (one batched SVD) leaves them all on one side spans one. Built once, read-only."""
+        a, rows, scale, _, _ = self._spectrum_bases
+        points = (a[rows] / scale[:, None]).T
+        subsets = np.array(list(itertools.combinations(range(len(points)), len(rows) - 1)))
+        _, singular, vt = np.linalg.svd(points[subsets])
+        values = vt[:, -1] @ points.T
+        peak = np.take_along_axis(values, np.abs(values).argmax(axis=1)[:, None], axis=1)
+        values /= peak
+        keep = (singular[:, -1] > _FACET_TOL) & (values.min(axis=1) >= -_FACET_TOL)
+        bits = (values[keep] <= _FACET_TOL) @ (1 << np.arange(len(points)))
+        masks, first = np.unique(bits, return_index=True)
+        effects = np.zeros((len(masks), self.dim))
+        effects[:, rows] = (vt[:, -1] / peak)[keep][first] / scale
+        effects.flags.writeable = masks.flags.writeable = False
+        return effects, masks
+
+    @functools.cached_property
     def _frames(self) -> tuple[Frame, ...]:
         # read only through enumerate_frames, which hands out copies
         v = self.n_vertices
@@ -208,7 +225,7 @@ class StateSpace:
         maximal = [combo for combo in sorted(witnesses)
                    if not any(_mask(combo) & ~other == 0 and _mask(combo) != other
                               for other in masks)]
-        # the spans of all maximal sets from the model's bases, then the
+        # the spans of all maximal sets from the model's facets, then the
         # witness LPs of the kept frames the least-squares guess missed, one
         # stack per size; where one finds none or fails, the dual screen's point
         kept = [combo for combo, spans in zip(maximal, _spans_model(self, maximal)) if spans]
@@ -339,7 +356,11 @@ def vertex_state(space: StateSpace, index: int) -> GptState:
 
 
 def mix_state(space: StateSpace, weights) -> GptState:
-    """Convex mixture of the model's vertices (weights normalized here)."""
+    """Convex mixture of the model's vertices, one weight per vertex.
+
+    The weights must already be a probability vector (``ProbVector``): they
+    are rescaled only within ``TOL`` of summing to 1, and weights that sum
+    to anything else raise ``InvalidProbVector``."""
     w = ProbVector(weights)
     if len(w) != space.n_vertices:
         raise DimensionMismatch("one weight per vertex required")
@@ -562,38 +583,17 @@ def _maximal_cliques(n: int, edges) -> list[tuple[int, ...]]:
 
 
 def _spans_model(space: StateSpace, indices) -> list[bool]:
-    """Is the smallest face containing each set of vertices the whole polytope?
-
-    Equivalent test: the barycenter of the set lies in the relative interior
-    of the state polytope, i.e. it has a decomposition with positive weight
-    on every vertex. The barycenter's decompositions form a polytope, and
-    the average of its vertices is such a decomposition exactly when every
-    model vertex carries weight in one of them. Its vertices are the
-    barycenter's feasible basic solutions over the model's regular bases,
-    found as ``make_state`` finds a state's (``StateSpace._basic_solutions``).
-    So a set spans the model when the supports of those solutions cover
-    every vertex. No LP is solved: a list of index sets is solved in slices
-    of at most ``_SOLVE_VALUES`` basic-solution values and gives one answer
-    per set.
-    """
-    verts = space._verts
-    # each barycenter, then its weight sum 1
-    bary = np.array([np.append(verts[list(combo)].mean(axis=0), 1.0) for combo in indices])
-    covered = np.zeros((len(indices), space.n_vertices), bool)
-    _, rows, _, bases, _ = space._spectrum_bases
-    step = max(1, _SOLVE_VALUES // (len(bases) * len(rows)))
-    for start in range(0, len(indices), step):
-        which, w = space._basic_solutions(bary[start:start + step])
-        np.logical_or.at(covered, start + which, w > _SUPPORT_TOL)
-    return covered.all(axis=1).tolist()
-
+    """Is the smallest face containing each set of vertices the whole polytope? It is unless
+    one of the model's facets (``StateSpace._facets``) holds them all; one answer per set."""
+    _, facets = space._facets
+    return [not (_mask(combo) & ~facets == 0).any() for combo in indices]
 
 def enumerate_frames(space: StateSpace) -> list[Frame]:
     """Maximal perfectly distinguishable vertex sets spanning the model.
 
     A frame stands in for an orthogonal resolution of the top lattice
     element, so besides mutual distinguishability its vertices must not sit
-    inside a proper face (their barycenter must be relatively interior).
+    inside a proper face, and every proper face lies in a facet of the model.
     Frames come in lexicographic order of their vertex indices, which fixes
     the tie order downstream consumers rely on.
 
@@ -603,7 +603,7 @@ def enumerate_frames(space: StateSpace) -> list[Frame]:
     screen's dual (``_screen``). What witnesses a kept frame is its
     least-squares witness, else the k x d witness LP, else the dual's
     checked multiplier point. Whether a maximal set spans the model is read
-    from the model's bases (``_spans_model``); no LP decides it.
+    from the model's facets, built once (``_spans_model``); no LP decides it.
     Clique rule: a distinguishable set is a clique of the graph of
     distinguishable pairs, so after a level s >= 3 every maximal clique
     whose s-subsets all passed is tested whole, once. If it passes it is a

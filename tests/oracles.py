@@ -4,7 +4,7 @@ Everything here is deliberately written from scratch against closed forms
 or brute force, not by calling the code paths under test: closed-form
 entropy formulas, Robin Hood majorization pairs, an exact vertex
 enumeration plus grid sampler for decomposition polytopes, a scipy
-reference for the LP kernel and for frame enumeration, and the
+reference for the LP kernel, for frame enumeration and for facets, and the
 scalar-loop simplex and frame LPs of the library's first release.
 """
 
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.optimize
+import scipy.spatial
 
 # perfbench/yardstick is a frozen, never-edited copy of the library's first
 # release. Its simplex and frame LPs are scalar Python loops doing the same
@@ -239,6 +240,19 @@ def highs_spans(vertices: np.ndarray, combo) -> bool:
         b_eq=verts[list(combo)].mean(axis=0),
         bounds=[(0, None)] * v + [(None, None)], method="highs")
     return res.status == 0 and -res.fun > 1e-9
+
+
+def qhull_facet_masks(points: np.ndarray, tol: float = 1e-9) -> set[int]:
+    """The facets of the hull of full-dimensional ``points`` (V x n, no homogeneous
+    1), each the bit mask of the points within ``tol`` of its hyperplane.
+
+    qhull triangulates a facet that holds more than n points into simplices
+    with one hyperplane each; reading every point's distance to it merges
+    them back into one vertex set.
+    """
+    hull = scipy.spatial.ConvexHull(points)
+    distance = np.abs(hull.equations[:, :-1] @ points.T + hull.equations[:, -1:])
+    return set(((distance <= tol) @ (1 << np.arange(len(points)))).tolist())
 
 
 def highs_frames(vertices: np.ndarray) -> list[tuple[int, ...]]:

@@ -417,6 +417,20 @@ def test_separable_decides_max_tensor_membership_once(capsys, tmp_path, monkeypa
     assert calls == {"separable_witness": 1, "max_tensor_member": 1}
 
 
+def test_separable_rejects_a_table_whose_marginal_leaves_its_factor(capsys, tmp_path,
+                                                                    square_file):
+    # A's marginal (0.9, 0.9) meets the square's frame effects but is no state
+    from convexinfo import build_model
+    square = build_model("regular_polygon", n=4)
+    joint = _write_json(tmp_path, "joint.json",
+                        np.outer([0.9, 0.9, 1.0], square.vertex_array()[0]).tolist())
+    code, out, _ = run(capsys, ["separable", "--model-a", square_file,
+                                "--model-b", square_file, "--joint", joint])
+    assert code == 0
+    assert json.loads(out) == {"separable": False, "max_member": False,
+                               "classification": "not-a-state"}
+
+
 @pytest.mark.parametrize("verdict", ["separable", "not-a-state"])
 def test_separable_tests_a_classical_pairs_conditional_states_once(capsys, tmp_path,
                                                                    monkeypatch, verdict):

@@ -9,6 +9,7 @@ from convexinfo import (
     classify_joint,
     enumerate_frames,
     is_separable,
+    make_state,
     max_tensor_member,
     min_tensor_vertices,
     mix_state,
@@ -18,7 +19,13 @@ from convexinfo import (
     vertex_state,
 )
 from convexinfo.convex_kernel import FEAS_TOL, _decomposition_lp
-from convexinfo.errors import DimensionMismatch, NotNormalized, TooLarge, UnsupportedModel
+from convexinfo.errors import (
+    DimensionMismatch,
+    NotAState,
+    NotNormalized,
+    TooLarge,
+    UnsupportedModel,
+)
 from convexinfo.probvec import TOL
 
 #: Affinely independent points: a classical factor that is not a simplex.
@@ -209,6 +216,24 @@ def test_negative_frame_product_entry_fails_max_membership(square_pair):
     m = np.array([[0.5, 0.5, 0.5], [0.5, -0.05, 0.5], [0.5, 0.5, 1.0]])
     table = np.linalg.solve(basis, np.linalg.solve(basis, m.T).T)
     omega = JointState(table)
+    assert not max_tensor_member(ps, omega)
+    assert classify_joint(ps, omega) == "not-a-state"
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_a_marginal_outside_its_factor_fails_max_membership(square_pair, side):
+    # (0.9, 0.9) passes the square's frame effects (1 +- x)/2 and (1 +- y)/2,
+    # which bound |x|, |y| <= 1, but lies outside the model's |x| + |y| <= 1
+    ps = square_pair
+    with pytest.raises(NotAState):
+        make_state(ps.factor_a, [0.9, 0.9])
+    vertex = ps.factor_b.vertex_array()[0]
+    table = np.outer([0.9, 0.9, 1.0], vertex)
+    omega = JointState(table if side == "a" else table.T)
+    frame_effects = np.array([[0.0, 0.0, 0.0], ps.factor_a.unit(), *(
+        e.as_array() for frame in enumerate_frames(ps.factor_a) for e in frame.effects)])
+    values = frame_effects @ omega.as_array() @ frame_effects.T
+    assert values.min() >= -TOL and values.max() <= 1.0 + TOL
     assert not max_tensor_member(ps, omega)
     assert classify_joint(ps, omega) == "not-a-state"
 

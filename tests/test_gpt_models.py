@@ -34,6 +34,7 @@ from convexinfo.errors import (
     DegenerateModel,
     DimensionMismatch,
     InvalidEffect,
+    InvalidProbVector,
     LpNumericalError,
     NotAState,
 )
@@ -43,6 +44,7 @@ from oracles import (
     highs_frames,
     highs_spans,
     loop_reference,
+    qhull_facet_masks,
     random_custom_vertex_sets,
 )
 
@@ -486,7 +488,7 @@ def test_dual_screen_matches_highs_and_its_multipliers_are_screen_points():
     assert verdicts == {True, False}
 
 
-def test_spans_from_the_bases_match_the_highs_spans_lp(monkeypatch):
+def test_spans_from_the_facets_match_the_highs_spans_lp(monkeypatch):
     # every maximal distinguishable set of each model, its coordinates rescaled
     reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                             / "reference.json").read_text())
@@ -512,6 +514,51 @@ def test_spans_from_the_bases_match_the_highs_spans_lp(monkeypatch):
             assert spans == [highs_spans(verts, combo) for combo in maximal], (args, scale)
             answers.update(spans)
     assert answers == {True, False}
+
+
+def _facet_models():
+    """(label, model, its points in a full-dimensional chart) for the qhull check."""
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "reference.json").read_text())
+    for n in range(3, 17):
+        space = build_model("regular_polygon", n=n)
+        yield f"polygon{n}", space, space.vertex_array()[:, :-1]
+    for n in range(3, 17):
+        # the unit vectors of R^n span a hyperplane; without the last coordinate
+        # they are a full-dimensional simplex of R^(n - 1)
+        space = build_model("simplex", n=n)
+        yield f"simplex{n}", space, space.vertex_array()[:, :-2]
+    for label, points in reference["custom"].items():
+        yield label, build_model("custom_polytope", vertices=points), np.asarray(points)
+    for dim in range(3, 8):
+        for seed in (1, 2):
+            points = np.random.default_rng(seed).normal(size=(16, dim))
+            yield f"R{dim}-seed{seed}", build_model("custom_polytope", vertices=points), points
+
+
+def test_facets_match_qhull():
+    tol = gpt_models._FACET_TOL
+    for label, space, points in _facet_models():
+        effects, masks = space._facets
+        assert set(masks.tolist()) == qhull_facet_masks(points), label
+        assert len(set(masks.tolist())) == len(masks), label
+        values = effects @ space.vertex_array().T
+        on = (masks[:, None] >> np.arange(space.n_vertices) & 1).astype(bool)
+        # an effect: >= 0 on every vertex, 0 on its facet's and at most 1
+        assert values.min() >= -tol, label
+        assert np.abs(values[on]).max() <= tol, label
+        assert values.max() <= 1.0 + tol, label
+        assert (values[~on] > tol).all(), label
+
+
+def test_facets_are_built_once_and_read_only():
+    space = build_model("custom_polytope", vertices=np.random.default_rng(1).normal(size=(16, 4)))
+    facets = space._facets
+    assert space._facets is facets
+    for array in facets:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def _twin_effect_lp(cells, a_eq, b_eq) -> LinearProgram:
@@ -623,7 +670,7 @@ def test_twelve_gon_frames_cost_dual_screen_lps_only(monkeypatch):
     assert {name: sum(map(_sets, made)) for name, made in calls.items()} == {
         "_screen": 48, "_distinguishing_effects": 0, "_spans_model": 18}
     assert len(solved) == 48
-    # one stack of pair screens; the spans come from the model's bases
+    # one stack of pair screens; the spans come from the model's facets
     assert entries == [48]
 
 
@@ -634,7 +681,7 @@ def test_simplex16_frame_comes_from_one_clique_jump(monkeypatch):
     space = build_model("simplex", n=16)
     frames = enumerate_frames(space)
     # the 120 pairs, the 560 triples, then the whole clique; the spans come
-    # from the model's one basis, so no LP
+    # from the model's facets, so no LP
     assert sum(map(_sets, guesses)) <= 120 + 560 + 1
     assert solved == []
     assert entries == []
@@ -649,6 +696,14 @@ def test_maximal_cliques():
     cliques = gpt_models._maximal_cliques(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert cliques == [(0, 1, 2), (2, 3), (4,)]
     assert gpt_models._maximal_cliques(4, []) == [(0,), (1,), (2,), (3,)]
+
+
+def test_mix_state_takes_a_probability_vector_not_weights_to_normalize(square):
+    with pytest.raises(InvalidProbVector, match="sum to 4.0, not 1"):
+        mix_state(square, [1, 1, 1, 1])
+    # weights within TOL of a sum of 1 are accepted, and rescaled
+    near = mix_state(square, [0.25, 0.25, 0.25, 0.25 + 1e-10])
+    assert near.point == pytest.approx(mix_state(square, [0.25] * 4).point, abs=1e-9)
 
 
 def test_perfectly_distinguishable_on_vertices_and_mixed_states(square, pentagon):
