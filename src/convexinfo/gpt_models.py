@@ -60,8 +60,8 @@ class StateSpace:
     """A compact convex model given by its pure states (polytope vertices).
 
     ``vertices`` is a V x d array whose last column is identically 1. The
-    model's frames and the bases of its decomposition polytope are built on
-    first use and kept with it.
+    model's frames, facets and the bases of its decomposition polytope are
+    built on first use and kept with it.
     """
 
     kind: str
