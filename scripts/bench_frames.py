@@ -8,15 +8,18 @@ Run from the repository root (numpy is the only dependency):
 Each checkout is measured in ``REPEATS`` interpreters, and the checkouts
 alternate which goes first on each repeat, so a drift in machine speed
 falls on both sides alike. Every repeat builds its model afresh, so it
-enumerates the frames cold; ``seconds`` is the median over the repeats. The
-models are the cap models, then the seven models whose frames the
-``spectrum-ladder`` workload enumerates cold in its first pass (``LADDER``);
-``ladder_seconds`` sums their medians. A model whose enumeration raises
-``LpNumericalError`` records the message instead.
+enumerates the frames cold; ``seconds`` is the median over the repeats, and
+``seconds_runs`` keeps each repeat's seconds, in the order of the repeats, to
+show their spread. The models are the cap models (``CAP_MODELS``), then the
+seven models whose frames the ``spectrum-ladder`` workload enumerates cold in
+its first pass (``LADDER``: perfbench warms only the first op of each kind,
+polygon4's entropy op); ``ladder_seconds`` sums their medians. A model whose
+enumeration raises ``LpNumericalError`` records the message instead.
 
 The ``spectra`` section times the workload's spectrum op, coordinates ->
 ``make_state`` -> ``generalized_spectrum``, on every model of the
-``spectrum-ladder`` workload (``SPECTRUM_LADDER``) at the coordinates of
+``spectrum-ladder`` workload (``SPECTRUM_LADDER``, from
+``SpectrumLadder.SPECTRUM`` in ``perfbench/workloads.py``) at the coordinates of
 ``STATES`` random mixtures of its vertices. On a freshly built model in
 each repeat every op is timed; ``cold_ms`` is the median of the first ops,
 ``warm_ms`` the median of all later ones. ``make_state_ms`` is the median of
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib
 import json
 import os
@@ -75,49 +79,55 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+# perfbench's workloads give the models and the traffic; a measuring
+# interpreter puts its checkout's src first, and this checkout's src serves
+# the interpreter that runs the script
+sys.path += [str(ROOT / "perfbench"), str(ROOT / "src")]
+import convexinfo as ci  # noqa: E402
+from workloads import SpectrumLadder, TensorSeparable, build_model, load_reference  # noqa: E402
+
 REPEATS = 3
 PAIRS = 10
 HOLD_OUT_SEED = 7919
 WORKLOADS = ("spectrum-ladder", "tensor-separable", "quantum-search")
 #: The models whose frames spectrum-ladder's first pass enumerates cold.
-LADDER = ("polygon6", "polygon8", "polygon12", "simplex4", "simplex6", "custom2d8", "custom3d6")
+LADDER = SpectrumLadder.ENTROPY[1:]
 #: The models whose spectra spectrum-ladder computes.
-SPECTRUM_LADDER = (*(f"polygon{n}" for n in (4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16)),
-                   *(f"simplex{n}" for n in range(4, 11)),
-                   *(f"custom2d{n}" for n in (6, 8, 10, 12, 16)),
-                   *(f"custom3d{n}" for n in (6, 8, 10, 16)))
+SPECTRUM_LADDER = tuple(label for label, _ in SpectrumLadder.SPECTRUM)
+
+
+def _random_models() -> dict:
+    """The vertices of the cap models that are no perfbench label."""
+    # 16 random points in R^7: the third draw of default_rng(0)
+    rng = np.random.default_rng(0)
+    rng.normal(size=(16, 2))
+    rng.normal(size=(16, 3))
+    # and in R^6, the first draw of default_rng(2): the second cap model
+    # whose witness stacks fail
+    return {"custom7d16": rng.normal(size=(16, 7)),
+            "custom6d16": np.random.default_rng(2).normal(size=(16, 6))}
+
+
+RANDOM_MODELS = _random_models()
+CAP_MODELS = ("polygon8", "polygon12", "polygon16", "simplex8", "simplex10", "simplex16",
+              "custom2d16", "custom3d16", *RANDOM_MODELS)
 #: States per model in the spectra section.
 STATES = 16
 #: Environment of the interpreters that time frames and spectra.
 MEASURE_ENV = {"OPENBLAS_NUM_THREADS": "1"}
 
 
-def _model(label: str, reference: dict):
-    """(kind, build_model arguments) of a label such as polygon6, simplex4 or custom3d6."""
-    if label.startswith("custom"):
-        return "custom_polytope", {"vertices": reference["custom"][label]}
-    kind = "regular_polygon" if label.startswith("polygon") else "simplex"
-    return kind, {"n": int(label[7:])}
+@functools.cache
+def _reference() -> dict:
+    """perfbench's ``reference.json``, read once per interpreter."""
+    return load_reference()
 
 
-def _models(reference: dict):
-    for n in (8, 12, 16):
-        yield f"polygon{n}", "regular_polygon", {"n": n}
-    for n in (8, 10, 16):
-        yield f"simplex{n}", "simplex", {"n": n}
-    for label in ("custom2d16", "custom3d16"):
-        yield label, "custom_polytope", {"vertices": reference["custom"][label]}
-    # 16 random points in R^7: the third draw of default_rng(0)
-    rng = np.random.default_rng(0)
-    rng.normal(size=(16, 2))
-    rng.normal(size=(16, 3))
-    yield "custom7d16", "custom_polytope", {"vertices": rng.normal(size=(16, 7))}
-    # 16 random points in R^6, the first draw of default_rng(2): the second
-    # cap model whose witness stacks fail
-    yield "custom6d16", "custom_polytope", {
-        "vertices": np.random.default_rng(2).normal(size=(16, 6))}
-    for label in ("polygon6", "simplex4", "simplex6", "custom2d8", "custom3d6"):
-        yield label, *_model(label, reference)
+def _build(label: str) -> ci.StateSpace:
+    """A freshly built model of a perfbench label or a random cap model."""
+    if label in RANDOM_MODELS:
+        return ci.build_model("custom_polytope", vertices=RANDOM_MODELS[label])
+    return build_model(label, _reference())
 
 
 def _once(key: str):
@@ -186,23 +196,19 @@ def counting(seams):
 def measure(counted: bool) -> dict:
     """One cold enumeration of every cap model with the convexinfo on sys.path,
     and with ``counted`` one more that counts the work."""
-    from convexinfo import build_model, enumerate_frames
-    from convexinfo.errors import LpNumericalError
-
-    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     results = {}
-    for label, kind, args in _models(reference):
-        space = build_model(kind, **args)
+    for label in (*CAP_MODELS, *(label for label in LADDER if label not in CAP_MODELS)):
+        space = _build(label)
         start = time.perf_counter()
         try:
-            frames = enumerate_frames(space)
-        except LpNumericalError as exc:
+            frames = ci.enumerate_frames(space)
+        except ci.errors.LpNumericalError as exc:
             results[label] = {"raises": f"LpNumericalError: {exc}"}
             continue
         results[label] = {"seconds": [time.perf_counter() - start], "frames": len(frames)}
         if counted:
             with counting(FRAME_SEAMS) as counts:
-                enumerate_frames(build_model(kind, **args))
+                ci.enumerate_frames(_build(label))
             results[label].update({key: counts[key] for key in (
                 "guesses", "dual_screen_lps", "witness_lps", "kernel_entries", "pivots")})
     return results
@@ -211,35 +217,31 @@ def measure(counted: bool) -> dict:
 def measure_spectra(counted: bool) -> dict:
     """The spectrum op of every spectrum-ladder model with the convexinfo on
     sys.path, on one freshly built model, and with ``counted`` the counts."""
-    from convexinfo import build_model, generalized_spectrum, make_state, mix_state
-
-    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     results = {}
     for label in SPECTRUM_LADDER:
-        kind, args = _model(label, reference)
         rng = np.random.default_rng(0)
-        space = build_model(kind, **args)
-        coords = [mix_state(space, rng.dirichlet(np.full(space.n_vertices, 0.7))).coords()
+        space = _build(label)
+        coords = [ci.mix_state(space, rng.dirichlet(np.full(space.n_vertices, 0.7))).coords()
                   for _ in range(STATES)]
 
         def op(space, c):
-            return generalized_spectrum(space, make_state(space, c))
+            return ci.generalized_spectrum(space, ci.make_state(space, c))
 
         cold, warm, alone = [], [], []
-        space = build_model(kind, **args)
+        space = _build(label)
         for k, c in enumerate(coords):
             start = time.perf_counter()
             op(space, c)
             (warm if k else cold).append(1e3 * (time.perf_counter() - start))
-        space = build_model(kind, **args)
+        space = _build(label)
         op(space, coords[0])
         for c in coords[1:]:
             start = time.perf_counter()
-            make_state(space, c)
+            ci.make_state(space, c)
             alone.append(1e3 * (time.perf_counter() - start))
         results[label] = {"cold_ms": cold, "warm_ms": warm, "make_state_ms": alone}
         if counted:
-            space = build_model(kind, **args)
+            space = _build(label)
             with counting(SPECTRA_SEAMS) as rest:
                 op(space, coords[0])
                 first = Counter(rest)
@@ -257,31 +259,24 @@ def measure_separable(counted: bool) -> dict:
     """``separable_witness`` on separable states of every tensor-separable
     factor pair with the convexinfo on sys.path, and with ``counted`` the
     LPs, kernel entries and pivots."""
-    from convexinfo import JointState, ProductSpace, build_model, separable_witness
-
-    sys.path.append(str(ROOT / "perfbench"))
-    from workloads import TensorSeparable
-
-    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     results = {}
     for pair in TensorSeparable.SEPARABLE:
-        factors = [build_model(kind, **args)
-                   for kind, args in (_model(label, reference) for label in pair)]
+        factors = [_build(label) for label in pair]
         va, vb = (factor.vertex_array() for factor in factors)
-        ps, label = ProductSpace(*factors), "x".join(pair)
+        ps, label = ci.ProductSpace(*factors), "x".join(pair)
         rng = np.random.default_rng(0)
-        states = [JointState(va.T @ rng.dirichlet(np.full(len(va) * len(vb), 0.5)).reshape(
+        states = [ci.JointState(va.T @ rng.dirichlet(np.full(len(va) * len(vb), 0.5)).reshape(
             len(va), len(vb)) @ vb) for _ in range(STATES)]
         times = []
         for omega in states:
             start = time.perf_counter()
-            separable_witness(ps, omega)
+            ci.separable_witness(ps, omega)
             times.append(1e3 * (time.perf_counter() - start))
         results[label] = {"ms": times}
         if counted:
             with counting(SEPARABLE_SEAMS) as counts:
                 for omega in states:
-                    separable_witness(ps, omega)
+                    ci.separable_witness(ps, omega)
             results[label].update({"lps": counts["lps"] / STATES,
                                    "kernel_entries": counts["kernel_entries"] / STATES})
             if counts["lps"]:
@@ -298,19 +293,26 @@ def _measure_checkout(checkout: Path, function: str, counted: bool) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def alternated(checkouts: dict, function: str) -> dict:
+def alternated(checkouts: dict, function: str, spread: tuple = ()) -> dict:
     """``function`` in REPEATS interpreters per checkout, the checkouts taking
     turns at going first; each timed list becomes its median over the
-    repeats, and the counts and messages come from the first repeat."""
+    repeats, and the counts and messages come from the first repeat. The
+    timed lists named in ``spread`` also keep every repeat's values, as
+    ``<key>_runs``."""
     runs = {side: [] for side in checkouts}
     for repeat in range(REPEATS):
         for side in list(checkouts)[::1 if repeat % 2 == 0 else -1]:
             runs[side].append(_measure_checkout(checkouts[side], function, repeat == 0))
-    return {side: {label: {key: statistics.median(x for run in side_runs for x in run[label][key])
-                           if isinstance(value, list) else value
-                           for key, value in record.items()}
-                   for label, record in side_runs[0].items()}
-            for side, side_runs in runs.items()}
+    doc = {side: {label: {key: statistics.median(x for run in side_runs for x in run[label][key])
+                          if isinstance(value, list) else value
+                          for key, value in record.items()}
+                  for label, record in side_runs[0].items()}
+           for side, side_runs in runs.items()}
+    for side, side_runs in runs.items():
+        for label, record in doc[side].items():
+            record.update({f"{key}_runs": [x for run in side_runs for x in run[label][key]]
+                           for key in spread if key in record})
+    return doc
 
 
 def _is_checkout(path: Path) -> bool:
@@ -371,7 +373,7 @@ def main(argv=None) -> int:
         checkouts["parent"] = args.parent.resolve()
     doc = {"repeats": REPEATS, "states": STATES, "measure_env": MEASURE_ENV,
            "commits": {side: _commit(path) for side, path in checkouts.items()}}
-    doc["frames"] = alternated(checkouts, "measure")
+    doc["frames"] = alternated(checkouts, "measure", spread=("seconds",))
     for frames in doc["frames"].values():
         frames["ladder_seconds"] = sum(frames[label]["seconds"] for label in LADDER)
     doc["spectra"] = alternated(checkouts, "measure_spectra")

@@ -20,7 +20,7 @@ from .composites import JointState, ProductSpace, max_tensor_member, separable_w
 from .convex_kernel import Constraint, LinearProgram, lp_solve
 from .entropic import classical_entropy, make_preset, pair_from_grid_descriptor, pair_from_spec
 from .errors import ConvexInfoError, LpNumericalError, SpectrumUndefined, TooLarge, ValidationError
-from .gpt_models import enumerate_frames, load_model, make_state
+from .gpt_models import enumerate_frames, make_state, model_from_json
 from .probvec import ProbVector, majorizes
 from .quantum import (
     DensityMatrix,
@@ -76,7 +76,7 @@ def _load_json(path: str, flag: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # not JSON or UTF-8, or too deep
         raise ValidationError(f"{flag}: cannot read {path!r}: {exc}") from None
 
 
@@ -115,7 +115,7 @@ def _cmd_entropy(args) -> int:
         raise ValidationError("entropy needs --p, or --model with --state")
     if not args.general:
         raise ValidationError("model entropies need --general (prints both definitions)")
-    space = load_model(args.model)
+    space = model_from_json(_load_json(args.model, "--model"))
     state = make_state(space, _parse_floats(args.state, "--state"))
     try:
         spectral = spectral_entropy(pair, space, state)
@@ -146,7 +146,7 @@ def _cmd_qentropy(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    space = load_model(args.model)
+    space = model_from_json(_load_json(args.model, "--model"))
     state = make_state(space, _parse_floats(args.state, "--state"))
     spec = generalized_spectrum(space, state)
     if isinstance(spec, NoMajorant) and args.strict:
@@ -164,7 +164,7 @@ def _cmd_majorize(args) -> int:
         return 0
     if args.model is None or args.state is None or args.other is None:
         raise ValidationError("majorize needs --p/--q, or --model/--state/--other")
-    space = load_model(args.model)
+    space = model_from_json(_load_json(args.model, "--model"))
     first = make_state(space, _parse_floats(args.state, "--state"))
     second = make_state(space, _parse_floats(args.other, "--other"))
     try:
@@ -180,7 +180,7 @@ def _cmd_majorize(args) -> int:
 
 
 def _cmd_frames(args) -> int:
-    space = load_model(args.model)
+    space = model_from_json(_load_json(args.model, "--model"))
     frames = enumerate_frames(space)
     payload = {"frames": [{"vertices": list(f.vertex_indices),
                            "effects": [list(e.coeffs) for e in f.effects]}
@@ -190,7 +190,8 @@ def _cmd_frames(args) -> int:
 
 
 def _cmd_separable(args) -> int:
-    ps = ProductSpace(load_model(args.model_a), load_model(args.model_b))
+    ps = ProductSpace(model_from_json(_load_json(args.model_a, "--model-a")),
+                      model_from_json(_load_json(args.model_b, "--model-b")))
     doc = _load_json(args.joint, "--joint")
     table = doc["table"] if isinstance(doc, dict) and "table" in doc else doc
     try:

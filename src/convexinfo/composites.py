@@ -13,12 +13,15 @@ the other factor's regular bases, and no LP is solved; pairs without a
 classical factor solve one decomposition LP over every vertex product.
 
 Max-tensor membership of a pair with a classical factor is that same test.
-Otherwise it is checked against each factor's frame effects together with
-the zero and unit effects; for the models built here that is the operative
-effect set (for squares it is the convention that makes the standard
-no-signaling box a member). Both marginals must also be states of their
-factors, which the frame effects alone do not ensure: on the square they
-bound |x|, |y| <= 1 around the model's |x| + |y| <= 1.
+Otherwise it is one test over fixed pairs of effects, each of which must give
+the joint state a probability. The pairs of the factors' frame and unit
+effects are, for the models built here, the operative effect set (for
+squares it is the convention that makes the standard no-signaling box a
+member). Each factor's facet effects (``StateSpace._facets``), paired with
+the other factor's unit effect, make both marginals states of their factors,
+which the frame effects alone do not ensure: on the square they bound
+|x|, |y| <= 1 around the model's |x| + |y| <= 1. No basis is solved, and
+the zero effect, whose pairs are exact zeros, is left out.
 """
 
 from __future__ import annotations
@@ -218,8 +221,8 @@ def is_separable(ps: ProductSpace, omega: JointState) -> bool:
 
 
 def _extreme_effects(space: StateSpace) -> np.ndarray:
-    """The zero, unit and frame effects of the model, one per row."""
-    rows = [np.zeros(space.dim), space.unit()]
+    """The unit and frame effects of the model, one per row."""
+    rows = [space.unit()]
     rows += [e.as_array() for frame in enumerate_frames(space) for e in frame.effects]
     return np.asarray(rows)
 
@@ -229,9 +232,11 @@ def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:
 
     With a classical factor the maximal tensor set is the minimal one: this
     is ``is_separable``. Otherwise checks omega(E, E') in [0, 1] over the
-    factors' frame effects plus the zero and unit effects, and that both
-    marginals, ``table[:, -1]`` for A and ``table[-1]`` for B, are states of
-    their factors, tested as ``make_state`` tests a state; normalization
+    factors' frame effects plus the unit effect, and that every facet effect
+    of a factor is >= 0 on its marginal, ``table[:, -1]`` for A and
+    ``table[-1]`` for B (the facet x unit pairs): a marginal is a state of its
+    factor exactly when no facet effect is negative on it. Every bound allows
+    ``TOL``, and a rejected table fails at least one pair. Normalization
     omega(u_A, u_B) = 1 is part of the JointState invariant. A factor over
     ``MAX_FACTOR_VERTICES`` raises ``TooLarge`` either way.
     """
@@ -241,9 +246,8 @@ def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:
     values = _extreme_effects(ps.factor_a) @ table @ _extreme_effects(ps.factor_b).T
     if not (values.min() >= -TOL and values.max() <= 1.0 + TOL):
         return False
-    # each marginal through its factor's bases, its last coordinate as its weight sum
-    return all(len(space._basic_solutions(np.append(m, m[-1])[None])[0])
-               for space, m in ((ps.factor_a, table[:, -1]), (ps.factor_b, table[-1])))
+    return bool((ps.factor_a._facets[0] @ table[:, -1]).min() >= -TOL
+                and (ps.factor_b._facets[0] @ table[-1]).min() >= -TOL)
 
 
 def classify_joint(ps: ProductSpace, omega: JointState) -> str:

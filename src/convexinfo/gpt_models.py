@@ -61,7 +61,9 @@ class StateSpace:
 
     ``vertices`` is a V x d array whose last column is identically 1. The
     model's frames, facets and the bases of its decomposition polytope are
-    built on first use and kept with it.
+    built on first use and kept with it. The bases decide states, spectra and
+    a classical pair's conditional states; the facets decide which frames
+    span and whether a joint state's marginal is a state.
     """
 
     kind: str
@@ -648,7 +650,8 @@ def model_from_json(doc: dict) -> StateSpace:
     if not isinstance(doc, dict):
         raise ValidationError("a model document must be a JSON object")
     kind = doc.get("kind")
-    field = {KIND_SIMPLEX: "n", KIND_POLYGON: "n", KIND_CUSTOM: "vertices"}.get(kind)
+    field = {KIND_SIMPLEX: "n", KIND_POLYGON: "n", KIND_CUSTOM: "vertices"}.get(
+        kind if isinstance(kind, str) else None)
     if field is None:
         raise DegenerateModel(f"unknown model kind {kind!r}")
     if field not in doc:

@@ -2,7 +2,6 @@
 
 import importlib
 import importlib.util
-import json
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,6 @@ import pytest
 from convexinfo import (
     JointState,
     ProductSpace,
-    build_model,
     convex_kernel,
     enumerate_frames,
     separable_witness,
@@ -48,11 +46,9 @@ def test_every_seam_names_an_existing_attribute(seams):
 ])
 def test_frame_seams_count_one_cold_enumeration(label, counts):
     # pivots are not pinned: they follow the kernel's pivot rule
-    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
-    kind, args = bench_frames._model(label, reference)
     originals = _originals(bench_frames.FRAME_SEAMS)
     with bench_frames.counting(bench_frames.FRAME_SEAMS) as counted:
-        enumerate_frames(build_model(kind, **args))
+        enumerate_frames(bench_frames._build(label))
     assert {key: counted[key] for key in counts} == counts
     assert counted["pivots"] > 0
     assert _restored(bench_frames.FRAME_SEAMS, originals)
@@ -94,8 +90,7 @@ def test_counting_puts_every_original_back_when_the_block_raises(seams):
 def test_separable_seams_count_lps_and_kernel_entries(pair, lps):
     # a classical factor's conditional states go through the other factor's
     # bases, with no LP; a pair without one solves one LP over the vertex products
-    factors = [build_model(kind, **args)
-               for kind, args in (bench_frames._model(label, {}) for label in pair)]
+    factors = [bench_frames._build(label) for label in pair]
     va, vb = (factor.vertex_array() for factor in factors)
     weights = np.random.default_rng(0).dirichlet(np.ones(len(va) * len(vb)))
     omega = JointState(va.T @ weights.reshape(len(va), len(vb)) @ vb)

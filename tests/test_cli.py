@@ -198,14 +198,30 @@ def test_sweep_bits_divides_each_nat_row_by_ln2(capsys):
     (["entropy", "--model", "SQUARE", "--state", "0,0"],
      "model entropies need --general (prints both definitions)"),
     (["majorize", "--p", "0.5,0.5"], "majorize needs --p/--q, or --model/--state/--other"),
+    (["spectrum", "--model", "MISSING", "--state", "0,0"], "--model: cannot read 'MISSING': "),
+    (["frames", "--model", "NOT_JSON"], "--model: cannot read 'NOT_JSON': "),
+    (["frames", "--model", "DEEP"], "--model: cannot read 'DEEP': maximum recursion depth"),
+    (["separable", "--model-a", "SQUARE", "--model-b", "MISSING", "--joint", "MISSING"],
+     "--model-b: cannot read 'MISSING': "),
+    (["qentropy", "--rho", "NOT_UTF8"],
+     "--rho: cannot read 'NOT_UTF8': 'utf-8' codec can't decode byte 0xe9"),
 ], ids=["non-numeric grid", "grid count 0", "unreadable json", "ensemble without states",
-        "entropy without input", "model entropy without --general", "majorize without pairs"])
+        "entropy without input", "model entropy without --general", "majorize without pairs",
+        "missing model", "model not json", "model nested too deep", "missing second model",
+        "rho not utf-8"])
 def test_usage_problems_exit_2_with_their_message(capsys, tmp_path, square_file, argv, shown):
     no_states = tmp_path / "no_states.json"
     no_states.write_text(json.dumps({"weights": [0.5, 0.5]}))
+    not_json, not_utf8, deep = (tmp_path / name for name in ("not.json", "latin1.json",
+                                                             "deep.json"))
+    not_json.write_text("kind: regular_polygon")
+    deep.write_text("[" * 100_000)
+    not_utf8.write_bytes('["\u00e9"]'.encode("latin-1"))
     files = {"MISSING": str(tmp_path / "missing.json"), "NO_STATES": str(no_states),
-             "SQUARE": square_file}
-    shown = shown.replace("MISSING", files["MISSING"])
+             "SQUARE": square_file, "NOT_JSON": str(not_json), "NOT_UTF8": str(not_utf8),
+             "DEEP": str(deep)}
+    for name in ("MISSING", "NOT_JSON", "NOT_UTF8", "DEEP"):
+        shown = shown.replace(name, files[name])
     code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {shown}")
@@ -465,7 +481,7 @@ def test_separable_tests_a_classical_pairs_conditional_states_once(capsys, tmp_p
 
 
 @pytest.mark.parametrize("case", ["non-numeric weights", "non-numeric pair grid",
-                                  "infinite renyi parameter"])
+                                  "infinite renyi parameter", "model kind not a string"])
 def test_malformed_input_exits_2(capsys, tmp_path, case):
     if case == "non-numeric weights":
         doc = {"weights": "ab", "states": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]] * 2}
@@ -475,6 +491,9 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
                "phi": {"x": ["a", 1], "y": [0, 0]}, "h": {"x": [0, 1], "y": [0, 1]}}
         argv = ["entropy", "--p", "0.5,0.5",
                 "--pair-file", _write_json(tmp_path, "pair.json", doc)]
+    elif case == "model kind not a string":
+        argv = ["frames", "--model",
+                _write_json(tmp_path, "model.json", {"kind": ["simplex"], "n": 3})]
     else:
         argv = ["entropy", "--p", "0.5,0.5", "--pair", "renyi:inf"]
     code, out, err = run(capsys, argv)

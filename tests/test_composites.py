@@ -238,6 +238,77 @@ def test_a_marginal_outside_its_factor_fails_max_membership(square_pair, side):
     assert classify_joint(ps, omega) == "not-a-state"
 
 
+def test_max_tensor_membership_without_a_classical_factor_solves_no_basis(monkeypatch):
+    # the marginals are read off each factor's facet effects
+    from convexinfo.gpt_models import StateSpace
+
+    def solved(*args):
+        raise AssertionError("a basis solve ran")
+
+    monkeypatch.setattr(StateSpace, "_basic_solutions", solved)
+    square = build_model("regular_polygon", n=4)
+    ps = ProductSpace(square, square)
+    box = pr_box(ps)
+    assert max_tensor_member(ps, box) and classify_joint(ps, box) == "entangled"
+    outside = JointState(np.outer([0.9, 0.9, 1.0], square.vertex_array()[0]))
+    assert not max_tensor_member(ps, outside)
+    assert classify_joint(ps, outside) == "not-a-state"
+
+
+def _earlier_max_tensor_member(ps, table) -> tuple[bool, bool]:
+    """Max-tensor membership by its earlier definition: whether every pair of the
+    zero, unit and frame effects is in [0, 1] (within ``TOL``), and whether both
+    marginals are also states of their factors (``make_state``)."""
+    effects = [np.array([np.zeros(space.dim), space.unit(), *(
+        e.as_array() for frame in enumerate_frames(space) for e in frame.effects)])
+        for space in (ps.factor_a, ps.factor_b)]
+    values = effects[0] @ table @ effects[1].T
+    if not (values.min() >= -TOL and values.max() <= 1.0 + TOL):
+        return False, False
+    try:
+        make_state(ps.factor_a, table[:-1, -1])
+        make_state(ps.factor_b, table[-1, :-1])
+    except NotAState:
+        return True, False
+    return True, True
+
+
+@pytest.mark.parametrize("pair", [
+    ("polygon4", "polygon4"), ("polygon4", "polygon5"), ("polygon5", "polygon7"),
+    ("polygon7", "polygon7"), ("custom2d6", "polygon5")], ids="x".join)
+def test_max_tensor_verdicts_equal_the_earlier_definition(pair):
+    # random tables, and each facet's centroid moved toward the model's centre
+    # by eps (outward when eps < 0) times a vertex and the centre of the other
+    # factor, on either side
+    factors = [build_model("custom_polytope",
+                           vertices=np.random.default_rng(4).normal(size=(6, 2)))
+               if label == "custom2d6" else _factor(label) for label in pair]
+    ps, rng = ProductSpace(*factors), np.random.default_rng(5)
+    assert ps._classical is None
+    tables = []
+    for _ in range(500):
+        table = rng.uniform(-1.0, 1.0, size=ps.joint_shape)
+        table[-1, -1] = 1.0
+        tables.append(table)
+    for side, (space, other) in enumerate((factors, factors[::-1])):
+        v, w = space.vertex_array(), other.vertex_array()
+        for mask in space._facets[1].tolist():
+            centroid = v[[i for i in range(len(v)) if mask >> i & 1]].mean(axis=0)
+            for eps in (1e-6, 1e-9, 0.0, -1e-9, -1e-6):
+                point = centroid + eps * (v.mean(axis=0) - centroid)
+                for partner in (w[0], w.mean(axis=0)):
+                    table = np.outer(point, partner)
+                    tables.append(table if side == 0 else table.T)
+    passing_pairs_only = 0
+    for table in tables:
+        pairs_pass, earlier = _earlier_max_tensor_member(ps, table)
+        omega = JointState(table)
+        assert max_tensor_member(ps, omega) == earlier
+        assert (classify_joint(ps, omega) == "not-a-state") == (not earlier)
+        passing_pairs_only += pairs_pass and not earlier
+    assert passing_pairs_only > 0
+
+
 def test_separability_invariant_under_vertex_relabeling(square_pair, rng):
     ps = square_pair
     relabeled = build_model(
