@@ -40,9 +40,19 @@ products, and with a classical factor none. ``pivots_per_lp`` counts the
 pivots per LP, and ``us_per_pivot`` is the time per pivot of a call; both
 only where LPs ran.
 
+The ``quantum`` section times the ``quantum-search`` workload's qentropy op,
+``pair_from_spec`` -> ``DensityMatrix`` -> ``quantum_entropy_min_search`` ->
+``quantum_entropy``, at every dimension of ``QuantumSearch.QENTROPY_DIMS``
+(``perfbench/workloads.py``), with each of its pairs (``PAIR_SPECS``) on
+``STATES`` random density matrices given as nested lists, as the workload
+gives them; ``ms`` is the median over the ops and repeats. ``eigensolves``
+counts the ``eigvalsh`` and ``eigh`` calls per op: the state's validation,
+the search's eigenbasis, its witness's validation and, unless the state
+keeps its eigenvalues, the spectrum.
+
 In the first repeat one more run of each section, not timed, counts the
 work: ``counting`` wraps every seam of the section's table (``FRAME_SEAMS``,
-``SPECTRA_SEAMS``, ``SEPARABLE_SEAMS``), which names the
+``SPECTRA_SEAMS``, ``SEPARABLE_SEAMS``, ``QUANTUM_SEAMS``), which names the
 function and what one call of it adds to which count, and puts the
 originals back after.
 
@@ -84,7 +94,15 @@ ROOT = Path(__file__).resolve().parents[1]
 # the interpreter that runs the script
 sys.path += [str(ROOT / "perfbench"), str(ROOT / "src")]
 import convexinfo as ci  # noqa: E402
-from workloads import SpectrumLadder, TensorSeparable, build_model, load_reference  # noqa: E402
+from workloads import (  # noqa: E402
+    PAIRS as PAIR_SPECS,
+    QuantumSearch,
+    SpectrumLadder,
+    TensorSeparable,
+    build_model,
+    load_reference,
+    random_density,
+)
 
 REPEATS = 3
 PAIRS = 10
@@ -166,6 +184,8 @@ SEPARABLE_SEAMS = (
      lambda c, a, *rest: {"lps": len(a), "kernel_entries": 1}),
     *PIVOT_SEAMS,
 )
+QUANTUM_SEAMS = (("numpy.linalg", "eigvalsh", _once("eigensolves")),
+                 ("numpy.linalg", "eigh", _once("eigensolves")))
 
 
 @contextlib.contextmanager
@@ -284,6 +304,36 @@ def measure_separable(counted: bool) -> dict:
     return results
 
 
+def qentropy_op(spec: str, entries: list, seed: int) -> float:
+    """The quantum-search workload's qentropy op."""
+    pair = ci.pair_from_spec(spec)
+    rho = ci.DensityMatrix(entries)
+    ci.quantum_entropy_min_search(pair, rho, budget=QuantumSearch.BUDGET, seed=seed)
+    return ci.quantum_entropy(pair, rho)
+
+
+def measure_quantum(counted: bool) -> dict:
+    """The qentropy op at every dimension of the quantum-search workload with
+    the convexinfo on sys.path, and with ``counted`` the eigensolves per op."""
+    results = {}
+    for n in QuantumSearch.QENTROPY_DIMS:
+        rng = np.random.default_rng(0)
+        states = [random_density(rng, n).tolist() for _ in range(STATES)]
+        ops = [(spec, rho, seed) for seed, rho in enumerate(states) for spec in PAIR_SPECS]
+        times = []
+        for op in ops:
+            start = time.perf_counter()
+            qentropy_op(*op)
+            times.append(1e3 * (time.perf_counter() - start))
+        results[f"d{n}"] = {"ms": times}
+        if counted:
+            with counting(QUANTUM_SEAMS) as counts:
+                for op in ops:
+                    qentropy_op(*op)
+            results[f"d{n}"]["eigensolves"] = counts["eigensolves"] / len(ops)
+    return results
+
+
 def _measure_checkout(checkout: Path, function: str, counted: bool) -> dict:
     code = (f"import json, sys; sys.path[:0] = [{str(checkout / 'src')!r}, "
             f"{str(ROOT / 'scripts')!r}]; import bench_frames; "
@@ -383,6 +433,7 @@ def main(argv=None) -> int:
             if "pivots_per_lp" in record:
                 record["us_per_pivot"] = 1e3 * record["ms"] / (record["pivots_per_lp"]
                                                                * record["lps"])
+    doc["quantum"] = alternated(checkouts, "measure_quantum")
     if args.parent is not None:
         doc["perfbench"] = pairs(checkouts["parent"])
     text = json.dumps(doc, indent=1)

@@ -15,7 +15,8 @@ classical factor solve one decomposition LP over every vertex product.
 Max-tensor membership of a pair with a classical factor is that same test.
 Otherwise it is one test over fixed pairs of effects, each of which must give
 the joint state a probability. The pairs of the factors' frame and unit
-effects are, for the models built here, the operative effect set (for
+effects (``StateSpace._extreme_effects``, one read-only array per factor,
+built once) are, for the models built here, the operative effect set (for
 squares it is the convention that makes the standard no-signaling box a
 member). Each factor's facet effects (``StateSpace._facets``), paired with
 the other factor's unit effect, make both marginals states of their factors,
@@ -220,13 +221,6 @@ def is_separable(ps: ProductSpace, omega: JointState) -> bool:
     return separable_witness(ps, omega) is not None
 
 
-def _extreme_effects(space: StateSpace) -> np.ndarray:
-    """The unit and frame effects of the model, one per row."""
-    rows = [space.unit()]
-    rows += [e.as_array() for frame in enumerate_frames(space) for e in frame.effects]
-    return np.asarray(rows)
-
-
 def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:
     """Does omega assign sane probabilities to all product measurements?
 
@@ -243,7 +237,7 @@ def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:
     if ps._classical is not None:
         return is_separable(ps, omega)
     table = _joint_table(ps, omega)
-    values = _extreme_effects(ps.factor_a) @ table @ _extreme_effects(ps.factor_b).T
+    values = ps.factor_a._extreme_effects @ table @ ps.factor_b._extreme_effects.T
     if not (values.min() >= -TOL and values.max() <= 1.0 + TOL):
         return False
     return bool((ps.factor_a._facets[0] @ table[:, -1]).min() >= -TOL

@@ -243,6 +243,15 @@ class StateSpace:
                            states=tuple(vertex_state(self, i) for i in combo),
                            effects=tuple(effects[combo])) for combo in kept)
 
+    @functools.cached_property
+    def _extreme_effects(self) -> np.ndarray:
+        """The unit and frame effects, one per row, frames in ``_frames`` order: the effects
+        whose pairs ``max_tensor_member`` tests. Built once, read-only."""
+        effects = np.asarray([self.unit(), *(e.coeffs for f in self._frames for e in f.effects)],
+                             float)
+        effects.flags.writeable = False
+        return effects
+
 
 @dataclass(frozen=True)
 class GptState:

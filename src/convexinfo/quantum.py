@@ -9,7 +9,7 @@ which attains the minimum over rank-one POVMs for every Schur-concave pair.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
     InvalidPovm,
+    InvalidProbVector,
     NotNormalized,
     TooLarge,
 )
@@ -32,8 +33,9 @@ MAX_SEARCH_BUDGET = 100_000
 
 
 def _as_complex_matrix(entries, error=InvalidDensityMatrix) -> np.ndarray:
+    """A fresh C-ordered complex copy: the caller's array never aliases it."""
     try:
-        m = np.asarray(entries, complex)
+        m = np.array(entries, complex, order="C")
     except (TypeError, ValueError):  # ragged rows or non-numeric entries
         raise error("expected a square matrix of numbers") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -43,11 +45,30 @@ def _as_complex_matrix(entries, error=InvalidDensityMatrix) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A positive semidefinite, unit-trace complex matrix (N <= 16)."""
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    entries: tuple[tuple[complex, ...], ...]
+
+def _array_key(array: np.ndarray) -> tuple:
+    """A hash key equal for equal arrays: adding 0.0 turns every -0.0 into 0.0."""
+    return array.shape, (array + 0.0).tobytes()
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """A positive semidefinite, unit-trace complex matrix (N <= 16).
+
+    ``entries`` is the validated matrix itself, a read-only complex (N, N)
+    array copied from the input, so later changes to the caller's array do
+    not reach it; ``as_array`` hands out a writable copy. The ascending
+    eigenvalues that the positivity check computes are kept, read-only, and
+    ``eigen_spectrum`` reads them with no second eigensolve. Equality and
+    hashing go by value.
+    """
+
+    entries: np.ndarray
+    _eigenvalues: np.ndarray = field(repr=False)
 
     def __init__(self, entries):
         m = _as_complex_matrix(entries)
@@ -61,27 +82,41 @@ class DensityMatrix:
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > TOL:
             raise InvalidDensityMatrix(f"trace is {trace!r}, not 1")
-        lo = float(np.linalg.eigvalsh(m)[0])
+        evals = np.linalg.eigvalsh(m)
+        lo = float(evals[0])
         if lo < -TOL:
             raise InvalidDensityMatrix(f"negative eigenvalue {lo!r} beyond tolerance")
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in m))
+        object.__setattr__(self, "entries", _frozen(m))
+        object.__setattr__(self, "_eigenvalues", _frozen(evals))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.entries, other.entries)
+
+    def __hash__(self):
+        return hash(_array_key(self.entries))
 
     @property
     def dim(self) -> int:
         return len(self.entries)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries, complex)
+        return self.entries.copy()
 
     def to_json(self) -> list:
         return [[[z.real, z.imag] for z in row] for row in self.entries]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """A finite POVM: PSD effects summing to the identity."""
+    """A finite POVM: PSD effects summing to the identity.
 
-    effects: tuple[tuple[tuple[complex, ...], ...], ...]
+    ``effects`` is the validated stack itself, a read-only complex (k, N, N)
+    array. Equality and hashing go by value, ``rank_one`` included.
+    """
+
+    effects: np.ndarray
     rank_one: bool
 
     def __init__(self, effects, rank_one: bool | None = None):
@@ -110,13 +145,20 @@ class Povm:
             rank_one = detected_rank_one
         elif rank_one and not detected_rank_one:
             raise InvalidPovm("rank_one flag set but an effect has rank > 1")
-        object.__setattr__(self, "effects",
-                           tuple(tuple(tuple(row) for row in m) for m in mats))
+        object.__setattr__(self, "effects", _frozen(stack))
         object.__setattr__(self, "rank_one", bool(rank_one))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank_one == other.rank_one and np.array_equal(self.effects, other.effects)
+
+    def __hash__(self):
+        return hash((self.rank_one, _array_key(self.effects)))
 
     @property
     def dim(self) -> int:
-        return len(self.effects[0])
+        return self.effects.shape[1]
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -130,19 +172,31 @@ class Ensemble:
     states: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
+        if not isinstance(self.weights, ProbVector):
+            raise InvalidProbVector(
+                f"weights must be a ProbVector, got {type(self.weights).__name__}")
+        try:
+            states = tuple(self.states)
+        except TypeError:  # states is not iterable
+            raise InvalidDensityMatrix("ensemble states must be a sequence of DensityMatrix, "
+                                       f"got {type(self.states).__name__}") from None
+        for s in states:
+            if not isinstance(s, DensityMatrix):
+                raise InvalidDensityMatrix(
+                    f"ensemble states must be DensityMatrix, got {type(s).__name__}")
+        object.__setattr__(self, "states", states)
         if len(self.weights) != len(self.states):
             raise DimensionMismatch("one weight per state required")
         dims = {s.dim for s in self.states}
         if len(dims) != 1:
             raise DimensionMismatch("ensemble states must share one dimension")
-        object.__setattr__(self, "states", tuple(self.states))
 
     @property
     def dim(self) -> int:
         return self.states[0].dim
 
     def average_state(self) -> DensityMatrix:
-        mix = sum(w * s.as_array() for w, s in zip(self.weights.components, self.states))
+        mix = sum(w * s.entries for w, s in zip(self.weights.components, self.states))
         return DensityMatrix(mix)
 
 
@@ -150,12 +204,13 @@ def born_probabilities(rho: DensityMatrix, m: Povm) -> ProbVector:
     """Outcome distribution Tr(rho E_i) of measuring m on rho."""
     if rho.dim != m.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs POVM dim {m.dim}")
-    return ProbVector(np.einsum("ab,kba->k", rho.as_array(), np.asarray(m.effects, complex)).real)
+    return ProbVector(np.einsum("ab,kba->k", rho.entries, m.effects).real)
 
 
 def eigen_spectrum(rho: DensityMatrix) -> ProbVector:
-    """Eigenvalues sorted decreasing, clamped at 0 and renormalized."""
-    evals = np.linalg.eigvalsh(rho.as_array())[::-1]
+    """Eigenvalues sorted decreasing, clamped at 0 and renormalized; read from
+    the ones the state's positivity check computed, with no eigensolve."""
+    evals = rho._eigenvalues[::-1]
     clamped = np.where(evals > 0.0, evals, 0.0)
     return ProbVector(clamped / clamped.sum())
 
@@ -197,7 +252,7 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
         raise DimensionMismatch("budget must be >= 1")
     if budget > MAX_SEARCH_BUDGET:
         raise TooLarge(f"budget {budget} exceeds the cap {MAX_SEARCH_BUDGET}")
-    rho_arr = rho.as_array()
+    rho_arr = rho.entries
     try:
         np.random.default_rng(seed)
     except (TypeError, ValueError):
@@ -254,6 +309,6 @@ def accessible_info_estimate(e: Ensemble, m: Povm) -> float:
     """Mutual information of the source with the given measurement's outcome."""
     if e.dim != m.dim:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs POVM dim {m.dim}")
-    states = np.array([s.as_array() for s in e.states])
-    probs = np.einsum("xab,kba->xk", states, np.asarray(m.effects, complex)).real
+    states = np.array([s.entries for s in e.states])
+    probs = np.einsum("xab,kba->xk", states, m.effects).real
     return mutual_information(e.weights.as_array()[:, None] * np.maximum(probs, 0.0))

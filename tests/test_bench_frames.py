@@ -20,8 +20,9 @@ _spec = importlib.util.spec_from_file_location("bench_frames", ROOT / "scripts" 
 bench_frames = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_frames)
 
-TABLES = (bench_frames.FRAME_SEAMS, bench_frames.SPECTRA_SEAMS, bench_frames.SEPARABLE_SEAMS)
-IDS = ("frames", "spectra", "separable")
+TABLES = (bench_frames.FRAME_SEAMS, bench_frames.SPECTRA_SEAMS, bench_frames.SEPARABLE_SEAMS,
+          bench_frames.QUANTUM_SEAMS)
+IDS = ("frames", "spectra", "separable", "quantum")
 
 
 def _originals(seams) -> dict:
@@ -100,6 +101,18 @@ def test_separable_seams_count_lps_and_kernel_entries(pair, lps):
     assert (counted["lps"], counted["kernel_entries"]) == (lps, lps)
     assert (counted["pivots"] > 0) == (lps > 0)
     assert _restored(bench_frames.SEPARABLE_SEAMS, originals)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_quantum_seams_count_the_eigensolves_of_one_qentropy_op(n):
+    # the state's validation, the search's eigenbasis and its witness's
+    # validation; the spectrum reads the eigenvalues the state kept
+    entries = bench_frames.random_density(np.random.default_rng(n), n).tolist()
+    originals = _originals(bench_frames.QUANTUM_SEAMS)
+    with bench_frames.counting(bench_frames.QUANTUM_SEAMS) as counted:
+        bench_frames.qentropy_op("renyi:2.0", entries, n)
+    assert counted == {"eigensolves": 3}
+    assert _restored(bench_frames.QUANTUM_SEAMS, originals)
 
 
 @pytest.mark.parametrize("where", ["export", "subdirectory"])

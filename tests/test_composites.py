@@ -255,6 +255,27 @@ def test_max_tensor_membership_without_a_classical_factor_solves_no_basis(monkey
     assert classify_joint(ps, outside) == "not-a-state"
 
 
+def test_effect_rows_are_built_once_and_read_only(monkeypatch):
+    # each factor's unit and frame effects are one array built on first use;
+    # membership tests read it and list no frames
+    from convexinfo import composites
+
+    def listed(space):
+        raise AssertionError("the frames were listed")
+
+    pentagon, heptagon = (build_model("regular_polygon", n=n) for n in (5, 7))
+    want = [np.array([space.unit(), *(e.as_array() for frame in enumerate_frames(space)
+                                      for e in frame.effects)]) for space in (pentagon, heptagon)]
+    monkeypatch.setattr(composites, "enumerate_frames", listed)
+    ps = ProductSpace(pentagon, heptagon)
+    omega = product_state(vertex_state(pentagon, 0), vertex_state(heptagon, 3))
+    assert max_tensor_member(ps, omega) and classify_joint(ps, omega) == "separable"
+    for space, rows in zip((pentagon, heptagon), want):
+        assert space._extreme_effects is space._extreme_effects
+        assert np.array_equal(space._extreme_effects, rows)
+        assert not space._extreme_effects.flags.writeable
+
+
 def _earlier_max_tensor_member(ps, table) -> tuple[bool, bool]:
     """Max-tensor membership by its earlier definition: whether every pair of the
     zero, unit and frame effects is in [0, 1] (within ``TOL``), and whether both

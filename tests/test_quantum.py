@@ -28,6 +28,7 @@ from convexinfo.errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
     InvalidPovm,
+    InvalidProbVector,
     NotNormalized,
     TooLarge,
 )
@@ -346,6 +347,24 @@ def test_ensemble_validation():
                  states=(ZERO, DensityMatrix(np.eye(3) / 3)))
 
 
+@pytest.mark.parametrize("weights, states, error, message", [
+    ([0.5, 0.5], (ZERO, ONE), InvalidProbVector, "weights must be a ProbVector, got list"),
+    (ProbVector([0.5, 0.5]), (ZERO, np.eye(2) / 2), InvalidDensityMatrix,
+     "states must be DensityMatrix, got ndarray"),
+    (ProbVector([1.0]), ZERO, InvalidDensityMatrix,
+     "a sequence of DensityMatrix, got DensityMatrix"),
+], ids=["weights-list", "state-array", "states-not-iterable"])
+def test_ensemble_rejects_weights_and_states_of_the_wrong_type(weights, states, error, message):
+    with pytest.raises(error, match=message):
+        holevo_chi(Ensemble(weights=weights, states=states))
+
+
+def test_ensemble_takes_any_iterable_of_states():
+    ensemble = Ensemble(weights=ProbVector([0.5, 0.5]), states=iter([ZERO, ONE]))
+    assert ensemble.states == (ZERO, ONE)
+    assert holevo_chi(ensemble) == pytest.approx(LN2, abs=1e-12)
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_min_search_at_larger_dimensions(n):
     rho = DensityMatrix(random_density_matrix(np.random.default_rng(n), n))
@@ -480,6 +499,99 @@ def test_stacked_born_statistics_match_the_loop_reference(rng):
         assert accessible_info_estimate(ensemble, Povm(povm)) == pytest.approx(
             loop_reference.accessible_info_estimate(reference, loop_reference.Povm(povm)),
             abs=1e-14)
+
+
+def test_states_and_povms_keep_read_only_copies():
+    rho = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+    effects = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]], complex)
+    state, povm = DensityMatrix(rho), Povm(effects)
+    for stored, given in ((state.entries, rho), (povm.effects, effects)):
+        assert isinstance(stored, np.ndarray) and stored.dtype == complex
+        assert not stored.flags.writeable and stored.flags.c_contiguous
+        assert np.array_equal(stored, given)
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0
+    rho[0, 0], effects[0, 0, 0] = 9.0, 9.0
+    assert state.entries[0, 0] == 0.75 and povm.effects[0, 0, 0] == 0.5
+    assert born_probabilities(state, povm).components == pytest.approx((0.5, 0.5))
+    copy = state.as_array()
+    assert copy.flags.writeable and not np.shares_memory(copy, state.entries)
+    copy[0, 0] = 9.0
+    assert state.entries[0, 0] == 0.75 and state.as_array()[0, 0] == 0.75
+    assert state.to_json() == [[[0.75, 0.0], [0.0, 0.25]], [[-0.0, -0.25], [0.25, 0.0]]]
+    assert (state.dim, povm.dim, len(povm)) == (2, 2, 2)
+
+
+def test_equality_and_hashing_go_by_value():
+    signed_zeros = np.array([[1, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0]])
+    assert DensityMatrix([[1, 0], [0, 0]]) == DensityMatrix(signed_zeros) == ZERO
+    assert hash(DensityMatrix(signed_zeros)) == hash(ZERO)
+    assert len({ZERO, DensityMatrix([[1, 0], [0, 0]]), DensityMatrix(signed_zeros), ONE}) == 2
+    assert ZERO != ONE and ZERO != DensityMatrix(np.eye(3) / 3)
+    assert ZERO != Povm([ZERO.entries, ONE.entries])
+    flipped = Povm([[[1, -0.0], [-0.0, 0]], [[0, 0], [0, 1]]])
+    assert flipped == Z_PVM and hash(flipped) == hash(Z_PVM)
+    assert Z_PVM != X_PVM and Z_PVM != Povm(Z_PVM.effects, rank_one=False)
+    assert Povm(Z_PVM.effects, rank_one=False) == Povm(Z_PVM.effects, rank_one=False)
+    ensemble = Ensemble(weights=ProbVector([0.5, 0.5]), states=(ZERO, ONE))
+    assert hash(ensemble) == hash(Ensemble(weights=ProbVector([0.5, 0.5]),
+                                           states=(DensityMatrix(signed_zeros), ONE)))
+
+
+def test_a_built_state_is_eigensolved_once(monkeypatch):
+    # validation's eigenvalues serve every later spectrum of the state
+    solves = []
+    for name in ("eigvalsh", "eigh"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            solves.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(3), 8))
+    assert solves == ["eigvalsh"]
+    for pair in (make_preset("shannon"), make_preset("renyi", 2), make_preset("tsallis", 0.5)):
+        quantum_entropy(pair, rho)
+    assert quantum_majorizes(rho, rho) and len(eigen_spectrum(rho)) == 8
+    assert solves == ["eigvalsh"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_every_input_form_gives_the_loop_references_outputs(n):
+    # nested lists, C or Fortran order and a strided view are stored alike,
+    # so every output comes out in the same bits. The spectrum is the loop
+    # reference's own eigvalsh, bit for bit; the reference scores, multiplies
+    # and sums in other orders, so its values, witness effects and Born
+    # statistics agree to rounding
+    from oracles import loop_reference as reference
+    rng = np.random.default_rng(n)
+    presets = [("shannon",), ("renyi", 2.0), ("tsallis", 0.5)]
+    for _ in range(3):
+        rho = random_density_matrix(rng, n)
+        measured = random_povm(rng, n, n + 1)
+        forms = [rho.tolist(), rho, np.asfortranarray(rho),
+                 np.kron(rho, np.ones((2, 2)))[::2, ::2]]
+        outputs = []
+        for form in forms:
+            state, povm = DensityMatrix(form), Povm([np.asfortranarray(e) for e in measured])
+            searches = [quantum_entropy_min_search(make_preset(*p), state) for p in presets]
+            outputs.append((eigen_spectrum(state).components,
+                            [quantum_entropy(make_preset(*p), state) for p in presets],
+                            [(value, witness.effects.tobytes()) for value, witness in searches],
+                            born_probabilities(state, povm).components))
+        assert all(output == outputs[0] for output in outputs[1:])
+        spectrum, values, searched, born = outputs[0]
+        ref_state = reference.DensityMatrix(rho)
+        assert spectrum == reference.eigen_spectrum(ref_state).components
+        for p, spectral, (value, effects) in zip(presets, values, searched):
+            ref_pair = reference.make_preset(*p)
+            ref_value, ref_witness = reference.quantum_entropy_min_search(ref_pair, ref_state,
+                                                                          budget=1)
+            assert spectral == pytest.approx(reference.quantum_entropy(ref_pair, ref_state),
+                                             abs=1e-14)
+            assert value == pytest.approx(ref_value, abs=1e-14)
+            assert np.abs(np.frombuffer(effects, complex).reshape(n, n, n)
+                          - np.asarray(ref_witness.effects)).max() <= 1e-15
+        ref_born = reference.born_probabilities(ref_state, reference.Povm(measured))
+        assert np.abs(np.subtract(born, ref_born.components)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("call, error", [
