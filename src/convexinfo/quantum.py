@@ -97,6 +97,10 @@ class DensityMatrix:
     def __hash__(self):
         return hash(_array_key(self.entries))
 
+    def __reduce__(self):
+        # a copy or an unpickled state is checked and frozen afresh
+        return DensityMatrix, (self.entries,)
+
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -155,6 +159,9 @@ class Povm:
 
     def __hash__(self):
         return hash((self.rank_one, _array_key(self.effects)))
+
+    def __reduce__(self):
+        return Povm, (self.effects, self.rank_one)
 
     @property
     def dim(self) -> int:

@@ -522,6 +522,19 @@ def test_states_and_povms_keep_read_only_copies():
     assert (state.dim, povm.dim, len(povm)) == (2, 2, 2)
 
 
+def test_copies_and_pickles_keep_read_only_arrays():
+    # they are rebuilt through the constructor; a Povm's equality includes rank_one
+    import copy
+    import pickle
+    cases = ((MIXED, ("entries", "_eigenvalues")), (Z_PVM, ("effects",)),
+             (Povm(Z_PVM.effects, rank_one=False), ("effects",)))
+    for original, arrays in cases:
+        for again in (copy.copy(original), copy.deepcopy(original),
+                      pickle.loads(pickle.dumps(original))):
+            assert again == original
+            assert not any(getattr(again, name).flags.writeable for name in arrays)
+
+
 def test_equality_and_hashing_go_by_value():
     signed_zeros = np.array([[1, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0]])
     assert DensityMatrix([[1, 0], [0, 0]]) == DensityMatrix(signed_zeros) == ZERO
@@ -564,7 +577,7 @@ def test_every_input_form_gives_the_loop_references_outputs(n):
     from oracles import loop_reference as reference
     rng = np.random.default_rng(n)
     presets = [("shannon",), ("renyi", 2.0), ("tsallis", 0.5)]
-    for _ in range(3):
+    for _ in range(6):
         rho = random_density_matrix(rng, n)
         measured = random_povm(rng, n, n + 1)
         forms = [rho.tolist(), rho, np.asfortranarray(rho),
