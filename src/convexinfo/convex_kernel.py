@@ -74,6 +74,7 @@ class LinearProgram:
 
     def __post_init__(self):
         try:
+            object.__setattr__(self, "n_vars", operator.index(self.n_vars))
             if self.objective is not None:
                 object.__setattr__(self, "objective", tuple(float(c) for c in self.objective))
             if self.bounds is not None:
@@ -81,7 +82,10 @@ class LinearProgram:
                     tuple(None if x is None else float(x) for x in (lo, hi))
                     for lo, hi in self.bounds))
         except (TypeError, ValueError):
-            raise DimensionMismatch("objective needs numbers, bounds (lo, hi) pairs") from None
+            raise DimensionMismatch("n_vars needs an integer, objective numbers, "
+                                    "bounds (lo, hi) pairs") from None
+        if self.n_vars < 0 or not np.isfinite(self.objective or ()).all():
+            raise DimensionMismatch("n_vars must be >= 0 and the objective finite")
         object.__setattr__(self, "constraints", tuple(self.constraints))
         for name, part in (("objective", self.objective), ("bounds", self.bounds),
                            *(("constraint", con.coeffs) for con in self.constraints)):
@@ -128,8 +132,8 @@ def _run_simplex(tableau, basis, costs, n_enter):
     """Minimize each LP of the stack over its tableau in place; Bland's rule throughout.
 
     ``tableau`` is a stack (s, m, columns) whose last column holds the
-    right-hand sides, ``basis`` is (s, m), and ``costs`` holds the column
-    costs, in one row for every LP or one row per LP. Every column before
+    right-hand sides, ``basis`` is (s, m), and ``costs`` is the one row of
+    column costs that every LP of the stack shares. Every column before
     ``n_enter`` may enter the basis. Column ``n_enter`` is the zero column, the
     last before the right-hand sides in both phases (phase 2 drops the
     artificial columns): it counts as improving, so it enters exactly when no
@@ -140,7 +144,7 @@ def _run_simplex(tableau, basis, costs, n_enter):
     still pivoting at the pivot cap.
     """
     if len(tableau) == 1:
-        return _run_alone(tableau[0], basis[0], costs[0], n_enter)
+        return _run_alone(tableau[0], basis[0], costs, n_enter)
     s, m = basis.shape
     unbounded, capped = np.zeros(s, bool), np.zeros(s, bool)
     members = np.arange(s)  # the stack index of each live LP
@@ -148,12 +152,10 @@ def _run_simplex(tableau, basis, costs, n_enter):
     ratios = np.empty((s, m))
     reduced = np.full((s, n_enter + 1), -1.0)  # the zero column's stays -1
     # views of the live stack, which pivots update in place
-    body, rhs, entering_costs = live_t[:, :, :n_enter], live_t[:, :, -1], costs[:, :n_enter]
+    body, rhs, entering_costs = live_t[:, :, :n_enter], live_t[:, :, -1], costs[:n_enter]
     improving = reduced[:, :n_enter]
-    shared = costs[0] if len(costs) == 1 else None  # one row of costs for every LP
     for _ in range(_MAX_PIVOTS):
-        basic = shared[live_b] if shared is not None else costs[every[:, None], live_b]
-        np.subtract(entering_costs, np.matmul(basic[:, None], body)[:, 0], out=improving)
+        np.subtract(entering_costs, np.matmul(costs[live_b][:, None], body)[:, 0], out=improving)
         entering = (reduced < -_EPS).argmax(axis=1)  # Bland: the first improving column
         column = live_t[every, :, entering]
         ratios.fill(np.inf)
@@ -172,11 +174,9 @@ def _run_simplex(tableau, basis, costs, n_enter):
                 tableau[members[done]], basis[members[done]] = live_t[done], live_b[done]
             pivoting = going.nonzero()[0]
             live_t, live_b, members = live_t[pivoting], live_b[pivoting], members[pivoting]
-            if shared is None:
-                costs = costs[pivoting]
             every, reduced = every[:n_going], reduced[:n_going]
             body, rhs = live_t[:, :, :n_enter], live_t[:, :, -1]
-            entering_costs, improving = costs[:, :n_enter], reduced[:, :n_enter]
+            improving = reduced[:, :n_enter]
             ratios, least = ratios[pivoting], least[pivoting]
             entering, column = entering[pivoting], column[pivoting]
         # ratios within _EPS of the minimum tie and go to the smallest basis
@@ -193,7 +193,7 @@ def _run_simplex(tableau, basis, costs, n_enter):
 
 def _run_alone(tableau, basis, costs, n_enter):
     """``_run_simplex`` on one LP: ``tableau`` (m, columns), ``basis`` (m,) and
-    ``costs`` one row. The rule and the arithmetic are the stack's, so the
+    ``costs`` its row. The rule and the arithmetic are the stack's, so the
     flags, the tableau and the basis are those the LP gets in a stack; only
     the indexing is 2-D: the pivot is a pair of ints and the entering column
     a view."""
@@ -225,8 +225,8 @@ class _Layout(NamedTuple):
     box_b: np.ndarray
     n_cols: int  # the y and slack columns
     template: np.ndarray  # one tableau with its slack and artificial columns
-    costs1: np.ndarray  # (1, columns): the phase-1 cost of each column
-    artificials: np.ndarray  # (1, m): the artificial column of each row
+    costs1: np.ndarray  # the phase-1 cost of each column
+    artificials: np.ndarray  # the artificial column of each row
     in_bounds: tuple[np.ndarray, np.ndarray]  # x must lie within these
     at_least: np.ndarray  # the >= rows
     at_most: np.ndarray  # the <= rows
@@ -260,10 +260,10 @@ def _layout(rel_bytes: bytes, lower_bytes: bytes, upper_bytes: bytes) -> _Layout
     template = np.zeros((m, n_cols + m + 2))
     template[slack_rows, owner.size + np.arange(slack_rows.size)] = rel[slack_rows]
     template[np.arange(m), np.arange(n_cols, n_cols + m)] = 1.0
-    costs1 = np.zeros((1, n_cols + m + 1))
-    costs1[0, n_cols:-1] = 1.0
+    costs1 = np.zeros(n_cols + m + 1)
+    costs1[n_cols:-1] = 1.0
     layout = _Layout(rel, t, offsets, np.eye(n)[boxed], upper[boxed], n_cols, template, costs1,
-                     np.arange(n_cols, n_cols + m)[None],
+                     np.arange(n_cols, n_cols + m),
                      (lower - FEAS_TOL, upper + FEAS_TOL), rel < 0, rel > 0,
                      np.append(np.arange(n_cols), [n_cols + m, n_cols + m + 1]),
                      bool((upper < lower - FEAS_TOL).any()))
@@ -304,25 +304,19 @@ def _solve(c, a, con_rel, b, lower, upper, maximize=True) -> list[LpResult | LpN
     multipliers of its final basis (``_multipliers``), all 0 for an LP with
     no objective.
 
-    A row bounded by an infinity becomes 0 <= 0 in place when it holds for
-    every x (<= +inf, >= -inf), and makes its LP infeasible otherwise.
-
-    A leading stack axis on ``c``, ``a`` or ``b`` makes a stack of same-shape
-    LPs that share the relations and the variable bounds, solved together;
-    without one the stack holds one LP. Every LP keeps its place in the
-    stack: a redundant row is zeroed in place, and a finished LP stays,
-    zeroed. So each result, multipliers included, equals that LP solved
-    alone, and a failing LP's result is its ``LpNumericalError``, in its
-    place; ``_solved`` raises the first. Only ``_multipliers``' singular-basis
+    ``a`` is (m, n), or a stack (s, m, n) of s LPs that share ``c`` (n,),
+    ``b`` (m,), the relations and the variable bounds, solved together. A
+    row bounded by an infinity becomes 0 <= 0 in place when it holds for
+    every x (<= +inf, >= -inf), and makes every LP infeasible otherwise; a
+    NaN in ``b`` fails every LP. Every LP keeps its place in the stack: a
+    redundant row is zeroed in place, and a finished LP stays, zeroed. So
+    each result, multipliers included, equals that LP solved alone, and a
+    failing LP's result is its ``LpNumericalError``, in its place;
+    ``_solved`` raises the first. Only ``_multipliers``' singular-basis
     error, which no input is known to reach, raises for the whole stack.
     """
-    m, n = a.shape[-2:]
-    if c.ndim == 1 and a.ndim == 2 and b.ndim == 1:  # one LP: a stack of one
-        s, c, a, b = 1, c[None], a[None], b[None]
-    else:  # a shared c, a or b meets a real stack
-        (s,) = np.broadcast_shapes(c.shape[:-1], a.shape[:-2], b.shape[:-1])
-        c, a = np.broadcast_to(c, (s, n)), np.broadcast_to(a, (s, m, n))
-        b = np.broadcast_to(b, (s, m))
+    a = a[None] if a.ndim == 2 else a  # one LP is a stack of one
+    s, m, n = a.shape
     lay = _layout(con_rel.tobytes(), lower.tobytes(), upper.tobytes())
     # a bound on one LP's tableau: every row and box row with a slack and an
     # artificial column, and two columns for each free variable
@@ -332,30 +326,33 @@ def _solve(c, a, con_rel, b, lower, upper, maximize=True) -> list[LpResult | LpN
     # without a warning: a phase-1 residual of inf makes its LP infeasible, and
     # a point that inf or NaN reaches fails verification (``_violations``)
     with np.errstate(over="ignore", invalid="ignore"):
-        return [result for i in range(0, s, step) for result in _solve_stack(
-            c[i:i + step], a[i:i + step], b[i:i + step], lay, maximize)]
+        return [result for i in range(0, s, step)
+                for result in _solve_stack(c, a[i:i + step], b, lay, maximize)]
 
 
 def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumericalError]:
-    """``_solve`` on a stack (s, m, n) of LPs, all of them in one simplex run."""
+    """``_solve`` on a stack (s, m, n) of LPs with one ``c`` and ``b``, in one simplex run."""
     s, m_con = len(a), a.shape[1]
     errors: dict[int, str] = {}  # the first failure of each failing LP
-    void = np.full(s, lay.crossed)  # the LPs crossed bounds or an infinite row void
+    void = lay.crossed  # crossed bounds or an infinite row void every LP
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        nan = np.isnan(a).any(axis=(1, 2)) | np.isnan(b).any(axis=1)
+        nan = np.isnan(a).any(axis=(1, 2)) | np.isnan(b).any()
+        infinite_a = np.isinf(a).any(axis=(1, 2))
         errors.update(dict.fromkeys(nan.nonzero()[0].tolist(),
                                     "constraint coefficients and bounds must not be NaN"))
+        errors.update(dict.fromkeys((infinite_a & ~nan).nonzero()[0].tolist(),
+                                    "constraint coefficients must not be infinite"))
         # a row bounded by +-inf holds for every x when the infinity's sign
         # is its slack's (<= +inf, >= -inf), and becomes 0 <= 0; it holds
-        # for no x otherwise, and makes its LP infeasible
+        # for no x otherwise, and makes every LP infeasible
         infinite = np.isinf(b)
-        void |= (infinite & (np.sign(b) != lay.rel[:m_con])).any(axis=1)
-        # a failing or infeasible LP solves zeros in its place
-        a = np.where((nan | void)[:, None, None] | infinite[:, :, None], 0.0, a)
-        b = np.where((nan | void)[:, None] | infinite, 0.0, b)
+        void |= bool((infinite & (np.sign(b) != lay.rel[:m_con])).any())
+        # a failing LP, or a voided stack, solves zeros in its place
+        a = np.where((nan | infinite_a)[:, None, None] | infinite[:, None] | void, 0.0, a)
+        b = np.where(np.isfinite(b) & ~void, b, 0.0)
     if len(lay.box_b):
         a = np.concatenate([a, np.broadcast_to(lay.box_a, (s, *lay.box_a.shape))], axis=1)
-        b = np.concatenate([b, np.broadcast_to(lay.box_b, (s, len(lay.box_b)))], axis=1)
+        b = np.concatenate([b, lay.box_b])
     n_y, n_cols, m = lay.t.shape[1], lay.n_cols, len(lay.rel)
 
     # Phase 1 from the artificial basis, every right-hand side made >= 0.
@@ -367,7 +364,7 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumerical
     neg = rhs < 0
     tableau[:, :, :n_cols][neg] *= -1.0
     rhs[neg] *= -1.0
-    basis = np.repeat(lay.artificials, s, axis=0)
+    basis = np.tile(lay.artificials, (s, 1))
     unbounded, capped = _run_simplex(tableau, basis, lay.costs1, n_cols + m)
     for i in capped.nonzero()[0].tolist():
         errors.setdefault(i, "simplex did not terminate within the pivot cap")
@@ -375,7 +372,7 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumerical
         # cannot happen: the phase-1 objective is bounded below by 0
         errors.setdefault(i, "phase 1 reported unbounded")
     # a finished LP, infeasible or failed, stays in the stack with a zero tableau
-    done = (np.vecdot(lay.costs1[0, basis], rhs) > FEAS_TOL) | void
+    done = (np.vecdot(lay.costs1[basis], rhs) > FEAS_TOL) | void
     done[list(errors)] = True
     results = [LpNumericalError(errors[i]) if i in errors else LpResult("infeasible", None, None)
                for i in range(s)]
@@ -401,12 +398,12 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumerical
         redundant = basis >= n_cols
         tableau[redundant] = 0.0
         basis[redundant] = n_cols
-        costs = np.zeros((s, n_cols + 1))
-        costs[:, :n_y] = (-1.0 if maximize else 1.0) * np.matmul(c[:, None], lay.t)[:, 0]
+        costs = np.zeros(n_cols + 1)
+        costs[:n_y] = (-1.0 if maximize else 1.0) * (c @ lay.t)
         unbounded, capped = _run_simplex(tableau, basis, costs, n_cols)
-        # for the optimal LPs with an objective; the box rows come last
-        solved = ~(done | unbounded | capped) & c.any(axis=1)
-        multipliers[solved] = _multipliers(c[solved], a[solved], lay, basis[solved])[:, :m_con]
+        # for the optimal LPs; the box rows come last
+        solved = ~(done | unbounded | capped)
+        multipliers[solved] = _multipliers(c, a[solved], lay, basis[solved])[:, :m_con]
     y = np.zeros((s, tableau.shape[2]))
     y[np.arange(s)[:, None], basis] = tableau[:, :, -1]
     x = lay.offsets + np.matmul(lay.t, y[:, :n_y, None])[:, :, 0]
@@ -438,14 +435,13 @@ def _multipliers(c, a, lay: _Layout, basis) -> np.ndarray:
     cols = np.zeros((s, m, lay.n_cols + 1))  # the last is the zero column
     cols[:, :, :n_y] = a @ lay.t
     cols[:, :, n_y:lay.n_cols] = lay.template[:, n_y:lay.n_cols]
-    costs = np.zeros((s, lay.n_cols + 1))
-    costs[:, :n_y] = np.matmul(c[:, None], lay.t)[:, 0]
+    costs = np.zeros(lay.n_cols + 1)
+    costs[:n_y] = c @ lay.t
     sub = np.take_along_axis(cols, basis[:, None, :], axis=2)
     held, place = (basis == lay.n_cols).nonzero()
     sub[held, place, place] = 1.0  # a zeroed row's own unit column: its multiplier is 0
     try:
-        return np.linalg.solve(np.swapaxes(sub, 1, 2),
-                               np.take_along_axis(costs, basis, axis=1)[..., None])[..., 0]
+        return np.linalg.solve(np.swapaxes(sub, 1, 2), costs[basis][..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise LpNumericalError("the optimal basis is singular") from None
 

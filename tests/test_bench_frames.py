@@ -64,8 +64,7 @@ def test_pivots_count_alike_alone_and_in_a_stack():
     with bench_frames.counting(bench_frames.FRAME_SEAMS) as alone:
         (result,) = convex_kernel._solve(c, a, *rest, False)
     with bench_frames.counting(bench_frames.FRAME_SEAMS) as stacked:
-        assert convex_kernel._solve(np.stack([c] * 3), np.stack([a] * 3), *rest, False) \
-            == [result] * 3
+        assert convex_kernel._solve(c, np.stack([a] * 3), *rest, False) == [result] * 3
     assert result.status == "optimal" and alone["pivots"] > 0
     assert stacked["pivots"] == 3 * alone["pivots"]
 

@@ -191,30 +191,37 @@ def test_matches_the_loop_simplex_exactly_on_random_lps(rng):
 
 def test_multipliers_certify_each_optimum_of_a_stack(rng):
     # min c.x over a x = b, x >= 0, and max c.x over a x <= b, x >= 0: the
-    # multipliers are dual feasible and b.y is the optimum. The last row is
-    # the sum of the first two in half of the LPs (redundant there) and
-    # random in the others; a stack gives each LP its lone solve's multipliers.
+    # multipliers are dual feasible and b.y is the optimum. The stack shares
+    # c and b; each a holds a point of its own, through its last column. The
+    # last row is the sum of the first two in half of the LPs (redundant
+    # there) and random in the others; a stack gives each LP its lone
+    # solve's multipliers.
     s, m, n = 12, 5, 9
     a = rng.normal(size=(s, m, n))
     a[::2, -1] = a[::2, 0] + a[::2, 1]
-    b = np.matmul(a, rng.uniform(0.1, 1.0, size=(s, n, 1)))[..., 0]
-    c = rng.uniform(0.5, 2.0, size=(s, n))
+    b = rng.normal(size=m)
+    b[-1] = b[0] + b[1]
+    x = rng.uniform(0.1, 1.0, size=(s, n))
+    a[:, :, -1] = (b - np.matmul(a[:, :, :-1], x[:, :-1, None])[..., 0]) / x[:, -1:]
+    a[::2, -1, -1] = a[::2, 0, -1] + a[::2, 1, -1]
+    c = rng.uniform(0.5, 2.0, size=n)
     lower, upper = np.zeros(n), np.full(n, np.inf)
     for rel, maximize in ((np.zeros(m), False), (np.ones(m), True)):
         if maximize:
             c = -c  # so that the maximum is bounded
         stacked = convex_kernel._solve(c, a, rel, b, lower, upper, maximize)
+        assert all(result.status == "optimal" for result in stacked)
         for i, result in enumerate(stacked):
-            assert [result] == convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper, maximize)
+            assert [result] == convex_kernel._solve(c, a[i], rel, b, lower, upper, maximize)
             y = np.asarray(result.duals)
-            reduced = c[i] - a[i].T @ y
+            reduced = c - a[i].T @ y
             assert (reduced <= 1e-8).all() if maximize else (reduced >= -1e-8).all()
             if maximize:
                 assert (y >= -1e-8).all()  # a <= row's slack may not enter either
-            assert b[i] @ y == pytest.approx(result.value, abs=1e-8)
-        assert lp_solve(LinearProgram(n, tuple(c[0]), tuple(
+            assert b @ y == pytest.approx(result.value, abs=1e-8)
+        assert lp_solve(LinearProgram(n, tuple(c), tuple(
             Constraint(tuple(row), "<=" if maximize else "=", bound)
-            for row, bound in zip(a[0], b[0])), maximize=maximize)).duals == stacked[0].duals
+            for row, bound in zip(a[0], b)), maximize=maximize)).duals == stacked[0].duals
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -367,11 +374,12 @@ def test_infinite_rows_are_vacuous_or_infeasible(rel, bound, status):
 
 
 def _random_stack(rng, size):
-    """A stack of LPs sharing relations and bounds, each with its own c, A and b.
+    """A stack of LPs sharing c, b, relations and bounds, each with its own A.
 
-    Two equality rows come first; in about half the LPs the second repeats
-    the first, which leaves a redundant row for phase 1 to drive out or drop.
-    A third of the right-hand sides are 0, so ratio tests tie at 0.
+    Two equality rows with one right-hand side come first; in about half the
+    LPs the second repeats the first, which leaves a redundant row for phase
+    1 to drive out or drop. A third of the right-hand sides are 0, so ratio
+    tests tie at 0.
     """
     n, m = int(rng.integers(1, 6)), int(rng.integers(2, 7))
     rel = np.array([0.0, 0.0, *rng.choice([1.0, 0.0, -1.0], size=m - 2)])
@@ -381,16 +389,16 @@ def _random_stack(rng, size):
     upper = np.select([kinds == 3, kinds == 4], [lo, lo + rng.uniform(0.0, 3.0, n)], np.inf)
     a = rng.normal(size=(size, m, n)).round(1)
     a[rng.random((size, m, n)) < 0.2] = 0.0
-    b = np.where(rng.random((size, m)) < 0.3, 0.0, rng.normal(size=(size, m)) * 2.0)
+    b = np.where(rng.random(m) < 0.3, 0.0, rng.normal(size=m) * 2.0)
+    b[1] = b[0]
     repeat = rng.random(size) < 0.5
-    a[repeat, 1], b[repeat, 1] = a[repeat, 0], b[repeat, 0]
-    c = rng.normal(size=(size, n)).round(2)
-    c[rng.random(size) < 0.2] = 0.0
+    a[repeat, 1] = a[repeat, 0]
+    c = rng.normal(size=n).round(2) * (rng.random() >= 0.1)
     return c, a, rel, b, lower, upper, bool(rng.integers(0, 2))
 
 
 def _one_by_one(c, a, rel, b, lower, upper, maximize):
-    return [repr(*convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper, maximize))
+    return [repr(*convex_kernel._solve(c, a[i], rel, b, lower, upper, maximize))
             for i in range(len(a))]
 
 
@@ -403,25 +411,29 @@ def test_a_stack_of_lps_gives_each_lp_its_own_result(stack_cells, monkeypatch):
     seen, mixed = Counter(), 0
     for trial in range(150):
         lps = _random_stack(rng, int(rng.integers(1, 12)))
-        if trial % 10 == 0:  # a row bounded by an infinity in one LP
-            lps[3][0, -1] = np.inf * lps[2][-1] if lps[2][-1] else np.inf
+        if trial % 10 == 0:  # a row bounded by an infinity, in every LP
+            lps[3][-1] = np.inf * lps[2][-1] if lps[2][-1] else np.inf
         stacked = convex_kernel._solve(*lps)
         assert [repr(r) for r in stacked] == _one_by_one(*lps), f"trial {trial}"
         statuses = {r.status for r in convex_kernel._solved(stacked)}
         seen.update(statuses)
         mixed += len(statuses) == 3
     assert min(seen.values()) >= 20 and mixed >= 3, (seen, mixed)
-    # one more trial, whose pivot cap stops some LPs of the stack and not others
+    # more trials, until a pivot cap stops some LPs of the stack and not
+    # others: a shared c and b make it stop all or none of some stacks
     monkeypatch.setattr(convex_kernel, "_MAX_PIVOTS", 3)
-    lps = _random_stack(rng, 11)
-    stacked = convex_kernel._solve(*lps)
-    assert [repr(r) for r in stacked] == _one_by_one(*lps)
-    capped = [isinstance(r, LpNumericalError) for r in stacked]
+    for _ in range(10):
+        lps = _random_stack(rng, 11)
+        stacked = convex_kernel._solve(*lps)
+        assert [repr(r) for r in stacked] == _one_by_one(*lps)
+        capped = [isinstance(r, LpNumericalError) for r in stacked]
+        if any(capped) and not all(capped):
+            break
     assert any(capped) and not all(capped), stacked
     # and a stack of one that the cap stops, which pivots on its 2-D tableau
     c, a, rel, b, lower, upper, maximize = lps
     i = capped.index(True)
-    lone = convex_kernel._solve(c[i:i + 1], a[i:i + 1], rel, b[i:i + 1], lower, upper, maximize)
+    lone = convex_kernel._solve(c, a[i:i + 1], rel, b, lower, upper, maximize)
     assert [repr(r) for r in lone] == [repr(stacked[i])]
     with pytest.raises(LpNumericalError, match="pivot cap"):
         convex_kernel._solved(lone)
@@ -437,10 +449,10 @@ def test_a_stack_of_lps_gives_each_lp_its_own_multipliers(stack_cells, monkeypat
     certified = 0
     for trial in range(150):
         lps = _random_stack(rng, int(rng.integers(1, 12)))
-        if trial % 10 == 0:  # a row bounded by an infinity in one LP
-            lps[3][0, -1] = np.inf * lps[2][-1] if lps[2][-1] else np.inf
+        if trial % 10 == 0:  # a row bounded by an infinity, in every LP
+            lps[3][-1] = np.inf * lps[2][-1] if lps[2][-1] else np.inf
         c, a, rel, b, lower, upper, maximize = lps
-        alone = [convex_kernel._solve(c[i], a[i], rel, b[i], lower, upper, maximize)[0].duals
+        alone = [convex_kernel._solve(c, a[i], rel, b, lower, upper, maximize)[0].duals
                  for i in range(len(a))]
         stacked = [r.duals for r in convex_kernel._solve(*lps)]
         assert stacked == alone, f"trial {trial}"
@@ -453,19 +465,21 @@ def test_crossed_bounds_make_every_lp_infeasible():
     row = Constraint((1.0, 1.0), "<=", 4.0)
     assert lp_solve(LinearProgram(2, (1.0, 1.0), (row,), bounds=((2.0, 1.0), (0.0, None)))) \
         == convex_kernel.LpResult("infeasible", None, None)
-    stacked = convex_kernel._solve(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 1.0]]),
+    stacked = convex_kernel._solve(np.ones(2), np.array([[[1.0, 1.0]], [[1.0, -1.0]]]),
                                    np.ones(1), np.array([4.0]), np.array([2.0, 0.0]),
                                    np.array([1.0, np.inf]))
     assert stacked == [convex_kernel.LpResult("infeasible", None, None)] * 2
 
 
 def test_a_failing_lp_fails_in_its_own_place():
-    # NaNs in LPs 3 and 5 of a stack: their places hold the error, every
-    # other LP's result is its lone one, and lp_solve on a NaN LP still raises
+    # NaNs in the matrices of LPs 3 and 5 of a stack: their places hold the
+    # error, every other LP's result is its lone one, and lp_solve on a NaN
+    # LP still raises; a NaN right-hand side, which every LP shares, fails
+    # every LP
     rng = np.random.default_rng(9)
     c, a, rel, b, lower, upper, maximize = _random_stack(rng, 6)
     a[3, 0, 0] = np.nan
-    b[5, 1] = np.nan
+    a[5, 1, -1] = np.nan
     stacked = convex_kernel._solve(c, a, rel, b, lower, upper, maximize)
     nan = repr(LpNumericalError("constraint coefficients and bounds must not be NaN"))
     assert [repr(stacked[i]) for i in (3, 5)] == [nan, nan]
@@ -476,26 +490,56 @@ def test_a_failing_lp_fails_in_its_own_place():
     assert raised.value is stacked[3]
     with pytest.raises(LpNumericalError, match="must not be NaN"):
         lp_solve(LinearProgram(1, (1.0,), (Constraint((np.nan,), "<=", 1.0),)))
+    b[-1] = np.nan
+    stacked = convex_kernel._solve(c, a, rel, b, lower, upper, maximize)
+    assert [repr(r) for r in stacked] == [nan] * 6
+
+
+def test_an_infinite_coefficient_fails_its_own_lp():
+    # an infinite entry of a constraint matrix fails its LP by name, alone
+    # and in a stack, where every other LP keeps its lone result
+    inf = np.inf
+    for coeffs, rel, bound in (((inf,), "<=", 1.0), ((-inf,), ">=", 1.0), ((inf,), "=", 0.0)):
+        for objective in ((1.0,), None):
+            lp = LinearProgram(1, objective, (Constraint(coeffs, rel, bound),))
+            with pytest.raises(LpNumericalError, match="must not be infinite"):
+                lp_solve(lp)
+    c, a, rel, b, lower, upper, maximize = _random_stack(np.random.default_rng(9), 4)
+    a[2, 0, 0] = -inf
+    stacked = convex_kernel._solve(c, a, rel, b, lower, upper, maximize)
+    infinite = LpNumericalError("constraint coefficients must not be infinite")
+    assert repr(stacked[2]) == repr(infinite)
+    assert [repr(r) for r in stacked] == _one_by_one(c, a, rel, b, lower, upper, maximize)
+    assert all(isinstance(stacked[i], convex_kernel.LpResult) for i in (0, 1, 3))
 
 
 def test_infinite_rows_keep_the_stack_whole(monkeypatch):
-    # max x + y s.t. x + y <= b0, x - y >= b1, x <= 3, y <= 3: in LP 0 both
-    # infinite rows hold for every x, in LP 1 the first holds for none
+    # max x + y s.t. x + y <= inf, x - y >= -inf, x <= 3, y <= 3 over a
+    # stack of three matrices: both infinite rows hold for every x, and the
+    # stack enters the kernel once. With the first row <= -inf instead, it
+    # holds for no x, and every LP is infeasible
     inf = np.inf
     c, rel = np.ones(2), np.array([1.0, -1.0, 1.0, 1.0])
-    a = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    b = np.array([[inf, -inf, 3.0, 3.0], [-inf, 0.0, 3.0, 3.0], [5.0, 0.0, 3.0, 3.0]])
     lower, upper = np.zeros(2), np.full(2, inf)
-    alone = [repr(*convex_kernel._solve(c, a, rel, row, lower, upper)) for row in b]
+    a = np.array([[[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
+                  [[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 2.0]],
+                  [[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0], [0.0, 1.0]]])
     entries = []
     solve_stack = convex_kernel._solve_stack
     monkeypatch.setattr(convex_kernel, "_solve_stack",
                         lambda *args, **kw: entries.append(1) or solve_stack(*args, **kw))
-    stacked = convex_kernel._solve(c, a, rel, b, lower, upper)
-    assert len(entries) == 1
-    assert [repr(r) for r in stacked] == alone
-    assert [r.status for r in stacked] == ["optimal", "infeasible", "optimal"]
+    for b, statuses in (([inf, -inf, 3.0, 3.0], ["optimal", "optimal", "unbounded"]),
+                        ([-inf, -inf, 3.0, 3.0], ["infeasible"] * 3)):
+        b = np.array(b)
+        alone = [repr(*convex_kernel._solve(c, matrix, rel, b, lower, upper)) for matrix in a]
+        entries.clear()
+        stacked = convex_kernel._solve(c, a, rel, b, lower, upper)
+        assert len(entries) == 1
+        assert [repr(r) for r in stacked] == alone
+        assert [r.status for r in stacked] == statuses
+    stacked = convex_kernel._solve(c, a, rel, np.array([inf, -inf, 3.0, 3.0]), lower, upper)
     assert stacked[0].point == (3.0, 3.0) and stacked[0].duals[:2] == (0.0, 0.0)
+    assert stacked[1].point == (3.0, 1.5)
 
 
 SQUARE = Polytope([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
@@ -526,12 +570,20 @@ SQUARE = Polytope([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
     (lambda: perfectly_distinguishable(build_model("simplex", n=3),
                                        [GptState((1.0, 1.0)), GptState((0.0, 1.0))]),
      DimensionMismatch),
+    (lambda: LinearProgram(-1, None, ()), DimensionMismatch),
+    (lambda: LinearProgram(2.5, None, ()), DimensionMismatch),
+    (lambda: LinearProgram("2", None, ()), DimensionMismatch),
+    (lambda: LinearProgram(None, None, ()), DimensionMismatch),
+    # max inf·x s.t. x <= 1 has no finite optimum to report
+    (lambda: LinearProgram(1, (np.inf,), (Constraint((1.0,), "<=", 1.0),)), DimensionMismatch),
+    (lambda: LinearProgram(1, (np.nan,), (Constraint((1.0,), "<=", 1.0),)), DimensionMismatch),
 ], ids=["ragged polytope", "text polytope", "text coefficient", "text objective",
         "short bounds pair", "text membership point", "text weights point", "text subset",
         "text weight", "no preset name", "text renyi parameter", "no pair spec",
         "numeric pair spec", "no povm effects", "text support size",
         "fractional support size", "text variable bound", "ragged decomposition vertices",
-        "fractional subset index", "states of another dimension"])
+        "fractional subset index", "states of another dimension", "negative n_vars",
+        "fractional n_vars", "text n_vars", "no n_vars", "infinite objective", "NaN objective"])
 def test_library_entry_points_raise_validation_errors(call, error):
     assert issubclass(error, ValidationError)
     with pytest.raises(error):
