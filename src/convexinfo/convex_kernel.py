@@ -349,7 +349,7 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumerical
         void |= bool((infinite & (np.sign(b) != lay.rel[:m_con])).any())
         # a failing LP, or a voided stack, solves zeros in its place
         a = np.where((nan | infinite_a)[:, None, None] | infinite[:, None] | void, 0.0, a)
-        b = np.where(np.isfinite(b) & ~void, b, 0.0)
+        b = np.where(np.isfinite(b) & (not void), b, 0.0)
     if len(lay.box_b):
         a = np.concatenate([a, np.broadcast_to(lay.box_a, (s, *lay.box_a.shape))], axis=1)
         b = np.concatenate([b, lay.box_b])
