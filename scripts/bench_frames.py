@@ -33,12 +33,14 @@ kernel, which ``test_a_state_and_its_spectrum_share_one_solve`` pins.
 The ``separable`` section times ``separable_witness`` on ``STATES`` random
 separable states of every factor pair of the ``tensor-separable`` workload
 (``TensorSeparable.SEPARABLE`` in ``perfbench/workloads.py``); ``ms`` is
-the median over the states and repeats. ``lps`` and ``kernel_entries`` count
-the LPs and kernel entries per call where every route enters the kernel
-(``convex_kernel._solve_stack``): one decomposition LP over the vertex
-products, and with a classical factor none. ``pivots_per_lp`` counts the
-pivots per LP, and ``us_per_pivot`` is the time per pivot of a call; both
-only where LPs ran.
+the median over the states and repeats, and ``ms_runs`` keeps every
+state's time of every repeat, in the order of the repeats. Per call,
+``cone_tests`` counts the cone tests over the vertex products
+(``convex_kernel._cone_weights``: one for a pair without a classical
+factor, none with one) and ``nnls_iterations`` their passive-set solves
+(``convex_kernel._passive_weights``); ``lps`` and ``kernel_entries`` count
+the LPs and LP-kernel entries (``convex_kernel._solve_stack``), which no
+route makes.
 
 The ``quantum`` section times the ``quantum-search`` workload's qentropy op,
 ``pair_from_spec`` -> ``DensityMatrix`` -> ``quantum_entropy_min_search`` ->
@@ -162,27 +164,28 @@ def _pivots(tableau, basis, rows, cols, *rest):
 #: frames count least-squares guesses, the dual screen's and the k x d
 #: witness LPs where they are built (one per point set), kernel entries (a
 #: stack of LPs enters once) and simplex pivots, of stacks and of lone LPs.
-PIVOT_SEAMS = (("convexinfo.convex_kernel", "_pivot", _pivots),
-               ("convexinfo.convex_kernel", "_pivot_alone", _pivots))
 FRAME_SEAMS = (
     ("numpy.linalg", "lstsq", _once("guesses")),
     ("convexinfo.gpt_models", "_screen", lambda space, points: {"dual_screen_lps": len(points)}),
     ("convexinfo.gpt_models", "_distinguishing_effects",
      lambda space, points: {"witness_lps": len(points)}),
     ("convexinfo.gpt_models", "_solve", _once("kernel_entries")),
-    *PIVOT_SEAMS,
+    ("convexinfo.convex_kernel", "_pivot", _pivots),
+    ("convexinfo.convex_kernel", "_pivot_alone", _pivots),
 )
 SPECTRA_SEAMS = (
     ("numpy.linalg", "matrix_rank", _once("ranks")),
     ("numpy.linalg", "solve",
      lambda a, b: {"solves": 1, "systems": int(np.prod(np.shape(a)[:-2]))}),
 )
-#: Every LP stack enters the kernel at ``_solve_stack``, whichever route
-#: built it.
+#: A pair without a classical factor makes one cone test, whose Lawson-Hanson
+#: iterations each solve one passive set; every LP stack would enter the
+#: kernel at ``_solve_stack``.
 SEPARABLE_SEAMS = (
+    ("convexinfo.composites", "_cone_weights", _once("cone_tests")),
+    ("convexinfo.convex_kernel", "_passive_weights", _once("nnls_iterations")),
     ("convexinfo.convex_kernel", "_solve_stack",
      lambda c, a, *rest: {"lps": len(a), "kernel_entries": 1}),
-    *PIVOT_SEAMS,
 )
 QUANTUM_SEAMS = (("numpy.linalg", "eigvalsh", _once("eigensolves")),
                  ("numpy.linalg", "eigh", _once("eigensolves")))
@@ -278,7 +281,7 @@ def measure_spectra(counted: bool) -> dict:
 def measure_separable(counted: bool) -> dict:
     """``separable_witness`` on separable states of every tensor-separable
     factor pair with the convexinfo on sys.path, and with ``counted`` the
-    LPs, kernel entries and pivots."""
+    cone tests, their iterations, LPs and kernel entries per call."""
     results = {}
     for pair in TensorSeparable.SEPARABLE:
         factors = [_build(label) for label in pair]
@@ -294,13 +297,15 @@ def measure_separable(counted: bool) -> dict:
             times.append(1e3 * (time.perf_counter() - start))
         results[label] = {"ms": times}
         if counted:
-            with counting(SEPARABLE_SEAMS) as counts:
+            # a checkout from before the cone test has none of its seams,
+            # and counts 0 there
+            seams = [seam for seam in SEPARABLE_SEAMS
+                     if hasattr(importlib.import_module(seam[0]), seam[1])]
+            with counting(seams) as counts:
                 for omega in states:
                     ci.separable_witness(ps, omega)
-            results[label].update({"lps": counts["lps"] / STATES,
-                                   "kernel_entries": counts["kernel_entries"] / STATES})
-            if counts["lps"]:
-                results[label]["pivots_per_lp"] = counts["pivots"] / counts["lps"]
+            results[label].update({key: counts[key] / STATES for key in (
+                "cone_tests", "nnls_iterations", "lps", "kernel_entries")})
     return results
 
 
@@ -427,12 +432,7 @@ def main(argv=None) -> int:
     for frames in doc["frames"].values():
         frames["ladder_seconds"] = sum(frames[label]["seconds"] for label in LADDER)
     doc["spectra"] = alternated(checkouts, "measure_spectra")
-    doc["separable"] = alternated(checkouts, "measure_separable")
-    for side in doc["separable"].values():
-        for record in side.values():
-            if "pivots_per_lp" in record:
-                record["us_per_pivot"] = 1e3 * record["ms"] / (record["pivots_per_lp"]
-                                                               * record["lps"])
+    doc["separable"] = alternated(checkouts, "measure_separable", spread=("ms",))
     doc["quantum"] = alternated(checkouts, "measure_quantum")
     if args.parent is not None:
         doc["perfbench"] = pairs(checkouts["parent"])

@@ -10,7 +10,10 @@ a joint state is separable exactly when each of its conditional states, one
 per classical outcome, lies in the cone of the other factor's states. Each
 conditional state is then tested as ``make_state`` tests a state, through
 the other factor's regular bases, and no LP is solved; pairs without a
-classical factor solve one decomposition LP over every vertex product.
+classical factor make one cone test over every vertex product
+(``convex_kernel._cone_weights``), on the conditioned rows and Gram matrix
+of the products that the pair builds once (``ProductSpace._cone``), and
+solve no LP either.
 
 Max-tensor membership of a pair with a classical factor is that same test.
 Otherwise it is one test over fixed pairs of effects, each of which must give
@@ -32,7 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernel import FEAS_TOL, Polytope, _decomposition_lp
+from .convex_kernel import (
+    FEAS_TOL,
+    Polytope,
+    _Cone,
+    _conditioned,
+    _cone_weights,
+    _decomposition_rows,
+)
 from .errors import (
     DimensionMismatch,
     LpNumericalError,
@@ -86,6 +96,12 @@ class ProductSpace:
         return products
 
     @functools.cached_property
+    def _cone(self) -> _Cone:
+        """The decomposition rows over ``_products`` as the cone test works
+        on them, Gram matrix included; built once, read-only."""
+        return _conditioned(_decomposition_rows(self._products, self._products[0])[0])
+
+    @functools.cached_property
     def _classical(self) -> tuple | None:
         """How a classical factor splits a table into its conditional states, or None.
 
@@ -112,15 +128,20 @@ class ProductSpace:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointState:
-    """Coefficient tensor over the joint embedding; table[-1, -1] is u_AB."""
+    """Coefficient tensor over the joint embedding; table[-1, -1] is u_AB.
 
-    table: tuple[tuple[float, ...], ...]
+    ``table`` is the validated tensor itself, a read-only float (d_A, d_B)
+    array copied from the input; ``as_array`` hands out a writable copy.
+    Equality and hashing go by value, as for a ``DensityMatrix``.
+    """
+
+    table: np.ndarray
 
     def __init__(self, table):
         try:
-            t = np.asarray(table, float)
+            t = np.array(table, float, order="C")
         except (TypeError, ValueError):
             raise DimensionMismatch("joint table must be a 2-d array of numbers") from None
         if t.ndim != 2:
@@ -131,13 +152,27 @@ class JointState:
             raise NotNormalized("joint table must be finite")
         if abs(t[-1, -1] - 1.0) > TOL:
             raise NotNormalized(f"u_AB evaluates to {float(t[-1, -1])!r}, not 1")
-        object.__setattr__(self, "table", tuple(tuple(float(x) for x in row) for row in t))
+        t.flags.writeable = False
+        object.__setattr__(self, "table", t)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.table, other.table)
+
+    def __hash__(self):
+        # adding 0.0 turns every -0.0 into 0.0, so equal tables hash alike
+        return hash((self.table.shape, (self.table + 0.0).tobytes()))
+
+    def __reduce__(self):
+        # a copy or an unpickled state is checked and frozen afresh
+        return JointState, (self.table,)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.table, float)
+        return self.table.copy()
 
     def evaluate(self, e: GptEffect, f: GptEffect) -> float:
-        return float(e.as_array() @ self.as_array() @ f.as_array())
+        return float(e.as_array() @ self.table @ f.as_array())
 
 
 def product_state(nu_a: GptState, nu_b: GptState) -> JointState:
@@ -151,7 +186,8 @@ def min_tensor_vertices(ps: ProductSpace) -> Polytope:
 
 
 def _joint_table(ps: ProductSpace, omega: JointState) -> np.ndarray:
-    table = omega.as_array()
+    """The state's read-only table, which must have the pair's joint shape."""
+    table = omega.table
     if table.shape != ps.joint_shape:
         raise DimensionMismatch(f"table shape {table.shape} vs {ps.joint_shape}")
     return table
@@ -196,22 +232,23 @@ def separable_witness(ps: ProductSpace, omega: JointState):
     Weights are indexed by (a_index, b_index) pairs in row-major order, and
     only weights above ``TOL`` are listed. With a classical factor the
     weights are its conditional states' basic solutions over the other
-    factor's bases (``_conditional_weights``), and no LP is solved;
-    otherwise they are the point of one decomposition LP over all vertex
-    products. Either way None comes with a certificate: an infeasible LP, a
-    conditional state with no basic solution, or a table outside the
-    classical factor's span.
+    factor's bases (``_conditional_weights``); otherwise they are the
+    checked non-negative least-squares weights of one cone test over all
+    vertex products (``_cone_weights``), and a vertex product gets weight
+    exactly 1. No LP is solved either way, and None comes with a
+    certificate: a checked Farkas ray, a conditional state with no basic
+    solution, or a table outside the classical factor's span.
     """
     table, classical = _joint_table(ps, omega), ps._classical
     if classical is None:
-        result = _decomposition_lp(ps._products, table.reshape(-1))
-        if result.status != "optimal":
+        weights = _cone_weights(ps._cone, _decomposition_rows(ps._products, table.reshape(-1))[1])
+        if weights is None:
             return None
-        weights = np.asarray(result.point, float).reshape(ps.factor_a.n_vertices, -1)
+        weights = weights.reshape(ps.factor_a.n_vertices, -1)
     else:
         weights = _conditional_weights(classical, table)
-    if weights is None:
-        return None
+        if weights is None:
+            return None
     rows, cols = (weights > TOL).nonzero()
     return [((a, b), float(weights[a, b])) for a, b in zip(rows.tolist(), cols.tolist())]
 

@@ -8,6 +8,12 @@ is returned, and a check failure raises instead of returning a wrong answer.
 A stack of same-shape LPs pivots together on a 3-D tableau; a lone LP
 pivots on its own 2-D tableau by the same rule and the same arithmetic, so
 its result is the one it gets inside a stack, bit for bit.
+
+Hull membership is not an LP: whether a point is a convex combination of
+vertices is one cone test (``_cone_weights``), non-negative least squares
+over the decomposition rows, centred and scaled row by row (``_Cone``),
+whose weights or Farkas ray are checked before it answers. ``membership``, ``convex_weights``
+and the separability of a pair without a classical factor all ask it.
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ from .errors import (
 
 #: Feasibility and reported-value tolerance.
 FEAS_TOL = 1e-8
+#: Largest cosine between a column and a Farkas ray (``_cone_weights``).
+#: The residual of a point FEAS_TOL outside its cone carries the rounding of
+#: b - a @ w, about 1e-16, in a length of 1e-8, so its cosine with the
+#: columns it is orthogonal to reads up to about 1e-7.
+_RAY_TOL = 1e-6
 #: Pivot threshold.
 _EPS = 1e-9
 _MAX_PIVOTS = 20000
@@ -231,7 +242,7 @@ class _Layout(NamedTuple):
     at_least: np.ndarray  # the >= rows
     at_most: np.ndarray  # the <= rows
     columns2: np.ndarray  # the columns of phase 2: no artificials
-    crossed: bool  # some lower bound lies above its upper bound
+    crossed: bool  # a lower bound above its upper bound or +inf, or an upper bound -inf
 
 
 @functools.lru_cache(maxsize=256)
@@ -241,8 +252,9 @@ def _layout(rel_bytes: bytes, lower_bytes: bytes, upper_bytes: bytes) -> _Layout
     n = len(lower)
     # Substitute x = offsets + t @ y with y >= 0: a lower bound shifts x, an
     # upper bound alone mirrors it, a free x splits into y+ - y-. Each column
-    # of t holds a single +-1, so the substituted rows are exact. An infinite
-    # bound is no bound; a NaN bound is skipped here and fails verification.
+    # of t holds a single +-1, so the substituted rows are exact. A lower
+    # bound of -inf or an upper one of +inf is no bound, and one of +inf or
+    # -inf is crossed; a NaN bound is skipped here and fails verification.
     has_lo, has_hi = lower > -np.inf, upper < np.inf
     owner = np.arange(n).repeat(1 + ~(has_lo | has_hi))  # the x of each y column
     sign = np.where(has_hi & ~has_lo, -1.0, 1.0)[owner]
@@ -266,7 +278,8 @@ def _layout(rel_bytes: bytes, lower_bytes: bytes, upper_bytes: bytes) -> _Layout
                      np.arange(n_cols, n_cols + m),
                      (lower - FEAS_TOL, upper + FEAS_TOL), rel < 0, rel > 0,
                      np.append(np.arange(n_cols), [n_cols + m, n_cols + m + 1]),
-                     bool((upper < lower - FEAS_TOL).any()))
+                     bool((upper < lower - FEAS_TOL).any() or (lower == np.inf).any()
+                          or (upper == -np.inf).any()))
     for array in (*layout[:5], *layout[6:9], *layout[9], *layout[10:13]):
         array.flags.writeable = False  # every LP of this layout shares them
     return layout
@@ -347,9 +360,12 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumerical
         # for no x otherwise, and makes every LP infeasible
         infinite = np.isinf(b)
         void |= bool((infinite & (np.sign(b) != lay.rel[:m_con])).any())
-        # a failing LP, or a voided stack, solves zeros in its place
-        a = np.where((nan | infinite_a)[:, None, None] | infinite[:, None] | void, 0.0, a)
-        b = np.where(np.isfinite(b) & (not void), b, 0.0)
+        # a failing LP solves zeros in its place
+        a = np.where((nan | infinite_a)[:, None, None] | infinite[:, None], 0.0, a)
+        b = np.where(np.isfinite(b), b, 0.0)
+    if void:  # no x meets every row and bound, and an infinite bound has no offset
+        return [LpNumericalError(errors[i]) if i in errors else LpResult("infeasible", None, None)
+                for i in range(s)]
     if len(lay.box_b):
         a = np.concatenate([a, np.broadcast_to(lay.box_a, (s, *lay.box_a.shape))], axis=1)
         b = np.concatenate([b, lay.box_b])
@@ -372,7 +388,7 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumerical
         # cannot happen: the phase-1 objective is bounded below by 0
         errors.setdefault(i, "phase 1 reported unbounded")
     # a finished LP, infeasible or failed, stays in the stack with a zero tableau
-    done = (np.vecdot(lay.costs1[basis], rhs) > FEAS_TOL) | void
+    done = np.vecdot(lay.costs1[basis], rhs) > FEAS_TOL
     done[list(errors)] = True
     results = [LpNumericalError(errors[i]) if i in errors else LpResult("infeasible", None, None)
                for i in range(s)]
@@ -527,11 +543,119 @@ def _decomposition_rows(vertices, point) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _decomposition_lp(vertices, point) -> LpResult:
-    """Solve the feasibility LP of ``decomposition_program`` from its arrays."""
-    a, b = _decomposition_rows(vertices, point)
-    zeros = np.zeros(a.shape[1])
-    return _solved(_solve(zeros, a, np.zeros(len(a)), b, zeros, np.full(a.shape[1], np.inf)))[0]
+class _Cone(NamedTuple):
+    """The decomposition rows ``a`` of ``_decomposition_rows`` as the cone
+    test works on them. Each coordinate row less its mean over the vertices
+    times the sum row, a row operation that keeps every solution of
+    a @ w = b, then every row scaled to max-norm 1 (a zero row kept): so
+    the sum row weighs as much as the coordinates, whatever their offset
+    and scale."""
+
+    a: np.ndarray  # the rows as given
+    centre: np.ndarray  # each coordinate row's mean
+    scales: np.ndarray  # what each shifted row is multiplied by
+    rows: np.ndarray  # the conditioned rows
+    gram: np.ndarray  # rows.T @ rows
+    norms: np.ndarray  # the norm of each conditioned column
+
+
+def _conditioned(a) -> _Cone:
+    """The ``_Cone`` of decomposition rows ``a``, its arrays read-only, so a
+    caller that asks about many points of one cone can keep it."""
+    centre = a[1:].mean(axis=1)
+    rows = np.vstack([a[:1], a[1:] - centre[:, None]])
+    top = np.abs(rows).max(axis=1)
+    scales = np.divide(1.0, top, out=np.ones(len(top)), where=top > 0.0)
+    rows *= scales[:, None]
+    gram = rows.T @ rows
+    cone = _Cone(a, centre, scales, rows, gram, np.sqrt(gram.diagonal()))
+    for array in cone:
+        array.flags.writeable = False
+    return cone
+
+
+def _passive_weights(gram, atb, passive) -> np.ndarray:
+    """The least-squares weights of the ``passive`` columns alone: one solve
+    of their block of the Gram matrix ``gram``, with ``atb`` = a.T @ b."""
+    try:
+        return np.linalg.solve(gram[passive[:, None], passive], atb[passive])
+    except np.linalg.LinAlgError:
+        raise LpNumericalError("the cone test's passive columns are dependent") from None
+
+
+def _cone_weights(cone: _Cone, b) -> np.ndarray | None:
+    """Convex weights w >= 0 with a @ w = b within ``FEAS_TOL`` on every
+    row, or None when b lies outside the cone of a's columns; a is
+    ``cone.a``, the rows of ``_decomposition_rows``, and b its right-hand
+    side, whose first entry the weights sum to.
+
+    Lawson and Hanson's non-negative least squares (Solving Least Squares
+    Problems, 1974, ch. 23) on the conditioned rows (``_Cone``), with b
+    scaled to max-norm 1 and then conditioned alike, which moves no point
+    into or out of the cone: the column of largest cosine with the residual
+    y enters the passive set, and each passive-set system is solved on its
+    block of ``cone.gram`` (``_passive_weights``). It stops as soon as its
+    weights reconstruct b, or when no cosine exceeds ``_RAY_TOL``. Both
+    answers are checked. Weights, divided by their sum and multiplied by
+    b[0] so that a vertex's own weight is exactly 1, are returned only
+    when they reconstruct b row by row against a, as ``_violations`` checks
+    an LP's point; None only when y is a Farkas ray of the conditioned
+    rows, which the row operations turn into one of a: no column's cosine
+    with y above ``_RAY_TOL``, and a positive product with b. When neither
+    holds it raises ``LpNumericalError``, as it does for a NaN in b; a
+    point with an infinite coordinate lies in no cone of finite columns.
+    """
+    if np.isnan(b).any():
+        raise LpNumericalError("a point must not be NaN")
+    if np.isinf(b).any():
+        return None
+    a = cone.rows
+    scale = np.abs(b).max()
+    target = b / scale
+    target[1:] -= cone.centre * target[0]
+    target *= cone.scales
+    atb = a.T @ target
+    tol = FEAS_TOL / scale * cone.scales  # FEAS_TOL in each conditioned row's units
+    w, passive = np.zeros(a.shape[1]), np.zeros(0, int)
+    for _ in range(3 * a.shape[1]):
+        y = target - a @ w
+        if (np.abs(y) <= tol).all():
+            break
+        cosines = (a.T @ y) / cone.norms  # times |y|
+        cosines[passive] = -np.inf
+        j = int(cosines.argmax())
+        if cosines[j] <= _RAY_TOL * np.sqrt(y @ y):
+            break
+        passive = np.append(passive, j)
+        while True:
+            z = _passive_weights(cone.gram, atb, passive)
+            if (z > 0.0).all():
+                w[:] = 0.0
+                w[passive] = z
+                break
+            # step from w toward z until the first weight reaches 0; it and
+            # every other weight at 0 leave the passive set
+            current = w[passive]
+            ratios = np.divide(current, current - z, out=np.zeros(len(z)), where=current > z)
+            ratios[z > 0.0] = np.inf
+            first = ratios.argmin()
+            current += ratios[first] * (z - current)
+            np.maximum(current, 0.0, out=current)
+            current[first] = 0.0
+            w[passive] = current
+            passive = passive[current > 0.0]
+    else:
+        raise LpNumericalError("the cone test did not settle within its iteration cap")
+    if (np.abs(y) <= tol).all():
+        # scaled to sum to b[0], a vertex's own weight is exactly 1; where
+        # that moves a reconstruction near FEAS_TOL past it, the weights as
+        # found may still hold
+        for weights in (w * (b[0] / w.sum()), w * scale):
+            if (np.abs(cone.a @ weights - b) <= FEAS_TOL).all():
+                return weights
+    elif (a.T @ y <= _RAY_TOL * cone.norms * np.sqrt(y @ y)).all() and target @ y > 0.0:
+        return None
+    raise LpNumericalError("the cone test found neither weights nor a Farkas ray")
 
 
 def decomposition_program(vertices: np.ndarray, point: np.ndarray) -> LinearProgram:
@@ -542,15 +666,14 @@ def decomposition_program(vertices: np.ndarray, point: np.ndarray) -> LinearProg
 
 
 def convex_weights(point, poly: Polytope) -> np.ndarray | None:
-    """Convex weights over the vertices reproducing the point, or None."""
-    result = _decomposition_lp(poly.as_array(), point)
-    if result.status != "optimal":
-        return None
-    return np.asarray(result.point, float)
+    """Convex weights over the vertices reproducing the point, or None;
+    one cone test (``_cone_weights``) over the decomposition rows."""
+    a, b = _decomposition_rows(poly.as_array(), point)
+    return _cone_weights(_conditioned(a), b)
 
 
 def membership(point, poly: Polytope) -> bool:
-    """LP-feasibility test: is the point in the convex hull of the vertices?"""
+    """Is the point in the convex hull of the vertices? (``convex_weights``)"""
     return convex_weights(point, poly) is not None
 
 

@@ -45,6 +45,13 @@ def _as_complex_matrix(entries, error=InvalidDensityMatrix) -> np.ndarray:
     return m
 
 
+def _expect(value, kind: type, error: type) -> None:
+    """Raise ``error`` naming ``kind`` unless ``value`` is one: a raw array
+    or a list is not yet a validated state, POVM or ensemble."""
+    if not isinstance(value, kind):
+        raise error(f"expected {kind.__name__}, got {type(value).__name__}")
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -209,6 +216,8 @@ class Ensemble:
 
 def born_probabilities(rho: DensityMatrix, m: Povm) -> ProbVector:
     """Outcome distribution Tr(rho E_i) of measuring m on rho."""
+    _expect(rho, DensityMatrix, InvalidDensityMatrix)
+    _expect(m, Povm, InvalidPovm)
     if rho.dim != m.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs POVM dim {m.dim}")
     return ProbVector(np.einsum("ab,kba->k", rho.entries, m.effects).real)
@@ -217,6 +226,7 @@ def born_probabilities(rho: DensityMatrix, m: Povm) -> ProbVector:
 def eigen_spectrum(rho: DensityMatrix) -> ProbVector:
     """Eigenvalues sorted decreasing, clamped at 0 and renormalized; read from
     the ones the state's positivity check computed, with no eigensolve."""
+    _expect(rho, DensityMatrix, InvalidDensityMatrix)
     evals = rho._eigenvalues[::-1]
     clamped = np.where(evals > 0.0, evals, 0.0)
     return ProbVector(clamped / clamped.sum())
@@ -251,6 +261,7 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
     ``MAX_SEARCH_BUDGET``, a seed that ``np.random.default_rng`` takes) but
     steer nothing.
     """
+    _expect(rho, DensityMatrix, InvalidDensityMatrix)
     try:
         budget = operator.index(budget)
     except TypeError:
@@ -276,6 +287,8 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
 
 def quantum_majorizes(sigma: DensityMatrix, rho: DensityMatrix) -> bool:
     """True iff rho is majorized by sigma (eigenvalue majorization)."""
+    _expect(sigma, DensityMatrix, InvalidDensityMatrix)
+    _expect(rho, DensityMatrix, InvalidDensityMatrix)
     if sigma.dim != rho.dim:
         raise DimensionMismatch("states must share one dimension")
     return majorizes(eigen_spectrum(sigma), eigen_spectrum(rho))
@@ -283,6 +296,7 @@ def quantum_majorizes(sigma: DensityMatrix, rho: DensityMatrix) -> bool:
 
 def holevo_chi(e: Ensemble) -> float:
     """S(sum p_x rho_x) - sum p_x S(rho_x) with the Shannon preset."""
+    _expect(e, Ensemble, InvalidDensityMatrix)
     shannon = make_preset("shannon")
     mixed = quantum_entropy(shannon, e.average_state())
     conditional = sum(w * quantum_entropy(shannon, s)
@@ -314,6 +328,8 @@ def mutual_information(joint) -> float:
 
 def accessible_info_estimate(e: Ensemble, m: Povm) -> float:
     """Mutual information of the source with the given measurement's outcome."""
+    _expect(e, Ensemble, InvalidDensityMatrix)
+    _expect(m, Povm, InvalidPovm)
     if e.dim != m.dim:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs POVM dim {m.dim}")
     states = np.array([s.entries for s in e.states])

@@ -1,3 +1,9 @@
+import copy
+import itertools
+import json
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +24,8 @@ from convexinfo import (
     separable_witness,
     vertex_state,
 )
-from convexinfo.convex_kernel import FEAS_TOL, _decomposition_lp
+from convexinfo import convex_kernel
+from convexinfo.convex_kernel import FEAS_TOL, decomposition_program, lp_solve
 from convexinfo.errors import (
     DimensionMismatch,
     NotAState,
@@ -27,6 +34,7 @@ from convexinfo.errors import (
     UnsupportedModel,
 )
 from convexinfo.probvec import TOL
+from oracles import scipy_lp_reference
 
 #: Affinely independent points: a classical factor that is not a simplex.
 TRIANGLE = [[0.0, 0.0], [2.0, 0.3], [0.4, 1.5]]
@@ -394,9 +402,16 @@ def test_tables_near_the_largest_float_settle_without_a_warning(models, table):
     assert classify_joint(ps, omega) == "not-a-state"
 
 
+#: perfbench's reference custom models, by label (custom2d6, custom3d8, ...).
+REFERENCE_CUSTOM = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                               / "reference.json").read_text())["custom"]
+
+
 def _factor(label):
     if label == "triangle":
         return build_model("custom_polytope", vertices=TRIANGLE)
+    if label in REFERENCE_CUSTOM:
+        return build_model("custom_polytope", vertices=REFERENCE_CUSTOM[label])
     kind = "simplex" if label.startswith("simplex") else "regular_polygon"
     return build_model(kind, n=int(label[7:]))  # simplexN or polygonN
 
@@ -406,7 +421,8 @@ CLASSICAL_PAIRS = (("simplex3", "polygon5"), ("polygon6", "simplex4"), ("simplex
 
 
 def _decomposition_verdict(ps, table) -> bool:
-    return _decomposition_lp(ps._products, table.reshape(-1)).status == "optimal"
+    """The LP referee: the decomposition LP over the vertex products, by ``lp_solve``."""
+    return lp_solve(decomposition_program(ps._products, table.reshape(-1))).status == "optimal"
 
 
 @pytest.mark.parametrize("pair", CLASSICAL_PAIRS, ids="x".join)
@@ -468,14 +484,25 @@ def test_max_tensor_members_of_a_classical_pair_are_separable(pair):
         assert classify_joint(ps, omega) == "separable"
 
 
-def test_pairs_without_a_classical_factor_keep_the_decomposition_lps_witness(rng):
+def _assert_reconstructs(ps, witness, table):
+    va, vb = ps.factor_a.vertex_array(), ps.factor_b.vertex_array()
+    assert all(w > TOL for _, w in witness)
+    recon = sum(w * np.outer(va[a], vb[b]) for (a, b), w in witness)
+    assert np.abs(recon - table).max() <= FEAS_TOL
+
+
+def test_pairs_without_a_classical_factor_get_checked_cone_weights(rng):
     ps = ProductSpace(build_model("regular_polygon", n=4), build_model("regular_polygon", n=5))
     assert ps._classical is None
     for _ in range(10):
         omega = _random_mixture(ps, rng, terms=3)
-        point = _decomposition_lp(ps._products, omega.as_array().reshape(-1)).point
-        assert separable_witness(ps, omega) == [((i // 5, i % 5), float(w))
-                                                for i, w in enumerate(point) if w > TOL]
+        witness = separable_witness(ps, omega)
+        assert witness is not None and _decomposition_verdict(ps, omega.as_array())
+        _assert_reconstructs(ps, witness, omega.as_array())
+    # a vertex product is its own decomposition, with weight exactly 1
+    va, vb = ps.factor_a.vertex_array(), ps.factor_b.vertex_array()
+    for a, b in itertools.product(range(4), range(5)):
+        assert separable_witness(ps, JointState(np.outer(va[a], vb[b]))) == [((a, b), 1.0)]
 
 
 def test_a_simplex_splits_a_table_into_its_own_rows():
@@ -537,11 +564,13 @@ def test_a_pair_with_a_classical_factor_has_no_entangled_state(n):
 
 
 def test_a_pair_with_a_classical_factor_enters_no_lp_kernel(monkeypatch):
-    from convexinfo import convex_kernel
-
     def entered(*args):
         raise AssertionError("an LP entered the kernel")
 
+    # frames take LPs, separability none: the factors enumerate theirs first
+    square = ProductSpace(_factor("polygon4"), _factor("polygon4"))
+    box, pentagon = pr_box(square), _factor("polygon5")
+    enumerate_frames(pentagon)
     monkeypatch.setattr(convex_kernel, "_solve_stack", entered)
     rng = np.random.default_rng(5)
     for pair in CLASSICAL_PAIRS:
@@ -553,10 +582,11 @@ def test_a_pair_with_a_classical_factor_enters_no_lp_kernel(monkeypatch):
         outside = omega.as_array() + rng.normal(scale=0.5, size=ps.joint_shape)
         outside[-1, -1] = 1.0
         assert classify_joint(ps, JointState(outside)) == "not-a-state"
-    # a pair without one still solves the decomposition LP
-    ps = ProductSpace(_factor("polygon4"), _factor("polygon5"))
-    with pytest.raises(AssertionError, match="entered"):
-        is_separable(ps, _random_mixture(ps, rng))
+    # nor does a pair without one: its cone test solves no LP
+    for ps in (ProductSpace(square.factor_a, pentagon), square):
+        omega = _random_mixture(ps, rng)
+        assert is_separable(ps, omega) and classify_joint(ps, omega) == "separable"
+    assert classify_joint(square, box) == "entangled"
 
 
 @pytest.mark.parametrize("pair", CLASSICAL_PAIRS, ids="x".join)
@@ -617,3 +647,74 @@ def test_classical_verdicts_near_the_boundary_match_the_decomposition_lp(other):
             if witness is not None:
                 recon = sum(w * np.outer(va[a], vb[b]) for (a, b), w in witness)
                 assert np.abs(recon - table).max() <= FEAS_TOL
+
+
+@pytest.mark.parametrize("step", (1e-8, 1e-9))
+def test_near_face_tables_of_custom_models_get_checked_weights(step):
+    # custom3d8's vertex mean times points of custom2d6's edges moved toward
+    # its centre by step: separable tables on which the decomposition LP
+    # raised LpNumericalError ("solution violates lower bound")
+    ps = ProductSpace(_factor("custom3d8"), _factor("custom2d6"))
+    assert ps._classical is None
+    va, space = ps.factor_a.vertex_array(), ps.factor_b
+    vb = space.vertex_array()
+    centre = vb.mean(axis=0)
+    edges = [[i for i in range(len(vb)) if mask >> i & 1] for mask in space._facets[1].tolist()]
+    assert len(edges) == 6
+    for (i, j), t in itertools.product(edges, np.linspace(0.0, 1.0, 6)):
+        point = t * vb[i] + (1.0 - t) * vb[j]
+        table = np.outer(va.mean(axis=0), point + step * (centre - point))
+        witness = separable_witness(ps, JointState(table))
+        assert witness is not None
+        _assert_reconstructs(ps, witness, table)
+        lp = decomposition_program(ps._products, table.reshape(-1))
+        assert scipy_lp_reference(lp)[0] == "optimal"
+
+
+@pytest.mark.parametrize("pair", [("polygon4", "polygon4"), ("polygon7", "polygon7"),
+                                  ("polygon8", "polygon8"), ("custom3d8", "custom2d6")],
+                         ids="x".join)
+def test_cone_verdicts_equal_the_lp_referees(pair):
+    # 30 separable tables and 30 random ones (separable ones moved by noise)
+    ps = ProductSpace(*map(_factor, pair))
+    va, vb = ps.factor_a.vertex_array(), ps.factor_b.vertex_array()
+    rng = np.random.default_rng(26)
+    verdicts = []
+    for k in range(60):
+        table = va.T @ rng.dirichlet(np.full(len(va) * len(vb), 0.5)).reshape(
+            len(va), len(vb)) @ vb
+        if k % 2:
+            table += rng.normal(scale=10.0 ** rng.uniform(-3, 0), size=table.shape)
+            table[-1, -1] = 1.0
+        witness = separable_witness(ps, JointState(table))
+        verdicts.append(witness is not None)
+        assert verdicts[-1] == _decomposition_verdict(ps, table), k
+        if witness is not None:
+            _assert_reconstructs(ps, witness, table)
+    assert 30 <= sum(verdicts) < len(verdicts)
+
+
+def test_a_joint_state_keeps_one_read_only_copy(square_pair):
+    va, vb = square_pair.factor_a.vertex_array(), square_pair.factor_b.vertex_array()
+    source = 0.5 * np.outer(va[0], vb[1]) + 0.5 * np.outer(va[2], vb[3])
+    omega = JointState(source)
+    source[0, 0] = 5.0  # the caller's array does not reach the state
+    table = omega.table
+    assert isinstance(table, np.ndarray) and table.dtype == float
+    assert not table.flags.writeable and table.flags.c_contiguous
+    assert table[0, 0] != 5.0
+    out = omega.as_array()
+    out[0, 0] = 7.0
+    assert out.flags.writeable and omega.table[0, 0] != 7.0
+    assert JointState(omega.table.tolist()) == omega
+    assert JointState(np.asfortranarray(omega.table)).table.flags.c_contiguous
+    # equality and hashing go by value, -0.0 and 0.0 alike
+    zero = np.outer(va[0], vb[0])
+    negative = zero.copy()
+    negative[zero == 0.0] = -0.0
+    assert JointState(zero) == JointState(negative)
+    assert hash(JointState(zero)) == hash(JointState(negative))
+    assert omega != JointState(zero) and omega.__eq__(omega.table) is NotImplemented
+    # copies and pickles go through the constructor and stay read-only
+    for twin in (copy.copy(omega), copy.deepcopy(omega), pickle.loads(pickle.dumps(omega))):
+        assert twin == omega and not twin.table.flags.writeable

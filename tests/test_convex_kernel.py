@@ -14,7 +14,12 @@ from convexinfo import (
     perfectly_distinguishable,
     topk_weight_max,
 )
-from convexinfo.convex_kernel import RELATIONS, convex_weights, decomposition_program
+from convexinfo.convex_kernel import (
+    FEAS_TOL,
+    RELATIONS,
+    convex_weights,
+    decomposition_program,
+)
 from convexinfo.entropic import entropy_upper_bound, make_preset, pair_from_spec
 from convexinfo.errors import (
     BadParameter,
@@ -308,6 +313,61 @@ def test_convex_weights_reconstruct(rng):
     assert w.sum() == pytest.approx(1.0, abs=1e-8)
 
 
+def test_hull_membership_enters_no_lp_kernel(monkeypatch, rng):
+    def entered(*args):
+        raise AssertionError("an LP entered the kernel")
+
+    monkeypatch.setattr(convex_kernel, "_solve_stack", entered)
+    points = rng.normal(size=(7, 3))
+    poly = Polytope(points)
+    for _ in range(20):
+        weights = convex_weights(rng.dirichlet(np.ones(7)) @ points, poly)
+        assert weights is not None and weights.min() >= 0.0
+    for direction in rng.normal(size=(10, 3)):
+        # past the vertex that maximizes a functional
+        top = points[(points @ direction).argmax()]
+        assert membership(top, poly) and not membership(top + 1e-3 * direction, poly)
+
+
+@pytest.mark.parametrize("scale", (1e-6, 1e-3, 1.0, 1e3, 1e6))
+@pytest.mark.parametrize("offset", (0.0, 1e3))
+def test_hull_membership_holds_on_shifted_and_rescaled_points(scale, offset):
+    # the cone test conditions its rows, so coordinates far from 1 or from
+    # the origin leave the sum row its weight; the LP raised at scale 1e-6
+    rng = np.random.default_rng(11)
+    for v, d in ((6, 3), (10, 2), (12, 4), (16, 5)):
+        points = rng.normal(size=(v, d))
+        poly = Polytope(points * scale + offset)
+        inside = rng.dirichlet(np.ones(v)) @ points
+        direction = rng.normal(size=d)
+        outside = points[(points @ direction).argmax()] + 0.01 * direction
+        weights = convex_weights(inside * scale + offset, poly)
+        assert weights is not None and weights.min() >= 0.0
+        assert np.abs(weights @ poly.as_array() - (inside * scale + offset)).max() <= FEAS_TOL
+        assert not membership(outside * scale + offset, poly)
+
+
+def test_a_wrong_passive_solve_raises_instead_of_answering(monkeypatch, rng):
+    # weights and Farkas rays are checked against the data: halved passive
+    # weights reconstruct no point and leave no ray, inside or outside
+    points = rng.normal(size=(6, 3))
+    poly, centre = Polytope(points), points.mean(axis=0)
+    inside, outside = rng.dirichlet(np.ones(6)) @ points, centre + 3.0 * (points[0] - centre)
+    assert membership(inside, poly) and not membership(outside, poly)
+    solve = convex_kernel._passive_weights
+    monkeypatch.setattr(convex_kernel, "_passive_weights", lambda *args: 0.5 * solve(*args))
+    for point in (inside, outside):
+        with pytest.raises(LpNumericalError):
+            convex_weights(point, poly)
+
+
+def test_a_nan_point_raises_and_an_infinite_one_lies_outside():
+    square = Polytope(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
+    with pytest.raises(LpNumericalError, match="NaN"):
+        membership((np.nan, 0.0), square)
+    assert convex_weights((np.inf, 0.0), square) is None
+
+
 def _square_center_skeleton():
     verts = np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]])
     return decomposition_program(verts, np.array([0.0, 0.0, 1.0]))
@@ -469,6 +529,16 @@ def test_crossed_bounds_make_every_lp_infeasible():
                                    np.ones(1), np.array([4.0]), np.array([2.0, 0.0]),
                                    np.array([1.0, np.inf]))
     assert stacked == [convex_kernel.LpResult("infeasible", None, None)] * 2
+
+
+@pytest.mark.parametrize("bounds", [((None, -np.inf),), ((-np.inf, -np.inf),),
+                                    ((np.inf, None),), ((np.inf, np.inf),)],
+                         ids=("upper -inf", "both -inf", "lower +inf", "both +inf"))
+@pytest.mark.parametrize("objective", [(1.0,), None], ids=("objective", "feasibility"))
+def test_an_infinite_bound_on_its_wrong_side_is_crossed(bounds, objective):
+    # x <= -inf or x >= +inf holds for no x
+    lp = LinearProgram(1, objective, (Constraint((1.0,), "<=", 5.0),), bounds=bounds)
+    assert lp_solve(lp) == convex_kernel.LpResult("infeasible", None, None)
 
 
 def test_a_failing_lp_fails_in_its_own_place():

@@ -653,11 +653,13 @@ def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
         tops = verts[(verts @ rng.normal(size=(verts.shape[1], 3))).argmax(axis=0)]
         outsiders = center + 1.5 * (tops - center)
         for point, member in [*((p, True) for p in members), *((p, False) for p in outsiders)]:
+            # the decomposition LP, solved by lp_solve, referees the cone test
             twin = _twin_decomposition_lp(verts, point)
-            result = convex_kernel._decomposition_lp(verts, point)
-            assert repr(result) == repr(lp_solve(twin))
             assert convex_kernel.decomposition_program(verts, point) == twin
-            seen.add((result.status == "optimal") == member)
+            feasible = lp_solve(twin).status == "optimal"
+            weights = convex_kernel.convex_weights(point, convex_kernel.Polytope(verts))
+            assert (weights is not None) == feasible
+            seen.add(feasible == member)
     assert seen == {True}
 
 

@@ -633,3 +633,31 @@ def test_empty_ragged_or_non_numeric_input_is_a_validation_error(call, error):
 def test_negative_joint_probability_prints_a_plain_float():
     with pytest.raises(NotNormalized, match=r"^negative joint probability -0\.1$"):
         mutual_information([[1.1, -0.1], [0.0, 0.0]])
+
+
+
+_RAW = np.eye(2) / 2
+_POVM = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+_ENSEMBLE = Ensemble(ProbVector([1.0]), [DensityMatrix(_RAW)])
+_SHANNON = make_preset("shannon")
+
+
+@pytest.mark.parametrize("call, error, expected", [
+    (lambda raw: born_probabilities(raw, _POVM), InvalidDensityMatrix, "DensityMatrix"),
+    (lambda raw: born_probabilities(DensityMatrix(_RAW), raw), InvalidPovm, "Povm"),
+    (lambda raw: quantum_entropy(_SHANNON, raw), InvalidDensityMatrix, "DensityMatrix"),
+    (lambda raw: quantum_entropy_min_search(_SHANNON, raw), InvalidDensityMatrix,
+     "DensityMatrix"),
+    (lambda raw: quantum_majorizes(raw, MIXED), InvalidDensityMatrix, "DensityMatrix"),
+    (lambda raw: quantum_majorizes(MIXED, raw), InvalidDensityMatrix, "DensityMatrix"),
+    (lambda raw: holevo_chi(raw), InvalidDensityMatrix, "Ensemble"),
+    (lambda raw: holevo_chi([MIXED]), InvalidDensityMatrix, "Ensemble"),
+    (lambda raw: accessible_info_estimate(raw, _POVM), InvalidDensityMatrix, "Ensemble"),
+    (lambda raw: accessible_info_estimate(_ENSEMBLE, raw), InvalidPovm, "Povm"),
+], ids=["born-state", "born-povm", "entropy", "min-search", "majorizes-sigma",
+        "majorizes-rho", "holevo", "holevo-states", "accessible-ensemble", "accessible-povm"])
+@pytest.mark.parametrize("raw", [_RAW, _RAW.tolist()], ids=("array", "list"))
+def test_quantum_entry_points_name_the_type_they_expect(call, error, expected, raw):
+    # a raw array or a list where a validated object belongs
+    with pytest.raises(error, match=f"^expected {expected}, got (ndarray|list)$"):
+        call(raw)
