@@ -591,8 +591,8 @@ def _cone_weights(cone: _Cone, b) -> np.ndarray | None:
 
     Lawson and Hanson's non-negative least squares (Solving Least Squares
     Problems, 1974, ch. 23) on the conditioned rows (``_Cone``), with b
-    scaled to max-norm 1 and then conditioned alike, which moves no point
-    into or out of the cone: the column of largest cosine with the residual
+    conditioned alike and scaled to max-norm 1, which moves no point into
+    or out of the cone: the column of largest cosine with the residual
     y enters the passive set, and each passive-set system is solved on its
     block of ``cone.gram`` (``_passive_weights``). It stops as soon as its
     weights reconstruct b, or when no cosine exceeds ``_RAY_TOL``. Both
@@ -610,10 +610,12 @@ def _cone_weights(cone: _Cone, b) -> np.ndarray | None:
     if np.isinf(b).any():
         return None
     a = cone.rows
-    scale = np.abs(b).max()
-    target = b / scale
-    target[1:] -= cone.centre * target[0]
-    target *= cone.scales
+    # b conditioned as a's columns are, its centre taken off before any
+    # rounding that the columns do not share, then scaled to max-norm 1
+    target = b.copy()
+    target[1:] -= cone.centre * b[0]
+    scale = np.abs(target).max()
+    target *= cone.scales / scale
     atb = a.T @ target
     tol = FEAS_TOL / scale * cone.scales  # FEAS_TOL in each conditioned row's units
     w, passive = np.zeros(a.shape[1]), np.zeros(0, int)
@@ -650,7 +652,7 @@ def _cone_weights(cone: _Cone, b) -> np.ndarray | None:
         # scaled to sum to b[0], a vertex's own weight is exactly 1; where
         # that moves a reconstruction near FEAS_TOL past it, the weights as
         # found may still hold
-        for weights in (w * (b[0] / w.sum()), w * scale):
+        for weights in (w / w.sum() * b[0], w * scale):
             if (np.abs(cone.a @ weights - b) <= FEAS_TOL).all():
                 return weights
     elif (a.T @ y <= _RAY_TOL * cone.norms * np.sqrt(y @ y)).all() and target @ y > 0.0:

@@ -340,11 +340,13 @@ def test_hull_membership_holds_on_shifted_and_rescaled_points(scale, offset):
         poly = Polytope(points * scale + offset)
         inside = rng.dirichlet(np.ones(v)) @ points
         direction = rng.normal(size=d)
-        outside = points[(points @ direction).argmax()] + 0.01 * direction
+        top = (points @ direction).argmax()  # a vertex of the hull
         weights = convex_weights(inside * scale + offset, poly)
         assert weights is not None and weights.min() >= 0.0
         assert np.abs(weights @ poly.as_array() - (inside * scale + offset)).max() <= FEAS_TOL
-        assert not membership(outside * scale + offset, poly)
+        assert not membership((points[top] + 0.01 * direction) * scale + offset, poly)
+        # a vertex is its own decomposition, with weight exactly 1
+        assert np.array_equal(convex_weights(points[top] * scale + offset, poly), np.eye(v)[top])
 
 
 def test_a_wrong_passive_solve_raises_instead_of_answering(monkeypatch, rng):
