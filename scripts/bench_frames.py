@@ -161,12 +161,12 @@ def _pivots(tableau, basis, rows, cols, *rest):
 
 
 #: The seams of each section: (owner, attribute, what one call adds). The
-#: frames count least-squares guesses, the dual screen's and the k x d
+#: frames count least-squares guesses, the facet-cone screen LPs and the k x d
 #: witness LPs where they are built (one per point set), kernel entries (a
 #: stack of LPs enters once) and simplex pivots, of stacks and of lone LPs.
 FRAME_SEAMS = (
     ("numpy.linalg", "lstsq", _once("guesses")),
-    ("convexinfo.gpt_models", "_screen", lambda space, points: {"dual_screen_lps": len(points)}),
+    ("convexinfo.gpt_models", "_screen", lambda space, points: {"screen_lps": len(points)}),
     ("convexinfo.gpt_models", "_distinguishing_effects",
      lambda space, points: {"witness_lps": len(points)}),
     ("convexinfo.gpt_models", "_solve", _once("kernel_entries")),
@@ -233,7 +233,7 @@ def measure(counted: bool) -> dict:
             with counting(FRAME_SEAMS) as counts:
                 ci.enumerate_frames(_build(label))
             results[label].update({key: counts[key] for key in (
-                "guesses", "dual_screen_lps", "witness_lps", "kernel_entries", "pivots")})
+                "guesses", "screen_lps", "witness_lps", "kernel_entries", "pivots")})
     return results
 
 

@@ -186,8 +186,8 @@ class StateSpace:
         # read only through enumerate_frames, which hands out copies
         v = self.n_vertices
         verts = self._verts
-        # each passing set maps to its least-squares witness, or to the dual
-        # screen's point: its witness LP waits until it is a frame
+        # each passing set maps to its least-squares witness, or to the facet
+        # cone's point: its witness LP waits until it is a frame
         witnesses: dict[tuple[int, ...], list[GptEffect] | np.ndarray] = {
             (i,): [unit_effect(self)] for i in range(v)}
         tested: set[tuple[int, ...]] = set()
@@ -229,7 +229,7 @@ class StateSpace:
                               for other in masks)]
         # the spans of all maximal sets from the model's facets, then the
         # witness LPs of the kept frames the least-squares guess missed, one
-        # stack per size; where one finds none or fails, the dual screen's point
+        # stack per size; where one finds none or fails, the facet cone's point
         kept = [combo for combo, spans in zip(maximal, _spans_model(self, maximal)) if spans]
         effects = {combo: witnesses[combo] for combo in kept}
         missing = [combo for combo in kept if isinstance(effects[combo], np.ndarray)]
@@ -480,49 +480,33 @@ def _distinguishing_effects(space: StateSpace,
 
 
 def _screen(space: StateSpace, points: np.ndarray) -> list[np.ndarray | None]:
-    """Perfect distinguishability, decided by the screen LP's dual: k x d witness effects, or None.
+    """Perfect distinguishability, decided by the facet cone: k x d witness effects, or None.
 
-    The screen asks for k - 1 free effects x (the k-th is u - sum) with value
-    1 on their own point and 0 on the other points, ``a_eq x = b_eq``, which
-    fixes every effect's values on the points; so its [0, 1] rows,
-    ``0 <= cells x <= 1``, cover each free effect and their sum only on the
-    vertices that are none of the points. It is feasible exactly when its
-    Farkas dual, over y_hi, y_lo >= 0 (one per cell row) and free z,
-
-        minimize 1·y_hi + b_eq·z  subject to  cellsᵀ(y_hi − y_lo) + a_eqᵀ z = 0,
-
-    has the optimum 0, and infeasible exactly when the dual is unbounded. The
-    dual's status decides. Its rows are one per effect coefficient, so the
-    optimal basis's row multipliers are a screen point; completed by u - sum
-    they are returned as the witness, unchecked (``_checked_screen_witness``
-    checks it where it is used). A stack of vertex sets (s, k, d) is solved in
-    one kernel call and gives one answer per set.
+    An effect 0 on every point but point i is a non-negative combination of
+    the facet effects (``StateSpace._facets``) within ``_FACET_TOL`` of 0 there,
+    F_i; so the points are distinguishable exactly when some x >= 0 sums the
+    effects of F_1 ∪ … ∪ F_k to u. Its rows are their values on the vertices,
+    summing to 1, which keep the effects' scale whatever the coordinates'. The
+    witness, e_i = Σ_{f∈F_i} x_f e_f (a facet in several F_i goes to the
+    first), is unchecked: ``_checked_screen_witness`` checks it where it is
+    used. A stack of point sets (s, k, d) is one kernel call, one answer per set.
     """
-    s, k, d = points.shape
-    verts = space._verts
-    inside = (verts[:, None, :] == points[:, None, :, :]).all(axis=-1).any(axis=-1)
-    outside = np.broadcast_to(verts, (s, *verts.shape))[~inside].reshape(s, -1, d)
-    cells = _block_diagonal(outside, k - 1)
-    if k > 2:  # for two points the sum is the one free effect
-        cells = np.concatenate([cells, np.tile(outside, k - 1)], axis=-2)
-    cells_t = np.swapaxes(cells, -1, -2)
-    a = np.concatenate([cells_t, -cells_t, np.swapaxes(_block_diagonal(points, k - 1), -1, -2)],
-                       axis=-1)
-    (n, m), b_eq = cells_t.shape[-2:], np.eye(k - 1, k).ravel()
-    # variables: y_hi, y_lo >= 0, then z free; one equality row per effect coefficient
-    n_vars = 2 * m + len(b_eq)
-    results = _solved(_solve(np.concatenate([np.ones(m), np.zeros(m), b_eq]), a, np.zeros(n),
-                             np.zeros(n), np.repeat([0.0, -np.inf], [2 * m, len(b_eq)]),
-                             np.full(n_vars, np.inf), maximize=False))
-    frees = [None if r.status != "optimal" else np.reshape(r.duals, (k - 1, d)) for r in results]
-    return [None if free is None else np.vstack([free, space.unit() - free.sum(axis=0)])
-            for free in frees]
+    effects, _ = space._facets
+    zero = np.abs(points @ effects.T) <= _FACET_TOL  # (s, k, facets)
+    member = zero.sum(axis=1, keepdims=True) - zero == points.shape[1] - 1  # f in F_i
+    first = member & (np.cumsum(member, axis=1) == 1)
+    values = space._verts @ effects.T
+    v, n = values.shape
+    results = _solved(_solve(np.zeros(n), np.where(member.any(axis=1)[:, None], values, 0.0),
+                             np.zeros(v), np.ones(v), np.zeros(n), np.full(n, np.inf)))
+    return [None if r.status != "optimal" else (owned * np.asarray(r.point)) @ effects
+            for r, owned in zip(results, first)]
 
 
 def _decide(space: StateSpace, points: np.ndarray) -> list[list[GptEffect] | np.ndarray | None]:
     """Perfect distinguishability of each point set of the stack (s, k, d).
 
-    Each set gets its least-squares witness effects, else the dual screen's
+    Each set gets its least-squares witness effects, else the facet cone's
     point (``_screen``, unchecked), else None: it is not distinguishable.
     """
     found = _least_squares_effects(space, points)
@@ -534,31 +518,44 @@ def _decide(space: StateSpace, points: np.ndarray) -> list[list[GptEffect] | np.
 
 def _checked_screen_witness(space: StateSpace, points: np.ndarray,
                             effects: np.ndarray) -> list[GptEffect]:
-    """The dual screen's point as the witness of the set ``points``, checked first.
+    """The facet cone's point as the witness of the set ``points``, checked first.
 
-    The screen's rows hold within ``FEAS_TOL``: every effect, the free ones
-    and u - their sum, in [0, 1] on every vertex, and the free effects equal
-    to 1 on their own point and 0 on the others. Else ``LpNumericalError``.
+    Within ``FEAS_TOL``, on the vertices: every effect in [0, 1] and their
+    values summing to 1; and effect i equal to 1 on point i and 0 on the
+    others. Else ``LpNumericalError``.
     """
     values = effects @ space._verts.T
-    fixed = effects[:-1] @ points.T - np.eye(len(points) - 1, len(points))
     if not (values.min() >= -FEAS_TOL and values.max() <= 1.0 + FEAS_TOL
-            and np.abs(fixed).max() <= FEAS_TOL):
-        raise LpNumericalError("the screen's dual multipliers violate a screen row")
+            and np.abs(values.sum(axis=0) - 1.0).max() <= FEAS_TOL
+            and np.abs(effects @ points.T - np.eye(len(points))).max() <= FEAS_TOL):
+        raise LpNumericalError("the facet cone's point is no witness")
     return [GptEffect(coeffs=tuple(e)) for e in effects.tolist()]
 
 
 def perfectly_distinguishable(space: StateSpace, states) -> bool:
     """Can one measurement answer which of the states was prepared, surely?
 
-    Decided as frame enumeration decides it (``_decide``).
+    Decided as frame enumeration decides it (``_decide``). ``DimensionMismatch``
+    unless ``states`` are ``GptState``s of the model's dimension; ``NotAState``
+    for a point that is not finite, whose homogeneous coordinate is not 1 or
+    that a facet effect of the model reads below -``_FACET_TOL``.
     """
-    states = list(states)
+    try:
+        states = list(states)
+        points = np.asarray([st.point for st in states if isinstance(st, GptState)], float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch("expected an iterable of GptState of numbers") from None
     if len(states) < 2:
         raise ValidationError("need at least 2 states to distinguish")
-    if any(len(st.point) != space.dim for st in states):
-        raise DimensionMismatch(f"every state needs the model's dimension {space.dim}")
-    return _decide(space, np.asarray([st.point for st in states], float)[None])[0] is not None
+    if len(points) != len(states) or points.shape[1:] != (space.dim,):
+        raise DimensionMismatch(f"expected GptStates of the model's dimension {space.dim}")
+    if not np.isfinite(points).all():
+        raise NotAState("a state's point is not finite")
+    if (np.abs(points[:, -1] - 1.0) > TOL).any():
+        raise NotAState("a state's homogeneous coordinate is not 1")
+    if (points @ space._facets[0].T).min() < -_FACET_TOL:
+        raise NotAState("a state lies outside the model")
+    return _decide(space, points[None])[0] is not None
 
 
 def _mask(indices) -> int:
@@ -610,10 +607,9 @@ def enumerate_frames(space: StateSpace) -> list[Frame]:
 
     Distinguishability is inherited by subsets, so sets are tested level by
     level and a set only once all its one-smaller subsets passed. What
-    decides a set is its least-squares witness, else the status of the
-    screen's dual (``_screen``). What witnesses a kept frame is its
-    least-squares witness, else the k x d witness LP, else the dual's
-    checked multiplier point. Whether a maximal set spans the model is read
+    decides a set is its least-squares witness, else the facet-cone LP
+    (``_screen``). What witnesses a kept frame is its least-squares witness,
+    else the k x d witness LP, else the facet cone's checked point. Whether a maximal set spans the model is read
     from the model's facets, built once (``_spans_model``); no LP decides it.
     Clique rule: a distinguishable set is a clique of the graph of
     distinguishable pairs, so after a level s >= 3 every maximal clique
@@ -649,7 +645,7 @@ def _frame_distributions(point: np.ndarray, frames) -> np.ndarray:
 def restrict_to_frame(state: GptState, frame: Frame) -> ProbVector:
     """Kolmogorovian restriction of a state to a frame's measurement, its witness effects:
     the least-squares witness if it is valid, else the k x d witness LP's vertex,
-    else the checked screen point. A frame's witness is not unique in general."""
+    else the facet cone's checked point. A frame's witness is not unique in general."""
     return ProbVector(_frame_distributions(state.as_array(), [frame])[0])
 
 

@@ -158,9 +158,9 @@ def frame_entropy(pair: EntropicPair, space: StateSpace,
 
     A restriction reads its frame's witness (``restrict_to_frame``): the
     least-squares witness if it is valid, else the k x d witness LP's
-    vertex, else the checked screen point. The witness is not unique in
-    general, so this is not the minimum over every frame's witnesses. Ties
-    go to the first frame in enumeration order (lexicographic vertex
+    vertex, else the facet cone's checked point. The witness is not unique
+    in general, so this is not the minimum over every frame's witnesses.
+    Ties go to the first frame in enumeration order (lexicographic vertex
     indices), which keeps golden outputs stable.
     """
     frames = enumerate_frames(space)

@@ -10,6 +10,7 @@ scalar-loop simplex and frame LPs of the library's first release.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -253,6 +254,47 @@ def qhull_facet_masks(points: np.ndarray, tol: float = 1e-9) -> set[int]:
     hull = scipy.spatial.ConvexHull(points)
     distance = np.abs(hull.equations[:, :-1] @ points.T + hull.equations[:, -1:])
     return set(((distance <= tol) @ (1 << np.arange(len(points)))).tolist())
+
+
+@functools.lru_cache(maxsize=8)
+def _qhull_facet_functionals(vertex_bytes: bytes, d: int) -> np.ndarray:
+    """Per facet of qhull's hull of the vertices (V x d, the homogeneous 1 last,
+    as bytes), the functional that vanishes on it, 1 at its farthest vertex.
+
+    qhull works in a chart of the vertices' affine hull, and each functional
+    spans the null space of the facet's vertices."""
+    verts = np.frombuffer(vertex_bytes).reshape(-1, d)
+    centred = verts[:, :-1] - verts[:, :-1].mean(axis=0)
+    _, singular, vt = np.linalg.svd(centred)
+    chart = centred @ vt[:int((singular > 1e-9 * singular[0]).sum())].T
+    functionals = []
+    for mask in sorted(qhull_facet_masks(chart)):
+        normal = np.linalg.svd(verts[(mask >> np.arange(len(verts)) & 1).astype(bool)])[2][-1]
+        values = verts @ normal
+        functionals.append(normal / values[np.abs(values).argmax()])
+    return np.array(functionals)
+
+
+def highs_facet_cone(vertices: np.ndarray, points: np.ndarray) -> bool:
+    """Is the unit functional in the cone of the facets through all points but
+    one, by qhull and HiGHS?
+
+    ``vertices`` is V x d with the homogeneous 1 last, and ``points`` (k x d)
+    are states of their hull, pure or mixed. A point lies on a facet of
+    qhull's when the facet's functional is within 1e-9 of 0 there. F_i holds
+    the facets through every point but point i. The points are perfectly
+    distinguishable exactly when some x >= 0 over the facets of
+    F_1 ∪ … ∪ F_k sums their functionals' values to 1 on every vertex.
+    """
+    verts = np.asarray(vertices, float)
+    functionals = _qhull_facet_functionals(verts.tobytes(), verts.shape[1])
+    held = np.abs(np.asarray(points, float) @ functionals.T) <= 1e-9
+    union = held.sum(axis=0) >= len(held) - 1
+    if not union.any():
+        return False
+    res = scipy.optimize.linprog(np.zeros(union.sum()), A_eq=verts @ functionals[union].T,
+                                 b_eq=np.ones(len(verts)), bounds=(0, None), method="highs")
+    return res.status == 0
 
 
 def highs_frames(vertices: np.ndarray) -> list[tuple[int, ...]]:

@@ -42,8 +42,8 @@ def test_every_seam_names_an_existing_attribute(seams):
 
 
 @pytest.mark.parametrize("label, counts", [
-    ("polygon8", {"dual_screen_lps": 16, "witness_lps": 0, "kernel_entries": 1, "guesses": 28}),
-    ("custom2d8", {"dual_screen_lps": 25, "witness_lps": 5, "kernel_entries": 2, "guesses": 28}),
+    ("polygon8", {"screen_lps": 16, "witness_lps": 0, "kernel_entries": 1, "guesses": 28}),
+    ("custom2d8", {"screen_lps": 25, "witness_lps": 5, "kernel_entries": 2, "guesses": 28}),
 ])
 def test_frame_seams_count_one_cold_enumeration(label, counts):
     # pivots are not pinned: they follow the kernel's pivot rule

@@ -41,6 +41,7 @@ from convexinfo.errors import (
 
 from oracles import (
     highs_distinguishable,
+    highs_facet_cone,
     highs_frames,
     highs_spans,
     loop_reference,
@@ -388,7 +389,7 @@ def test_frames_match_highs_or_raise_on_random_custom_models():
 
 def test_frames_random_custom_t17_keeps_the_frame_the_witness_lp_misses():
     # 9 points in R^3: the k x d witness LP wrongly finds (4, 5, 7) infeasible,
-    # so its witness is the dual screen's multiplier point completed by u - sum
+    # so its witness is the facet cone's checked point
     points = dict(random_custom_vertex_sets())[17]
     space = build_model("custom_polytope", vertices=points)
     verts = space.vertex_array()
@@ -420,7 +421,7 @@ def _fail_in_place(monkeypatch, caller, place) -> tuple[list, LpNumericalError]:
 def test_a_failing_witness_lp_leaves_its_frame_the_checked_screen_point(monkeypatch):
     # custom 5 x 2: three frames take witness LPs, in one stack; when the
     # second fails in its place, the stack still enters the kernel once, that
-    # frame takes the dual screen's checked point and the others keep their
+    # frame takes the facet cone's checked point and the others keep their
     # effects bit for bit
     args = _frame_model_args("custom_polytope", (5, 2))
     stacks = _record_calls(monkeypatch, "_distinguishing_effects")
@@ -461,10 +462,12 @@ def test_screen_agrees_with_the_witness_lp_on_every_tested_set(kind, n, monkeypa
                     == (gpt_models._distinguishing_effects(space, points[None])[0] is None))
 
 
-def test_dual_screen_matches_highs_and_its_multipliers_are_screen_points():
-    # seeded k-sets of random 12-16-point models in R^2-R^7; an optimal dual's
-    # multipliers, the free effects, must meet the screen's rows
+def test_cone_screen_matches_highs_and_its_point_is_a_witness():
+    # seeded k-sets of random 12-16-point models in R^2-R^7; a feasible cone's
+    # point must be a witness: each effect in [0, 1] on every vertex, the
+    # effects summing to 1 there, effect i 1 on vertex i and 0 on the others
     rng = np.random.default_rng(8)
+    tol = convex_kernel.FEAS_TOL
     verdicts = set()
     for dim, v in zip(range(2, 8), (12, 16, 14, 12, 16, 16)):
         space = build_model("custom_polytope", vertices=rng.normal(size=(v, dim)))
@@ -479,13 +482,81 @@ def test_dual_screen_matches_highs_and_its_multipliers_are_screen_points():
                 verdicts.add(effects is not None)
                 if effects is None:
                     continue
-                cells, a_eq, b_eq = _screen_rows(space, verts[list(combo)])
-                x = effects[:-1].ravel()
-                assert (cells @ x).min() >= -convex_kernel.FEAS_TOL
-                assert (cells @ x).max() <= 1.0 + convex_kernel.FEAS_TOL
-                assert np.abs(a_eq @ x - b_eq).max() <= convex_kernel.FEAS_TOL
-                assert np.array_equal(effects[-1], space.unit() - effects[:-1].sum(axis=0))
+                values = effects @ verts.T
+                assert values.min() >= -tol and values.max() <= 1.0 + tol
+                assert np.abs(values.sum(axis=0) - 1.0).max() <= tol
+                assert np.abs(values[:, list(combo)] - np.eye(k)).max() <= tol
     assert verdicts == {True, False}
+
+
+def test_perfectly_distinguishable_matches_the_facet_cone_referee():
+    # every 2- and 3-subset of the seeded sweep models' vertices
+    answers = set()
+    for t, points in random_custom_vertex_sets():
+        try:
+            space = build_model("custom_polytope", vertices=points)
+        except DegenerateModel:
+            continue
+        verts = space.vertex_array()
+        for size in (2, 3):
+            for combo in itertools.combinations(range(space.n_vertices), size):
+                found = perfectly_distinguishable(space, [vertex_state(space, i) for i in combo])
+                assert found == highs_facet_cone(verts, verts[list(combo)]), (t, combo)
+                answers.add(found)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_mixed_states_match_the_facet_cone_referee(n):
+    # the vertices, the edge midpoints and the centre of a polygon: every pair
+    # and every triple with a mixed state
+    space = build_model("regular_polygon", n=n)
+    verts = space.vertex_array()
+    pool = [*verts, *(verts + np.roll(verts, -1, axis=0)) / 2, verts.mean(axis=0)]
+    answers = set()
+    for size in (2, 3):
+        for combo in itertools.combinations(range(len(pool)), size):
+            if size == 3 and max(combo) < n:
+                continue
+            states = [gpt_models.GptState(tuple(pool[i].tolist())) for i in combo]
+            found = perfectly_distinguishable(space, states)
+            assert found == highs_facet_cone(verts, np.array([pool[i] for i in combo])), combo
+            if max(combo) >= n:
+                answers.add(found)
+    assert answers == {True, False}
+
+
+def test_screen_verdicts_hold_from_coordinate_scale_1e_minus_6_to_1e6():
+    # every pair and triple of 14 points in R^5 and of 16 points in R^7
+    for v, dim in ((14, 5), (16, 7)):
+        points = np.random.default_rng(dim).normal(size=(v, dim))
+        verdicts = {}
+        for scale in (1.0, 1e-6, 1e-3, 1e3, 1e6):
+            space = build_model("custom_polytope", vertices=scale * points)
+            verts = space.vertex_array()
+            verdicts[scale] = [effects is not None for size in (2, 3) for effects in
+                               gpt_models._screen(space, verts[np.array(list(
+                                   itertools.combinations(range(v), size)))])]
+        assert set(verdicts[1.0]) == {True, False}
+        for scale, found in verdicts.items():
+            assert found == verdicts[1.0], (v, dim, scale)
+
+
+@pytest.mark.parametrize("states, error, shown", [
+    ([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]], DimensionMismatch, "GptState"),
+    (np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]), DimensionMismatch, "GptState"),
+    (5, DimensionMismatch, "GptState"),
+    ([(float("nan"), 0.0, 1.0), (-1.0, 0.0, 1.0)], NotAState, "not finite"),
+    ([(5.0, 5.0, 1.0), (-1.0, 0.0, 1.0)], NotAState, "outside the model"),
+    ([(0.5, 0.0, 2.0), (-1.0, 0.0, 1.0)], NotAState, "homogeneous coordinate"),
+], ids=["lists", "array", "non-iterable", "nan", "outside", "homogeneous-2"])
+def test_perfectly_distinguishable_rejects_malformed_states_by_name(square, states, error,
+                                                                     shown, capfd):
+    if error is NotAState:
+        states = [gpt_models.GptState(point) for point in states]
+    with pytest.raises(error, match=shown):
+        perfectly_distinguishable(square, states)
+    assert capfd.readouterr().err == ""
 
 
 def test_spans_from_the_facets_match_the_highs_spans_lp(monkeypatch):
@@ -571,26 +642,14 @@ def _twin_effect_lp(cells, a_eq, b_eq) -> LinearProgram:
                          bounds=((None, None),) * n)
 
 
-def _screen_rows(space, points):
-    """The screen's rows over k - 1 free effects: 0 <= cells x <= 1, a_eq x = b_eq."""
-    k = len(points)
-    verts = space.vertex_array()
-    outside = verts[~(verts[:, None, :] == points).all(axis=2).any(axis=1)]
-    cells = np.kron(np.eye(k - 1), outside)
-    if k > 2:
-        cells = np.vstack([cells, np.tile(outside, k - 1)])
-    return cells, np.kron(np.eye(k - 1), points), np.eye(k - 1, k).ravel()
-
-
-def _twin_screen_lp(space, points) -> LinearProgram:
-    # the screen's Farkas dual: min 1.y_hi + b_eq.z, cells^T (y_hi - y_lo) + a_eq^T z = 0
-    cells, a_eq, b_eq = _screen_rows(space, points)
-    m = len(cells)
-    cons = [Constraint(tuple(row), "=", 0.0) for row in np.hstack([cells.T, -cells.T, a_eq.T])]
-    return LinearProgram(n_vars=2 * m + len(b_eq), objective=(1.0,) * m + (0.0,) * m + tuple(b_eq),
-                         constraints=tuple(cons),
-                         bounds=((0.0, None),) * (2 * m) + ((None, None),) * len(b_eq),
-                         maximize=False)
+def _twin_cone_lp(space, points) -> LinearProgram:
+    # x >= 0 over the facets through all points but one, their effects'
+    # values summing to 1 on every vertex; the other facets' columns are 0
+    effects, _ = space._facets
+    zero = np.abs(points @ effects.T) <= gpt_models._FACET_TOL
+    values = np.where(zero.sum(axis=0) >= len(points) - 1, space.vertex_array() @ effects.T, 0.0)
+    return LinearProgram(n_vars=len(effects), objective=None,
+                         constraints=tuple(Constraint(tuple(row), "=", 1.0) for row in values))
 
 
 def _twin_witness_lp(space, points) -> LinearProgram:
@@ -636,11 +695,11 @@ def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
                                                                  size), 8):
                 points = verts[list(combo)]
                 check(lambda: gpt_models._screen(space, points[None]),
-                      _twin_screen_lp(space, points))
+                      _twin_cone_lp(space, points))
                 check(lambda: gpt_models._distinguishing_effects(space, points[None]),
                       _twin_witness_lp(space, points))
-    # the dual screens are optimal or unbounded, the witness LPs optimal or infeasible
-    assert statuses == {"optimal", "infeasible", "unbounded"}
+    # no frame LP has an objective: each is optimal or infeasible
+    assert statuses == {"optimal", "infeasible"}
 
     polytopes = [rng.normal(size=(v, d)) for v, d in ((4, 2), (6, 3), (9, 4), (12, 5))]
     heptagon = build_model("regular_polygon", n=7)
@@ -663,7 +722,7 @@ def test_array_built_lps_match_their_linear_program_twins(monkeypatch):
     assert seen == {True}
 
 
-def test_twelve_gon_frames_cost_dual_screen_lps_only(monkeypatch):
+def test_twelve_gon_frames_cost_cone_screen_lps_only(monkeypatch):
     calls = {name: _record_calls(monkeypatch, name)
              for name in ("_screen", "_distinguishing_effects", "_spans_model")}
     entries = []
@@ -672,7 +731,7 @@ def test_twelve_gon_frames_cost_dual_screen_lps_only(monkeypatch):
     assert {name: sum(map(_sets, made)) for name, made in calls.items()} == {
         "_screen": 48, "_distinguishing_effects": 0, "_spans_model": 18}
     assert len(solved) == 48
-    # one stack of pair screens; the spans come from the model's facets
+    # one stack of pair cone LPs; the spans come from the model's facets
     assert entries == [48]
 
 
