@@ -49,8 +49,9 @@ The ``quantum`` section times the ``quantum-search`` workload's qentropy op,
 ``STATES`` random density matrices given as nested lists, as the workload
 gives them; ``ms`` is the median over the ops and repeats. ``eigensolves``
 counts the ``eigvalsh`` and ``eigh`` calls per op: the state's validation,
-the search's eigenbasis, its witness's validation and, unless the state
-keeps its eigenvalues, the spectrum.
+the search's eigenbasis and, unless the state keeps its eigenvalues, the
+spectrum; a checkout whose min-search checks its witness with an eigensolve
+of the effects counts one more.
 
 In the first repeat one more run of each section, not timed, counts the
 work: ``counting`` wraps every seam of the section's table (``FRAME_SEAMS``,

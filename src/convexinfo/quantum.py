@@ -119,12 +119,43 @@ class DensityMatrix:
         return [[[z.real, z.imag] for z in row] for row in self.entries]
 
 
+def _checked_effects(stack: np.ndarray, eigensolve: bool) -> np.ndarray | None:
+    """Check a complex (k, N, N) stack of effects as a ``Povm`` holds them,
+    and freeze it; with ``eigensolve``, return the effects' ascending
+    eigenvalues.
+
+    The entries are finite; then, effect by effect in order, each is
+    Hermitian within ``TOL`` and, with ``eigensolve``, has no eigenvalue
+    below -``TOL``; then the effects sum to the identity within ``TOL``.
+    Each check asks that its bound holds, so a NaN fails it.
+    """
+    if not np.isfinite(stack).all():
+        raise InvalidPovm("entries must be finite")
+    hermitian = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= TOL
+    failed, evals = ~hermitian, None
+    if eigensolve:
+        evals = np.linalg.eigvalsh(stack)
+        failed |= ~(evals[:, 0] >= -TOL)
+    if failed.any():
+        first = int(np.argmax(failed))  # effects are checked in order
+        if not hermitian[first]:
+            raise InvalidPovm("effect is not Hermitian within tolerance")
+        raise InvalidPovm(f"effect has negative eigenvalue {float(evals[first, 0])!r}")
+    if not np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))) <= TOL:
+        raise InvalidPovm("effects do not sum to the identity")
+    _frozen(stack)
+    return evals
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """A finite POVM: PSD effects summing to the identity.
 
     ``effects`` is the validated stack itself, a read-only complex (k, N, N)
-    array. Equality and hashing go by value, ``rank_one`` included.
+    array. Equality and hashing go by value, ``rank_one`` included. Every
+    POVM built from effects, a copy or an unpickled one included, is checked
+    in full, eigensolve included; only the min-search's eigenbasis witness
+    (``_eigenbasis``) skips the eigensolve, which cannot fail on it.
     """
 
     effects: np.ndarray
@@ -141,23 +172,35 @@ class Povm:
         if any(m.shape[0] != n for m in mats):
             raise DimensionMismatch("effects must share one dimension")
         stack = np.array(mats)
-        not_hermitian = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) > TOL
-        evals = np.linalg.eigvalsh(stack)
-        negative = evals[:, 0] < -TOL
-        first = int(np.argmax(not_hermitian | negative))  # effects are checked in order
-        if not_hermitian[first]:
-            raise InvalidPovm("effect is not Hermitian within tolerance")
-        if negative[first]:
-            raise InvalidPovm(f"effect has negative eigenvalue {float(evals[first, 0])!r}")
+        evals = _checked_effects(stack, eigensolve=True)
         detected_rank_one = n == 1 or not (evals[:, -2] > 1e-7).any()
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(n))) > TOL:
-            raise InvalidPovm("effects do not sum to the identity")
         if rank_one is None:
             rank_one = detected_rank_one
         elif rank_one and not detected_rank_one:
             raise InvalidPovm("rank_one flag set but an effect has rank > 1")
-        object.__setattr__(self, "effects", _frozen(stack))
+        object.__setattr__(self, "effects", stack)
         object.__setattr__(self, "rank_one", bool(rank_one))
+
+    @classmethod
+    def _eigenbasis(cls, rows: np.ndarray) -> Povm:
+        """The rank-one POVM {|r_i><r_i|} of the orthonormal bras ``rows``,
+        the min-search's witness.
+
+        It runs every check of ``__init__`` but the eigensolve: the entries
+        are finite, each effect is Hermitian, and the effects sum to the
+        identity within ``TOL``. The eigensolve decides that no eigenvalue
+        lies below -``TOL`` and that no effect has a second eigenvalue above
+        1e-7, and neither can fail here: a rounded outer product r r† lies
+        within about N eps ||r||^2 of r r†, whose eigenvalues are ||r||^2
+        and N - 1 zeros (Weyl's bound), and the sum check bounds ||r||^2,
+        the effect's trace, by N (1 + TOL).
+        """
+        effects = np.einsum("ia,ib->iab", rows.conj(), rows)
+        _checked_effects(effects, eigensolve=False)
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "effects", effects)
+        object.__setattr__(povm, "rank_one", True)
+        return povm
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -249,6 +292,12 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
     concave and h increasing, or phi convex and h decreasing) is
     Schur-concave, so no measurement scores less.
 
+    The measurement gets every check a ``Povm`` makes (finite, Hermitian
+    effects that sum to the identity within ``TOL``) but the eigensolve of
+    its effects, which could not fail: by Weyl's bound each rounded outer
+    product of a row has eigenvalues within about N eps of ||r||^2 and 0,
+    far inside ``TOL`` and the rank-one test's 1e-7 (``Povm._eigenbasis``).
+
     A grid pair (``pair_from_grid_descriptor``) is in its regime only if its
     interpolated phi and h are, and construction checks them only at
     ``_GRID_POINTS`` samples within ``_GRID_TOL``. So its knots may bend
@@ -278,11 +327,11 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
 
     _, vecs = np.linalg.eigh(rho_arr)
     rows = vecs.conj().T[::-1].copy()  # eigenbasis bras, largest eigenvalue first
+    witness = Povm._eigenbasis(rows)
     probs = np.einsum("ia,ia->i", rows @ rho_arr, rows.conj()).real
     probs = np.where(probs > 0.0, probs, 0.0)
     value = _entropies(pair, (probs / probs.sum())[None])[0]
-    effects = np.einsum("ia,ib->iab", rows.conj(), rows)
-    return float(value), Povm(effects, rank_one=True)
+    return float(value), witness
 
 
 def quantum_majorizes(sigma: DensityMatrix, rho: DensityMatrix) -> bool:

@@ -460,6 +460,20 @@ def test_a_grid_pair_whose_knot_bends_against_its_regime_can_beat_the_eigenbasis
     assert beaten == pytest.approx(6.5e-5 * 5e-6, rel=1e-3)
 
 
+@pytest.mark.parametrize("entry", [complex(math.nan, 0), complex(0, math.nan),
+                                   complex(math.inf, 0), complex(0, -math.inf)],
+                         ids=["nan-real", "nan-imag", "inf-real", "inf-imag"])
+@pytest.mark.parametrize("where", [(0, 0, 0), (1, 0, 1)], ids=["diagonal", "off-diagonal"])
+def test_povm_rejects_non_finite_entries(entry, where):
+    # every other check asks that a bound holds, so a NaN fails them too
+    effects = np.array(Z_PVM.effects)
+    effects[where] = entry
+    with pytest.raises(InvalidPovm, match="^entries must be finite$"):
+        Povm(effects)
+    with pytest.raises(InvalidPovm, match="^entries must be finite$"):
+        Povm._eigenbasis(np.array([[entry, 0], [0, 1]]))
+
+
 def test_povm_reports_the_first_offending_effect():
     # stacked checks, same verdict and offending value as checking effect by
     # effect; the reference prints the value as np.float64(...), this a float
@@ -565,6 +579,72 @@ def test_a_built_state_is_eigensolved_once(monkeypatch):
         quantum_entropy(pair, rho)
     assert quantum_majorizes(rho, rho) and len(eigen_spectrum(rho)) == 8
     assert solves == ["eigvalsh"]
+
+
+def test_a_state_and_its_min_search_run_two_eigensolves(monkeypatch):
+    # the state's validation and the search's eigenbasis; the witness is
+    # checked with no eigensolve of its effects
+    solves = []
+    for name in ("eigvalsh", "eigh"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            solves.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(3), 8))
+    _, witness = quantum_entropy_min_search(make_preset("shannon"), rho)
+    assert solves == ["eigvalsh", "eigh"] and witness.rank_one
+    Povm(witness.effects, rank_one=True)
+    assert solves == ["eigvalsh", "eigh", "eigvalsh"]
+
+
+def _witness_states():
+    """Seeded states of every dimension to 16, and degenerate spectra: the
+    maximally mixed state, a pure state and a repeated eigenvalue."""
+    rng = np.random.default_rng(28)
+    for n in range(1, 17):
+        yield from (random_density_matrix(rng, n) for _ in range(3))
+        yield np.eye(n) / n
+        yield np.diag([1.0] + [0.0] * (n - 1))
+        if n > 2:
+            yield np.diag([0.4, 0.4] + [0.2 / (n - 2)] * (n - 2))
+
+
+def test_the_eigenbasis_witness_equals_the_checked_povm():
+    import copy
+    import pickle
+    pair = make_preset("shannon")
+    for rho in _witness_states():
+        for form in (rho, rho.tolist()):
+            _, witness = quantum_entropy_min_search(pair, DensityMatrix(form))
+            checked = Povm(witness.effects, rank_one=True)
+            assert witness == checked and hash(witness) == hash(checked)
+            assert witness.effects.tobytes() == checked.effects.tobytes()
+            assert witness.rank_one and Povm(witness.effects).rank_one
+            assert witness.effects.dtype == complex and witness.effects.flags.c_contiguous
+            assert not witness.effects.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                witness.effects[0, 0, 0] = 0
+            for again in (copy.copy(witness), copy.deepcopy(witness),
+                          pickle.loads(pickle.dumps(witness))):
+                assert again == witness and hash(again) == hash(witness)
+                assert not again.effects.flags.writeable
+
+
+@pytest.mark.parametrize("broken, message", [
+    (lambda vecs: 1.01 * vecs, "^effects do not sum to the identity$"),
+    (lambda vecs: np.full_like(vecs, math.nan), "^entries must be finite$"),
+], ids=["scaled", "nan"])
+def test_a_broken_eigenbasis_fails_the_witness_checks(broken, message, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def patched(matrix):
+        values, vecs = eigh(matrix)
+        return values, broken(vecs)
+
+    monkeypatch.setattr(np.linalg, "eigh", patched)
+    rho = DensityMatrix(random_density_matrix(np.random.default_rng(5), 4))
+    with pytest.raises(InvalidPovm, match=message):
+        quantum_entropy_min_search(make_preset("shannon"), rho)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
