@@ -172,7 +172,6 @@ FRAME_SEAMS = (
      lambda space, points: {"witness_lps": len(points)}),
     ("convexinfo.gpt_models", "_solve", _once("kernel_entries")),
     ("convexinfo.convex_kernel", "_pivot", _pivots),
-    ("convexinfo.convex_kernel", "_pivot_alone", _pivots),
 )
 SPECTRA_SEAMS = (
     ("numpy.linalg", "matrix_rank", _once("ranks")),

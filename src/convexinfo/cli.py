@@ -203,7 +203,7 @@ def _cmd_separable(args) -> int:
         payload = {"separable": True,
                    "witness": [{"a": a, "b": b, "weight": w} for (a, b), w in witness]}
     else:
-        # classify_joint's verdict without a second decomposition LP; with a classical
+        # classify_joint's verdict without a second cone test; with a classical
         # factor the witness's basis test decided, and nothing is entangled
         member = ps._classical is None and max_tensor_member(ps, omega)
         payload = {"separable": False,

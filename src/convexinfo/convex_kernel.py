@@ -5,9 +5,9 @@ anti-cycling rule. Instances here are tiny (tens of variables), so the
 implementation favours determinism and verifiability over speed: every
 reported optimum is re-checked against the original constraints before it
 is returned, and a check failure raises instead of returning a wrong answer.
-A stack of same-shape LPs pivots together on a 3-D tableau; a lone LP
-pivots on its own 2-D tableau by the same rule and the same arithmetic, so
-its result is the one it gets inside a stack, bit for bit.
+A stack of same-shape LPs pivots together on a 3-D tableau, and a lone LP
+is a stack of one: every LP runs the one loop, and its result is the one it
+gets inside any stack, bit for bit.
 
 Hull membership is not an LP: whether a point is a convex combination of
 vertices is one cone test (``_cone_weights``), non-negative least squares
@@ -130,15 +130,6 @@ def _pivot(tableau, basis, rows, cols, column, every) -> None:
     basis[every, rows] = cols
 
 
-def _pivot_alone(tableau, basis, row, col, column) -> None:
-    """``_pivot`` on one LP's 2-D tableau: pivot on (``row``, ``col``), where
-    ``column`` is its column ``col``."""
-    pivot_row = tableau[row] / column[row]
-    tableau -= column[:, None] * pivot_row
-    tableau[row] = pivot_row
-    basis[row] = col
-
-
 def _run_simplex(tableau, basis, costs, n_enter):
     """Minimize each LP of the stack over its tableau in place; Bland's rule throughout.
 
@@ -150,12 +141,10 @@ def _run_simplex(tableau, basis, costs, n_enter):
     artificial columns): it counts as improving, so it enters exactly when no
     other column can, and then finds no row to pivot on. Each LP takes its
     own pivots and all that still pivot advance together; an LP leaves the
-    live stack as soon as it finishes. A stack of one runs on its 2-D tableau
-    (``_run_alone``). Returns two flags per LP: unbounded (else optimal), and
-    still pivoting at the pivot cap.
+    live stack as soon as it finishes; a lone LP is a stack of one. Returns
+    two flags per LP: unbounded (else optimal), and still pivoting at the
+    pivot cap.
     """
-    if len(tableau) == 1:
-        return _run_alone(tableau[0], basis[0], costs, n_enter)
     s, m = basis.shape
     unbounded, capped = np.zeros(s, bool), np.zeros(s, bool)
     members = np.arange(s)  # the stack index of each live LP
@@ -200,30 +189,6 @@ def _run_simplex(tableau, basis, costs, n_enter):
     if live_t is not tableau:
         tableau[members], basis[members] = live_t, live_b
     return unbounded, capped
-
-
-def _run_alone(tableau, basis, costs, n_enter):
-    """``_run_simplex`` on one LP: ``tableau`` (m, columns), ``basis`` (m,) and
-    ``costs`` its row. The rule and the arithmetic are the stack's, so the
-    flags, the tableau and the basis are those the LP gets in a stack; only
-    the indexing is 2-D: the pivot is a pair of ints and the entering column
-    a view."""
-    reduced = np.full(n_enter + 1, -1.0)  # the zero column's stays -1
-    improving = reduced[:n_enter]
-    body, rhs, entering_costs = tableau[:, :n_enter], tableau[:, -1], costs[:n_enter]
-    ratios = np.empty(len(basis))
-    for _ in range(_MAX_PIVOTS):
-        np.subtract(entering_costs, costs[basis] @ body, out=improving)
-        entering = int((reduced < -_EPS).argmax())  # Bland: the first improving column
-        column = tableau[:, entering]
-        ratios.fill(np.inf)
-        np.divide(rhs, column, out=ratios, where=column > _EPS)
-        least = ratios.min(initial=np.inf)
-        if not np.isfinite(least):  # no row to pivot on: finished
-            return np.array([entering < n_enter]), np.zeros(1, bool)
-        leaving = int(np.where(ratios > least + _EPS, tableau.shape[1], basis).argmin())
-        _pivot_alone(tableau, basis, leaving, entering, column)
-    return np.zeros(1, bool), np.ones(1, bool)
 
 
 class _Layout(NamedTuple):
@@ -404,7 +369,8 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumerical
     for i, row in zip(*((basis >= n_cols) & ~done[:, None]).nonzero()):
         cols = (np.abs(tableau[i, row, :n_cols]) > _EPS).nonzero()[0]
         if cols.size:
-            _pivot_alone(tableau[i], basis[i], row, cols[0], tableau[i, :, cols[0]])
+            lp = slice(i, i + 1)
+            _pivot(tableau[lp], basis[lp], [row], cols[:1], tableau[lp, :, cols[0]], [0])
     unbounded = capped = np.zeros(s, bool)
     multipliers = np.zeros((s, m_con))
     if c.any():

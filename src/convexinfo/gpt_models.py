@@ -4,8 +4,9 @@ States live in an ambient space whose last coordinate is a homogeneous 1;
 the unit functional u_C simply reads that coordinate. Effects are linear
 functionals on the ambient space constrained to [0, 1] on every vertex
 (hence, by convexity, on every state). A frame is a maximal set of
-perfectly distinguishable vertices together with an LP-witnessed
-measurement resolving the unit functional.
+perfectly distinguishable vertices, each set decided by one facet-cone LP,
+together with a checked measurement that resolves the unit functional and
+witnesses it.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ class StateSpace:
         # read only through enumerate_frames, which hands out copies
         v = self.n_vertices
         verts = self._verts
-        # each passing set maps to its least-squares witness, or to the facet
-        # cone's point: its witness LP waits until it is a frame
+        # each passing set maps to the facet cone's point, a vertex alone to
+        # the unit effect
         witnesses: dict[tuple[int, ...], list[GptEffect] | np.ndarray] = {
             (i,): [unit_effect(self)] for i in range(v)}
         tested: set[tuple[int, ...]] = set()
@@ -198,7 +199,7 @@ class StateSpace:
             tested.update(combos)
             for size in sorted(set(map(len, combos))):
                 sets = [combo for combo in combos if len(combo) == size]
-                for combo, found in zip(sets, _decide(self, verts[np.array(sets)])):
+                for combo, found in zip(sets, _screen(self, verts[np.array(sets)])):
                     if found is not None:
                         witnesses[combo] = found
             return [combo in witnesses for combo in combos]
@@ -228,17 +229,20 @@ class StateSpace:
                    if not any(_mask(combo) & ~other == 0 and _mask(combo) != other
                               for other in masks)]
         # the spans of all maximal sets from the model's facets, then the
-        # witness LPs of the kept frames the least-squares guess missed, one
-        # stack per size; where one finds none or fails, the facet cone's point
+        # witnesses of the kept frames, one stack per size: least squares,
+        # else the witness LP, else the facet cone's checked point
         kept = [combo for combo, spans in zip(maximal, _spans_model(self, maximal)) if spans]
         effects = {combo: witnesses[combo] for combo in kept}
-        missing = [combo for combo in kept if isinstance(effects[combo], np.ndarray)]
-        for size in sorted(set(map(len, missing))):
-            sets = [combo for combo in missing if len(combo) == size]
-            for combo, found_effects in zip(sets, _distinguishing_effects(
-                    self, verts[np.array(sets)])):
-                effects[combo] = found_effects or _checked_screen_witness(
-                    self, verts[list(combo)], witnesses[combo])
+        for size in sorted({len(combo) for combo in kept} - {1}):
+            sets = [combo for combo in kept if len(combo) == size]
+            points = verts[np.array(sets)]
+            guesses = _least_squares_effects(self, points)
+            missing = [i for i, guess in enumerate(guesses) if guess is None]
+            for i, found_effects in zip(missing, _distinguishing_effects(
+                    self, points[missing]) if missing else []):
+                guesses[i] = found_effects or _checked_screen_witness(
+                    self, points[i], witnesses[sets[i]])
+            effects.update(zip(sets, guesses))
         return tuple(Frame(vertex_indices=combo,
                            states=tuple(vertex_state(self, i) for i in combo),
                            effects=tuple(effects[combo])) for combo in kept)
@@ -353,7 +357,7 @@ def _decomposition_vertices(space: StateSpace, state: GptState) -> np.ndarray:
 
     Rows come in ``itertools.combinations`` order of the model's regular bases, a
     degenerate vertex once per basis that reaches it; ``NotAState`` if there is none."""
-    point = state.as_array()
+    point = _array_of(state, GptState)
     if point.shape != (space.dim,):
         raise DimensionMismatch(f"state dim {point.shape[0]} vs model dim {space.dim}")
     w = space._decompositions(point.tobytes())
@@ -363,7 +367,16 @@ def _decomposition_vertices(space: StateSpace, state: GptState) -> np.ndarray:
 
 
 def vertex_state(space: StateSpace, index: int) -> GptState:
-    return GptState(point=space.vertices[index])
+    """The pure state of vertex ``index``; ``DimensionMismatch`` unless it is an
+    integer with 0 <= index < ``space.n_vertices``."""
+    try:
+        i = operator.index(index)
+    except TypeError:
+        raise DimensionMismatch(f"a vertex index must be an integer, got {index!r}") from None
+    if not 0 <= i < space.n_vertices:
+        raise DimensionMismatch(f"vertex index {i} is out of range for {space.n_vertices} "
+                                "vertices")
+    return GptState(point=space.vertices[i])
 
 
 def mix_state(space: StateSpace, weights) -> GptState:
@@ -402,10 +415,18 @@ def zero_effect(space: StateSpace) -> GptEffect:
     return GptEffect(coeffs=(0.0,) * space.dim)
 
 
+def _array_of(value, kind: type) -> np.ndarray:
+    """``value.as_array()``; ``DimensionMismatch`` naming ``kind`` unless ``value``
+    is one, so a raw list or array ends in a named error."""
+    if not isinstance(value, kind):
+        raise DimensionMismatch(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value.as_array()
+
+
 def evaluate(effect: GptEffect, state: GptState) -> float:
     """Outcome probability of the effect on the state, clamped to [0, 1]."""
-    e = effect.as_array()
-    s = state.as_array()
+    e = _array_of(effect, GptEffect)
+    s = _array_of(state, GptState)
     if e.shape != s.shape:
         raise DimensionMismatch("effect and state dimensions differ")
     value = float(e @ s)
@@ -438,8 +459,9 @@ def _witness_equalities(space: StateSpace, points: np.ndarray):
 def _least_squares_effects(space: StateSpace, points: np.ndarray) -> list[list[GptEffect] | None]:
     """The minimum-norm solution of the witness equalities, if it is a witness.
 
-    It is the symmetric, canonical witness on well-behaved models; None when
-    it leaves [0, 1] on some vertex or misses the equalities. ``points`` is
+    It is the symmetric, canonical witness on well-behaved models, and the
+    first one tried for a kept frame; it decides no set. None when it
+    leaves [0, 1] on some vertex or misses the equalities. ``points`` is
     a stack of point sets (s, k, d), and the answer a list of one per set:
     ``np.linalg.lstsq`` solves each set alone, the checks run on the stack.
     """
@@ -503,19 +525,6 @@ def _screen(space: StateSpace, points: np.ndarray) -> list[np.ndarray | None]:
             for r, owned in zip(results, first)]
 
 
-def _decide(space: StateSpace, points: np.ndarray) -> list[list[GptEffect] | np.ndarray | None]:
-    """Perfect distinguishability of each point set of the stack (s, k, d).
-
-    Each set gets its least-squares witness effects, else the facet cone's
-    point (``_screen``, unchecked), else None: it is not distinguishable.
-    """
-    found = _least_squares_effects(space, points)
-    unsure = [i for i, effects in enumerate(found) if effects is None]
-    for i, point in zip(unsure, _screen(space, points[unsure]) if unsure else []):
-        found[i] = point
-    return found
-
-
 def _checked_screen_witness(space: StateSpace, points: np.ndarray,
                             effects: np.ndarray) -> list[GptEffect]:
     """The facet cone's point as the witness of the set ``points``, checked first.
@@ -535,10 +544,11 @@ def _checked_screen_witness(space: StateSpace, points: np.ndarray,
 def perfectly_distinguishable(space: StateSpace, states) -> bool:
     """Can one measurement answer which of the states was prepared, surely?
 
-    Decided as frame enumeration decides it (``_decide``). ``DimensionMismatch``
-    unless ``states`` are ``GptState``s of the model's dimension; ``NotAState``
-    for a point that is not finite, whose homogeneous coordinate is not 1 or
-    that a facet effect of the model reads below -``_FACET_TOL``.
+    Decided as frame enumeration decides it, by one facet-cone LP
+    (``_screen``). ``DimensionMismatch`` unless ``states`` are ``GptState``s
+    of the model's dimension; ``NotAState`` for a point that is not finite,
+    whose homogeneous coordinate is not 1 or that a facet effect of the
+    model reads below -``_FACET_TOL``.
     """
     try:
         states = list(states)
@@ -555,7 +565,7 @@ def perfectly_distinguishable(space: StateSpace, states) -> bool:
         raise NotAState("a state's homogeneous coordinate is not 1")
     if (points @ space._facets[0].T).min() < -_FACET_TOL:
         raise NotAState("a state lies outside the model")
-    return _decide(space, points[None])[0] is not None
+    return _screen(space, points[None])[0] is not None
 
 
 def _mask(indices) -> int:
@@ -606,11 +616,13 @@ def enumerate_frames(space: StateSpace) -> list[Frame]:
     the tie order downstream consumers rely on.
 
     Distinguishability is inherited by subsets, so sets are tested level by
-    level and a set only once all its one-smaller subsets passed. What
-    decides a set is its least-squares witness, else the facet-cone LP
-    (``_screen``). What witnesses a kept frame is its least-squares witness,
-    else the k x d witness LP, else the facet cone's checked point. Whether a maximal set spans the model is read
-    from the model's facets, built once (``_spans_model``); no LP decides it.
+    level and a set only once all its one-smaller subsets passed. The
+    facet-cone LP (``_screen``) decides every set, one stack per size.
+    What witnesses a kept frame is its least-squares witness, else the k x d
+    witness LP, else the facet cone's checked point, one stack per size; a
+    one-vertex frame keeps the unit effect. Whether a maximal set spans the
+    model is read from the model's facets, built once (``_spans_model``);
+    no LP decides it.
     Clique rule: a distinguishable set is a clique of the graph of
     distinguishable pairs, so after a level s >= 3 every maximal clique
     whose s-subsets all passed is tested whole, once. If it passes it is a
@@ -643,10 +655,14 @@ def _frame_distributions(point: np.ndarray, frames) -> np.ndarray:
 
 
 def restrict_to_frame(state: GptState, frame: Frame) -> ProbVector:
-    """Kolmogorovian restriction of a state to a frame's measurement, its witness effects:
-    the least-squares witness if it is valid, else the k x d witness LP's vertex,
-    else the facet cone's checked point. A frame's witness is not unique in general."""
-    return ProbVector(_frame_distributions(state.as_array(), [frame])[0])
+    """Kolmogorovian restriction of a state to a frame's measurement, its witness effects.
+
+    The facet cone decided the frame; its witness is the least-squares one if
+    that is valid, else the k x d witness LP's vertex, else the facet cone's
+    checked point, and a one-vertex frame's is the unit effect. A frame's
+    witness is not unique in general. ``DimensionMismatch`` unless ``state``
+    is a ``GptState``."""
+    return ProbVector(_frame_distributions(_array_of(state, GptState), [frame])[0])
 
 
 # -- JSON model/state files ---------------------------------------------------

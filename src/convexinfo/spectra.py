@@ -23,6 +23,7 @@ from .gpt_models import (
     Frame,
     GptState,
     StateSpace,
+    _array_of,
     _decomposition_vertices,
     _frame_distributions,
     enumerate_frames,
@@ -156,17 +157,20 @@ def frame_entropy(pair: EntropicPair, space: StateSpace,
                   state: GptState) -> tuple[float, Frame]:
     """Minimum entropy of the state's restriction over all frames.
 
-    A restriction reads its frame's witness (``restrict_to_frame``): the
-    least-squares witness if it is valid, else the k x d witness LP's
-    vertex, else the facet cone's checked point. The witness is not unique
-    in general, so this is not the minimum over every frame's witnesses.
+    The facet cone decided each frame, and a restriction reads its witness
+    (``restrict_to_frame``): the least-squares witness if it is valid, else
+    the k x d witness LP's vertex, else the facet cone's checked point; a
+    one-vertex frame's is the unit effect. The witness is not unique in
+    general, so this is not the minimum over every frame's witnesses.
     Ties go to the first frame in enumeration order (lexicographic vertex
-    indices), which keeps golden outputs stable.
+    indices), which keeps golden outputs stable. ``DimensionMismatch``
+    unless ``state`` is a ``GptState``.
     """
+    point = _array_of(state, GptState)
     frames = enumerate_frames(space)
     if not frames:
         raise NoFrames("model admits no frame")
-    entropies = _entropies(pair, _frame_distributions(state.as_array(), frames)).tolist()
+    entropies = _entropies(pair, _frame_distributions(point, frames)).tolist()
     best = 0
     for k, value in enumerate(entropies):
         if value < entropies[best] - 1e-15:

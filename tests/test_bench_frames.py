@@ -42,11 +42,13 @@ def test_every_seam_names_an_existing_attribute(seams):
 
 
 @pytest.mark.parametrize("label, counts", [
-    ("polygon8", {"screen_lps": 16, "witness_lps": 0, "kernel_entries": 1, "guesses": 28}),
-    ("custom2d8", {"screen_lps": 25, "witness_lps": 5, "kernel_entries": 2, "guesses": 28}),
+    ("polygon8", {"screen_lps": 28, "witness_lps": 0, "kernel_entries": 1, "guesses": 12}),
+    ("custom2d8", {"screen_lps": 28, "witness_lps": 5, "kernel_entries": 2, "guesses": 8}),
 ])
 def test_frame_seams_count_one_cold_enumeration(label, counts):
-    # pivots are not pinned: they follow the kernel's pivot rule
+    # the facet cone decides every pair, and least squares guesses each kept
+    # frame's witness once; pivots are not pinned: they follow the kernel's
+    # pivot rule
     originals = _originals(bench_frames.FRAME_SEAMS)
     with bench_frames.counting(bench_frames.FRAME_SEAMS) as counted:
         enumerate_frames(bench_frames._build(label))
@@ -56,8 +58,8 @@ def test_frame_seams_count_one_cold_enumeration(label, counts):
 
 
 def test_pivots_count_alike_alone_and_in_a_stack():
-    # a lone LP pivots on its own 2-D tableau, a stack on its 3-D one: three
-    # copies of an LP count three times its pivots alone. min x0 + 2 x1 + 3 x2
+    # a lone LP is a stack of one: three copies of an LP count three times
+    # its pivots alone. min x0 + 2 x1 + 3 x2
     # s.t. x0 + x1 + x2 = 1, x0 - x1 >= -0.5, x2 <= 0.8 takes pivots in both phases
     c, a = np.array([1.0, 2.0, 3.0]), np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0, 0, 1.0]])
     rest = np.array([0.0, -1.0, 1.0]), np.array([1.0, -0.5, 0.8]), np.zeros(3), np.full(3, np.inf)

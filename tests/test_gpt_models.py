@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -11,11 +12,15 @@ from convexinfo import (
     Constraint,
     LinearProgram,
     ProductSpace,
+    apply_phi,
     build_model,
     convex_kernel,
+    decomposition_constraints,
     enumerate_frames,
     evaluate,
     frame_entropy,
+    generalized_majorizes,
+    generalized_spectrum,
     gpt_models,
     lp_solve,
     make_effect,
@@ -25,6 +30,7 @@ from convexinfo import (
     model_from_json,
     perfectly_distinguishable,
     restrict_to_frame,
+    spectral_entropy,
     unit_effect,
     vertex_state,
     zero_effect,
@@ -452,9 +458,10 @@ def test_a_failing_screen_lp_makes_enumeration_raise_it(monkeypatch):
 
 @pytest.mark.parametrize("kind, n", FRAME_MODELS, ids=FRAME_MODEL_IDS)
 def test_screen_agrees_with_the_witness_lp_on_every_tested_set(kind, n, monkeypatch):
-    tested = _record_calls(monkeypatch, "_least_squares_effects")
+    tested = _record_calls(monkeypatch, "_screen")
     space = build_model(kind, **_frame_model_args(kind, n))
     enumerate_frames(space)
+    monkeypatch.undo()
     assert tested
     for stack in tested:  # one stack of point sets per call
         for points in stack:
@@ -542,6 +549,33 @@ def test_screen_verdicts_hold_from_coordinate_scale_1e_minus_6_to_1e6():
             assert found == verdicts[1.0], (v, dim, scale)
 
 
+_RAW = [0.1, 0.2, 1.0]  # a state's point as a raw list, not a GptState
+_STATE = "expected GptState, got list"
+#: Every other entry point that takes a model's state, effect or vertex
+#: index, on the square: its call, and what its DimensionMismatch says.
+_ENTRY_POINT_CASES = {
+    "generalized_spectrum": (lambda sq: generalized_spectrum(sq, _RAW), _STATE),
+    "spectral_entropy": (lambda sq: spectral_entropy(make_preset("shannon"), sq, _RAW), _STATE),
+    "apply_phi": (lambda sq: apply_phi(sq, _RAW, make_preset("shannon")), _STATE),
+    "generalized_majorizes-first": (lambda sq: generalized_majorizes(
+        sq, _RAW, make_state(sq, [0.0, 0.0])), _STATE),
+    "generalized_majorizes-second": (lambda sq: generalized_majorizes(
+        sq, make_state(sq, [0.0, 0.0]), _RAW), _STATE),
+    "decomposition_constraints": (lambda sq: decomposition_constraints(sq, _RAW), _STATE),
+    "frame_entropy": (lambda sq: frame_entropy(make_preset("shannon"), sq, _RAW), _STATE),
+    "restrict_to_frame": (lambda sq: restrict_to_frame(_RAW, enumerate_frames(sq)[0]), _STATE),
+    "evaluate-state": (lambda sq: evaluate(unit_effect(sq), _RAW), _STATE),
+    "evaluate-effect": (lambda sq: evaluate([0.0, 0.0, 1.0], make_state(sq, [0.0, 0.0])),
+                        "expected GptEffect, got list"),
+    "vertex_state-minus-1": (lambda sq: vertex_state(sq, -1),
+                             "vertex index -1 is out of range for 4 vertices"),
+    "vertex_state-n_vertices": (lambda sq: vertex_state(sq, 4), "vertex index 4 is out of range"),
+    "vertex_state-99": (lambda sq: vertex_state(sq, 99), "vertex index 99 is out of range"),
+    "vertex_state-float": (lambda sq: vertex_state(sq, 1.5), "must be an integer, got 1.5"),
+    "vertex_state-string": (lambda sq: vertex_state(sq, "0"), "must be an integer, got '0'"),
+}
+
+
 @pytest.mark.parametrize("states, error, shown", [
     ([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]], DimensionMismatch, "GptState"),
     (np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]), DimensionMismatch, "GptState"),
@@ -549,13 +583,22 @@ def test_screen_verdicts_hold_from_coordinate_scale_1e_minus_6_to_1e6():
     ([(float("nan"), 0.0, 1.0), (-1.0, 0.0, 1.0)], NotAState, "not finite"),
     ([(5.0, 5.0, 1.0), (-1.0, 0.0, 1.0)], NotAState, "outside the model"),
     ([(0.5, 0.0, 2.0), (-1.0, 0.0, 1.0)], NotAState, "homogeneous coordinate"),
-], ids=["lists", "array", "non-iterable", "nan", "outside", "homogeneous-2"])
+    *((name, DimensionMismatch, shown) for name, (_, shown) in _ENTRY_POINT_CASES.items()),
+], ids=["lists", "array", "non-iterable", "nan", "outside", "homogeneous-2",
+        *_ENTRY_POINT_CASES])
 def test_perfectly_distinguishable_rejects_malformed_states_by_name(square, states, error,
                                                                      shown, capfd):
-    if error is NotAState:
-        states = [gpt_models.GptState(point) for point in states]
+    # and so does every entry point of _ENTRY_POINT_CASES (named by a string
+    # here): a raw list names the type expected, not an AttributeError, and
+    # an index that names no vertex is refused, not read from the end
+    if isinstance(states, str):
+        call, _ = _ENTRY_POINT_CASES[states]
+    else:
+        if error is NotAState:
+            states = [gpt_models.GptState(point) for point in states]
+        call = functools.partial(perfectly_distinguishable, states=states)
     with pytest.raises(error, match=shown):
-        perfectly_distinguishable(square, states)
+        call(square)
     assert capfd.readouterr().err == ""
 
 
@@ -729,10 +772,11 @@ def test_twelve_gon_frames_cost_cone_screen_lps_only(monkeypatch):
     solved = _count_lps(monkeypatch, entries)
     assert len(enumerate_frames(build_model("regular_polygon", n=12))) == 18
     assert {name: sum(map(_sets, made)) for name, made in calls.items()} == {
-        "_screen": 48, "_distinguishing_effects": 0, "_spans_model": 18}
-    assert len(solved) == 48
-    # one stack of pair cone LPs; the spans come from the model's facets
-    assert entries == [48]
+        "_screen": 66, "_distinguishing_effects": 0, "_spans_model": 18}
+    assert len(solved) == 66
+    # one stack of cone LPs over all 66 pairs; the spans come from the
+    # model's facets
+    assert entries == [66]
 
 
 def test_simplex16_frame_comes_from_one_clique_jump(monkeypatch):
@@ -741,11 +785,12 @@ def test_simplex16_frame_comes_from_one_clique_jump(monkeypatch):
     solved = _count_lps(monkeypatch, entries)
     space = build_model("simplex", n=16)
     frames = enumerate_frames(space)
-    # the 120 pairs, the 560 triples, then the whole clique; the spans come
-    # from the model's facets, so no LP
-    assert sum(map(_sets, guesses)) <= 120 + 560 + 1
-    assert solved == []
-    assert entries == []
+    # one stack of cone LPs for the 120 pairs, one for the 560 triples, then
+    # the whole clique; the spans come from the model's facets, and least
+    # squares guesses the one frame's witness
+    assert entries == [120, 560, 1]
+    assert len(solved) == 681
+    assert list(map(_sets, guesses)) == [1]
     assert [f.vertex_indices for f in frames] == [tuple(range(16))]
     effects = np.array([e.coeffs for e in frames[0].effects])
     # effect i reads the barycentric coordinate i
