@@ -157,14 +157,16 @@ def _once(key: str):
 
 
 def _pivots(tableau, basis, rows, cols, *rest):
-    """What one pivot call adds: one pivot per LP pivoted, of a stack or alone."""
+    """What one pivot call adds: one pivot per LP of the stack it pivots."""
     return {"pivots": np.size(cols)}
 
 
 #: The seams of each section: (owner, attribute, what one call adds). The
-#: frames count least-squares guesses, the facet-cone screen LPs and the k x d
-#: witness LPs where they are built (one per point set), kernel entries (a
-#: stack of LPs enters once) and simplex pivots, of stacks and of lone LPs.
+#: frames count least-squares guesses (one per kept frame), the facet-cone
+#: screen LPs and the k x d witness LPs where they are built (one per point
+#: set), kernel entries (a stack of LPs enters once) and simplex pivots: every
+#: pivot goes through ``_pivot``, a lone LP's as a stack of one and the
+#: phase-1 drive-out's too.
 FRAME_SEAMS = (
     ("numpy.linalg", "lstsq", _once("guesses")),
     ("convexinfo.gpt_models", "_screen", lambda space, points: {"screen_lps": len(points)}),

@@ -361,16 +361,19 @@ def _solve_stack(c, a, b, lay: _Layout, maximize) -> list[LpResult | LpNumerical
     if finished == s:
         return results
 
-    # Drive remaining artificials out of the basis, one LP at a time and its
-    # rows in order: a row pivots on its first entry beyond _EPS, and a row
-    # with none is redundant.
+    # Drive remaining artificials out of the basis, the rows in order and
+    # the stack's LPs together: a row pivots on its first entry beyond _EPS,
+    # and a row with none is redundant (a finished LP's zero rows among them).
     if finished:
         tableau[done] = 0.0
-    for i, row in zip(*((basis >= n_cols) & ~done[:, None]).nonzero()):
-        cols = (np.abs(tableau[i, row, :n_cols]) > _EPS).nonzero()[0]
-        if cols.size:
-            lp = slice(i, i + 1)
-            _pivot(tableau[lp], basis[lp], [row], cols[:1], tableau[lp, :, cols[0]], [0])
+    for row in ((basis >= n_cols) & ~done[:, None]).any(axis=0).nonzero()[0]:
+        entries = np.abs(tableau[:, row, :n_cols]) > _EPS
+        lps = ((basis[:, row] >= n_cols) & entries.any(axis=1)).nonzero()[0]
+        if lps.size:
+            part, part_basis, every = tableau[lps], basis[lps], np.arange(lps.size)
+            cols = entries[lps].argmax(axis=1)
+            _pivot(part, part_basis, np.full(lps.size, row), cols, part[every, :, cols], every)
+            tableau[lps], basis[lps] = part, part_basis
     unbounded = capped = np.zeros(s, bool)
     multipliers = np.zeros((s, m_con))
     if c.any():
