@@ -492,7 +492,7 @@ def test_a_stack_of_lps_gives_each_lp_its_own_result(stack_cells, monkeypatch):
         if any(capped) and not all(capped):
             break
     assert any(capped) and not all(capped), stacked
-    # and a stack of one that the cap stops, which pivots on its 2-D tableau
+    # and a stack of one that the cap stops
     c, a, rel, b, lower, upper, maximize = lps
     i = capped.index(True)
     lone = convex_kernel._solve(c, a[i:i + 1], rel, b, lower, upper, maximize)
