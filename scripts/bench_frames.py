@@ -25,7 +25,8 @@ each repeat every op is timed; ``cold_ms`` is the median of the first ops,
 ``warm_ms`` the median of all later ones. ``make_state_ms`` is the median of
 ``make_state`` alone at the later coordinates, on a model that has done one
 op. ``cold_ranks`` and ``warm_ranks`` count rank calls in the first op and
-in each later op (their mean), ``solves`` the solve calls per later op,
+in each later op (their mean): one ``matrix_rank`` per prefix of the rows, or
+one batched ``svd`` of all prefixes; ``solves`` the solve calls per later op,
 and ``regular_bases`` the systems that the first op's solve calls solved:
 its one solve stacks every regular basis. No spectrum op enters the LP
 kernel, which ``test_a_state_and_its_spectrum_share_one_solve`` pins.
@@ -175,8 +176,11 @@ FRAME_SEAMS = (
     ("convexinfo.gpt_models", "_solve", _once("kernel_entries")),
     ("convexinfo.convex_kernel", "_pivot", _pivots),
 )
+#: A rank call is one ``matrix_rank`` or one batched ``svd`` of zero-padded
+#: prefixes, so that a checkout of either kind counts its own.
 SPECTRA_SEAMS = (
     ("numpy.linalg", "matrix_rank", _once("ranks")),
+    ("numpy.linalg", "svd", _once("ranks")),
     ("numpy.linalg", "solve",
      lambda a, b: {"solves": 1, "systems": int(np.prod(np.shape(a)[:-2]))}),
 )

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, InvalidEntropicPair, InvalidProbVector
-from .probvec import TOL, ProbVector
+from .probvec import TOL, ProbVector, _prob_vector
 
 REGIME_INC_CONCAVE = "h-increasing/phi-concave"
 REGIME_DEC_CONVEX = "h-decreasing/phi-convex"
@@ -182,8 +182,9 @@ def _entropies(pair: EntropicPair, probs: np.ndarray) -> np.ndarray:
 
 
 def classical_entropy(pair: EntropicPair, p: ProbVector) -> float:
-    """h(sum_i phi(p_i)) with components below tolerance treated as exact 0."""
-    return float(_entropies(pair, p.as_array()[None])[0])
+    """h(sum_i phi(p_i)) with components below tolerance treated as exact 0;
+    ``InvalidProbVector`` unless ``p`` is a ``ProbVector``."""
+    return float(_entropies(pair, _prob_vector(p).as_array()[None])[0])
 
 
 def entropy_upper_bound(pair: EntropicPair, n: int) -> float:

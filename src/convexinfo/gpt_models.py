@@ -102,6 +102,11 @@ class StateSpace:
         return verts
 
     @functools.cached_property
+    def _vertex_states(self) -> tuple[GptState, ...]:
+        """The pure state of each vertex, built once."""
+        return tuple(GptState(point=v) for v in self.vertices)
+
+    @functools.cached_property
     def _spectrum_bases(self) -> tuple[np.ndarray, ...]:
         """The state-independent part of the decomposition polytope's vertices.
 
@@ -117,7 +122,10 @@ class StateSpace:
         # rows: the coordinates (the last one the unit functional), then sum w = 1
         a = np.vstack([verts.T, np.ones(len(verts))])
         cut = _RANK_RTOL * np.linalg.norm(a, 2)
-        prefix_ranks = [np.linalg.matrix_rank(a[:i + 1], tol=cut) for i in range(len(a))]
+        # the rank of every prefix of the rows, each zero-padded to all of them,
+        # from one batched SVD
+        prefixes = np.where(np.tri(len(a), dtype=bool)[:, :, None], a, 0.0)
+        prefix_ranks = (np.linalg.svd(prefixes, compute_uv=False) > cut).sum(axis=1)
         rows = np.flatnonzero(np.diff(prefix_ranks, prepend=0))
         scale = np.linalg.norm(a[rows], axis=1)
         a_r = a[rows] / scale[:, None]
@@ -141,11 +149,11 @@ class StateSpace:
         ``itertools.combinations`` order of the bases.
         """
         a, rows, scale, bases, sub = self._spectrum_bases
-        b_r = (b[:, rows] / scale).T
-        x = np.linalg.solve(sub, np.broadcast_to(b_r, (len(sub), *b_r.shape)))
+        # (r, s) right-hand sides broadcast against the (n_bases, r, r) stack
+        x = np.linalg.solve(sub, (b[:, rows] / scale).T)
         which, basis = (x.min(axis=1) >= -_NEGATIVE_WEIGHT_TOL).T.nonzero()
         w = np.zeros((len(which), a.shape[1]))
-        w[np.arange(len(w))[:, None], bases[basis]] = np.clip(x[basis, :, which], 0.0, None)
+        w[np.arange(len(w))[:, None], bases[basis]] = np.maximum(x[basis, :, which], 0.0)
         reproduces = np.abs(w @ a.T - b[which]).max(axis=1) <= _RECON_TOL
         return which[reproduces], w[reproduces]
 
@@ -156,7 +164,7 @@ class StateSpace:
 
         @functools.lru_cache(maxsize=4)
         def vertices(key: bytes) -> np.ndarray:
-            _, w = self._basic_solutions(np.append(np.frombuffer(key), 1.0)[None])
+            _, w = self._basic_solutions(np.concatenate((np.frombuffer(key), (1.0,)))[None])
             w.flags.writeable = False
             return w
 
@@ -345,7 +353,7 @@ def make_state(space: StateSpace, coords) -> GptState:
                                 "non-numeric sequence") from None
     if c.shape != (space.dim - 1,):
         raise DimensionMismatch(f"expected {space.dim - 1} coordinates, got {c.shape}")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise NotAState(f"point {c.tolist()} is not finite")
     state = GptState(point=(*c.tolist(), 1.0))
     _decomposition_vertices(space, state)
@@ -376,7 +384,7 @@ def vertex_state(space: StateSpace, index: int) -> GptState:
     if not 0 <= i < space.n_vertices:
         raise DimensionMismatch(f"vertex index {i} is out of range for {space.n_vertices} "
                                 "vertices")
-    return GptState(point=space.vertices[i])
+    return space._vertex_states[i]
 
 
 def mix_state(space: StateSpace, weights) -> GptState:

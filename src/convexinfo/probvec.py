@@ -7,6 +7,7 @@ being compared or fed to an entropic pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,7 +38,7 @@ class ProbVector:
             raise InvalidProbVector("components must be numbers") from None
         if not comps:
             raise InvalidProbVector("a probability vector needs at least one component")
-        if any(not np.isfinite(c) for c in comps):
+        if not all(map(math.isfinite, comps)):
             raise InvalidProbVector("components must be finite")
         low = min(comps)
         if low < -TOL:
@@ -81,7 +82,7 @@ def normalize(weights: Sequence[float]) -> ProbVector:
         ws = [float(w) for w in weights]
     except (TypeError, ValueError):
         raise InvalidProbVector("weights must be numbers") from None
-    if any(not np.isfinite(w) for w in ws):
+    if not all(map(math.isfinite, ws)):
         raise NegativeWeight("weights must be finite")
     if any(w < -TOL for w in ws):
         raise NegativeWeight(f"negative weight in {ws!r}")
@@ -92,9 +93,17 @@ def normalize(weights: Sequence[float]) -> ProbVector:
     return ProbVector([w / total for w in ws])
 
 
+def _prob_vector(p) -> ProbVector:
+    """``p``; ``InvalidProbVector`` naming ``ProbVector`` unless it is one, so a
+    raw list or array ends in a named error."""
+    if not isinstance(p, ProbVector):
+        raise InvalidProbVector(f"expected ProbVector, got {type(p).__name__}")
+    return p
+
+
 def sort_desc(p: ProbVector) -> ProbVector:
     """Permutation of ``p`` with nonincreasing components (stable for ties)."""
-    return ProbVector._from_trusted(tuple(sorted(p.components, reverse=True)))
+    return ProbVector._from_trusted(tuple(sorted(_prob_vector(p).components, reverse=True)))
 
 
 def _padded_sorted(p: ProbVector, n: int) -> np.ndarray:
@@ -111,7 +120,7 @@ def majorizes(q: ProbVector, p: ProbVector) -> bool:
     one; partial sums of the decreasing rearrangements must satisfy
     ``sum_k p_i <= sum_k q_i`` for every k, with equal totals.
     """
-    n = max(len(p), len(q))
+    n = max(len(_prob_vector(q)), len(_prob_vector(p)))
     ps = np.cumsum(_padded_sorted(p, n))
     qs = np.cumsum(_padded_sorted(q, n))
     if abs(ps[-1] - qs[-1]) > TOL:

@@ -27,7 +27,6 @@ from .gpt_models import (
     _decomposition_vertices,
     _frame_distributions,
     enumerate_frames,
-    vertex_state,
 )
 from .probvec import TOL, ProbVector, majorizes
 
@@ -84,26 +83,34 @@ def generalized_spectrum(space: StateSpace, state: GptState):
     decomposition over the model's vertices.
     """
     w = _decomposition_vertices(space, state)
-    profiles = np.cumsum(-np.sort(-w, axis=1), axis=1)
+    # each row's weights largest first, summed: the first is positive, so the
+    # sign of a zero weight never reaches a sum
+    profiles = np.sort(w)[:, ::-1].cumsum(axis=1)
     t = profiles.max(axis=0)
-    levels = min(len(t), int(np.searchsorted(t, 1.0 - 1e-12)) + 1)
+    levels = min(len(t), int(t.searchsorted(1.0 - 1e-12)) + 1)
     tk = t[:levels]
     summed = profiles[:, :levels].sum(axis=1)
-    best = int(np.argmax(summed >= summed.max() - 1e-12))
+    best = int((summed >= summed.max() - 1e-12).argmax())
     gap = float(tk.sum() - summed[best])
     if gap <= _GAP_TOL:
-        return _package(space, w[best])
+        return _package(space, w[best], profiles[best])
     return NoMajorant(tk=tuple(map(float, tk)), best_candidate=tuple(map(float, w[best])),
                       gap=gap)
 
 
-def _package(space: StateSpace, weights: np.ndarray) -> SpectralDecomposition:
-    kept = [int(i) for i in np.argsort(-weights, kind="stable") if weights[i] >= TOL]
-    total = sum(weights[i] for i in kept)  # may miss 1 by the reconstruction tolerance
+def _package(space: StateSpace, weights: np.ndarray, profile: np.ndarray) -> SpectralDecomposition:
+    """The decomposition of ``weights``, a row of ``_decomposition_vertices``, whose
+    decreasing partial sums are ``profile``: its weights from ``TOL`` up, largest first
+    (ties in vertex order), rescaled if their sum misses 1 by more than ``TOL``."""
+    values = weights.tolist()
+    kept = sorted((i for i, v in enumerate(values) if v >= TOL), key=values.__getitem__,
+                  reverse=True)
+    # the kept weights added largest first; may miss 1 by the reconstruction tolerance
+    total = float(profile[len(kept) - 1])
     scale = total if abs(total - 1.0) > TOL else 1.0
     return SpectralDecomposition(
-        weights=ProbVector([weights[i] / scale for i in kept]),
-        support=tuple(vertex_state(space, i) for i in kept),
+        weights=ProbVector([values[i] / scale for i in kept]),
+        support=tuple(map(space._vertex_states.__getitem__, kept)),
         support_indices=tuple(kept),
     )
 

@@ -12,6 +12,8 @@ from convexinfo import (
     ProductSpace,
     convex_kernel,
     enumerate_frames,
+    generalized_spectrum,
+    make_state,
     separable_witness,
 )
 
@@ -84,6 +86,23 @@ def test_counting_puts_every_original_back_when_the_block_raises(seams):
         with bench_frames.counting((*seams, ("convexinfo.gpt_models", "_missing", None))):
             pass
     assert _restored(seams, originals)
+
+
+def test_spectra_seams_count_one_rank_call_and_one_solve_per_op():
+    # a fresh model's first spectrum op takes every prefix rank in one
+    # batched SVD and stacks every regular basis in one solve; a later op
+    # only solves
+    space = bench_frames._build("custom2d8")
+    originals = _originals(bench_frames.SPECTRA_SEAMS)
+    counts = []
+    for coords in ([0.1, 0.05], [-0.1, 0.1]):
+        with bench_frames.counting(bench_frames.SPECTRA_SEAMS) as counted:
+            generalized_spectrum(space, make_state(space, coords))
+        counts.append(counted)
+    systems = len(space._spectrum_bases[3])
+    assert counts == [{"ranks": 1, "solves": 1, "systems": systems},
+                      {"solves": 1, "systems": systems}]
+    assert _restored(bench_frames.SPECTRA_SEAMS, originals)
 
 
 @pytest.mark.parametrize("pair, cone_tests", [(("simplex7", "polygon8"), 0),

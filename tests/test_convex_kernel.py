@@ -435,6 +435,24 @@ def test_infinite_rows_are_vacuous_or_infeasible(rel, bound, status):
             assert result.point == (3.0, 3.0)
 
 
+def test_the_drive_out_pivots_on_a_rows_first_entry():
+    # min c.x over x >= 0 with r1: k x0 - x1 = 0, r2 = -r1 and r3: x2 = 1.
+    # The sums of r1 and r2 cancel, so phase 1 pivots x2 in for r3 and ends
+    # with r1's and r2's artificials basic at 0. The drive-out pivots r1 on
+    # x0, its first entry beyond _EPS, and r2 becomes redundant (held by the
+    # zero column). Both bases with x0 or x1 in r1 are optimal, since x1 = k x0
+    # and c0 + k c1 > 0, so r1's multiplier tells which one the drive-out
+    # took: B^T y = c_B gives k y1 = c0 on x0 and -y1 = c1 on x1. The last LP
+    # of the stack, r2: x0 + x1 = 0, leaves no artificial to drive out.
+    c, b = np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.0, 1.0])
+    a = np.array([[[k, -1.0, 0.0], [-k, 1.0, 0.0], [0.0, 0.0, 1.0]] for k in (1.0, 2.0, 1.0)])
+    a[2, 1] = [1.0, 1.0, 0.0]
+    results = convex_kernel._solve(c, a, np.zeros(3), b, np.zeros(3), np.full(3, np.inf),
+                                   maximize=False)
+    assert [r.point for r in results] == [(0.0, 0.0, 1.0)] * 3
+    assert [r.duals for r in results[:2]] == [(1.0, 0.0, 3.0), (0.5, 0.0, 3.0)]
+
+
 def _random_stack(rng, size):
     """A stack of LPs sharing c, b, relations and bounds, each with its own A.
 

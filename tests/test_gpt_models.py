@@ -11,9 +11,11 @@ import pytest
 from convexinfo import (
     Constraint,
     LinearProgram,
+    ProbVector,
     ProductSpace,
     apply_phi,
     build_model,
+    classical_entropy,
     convex_kernel,
     decomposition_constraints,
     enumerate_frames,
@@ -23,6 +25,7 @@ from convexinfo import (
     generalized_spectrum,
     gpt_models,
     lp_solve,
+    majorizes,
     make_effect,
     make_preset,
     make_state,
@@ -30,6 +33,7 @@ from convexinfo import (
     model_from_json,
     perfectly_distinguishable,
     restrict_to_frame,
+    sort_desc,
     spectral_entropy,
     unit_effect,
     vertex_state,
@@ -574,6 +578,19 @@ _ENTRY_POINT_CASES = {
     "vertex_state-float": (lambda sq: vertex_state(sq, 1.5), "must be an integer, got 1.5"),
     "vertex_state-string": (lambda sq: vertex_state(sq, "0"), "must be an integer, got '0'"),
 }
+_VECTOR = "expected ProbVector, got "
+#: The entry points that take a ProbVector, given a raw list or array: the
+#: call (the square unused), and what its InvalidProbVector says.
+_PROB_VECTOR_CASES = {
+    "classical_entropy-list": (lambda sq: classical_entropy(make_preset("shannon"), [0.5, 0.5]),
+                               _VECTOR + "list"),
+    "classical_entropy-array": (lambda sq: classical_entropy(
+        make_preset("shannon"), np.array([0.5, 0.5])), _VECTOR + "ndarray"),
+    "majorizes-first": (lambda sq: majorizes([0.5, 0.5], ProbVector([1.0])), _VECTOR + "list"),
+    "majorizes-second": (lambda sq: majorizes(ProbVector([1.0]), np.array([0.5, 0.5])),
+                         _VECTOR + "ndarray"),
+    "sort_desc": (lambda sq: sort_desc([0.2, 0.8]), _VECTOR + "list"),
+}
 
 
 @pytest.mark.parametrize("states, error, shown", [
@@ -584,15 +601,17 @@ _ENTRY_POINT_CASES = {
     ([(5.0, 5.0, 1.0), (-1.0, 0.0, 1.0)], NotAState, "outside the model"),
     ([(0.5, 0.0, 2.0), (-1.0, 0.0, 1.0)], NotAState, "homogeneous coordinate"),
     *((name, DimensionMismatch, shown) for name, (_, shown) in _ENTRY_POINT_CASES.items()),
+    *((name, InvalidProbVector, shown) for name, (_, shown) in _PROB_VECTOR_CASES.items()),
 ], ids=["lists", "array", "non-iterable", "nan", "outside", "homogeneous-2",
-        *_ENTRY_POINT_CASES])
+        *_ENTRY_POINT_CASES, *_PROB_VECTOR_CASES])
 def test_perfectly_distinguishable_rejects_malformed_states_by_name(square, states, error,
                                                                      shown, capfd):
-    # and so does every entry point of _ENTRY_POINT_CASES (named by a string
-    # here): a raw list names the type expected, not an AttributeError, and
-    # an index that names no vertex is refused, not read from the end
+    # and so does every entry point of _ENTRY_POINT_CASES and
+    # _PROB_VECTOR_CASES (named by a string here): a raw list names the type
+    # expected, not an AttributeError, and an index that names no vertex is
+    # refused, not read from the end
     if isinstance(states, str):
-        call, _ = _ENTRY_POINT_CASES[states]
+        call, _ = {**_ENTRY_POINT_CASES, **_PROB_VECTOR_CASES}[states]
     else:
         if error is NotAState:
             states = [gpt_models.GptState(point) for point in states]

@@ -496,15 +496,16 @@ def test_spectrum_bases_are_built_once_per_model(monkeypatch):
         size=(9, 3)).tolist())
     states = [mix_state(space, w) for w in np.random.default_rng(9).dirichlet(np.ones(9), 20)]
     calls = []
-    rank = np.linalg.matrix_rank
-    monkeypatch.setattr(np.linalg, "matrix_rank",
-                        lambda *args, **kwargs: calls.append(1) or rank(*args, **kwargs))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
     per_state = []
     for state in states:
         before = len(calls)
         generalized_spectrum(space, state)
         per_state.append(len(calls) - before)
-    assert per_state == [space.dim + 1] + [0] * 19
+    # one batched SVD takes every prefix rank of the first state's model
+    assert per_state == [1] + [0] * 19
 
 
 def test_a_state_and_its_spectrum_share_one_solve(monkeypatch):
