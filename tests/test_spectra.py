@@ -30,6 +30,8 @@ from convexinfo import convex_kernel, gpt_models
 from convexinfo.entropic import REGIME_INC_CONCAVE, EntropicPair
 from convexinfo.errors import DimensionMismatch, NotAState, SpectrumUndefined
 from convexinfo.gpt_models import GptState
+from convexinfo.probvec import TOL
+from convexinfo.spectra import _package
 
 from oracles import (
     decomposition_grid_samples,
@@ -489,6 +491,32 @@ def test_warm_bases_give_a_fresh_models_spectra(build):
         assert repr(generalized_spectrum(warm, state)) == repr(generalized_spectrum(fresh, state))
         assert np.array_equal(gpt_models._decomposition_vertices(warm, state),
                               _per_call_vertices(warm, state))
+
+
+def test_package_matches_the_argsort_reference():
+    # the kept weights' sum is read from the row's profile, where the
+    # reference sums them as numpy scalars in stable argsort order: rows with
+    # ties, weights just below and above TOL, and totals that miss 1 by more
+    # than TOL (rescaled) give the same decomposition, bit for bit
+    def reference(space, weights):
+        kept = [int(i) for i in np.argsort(-weights, kind="stable") if weights[i] >= TOL]
+        total = sum(weights[i] for i in kept)
+        scale = total if abs(total - 1.0) > TOL else 1.0
+        return SpectralDecomposition(ProbVector([weights[i] / scale for i in kept]),
+                                     tuple(vertex_state(space, i) for i in kept), tuple(kept))
+
+    space, rng, rescaled = build_model("simplex", n=16), np.random.default_rng(30), 0
+    for trial in range(3000):
+        w = np.zeros(16)
+        support = rng.choice(16, int(rng.integers(1, 17)), replace=False)
+        w[support] = (rng.integers(1, 4, len(support)) / 8.0 if trial % 3 == 0
+                      else rng.dirichlet(np.ones(len(support))))
+        w[rng.choice(16, 4, replace=False)] += rng.uniform(0.0, 1.5 * TOL, 4)
+        w *= 1.0 + rng.uniform(-5.0, 5.0) * TOL
+        profile = np.sort(w)[::-1].cumsum()
+        assert repr(_package(space, w, profile)) == repr(reference(space, w)), w.tolist()
+        rescaled += abs(w[w >= TOL].sum() - 1.0) > TOL
+    assert rescaled > 1000
 
 
 def test_spectrum_bases_are_built_once_per_model(monkeypatch):
