@@ -22,7 +22,8 @@ The ``spectra`` section times the workload's spectrum op, coordinates ->
 ``SpectrumLadder.SPECTRUM`` in ``perfbench/workloads.py``) at the coordinates of
 ``STATES`` random mixtures of its vertices. On a freshly built model in
 each repeat every op is timed; ``cold_ms`` is the median of the first ops,
-``warm_ms`` the median of all later ones. ``make_state_ms`` is the median of
+``warm_ms`` the median of all later ones, and ``warm_ms_runs`` keeps every
+later op's time of every repeat, in the order of the repeats. ``make_state_ms`` is the median of
 ``make_state`` alone at the later coordinates, on a model that has done one
 op. ``cold_ranks`` and ``warm_ranks`` count rank calls in the first op and
 in each later op (their mean): one ``matrix_rank`` per prefix of the rows, or
@@ -48,11 +49,14 @@ The ``quantum`` section times the ``quantum-search`` workload's qentropy op,
 ``quantum_entropy``, at every dimension of ``QuantumSearch.QENTROPY_DIMS``
 (``perfbench/workloads.py``), with each of its pairs (``PAIR_SPECS``) on
 ``STATES`` random density matrices given as nested lists, as the workload
-gives them; ``ms`` is the median over the ops and repeats. ``eigensolves``
-counts the ``eigvalsh`` and ``eigh`` calls per op: the state's validation,
-the search's eigenbasis and, unless the state keeps its eigenvalues, the
-spectrum; a checkout whose min-search checks its witness with an eigensolve
-of the effects counts one more.
+gives them; ``ms`` is the median over the ops and repeats, and ``ms_runs``
+keeps every op's time of every repeat, in the order of the repeats.
+``eigensolves`` counts the ``eigvalsh`` and ``eigh`` calls per op: the
+state's validation, the search's eigenbasis and, unless the state keeps its
+eigenvalues, the spectrum; a checkout whose min-search checks its witness
+with an eigensolve of the effects counts one more. ``generators`` counts the
+``np.random.default_rng`` calls per op: a checkout that validates the
+search's seed by building a generator counts one.
 
 In the first repeat one more run of each section, not timed, counts the
 work: ``counting`` wraps every seam of the section's table (``FRAME_SEAMS``,
@@ -194,7 +198,8 @@ SEPARABLE_SEAMS = (
      lambda c, a, *rest: {"lps": len(a), "kernel_entries": 1}),
 )
 QUANTUM_SEAMS = (("numpy.linalg", "eigvalsh", _once("eigensolves")),
-                 ("numpy.linalg", "eigh", _once("eigensolves")))
+                 ("numpy.linalg", "eigh", _once("eigensolves")),
+                 ("numpy.random", "default_rng", _once("generators")))
 
 
 @contextlib.contextmanager
@@ -325,7 +330,8 @@ def qentropy_op(spec: str, entries: list, seed: int) -> float:
 
 def measure_quantum(counted: bool) -> dict:
     """The qentropy op at every dimension of the quantum-search workload with
-    the convexinfo on sys.path, and with ``counted`` the eigensolves per op."""
+    the convexinfo on sys.path, and with ``counted`` the eigensolves and
+    generators per op."""
     results = {}
     for n in QuantumSearch.QENTROPY_DIMS:
         rng = np.random.default_rng(0)
@@ -341,7 +347,8 @@ def measure_quantum(counted: bool) -> dict:
             with counting(QUANTUM_SEAMS) as counts:
                 for op in ops:
                     qentropy_op(*op)
-            results[f"d{n}"]["eigensolves"] = counts["eigensolves"] / len(ops)
+            results[f"d{n}"].update({key: counts[key] / len(ops)
+                                     for key in ("eigensolves", "generators")})
     return results
 
 
@@ -437,9 +444,9 @@ def main(argv=None) -> int:
     doc["frames"] = alternated(checkouts, "measure", spread=("seconds",))
     for frames in doc["frames"].values():
         frames["ladder_seconds"] = sum(frames[label]["seconds"] for label in LADDER)
-    doc["spectra"] = alternated(checkouts, "measure_spectra")
+    doc["spectra"] = alternated(checkouts, "measure_spectra", spread=("warm_ms",))
     doc["separable"] = alternated(checkouts, "measure_separable", spread=("ms",))
-    doc["quantum"] = alternated(checkouts, "measure_quantum")
+    doc["quantum"] = alternated(checkouts, "measure_quantum", spread=("ms",))
     if args.parent is not None:
         doc["perfbench"] = pairs(checkouts["parent"])
     text = json.dumps(doc, indent=1)

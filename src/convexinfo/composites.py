@@ -186,7 +186,10 @@ def min_tensor_vertices(ps: ProductSpace) -> Polytope:
 
 
 def _joint_table(ps: ProductSpace, omega: JointState) -> np.ndarray:
-    """The state's read-only table, which must have the pair's joint shape."""
+    """The state's read-only table, which must have the pair's joint shape;
+    ``DimensionMismatch`` naming ``JointState`` unless ``omega`` is one."""
+    if not isinstance(omega, JointState):
+        raise DimensionMismatch(f"expected JointState, got {type(omega).__name__}")
     table = omega.table
     if table.shape != ps.joint_shape:
         raise DimensionMismatch(f"table shape {table.shape} vs {ps.joint_shape}")

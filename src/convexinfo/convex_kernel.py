@@ -254,8 +254,11 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     """Solve a small dense LP; statuses are optimal/infeasible/unbounded.
 
     Optimal points are verified against all constraints within ``FEAS_TOL``;
-    a failed verification raises ``LpNumericalError``.
+    a failed verification raises ``LpNumericalError``. ``DimensionMismatch``
+    unless ``lp`` is a ``LinearProgram``.
     """
+    if not isinstance(lp, LinearProgram):
+        raise DimensionMismatch(f"expected LinearProgram, got {type(lp).__name__}")
     n, cons = lp.n_vars, lp.constraints
     bounds = lp.bounds if lp.bounds is not None else ((0.0, None),) * n
     lower, upper = np.array([(-np.inf if lo is None else lo, np.inf if hi is None else hi)
@@ -471,6 +474,7 @@ class Polytope:
     def __post_init__(self):
         try:
             arr = np.asarray(self.vertices, float)
+            len(arr)  # None or a lone number makes a 0-d array, which has no length
         except (TypeError, ValueError):
             raise DegenerateModel("vertices must be rows of numbers") from None
         if len(arr) == 0:

@@ -172,12 +172,11 @@ def _entropies(pair: EntropicPair, probs: np.ndarray) -> np.ndarray:
     sum to 1 within ``TOL``, else ``InvalidProbVector``); components below
     ``TOL`` count as exact zeros.
     """
-    totals = probs.sum(axis=1)
-    off = ~(np.abs(totals - 1.0) <= TOL)  # a NaN or infinite component fails this too
-    if off.any():
-        if not np.isfinite(probs).all():
-            raise InvalidProbVector("components must be finite")
-        raise InvalidProbVector(f"components sum to {float(totals[off.argmax()])!r}, not 1")
+    for total in probs.sum(axis=1).tolist():  # Python floats: the cheaper test per row
+        if not abs(total - 1.0) <= TOL:  # a NaN or infinite component fails this too
+            if not np.isfinite(probs).all():
+                raise InvalidProbVector("components must be finite")
+            raise InvalidProbVector(f"components sum to {total!r}, not 1")
     return np.asarray(pair.h(np.where(probs >= TOL, pair.phi(probs), 0.0).sum(axis=1)), float)
 
 
@@ -236,7 +235,7 @@ def pair_from_grid_descriptor(desc: dict) -> EntropicPair:
         phi_y = np.asarray(desc["phi"]["y"], dtype=float)
         h_x = np.asarray(desc["h"]["x"], dtype=float)
         h_y = np.asarray(desc["h"]["y"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:  # IndexError: an array
         raise InvalidEntropicPair(f"malformed pair descriptor: {exc}") from None
     if len(phi_x) != len(phi_y) or len(h_x) != len(h_y) or len(phi_x) < 2 or len(h_x) < 2:
         raise InvalidEntropicPair("grid definitions need matching x/y arrays of length >= 2")

@@ -82,11 +82,11 @@ class DensityMatrix:
         n = m.shape[0]
         if n > MAX_DIM:
             raise TooLarge(f"dimension {n} exceeds the cap {MAX_DIM}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.isfinite(m).all():  # a complex entry is finite when both parts are
             raise InvalidDensityMatrix("entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > TOL:
+        if abs(m - m.conj().T).max() > TOL:
             raise InvalidDensityMatrix("matrix is not Hermitian within tolerance")
-        trace = float(np.trace(m).real)
+        trace = float(m.trace().real)
         if abs(trace - 1.0) > TOL:
             raise InvalidDensityMatrix(f"trace is {trace!r}, not 1")
         evals = np.linalg.eigvalsh(m)
@@ -131,7 +131,7 @@ def _checked_effects(stack: np.ndarray, eigensolve: bool) -> np.ndarray | None:
     """
     if not np.isfinite(stack).all():
         raise InvalidPovm("entries must be finite")
-    hermitian = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= TOL
+    hermitian = abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= TOL
     failed, evals = ~hermitian, None
     if eigensolve:
         evals = np.linalg.eigvalsh(stack)
@@ -141,7 +141,7 @@ def _checked_effects(stack: np.ndarray, eigensolve: bool) -> np.ndarray | None:
         if not hermitian[first]:
             raise InvalidPovm("effect is not Hermitian within tolerance")
         raise InvalidPovm(f"effect has negative eigenvalue {float(evals[first, 0])!r}")
-    if not np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))) <= TOL:
+    if not abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max() <= TOL:
         raise InvalidPovm("effects do not sum to the identity")
     _frozen(stack)
     return evals
@@ -270,9 +270,8 @@ def eigen_spectrum(rho: DensityMatrix) -> ProbVector:
     """Eigenvalues sorted decreasing, clamped at 0 and renormalized; read from
     the ones the state's positivity check computed, with no eigensolve."""
     _expect(rho, DensityMatrix, InvalidDensityMatrix)
-    evals = rho._eigenvalues[::-1]
-    clamped = np.where(evals > 0.0, evals, 0.0)
-    return ProbVector(clamped / clamped.sum())
+    clamped = np.maximum(rho._eigenvalues[::-1], 0.0)  # ProbVector turns a -0.0 into 0.0
+    return ProbVector((clamped / clamped.sum()).tolist())
 
 
 def quantum_entropy(pair: EntropicPair, rho: DensityMatrix) -> float:
@@ -320,16 +319,20 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
     if budget > MAX_SEARCH_BUDGET:
         raise TooLarge(f"budget {budget} exceeds the cap {MAX_SEARCH_BUDGET}")
     rho_arr = rho.entries
-    try:
-        np.random.default_rng(seed)
-    except (TypeError, ValueError):
-        raise BadParameter(f"seed must be a non-negative integer, got {seed!r}") from None
+    # default_rng takes these as they are and hands any other seed to
+    # SeedSequence, which checks it without building a generator
+    if not isinstance(seed, (np.random.Generator, np.random.BitGenerator, np.random.RandomState,
+                             np.random.bit_generator.ISeedSequence)):
+        try:
+            np.random.SeedSequence(seed)
+        except (TypeError, ValueError):
+            raise BadParameter(f"seed must be a non-negative integer, got {seed!r}") from None
 
     _, vecs = np.linalg.eigh(rho_arr)
     rows = vecs.conj().T[::-1].copy()  # eigenbasis bras, largest eigenvalue first
     witness = Povm._eigenbasis(rows)
     probs = np.einsum("ia,ia->i", rows @ rho_arr, rows.conj()).real
-    probs = np.where(probs > 0.0, probs, 0.0)
+    probs = np.maximum(probs, 0.0)  # a -0.0 counts as 0 in _entropies as well
     value = _entropies(pair, (probs / probs.sum())[None])[0]
     return float(value), witness
 
@@ -346,11 +349,10 @@ def quantum_majorizes(sigma: DensityMatrix, rho: DensityMatrix) -> bool:
 def holevo_chi(e: Ensemble) -> float:
     """S(sum p_x rho_x) - sum p_x S(rho_x) with the Shannon preset."""
     _expect(e, Ensemble, InvalidDensityMatrix)
-    shannon = make_preset("shannon")
-    mixed = quantum_entropy(shannon, e.average_state())
-    conditional = sum(w * quantum_entropy(shannon, s)
-                      for w, s in zip(e.weights.components, e.states))
-    return float(mixed - conditional)
+    # one row per spectrum: _entropies scores each row as quantum_entropy scores it alone
+    spectra = [eigen_spectrum(s).components for s in (e.average_state(), *e.states)]
+    mixed, *each = _entropies(make_preset("shannon"), np.array(spectra)).tolist()
+    return float(mixed - sum(w * h for w, h in zip(e.weights.components, each)))
 
 
 def mutual_information(joint) -> float:
@@ -363,12 +365,13 @@ def mutual_information(joint) -> float:
         raise NotNormalized("joint table must be a 2-d array")
     if not j.size:
         raise NotNormalized("joint table is empty")
-    if np.min(j) < -TOL:
-        raise NotNormalized(f"negative joint probability {float(np.min(j))!r}")
+    low = float(j.min())
+    if low < -TOL:
+        raise NotNormalized(f"negative joint probability {low!r}")
     total = float(j.sum())
     if abs(total - 1.0) > TOL:
         raise NotNormalized(f"joint probabilities sum to {total!r}, not 1")
-    j = np.clip(j, 0.0, None) / total
+    j = np.maximum(j, 0.0) / total
     shannon = make_preset("shannon")
     hx, hy, hxy = (float(_entropies(shannon, p[None])[0])
                    for p in (j.sum(axis=1), j.sum(axis=0), j.reshape(-1)))

@@ -127,14 +127,22 @@ def test_separable_seams_count_lps_and_kernel_entries(pair, cone_tests):
 @pytest.mark.parametrize("n", [1, 2, 16])
 def test_quantum_seams_count_the_eigensolves_of_one_qentropy_op(n):
     # the state's validation and the search's eigenbasis; the witness is
-    # checked with no eigensolve, and the spectrum reads the eigenvalues the
-    # state kept
+    # checked with no eigensolve, the spectrum reads the eigenvalues the
+    # state kept, and the seed is checked with no generator built
     entries = bench_frames.random_density(np.random.default_rng(n), n).tolist()
     originals = _originals(bench_frames.QUANTUM_SEAMS)
     with bench_frames.counting(bench_frames.QUANTUM_SEAMS) as counted:
         bench_frames.qentropy_op("renyi:2.0", entries, n)
     assert counted == {"eigensolves": 2}
     assert _restored(bench_frames.QUANTUM_SEAMS, originals)
+
+
+def test_the_generators_seam_counts_each_default_rng_call():
+    # the seam a checkout that validates the seed with default_rng counts on
+    with bench_frames.counting(bench_frames.QUANTUM_SEAMS) as counted:
+        np.random.default_rng(0)
+        np.random.default_rng([1, 2])
+    assert counted == {"generators": 2}
 
 
 @pytest.mark.parametrize("where", ["export", "subdirectory"])

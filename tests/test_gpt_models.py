@@ -11,11 +11,13 @@ import pytest
 from convexinfo import (
     Constraint,
     LinearProgram,
+    Polytope,
     ProbVector,
     ProductSpace,
     apply_phi,
     build_model,
     classical_entropy,
+    classify_joint,
     convex_kernel,
     decomposition_constraints,
     enumerate_frames,
@@ -24,15 +26,19 @@ from convexinfo import (
     generalized_majorizes,
     generalized_spectrum,
     gpt_models,
+    is_separable,
     lp_solve,
     majorizes,
     make_effect,
     make_preset,
     make_state,
+    max_tensor_member,
     mix_state,
     model_from_json,
+    pair_from_grid_descriptor,
     perfectly_distinguishable,
     restrict_to_frame,
+    separable_witness,
     sort_desc,
     spectral_entropy,
     unit_effect,
@@ -44,6 +50,7 @@ from convexinfo.errors import (
     DegenerateModel,
     DimensionMismatch,
     InvalidEffect,
+    InvalidEntropicPair,
     InvalidProbVector,
     LpNumericalError,
     NotAState,
@@ -577,6 +584,10 @@ _ENTRY_POINT_CASES = {
     "vertex_state-99": (lambda sq: vertex_state(sq, 99), "vertex index 99 is out of range"),
     "vertex_state-float": (lambda sq: vertex_state(sq, 1.5), "must be an integer, got 1.5"),
     "vertex_state-string": (lambda sq: vertex_state(sq, "0"), "must be an integer, got '0'"),
+    **{f"{check.__name__}-table": (lambda sq, check=check: check(
+        ProductSpace(sq, sq), np.outer(_RAW, _RAW).tolist()), "expected JointState, got list")
+       for check in (separable_witness, is_separable, max_tensor_member, classify_joint)},
+    "lp_solve": (lambda sq: lp_solve({"n_vars": 1}), "expected LinearProgram, got dict"),
 }
 _VECTOR = "expected ProbVector, got "
 #: The entry points that take a ProbVector, given a raw list or array: the
@@ -591,6 +602,13 @@ _PROB_VECTOR_CASES = {
                          _VECTOR + "ndarray"),
     "sort_desc": (lambda sq: sort_desc([0.2, 0.8]), _VECTOR + "list"),
 }
+#: Entry points whose malformed input once ended in a TypeError or an
+#: IndexError: the call, its ValidationError and what it says.
+_OTHER_CASES = {
+    "Polytope-None": (lambda sq: Polytope(None), DegenerateModel, "rows of numbers"),
+    "pair_from_grid_descriptor-array": (lambda sq: pair_from_grid_descriptor(
+        np.array([0.1, 0.2, 1.0])), InvalidEntropicPair, "malformed pair descriptor"),
+}
 
 
 @pytest.mark.parametrize("states, error, shown", [
@@ -602,16 +620,17 @@ _PROB_VECTOR_CASES = {
     ([(0.5, 0.0, 2.0), (-1.0, 0.0, 1.0)], NotAState, "homogeneous coordinate"),
     *((name, DimensionMismatch, shown) for name, (_, shown) in _ENTRY_POINT_CASES.items()),
     *((name, InvalidProbVector, shown) for name, (_, shown) in _PROB_VECTOR_CASES.items()),
+    *((name, error, shown) for name, (_, error, shown) in _OTHER_CASES.items()),
 ], ids=["lists", "array", "non-iterable", "nan", "outside", "homogeneous-2",
-        *_ENTRY_POINT_CASES, *_PROB_VECTOR_CASES])
+        *_ENTRY_POINT_CASES, *_PROB_VECTOR_CASES, *_OTHER_CASES])
 def test_perfectly_distinguishable_rejects_malformed_states_by_name(square, states, error,
                                                                      shown, capfd):
-    # and so does every entry point of _ENTRY_POINT_CASES and
-    # _PROB_VECTOR_CASES (named by a string here): a raw list names the type
+    # and so does every entry point of _ENTRY_POINT_CASES, _PROB_VECTOR_CASES
+    # and _OTHER_CASES (named by a string here): a raw list names the type
     # expected, not an AttributeError, and an index that names no vertex is
     # refused, not read from the end
     if isinstance(states, str):
-        call, _ = {**_ENTRY_POINT_CASES, **_PROB_VECTOR_CASES}[states]
+        call = {**_ENTRY_POINT_CASES, **_PROB_VECTOR_CASES, **_OTHER_CASES}[states][0]
     else:
         if error is NotAState:
             states = [gpt_models.GptState(point) for point in states]

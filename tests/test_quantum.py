@@ -242,6 +242,40 @@ def test_min_search_rejects_a_negative_seed():
         quantum_entropy_min_search(make_preset("shannon"), MIXED, budget=10, seed=-1)
 
 
+#: Seeds and whether np.random.default_rng takes them.
+_SEEDS = {
+    "None": (None, True), "zero": (0, True), "2**200": (2**200, True),
+    "minus-one": (-1, False), "float": (1.5, False), "True": (True, True),
+    "string": ("3", False), "list": ([1, 2], True), "negative-in-list": ([1, -2], False),
+    "empty-list": ([], True), "int64": (np.int64(3), True), "float64": (np.float64(3.0), False),
+    "0-d-array": (np.array(5), False), "2-d-array": (np.array([[1, 2], [3, 4]]), True),
+    "SeedSequence": (np.random.SeedSequence(1), True),
+    "Generator": (np.random.default_rng(1), True), "PCG64": (np.random.PCG64(1), True),
+    "RandomState": (np.random.RandomState(1), True),
+}
+
+
+@pytest.mark.parametrize("name", _SEEDS)
+def test_min_search_takes_exactly_the_seeds_default_rng_takes(name):
+    # the seed steers nothing, but it is checked as default_rng would check
+    # it, without a generator built
+    seed, taken = _SEEDS[name]
+    try:
+        np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        assert not taken
+    else:
+        assert taken
+    pair = make_preset("shannon")
+    if taken:
+        value, _ = quantum_entropy_min_search(pair, MIXED, budget=10, seed=seed)
+        assert value == quantum_entropy(pair, MIXED)
+    else:
+        with pytest.raises(BadParameter, match=re.escape(
+                f"seed must be a non-negative integer, got {seed!r}")):
+            quantum_entropy_min_search(pair, MIXED, budget=10, seed=seed)
+
+
 def test_min_search_deterministic():
     rho = DensityMatrix([[0.6, 0.1], [0.1, 0.4]])
     pair = make_preset("shannon")
