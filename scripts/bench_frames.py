@@ -23,9 +23,9 @@ The ``spectra`` section times the workload's spectrum op, coordinates ->
 ``STATES`` random mixtures of its vertices. On a freshly built model in
 each repeat every op is timed; ``cold_ms`` is the median of the first ops,
 ``warm_ms`` the median of all later ones, and ``warm_ms_runs`` keeps every
-later op's time of every repeat, in the order of the repeats. ``make_state_ms`` is the median of
-``make_state`` alone at the later coordinates, on a model that has done one
-op. ``cold_ranks`` and ``warm_ranks`` count rank calls in the first op and
+later op's time of every repeat, in the order of the repeats.
+``make_state_ms`` is the median of ``make_state`` alone at the later
+coordinates, on a model that has done one op. ``cold_ranks`` and ``warm_ranks`` count rank calls in the first op and
 in each later op (their mean): one ``matrix_rank`` per prefix of the rows, or
 one batched ``svd`` of all prefixes; ``solves`` the solve calls per later op,
 and ``regular_bases`` the systems that the first op's solve calls solved:
