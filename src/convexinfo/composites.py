@@ -49,6 +49,7 @@ from .errors import (
     NotNormalized,
     TooLarge,
     UnsupportedModel,
+    _expect,
 )
 from .gpt_models import (
     GptEffect,
@@ -59,6 +60,7 @@ from .gpt_models import (
     enumerate_frames,
 )
 from .probvec import TOL
+from .quantum import _ArrayValue
 
 #: Factor-size cap for explicit vertex products.
 MAX_FACTOR_VERTICES = 8
@@ -129,15 +131,16 @@ class ProductSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class JointState:
+class JointState(_ArrayValue):
     """Coefficient tensor over the joint embedding; table[-1, -1] is u_AB.
 
     ``table`` is the validated tensor itself, a read-only float (d_A, d_B)
     array copied from the input; ``as_array`` hands out a writable copy.
-    Equality and hashing go by value, as for a ``DensityMatrix``.
+    Equality and hashing go by value (``_ArrayValue``).
     """
 
     table: np.ndarray
+    _args = ("table",)
 
     def __init__(self, table):
         try:
@@ -154,19 +157,6 @@ class JointState:
             raise NotNormalized(f"u_AB evaluates to {float(t[-1, -1])!r}, not 1")
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return np.array_equal(self.table, other.table)
-
-    def __hash__(self):
-        # adding 0.0 turns every -0.0 into 0.0, so equal tables hash alike
-        return hash((self.table.shape, (self.table + 0.0).tobytes()))
-
-    def __reduce__(self):
-        # a copy or an unpickled state is checked and frozen afresh
-        return JointState, (self.table,)
 
     def as_array(self) -> np.ndarray:
         return self.table.copy()
@@ -188,9 +178,7 @@ def min_tensor_vertices(ps: ProductSpace) -> Polytope:
 def _joint_table(ps: ProductSpace, omega: JointState) -> np.ndarray:
     """The state's read-only table, which must have the pair's joint shape;
     ``DimensionMismatch`` naming ``JointState`` unless ``omega`` is one."""
-    if not isinstance(omega, JointState):
-        raise DimensionMismatch(f"expected JointState, got {type(omega).__name__}")
-    table = omega.table
+    table = _expect(omega, JointState, DimensionMismatch).table
     if table.shape != ps.joint_shape:
         raise DimensionMismatch(f"table shape {table.shape} vs {ps.joint_shape}")
     return table

@@ -31,6 +31,7 @@ from .errors import (
     InfeasibleDecomposition,
     LpNumericalError,
     TooLarge,
+    _expect,
 )
 
 #: Feasibility and reported-value tolerance.
@@ -257,8 +258,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     a failed verification raises ``LpNumericalError``. ``DimensionMismatch``
     unless ``lp`` is a ``LinearProgram``.
     """
-    if not isinstance(lp, LinearProgram):
-        raise DimensionMismatch(f"expected LinearProgram, got {type(lp).__name__}")
+    _expect(lp, LinearProgram, DimensionMismatch)
     n, cons = lp.n_vars, lp.constraints
     bounds = lp.bounds if lp.bounds is not None else ((0.0, None),) * n
     lower, upper = np.array([(-np.inf if lo is None else lo, np.inf if hi is None else hi)

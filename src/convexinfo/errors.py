@@ -101,3 +101,11 @@ class SpectrumUndefined(ConvexInfoError):
 
 class UnsupportedModel(ValidationError):
     """Operation is only defined for a documented family of models."""
+
+
+def _expect(value, kind: type, error: type):
+    """``value``, unless it is not a ``kind``: then ``error`` naming both types,
+    so a raw list or array ends in a named error, not an ``AttributeError``."""
+    if not isinstance(value, kind):
+        raise error(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value

@@ -29,6 +29,7 @@ from .errors import (
     LpNumericalError,
     NotAState,
     ValidationError,
+    _expect,
 )
 from .probvec import TOL, ProbVector
 
@@ -365,7 +366,7 @@ def _decomposition_vertices(space: StateSpace, state: GptState) -> np.ndarray:
 
     Rows come in ``itertools.combinations`` order of the model's regular bases, a
     degenerate vertex once per basis that reaches it; ``NotAState`` if there is none."""
-    point = _array_of(state, GptState)
+    point = _expect(state, GptState, DimensionMismatch).as_array()
     if point.shape != (space.dim,):
         raise DimensionMismatch(f"state dim {point.shape[0]} vs model dim {space.dim}")
     w = space._decompositions(point.tobytes())
@@ -423,18 +424,10 @@ def zero_effect(space: StateSpace) -> GptEffect:
     return GptEffect(coeffs=(0.0,) * space.dim)
 
 
-def _array_of(value, kind: type) -> np.ndarray:
-    """``value.as_array()``; ``DimensionMismatch`` naming ``kind`` unless ``value``
-    is one, so a raw list or array ends in a named error."""
-    if not isinstance(value, kind):
-        raise DimensionMismatch(f"expected {kind.__name__}, got {type(value).__name__}")
-    return value.as_array()
-
-
 def evaluate(effect: GptEffect, state: GptState) -> float:
     """Outcome probability of the effect on the state, clamped to [0, 1]."""
-    e = _array_of(effect, GptEffect)
-    s = _array_of(state, GptState)
+    e = _expect(effect, GptEffect, DimensionMismatch).as_array()
+    s = _expect(state, GptState, DimensionMismatch).as_array()
     if e.shape != s.shape:
         raise DimensionMismatch("effect and state dimensions differ")
     value = float(e @ s)
@@ -670,7 +663,8 @@ def restrict_to_frame(state: GptState, frame: Frame) -> ProbVector:
     checked point, and a one-vertex frame's is the unit effect. A frame's
     witness is not unique in general. ``DimensionMismatch`` unless ``state``
     is a ``GptState``."""
-    return ProbVector(_frame_distributions(_array_of(state, GptState), [frame])[0])
+    point = _expect(state, GptState, DimensionMismatch).as_array()
+    return ProbVector(_frame_distributions(point, [frame])[0])
 
 
 # -- JSON model/state files ---------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AllZero, InvalidProbVector, NegativeWeight
+from .errors import AllZero, InvalidProbVector, NegativeWeight, _expect
 
 #: Absolute tolerance for probability sums and partial-sum comparisons.
 #: Double-precision LP outputs feed these checks, so 1e-9 is deliberately
@@ -93,17 +93,10 @@ def normalize(weights: Sequence[float]) -> ProbVector:
     return ProbVector([w / total for w in ws])
 
 
-def _prob_vector(p) -> ProbVector:
-    """``p``; ``InvalidProbVector`` naming ``ProbVector`` unless it is one, so a
-    raw list or array ends in a named error."""
-    if not isinstance(p, ProbVector):
-        raise InvalidProbVector(f"expected ProbVector, got {type(p).__name__}")
-    return p
-
-
 def sort_desc(p: ProbVector) -> ProbVector:
     """Permutation of ``p`` with nonincreasing components (stable for ties)."""
-    return ProbVector._from_trusted(tuple(sorted(_prob_vector(p).components, reverse=True)))
+    components = _expect(p, ProbVector, InvalidProbVector).components
+    return ProbVector._from_trusted(tuple(sorted(components, reverse=True)))
 
 
 def _padded_sorted(p: ProbVector, n: int) -> np.ndarray:
@@ -120,7 +113,8 @@ def majorizes(q: ProbVector, p: ProbVector) -> bool:
     one; partial sums of the decreasing rearrangements must satisfy
     ``sum_k p_i <= sum_k q_i`` for every k, with equal totals.
     """
-    n = max(len(_prob_vector(q)), len(_prob_vector(p)))
+    n = max(len(_expect(q, ProbVector, InvalidProbVector)),
+            len(_expect(p, ProbVector, InvalidProbVector)))
     ps = np.cumsum(_padded_sorted(p, n))
     qs = np.cumsum(_padded_sorted(q, n))
     if abs(ps[-1] - qs[-1]) > TOL:

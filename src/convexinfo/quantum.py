@@ -22,6 +22,7 @@ from .errors import (
     InvalidProbVector,
     NotNormalized,
     TooLarge,
+    _expect,
 )
 from .probvec import TOL, ProbVector, majorizes
 
@@ -45,25 +46,41 @@ def _as_complex_matrix(entries, error=InvalidDensityMatrix) -> np.ndarray:
     return m
 
 
-def _expect(value, kind: type, error: type) -> None:
-    """Raise ``error`` naming ``kind`` unless ``value`` is one: a raw array
-    or a list is not yet a validated state, POVM or ensemble."""
-    if not isinstance(value, kind):
-        raise error(f"expected {kind.__name__}, got {type(value).__name__}")
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
 
 
-def _array_key(array: np.ndarray) -> tuple:
-    """A hash key equal for equal arrays: adding 0.0 turns every -0.0 into 0.0."""
-    return array.shape, (array + 0.0).tobytes()
+class _ArrayValue:
+    """Value identity of a frozen type that holds read-only arrays, read from
+    the attributes that ``_args`` names, its constructor's arguments in order.
+
+    Two values are equal when their arguments are (``np.array_equal``), and
+    equal values hash alike: adding 0.0 turns every -0.0 into 0.0. A copy or
+    an unpickled value goes back through the constructor, so it is checked
+    and frozen afresh.
+    """
+
+    _args: tuple[str, ...]
+
+    def _arg_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._args)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, self._arg_values(), other._arg_values()))
+
+    def __hash__(self):
+        return hash(tuple((v.shape, (v + 0.0).tobytes()) if isinstance(v, np.ndarray) else v
+                          for v in self._arg_values()))
+
+    def __reduce__(self):
+        return self.__class__, self._arg_values()
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_ArrayValue):
     """A positive semidefinite, unit-trace complex matrix (N <= 16).
 
     ``entries`` is the validated matrix itself, a read-only complex (N, N)
@@ -71,11 +88,12 @@ class DensityMatrix:
     not reach it; ``as_array`` hands out a writable copy. The ascending
     eigenvalues that the positivity check computes are kept, read-only, and
     ``eigen_spectrum`` reads them with no second eigensolve. Equality and
-    hashing go by value.
+    hashing go by value (``_ArrayValue``).
     """
 
     entries: np.ndarray
     _eigenvalues: np.ndarray = field(repr=False)
+    _args = ("entries",)
 
     def __init__(self, entries):
         m = _as_complex_matrix(entries)
@@ -95,18 +113,6 @@ class DensityMatrix:
             raise InvalidDensityMatrix(f"negative eigenvalue {lo!r} beyond tolerance")
         object.__setattr__(self, "entries", _frozen(m))
         object.__setattr__(self, "_eigenvalues", _frozen(evals))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
-
-    def __hash__(self):
-        return hash(_array_key(self.entries))
-
-    def __reduce__(self):
-        # a copy or an unpickled state is checked and frozen afresh
-        return DensityMatrix, (self.entries,)
 
     @property
     def dim(self) -> int:
@@ -148,11 +154,12 @@ def _checked_effects(stack: np.ndarray, eigensolve: bool) -> np.ndarray | None:
 
 
 @dataclass(frozen=True, eq=False)
-class Povm:
+class Povm(_ArrayValue):
     """A finite POVM: PSD effects summing to the identity.
 
     ``effects`` is the validated stack itself, a read-only complex (k, N, N)
-    array. Equality and hashing go by value, ``rank_one`` included. Every
+    array. Equality and hashing go by value, ``rank_one`` included
+    (``_ArrayValue``). Every
     POVM built from effects, a copy or an unpickled one included, is checked
     in full, eigensolve included; only the min-search's eigenbasis witness
     (``_eigenbasis``) skips the eigensolve, which cannot fail on it.
@@ -160,6 +167,7 @@ class Povm:
 
     effects: np.ndarray
     rank_one: bool
+    _args = ("effects", "rank_one")
 
     def __init__(self, effects, rank_one: bool | None = None):
         try:
@@ -201,17 +209,6 @@ class Povm:
         object.__setattr__(povm, "effects", effects)
         object.__setattr__(povm, "rank_one", True)
         return povm
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rank_one == other.rank_one and np.array_equal(self.effects, other.effects)
-
-    def __hash__(self):
-        return hash((self.rank_one, _array_key(self.effects)))
-
-    def __reduce__(self):
-        return Povm, (self.effects, self.rank_one)
 
     @property
     def dim(self) -> int:

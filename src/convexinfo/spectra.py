@@ -18,12 +18,11 @@ import numpy as np
 
 from .convex_kernel import LinearProgram, decomposition_program
 from .entropic import EntropicPair, _entropies, classical_entropy
-from .errors import NoFrames, SpectrumUndefined
+from .errors import DimensionMismatch, NoFrames, SpectrumUndefined, _expect
 from .gpt_models import (
     Frame,
     GptState,
     StateSpace,
-    _array_of,
     _decomposition_vertices,
     _frame_distributions,
     enumerate_frames,
@@ -173,7 +172,7 @@ def frame_entropy(pair: EntropicPair, space: StateSpace,
     indices), which keeps golden outputs stable. ``DimensionMismatch``
     unless ``state`` is a ``GptState``.
     """
-    point = _array_of(state, GptState)
+    point = _expect(state, GptState, DimensionMismatch).as_array()
     frames = enumerate_frames(space)
     if not frames:
         raise NoFrames("model admits no frame")
