@@ -71,6 +71,10 @@ class ProductSpace:
     factor_a: StateSpace
     factor_b: StateSpace
 
+    def __post_init__(self):
+        _expect(self.factor_a, StateSpace, DimensionMismatch)
+        _expect(self.factor_b, StateSpace, DimensionMismatch)
+
     @property
     def joint_shape(self) -> tuple[int, int]:
         return (self.factor_a.dim, self.factor_b.dim)
@@ -167,17 +171,20 @@ class JointState(_ArrayValue):
 
 def product_state(nu_a: GptState, nu_b: GptState) -> JointState:
     """The factorizing joint state nu_a (x) nu_b."""
-    return JointState(np.outer(nu_a.as_array(), nu_b.as_array()))
+    return JointState(np.outer(_expect(nu_a, GptState, DimensionMismatch).as_array(),
+                               _expect(nu_b, GptState, DimensionMismatch).as_array()))
 
 
 def min_tensor_vertices(ps: ProductSpace) -> Polytope:
     """All products of factor vertices, flattened into one polytope."""
-    return ps._min_tensor
+    return _expect(ps, ProductSpace, DimensionMismatch)._min_tensor
 
 
 def _joint_table(ps: ProductSpace, omega: JointState) -> np.ndarray:
     """The state's read-only table, which must have the pair's joint shape;
-    ``DimensionMismatch`` naming ``JointState`` unless ``omega`` is one."""
+    ``DimensionMismatch`` naming ``ProductSpace`` or ``JointState`` unless
+    ``ps`` and ``omega`` are one."""
+    _expect(ps, ProductSpace, DimensionMismatch)
     table = _expect(omega, JointState, DimensionMismatch).table
     if table.shape != ps.joint_shape:
         raise DimensionMismatch(f"table shape {table.shape} vs {ps.joint_shape}")
@@ -262,9 +269,9 @@ def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:
     omega(u_A, u_B) = 1 is part of the JointState invariant. A factor over
     ``MAX_FACTOR_VERTICES`` raises ``TooLarge`` either way.
     """
+    table = _joint_table(ps, omega)
     if ps._classical is not None:
         return is_separable(ps, omega)
-    table = _joint_table(ps, omega)
     values = ps.factor_a._extreme_effects @ table @ ps.factor_b._extreme_effects.T
     if not (values.min() >= -TOL and values.max() <= 1.0 + TOL):
         return False
@@ -279,6 +286,7 @@ def classify_joint(ps: ProductSpace, omega: JointState) -> str:
     maximal one; anything violating max-tensor positivity is 'not-a-state'.
     With a classical factor the two sets coincide, and one basis test decides.
     """
+    _joint_table(ps, omega)  # a wrong-typed pair or state is named before the pair is read
     if ps._classical is not None:
         return "separable" if is_separable(ps, omega) else "not-a-state"
     if not max_tensor_member(ps, omega):
@@ -294,6 +302,7 @@ def pr_box(ps: ProductSpace) -> JointState:
     perfectly correlated outcomes except when both sides use their second
     frame, where outcomes anti-correlate.
     """
+    _expect(ps, ProductSpace, DimensionMismatch)
     basis = []
     for space in (ps.factor_a, ps.factor_b):
         frames = enumerate_frames(space)
@@ -323,32 +332,27 @@ def classical_collapse_check(space_a: StateSpace, space_b: StateSpace) -> bool:
     pair is certified false via the no-signaling box (max-tensor member
     outside the minimal set).
     """
+    ps = ProductSpace(space_a, space_b)
     if space_a.kind == KIND_SIMPLEX and space_b.kind == KIND_SIMPLEX:
         na, nb = space_a.n_vertices, space_b.n_vertices
         if na * nb > 16:
             raise TooLarge(f"{na} x {nb} outcome cells exceed the cap 16")
-        ps = ProductSpace(space_a, space_b)
         # canonical indicator effects (delta_i, 0) plus the unit functional
         # form an invertible coefficient basis pinning the tensor gauge
         basis_a = np.vstack([np.hstack([np.eye(na), np.zeros((na, 1))]), space_a.unit()])
         basis_b = np.vstack([np.hstack([np.eye(nb), np.zeros((nb, 1))]), space_b.unit()])
-        products = ps._products
-        for table in np.eye(na * nb):
-            p = table.reshape(na, nb)
-            # extend the probability table to the full coefficient tensor
-            m = np.zeros((na + 1, nb + 1))
-            m[:na, :nb] = p
-            m[na, :nb] = p.sum(axis=0)
-            m[:na, nb] = p.sum(axis=1)
-            m[na, nb] = 1.0
-            w = np.linalg.solve(basis_a, np.linalg.solve(basis_b, m.T).T)
-            if not np.any(np.max(np.abs(products - w.reshape(-1)), axis=1) <= 1e-8):
-                return False
-        return True
+        # each point-mass table P extended to its full coefficient tensor
+        # M = E_a P E_b.T (E = (I; 1 ... 1) appends its row and column sums and
+        # its total 1), then every W with M = basis_a W basis_b.T in one solve
+        ext_a, ext_b = np.vstack([np.eye(na), np.ones(na)]), np.vstack([np.eye(nb), np.ones(nb)])
+        m = np.einsum("ai,kij,bj->kab", ext_a, np.eye(na * nb).reshape(-1, na, nb), ext_b)
+        w = np.linalg.solve(np.kron(basis_a, basis_b), m.reshape(na * nb, -1).T).T
+        # every W must be some product of factor vertices
+        close = np.abs(w[:, None] - ps._products).max(axis=2) <= 1e-8
+        return bool(close.any(axis=1).all())
 
     if (space_a.kind == KIND_POLYGON and space_a.n_vertices == 4
             and space_b.kind == KIND_POLYGON and space_b.n_vertices == 4):
-        ps = ProductSpace(space_a, space_b)
         box = pr_box(ps)
         return not (max_tensor_member(ps, box) and not is_separable(ps, box))
 

@@ -98,7 +98,8 @@ class LinearProgram:
                                     "bounds (lo, hi) pairs") from None
         if self.n_vars < 0 or not np.isfinite(self.objective or ()).all():
             raise DimensionMismatch("n_vars must be >= 0 and the objective finite")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        object.__setattr__(self, "constraints", tuple(
+            _expect(con, Constraint, DimensionMismatch) for con in self.constraints))
         for name, part in (("objective", self.objective), ("bounds", self.bounds),
                            *(("constraint", con.coeffs) for con in self.constraints)):
             if part is not None and len(part) != self.n_vars:
@@ -487,10 +488,11 @@ class Polytope:
             raise TooLarge(f"dimension {arr.shape[1]} exceeds the cap {MAX_DIM}")
         if not np.all(np.isfinite(arr)):
             raise DegenerateModel("vertices must be finite")
-        for i in range(len(arr) - 1):
-            close = np.flatnonzero(np.linalg.norm(arr[i + 1:] - arr[i], axis=1) <= _DUPLICATE_TOL)
-            if close.size:
-                raise DegenerateModel(f"vertices {i} and {i + 1 + close[0]} coincide")
+        # every pair i < j in one pass, in order of i, then j
+        i, j = np.triu_indices(len(arr), 1)
+        close = np.flatnonzero(np.linalg.norm(arr[j] - arr[i], axis=1) <= _DUPLICATE_TOL)
+        if close.size:
+            raise DegenerateModel(f"vertices {i[close[0]]} and {j[close[0]]} coincide")
         object.__setattr__(self, "vertices", tuple(map(tuple, arr.tolist())))
 
     @property
@@ -643,7 +645,7 @@ def decomposition_program(vertices: np.ndarray, point: np.ndarray) -> LinearProg
 def convex_weights(point, poly: Polytope) -> np.ndarray | None:
     """Convex weights over the vertices reproducing the point, or None;
     one cone test (``_cone_weights``) over the decomposition rows."""
-    a, b = _decomposition_rows(poly.as_array(), point)
+    a, b = _decomposition_rows(_expect(poly, Polytope, DimensionMismatch).as_array(), point)
     return _cone_weights(_conditioned(a), b)
 
 
@@ -659,6 +661,7 @@ def topk_weight_max(skeleton: LinearProgram, subset: Iterable[int]) -> float:
     vertex); raises ``InfeasibleDecomposition`` when the underlying state is
     not in the hull at all.
     """
+    _expect(skeleton, LinearProgram, DimensionMismatch)
     try:
         s = sorted(set(map(operator.index, subset)))
     except (TypeError, ValueError):

@@ -170,8 +170,10 @@ def _entropies(pair: EntropicPair, probs: np.ndarray) -> np.ndarray:
 
     Each row gets the checks a ``ProbVector`` makes (finite components that
     sum to 1 within ``TOL``, else ``InvalidProbVector``); components below
-    ``TOL`` count as exact zeros.
+    ``TOL`` count as exact zeros. ``InvalidEntropicPair`` unless ``pair`` is
+    an ``EntropicPair``.
     """
+    _expect(pair, EntropicPair, InvalidEntropicPair)
     for total in probs.sum(axis=1).tolist():  # Python floats: the cheaper test per row
         if not abs(total - 1.0) <= TOL:  # a NaN or infinite component fails this too
             if not np.isfinite(probs).all():
@@ -188,6 +190,7 @@ def classical_entropy(pair: EntropicPair, p: ProbVector) -> float:
 
 def entropy_upper_bound(pair: EntropicPair, n: int) -> float:
     """Value of the pair's entropy on the uniform distribution of size n."""
+    _expect(pair, EntropicPair, InvalidEntropicPair)
     try:
         n = operator.index(n)
     except TypeError:

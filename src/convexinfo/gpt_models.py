@@ -347,6 +347,7 @@ def make_state(space: StateSpace, coords) -> GptState:
     Raises ``NotAState`` when the point is not finite or no model basis decomposes
     it (``_decomposition_vertices``; the spectrum reuses the vertices found).
     """
+    _expect(space, StateSpace, DimensionMismatch)
     try:
         c = np.asarray(coords, float)
     except (TypeError, ValueError):
@@ -366,6 +367,7 @@ def _decomposition_vertices(space: StateSpace, state: GptState) -> np.ndarray:
 
     Rows come in ``itertools.combinations`` order of the model's regular bases, a
     degenerate vertex once per basis that reaches it; ``NotAState`` if there is none."""
+    _expect(space, StateSpace, DimensionMismatch)
     point = _expect(state, GptState, DimensionMismatch).as_array()
     if point.shape != (space.dim,):
         raise DimensionMismatch(f"state dim {point.shape[0]} vs model dim {space.dim}")
@@ -378,6 +380,7 @@ def _decomposition_vertices(space: StateSpace, state: GptState) -> np.ndarray:
 def vertex_state(space: StateSpace, index: int) -> GptState:
     """The pure state of vertex ``index``; ``DimensionMismatch`` unless it is an
     integer with 0 <= index < ``space.n_vertices``."""
+    _expect(space, StateSpace, DimensionMismatch)
     try:
         i = operator.index(index)
     except TypeError:
@@ -394,6 +397,7 @@ def mix_state(space: StateSpace, weights) -> GptState:
     The weights must already be a probability vector (``ProbVector``): they
     are rescaled only within ``TOL`` of summing to 1, and weights that sum
     to anything else raise ``InvalidProbVector``."""
+    _expect(space, StateSpace, DimensionMismatch)
     w = ProbVector(weights)
     if len(w) != space.n_vertices:
         raise DimensionMismatch("one weight per vertex required")
@@ -403,6 +407,7 @@ def mix_state(space: StateSpace, weights) -> GptState:
 
 def make_effect(space: StateSpace, coeffs) -> GptEffect:
     """Validate affine-functional coefficients against all vertices."""
+    _expect(space, StateSpace, DimensionMismatch)
     try:
         e = np.asarray(coeffs, float)
     except (TypeError, ValueError):
@@ -417,11 +422,11 @@ def make_effect(space: StateSpace, coeffs) -> GptEffect:
 
 
 def unit_effect(space: StateSpace) -> GptEffect:
-    return GptEffect(coeffs=tuple(space.unit().tolist()))
+    return GptEffect(coeffs=tuple(_expect(space, StateSpace, DimensionMismatch).unit().tolist()))
 
 
 def zero_effect(space: StateSpace) -> GptEffect:
-    return GptEffect(coeffs=(0.0,) * space.dim)
+    return GptEffect(coeffs=(0.0,) * _expect(space, StateSpace, DimensionMismatch).dim)
 
 
 def evaluate(effect: GptEffect, state: GptState) -> float:
@@ -551,6 +556,7 @@ def perfectly_distinguishable(space: StateSpace, states) -> bool:
     whose homogeneous coordinate is not 1 or that a facet effect of the
     model reads below -``_FACET_TOL``.
     """
+    _expect(space, StateSpace, DimensionMismatch)
     try:
         states = list(states)
         points = np.asarray([st.point for st in states if isinstance(st, GptState)], float)
@@ -632,7 +638,7 @@ def enumerate_frames(space: StateSpace) -> list[Frame]:
     The enumeration runs once per model; every call returns a fresh list of
     the kept frames.
     """
-    return list(space._frames)
+    return list(_expect(space, StateSpace, DimensionMismatch)._frames)
 
 
 def _frame_distributions(point: np.ndarray, frames) -> np.ndarray:
@@ -662,9 +668,9 @@ def restrict_to_frame(state: GptState, frame: Frame) -> ProbVector:
     that is valid, else the k x d witness LP's vertex, else the facet cone's
     checked point, and a one-vertex frame's is the unit effect. A frame's
     witness is not unique in general. ``DimensionMismatch`` unless ``state``
-    is a ``GptState``."""
+    is a ``GptState`` and ``frame`` a ``Frame``."""
     point = _expect(state, GptState, DimensionMismatch).as_array()
-    return ProbVector(_frame_distributions(point, [frame])[0])
+    return ProbVector(_frame_distributions(point, [_expect(frame, Frame, DimensionMismatch)])[0])
 
 
 # -- JSON model/state files ---------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .convex_kernel import LinearProgram, decomposition_program
 from .entropic import EntropicPair, _entropies, classical_entropy
-from .errors import DimensionMismatch, NoFrames, SpectrumUndefined, _expect
+from .errors import DimensionMismatch, InvalidEntropicPair, NoFrames, SpectrumUndefined, _expect
 from .gpt_models import (
     Frame,
     GptState,
@@ -140,6 +140,7 @@ class PhiMixture:
 
 def apply_phi(space: StateSpace, state: GptState, pair: EntropicPair) -> PhiMixture:
     """Apply the pair's inner map to the state through its spectrum."""
+    _expect(pair, EntropicPair, InvalidEntropicPair)
     spec = generalized_spectrum(space, state)
     if isinstance(spec, NoMajorant):
         raise SpectrumUndefined("state has no spectrum", state=state)

@@ -375,6 +375,16 @@ def test_classical_collapse_simplex_pairs():
         assert classical_collapse_check(a, b), f"simplex({na}) x simplex({nb})"
 
 
+@pytest.mark.parametrize("dropped", [0, 5, 8])
+def test_classical_collapse_fails_when_a_point_mass_matches_no_product(monkeypatch, dropped):
+    # with one vertex product left out, the point mass that it was matches
+    # none of the others, and every other point mass still matches its own
+    products = ProductSpace._products
+    monkeypatch.setattr(ProductSpace, "_products", property(
+        lambda ps: np.delete(products.func(ps), dropped, axis=0)))
+    assert not classical_collapse_check(build_model("simplex", n=3), build_model("simplex", n=3))
+
+
 def test_classical_collapse_square_pair_fails(square_pair):
     assert not classical_collapse_check(square_pair.factor_a, square_pair.factor_b)
 

@@ -16,10 +16,12 @@ from convexinfo import (
     ProductSpace,
     apply_phi,
     build_model,
+    classical_collapse_check,
     classical_entropy,
     classify_joint,
     convex_kernel,
     decomposition_constraints,
+    entropy_upper_bound,
     enumerate_frames,
     evaluate,
     frame_entropy,
@@ -33,14 +35,18 @@ from convexinfo import (
     make_preset,
     make_state,
     max_tensor_member,
+    membership,
     mix_state,
     model_from_json,
     pair_from_grid_descriptor,
     perfectly_distinguishable,
+    pr_box,
+    product_state,
     restrict_to_frame,
     separable_witness,
     sort_desc,
     spectral_entropy,
+    topk_weight_max,
     unit_effect,
     vertex_state,
     zero_effect,
@@ -609,6 +615,49 @@ _OTHER_CASES = {
     "pair_from_grid_descriptor-array": (lambda sq: pair_from_grid_descriptor(
         np.array([0.1, 0.2, 1.0])), InvalidEntropicPair, "malformed pair descriptor"),
 }
+_WRONG = [0, 1]  # a raw list where a model, a pair, an LP or a polytope belongs
+_SPACE = "expected StateSpace, got list"
+_PAIR = "expected ProductSpace, got list"
+#: Entry points given a wrong-typed model, product space, entropic pair, LP
+#: skeleton, polytope, state, frame or constraint, which once ended in an
+#: AttributeError: the call, its ValidationError and what it says.
+_WRONG_TYPE_CASES = {
+    "generalized_spectrum-model": (lambda sq: generalized_spectrum(
+        _WRONG, make_state(sq, [0.0, 0.0])), DimensionMismatch, _SPACE),
+    "make_state-model": (lambda sq: make_state(_WRONG, [0.0, 0.0]), DimensionMismatch, _SPACE),
+    "enumerate_frames-model": (lambda sq: enumerate_frames(_WRONG), DimensionMismatch, _SPACE),
+    "perfectly_distinguishable-model": (lambda sq: perfectly_distinguishable(
+        _WRONG, [vertex_state(sq, 0), vertex_state(sq, 2)]), DimensionMismatch, _SPACE),
+    "vertex_state-model": (lambda sq: vertex_state(_WRONG, 0), DimensionMismatch, _SPACE),
+    "mix_state-model": (lambda sq: mix_state(_WRONG, [0.5, 0.5]), DimensionMismatch, _SPACE),
+    "make_effect-model": (lambda sq: make_effect(_WRONG, [0.0, 1.0]), DimensionMismatch, _SPACE),
+    "unit_effect-model": (lambda sq: unit_effect(_WRONG), DimensionMismatch, _SPACE),
+    "zero_effect-model": (lambda sq: zero_effect(_WRONG), DimensionMismatch, _SPACE),
+    "classical_collapse_check-model": (lambda sq: classical_collapse_check(_WRONG, sq),
+                                       DimensionMismatch, _SPACE),
+    "ProductSpace-factor": (lambda sq: ProductSpace(sq, _WRONG), DimensionMismatch, _SPACE),
+    **{f"{check.__name__}-pair": (lambda sq, check=check: check(_WRONG, product_state(
+        vertex_state(sq, 0), vertex_state(sq, 1))), DimensionMismatch, _PAIR)
+       for check in (separable_witness, max_tensor_member, classify_joint)},
+    "min_tensor_vertices-pair": (lambda sq: min_tensor_vertices(_WRONG), DimensionMismatch, _PAIR),
+    "pr_box-pair": (lambda sq: pr_box(_WRONG), DimensionMismatch, _PAIR),
+    "classical_entropy-entropic-pair": (lambda sq: classical_entropy(
+        "shannon", ProbVector([1.0])), InvalidEntropicPair, "expected EntropicPair, got str"),
+    "apply_phi-entropic-pair": (lambda sq: apply_phi(sq, make_state(sq, [0.0, 0.0]), "shannon"),
+                                InvalidEntropicPair, "expected EntropicPair, got str"),
+    "entropy_upper_bound-entropic-pair": (lambda sq: entropy_upper_bound("shannon", 2),
+                                          InvalidEntropicPair, "expected EntropicPair, got str"),
+    "topk_weight_max-skeleton": (lambda sq: topk_weight_max(_WRONG, [0]), DimensionMismatch,
+                                 "expected LinearProgram, got list"),
+    "membership-polytope": (lambda sq: membership([0.5, 1.0], [[0.0, 1.0], [1.0, 1.0]]),
+                            DimensionMismatch, "expected Polytope, got list"),
+    "product_state-state": (lambda sq: product_state(vertex_state(sq, 0), _RAW),
+                            DimensionMismatch, _STATE),
+    "restrict_to_frame-frame": (lambda sq: restrict_to_frame(vertex_state(sq, 0), _WRONG),
+                                DimensionMismatch, "expected Frame, got list"),
+    "LinearProgram-constraint": (lambda sq: LinearProgram(1, None, ([1.0],)),
+                                 DimensionMismatch, "expected Constraint, got list"),
+}
 
 
 @pytest.mark.parametrize("states, error, shown", [
@@ -621,16 +670,18 @@ _OTHER_CASES = {
     *((name, DimensionMismatch, shown) for name, (_, shown) in _ENTRY_POINT_CASES.items()),
     *((name, InvalidProbVector, shown) for name, (_, shown) in _PROB_VECTOR_CASES.items()),
     *((name, error, shown) for name, (_, error, shown) in _OTHER_CASES.items()),
+    *((name, error, shown) for name, (_, error, shown) in _WRONG_TYPE_CASES.items()),
 ], ids=["lists", "array", "non-iterable", "nan", "outside", "homogeneous-2",
-        *_ENTRY_POINT_CASES, *_PROB_VECTOR_CASES, *_OTHER_CASES])
+        *_ENTRY_POINT_CASES, *_PROB_VECTOR_CASES, *_OTHER_CASES, *_WRONG_TYPE_CASES])
 def test_perfectly_distinguishable_rejects_malformed_states_by_name(square, states, error,
                                                                      shown, capfd):
-    # and so does every entry point of _ENTRY_POINT_CASES, _PROB_VECTOR_CASES
-    # and _OTHER_CASES (named by a string here): a raw list names the type
-    # expected, not an AttributeError, and an index that names no vertex is
-    # refused, not read from the end
+    # and so does every entry point of _ENTRY_POINT_CASES, _PROB_VECTOR_CASES,
+    # _OTHER_CASES and _WRONG_TYPE_CASES (named by a string here): a raw list
+    # names the type expected, not an AttributeError, and an index that names
+    # no vertex is refused, not read from the end
     if isinstance(states, str):
-        call = {**_ENTRY_POINT_CASES, **_PROB_VECTOR_CASES, **_OTHER_CASES}[states][0]
+        call = {**_ENTRY_POINT_CASES, **_PROB_VECTOR_CASES, **_OTHER_CASES,
+                **_WRONG_TYPE_CASES}[states][0]
     else:
         if error is NotAState:
             states = [gpt_models.GptState(point) for point in states]
