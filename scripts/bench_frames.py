@@ -32,14 +32,21 @@ and ``regular_bases`` the systems that the first op's solve calls solved:
 its one solve stacks every regular basis. No spectrum op enters the LP
 kernel, which ``test_a_state_and_its_spectrum_share_one_solve`` pins.
 
-The ``separable`` section times ``separable_witness`` on ``STATES`` random
-separable states of every factor pair of the ``tensor-separable`` workload
-(``TensorSeparable.SEPARABLE`` in ``perfbench/workloads.py``); ``ms`` is
-the median over the states and repeats, and ``ms_runs`` keeps every
-state's time of every repeat, in the order of the repeats. Per call,
-``cone_tests`` counts the cone tests over the vertex products
-(``convex_kernel._cone_weights``: one for a pair without a classical
-factor, none with one) and ``nnls_iterations`` their passive-set solves
+The ``separable`` section times the ``tensor-separable`` workload's
+separable op after its ``JointState`` (``separable_op``: a witness, then
+max-tensor membership and the verdict when there is none) on ``STATES``
+tables per record: random separable states of every factor pair of
+``TensorSeparable.SEPARABLE``, labelled by the pair, then the workload's
+own entangled and not-a-state tables of ``TensorSeparable.ENTANGLED`` and
+``NOT_A_STATE`` (``perfbench/workloads.py``), labelled by the verdict and
+the pair. ``ms`` is the median over the tables and repeats, and ``ms_runs``
+keeps every table's time of every repeat, in the order of the repeats. Per
+op, ``decisions`` counts the pair's decisions on its table: the cone tests
+over the vertex products (``cone_tests``, ``convex_kernel._cone_weights``:
+a pair without a classical factor) plus the solves of a classical factor's
+conditional states (``composites._conditional_weights``); a checkout that
+decides a table again in max-tensor membership or the verdict counts 2 or 3.
+``nnls_iterations`` counts the cone tests' passive-set solves
 (``convex_kernel._passive_weights``); ``lps`` and ``kernel_entries`` count
 the LPs and LP-kernel entries (``convex_kernel._solve_stack``), which no
 route makes.
@@ -189,10 +196,11 @@ SPECTRA_SEAMS = (
      lambda a, b: {"solves": 1, "systems": int(np.prod(np.shape(a)[:-2]))}),
 )
 #: A pair without a classical factor makes one cone test, whose Lawson-Hanson
-#: iterations each solve one passive set; every LP stack would enter the
-#: kernel at ``_solve_stack``.
+#: iterations each solve one passive set, and a pair with one solves its
+#: conditional states; every LP stack would enter the kernel at ``_solve_stack``.
 SEPARABLE_SEAMS = (
     ("convexinfo.composites", "_cone_weights", _once("cone_tests")),
+    ("convexinfo.composites", "_conditional_weights", _once("conditional_solves")),
     ("convexinfo.convex_kernel", "_passive_weights", _once("nnls_iterations")),
     ("convexinfo.convex_kernel", "_solve_stack",
      lambda c, a, *rest: {"lps": len(a), "kernel_entries": 1}),
@@ -289,34 +297,62 @@ def measure_spectra(counted: bool) -> dict:
     return results
 
 
-def measure_separable(counted: bool) -> dict:
-    """``separable_witness`` on separable states of every tensor-separable
-    factor pair with the convexinfo on sys.path, and with ``counted`` the
-    cone tests, their iterations, LPs and kernel entries per call."""
-    results = {}
+def separable_op(ps, omega) -> None:
+    """The tensor-separable workload's separable op after its JointState: a
+    witness, then max-tensor membership and the verdict when there is none."""
+    if ci.separable_witness(ps, omega) is None:
+        ci.max_tensor_member(ps, omega)
+        ci.classify_joint(ps, omega)
+
+
+def _separable_ops() -> dict:
+    """Per record label, the factor pair and its ``STATES`` tables: random
+    separable states of every pair of ``TensorSeparable.SEPARABLE``, then
+    the workload's own entangled and not-a-state tables of its other pairs."""
+    ops = {}
     for pair in TensorSeparable.SEPARABLE:
-        factors = [_build(label) for label in pair]
-        va, vb = (factor.vertex_array() for factor in factors)
-        ps, label = ci.ProductSpace(*factors), "x".join(pair)
+        va, vb = (_build(label).vertex_array() for label in pair)
         rng = np.random.default_rng(0)
-        states = [ci.JointState(va.T @ rng.dirichlet(np.full(len(va) * len(vb), 0.5)).reshape(
-            len(va), len(vb)) @ vb) for _ in range(STATES)]
+        ops["x".join(pair)] = pair, [
+            va.T @ rng.dirichlet(np.full(len(va) * len(vb), 0.5)).reshape(len(va), len(vb)) @ vb
+            for _ in range(STATES)]
+    workload = TensorSeparable(0, _reference())
+    for verdict, pairs, table in (("entangled", TensorSeparable.ENTANGLED, workload._entangled),
+                                  ("not-a-state", TensorSeparable.NOT_A_STATE,
+                                   workload._outside)):
+        for pair in pairs:
+            rng = np.random.default_rng(0)
+            ops[f"{verdict} {'x'.join(pair)}"] = pair, [table(rng, pair) for _ in range(STATES)]
+    return ops
+
+
+def measure_separable(counted: bool) -> dict:
+    """The separable op (``separable_op``) on every table of ``_separable_ops``
+    with the convexinfo on sys.path, and with ``counted`` the decisions, cone
+    tests, their iterations, LPs and kernel entries per op."""
+    results = {}
+    for label, (pair, tables) in _separable_ops().items():
+        factors = [_build(m) for m in pair]
+        states = [ci.JointState(table) for table in tables]
+        ps = ci.ProductSpace(*factors)
         times = []
         for omega in states:
             start = time.perf_counter()
-            ci.separable_witness(ps, omega)
+            separable_op(ps, omega)
             times.append(1e3 * (time.perf_counter() - start))
         results[label] = {"ms": times}
         if counted:
             # a checkout from before the cone test has none of its seams,
-            # and counts 0 there
+            # and counts 0 there; a fresh pair has decided no table yet
             seams = [seam for seam in SEPARABLE_SEAMS
                      if hasattr(importlib.import_module(seam[0]), seam[1])]
+            ps = ci.ProductSpace(*factors)
             with counting(seams) as counts:
                 for omega in states:
-                    ci.separable_witness(ps, omega)
+                    separable_op(ps, omega)
+            counts["decisions"] = counts["cone_tests"] + counts["conditional_solves"]
             results[label].update({key: counts[key] / STATES for key in (
-                "cone_tests", "nnls_iterations", "lps", "kernel_entries")})
+                "decisions", "cone_tests", "nnls_iterations", "lps", "kernel_entries")})
     return results
 
 

@@ -13,7 +13,9 @@ the other factor's regular bases, and no LP is solved; pairs without a
 classical factor make one cone test over every vertex product
 (``convex_kernel._cone_weights``), on the conditioned rows and Gram matrix
 of the products that the pair builds once (``ProductSpace._cone``), and
-solve no LP either.
+solve no LP either. A pair keeps its last few decisions by the table's bytes
+(``ProductSpace._separability``), so a table's witness, max-tensor test and
+verdict decide it once.
 
 Max-tensor membership of a pair with a classical factor is that same test.
 Otherwise it is one test over fixed pairs of effects, each of which must give
@@ -75,6 +77,10 @@ class ProductSpace:
         _expect(self.factor_a, StateSpace, DimensionMismatch)
         _expect(self.factor_b, StateSpace, DimensionMismatch)
 
+    def __getstate__(self):
+        # a copy or an unpickled pair builds its tables and decisions afresh
+        return {"factor_a": self.factor_a, "factor_b": self.factor_b}
+
     @property
     def joint_shape(self) -> tuple[int, int]:
         return (self.factor_a.dim, self.factor_b.dim)
@@ -132,6 +138,28 @@ class ProductSpace:
                 s.flags.writeable = False  # the other arrays are views of read-only ones
                 return side, rows, s, space._verts.T, factors[1 - side]
         return None
+
+    @functools.cached_property
+    def _separability(self):
+        """The weights of ``separable_witness`` for a table, by its bytes: an
+        (n_A, n_B) array, or None outside the minimal tensor set. The last 4
+        are kept read-only, so that a table's witness, max-tensor test and
+        verdict share one decision; an exception is not kept."""
+
+        @functools.lru_cache(maxsize=4)
+        def weights(key: bytes) -> np.ndarray | None:
+            classical = self._classical
+            if classical is None:
+                w = _cone_weights(self._cone, np.concatenate(((1.0,), np.frombuffer(key))))
+                w = None if w is None else w.reshape(self.factor_a.n_vertices, -1)
+            else:
+                w = _conditional_weights(classical,
+                                         np.frombuffer(key).reshape(self.joint_shape))
+            if w is not None:
+                w.flags.writeable = False
+            return w
+
+        return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +243,9 @@ def _conditional_weights(classical: tuple, table: np.ndarray) -> np.ndarray | No
             return None
         which, solutions = other._basic_solutions(
             np.hstack([conditionals, conditionals[:, -1:]]))
-        solved, first = np.unique(which, return_index=True)
-        if len(solved) < len(conditionals):
+        # which is sorted: each run's start is its conditional state's first solution
+        first = np.flatnonzero(np.diff(which, prepend=-1))
+        if len(first) < len(conditionals):
             return None
         weights = solutions[first]
         if not (np.abs(spread @ weights @ other._verts - table) <= FEAS_TOL).all():
@@ -235,25 +264,26 @@ def separable_witness(ps: ProductSpace, omega: JointState):
     vertex products (``_cone_weights``), and a vertex product gets weight
     exactly 1. No LP is solved either way, and None comes with a
     certificate: a checked Farkas ray, a conditional state with no basic
-    solution, or a table outside the classical factor's span.
+    solution, or a table outside the classical factor's span. The pair keeps
+    the decision (``ProductSpace._separability``); each call gets a new list.
     """
-    table, classical = _joint_table(ps, omega), ps._classical
-    if classical is None:
-        weights = _cone_weights(ps._cone, _decomposition_rows(ps._products, table.reshape(-1))[1])
-        if weights is None:
-            return None
-        weights = weights.reshape(ps.factor_a.n_vertices, -1)
-    else:
-        weights = _conditional_weights(classical, table)
-        if weights is None:
-            return None
+    weights = _separable_weights(ps, omega)
+    if weights is None:
+        return None
     rows, cols = (weights > TOL).nonzero()
-    return [((a, b), float(weights[a, b])) for a, b in zip(rows.tolist(), cols.tolist())]
+    return [((a, b), w) for a, b, w in zip(rows.tolist(), cols.tolist(),
+                                           weights[rows, cols].tolist())]
+
+
+def _separable_weights(ps: ProductSpace, omega: JointState) -> np.ndarray | None:
+    """The pair's decision on the state's table (``ProductSpace._separability``)."""
+    key = _joint_table(ps, omega).tobytes()  # a wrong-typed pair is named first
+    return ps._separability(key)
 
 
 def is_separable(ps: ProductSpace, omega: JointState) -> bool:
     """Membership of the joint state in the minimal tensor set."""
-    return separable_witness(ps, omega) is not None
+    return _separable_weights(ps, omega) is not None
 
 
 def max_tensor_member(ps: ProductSpace, omega: JointState) -> bool:

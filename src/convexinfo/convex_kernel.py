@@ -98,8 +98,12 @@ class LinearProgram:
                                     "bounds (lo, hi) pairs") from None
         if self.n_vars < 0 or not np.isfinite(self.objective or ()).all():
             raise DimensionMismatch("n_vars must be >= 0 and the objective finite")
+        try:
+            constraints = iter(self.constraints)
+        except TypeError:
+            raise DimensionMismatch("constraints must be an iterable of Constraint") from None
         object.__setattr__(self, "constraints", tuple(
-            _expect(con, Constraint, DimensionMismatch) for con in self.constraints))
+            _expect(con, Constraint, DimensionMismatch) for con in constraints))
         for name, part in (("objective", self.objective), ("bounds", self.bounds),
                            *(("constraint", con.coeffs) for con in self.constraints)):
             if part is not None and len(part) != self.n_vars:
@@ -584,30 +588,36 @@ def _cone_weights(cone: _Cone, b) -> np.ndarray | None:
         raise LpNumericalError("a point must not be NaN")
     if np.isinf(b).any():
         return None
-    a = cone.rows
+    a, at, gram, norms = cone.rows, cone.rows.T, cone.gram, cone.norms
     # b conditioned as a's columns are, its centre taken off before any
     # rounding that the columns do not share, then scaled to max-norm 1
     target = b.copy()
     target[1:] -= cone.centre * b[0]
     scale = np.abs(target).max()
     target *= cone.scales / scale
-    atb = a.T @ target
+    atb = at @ target
     tol = FEAS_TOL / scale * cone.scales  # FEAS_TOL in each conditioned row's units
-    w, passive = np.zeros(a.shape[1]), np.zeros(0, int)
-    for _ in range(3 * a.shape[1]):
-        y = target - a @ w
+    # the passive set is order[:size], in the order its columns entered; the
+    # residual y and the cosines are written in place on every iteration
+    n = a.shape[1]
+    w, order, size = np.zeros(n), np.empty(n, int), 0
+    y, cosines = np.empty(len(target)), np.empty(n)
+    for _ in range(3 * n):
+        np.subtract(target, np.matmul(a, w, out=y), out=y)
         if (np.abs(y) <= tol).all():
             break
-        cosines = (a.T @ y) / cone.norms  # times |y|
-        cosines[passive] = -np.inf
+        np.divide(np.matmul(at, y, out=cosines), norms, out=cosines)  # times |y|
+        cosines[order[:size]] = -np.inf
         j = int(cosines.argmax())
         if cosines[j] <= _RAY_TOL * np.sqrt(y @ y):
             break
-        passive = np.append(passive, j)
+        order[size] = j
+        size += 1
         while True:
-            z = _passive_weights(cone.gram, atb, passive)
+            passive = order[:size]
+            z = _passive_weights(gram, atb, passive)
             if (z > 0.0).all():
-                w[:] = 0.0
+                w.fill(0.0)
                 w[passive] = z
                 break
             # step from w toward z until the first weight reaches 0; it and
@@ -620,7 +630,9 @@ def _cone_weights(cone: _Cone, b) -> np.ndarray | None:
             np.maximum(current, 0.0, out=current)
             current[first] = 0.0
             w[passive] = current
-            passive = passive[current > 0.0]
+            kept = passive[current > 0.0]
+            size = len(kept)
+            order[:size] = kept
     else:
         raise LpNumericalError("the cone test did not settle within its iteration cap")
     if (np.abs(y) <= tol).all():
@@ -630,7 +642,7 @@ def _cone_weights(cone: _Cone, b) -> np.ndarray | None:
         for weights in (w / w.sum() * b[0], w * scale):
             if (np.abs(cone.a @ weights - b) <= FEAS_TOL).all():
                 return weights
-    elif (a.T @ y <= _RAY_TOL * cone.norms * np.sqrt(y @ y)).all() and target @ y > 0.0:
+    elif (at @ y <= _RAY_TOL * norms * np.sqrt(y @ y)).all() and target @ y > 0.0:
         return None
     raise LpNumericalError("the cone test found neither weights nor a Farkas ray")
 

@@ -57,6 +57,12 @@ KIND_POLYGON = "regular_polygon"
 KIND_CUSTOM = "custom_polytope"
 
 
+def _combinations(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n), one per row, in ``itertools.combinations`` order."""
+    return np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+                       int, math.comb(n, k) * k).reshape(-1, k)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """A compact convex model given by its pure states (polytope vertices).
@@ -81,6 +87,10 @@ class StateSpace:
 
     def vertex_array(self) -> np.ndarray:
         return np.asarray(self.vertices, float)
+
+    def __getstate__(self):
+        # a copy or an unpickled model builds its bases, facets and frames afresh
+        return {"kind": self.kind, "vertices": self.vertices}
 
     def unit(self) -> np.ndarray:
         """The normalization functional u_C (reads the homogeneous 1)."""
@@ -122,15 +132,16 @@ class StateSpace:
         verts = self._verts
         # rows: the coordinates (the last one the unit functional), then sum w = 1
         a = np.vstack([verts.T, np.ones(len(verts))])
-        cut = _RANK_RTOL * np.linalg.norm(a, 2)
         # the rank of every prefix of the rows, each zero-padded to all of them,
-        # from one batched SVD
+        # from one batched SVD; the last prefix is a, whose largest singular
+        # value sets the cut
         prefixes = np.where(np.tri(len(a), dtype=bool)[:, :, None], a, 0.0)
-        prefix_ranks = (np.linalg.svd(prefixes, compute_uv=False) > cut).sum(axis=1)
+        singular = np.linalg.svd(prefixes, compute_uv=False)
+        prefix_ranks = (singular > _RANK_RTOL * singular[-1, 0]).sum(axis=1)
         rows = np.flatnonzero(np.diff(prefix_ranks, prepend=0))
         scale = np.linalg.norm(a[rows], axis=1)
         a_r = a[rows] / scale[:, None]
-        bases = np.array(list(itertools.combinations(range(a.shape[1]), len(rows))))
+        bases = _combinations(a.shape[1], len(rows))
         sub = np.transpose(a_r[:, bases], (1, 0, 2))
         ratio = np.abs(np.linalg.det(sub)) / np.prod(np.linalg.norm(sub, axis=1), axis=1)
         arrays = (a, rows, scale, bases[ratio > _REGULAR_TOL], sub[ratio > _REGULAR_TOL])
@@ -178,7 +189,7 @@ class StateSpace:
         normal (one batched SVD) leaves them all on one side spans one. Built once, read-only."""
         a, rows, scale, _, _ = self._spectrum_bases
         points = (a[rows] / scale[:, None]).T
-        subsets = np.array(list(itertools.combinations(range(len(points)), len(rows) - 1)))
+        subsets = _combinations(len(points), len(rows) - 1)
         _, singular, vt = np.linalg.svd(points[subsets])
         values = vt[:, -1] @ points.T
         peak = np.take_along_axis(values, np.abs(values).argmax(axis=1)[:, None], axis=1)

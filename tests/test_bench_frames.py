@@ -124,6 +124,25 @@ def test_separable_seams_count_lps_and_kernel_entries(pair, cone_tests):
     assert _restored(bench_frames.SEPARABLE_SEAMS, originals)
 
 
+def test_separable_seams_count_one_decision_per_op():
+    # the workload's entangled and not-a-state tables go through a witness,
+    # max-tensor membership and the verdict, which share one decision
+    ops = bench_frames._separable_ops()
+    labels = [label for label in ops if " " in label]
+    assert len(labels) == 7 and labels[0] == "entangled polygon4xpolygon4"
+    originals = _originals(bench_frames.SEPARABLE_SEAMS)
+    for label in labels:
+        pair, tables = ops[label]
+        ps = ProductSpace(*map(bench_frames._build, pair))
+        classical = ps._classical is not None
+        for table in tables[:4]:
+            with bench_frames.counting(bench_frames.SEPARABLE_SEAMS) as counted:
+                bench_frames.separable_op(ps, JointState(table))
+            assert (counted["cone_tests"], counted["conditional_solves"]) == \
+                (1 - classical, classical), label
+    assert _restored(bench_frames.SEPARABLE_SEAMS, originals)
+
+
 @pytest.mark.parametrize("n", [1, 2, 16])
 def test_quantum_seams_count_the_eigensolves_of_one_qentropy_op(n):
     # the state's validation and the search's eigenbasis; the witness is

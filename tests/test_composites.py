@@ -728,3 +728,191 @@ def test_a_joint_state_keeps_one_read_only_copy(square_pair):
     # copies and pickles go through the constructor and stay read-only
     for twin in (copy.copy(omega), copy.deepcopy(omega), pickle.loads(pickle.dumps(omega))):
         assert twin == omega and not twin.table.flags.writeable
+
+
+def _counting_decisions(monkeypatch) -> list:
+    """Wrap both of the pair's deciders; each call appends its name."""
+    from convexinfo import composites
+    calls = []
+    for name in ("_cone_weights", "_conditional_weights"):
+        def counted(*args, _name=name, _original=getattr(composites, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(composites, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("pair, verdict", [(("polygon4", "polygon4"), "entangled"),
+                                           (("simplex3", "polygon4"), "not-a-state")],
+                         ids=("box-mixture", "classical-not-a-state"))
+def test_the_workload_sequence_decides_each_table_once(pair, verdict, monkeypatch):
+    # the tensor-separable op: a witness, then max-tensor membership and the
+    # verdict when there is none; every step reads the pair's one decision
+    ps, rng = ProductSpace(*map(_factor, pair)), np.random.default_rng(33)
+    mixture = _random_mixture(ps, rng).as_array()
+    if verdict == "entangled":
+        table = 0.85 * pr_box(ps).as_array() + 0.15 * mixture
+    else:
+        table = mixture + rng.normal(scale=0.5, size=ps.joint_shape)
+        table[-1, -1] = 1.0
+    omega = JointState(table)
+    calls = _counting_decisions(monkeypatch)
+    assert separable_witness(ps, omega) is None
+    assert max_tensor_member(ps, omega) == (verdict == "entangled")
+    assert classify_joint(ps, omega) == verdict
+    assert is_separable(ps, JointState(table.tolist())) is False
+    assert len(calls) == 1
+
+
+def test_a_repeated_table_gets_an_equal_witness_in_a_new_list(square_pair, monkeypatch):
+    rng = np.random.default_rng(34)
+    for ps in (ProductSpace(square_pair.factor_a, _factor("polygon5")),
+               ProductSpace(_factor("simplex3"), square_pair.factor_b)):
+        tables = [_random_mixture(ps, rng).as_array() for _ in range(5)]
+        calls = _counting_decisions(monkeypatch)
+        first = separable_witness(ps, JointState(tables[0]))
+        again = separable_witness(ps, JointState(tables[0].copy()))
+        assert again == first and again is not first and len(calls) == 1
+        again.clear()  # the caller's list is its own
+        assert separable_witness(ps, JointState(tables[0])) == first
+        weights = ps._separability(tables[0].tobytes())
+        assert not weights.flags.writeable
+        # the last 4 tables are kept: the fifth after it decides it again
+        for table in tables[1:]:
+            assert is_separable(ps, JointState(table))
+        assert len(calls) == 5
+        assert separable_witness(ps, JointState(tables[0])) == first
+        assert len(calls) == 6
+
+
+def test_a_raising_decision_is_not_kept(square_pair, monkeypatch):
+    from convexinfo import composites
+    from convexinfo.errors import LpNumericalError
+    ps = ProductSpace(square_pair.factor_a, square_pair.factor_b)
+    omega = _random_mixture(ps, np.random.default_rng(35))
+    cone_weights = composites._cone_weights
+
+    def failing(*args):
+        raise LpNumericalError("the cone test found neither weights nor a Farkas ray")
+
+    monkeypatch.setattr(composites, "_cone_weights", failing)
+    with pytest.raises(LpNumericalError):
+        separable_witness(ps, omega)
+    monkeypatch.setattr(composites, "_cone_weights", cone_weights)
+    assert separable_witness(ps, omega) is not None
+
+
+def _append_loop_cone_weights(cone, b):
+    """``convex_kernel._cone_weights`` as it was with a growing passive set
+    (``np.append``) and fresh arrays on every iteration: the reference that
+    the preallocated loop must match bit for bit."""
+    from convexinfo.convex_kernel import _RAY_TOL, _passive_weights
+    from convexinfo.errors import LpNumericalError
+    if np.isnan(b).any():
+        raise LpNumericalError("a point must not be NaN")
+    if np.isinf(b).any():
+        return None
+    a = cone.rows
+    target = b.copy()
+    target[1:] -= cone.centre * b[0]
+    scale = np.abs(target).max()
+    target *= cone.scales / scale
+    atb = a.T @ target
+    tol = FEAS_TOL / scale * cone.scales
+    w, passive = np.zeros(a.shape[1]), np.zeros(0, int)
+    for _ in range(3 * a.shape[1]):
+        y = target - a @ w
+        if (np.abs(y) <= tol).all():
+            break
+        cosines = (a.T @ y) / cone.norms
+        cosines[passive] = -np.inf
+        j = int(cosines.argmax())
+        if cosines[j] <= _RAY_TOL * np.sqrt(y @ y):
+            break
+        passive = np.append(passive, j)
+        while True:
+            z = _passive_weights(cone.gram, atb, passive)
+            if (z > 0.0).all():
+                w[:] = 0.0
+                w[passive] = z
+                break
+            current = w[passive]
+            ratios = np.divide(current, current - z, out=np.zeros(len(z)), where=current > z)
+            ratios[z > 0.0] = np.inf
+            first = ratios.argmin()
+            current += ratios[first] * (z - current)
+            np.maximum(current, 0.0, out=current)
+            current[first] = 0.0
+            w[passive] = current
+            passive = passive[current > 0.0]
+    else:
+        raise LpNumericalError("the cone test did not settle within its iteration cap")
+    if (np.abs(y) <= tol).all():
+        for weights in (w / w.sum() * b[0], w * scale):
+            if (np.abs(cone.a @ weights - b) <= FEAS_TOL).all():
+                return weights
+    elif (a.T @ y <= _RAY_TOL * cone.norms * np.sqrt(y @ y)).all() and target @ y > 0.0:
+        return None
+    raise LpNumericalError("the cone test found neither weights nor a Farkas ray")
+
+
+def _cone_outcome(weigh, cone, b):
+    from convexinfo.errors import LpNumericalError
+    try:
+        weights = weigh(cone, b)
+    except LpNumericalError as exc:
+        return f"raises {exc}"
+    return None if weights is None else (weights.dtype.str, weights.tobytes())
+
+
+#: The pairs without a classical factor of the tensor-separable workload.
+POLYGON_PAIRS = (("polygon4", "polygon4"), ("polygon5", "polygon5"), ("polygon6", "polygon6"),
+                 ("polygon5", "polygon7"), ("polygon7", "polygon7"), ("polygon8", "polygon7"),
+                 ("polygon7", "polygon8"), ("polygon8", "polygon8"), ("polygon6", "polygon8"))
+
+
+@pytest.mark.parametrize("pair", POLYGON_PAIRS, ids="x".join)
+def test_cone_weights_match_the_append_loop_bit_for_bit(pair):
+    # separable tables, noisy ones (mostly outside), and products of points
+    # on a factor's edges moved off the edge by a small step either way
+    ps = ProductSpace(*map(_factor, pair))
+    va, vb = ps.factor_a.vertex_array(), ps.factor_b.vertex_array()
+    rng = np.random.default_rng(len(va) * 10 + len(vb))
+    tables = []
+    for k in range(40):
+        table = va.T @ rng.dirichlet(np.full(len(va) * len(vb), 0.5)).reshape(
+            len(va), len(vb)) @ vb
+        if k % 2:
+            table += rng.normal(scale=10.0 ** rng.uniform(-4, 0), size=table.shape)
+            table[-1, -1] = 1.0
+        tables.append(table)
+    for side, (v, w) in enumerate(((va, vb), (vb, va))):
+        centre = v.mean(axis=0)
+        for i in range(len(v)):
+            t = rng.random()
+            edge = t * v[i] + (1.0 - t) * v[(i + 1) % len(v)]
+            for step in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6):
+                table = np.outer(edge + step * (centre - edge), w[rng.integers(len(w))])
+                tables.append(table if side == 0 else table.T)
+    outcomes = []
+    for table in tables:
+        b = np.concatenate(((1.0,), table.reshape(-1)))
+        outcome = _cone_outcome(convex_kernel._cone_weights, ps._cone, b)
+        assert outcome == _cone_outcome(_append_loop_cone_weights, ps._cone, b)
+        outcomes.append(outcome)
+    assert any(o is None for o in outcomes) and any(isinstance(o, tuple) for o in outcomes)
+
+
+def test_a_used_pair_and_its_models_copy_and_pickle(square_pair):
+    # their kept tables and decisions stay behind: a copy builds its own
+    ps = ProductSpace(square_pair.factor_a, _factor("simplex3"))
+    omega = _random_mixture(ps, np.random.default_rng(36))
+    witness = separable_witness(ps, omega)
+    make_state(ps.factor_a, [0.1, 0.2])
+    enumerate_frames(ps.factor_b)
+    for twin in (copy.copy(ps), copy.deepcopy(ps), pickle.loads(pickle.dumps(ps))):
+        assert twin == ps and "_separability" not in twin.__dict__
+        assert separable_witness(twin, omega) == witness
+        assert twin.factor_a == ps.factor_a
+        # a shallow copy shares the models, and the others rebuild theirs
+        assert (twin.factor_a is ps.factor_a) == ("_decompositions" in twin.factor_a.__dict__)

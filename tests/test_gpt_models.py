@@ -614,6 +614,8 @@ _OTHER_CASES = {
     "Polytope-None": (lambda sq: Polytope(None), DegenerateModel, "rows of numbers"),
     "pair_from_grid_descriptor-array": (lambda sq: pair_from_grid_descriptor(
         np.array([0.1, 0.2, 1.0])), InvalidEntropicPair, "malformed pair descriptor"),
+    "LinearProgram-constraints": (lambda sq: LinearProgram(1, None, 5), DimensionMismatch,
+                                  "iterable of Constraint"),
 }
 _WRONG = [0, 1]  # a raw list where a model, a pair, an LP or a polytope belongs
 _SPACE = "expected StateSpace, got list"
