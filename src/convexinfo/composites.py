@@ -243,8 +243,8 @@ def _conditional_weights(classical: tuple, table: np.ndarray) -> np.ndarray | No
             return None
         which, solutions = other._basic_solutions(
             np.hstack([conditionals, conditionals[:, -1:]]))
-        # which is sorted: each run's start is its conditional state's first solution
-        first = np.flatnonzero(np.diff(which, prepend=-1))
+        # which is sorted: each conditional state's first solution starts a run
+        first = np.flatnonzero(np.concatenate((which[:1] >= 0, which[1:] != which[:-1])))
         if len(first) < len(conditionals):
             return None
         weights = solutions[first]

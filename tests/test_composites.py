@@ -916,3 +916,25 @@ def test_a_used_pair_and_its_models_copy_and_pickle(square_pair):
         assert twin.factor_a == ps.factor_a
         # a shallow copy shares the models, and the others rebuild theirs
         assert (twin.factor_a is ps.factor_a) == ("_decompositions" in twin.factor_a.__dict__)
+
+
+@pytest.mark.parametrize("pair", [pair for pair in CLASSICAL_PAIRS if "polygon5" in pair
+                                  or "polygon6" in pair], ids="x".join)
+def test_conditional_weights_take_each_states_first_basic_solution(pair):
+    # the first feasible basis in combinations order, as np.unique's first
+    # index picks it: interior conditional states of a polygon have several
+    from convexinfo.composites import _conditional_weights
+    ps = ProductSpace(*map(_factor, pair))
+    side, rows, s, _, other = classical = ps._classical
+    rng, several = np.random.default_rng(37), 0
+    for _ in range(30):
+        table = _random_mixture(ps, rng, terms=6).as_array()
+        conditionals = np.linalg.solve(s, (table.T if side else table)[rows])
+        which, solutions = other._basic_solutions(
+            np.hstack([conditionals, conditionals[:, -1:]]))
+        solved, first = np.unique(which, return_index=True)
+        assert len(solved) == len(conditionals)
+        weights = _conditional_weights(classical, table)
+        assert (weights.T if side else weights).tobytes() == solutions[first].tobytes()
+        several += len(which) > len(solved)
+    assert several > 0
