@@ -203,9 +203,10 @@ def _cmd_separable(args) -> int:
         payload = {"separable": True,
                    "witness": [{"a": a, "b": b, "weight": w} for (a, b), w in witness]}
     else:
-        # classify_joint's verdict without a second cone test; with a classical
-        # factor the witness's basis test decided, and nothing is entangled
-        member = ps._classical is None and max_tensor_member(ps, omega)
+        # classify_joint's verdict: with no witness, a max-tensor member is
+        # entangled (never so with a classical factor, where membership is
+        # separability), and the pair decided the table once
+        member = max_tensor_member(ps, omega)
         payload = {"separable": False,
                    "max_member": member,
                    "classification": "entangled" if member else "not-a-state"}

@@ -314,11 +314,9 @@ def classify_joint(ps: ProductSpace, omega: JointState) -> str:
 
     'entangled' means outside the minimal tensor set but consistent with the
     maximal one; anything violating max-tensor positivity is 'not-a-state'.
-    With a classical factor the two sets coincide, and one basis test decides.
+    With a classical factor the two sets coincide (``max_tensor_member`` is
+    ``is_separable``), and the pair's one decision answers both.
     """
-    _joint_table(ps, omega)  # a wrong-typed pair or state is named before the pair is read
-    if ps._classical is not None:
-        return "separable" if is_separable(ps, omega) else "not-a-state"
     if not max_tensor_member(ps, omega):
         return "not-a-state"
     return "separable" if is_separable(ps, omega) else "entangled"
@@ -358,7 +356,10 @@ def classical_collapse_check(space_a: StateSpace, space_b: StateSpace) -> bool:
 
     For two simplexes the joint probability tables (positive, summing to 1)
     have the na * nb point masses as their extreme points; each one's
-    coefficient tensor must equal a product of factor vertices. The square
+    coefficient tensor must equal a product of factor vertices. That branch
+    holds by construction: a simplex's gauge basis is the identity, so each
+    extended point mass is the product of its two vertices, and it returns
+    True for every simplex pair under the cap. The square
     pair is certified false via the no-signaling box (max-tensor member
     outside the minimal set).
     """

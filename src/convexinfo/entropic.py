@@ -240,13 +240,15 @@ def pair_from_grid_descriptor(desc: dict) -> EntropicPair:
         h_y = np.asarray(desc["h"]["y"], dtype=float)
     except (KeyError, TypeError, ValueError, IndexError) as exc:  # IndexError: an array
         raise InvalidEntropicPair(f"malformed pair descriptor: {exc}") from None
-    if len(phi_x) != len(phi_y) or len(h_x) != len(h_y) or len(phi_x) < 2 or len(h_x) < 2:
-        raise InvalidEntropicPair("grid definitions need matching x/y arrays of length >= 2")
     for label, grid in {"phi.x": phi_x, "phi.y": phi_y, "h.x": h_x, "h.y": h_y}.items():
+        if grid.ndim != 1:
+            raise InvalidEntropicPair(f"grid {label} must be one-dimensional")
         if not np.isfinite(grid).all():
             raise InvalidEntropicPair(f"grid {label} must be finite")
         if label.endswith(".x") and not (np.diff(grid) > 0.0).all():
             raise InvalidEntropicPair(f"grid {label} must be strictly increasing")
+    if len(phi_x) != len(phi_y) or len(h_x) != len(h_y) or len(phi_x) < 2 or len(h_x) < 2:
+        raise InvalidEntropicPair("grid definitions need matching x/y arrays of length >= 2")
     phi = lambda p: np.interp(p, phi_x, phi_y)
     h = lambda x: np.interp(x, h_x, h_y)
     return EntropicPair(h=h, phi=phi, regime=regime, name=desc.get("name", "custom"))

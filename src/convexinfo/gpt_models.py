@@ -427,7 +427,8 @@ def make_effect(space: StateSpace, coeffs) -> GptEffect:
     if e.shape != (space.dim,):
         raise DimensionMismatch(f"expected {space.dim} coefficients, got {e.shape}")
     values = space.vertex_array() @ e
-    if np.min(values) < -TOL or np.max(values) > 1.0 + TOL:
+    # written as "holds", so that a NaN coefficient fails it
+    if not (np.min(values) >= -TOL and np.max(values) <= 1.0 + TOL):
         raise InvalidEffect("effect leaves [0, 1] on a vertex")
     return GptEffect(coeffs=tuple(float(x) for x in e))
 
@@ -447,7 +448,7 @@ def evaluate(effect: GptEffect, state: GptState) -> float:
     if e.shape != s.shape:
         raise DimensionMismatch("effect and state dimensions differ")
     value = float(e @ s)
-    if value < -TOL or value > 1.0 + TOL:
+    if not -TOL <= value <= 1.0 + TOL:  # a NaN effect or state fails it
         raise InvalidEffect(f"evaluation {value!r} outside [0, 1]")
     return min(1.0, max(0.0, value))
 

@@ -2,18 +2,23 @@
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from convexinfo import (
+    DensityMatrix,
     JointState,
     ProductSpace,
     convex_kernel,
     enumerate_frames,
     generalized_spectrum,
     make_state,
+    pair_from_spec,
+    quantum_entropy,
+    quantum_entropy_min_search,
     separable_witness,
 )
 
@@ -34,6 +39,61 @@ def _originals(seams) -> dict:
 
 def _restored(seams, originals) -> bool:
     return all(now is originals[key] for key, now in _originals(seams).items())
+
+
+#: Every seam's function before any test wraps it.
+ORIGINALS = {key: function for seams in TABLES for key, function in _originals(seams).items()}
+
+
+@pytest.fixture(scope="module")
+def op_records():
+    """Each per-op section's records of two counted passes of its workload:
+    the first pass's ops are cold, the second's warm."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench_frames, "PASSES", 2)
+        return {section: bench_frames.measure_ops(section, True)
+                for section in bench_frames.SECTIONS}
+
+
+@pytest.mark.parametrize("section", bench_frames.SECTIONS)
+def test_every_op_of_the_workload_is_timed_checked_and_counted(section, op_records):
+    name, seams = bench_frames.SECTIONS[section]
+    workload = bench_frames.WORKLOADS[name](0, bench_frames._reference())
+    ops = [op for index in range(2) for op in workload.make_pass(index)]
+    records = op_records[section]
+    assert list(records) == list(dict.fromkeys(op.label for op in ops))
+    for label, record in records.items():
+        times = record["cold_ms"] + record["warm_ms"]
+        assert len(times) == sum(op.label == label for op in ops), label
+        assert len(record["cold_ms"]) == 1 and all(map(math.isfinite, times)), label
+        assert record["failed"] == 0, label
+        assert set(record) == {"cold_ms", "warm_ms", "failed", "cold_counts", "warm_counts"}
+    assert _restored(seams, ORIGINALS)
+
+
+def test_alternated_takes_the_median_of_each_repeats_median(monkeypatch):
+    # one slow repeat shows in the runs and moves the median little; the
+    # counts come from the first repeat, the only counted one, and failed
+    # checks add up
+    runs = iter([{"op": {"cold_ms": [5.0], "warm_ms": [1.0, 2.0, 3.0], "failed": 0,
+                         "cold_counts": {"solves": 1}}},
+                 {"op": {"cold_ms": [9.0], "warm_ms": [10.0, 20.0, 30.0, 40.0, 50.0],
+                         "failed": 1, "cold_counts": {"solves": 2}}},
+                 {"op": {"cold_ms": [6.0], "warm_ms": [2.0, 3.0, 4.0], "failed": 0,
+                         "cold_counts": {"solves": 3}}}])
+    calls = []
+
+    def measured(checkout, function, args):
+        calls.append((function, args))
+        return next(runs)
+
+    monkeypatch.setattr(bench_frames, "_measure_checkout", measured)
+    doc = bench_frames.alternated({"change": ROOT}, "measure_ops", "quantum")
+    assert calls == [("measure_ops", ("quantum", True)), ("measure_ops", ("quantum", False)),
+                     ("measure_ops", ("quantum", False))]
+    assert doc == {"change": {"op": {
+        "cold_ms": 6.0, "cold_ms_runs": [5.0, 9.0, 6.0], "warm_ms": 3.0,
+        "warm_ms_runs": [2.0, 30.0, 3.0], "failed": 1, "cold_counts": {"solves": 1}}}}
 
 
 @pytest.mark.parametrize("seams", TABLES, ids=IDS)
@@ -124,36 +184,50 @@ def test_separable_seams_count_lps_and_kernel_entries(pair, cone_tests):
     assert _restored(bench_frames.SEPARABLE_SEAMS, originals)
 
 
-def test_separable_seams_count_one_decision_per_op():
-    # the workload's entangled and not-a-state tables go through a witness,
-    # max-tensor membership and the verdict, which share one decision
-    ops = bench_frames._separable_ops()
-    labels = [label for label in ops if " " in label]
-    assert len(labels) == 7 and labels[0] == "entangled polygon4xpolygon4"
-    originals = _originals(bench_frames.SEPARABLE_SEAMS)
-    for label in labels:
-        pair, tables = ops[label]
-        ps = ProductSpace(*map(bench_frames._build, pair))
-        classical = ps._classical is not None
-        for table in tables[:4]:
-            with bench_frames.counting(bench_frames.SEPARABLE_SEAMS) as counted:
-                bench_frames.separable_op(ps, JointState(table))
-            assert (counted["cone_tests"], counted["conditional_solves"]) == \
-                (1 - classical, classical), label
-    assert _restored(bench_frames.SEPARABLE_SEAMS, originals)
+def test_spectrum_ops_make_one_rank_call_cold_and_one_solve_each(op_records):
+    # the model's first op builds its bases from one batched SVD; every op
+    # solves once
+    records = {label: record for label, record in op_records["spectra"].items()
+               if label.startswith("spectrum ")}
+    assert len(records) == 27
+    for label, record in records.items():
+        cold, warm = record["cold_counts"], record["warm_counts"]
+        assert (cold["ranks"], cold["solves"]) == (1, 1), label
+        assert (warm.get("ranks", 0), warm["solves"]) == (0, 1), label
+
+
+def test_separable_seams_count_one_decision_per_op(op_records):
+    # the workload's entangled and not-a-state ops go through a witness,
+    # max-tensor membership and the verdict, which share one decision; a
+    # warm op solves no LP (a cold one may enumerate a new factor's frames)
+    records = {label: record for label, record in op_records["separable"].items()
+               if label.split()[1] != "separable"}
+    assert len(records) == 7 and next(iter(records)) == "separable entangled polygon4xpolygon4"
+    for label, record in records.items():
+        assert record["cold_counts"]["decisions"] == record["warm_counts"]["decisions"] == 1, \
+            label
+        assert record["warm_counts"].get("lps", 0) == 0, label
 
 
 @pytest.mark.parametrize("n", [1, 2, 16])
-def test_quantum_seams_count_the_eigensolves_of_one_qentropy_op(n):
+def test_quantum_seams_count_the_eigensolves_of_one_qentropy_op(n, op_records):
     # the state's validation and the search's eigenbasis; the witness is
     # checked with no eigensolve, the spectrum reads the eigenvalues the
     # state kept, and the seed is checked with no generator built
-    entries = bench_frames.random_density(np.random.default_rng(n), n).tolist()
-    originals = _originals(bench_frames.QUANTUM_SEAMS)
-    with bench_frames.counting(bench_frames.QUANTUM_SEAMS) as counted:
-        bench_frames.qentropy_op("renyi:2.0", entries, n)
-    assert counted == {"eigensolves": 2}
-    assert _restored(bench_frames.QUANTUM_SEAMS, originals)
+    if n == 1:  # no workload has d = 1: its op's calls, made here
+        originals = _originals(bench_frames.QUANTUM_SEAMS)
+        with bench_frames.counting(bench_frames.QUANTUM_SEAMS) as counted:
+            pair, rho = pair_from_spec("renyi:2.0"), DensityMatrix([[1.0]])
+            quantum_entropy_min_search(pair, rho, budget=1000, seed=n)
+            quantum_entropy(pair, rho)
+        assert _restored(bench_frames.QUANTUM_SEAMS, originals)
+        counts = [counted]
+    else:
+        counts = [counted for label, record in op_records["quantum"].items()
+                  if label.startswith(f"qentropy d{n} ")
+                  for counted in (record["cold_counts"], record["warm_counts"])]
+    assert len(counts) in (1, 6)
+    assert all(counted == {"eigensolves": 2} for counted in counts)
 
 
 def test_the_generators_seam_counts_each_default_rng_call():

@@ -504,7 +504,9 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     ("phi.x", [0.0, 1.0, 0.5], "strictly increasing"),
     ("phi.x", [0.0, 0.5, 0.5], "strictly increasing"),
     ("h.x", [0.0, float("nan")], "finite"), ("phi.y", [0.0, float("inf"), 0.0], "finite"),
-    ("h.y", [0.0, float("nan")], "finite")])
+    ("h.y", [0.0, float("nan")], "finite"),
+    # a 2-D grid once ended in np.interp's ValueError, a scalar one in len()'s TypeError
+    ("phi.x", [[0.0, 0.5, 1.0]], "one-dimensional"), ("h.y", 2.0, "one-dimensional")])
 def test_pair_file_grids_must_be_finite_and_increasing(capsys, tmp_path, grid, values, problem):
     # an unsorted phi.x once gave np.interp's undefined values: "h(phi(1)) = 0.25"
     doc = {"regime": "h-increasing/phi-concave",

@@ -223,6 +223,18 @@ def test_custom_grid_pair_malformed():
                                    "h": {"x": [0.0, 1.0], "y": [0.0, 1.0]}})
 
 
+@pytest.mark.parametrize("axis, grid", [("phi.x", [[0.0, 1.0], [0.5, 1.0]]), ("phi.y", 0.0),
+                                        ("h.x", [[0.0], [1.0]]), ("h.y", [[0.0, 1.0]])])
+def test_custom_grid_pair_rejects_grids_that_are_not_1d(axis, grid):
+    # a 2-D grid once ended in np.interp's ValueError, a scalar one in len()'s TypeError
+    desc = {"regime": REGIME_INC_CONCAVE, "phi": {"x": [0.0, 1.0], "y": [0.0, 0.0]},
+            "h": {"x": [0.0, 1.0], "y": [0.0, 1.0]}}
+    name, key = axis.split(".")
+    desc[name][key] = grid
+    with pytest.raises(InvalidEntropicPair, match=f"grid {axis} must be one-dimensional"):
+        pair_from_grid_descriptor(desc)
+
+
 def _scalar_closed_forms(name, a):
     """(phi, h) of a preset, one float at a time."""
     if name == "shannon":

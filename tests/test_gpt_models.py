@@ -10,6 +10,8 @@ import pytest
 
 from convexinfo import (
     Constraint,
+    GptEffect,
+    GptState,
     LinearProgram,
     Polytope,
     ProbVector,
@@ -238,6 +240,26 @@ def test_effect_evaluation(square):
     assert evaluate(zero_effect(square), center) == 0.0
     with pytest.raises(InvalidEffect):
         make_effect(square, (2.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("coeffs", [[np.nan, 0.0, 0.0], [0.0, 0.0, np.nan],
+                                    [np.inf, 0.0, 0.5]])
+def test_an_effect_with_a_nan_or_infinite_coefficient_is_refused(square, coeffs):
+    # a NaN value fails no comparison, so the bounds are tested as "holds"
+    with pytest.raises(InvalidEffect):
+        make_effect(square, coeffs)
+
+
+@pytest.mark.parametrize("side", ["effect", "state"])
+def test_evaluate_refuses_a_nan_effect_or_state(square, side):
+    # min(1, max(0, nan)) once returned 0.0
+    effect, state = unit_effect(square), make_state(square, [0.1, 0.2])
+    if side == "effect":
+        effect = GptEffect(coeffs=(np.nan, 0.0, 1.0))
+    else:
+        state = GptState(point=(np.nan, 0.2, 1.0))
+    with pytest.raises(InvalidEffect, match="nan"):
+        evaluate(effect, state)
 
 
 def test_distinguishability_examples(simplex3, square):
