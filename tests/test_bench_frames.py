@@ -1,4 +1,5 @@
-"""The benchmark harness's seams: each names a live function and counts what it should."""
+"""The benchmark harness: its seams name live functions and count what they should, and
+its per-op sections time, check and count perfbench's own ops."""
 
 import importlib
 import importlib.util
