@@ -95,7 +95,7 @@ sys.path += [str(ROOT / "perfbench"), str(ROOT / "src")]
 import convexinfo as ci  # noqa: E402
 from workloads import WORKLOADS, SpectrumLadder, build_model, load_reference  # noqa: E402
 
-REPEATS = 3
+REPEATS = 7
 PAIRS = 10
 HOLD_OUT_SEED = 7919
 #: The models whose frames spectrum-ladder's first pass enumerates cold.

@@ -52,6 +52,7 @@ from .errors import (
     TooLarge,
     UnsupportedModel,
     _expect,
+    _numbers,
 )
 from .gpt_models import (
     GptEffect,
@@ -175,14 +176,7 @@ class JointState(_ArrayValue):
     _args = ("table",)
 
     def __init__(self, table):
-        try:
-            t = np.array(table, float, order="C")
-        except (TypeError, ValueError):
-            raise DimensionMismatch("joint table must be a 2-d array of numbers") from None
-        if t.ndim != 2:
-            raise DimensionMismatch("joint table must be a 2-d array")
-        if not t.size:
-            raise DimensionMismatch("joint table is empty")
+        t = _numbers(table, DimensionMismatch, "a 2-d joint table of numbers", 2)
         if not np.all(np.isfinite(t)):
             raise NotNormalized("joint table must be finite")
         if abs(t[-1, -1] - 1.0) > TOL:

@@ -32,6 +32,7 @@ from .errors import (
     LpNumericalError,
     TooLarge,
     _expect,
+    _numbers,
 )
 
 #: Feasibility and reported-value tolerance.
@@ -477,17 +478,9 @@ class Polytope:
     vertices: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        try:
-            arr = np.asarray(self.vertices, float)
-            len(arr)  # None or a lone number makes a 0-d array, which has no length
-        except (TypeError, ValueError):
-            raise DegenerateModel("vertices must be rows of numbers") from None
-        if len(arr) == 0:
-            raise DegenerateModel("a polytope needs at least one vertex")
+        arr = _numbers(self.vertices, DegenerateModel, "vertices as rows of numbers", 2)
         if len(arr) > MAX_VERTICES:
             raise TooLarge(f"{len(arr)} vertices exceeds the cap {MAX_VERTICES}")
-        if arr.ndim != 2:
-            raise DegenerateModel("vertices must share one dimension")
         if arr.shape[1] > MAX_DIM:
             raise TooLarge(f"dimension {arr.shape[1]} exceeds the cap {MAX_DIM}")
         if not np.all(np.isfinite(arr)):
@@ -509,12 +502,8 @@ class Polytope:
 
 def _decomposition_rows(vertices, point) -> tuple[np.ndarray, np.ndarray]:
     """Equality rows of the decomposition LP: sum w = 1, then sum w_i v_i = point."""
-    try:
-        v, p = np.asarray(vertices, float), np.asarray(point, float)
-    except (TypeError, ValueError):
-        raise DimensionMismatch("vertices and a point must be rows of numbers") from None
-    if v.ndim != 2:
-        raise DimensionMismatch("vertices must be rows of one length")
+    v = _numbers(vertices, DimensionMismatch, "vertices as rows of numbers", 2)
+    p = _numbers(point, DimensionMismatch, "a point of numbers", 1)
     if p.shape != v.shape[1:]:
         raise DimensionMismatch(f"point shape {p.shape} vs vertex dim {v.shape[1]}")
     a, b = np.empty((v.shape[1] + 1, v.shape[0])), np.empty(p.shape[0] + 1)

@@ -52,12 +52,11 @@ def _validate_pair(h, phi, regime):
     if not np.all(np.isfinite(ys)):
         raise InvalidEntropicPair("phi is not finite on [0, 1]")
     d2 = ys[2:] - 2.0 * ys[1:-1] + ys[:-2]
-    if regime == REGIME_INC_CONCAVE:
-        if np.max(d2) > _GRID_TOL:
-            raise InvalidEntropicPair("phi is not concave on [0, 1]")
-    else:
-        if np.min(d2) < -_GRID_TOL:
-            raise InvalidEntropicPair("phi is not convex on [0, 1]")
+    # one signed test per regime: -d2 and -dh are exact negations
+    concave = regime == REGIME_INC_CONCAVE
+    sign = 1.0 if concave else -1.0
+    if (sign * d2).max() > _GRID_TOL:
+        raise InvalidEntropicPair(f"phi is not {'concave' if concave else 'convex'} on [0, 1]")
 
     # Monotonicity of h on the range sum_i phi(p_i) can reach for N <= N_CAP.
     ends = sorted([float(phi(1.0)), float(N_CAP * phi(1.0 / N_CAP))])
@@ -66,13 +65,9 @@ def _validate_pair(h, phi, regime):
         hs = np.asarray(h(ts), float)
         if not np.all(np.isfinite(hs)):
             raise InvalidEntropicPair("h is not finite on the reachable range")
-        dh = np.diff(hs)
-        if regime == REGIME_INC_CONCAVE:
-            if np.min(dh) < -_GRID_TOL:
-                raise InvalidEntropicPair("h is not increasing on the reachable range")
-        else:
-            if np.max(dh) > _GRID_TOL:
-                raise InvalidEntropicPair("h is not decreasing on the reachable range")
+        if (-sign * np.diff(hs)).max() > _GRID_TOL:
+            raise InvalidEntropicPair(f"h is not {'increasing' if concave else 'decreasing'} "
+                                      "on the reachable range")
 
 
 def _on_arrays(f: Callable, probe: np.ndarray) -> Callable:

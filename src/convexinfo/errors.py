@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all convexinfo modules."""
 
+import numpy as np
+
 
 class ConvexInfoError(Exception):
     """Base class for all library errors."""
@@ -109,3 +111,18 @@ def _expect(value, kind: type, error: type):
     if not isinstance(value, kind):
         raise error(f"expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _numbers(value, error: type, what: str, ndim: int, dtype=float) -> np.ndarray:
+    """A new C-ordered ``dtype`` array of ``value`` with ``ndim`` axes and at
+    least one entry, else ``error`` saying it expected ``what``: so ragged,
+    non-numeric, wrongly shaped and empty input all end in a named error, never
+    in numpy's ``TypeError`` or ``ValueError``. Finiteness is the caller's."""
+    try:
+        array = np.array(value, dtype, order="C")
+    except (TypeError, ValueError):
+        raise error(f"expected {what}, got a ragged or non-numeric "
+                    f"{type(value).__name__}") from None
+    if array.ndim != ndim or not array.size:
+        raise error(f"expected {what}, got shape {array.shape}")
+    return array

@@ -30,6 +30,7 @@ from .errors import (
     NotAState,
     ValidationError,
     _expect,
+    _numbers,
 )
 from .probvec import TOL, ProbVector
 
@@ -329,14 +330,7 @@ def build_model(kind: str, n: int | None = None, vertices=None) -> StateSpace:
         angles = [2.0 * math.pi * k / n for k in range(n)]
         raw = np.array([[math.cos(a), math.sin(a), 1.0] for a in angles])
     elif kind == KIND_CUSTOM:
-        try:
-            base = np.asarray([] if vertices is None else vertices, float)
-        except (TypeError, ValueError):
-            raise DegenerateModel("custom vertices must be rows of numbers") from None
-        if base.size == 0:
-            raise DegenerateModel("custom polytope needs explicit vertices")
-        if base.ndim != 2:
-            raise DegenerateModel("vertices must form a 2-d array")
+        base = _numbers(vertices, DegenerateModel, "custom vertices as rows of numbers", 2)
         raw = np.hstack([base, np.ones((base.shape[0], 1))])
     else:
         raise DegenerateModel(f"unknown model kind {kind!r}")
@@ -359,11 +353,7 @@ def make_state(space: StateSpace, coords) -> GptState:
     it (``_decomposition_vertices``; the spectrum reuses the vertices found).
     """
     _expect(space, StateSpace, DimensionMismatch)
-    try:
-        c = np.asarray(coords, float)
-    except (TypeError, ValueError):
-        raise DimensionMismatch(f"expected {space.dim - 1} coordinates, got a ragged or "
-                                "non-numeric sequence") from None
+    c = _numbers(coords, DimensionMismatch, f"{space.dim - 1} coordinates", 1)
     if c.shape != (space.dim - 1,):
         raise DimensionMismatch(f"expected {space.dim - 1} coordinates, got {c.shape}")
     if not np.isfinite(c).all():
@@ -419,11 +409,7 @@ def mix_state(space: StateSpace, weights) -> GptState:
 def make_effect(space: StateSpace, coeffs) -> GptEffect:
     """Validate affine-functional coefficients against all vertices."""
     _expect(space, StateSpace, DimensionMismatch)
-    try:
-        e = np.asarray(coeffs, float)
-    except (TypeError, ValueError):
-        raise DimensionMismatch(f"expected {space.dim} coefficients, got a ragged or "
-                                "non-numeric sequence") from None
+    e = _numbers(coeffs, DimensionMismatch, f"{space.dim} coefficients", 1)
     if e.shape != (space.dim,):
         raise DimensionMismatch(f"expected {space.dim} coefficients, got {e.shape}")
     values = space.vertex_array() @ e
@@ -657,13 +643,17 @@ def _frame_distributions(point: np.ndarray, frames) -> np.ndarray:
     """Outcome distributions of the frames' measurements on a state, one row per frame.
 
     Rows of frames with fewer effects are padded with zero effects, whose
-    outcomes have probability exactly 0.
+    outcomes have probability exactly 0; so a frame without effects resolves
+    the state to 0 and raises ``IncompleteFrame``. ``DimensionMismatch`` for
+    an effect that is not a ``GptEffect`` of the state's dimension.
     """
-    if any(len(e.coeffs) != point.shape[0] for f in frames for e in f.effects):
+    if any(len(_expect(e, GptEffect, DimensionMismatch).coeffs) != point.shape[0]
+           for f in frames for e in f.effects):
         raise DimensionMismatch("frame and state dimensions differ")
     effects = np.zeros((len(frames), max(len(f.effects) for f in frames), point.shape[0]))
     for row, frame in zip(effects, frames):
-        row[:len(frame.effects)] = [e.coeffs for e in frame.effects]
+        if frame.effects:
+            row[:len(frame.effects)] = [e.coeffs for e in frame.effects]
     values = np.vecdot(effects, point)  # one dot product per effect, as np.dot
     totals = values.sum(axis=1)
     incomplete = np.abs(totals - 1.0) > TOL

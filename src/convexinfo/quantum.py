@@ -23,6 +23,7 @@ from .errors import (
     NotNormalized,
     TooLarge,
     _expect,
+    _numbers,
 )
 from .probvec import TOL, ProbVector, majorizes
 
@@ -35,14 +36,9 @@ MAX_SEARCH_BUDGET = 100_000
 
 def _as_complex_matrix(entries, error=InvalidDensityMatrix) -> np.ndarray:
     """A fresh C-ordered complex copy: the caller's array never aliases it."""
-    try:
-        m = np.array(entries, complex, order="C")
-    except (TypeError, ValueError):  # ragged rows or non-numeric entries
-        raise error("expected a square matrix of numbers") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _numbers(entries, error, "a square matrix of numbers", 2, complex)
+    if m.shape[0] != m.shape[1]:
         raise error(f"expected a square matrix, got shape {m.shape}")
-    if not m.size:
-        raise error("expected a matrix with at least one entry")
     return m
 
 
@@ -354,14 +350,7 @@ def holevo_chi(e: Ensemble) -> float:
 
 def mutual_information(joint) -> float:
     """I(X:Y) = H(X) + H(Y) - H(X,Y) in nats for a joint probability table."""
-    try:
-        j = np.asarray(joint, float)
-    except (TypeError, ValueError):
-        raise NotNormalized("joint table must be a 2-d array of numbers") from None
-    if j.ndim != 2:
-        raise NotNormalized("joint table must be a 2-d array")
-    if not j.size:
-        raise NotNormalized("joint table is empty")
+    j = _numbers(joint, NotNormalized, "a 2-d joint table of numbers", 2)
     low = float(j.min())
     if low < -TOL:
         raise NotNormalized(f"negative joint probability {low!r}")

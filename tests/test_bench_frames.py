@@ -89,6 +89,7 @@ def test_alternated_takes_the_median_of_each_repeats_median(monkeypatch):
         return next(runs)
 
     monkeypatch.setattr(bench_frames, "_measure_checkout", measured)
+    monkeypatch.setattr(bench_frames, "REPEATS", 3)
     doc = bench_frames.alternated({"change": ROOT}, "measure_ops", "quantum")
     assert calls == [("measure_ops", ("quantum", True)), ("measure_ops", ("quantum", False)),
                      ("measure_ops", ("quantum", False))]

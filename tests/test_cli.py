@@ -538,6 +538,23 @@ def test_ragged_matrix_exits_2(capsys, tmp_path, ensemble_file, flag):
     assert (code, out) == (2, "") and err == "error: matrix rows differ in length\n"
 
 
+@pytest.mark.parametrize("flag, doc", [
+    ("--model", {"kind": "custom_polytope", "vertices": [[1, 0], [0, 1, 2], [1, 1]]}),
+    ("--joint", [["a", "b"], ["c", "d"]]),
+    ("--rho", RAGGED),
+    ("--rho", []),
+], ids=["ragged vertices", "text joint table", "ragged rho", "empty rho"])
+def test_malformed_numbers_exit_2_with_one_error_line(capsys, tmp_path, square_file, flag, doc):
+    path = _write_json(tmp_path, "input.json", doc)
+    argv = {"--model": ["frames", "--model", path],
+            "--joint": ["separable", "--model-a", square_file, "--model-b", square_file,
+                        "--joint", path],
+            "--rho": ["qentropy", "--rho", path]}[flag]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_min_search_negative_seed_exits_2(capsys, rho_file):
     code, out, err = run(capsys, ["qentropy", "--rho", rho_file, "--min-search", "--seed", "-1"])
     assert (code, out) == (2, "")

@@ -270,7 +270,8 @@ def test_polytope_validation():
 def test_polytope_dimension_cap_and_shape():
     with pytest.raises(TooLarge, match="dimension 65 exceeds the cap 64"):
         Polytope(((0.0,) * 65,))
-    with pytest.raises(DegenerateModel, match="vertices must share one dimension"):
+    with pytest.raises(DegenerateModel,
+                       match=r"^expected vertices as rows of numbers, got shape \(2,\)$"):
         Polytope((1.0, 2.0))
     poly = Polytope(np.array([[1, 0], [0, 1]]))
     assert poly.vertices == ((1.0, 0.0), (0.0, 1.0))

@@ -10,6 +10,7 @@ import pytest
 
 from convexinfo import (
     Constraint,
+    Frame,
     GptEffect,
     GptState,
     LinearProgram,
@@ -57,6 +58,7 @@ from convexinfo.composites import min_tensor_vertices
 from convexinfo.errors import (
     DegenerateModel,
     DimensionMismatch,
+    IncompleteFrame,
     InvalidEffect,
     InvalidEntropicPair,
     InvalidProbVector,
@@ -383,11 +385,9 @@ def test_distinguishable_subsets_of_frames(square, pentagon, simplex4):
 
 
 def test_corrupt_frame_raises_incomplete(square):
-    from convexinfo.gpt_models import Frame, GptEffect
     good = enumerate_frames(square)[0]
     short = Frame(vertex_indices=good.vertex_indices, states=good.states,
                   effects=(good.effects[0], GptEffect(coeffs=(0.0, 0.0, 0.0))))
-    from convexinfo.errors import IncompleteFrame
     with pytest.raises(IncompleteFrame):
         restrict_to_frame(make_state(square, [0.1, 0.1]), short)
 
@@ -630,10 +630,14 @@ _PROB_VECTOR_CASES = {
                          _VECTOR + "ndarray"),
     "sort_desc": (lambda sq: sort_desc([0.2, 0.8]), _VECTOR + "list"),
 }
-#: Entry points whose malformed input once ended in a TypeError or an
-#: IndexError: the call, its ValidationError and what it says.
+#: Entry points whose malformed input once ended in a TypeError, an
+#: IndexError or a ValueError: the call, its ValidationError and what it says.
 _OTHER_CASES = {
     "Polytope-None": (lambda sq: Polytope(None), DegenerateModel, "rows of numbers"),
+    # a frame without effects resolves the state to 0
+    "restrict_to_frame-no-effects": (lambda sq: restrict_to_frame(
+        vertex_state(sq, 0), Frame((), (), ())), IncompleteFrame,
+        r"^frame effects resolve the state to 0\.0, not 1$"),
     "pair_from_grid_descriptor-array": (lambda sq: pair_from_grid_descriptor(
         np.array([0.1, 0.2, 1.0])), InvalidEntropicPair, "malformed pair descriptor"),
     "LinearProgram-constraints": (lambda sq: LinearProgram(1, None, 5), DimensionMismatch,
@@ -679,6 +683,9 @@ _WRONG_TYPE_CASES = {
                             DimensionMismatch, _STATE),
     "restrict_to_frame-frame": (lambda sq: restrict_to_frame(vertex_state(sq, 0), _WRONG),
                                 DimensionMismatch, "expected Frame, got list"),
+    "restrict_to_frame-effect": (lambda sq: restrict_to_frame(vertex_state(sq, 0), Frame(
+        (0,), (vertex_state(sq, 0),), ([0.0, 0.0, 1.0],))), DimensionMismatch,
+        "expected GptEffect, got list"),
     "LinearProgram-constraint": (lambda sq: LinearProgram(1, None, ([1.0],)),
                                  DimensionMismatch, "expected Constraint, got list"),
 }
