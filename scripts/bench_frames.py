@@ -43,6 +43,11 @@ factor's first frame enumeration makes. ``eigensolves`` counts the
 ``eigvalsh`` and ``eigh`` calls: a qentropy op makes two, the state's
 validation and the search's eigenbasis; a checkout whose min-search checks
 its witness with an eigensolve of the effects counts one more.
+``stack_checks`` counts the checks of a POVM's whole effect stack
+(``quantum._checked_effects``): a holevo op makes one, for the POVM it
+measures with, and a qentropy op none, since the Gram matrix of the
+witness's bras decides the witness's checks; a checkout that checks the
+witness's stack counts one more per qentropy op.
 ``generators`` counts the ``np.random.default_rng`` calls: a checkout that
 validates the search's seed by building a generator counts one.
 
@@ -182,7 +187,8 @@ SEPARABLE_SEAMS = (
 )
 QUANTUM_SEAMS = (("numpy.linalg", "eigvalsh", _once("eigensolves")),
                  ("numpy.linalg", "eigh", _once("eigensolves")),
-                 ("numpy.random", "default_rng", _once("generators")))
+                 ("numpy.random", "default_rng", _once("generators")),
+                 ("convexinfo.quantum", "_checked_effects", _once("stack_checks")))
 #: The per-op sections: each times one perfbench workload's ops and counts
 #: them with its seams.
 SECTIONS = {"spectra": ("spectrum-ladder", SPECTRA_SEAMS),

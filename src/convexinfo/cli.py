@@ -83,7 +83,7 @@ def _load_json(path: str, flag: str):
 def _parse_complex_matrix(doc) -> np.ndarray:
     try:
         rows = [[complex(cell[0], cell[1]) for cell in row] for row in doc]
-    except (TypeError, IndexError, KeyError):
+    except (TypeError, IndexError, KeyError, OverflowError):
         raise ValidationError("matrices are nested arrays of [re, im] pairs") from None
     if len(set(map(len, rows))) > 1:
         raise ValidationError("matrix rows differ in length")
@@ -196,7 +196,7 @@ def _cmd_separable(args) -> int:
     table = doc["table"] if isinstance(doc, dict) and "table" in doc else doc
     try:
         omega = JointState(np.asarray(table, float))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError("--joint expects a table of numbers") from None
     witness = separable_witness(ps, omega)
     if witness is not None:
@@ -277,7 +277,7 @@ def _cmd_lp(args) -> int:
                            objective=tuple(doc["objective"]),
                            constraints=cons, bounds=bounds,
                            maximize=bool(doc.get("maximize", True)))
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, OverflowError):
         raise ValidationError("--file expects {objective: [...], constraints: "
                               "[[coeffs, rel, bound], ...], bounds?, maximize?}") from None
     result = lp_solve(lp)

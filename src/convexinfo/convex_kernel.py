@@ -66,7 +66,7 @@ class Constraint:
         try:
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
             object.__setattr__(self, "bound", float(self.bound))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DimensionMismatch("constraint coefficients and bound must be numbers") from None
 
 
@@ -94,7 +94,7 @@ class LinearProgram:
                 object.__setattr__(self, "bounds", tuple(
                     tuple(None if x is None else float(x) for x in (lo, hi))
                     for lo, hi in self.bounds))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DimensionMismatch("n_vars needs an integer, objective numbers, "
                                     "bounds (lo, hi) pairs") from None
         if self.n_vars < 0 or not np.isfinite(self.objective or ()).all():

@@ -137,7 +137,7 @@ def make_preset(name: str, parameter: float | None = None) -> EntropicPair:
             raise BadParameter(f"{key} needs a parameter")
         try:
             a = float(parameter)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise BadParameter(f"{key} parameter must be a number, got {parameter!r}") from None
         if not math.isfinite(a) or a <= 0.0 or abs(a - 1.0) <= 1e-12:
             raise BadParameter(f"{key} parameter must be finite, > 0 and != 1, got {a!r}")
@@ -233,7 +233,8 @@ def pair_from_grid_descriptor(desc: dict) -> EntropicPair:
         phi_y = np.asarray(desc["phi"]["y"], dtype=float)
         h_x = np.asarray(desc["h"]["x"], dtype=float)
         h_y = np.asarray(desc["h"]["y"], dtype=float)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:  # IndexError: an array
+    # IndexError: an array; OverflowError: an integer too large for a float
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InvalidEntropicPair(f"malformed pair descriptor: {exc}") from None
     for label, grid in {"phi.x": phi_x, "phi.y": phi_y, "h.x": h_x, "h.y": h_y}.items():
         if grid.ndim != 1:

@@ -116,12 +116,13 @@ def _expect(value, kind: type, error: type):
 def _numbers(value, error: type, what: str, ndim: int, dtype=float) -> np.ndarray:
     """A new C-ordered ``dtype`` array of ``value`` with ``ndim`` axes and at
     least one entry, else ``error`` saying it expected ``what``: so ragged,
-    non-numeric, wrongly shaped and empty input all end in a named error, never
-    in numpy's ``TypeError`` or ``ValueError``. Finiteness is the caller's."""
+    non-numeric, too large (an integer beyond the float range), wrongly shaped
+    and empty input all end in a named error, never in numpy's ``TypeError``,
+    ``ValueError`` or ``OverflowError``. Finiteness is the caller's."""
     try:
         array = np.array(value, dtype, order="C")
-    except (TypeError, ValueError):
-        raise error(f"expected {what}, got a ragged or non-numeric "
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"expected {what}, got a ragged, non-numeric or too large "
                     f"{type(value).__name__}") from None
     if array.ndim != ndim or not array.size:
         raise error(f"expected {what}, got shape {array.shape}")

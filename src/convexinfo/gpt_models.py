@@ -558,7 +558,7 @@ def perfectly_distinguishable(space: StateSpace, states) -> bool:
     try:
         states = list(states)
         points = np.asarray([st.point for st in states if isinstance(st, GptState)], float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DimensionMismatch("expected an iterable of GptState of numbers") from None
     if len(states) < 2:
         raise ValidationError("need at least 2 states to distinguish")

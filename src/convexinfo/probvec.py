@@ -34,7 +34,7 @@ class ProbVector:
     def __init__(self, components: Iterable[float]):
         try:
             comps = [float(c) for c in components]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidProbVector("components must be numbers") from None
         if not comps:
             raise InvalidProbVector("a probability vector needs at least one component")
@@ -80,7 +80,7 @@ def normalize(weights: Sequence[float]) -> ProbVector:
     """
     try:
         ws = [float(w) for w in weights]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidProbVector("weights must be numbers") from None
     if not all(map(math.isfinite, ws)):
         raise NegativeWeight("weights must be finite")

@@ -121,6 +121,26 @@ class DensityMatrix(_ArrayValue):
         return [[[z.real, z.imag] for z in row] for row in self.entries]
 
 
+#: How far inside ``TOL`` the Gram matrix G = R† R of the bras R (N <= 16
+#: rows) must lie of the identity for ``Povm._eigenbasis`` to skip the stack
+#: checks. Entry (a, b) of G and of the stack's sum S are two rounded sums of
+#: the same N products conj(r_ia) r_ib. With u = eps / 2 and
+#: gamma_k = k u / (1 - k u), a rounded complex product is off by at most
+#: sqrt(2) gamma_2 |r_ia| |r_ib| and a sum of N terms in any order by
+#: gamma_(N-1) times the sum of their moduli (Higham, Accuracy and Stability
+#: of Numerical Algorithms, 2002, section 3.1 and lemma 3.5), so each of G
+#: and S lies within gamma_(N+2) s_ab of the exact sum, where
+#: s_ab = sum_i |r_ia| |r_ib| <= sqrt(T_aa T_bb) and T_aa = sum_i |r_ia|^2 is
+#: within the same bound of G_aa <= 1 + TOL: |S - G| <= 2 gamma_(N+2)
+#: (1 + TOL) (1 + O(N u)), about (N + 2) eps (1 + TOL). The margin doubles
+#: that at N = 16 to cover the roundings of the two tests' subtractions and
+#: moduli (a few u each). Then every |r_ia|^2 <= T_aa is about 1, so each
+#: product is finite and Hermitian within a few eps, far inside TOL, and the
+#: stack's sum lies within TOL of the identity: ``_checked_effects`` would
+#: accept it.
+_GRAM_MARGIN = 2 * (MAX_DIM + 2) * np.finfo(float).eps * (1 + TOL)
+
+
 def _checked_effects(stack: np.ndarray, eigensolve: bool) -> np.ndarray | None:
     """Check a complex (k, N, N) stack of effects as a ``Povm`` holds them,
     and freeze it; with ``eigensolve``, return the effects' ascending
@@ -190,17 +210,28 @@ class Povm(_ArrayValue):
         """The rank-one POVM {|r_i><r_i|} of the orthonormal bras ``rows``,
         the min-search's witness.
 
-        It runs every check of ``__init__`` but the eigensolve: the entries
-        are finite, each effect is Hermitian, and the effects sum to the
-        identity within ``TOL``. The eigensolve decides that no eigenvalue
-        lies below -``TOL`` and that no effect has a second eigenvalue above
-        1e-7, and neither can fail here: a rounded outer product r r† lies
-        within about N eps ||r||^2 of r r†, whose eigenvalues are ||r||^2
-        and N - 1 zeros (Weyl's bound), and the sum check bounds ||r||^2,
-        the effect's trace, by N (1 + TOL).
+        It keeps the verdict and message of every check of ``__init__`` but
+        the eigensolve, on every input. The effects sum to the Gram matrix
+        G = rows† rows, so when G is within ``TOL - _GRAM_MARGIN`` of the
+        identity the stack would pass ``_checked_effects`` (see
+        ``_GRAM_MARGIN``) and its N x N x N checks are skipped; any other
+        rows, NaN, infinite or overflowing ones included, go through them.
+        The eigensolve decides that no eigenvalue lies below -``TOL`` and
+        that no effect has a second eigenvalue above 1e-7, and neither can
+        fail here: a rounded outer product r r† lies within about N eps
+        ||r||^2 of r r†, whose eigenvalues are ||r||^2 and N - 1 zeros
+        (Weyl's bound), and the sum check bounds ||r||^2, the effect's
+        trace, by N (1 + ``TOL``).
         """
         effects = np.einsum("ia,ib->iab", rows.conj(), rows)
-        _checked_effects(effects, eigensolve=False)
+        k, n = rows.shape
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fail below
+            gram = rows.conj().T @ rows
+        # written as "holds", so that a NaN or an inf in G takes the checks
+        if k <= MAX_DIM and abs(gram - np.eye(n)).max() <= TOL - _GRAM_MARGIN:
+            _frozen(effects)
+        else:
+            _checked_effects(effects, eigensolve=False)
         povm = object.__new__(cls)
         object.__setattr__(povm, "effects", effects)
         object.__setattr__(povm, "rank_one", True)
@@ -284,11 +315,15 @@ def quantum_entropy_min_search(pair: EntropicPair, rho: DensityMatrix,
     concave and h increasing, or phi convex and h decreasing) is
     Schur-concave, so no measurement scores less.
 
-    The measurement gets every check a ``Povm`` makes (finite, Hermitian
-    effects that sum to the identity within ``TOL``) but the eigensolve of
-    its effects, which could not fail: by Weyl's bound each rounded outer
-    product of a row has eigenvalues within about N eps of ||r||^2 and 0,
-    far inside ``TOL`` and the rank-one test's 1e-7 (``Povm._eigenbasis``).
+    The measurement keeps the verdict of every check a ``Povm`` makes
+    (finite, Hermitian effects that sum to the identity within ``TOL``) but
+    the eigensolve of its effects, which could not fail: by Weyl's bound each
+    rounded outer product of a row has eigenvalues within about N eps of
+    ||r||^2 and 0, far inside ``TOL`` and the rank-one test's 1e-7. The
+    N x N Gram matrix of the eigenbasis bras decides those checks when it
+    lies within ``TOL - _GRAM_MARGIN`` of the identity, as eigh's bras do,
+    and the N x N x N effect stack is checked only otherwise
+    (``Povm._eigenbasis``).
 
     A grid pair (``pair_from_grid_descriptor``) is in its regime only if its
     interpolated phi and h are, and construction checks them only at
@@ -352,10 +387,10 @@ def mutual_information(joint) -> float:
     """I(X:Y) = H(X) + H(Y) - H(X,Y) in nats for a joint probability table."""
     j = _numbers(joint, NotNormalized, "a 2-d joint table of numbers", 2)
     low = float(j.min())
-    if low < -TOL:
+    if not low >= -TOL:  # written as "holds", so that a NaN cell fails it
         raise NotNormalized(f"negative joint probability {low!r}")
     total = float(j.sum())
-    if abs(total - 1.0) > TOL:
+    if not abs(total - 1.0) <= TOL:
         raise NotNormalized(f"joint probabilities sum to {total!r}, not 1")
     j = np.maximum(j, 0.0) / total
     shannon = make_preset("shannon")

@@ -232,6 +232,18 @@ def test_quantum_seams_count_the_eigensolves_of_one_qentropy_op(n, op_records):
     assert all(counted == {"eigensolves": 2} for counted in counts)
 
 
+def test_the_stack_checks_seam_counts_a_holevo_ops_povm_and_no_witness(op_records):
+    # the Gram matrix of its bras decides a qentropy op's witness; a holevo
+    # op checks the stack of the POVM it measures with, once
+    records = op_records["quantum"]
+    for label, record in records.items():
+        want = 1 if label.startswith("holevo ") else 0
+        for counted in (record["cold_counts"], record["warm_counts"]):
+            assert counted.get("stack_checks", 0) == want, label
+    assert sum(label.startswith("holevo ") for label in records) == 3
+    assert sum(label.startswith("qentropy ") for label in records) == 12
+
+
 def test_the_generators_seam_counts_each_default_rng_call():
     # the seam a checkout that validates the seed with default_rng counts on
     with bench_frames.counting(bench_frames.QUANTUM_SEAMS) as counted:

@@ -543,7 +543,12 @@ def test_ragged_matrix_exits_2(capsys, tmp_path, ensemble_file, flag):
     ("--joint", [["a", "b"], ["c", "d"]]),
     ("--rho", RAGGED),
     ("--rho", []),
-], ids=["ragged vertices", "text joint table", "ragged rho", "empty rho"])
+    # integers beyond the float range, which once ended in an OverflowError traceback
+    ("--model", {"kind": "custom_polytope", "vertices": [[10**400, 0], [0, 1], [1, 1]]}),
+    ("--joint", [[10**400, 0], [0, 0]]),
+    ("--rho", [[[10**400, 0]]]),
+], ids=["ragged vertices", "text joint table", "ragged rho", "empty rho", "huge vertex",
+        "huge joint cell", "huge rho cell"])
 def test_malformed_numbers_exit_2_with_one_error_line(capsys, tmp_path, square_file, flag, doc):
     path = _write_json(tmp_path, "input.json", doc)
     argv = {"--model": ["frames", "--model", path],

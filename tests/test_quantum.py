@@ -32,6 +32,7 @@ from convexinfo.errors import (
     NotNormalized,
     TooLarge,
 )
+from convexinfo.probvec import TOL
 
 from oracles import (
     char_poly_residual,
@@ -664,6 +665,76 @@ def test_the_eigenbasis_witness_equals_the_checked_povm():
                 assert not again.effects.flags.writeable
 
 
+def test_the_gram_check_keeps_the_witness_and_value_bits_of_the_stack_checks(monkeypatch):
+    # the same searches with every witness put through the stack checks (a
+    # margin past TOL fails the Gram test on every input) give the same
+    # value bits, effect bytes and checked POVM; the eigh path never calls
+    # the stack checks
+    from convexinfo import quantum
+    states = [DensityMatrix(rho) for rho in _witness_states()]
+    presets = [("shannon",), ("renyi", 2.0), ("tsallis", 0.5)]
+    calls = []
+    stack_checks = quantum._checked_effects
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return stack_checks(*args, **kwargs)
+
+    def searches():
+        return [quantum_entropy_min_search(make_preset(*p), rho) for rho in states
+                for p in presets]
+
+    monkeypatch.setattr(quantum, "_checked_effects", spy)
+    fast = searches()
+    assert not calls
+    monkeypatch.setattr(quantum, "_GRAM_MARGIN", 2 * TOL)
+    checked = searches()
+    assert len(calls) == len(checked) == 3 * len(states)
+    assert {rho.dim for rho in states} == set(range(1, 17))
+    for (value, witness), (checked_value, checked_witness) in zip(fast, checked):
+        assert value.hex() == checked_value.hex()
+        assert witness.effects.tobytes() == checked_witness.effects.tobytes()
+        assert witness.rank_one and checked_witness.rank_one
+        povm = Povm(witness.effects, rank_one=True)
+        assert witness == povm and witness.effects.tobytes() == povm.effects.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+def test_the_gram_check_keeps_the_stack_checks_verdict_and_message(n):
+    # bras whose Gram matrix misses the identity just inside or just outside
+    # TOL, on its diagonal (a column scaled) or everywhere (noise): the
+    # witness's verdict and message are those of the full stack checks. Half
+    # the margin inside TOL takes the stack checks, whose verdict rounding
+    # may tip either way
+    from convexinfo import quantum
+    rng = np.random.default_rng(n)
+    bras = random_unitary(rng, n)
+    cases = []
+    for delta in (quantum._GRAM_MARGIN / 2, 1e-13, 1e-12, 1e-11):
+        for miss in (TOL - delta, TOL + delta):
+            for sign in (1.0, -1.0):
+                scaled = bras.copy()
+                scaled[:, -1] *= math.sqrt(1.0 + sign * miss)
+                cases.append((scaled, miss < TOL if delta >= 1e-13 else None))
+    for size in (2e-10, 4e-10, 6e-10):
+        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        cases.append((bras + size * noise / abs(noise).max(), None))
+
+    def verdict(check):
+        try:
+            check()
+        except InvalidPovm as exc:
+            return str(exc)
+        return None
+
+    for rows, accepted in cases:
+        effects = np.einsum("ia,ib->iab", rows.conj(), rows)
+        want = verdict(lambda: quantum._checked_effects(effects, eigensolve=False))
+        assert verdict(lambda: Povm._eigenbasis(rows)) == want
+        if accepted is not None:
+            assert want == (None if accepted else "effects do not sum to the identity")
+
+
 @pytest.mark.parametrize("broken, message", [
     (lambda vecs: 1.01 * vecs, "^effects do not sum to the identity$"),
     (lambda vecs: np.full_like(vecs, math.nan), "^entries must be finite$"),
@@ -742,6 +813,14 @@ def test_every_input_form_gives_the_loop_references_outputs(n):
 def test_empty_ragged_or_non_numeric_input_is_a_validation_error(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_joint_cell_is_not_normalized(cell):
+    # both checks ask that their bound holds, so a NaN fails the first; it
+    # once reached the entropy and raised InvalidProbVector
+    with pytest.raises(NotNormalized):
+        mutual_information([[cell, 0.0], [0.0, 0.5]])
 
 
 def test_negative_joint_probability_prints_a_plain_float():
